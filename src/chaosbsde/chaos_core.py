@@ -22,7 +22,12 @@ puts the two order-1 blocks (Brownian units, then jump units) first.
 
 Sums over samples are accumulated in fixed chunks of 1024 and combined in
 chunk order, so results are bit-identical across runs and across worker
-thread counts.
+thread counts. For p <= 2 a chunk's sums come from its stacked first-order
+factors X = [K1; C1] (2N rows, one column per sample): row sums of F*X give
+the units and one product (F*X) X^T every order-2 sum. That product is taken
+over fixed sample blocks small enough for BLAS to run single-threaded, so
+results do not depend on the BLAS thread count either. p >= 3 uses a
+gather-based kernel over active slots.
 """
 
 from __future__ import annotations
@@ -57,6 +62,13 @@ DEFAULT_INDEX_CAP = 10_000_000
 # Fixed sample-chunk size for deterministic reductions. Small enough that
 # per-chunk work dominates fixed overhead from ~1e3 samples upward.
 _CHUNK = 1024
+
+# OpenBLAS runs a GEMM of at most 2**18 multiply-adds on the calling thread
+# (its default threading cut-off). The order <= 2 kernels keep every BLAS call
+# under it, so BLAS never splits a product across threads: results do not
+# depend on the BLAS thread count, and pool workers do not compete with BLAS
+# threads for the same cores.
+_BLAS_SERIAL_MACS = 1 << 18
 
 # Cap on precomputed inverse weights; degenerate parameter corners can push
 # 1/w past float64 range and the estimate should saturate, not turn inf/nan.
@@ -134,33 +146,20 @@ class _IndexSet:
             inv = 1.0 / w
         return np.minimum(inv, _INV_WEIGHT_GUARD)
 
-    # Rank layout facts used by the closed-form order <= 2 kernels. Grade-1
-    # ranks are the N Brownian units then the N jump units; grade-2 ranks
-    # follow combinations-with-replacement order over the 2N slots.
+    # Rank layout used by the closed-form order <= 2 kernels. Stack the 2N
+    # first-order factors of a path as X = [K1; C1] (Brownian slots, then
+    # jump slots). Grade-1 ranks 0..2N-1 are the rows of X in order, and
+    # grade-2 rank 2N + k is the product of rows (a, b) = np.triu_indices(2N)[k].
     @cached_property
-    def r1B(self) -> np.ndarray:
-        return np.arange(self.N)
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.triu_indices(2 * self.N)
 
     @cached_property
-    def r1P(self) -> np.ndarray:
-        return np.arange(self.N, 2 * self.N)
-
-    def _pair_rank(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # Rank of the unordered slot pair (a <= b), offset past the 2N units.
+    def pair_diag(self) -> np.ndarray:
+        """Ranks of the same-factor pairs (a, a): K2 then C2 per slot."""
         S = 2 * self.N
-        return S + a * S - (a * (a - 1)) // 2 + (b - a)
-
-    @cached_property
-    def _pair_layout(self):
-        N = self.N
-        iu, ju = np.triu_indices(N, 1)
-        bb_diag = self._pair_rank(np.arange(N), np.arange(N))
-        pp_diag = self._pair_rank(np.arange(N) + N, np.arange(N) + N)
-        bb_pairs = self._pair_rank(iu, ju)
-        pp_pairs = self._pair_rank(iu + N, ju + N)
-        bi, pj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-        bp = self._pair_rank(bi, pj + N)  # (N, N): row = Brownian slot, col = jump slot
-        return iu, ju, bb_diag, pp_diag, bb_pairs, pp_pairs, bp
+        a = np.arange(S)
+        return S + a * S - (a * (a - 1)) // 2
 
     @cached_property
     def slot_groups(self) -> tuple[_SlotGroup, ...]:
@@ -371,51 +370,70 @@ def _check_functional(F, paths: PathBatch) -> np.ndarray:
     return F
 
 
+def _block_width(N: int) -> int:
+    """Sample-axis block width that keeps a 2N x 2N x width GEMM BLAS-serial."""
+    return max(1, _BLAS_SERIAL_MACS // (2 * N) ** 2)
+
+
+def _stacked_factors(G, Q, kh: float, sl: slice) -> np.ndarray:
+    """First-order factors X = [K1; C1] of one chunk, time-major (2N, Mc)."""
+    Gc = G[sl]
+    Mc, N = Gc.shape
+    X = np.empty((2 * N, Mc))
+    X[:N] = Gc.T
+    np.subtract(Q[sl].T, kh, out=X[N:])
+    return X
+
+
+def _pair_sums(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """A @ X.T as partial products over fixed sample blocks, summed in order."""
+    width = _block_width(X.shape[0] // 2)
+    S = A[:, :width] @ X[:, :width].T
+    for a in range(width, X.shape[1], width):
+        S += A[:, a:a + width] @ X[:, a:a + width].T
+    return S
+
+
 def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
                      squares: bool) -> np.ndarray:
     """Raw sums of F*Phi_n (and optionally (F*Phi_n)**2) over one chunk.
 
-    Closed-form layout for p <= 2: the five coefficient families (Brownian
-    units, jump units, same-slot degree 2, distinct-slot pairs, mixed pairs)
-    are each one vector product or one rank-N GEMM.
+    Closed-form layout for p <= 2. With X = [K1; C1] the chunk's stacked
+    first-order factors, the unit sums are the row sums of F*X, and one
+    product S = (F*X) X^T holds every order-2 sum: S[a, b] for a < b is the
+    pair (a, b), and the same-slot degree-2 sums follow from the diagonal
+    through K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh.
     """
     Fc = F[sl]
-    K1 = G[sl]
-    Qf = Q[sl].astype(np.float64)
-    C1 = Qf - kh
+    X = _stacked_factors(G, Q, kh, sl)
+    N2 = X.shape[0]
+    N = N2 // 2
     n_out = 1 + iset.J
     out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
 
-    out[0] = Fc.sum()
-    out[1 + iset.r1B] = Fc @ K1
-    out[1 + iset.r1P] = Fc @ C1
+    FX = Fc * X
+    sF = Fc.sum()
+    out[0] = sF
+    out[1:1 + N2] = FX.sum(axis=1)
     if iset.p >= 2:
-        iu, ju, bb_diag, pp_diag, bb_pairs, pp_pairs, bp = iset._pair_layout
-        K2 = 0.5 * (K1 * K1 - 1.0)
-        C2 = (Qf - 1.0 - kh) * C1 - kh
-        out[1 + bb_diag] = Fc @ K2
-        out[1 + pp_diag] = Fc @ C2
-        FK1 = Fc[:, None] * K1
-        FC1 = Fc[:, None] * C1
-        out[1 + bb_pairs] = (K1.T @ FK1)[iu, ju]
-        out[1 + pp_pairs] = (C1.T @ FC1)[iu, ju]
-        out[1 + bp.ravel()] = (K1.T @ FC1).ravel()
+        S = _pair_sums(FX, X)
+        out[1 + N2:n_out] = S[iset.pairs]
+        diag = np.diagonal(S)
+        out[1 + iset.pair_diag[:N]] = 0.5 * (diag[:N] - sF)
+        out[1 + iset.pair_diag[N:]] = diag[N:] - out[1 + N:1 + N2] - kh * sF
     if squares:
         sq = out[n_out:]
         F2 = Fc * Fc
-        K1s = K1 * K1
-        C1s = C1 * C1
+        X2 = X * X
+        F2X2 = F2 * X2
         sq[0] = F2.sum()
-        sq[1 + iset.r1B] = F2 @ K1s
-        sq[1 + iset.r1P] = F2 @ C1s
+        sq[1:1 + N2] = F2X2.sum(axis=1)
         if iset.p >= 2:
-            sq[1 + bb_diag] = F2 @ (K2 * K2)
-            sq[1 + pp_diag] = F2 @ (C2 * C2)
-            F2K = F2[:, None] * K1s
-            F2C = F2[:, None] * C1s
-            sq[1 + bb_pairs] = (K1s.T @ F2K)[iu, ju]
-            sq[1 + pp_pairs] = (C1s.T @ F2C)[iu, ju]
-            sq[1 + bp.ravel()] = (K1s.T @ F2C).ravel()
+            sq[1 + N2:] = _pair_sums(F2X2, X2)[iset.pairs]
+            K2 = 0.5 * (X2[:N] - 1.0)
+            C2 = X2[N:] - X[N:] - kh
+            sq[1 + iset.pair_diag[:N]] = (F2 * (K2 * K2)).sum(axis=1)
+            sq[1 + iset.pair_diag[N:]] = (F2 * (C2 * C2)).sum(axis=1)
     return out
 
 
@@ -483,7 +501,7 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1,
         Truncation order (total degree), >= 0.
     threads : int, optional
         Worker threads for the chunked reduction. Results are identical for
-        every value.
+        every value, and for every BLAS thread count.
     index_cap : int, optional
         Refuse basis sizes beyond this (SizingError).
 

@@ -24,10 +24,15 @@ evaluated at the partial increment standardized by the elapsed time, and its
 Charlier factor at the partial count with mean kappa*(t - t_{r-1}). At
 t = t_r this reduces exactly to the grid evaluators.
 
-``evaluate_grid`` is the batched engine the solver uses: one pass over the
-coefficient array per chunk of paths, each index contributing to its support
-bucket, followed by a cumulative sum over r. The full r = 0..N sweep is
-O(#indices) per path, amortized.
+``evaluate_grid`` is the batched engine the solver uses. Per chunk of paths
+it sums each index into the bucket of its support slot and takes a
+cumulative sum over r, so the full r = 0..N sweep is O(#indices) per path.
+For p <= 2 the chunk is time-major: with the stacked first-order factors
+X = [K1; C1] (2N rows, one column per sample), one product W^T X with the
+2N x 2N pair-coefficient matrix W gives both derivative sums at every slot,
+and the value sum follows from them elementwise. The product runs in column
+blocks small enough for BLAS to run single-threaded. p >= 3 uses a
+gather-based kernel over active slots.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from typing import Optional
 
 import numpy as np
 
-from .chaos_core import ChaosCoefficients, _chunk_slices
+from .chaos_core import (ChaosCoefficients, _block_width, _chunk_slices,
+                         _stacked_factors)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -247,68 +253,90 @@ def conditional_at(coeffs: ChaosCoefficients, path: PathView, r: int, t: float,
 
 
 @dataclass(frozen=True, eq=False)
-class _FastPlan:
-    """Order <= 2 coefficients rearranged for the closed-form GEMM kernel."""
+class _PairPlan:
+    """Order <= 2 coefficients arranged for the fused time-major kernel.
 
-    d1B: np.ndarray       # (N,) Brownian unit coefficients
-    d1P: np.ndarray       # (N,) jump unit coefficients
-    dBBd: Optional[np.ndarray] = None   # (N,) same-slot Hermite degree 2
-    dPPd: Optional[np.ndarray] = None   # (N,) same-slot Charlier degree 2
-    diag_bp: Optional[np.ndarray] = None  # (N,) same-slot mixed pairs
-    D_BBu: Optional[np.ndarray] = None  # (N,N) strictly upper, slot pairs i<j
-    D_PPu: Optional[np.ndarray] = None
-    U_bp: Optional[np.ndarray] = None   # Brownian slot < jump slot
-    L_bpT: Optional[np.ndarray] = None  # transpose of (Brownian slot > jump slot)
+    Rows follow the stacked factors X = [K1; C1] of
+    :func:`chaosbsde.chaos_core._stacked_factors`; per-slot vectors are
+    (N, 1) columns that broadcast over a chunk's samples.
+    """
+
+    d1: np.ndarray            # (2N, 1) unit coefficients
+    Wt: Optional[np.ndarray]  # (2N, 2N) transposed pair matrix; None when p = 1
+    # Same-slot terms, all zero when p = 1.
+    hBB: np.ndarray           # (N, 1) half the same-slot Hermite degree-2 coefficient
+    dPP: np.ndarray           # (N, 1) same-slot Charlier degree 2
+    dBP: np.ndarray           # (N, 1) same-slot mixed pair
+    c0: np.ndarray            # (N, 1) hBB + kappa*h * dPP
 
 
-def _fast_plan(coeffs: ChaosCoefficients) -> _FastPlan:
+def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
     iset = coeffs.iset
     N = iset.N
     v = coeffs.values
-    d1B = v[iset.r1B]
-    d1P = v[iset.r1P]
+    d1 = v[:2 * N, None]
+    zero = np.zeros((N, 1))
     if iset.p < 2:
-        return _FastPlan(d1B=d1B, d1P=d1P)
-    iu, ju, bb_diag, pp_diag, bb_pairs, pp_pairs, bp = iset._pair_layout
-    D_BBu = np.zeros((N, N))
-    D_BBu[iu, ju] = v[bb_pairs]
-    D_PPu = np.zeros((N, N))
-    D_PPu[iu, ju] = v[pp_pairs]
-    D_BP = v[bp]  # (N, N) full: row = Brownian slot, col = jump slot
-    return _FastPlan(
-        d1B=d1B, d1P=d1P,
-        dBBd=v[bb_diag], dPPd=v[pp_diag], diag_bp=np.diag(D_BP).copy(),
-        D_BBu=D_BBu, D_PPu=D_PPu,
-        U_bp=np.triu(D_BP, 1), L_bpT=np.tril(D_BP, -1).T)
+        return _PairPlan(d1=d1, Wt=None, hBB=zero, dPP=zero, dBP=zero, c0=zero)
+    # P[a, b] (a <= b) is the coefficient of the factor product X_a * X_b.
+    P = np.zeros((2 * N, 2 * N))
+    P[iset.pairs] = v[2 * N:]
+    dBB = np.diag(P[:N, :N]).copy()
+    dPP = np.diag(P[N:, N:]).copy()
+    dBP = np.diag(P[:N, N:]).copy()
+    # W[a, b] multiplies X_a in the derivative along factor b at b's slot:
+    # every pair feeds the factor of its later slot, a same-slot mixed pair
+    # feeds both of its factors, and d/dC1 of C2 is 2*C1.
+    W = np.triu(P)
+    W[N:, :N] = np.tril(P[:N, N:]).T
+    W[:N, N:] = np.triu(P[:N, N:])
+    W[N:, N:] += np.diag(dPP)
+    hBB = 0.5 * dBB
+    kh = coeffs.spec.jump_mean
+    return _PairPlan(d1=d1, Wt=np.ascontiguousarray(W.T), hBB=hBB[:, None],
+                     dPP=dPP[:, None], dBP=dBP[:, None],
+                     c0=(hBB + kh * dPP)[:, None])
 
 
-def _eval_chunk_fast(plan: _FastPlan, p: int, kh: float, G, Q, sl: slice,
-                     Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float) -> None:
-    K1 = G[sl]
-    Qf = Q[sl].astype(np.float64)
-    C1 = Qf - kh
-    # SY[:, j] collects the terms activated at support slot j+1; SZ and SU
-    # hold the (unscaled) derivative sums at that slot.
-    SY = K1 * plan.d1B + C1 * plan.d1P
-    SZ = np.broadcast_to(plan.d1B, K1.shape).copy()
-    SU = np.broadcast_to(plan.d1P, K1.shape).copy()
-    if p >= 2:
-        K2 = 0.5 * (K1 * K1 - 1.0)
-        C2 = (Qf - 1.0 - kh) * C1 - kh
-        TBB = K1 @ plan.D_BBu
-        TPP = C1 @ plan.D_PPu
-        TBPu = K1 @ plan.U_bp
-        TBPl = C1 @ plan.L_bpT
-        SY += (K2 * plan.dBBd + K1 * TBB + C2 * plan.dPPd + C1 * TPP
-               + C1 * TBPu + K1 * TBPl + (K1 * C1) * plan.diag_bp)
-        SZ += K1 * plan.dBBd + TBB + TBPl + C1 * plan.diag_bp
-        SU += 2.0 * (C1 * plan.dPPd) + TPP + TBPu + K1 * plan.diag_bp
-    Y[0, sl] = d0
-    Y[1:, sl] = d0 + np.cumsum(SY, axis=1).T
+def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
+                      Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float) -> None:
+    """Fused order <= 2 kernel: one blocked GEMM and a few (N, Mc) passes.
+
+    T = d1 + W^T X stacks the unscaled derivative sums SZ (rows :N) and SU
+    (rows N:) at every slot. K1*SZ + C1*SU holds every term of the value sum
+    SY at its support slot, except that the same-slot terms appear as
+    dBB*K1**2 in place of dBB*K2, 2*dPP*C1**2 in place of dPP*C2, and the
+    mixed one twice. Removing that surplus,
+    SY = K1*SZ + C1*SU - (K1**2 + 1)/2*dBB - (C1*(C1 + 1) + kh)*dPP - K1*C1*dBP,
+    computed as K1*(SZ - hBB*K1 - dBP*C1) + C1*(SU - dPP*(C1 + 1)) - c0.
+    """
+    X = _stacked_factors(G, Q, kh, sl)
+    N = X.shape[0] // 2
+    K1 = X[:N]
+    C1 = X[N:]
+    T = np.empty_like(X)
+    if plan.Wt is None:
+        T[:] = plan.d1
+    else:
+        width = _block_width(N)
+        for a in range(0, X.shape[1], width):
+            np.matmul(plan.Wt, X[:, a:a + width], out=T[:, a:a + width])
+        T += plan.d1
     Z[0, sl] = z0
-    Z[1:, sl] = SZ.T / sqrt_h
+    np.divide(T[:N], sqrt_h, out=Z[1:, sl])
     U[0, sl] = u0
-    U[1:, sl] = SU.T
+    U[1:, sl] = T[N:]
+    T[:N] -= plan.hBB * K1
+    T[:N] -= plan.dBP * C1
+    T[N:] -= plan.dPP * (C1 + 1.0)
+    T *= X
+    SY = T[:N]
+    SY += T[N:]
+    SY -= plan.c0
+    # Row by row: numpy's cumsum along axis 0 is about twice as slow here.
+    Y[0, sl] = d0
+    for r in range(N):
+        np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
 
 
 def _eval_chunk_generic(coeffs: ChaosCoefficients, kh: float, G, Q, sl: slice,
@@ -372,7 +400,8 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
 
     ``out`` optionally supplies preallocated (N+1, M) arrays to fill,
     avoiding reallocation in iterative callers. Results are bit-identical
-    for every ``threads`` value: chunks write disjoint column blocks.
+    for every ``threads`` value, since chunks write disjoint column blocks,
+    and for every BLAS thread count.
     """
     if paths.spec != coeffs.spec:
         raise ValueError(
@@ -399,11 +428,11 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     u0 = float(coeffs.values[N])
     kh = coeffs.spec.jump_mean
     if coeffs.p <= 2:
-        plan = _fast_plan(coeffs)
+        plan = _pair_plan(coeffs)
 
         def work(sl: slice) -> None:
-            _eval_chunk_fast(plan, coeffs.p, kh, paths.G, paths.Q, sl,
-                             Y, Z, U, d0, z0, u0, sqrt_h)
+            _eval_chunk_pairs(plan, kh, paths.G, paths.Q, sl,
+                              Y, Z, U, d0, z0, u0, sqrt_h)
     else:
         def work(sl: slice) -> None:
             _eval_chunk_generic(coeffs, kh, paths.G, paths.Q, sl,

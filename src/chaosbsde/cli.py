@@ -36,8 +36,8 @@ where the exact columns come from the benchmark closed form at time 0, the
 err columns from the discretized error norm against the exact grid on the
 same paths, and wall_ms times the solve alone (path generation excluded).
 Floats are written with 17 significant digits and a ``.`` decimal separator,
-so output is byte-stable for a fixed config; ``--threads`` never changes
-values, only wall_ms.
+so output is byte-stable for a fixed config; neither ``--threads`` nor the
+BLAS thread count changes values, only wall_ms.
 
 ``--dump-coeffs`` additionally writes the final chaos coefficients of each
 sweep point as CSV columns (rank, nB, nP, d_value, weight): rank 0 is the
@@ -455,7 +455,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--seed", type=int, metavar="INT",
                         help="base seed (overrides config)")
     parser.add_argument("--threads", type=int, default=1, metavar="INT",
-                        help="worker threads; 0 = auto; never affects values")
+                        help="worker threads; 0 = auto; values are identical for "
+                             "every count and every BLAS thread count")
     parser.add_argument("--dump-coeffs", action="store_true",
                         help="also write final chaos coefficients per sweep point")
     args = parser.parse_args(argv)

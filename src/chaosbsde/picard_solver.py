@@ -316,10 +316,6 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
             raise ValueError(
                 f"non-finite {name} value in final grid at grid index {r}, sample {m}")
 
-    # Row-0 invariants hold by construction.
-    assert np.all(Y[0] == coeffs.d0)
-    assert np.all(Z[0] == float(coeffs.values[0]) / math.sqrt(h))
-    assert np.all(U[0] == float(coeffs.values[N]))
     return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=coeffs,
                         history=tuple(history) if history is not None else None,
                         paths=ev)

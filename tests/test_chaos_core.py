@@ -55,6 +55,50 @@ def naive_estimate(F, paths, p):
     return F.mean(), (phi @ F) / len(F) / w
 
 
+class TestPairKernel:
+    """The closed-form order <= 2 estimator against naive per-sample sums.
+
+    M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452), and at
+    N = 50 the sample-axis GEMM blocks (width 26) do not divide a chunk.
+    The functional loads every family: units, same-slot degree 2, same-slot
+    mixed pairs and distinct-slot pairs in both slot orders.
+    """
+
+    @staticmethod
+    def case(N):
+        spec = GridSpec(T=2.0, N=N, kappa=3.0)
+        paths = sample_paths(spec, 2500, seed=30 + N)
+        rng = np.random.default_rng(N)
+        F = (rng.standard_normal(paths.M) + np.exp(0.3 * paths.Q.sum(axis=1))
+             + paths.G[:, 0] * paths.Q[:, -1] + paths.G[:, -1] ** 2)
+        return paths, F
+
+    @pytest.mark.parametrize("N", [1, 2, 50])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_naive_sums(self, N, p):
+        paths, F = self.case(N)
+        indices = enumerate_indices(N, p)
+        phi = basis_products(indices, paths)
+        w = np.array([weight(idx, paths.spec) for idx in indices])
+        coeffs = estimate(F, paths, p)
+        assert coeffs.d0 == pytest.approx(F.mean(), rel=1e-13)
+        want = (phi @ F) / paths.M / w
+        np.testing.assert_allclose(coeffs.values, want, rtol=1e-10,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        V = F.var(ddof=1) + float((phi * F).var(axis=1, ddof=1) @ (1.0 / w))
+        assert variance_diagnostic(F, paths, p) == pytest.approx(V, rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_thread_count_is_invisible_at_n50(self, p):
+        paths, F = self.case(50)
+        a = estimate(F, paths, p, threads=1)
+        b = estimate(F, paths, p, threads=3)
+        assert a.d0 == b.d0
+        assert np.array_equal(a.values, b.values)
+        assert (variance_diagnostic(F, paths, p, threads=1)
+                == variance_diagnostic(F, paths, p, threads=3))
+
+
 class TestEnumeration:
     def test_unit_vectors_first(self):
         indices = enumerate_indices(2, 1)

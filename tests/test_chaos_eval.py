@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from chaosbsde import (
     GridSpec,
+    enumerate_indices,
     MultiIndex,
     PathView,
     charlier_upto,
@@ -258,3 +259,49 @@ class TestEvaluateGrid:
         coeffs = estimate(np.ones(10), paths, 1)
         with pytest.raises(ValueError):
             evaluate_grid(coeffs, other)
+
+
+class TestPairKernel:
+    """The fused order <= 2 evaluator with every coefficient family nonzero.
+
+    M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452), and at
+    N = 50 the GEMM column blocks (width 26) do not divide a chunk. Random
+    coefficients load units, same-slot degree 2, same-slot mixed pairs and
+    distinct-slot pairs in both slot orders.
+    """
+
+    @staticmethod
+    def case(N, p):
+        spec = GridSpec(T=2.0, N=N, kappa=3.0)
+        paths = sample_paths(spec, 2500, seed=40 + N)
+        rng = np.random.default_rng(100 + N)
+        indices = enumerate_indices(N, p)
+        values = rng.uniform(0.5, 1.5, len(indices)) * rng.choice([-1.0, 1.0], len(indices))
+        coeffs = coefficients_from_entries(spec, p, d0=0.3,
+                                           entries=dict(zip(indices, values)))
+        return paths, coeffs
+
+    @pytest.mark.parametrize("N", [1, 2, 50])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_matches_single_path_evaluators(self, N, p):
+        paths, coeffs = self.case(N, p)
+        Y, Z, U = evaluate_grid(coeffs, paths)
+        # both sides of the first GEMM block boundary at N = 50, the start of
+        # the second chunk, the last sample of the ragged chunk
+        for m in (25, 26, 1024, 2499):
+            view = PathView.from_batch(paths, m)
+            for r in range(N + 1):
+                assert Y[r, m] == pytest.approx(conditional(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+                assert Z[r, m] == pytest.approx(malliavin_b(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+                assert U[r, m] == pytest.approx(malliavin_p(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_thread_count_is_invisible_at_n50(self, p):
+        paths, coeffs = self.case(50, p)
+        a = evaluate_grid(coeffs, paths, threads=1)
+        b = evaluate_grid(coeffs, paths, threads=3)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)

@@ -1,6 +1,10 @@
 """Config parsing, the experiment runner, CSV output, and coefficient dumps."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +288,28 @@ class TestDumpCoefficients:
         assert main(["--config", cfg_path, "--dump-coeffs"]) == 0
         assert (tmp_path / "s_coeffs_M100.csv").exists()
         assert (tmp_path / "s_coeffs_M200.csv").exists()
+
+
+class TestBlasThreads:
+    def test_result_columns_identical_across_blas_and_pool_threads(self, tmp_path):
+        # Each child process fixes its BLAS thread count at start-up. An N = 50,
+        # p = 2 solve is large enough that a product BLAS may split across
+        # threads would change the result bytes.
+        cfg = write_cfg(tmp_path, "example = example2\nN = 50\np = 2\nM = 2e4\n"
+                                  "q = 3\nseed = 3\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        texts = {}
+        for blas in (1, 2):
+            for threads in (1, 2):
+                out = tmp_path / f"b{blas}t{threads}.csv"
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=str(blas),
+                           OMP_NUM_THREADS=str(blas), PYTHONPATH=pythonpath)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "chaosbsde.cli", "--config", cfg,
+                     "--out", str(out), "--threads", str(threads)],
+                    env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+                texts[blas, threads] = strip_wall(out.read_text(encoding="utf-8"))
+        assert len(texts[1, 1].splitlines()) == 2
+        assert all(text == texts[1, 1] for text in texts.values())
