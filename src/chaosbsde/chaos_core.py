@@ -26,13 +26,13 @@ thread counts. For p <= 2 a chunk's sums come from its stacked first-order
 factors X = [K1; C1] (2N rows, one column per sample): row sums of F*X give
 the units and one product (F*X) X^T every order-2 sum. That product is taken
 over fixed sample blocks small enough for BLAS to run single-threaded, so
-results do not depend on the BLAS thread count either. p >= 3 uses a
-gather-based kernel over active slots.
+results do not depend on the BLAS thread count either. Other orders build
+each basis product from a lower-order one by the prefix recursion of
+:class:`_PrefixPlan`, and make no BLAS call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -74,9 +74,13 @@ _BLAS_SERIAL_MACS = 1 << 18
 # 1/w past float64 range and the estimate should saturate, not turn inf/nan.
 _INV_WEIGHT_GUARD = 1e300
 
+# Refuse a problem whose index set plus per-worker kernel buffers would need
+# more bytes than this, before allocating any of it.
+_BYTE_BUDGET = 1 << 30
+
 
 class SizingError(ValueError):
-    """Raised when a requested truncated basis exceeds the index cap."""
+    """Raised when a truncated basis exceeds the index cap or byte budget."""
 
 
 @dataclass(frozen=True)
@@ -109,19 +113,6 @@ class MultiIndex:
         return 0
 
 
-@dataclass(frozen=True)
-class _SlotGroup:
-    """Rows of an index set sharing an active-slot count.
-
-    ``slots`` columns are ascending, so column -1 is the support slot.
-    """
-
-    rows: np.ndarray   # (Jg,) ranks into the flat coefficient vector
-    slots: np.ndarray  # (Jg, g) active slot positions, 0-based
-    dB: np.ndarray     # (Jg, g) Hermite degrees at those slots
-    dP: np.ndarray     # (Jg, g) Charlier degrees at those slots
-
-
 @dataclass(frozen=True, eq=False)
 class _IndexSet:
     """Dense enumeration of the truncated basis for (N, p), rank-ordered."""
@@ -131,11 +122,11 @@ class _IndexSet:
     J: int
     degB: np.ndarray     # (J, N) int8
     degP: np.ndarray     # (J, N) int8
-    order: np.ndarray    # (J,) int16
     support: np.ndarray  # (J,) int16, 1-based
     bfact: np.ndarray    # (J,) float64, prod of nB[i]!
     pfact: np.ndarray    # (J,) float64, prod of nP[i]!
     sumP: np.ndarray     # (J,) int16
+    prefix: "_PrefixPlan"
 
     def weights(self, jump_mean: float) -> np.ndarray:
         return self.pfact * np.power(jump_mean, self.sumP.astype(np.float64)) / self.bfact
@@ -161,72 +152,91 @@ class _IndexSet:
         a = np.arange(S)
         return S + a * S - (a * (a - 1)) // 2
 
-    @cached_property
-    def slot_groups(self) -> tuple[_SlotGroup, ...]:
-        active = (self.degB > 0) | (self.degP > 0)
-        counts = active.sum(axis=1)
-        groups = []
-        for g in range(1, self.p + 1):
-            rows = np.nonzero(counts == g)[0]
-            if rows.size == 0:
-                continue
-            slots = np.nonzero(active[rows])[1].reshape(rows.size, g)
-            dB = self.degB[rows[:, None], slots]
-            dP = self.degP[rows[:, None], slots]
-            groups.append(_SlotGroup(rows=rows, slots=slots, dB=dB, dP=dP))
-        return tuple(groups)
-
 
 def _basis_count(N: int, p: int) -> int:
     # Compositions of total degree <= p over 2N slots, minus the empty index.
     return math.comb(2 * N + p, p) - 1
 
 
+@dataclass(frozen=True, eq=False)
+class _PrefixPlan:
+    """Layout of the prefix recursion behind the kernels for p >= 3 and p = 0.
+
+    Let r be the support slot of index j and (a, b) its Hermite and Charlier
+    degrees there. Its parent, j with slot r zeroed, has lower order, and
+
+        Phi_j = Phi_parent(j) * K_a(G_r) * C_b(Q_r).
+
+    Prefix order puts the constant first, then the indices graded by order,
+    then by r, by (a, b) and by their parent's position. The indices sharing
+    (order g, r, a, b) form a group whose parents, each once and in order,
+    are the indices of order g - a - b supported before r: both are runs of
+    consecutive positions. Per chunk the kernels tabulate the slot factors
+    KC, row k*N + r being K_a(G_r) * C_b(Q_r) for (a, b) = pairs[k], and
+    Phi_pre, Phi at the first n_pre positions (the orders below p).
+    """
+
+    pairs: tuple[tuple[int, int], ...]  # (a, b) with a + b <= p, (0, 0) first
+    n_pre: int                          # rows of Phi_pre, 1 + J_{p-1}
+    pos: np.ndarray                     # (J,) prefix position of each rank
+    # Per group, in prefix order: (first position, end position, first
+    # parent position, KC row).
+    groups: tuple[tuple[int, int, int, int], ...]
+
+
 @lru_cache(maxsize=16)
 def _build_index_set(N: int, p: int) -> _IndexSet:
     J = _basis_count(N, p)
-    deg = np.zeros((J, 2 * N), dtype=np.int8)
-    row = 0
-    for k in range(1, p + 1):
-        nk = math.comb(2 * N + k - 1, k)
-        if k == 1:
-            deg[row:row + nk][np.arange(2 * N), np.arange(2 * N)] = 1
-        elif k == 2:
-            iu, ju = np.triu_indices(2 * N)  # row-major pairs a <= b
-            block = deg[row:row + nk]
-            r = np.arange(nk)
-            np.add.at(block, (r, iu), 1)
-            np.add.at(block, (r, ju), 1)
-        else:
-            combos = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.combinations_with_replacement(range(2 * N), k)),
-                dtype=np.int32, count=nk * k).reshape(nk, k)
-            block = deg[row:row + nk]
-            r = np.arange(nk)[:, None]
-            np.add.at(block, (np.broadcast_to(r, combos.shape), combos), 1)
-        row += nk
-    assert row == J
+    pairs = tuple((a, b) for a in range(p + 1) for b in range(p + 1 - a))
+    fact = [math.factorial(i) for i in range(p + 1)]
+    # Enumerate in prefix order, one group at a time: a group's rows are its
+    # parents' rows with the degrees (a, b) put at slot r.
+    deg = np.zeros((1 + J, 2 * N), dtype=np.int8)
+    supp = np.zeros(1 + J, dtype=np.int16)
+    bfact = np.ones(1 + J)
+    pfact = np.ones(1 + J)
+    sumP = np.zeros(1 + J, dtype=np.int16)
+    starts = [0, 1]  # first position of each grade
+    groups = []
+    for g in range(1, p + 1):
+        for r in range(N):
+            for k, (a, b) in enumerate(pairs):
+                if not 1 <= a + b <= g:
+                    continue
+                # Parents: order g - a - b, supported before slot r.
+                p_lo, p_hi = starts[g - a - b], starts[g - a - b + 1]
+                p_hi = p_lo + int(np.searchsorted(supp[p_lo:p_hi], r, side="right"))
+                lo = groups[-1][1] if groups else 1
+                hi = lo + p_hi - p_lo
+                if hi == lo:
+                    continue
+                deg[lo:hi] = deg[p_lo:p_hi]
+                deg[lo:hi, r] = a
+                deg[lo:hi, N + r] = b
+                supp[lo:hi] = r + 1
+                bfact[lo:hi] = bfact[p_lo:p_hi] * fact[a]
+                pfact[lo:hi] = pfact[p_lo:p_hi] * fact[b]
+                sumP[lo:hi] = sumP[p_lo:p_hi] + b
+                groups.append((lo, hi, p_lo, k * N + r))
+        starts.append(groups[-1][1])
+    assert starts[-1] == 1 + J
 
-    degB = np.ascontiguousarray(deg[:, :N])
-    degP = np.ascontiguousarray(deg[:, N:])
-    order = degB.sum(axis=1, dtype=np.int16) + degP.sum(axis=1, dtype=np.int16)
-    active = (degB > 0) | (degP > 0)
-    support = (N - np.argmax(active[:, ::-1], axis=1)).astype(np.int16)
-    fact = np.array([math.factorial(i) for i in range(p + 1)], dtype=np.float64)
-    # Row-blocked products keep the temporary gather bounded for huge J.
-    bfact = np.empty(J)
-    pfact = np.empty(J)
-    for a in range(0, J, 1 << 16):
-        sl = slice(a, min(a + (1 << 16), J))
-        bfact[sl] = fact[degB[sl]].prod(axis=1)
-        pfact[sl] = fact[degP[sl]].prod(axis=1)
-    sumP = degP.sum(axis=1, dtype=np.int16)
-    return _IndexSet(N=N, p=p, J=J, degB=degB, degP=degP, order=order,
-                     support=support, bfact=bfact, pfact=pfact, sumP=sumP)
+    # Within a grade, ranks follow descending lexicographic order of the
+    # degree rows, which compare that way as byte strings.
+    row_key = np.dtype((np.void, 2 * N))
+    pos = np.empty(J, dtype=np.intp)
+    for lo, hi in zip(starts[1:], starts[2:]):
+        pos[lo - 1:hi - 1] = lo + np.argsort(deg[lo:hi].view(row_key).ravel())[::-1]
+    # With p = 0, Phi_pre is the constant alone.
+    plan = _PrefixPlan(pairs=pairs, n_pre=starts[max(p, 1)], pos=pos,
+                       groups=tuple(groups))
+    return _IndexSet(N=N, p=p, J=J, degB=deg[pos, :N], degP=deg[pos, N:],
+                     support=supp[pos], bfact=bfact[pos],
+                     pfact=pfact[pos], sumP=sumP[pos], prefix=plan)
 
 
-def _index_set(N: int, p: int, cap: int = DEFAULT_INDEX_CAP) -> _IndexSet:
+def _index_set(N: int, p: int, cap: int = DEFAULT_INDEX_CAP,
+               threads: int = 1) -> _IndexSet:
     if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise ValueError(f"p must be a nonnegative int, got {p!r}")
     if p > MAX_DEGREE:
@@ -236,7 +246,27 @@ def _index_set(N: int, p: int, cap: int = DEFAULT_INDEX_CAP) -> _IndexSet:
         raise SizingError(
             f"truncated basis for N={N}, p={p} has {count} indices, "
             f"exceeding the cap {cap}; lower p or raise index_cap")
+    _check_bytes(N, p, threads)
     return _build_index_set(N, p)
+
+
+def _check_bytes(N: int, p: int, threads: int) -> None:
+    """Refuse (N, p) when its index set and prefix plan, plus ``threads``
+    times one worker's chunk working set, would exceed the byte budget."""
+    J = _basis_count(N, p)
+    n_pre = 1 + _basis_count(N, p - 1) if p >= 1 else 1
+    n_kc = (p + 1) * (p + 2) // 2 * N
+    # Per index: degree rows in prefix and in rank order, and ~64 bytes of
+    # per-index vectors with their prefix-order copies and sort keys.
+    index_bytes = J * (4 * N + 64)
+    # Phi_pre, KC with its weighted copy and V, and four sum vectors.
+    worker_bytes = 8 * (_CHUNK * (n_pre + 3 * n_kc) + 4 * (J + 1))
+    need = index_bytes + max(threads, 1) * worker_bytes
+    if need > _BYTE_BUDGET:
+        raise SizingError(
+            f"truncated basis for N={N}, p={p} at {threads} thread(s) needs "
+            f"about {need / 2**20:.0f} MiB, exceeding the budget of "
+            f"{_BYTE_BUDGET / 2**20:.0f} MiB; lower p, N or threads")
 
 
 def enumerate_indices(N: int, p: int, index_cap: int = DEFAULT_INDEX_CAP) -> list[MultiIndex]:
@@ -343,19 +373,23 @@ def _chunk_slices(M: int) -> list[slice]:
     return [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
 
 
-def _reduce_chunks(chunk_fn, M: int, n_out: int, threads: int) -> np.ndarray:
-    """Sum chunk_fn over fixed chunks, combining partials in chunk order."""
+def _map_chunks(chunk_fn, M: int, threads: int):
+    """chunk_fn over the fixed chunks of M samples, results in chunk order."""
     slices = _chunk_slices(M)
-    total = np.zeros(n_out, dtype=np.float64)
     if threads <= 1 or len(slices) == 1:
-        for sl in slices:
-            total += chunk_fn(sl)
-        return total
+        yield from map(chunk_fn, slices)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
         # pool.map yields results in submission order regardless of which
-        # worker finishes first, so the reduction order is fixed.
-        for part in pool.map(chunk_fn, slices):
-            total += part
+        # worker finishes first, so a reduction over them has a fixed order.
+        yield from pool.map(chunk_fn, slices)
+
+
+def _reduce_chunks(chunk_fn, M: int, n_out: int, threads: int) -> np.ndarray:
+    """Sum chunk_fn over fixed chunks, combining partials in chunk order."""
+    total = np.zeros(n_out, dtype=np.float64)
+    for part in _map_chunks(chunk_fn, M, threads):
+        total += part
     return total
 
 
@@ -437,49 +471,63 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     return out
 
 
-def _generic_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
-                        squares: bool) -> np.ndarray:
-    """Raw sums over one chunk for arbitrary p via active-slot gathers."""
+def _chunk_tables(iset: _IndexSet, G, Q, kh: float,
+                  sl: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Slot factors KC and prefix table Phi_pre of one chunk, time-major."""
+    plan = iset.prefix
+    Gt = G[sl].T
+    Mc = Gt.shape[1]
+    K = hermite_batch(iset.p, Gt)         # (p+1, N, Mc)
+    C = charlier_batch(iset.p, Q[sl].T, kh)
+    a, b = np.array(plan.pairs).T
+    KC = (K[a] * C[b]).reshape(-1, Mc)
+    # One group at a time: parent rows times the group's slot factor.
+    phi = np.empty((plan.n_pre, Mc))
+    phi[0] = 1.0
+    for lo, hi, plo, f in plan.groups:
+        if hi > plan.n_pre:
+            break
+        np.multiply(phi[plo:plo + hi - lo], KC[f], out=phi[lo:hi])
+    return KC, phi
+
+
+def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
+                       squares: bool) -> np.ndarray:
+    """Raw sums over one chunk for any p by the prefix recursion.
+
+    Per group, the sum of F*Phi_j is a row-wise dot of the parents' Phi_pre
+    rows with the group's F*KC row; the sum of (F*Phi_j)**2 is the same with
+    every factor squared. Sums are taken in prefix order, then put in rank
+    order.
+    """
+    plan = iset.prefix
     Fc = F[sl]
-    Gc = G[sl]
-    Qf = Q[sl].astype(np.float64)
-    Ktab = hermite_batch(iset.p, Gc)       # (p+1, Mc, N)
-    Ctab = charlier_batch(iset.p, Qf, kh)  # (p+1, Mc, N)
+    KC, phi = _chunk_tables(iset, G, Q, kh, sl)
     n_out = 1 + iset.J
     out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
+    sums = np.empty(n_out)
+
+    def dots(T: np.ndarray) -> np.ndarray:
+        for lo, hi, plo, f in plan.groups:
+            np.einsum("ij,j->i", phi[plo:plo + hi - lo], T[f], out=sums[lo:hi])
+        return sums[plan.pos]
+
     out[0] = Fc.sum()
+    out[1:n_out] = dots(KC * Fc)
     if squares:
         F2 = Fc * Fc
         out[n_out] = F2.sum()
-    for grp in iset.slot_groups:
-        # Advanced indexing with the middle axis sliced puts the (Jg,) index
-        # dims first: each gather is (Jg, Mc).
-        prod = (Ktab[grp.dB[:, 0], :, grp.slots[:, 0]]
-                * Ctab[grp.dP[:, 0], :, grp.slots[:, 0]])
-        for a in range(1, grp.slots.shape[1]):
-            prod = prod * Ktab[grp.dB[:, a], :, grp.slots[:, a]]
-            prod *= Ctab[grp.dP[:, a], :, grp.slots[:, a]]
-        out[1 + grp.rows] = prod @ Fc
-        if squares:
-            out[1 + n_out + grp.rows] = (prod * prod) @ F2
+        phi *= phi
+        KC *= KC
+        KC *= F2
+        out[1 + n_out:] = dots(KC)
     return out
 
 
 def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
               squares: bool) -> np.ndarray:
     kh = paths.spec.jump_mean
-    if iset.p <= 2 and iset.p >= 1:
-        fn = _fast_sums_chunk
-    else:
-        fn = _generic_sums_chunk
-    if iset.p == 0:
-        def chunk_fn(sl):
-            v = np.empty(2 if squares else 1)
-            v[0] = F[sl].sum()
-            if squares:
-                v[1] = (F[sl] * F[sl]).sum()
-            return v
-        return _reduce_chunks(chunk_fn, paths.M, 2 if squares else 1, threads)
+    fn = _fast_sums_chunk if 1 <= iset.p <= 2 else _prefix_sums_chunk
     n_out = 1 + iset.J
     return _reduce_chunks(
         lambda sl: fn(F, paths.G, paths.Q, kh, iset, sl, squares),
@@ -511,7 +559,7 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1,
         d0 plus one coefficient per enumerated index.
     """
     F = _check_functional(F, paths)
-    iset = _index_set(paths.spec.N, p, index_cap)
+    iset = _index_set(paths.spec.N, p, index_cap, threads)
     raw = _raw_sums(F, paths, iset, threads, squares=False)
     d0 = raw[0] / paths.M
     values = raw[1:1 + iset.J] * iset.inv_weights(paths.spec.jump_mean) / paths.M
@@ -536,7 +584,7 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1,
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")
     F = _check_functional(F, paths)
-    iset = _index_set(paths.spec.N, p, index_cap)
+    iset = _index_set(paths.spec.N, p, index_cap, threads)
     raw = _raw_sums(F, paths, iset, threads, squares=True)
     n_out = 1 + iset.J
     s1 = raw[:n_out]

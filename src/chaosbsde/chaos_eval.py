@@ -21,8 +21,8 @@ and keep only indices supported exactly up to r:
 given the partial increments accumulated since t_{r-1}: each index is scaled
 by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its Hermite factor is
 evaluated at the partial increment standardized by the elapsed time, and its
-Charlier factor at the partial count with mean kappa*(t - t_{r-1}). At
-t = t_r this reduces exactly to the grid evaluators.
+Charlier factor at the partial count with mean kappa*(t - t_{r-1}). The
+grid evaluators are the same computation at t = t_r.
 
 ``evaluate_grid`` is the batched engine the solver uses. Per chunk of paths
 it sums each index into the bucket of its support slot and takes a
@@ -31,21 +31,22 @@ For p <= 2 the chunk is time-major: with the stacked first-order factors
 X = [K1; C1] (2N rows, one column per sample), one product W^T X with the
 2N x 2N pair-coefficient matrix W gives both derivative sums at every slot,
 and the value sum follows from them elementwise. The product runs in column
-blocks small enough for BLAS to run single-threaded. p >= 3 uses a
-gather-based kernel over active slots.
+blocks small enough for BLAS to run single-threaded. For p >= 3 one sum per
+(support slot, Hermite and Charlier degree there) of coefficients times the
+basis products of their prefix-recursion parents gives all three, with no
+BLAS call.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .chaos_core import (ChaosCoefficients, _block_width, _chunk_slices,
-                         _stacked_factors)
+from .chaos_core import (ChaosCoefficients, _block_width, _check_bytes,
+                         _chunk_tables, _map_chunks, _stacked_factors)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -80,30 +81,27 @@ class PathView:
         return cls(paths.G[m], paths.Q[m])
 
 
-def _check_args(coeffs: ChaosCoefficients, path: PathView, r: int) -> None:
+def _check_args(coeffs: ChaosCoefficients, path: PathView, r: int,
+                r_min: int = 0) -> None:
     if len(path.G) != coeffs.spec.N:
         raise ValueError(
             f"path has {len(path.G)} intervals, coefficients expect {coeffs.spec.N}")
     if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
         raise TypeError(f"r must be an int, got {type(r).__name__}")
-    if not 0 <= r <= coeffs.spec.N:
-        raise ValueError(f"r must be in [0, {coeffs.spec.N}], got {r}")
+    if not r_min <= r <= coeffs.spec.N:
+        raise ValueError(f"r must be in [{r_min}, {coeffs.spec.N}], got {r}")
 
 
-def _path_factor_tables(coeffs: ChaosCoefficients, path: PathView):
-    """Per-slot polynomial values, degrees 0..p, for one path.
-
-    Returns (Kv, Cv) of shape (J, N): the Hermite and Charlier factors of
-    every enumerated index at every slot.
-    """
-    iset = coeffs.iset
-    Ktab = hermite_batch(iset.p, path.G)  # (p+1, N)
-    Ctab = charlier_batch(iset.p, np.asarray(path.Q, dtype=np.float64),
-                          coeffs.spec.jump_mean)
-    cols = np.arange(iset.N)
-    Kv = Ktab[iset.degB, cols]
-    Cv = Ctab[iset.degP, cols]
-    return Kv, Cv, Ktab, Ctab
+def _grid_evaluators(coeffs: ChaosCoefficients, path: PathView,
+                     r: int) -> tuple[float, float, float]:
+    _check_args(coeffs, path, r)
+    if r > 0:
+        return _evaluate_in_interval(coeffs, path, r, 1.0, path.G[r - 1],
+                                     path.Q[r - 1], coeffs.spec.jump_mean)
+    if coeffs.iset.J == 0:
+        return float(coeffs.d0), 0.0, 0.0
+    return (float(coeffs.d0), float(coeffs.values[0]) / math.sqrt(coeffs.spec.h),
+            float(coeffs.values[coeffs.spec.N]))
 
 
 def conditional(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
@@ -112,13 +110,7 @@ def conditional(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
     Only indices with support(n) <= r contribute; r = 0 returns d0 and
     r = N the full reconstruction d0 + sum d_n Phi_n for this path.
     """
-    _check_args(coeffs, path, r)
-    if r == 0 or coeffs.iset.J == 0:
-        return float(coeffs.d0)
-    Kv, Cv, _, _ = _path_factor_tables(coeffs, path)
-    mask = coeffs.iset.support <= r
-    prods = (Kv[mask] * Cv[mask]).prod(axis=1)
-    return float(coeffs.d0 + coeffs.values[mask] @ prods)
+    return _grid_evaluators(coeffs, path, r)[0]
 
 
 def malliavin_b(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
@@ -127,22 +119,7 @@ def malliavin_b(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
     This is the Z-evaluator of the solver. At r = 0 it returns the first
     Brownian unit coefficient divided by sqrt(h).
     """
-    _check_args(coeffs, path, r)
-    iset = coeffs.iset
-    sqrt_h = math.sqrt(coeffs.spec.h)
-    if iset.J == 0:
-        return 0.0
-    if r == 0:
-        return float(coeffs.values[0]) / sqrt_h
-    dBr = iset.degB[:, r - 1]
-    mask = (iset.support == r) & (dBr >= 1)
-    if not mask.any():
-        return 0.0
-    Kv, Cv, Ktab, Ctab = _path_factor_tables(coeffs, path)
-    KC = Kv[mask] * Cv[mask]
-    # Replace the slot-r Hermite factor by the degree-lowered one.
-    KC[:, r - 1] = Ktab[dBr[mask] - 1, r - 1] * Ctab[iset.degP[mask, r - 1], r - 1]
-    return float(coeffs.values[mask] @ KC.prod(axis=1)) / sqrt_h
+    return _grid_evaluators(coeffs, path, r)[1]
 
 
 def malliavin_p(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
@@ -151,22 +128,7 @@ def malliavin_p(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
     This is the U-evaluator of the solver. At r = 0 it returns the first
     jump unit coefficient.
     """
-    _check_args(coeffs, path, r)
-    iset = coeffs.iset
-    if iset.J == 0:
-        return 0.0
-    if r == 0:
-        return float(coeffs.values[iset.N])
-    dPr = iset.degP[:, r - 1]
-    mask = (iset.support == r) & (dPr >= 1)
-    if not mask.any():
-        return 0.0
-    Kv, Cv, Ktab, Ctab = _path_factor_tables(coeffs, path)
-    KC = Kv[mask] * Cv[mask]
-    # Replace the slot-r Charlier factor by nP[r] * (degree-lowered value).
-    KC[:, r - 1] = (Ktab[iset.degB[mask, r - 1], r - 1]
-                    * dPr[mask] * Ctab[dPr[mask] - 1, r - 1])
-    return float(coeffs.values[mask] @ KC.prod(axis=1))
+    return _grid_evaluators(coeffs, path, r)[2]
 
 
 def conditional_at(coeffs: ChaosCoefficients, path: PathView, r: int, t: float,
@@ -192,14 +154,8 @@ def conditional_at(coeffs: ChaosCoefficients, path: PathView, r: int, t: float,
         At t = t_r with the full interval increments this agrees with the
         three grid evaluators at r.
     """
+    _check_args(coeffs, path, r, r_min=1)
     spec = coeffs.spec
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise TypeError(f"r must be an int, got {type(r).__name__}")
-    if not 1 <= r <= spec.N:
-        raise ValueError(f"r must be in [1, {spec.N}], got {r}")
-    if len(path.G) != spec.N:
-        raise ValueError(
-            f"path has {len(path.G)} intervals, coefficients expect {spec.N}")
     h = spec.h
     t_lo = (r - 1) * h
     t_hi = r * h
@@ -209,15 +165,24 @@ def conditional_at(coeffs: ChaosCoefficients, path: PathView, r: int, t: float,
         raise ValueError(f"dN must be a nonnegative int, got {dN!r}")
     if not math.isfinite(dB):
         raise ValueError(f"dB must be finite, got {dB!r}")
+    tau = t - t_lo
+    return _evaluate_in_interval(coeffs, path, r, tau / h, dB / math.sqrt(tau),
+                                 dN, spec.kappa * tau)
 
+
+def _evaluate_in_interval(coeffs: ChaosCoefficients, path: PathView, r: int,
+                          theta: float, g: float, n: int,
+                          mean: float) -> tuple[float, float, float]:
+    """(y, z, u) once a fraction theta of interval r has elapsed, given the
+    standardized partial increment g, the partial count n of mean ``mean``,
+    and the path's slots before r."""
+    spec = coeffs.spec
     iset = coeffs.iset
     if iset.J == 0:
         return float(coeffs.d0), 0.0, 0.0
-    tau = t - t_lo
-    theta = tau / h
-    sqrt_h = math.sqrt(h)
-    Ktau = hermite_batch(iset.p, np.float64(dB / math.sqrt(tau)))
-    Ctau = charlier_batch(iset.p, np.float64(dN), spec.kappa * tau)
+    sqrt_h = math.sqrt(spec.h)
+    Ktau = hermite_batch(iset.p, np.float64(g))
+    Ctau = charlier_batch(iset.p, np.float64(n), mean)
 
     mask = iset.support <= r
     dBr = iset.degB[mask, r - 1].astype(np.int64)
@@ -225,15 +190,12 @@ def conditional_at(coeffs: ChaosCoefficients, path: PathView, r: int, t: float,
     vals = coeffs.values[mask]
     # Product over the fully observed slots 1..r-1. Masked indices carry no
     # degree beyond slot r, so restricting the columns suffices.
-    if r > 1:
-        Ktab = hermite_batch(iset.p, path.G[:r - 1])
-        Ctab = charlier_batch(iset.p, np.asarray(path.Q[:r - 1], dtype=np.float64),
-                              spec.jump_mean)
-        cols = np.arange(r - 1)
-        A = (Ktab[iset.degB[mask, :r - 1], cols]
-             * Ctab[iset.degP[mask, :r - 1], cols]).prod(axis=1)
-    else:
-        A = np.ones(vals.shape)
+    Ktab = hermite_batch(iset.p, path.G[:r - 1])
+    Ctab = charlier_batch(iset.p, np.asarray(path.Q[:r - 1], dtype=np.float64),
+                          spec.jump_mean)
+    cols = np.arange(r - 1)
+    A = (Ktab[iset.degB[mask, :r - 1], cols]
+         * Ctab[iset.degP[mask, :r - 1], cols]).prod(axis=1)
 
     theta_half = np.power(theta, dBr / 2.0)
     y = coeffs.d0 + vals @ (theta_half * Ktau[dBr] * Ctau[dPr] * A)
@@ -339,53 +301,42 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
         np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
 
 
-def _eval_chunk_generic(coeffs: ChaosCoefficients, kh: float, G, Q, sl: slice,
-                        Y, Z, U, d0: float, z0: float, u0: float,
-                        sqrt_h: float) -> None:
+def _eval_chunk_prefix(coeffs: ChaosCoefficients, d_pos: np.ndarray,
+                       kh: float, G, Q, sl: slice, Y, Z, U, d0: float,
+                       z0: float, u0: float, sqrt_h: float) -> None:
+    """Order >= 3 kernel: one segment sum feeds the value and both derivatives.
+
+    V[a, b, r] sums d_j * Phi_pre[parent_j] over the indices j with support
+    slot r and degrees (a, b) there, group by group of the prefix plan
+    (``d_pos`` holds the coefficients in prefix order). Then at each slot r,
+    SY = sum_ab V*K_a*C_b, SZ = sum_{a>=1} V*K_{a-1}*C_b and
+    SU = sum_{b>=1} V*K_a*b*C_{b-1}.
+    """
     iset = coeffs.iset
-    vals = coeffs.values
-    Gc = G[sl]
-    Qf = Q[sl].astype(np.float64)
-    Mc = Gc.shape[0]
+    plan = iset.prefix
     N = iset.N
-    Ktab = hermite_batch(iset.p, Gc)       # (p+1, Mc, N)
-    Ctab = charlier_batch(iset.p, Qf, kh)
-    SY = np.zeros((N, Mc))
-    SZ = np.zeros((N, Mc))
-    SU = np.zeros((N, Mc))
-    for grp in iset.slot_groups:
-        g = grp.slots.shape[1]
-        dv = vals[grp.rows]
-        prefix = None
-        for a in range(g - 1):
-            fac = (Ktab[grp.dB[:, a], :, grp.slots[:, a]]
-                   * Ctab[grp.dP[:, a], :, grp.slots[:, a]])
-            prefix = fac if prefix is None else prefix * fac
-        sL = grp.slots[:, -1]   # support slot, 0-based
-        dBL = grp.dB[:, -1]
-        dPL = grp.dP[:, -1]
-        KL = Ktab[dBL, :, sL]
-        CL = Ctab[dPL, :, sL]
-        full = KL * CL if prefix is None else prefix * KL * CL
-        np.add.at(SY, sL, dv[:, None] * full)
-        zsel = dBL >= 1
-        if zsel.any():
-            zfac = Ktab[dBL[zsel] - 1, :, sL[zsel]] * CL[zsel]
-            if prefix is not None:
-                zfac = zfac * prefix[zsel]
-            np.add.at(SZ, sL[zsel], dv[zsel][:, None] * zfac)
-        usel = dPL >= 1
-        if usel.any():
-            ufac = KL[usel] * (dPL[usel][:, None] * Ctab[dPL[usel] - 1, :, sL[usel]])
-            if prefix is not None:
-                ufac = ufac * prefix[usel]
-            np.add.at(SU, sL[usel], dv[usel][:, None] * ufac)
-    Y[0, sl] = d0
-    Y[1:, sl] = d0 + np.cumsum(SY, axis=0)
+    KC, phi = _chunk_tables(iset, G, Q, kh, sl)
+    V = np.zeros_like(KC)
+    for lo, hi, plo, f in plan.groups:
+        V[f] += np.einsum("ij,i->j", phi[plo:plo + hi - lo], d_pos[lo:hi])
+    Mc = KC.shape[1]
+    KC = KC.reshape(-1, N, Mc)
+    V = V.reshape(-1, N, Mc)
+    SY, SZ, SU = np.zeros((3, N, Mc))
+    k_of = {ab: k for k, ab in enumerate(plan.pairs)}
+    for k, (a, b) in enumerate(plan.pairs[1:], start=1):
+        SY += V[k] * KC[k]
+        if a:
+            SZ += V[k] * KC[k_of[a - 1, b]]
+        if b:
+            SU += b * V[k] * KC[k_of[a, b - 1]]
     Z[0, sl] = z0
-    Z[1:, sl] = SZ / sqrt_h
+    np.divide(SZ, sqrt_h, out=Z[1:, sl])
     U[0, sl] = u0
     U[1:, sl] = SU
+    Y[0, sl] = d0
+    for r in range(N):
+        np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
 
 
 def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
@@ -417,32 +368,26 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
         for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
             if arr.shape != (N + 1, M):
                 raise ValueError(f"out {name} has shape {arr.shape}, expected {(N + 1, M)}")
+    _check_bytes(N, coeffs.p, threads)
     d0 = float(coeffs.d0)
     sqrt_h = math.sqrt(coeffs.spec.h)
-    if coeffs.iset.J == 0:
-        Y[:] = d0
-        Z[:] = 0.0
-        U[:] = 0.0
-        return Y, Z, U
-    z0 = float(coeffs.values[0]) / sqrt_h
-    u0 = float(coeffs.values[N])
+    z0 = float(coeffs.values[0]) / sqrt_h if coeffs.iset.J else 0.0
+    u0 = float(coeffs.values[N]) if coeffs.iset.J else 0.0
     kh = coeffs.spec.jump_mean
-    if coeffs.p <= 2:
+    if 1 <= coeffs.p <= 2:
         plan = _pair_plan(coeffs)
 
         def work(sl: slice) -> None:
             _eval_chunk_pairs(plan, kh, paths.G, paths.Q, sl,
                               Y, Z, U, d0, z0, u0, sqrt_h)
     else:
-        def work(sl: slice) -> None:
-            _eval_chunk_generic(coeffs, kh, paths.G, paths.Q, sl,
-                                Y, Z, U, d0, z0, u0, sqrt_h)
+        d_pos = np.empty(1 + coeffs.iset.J)
+        d_pos[coeffs.iset.prefix.pos] = coeffs.values
 
-    slices = _chunk_slices(M)
-    if threads <= 1 or len(slices) == 1:
-        for sl in slices:
-            work(sl)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, slices))
+        def work(sl: slice) -> None:
+            _eval_chunk_prefix(coeffs, d_pos, kh, paths.G, paths.Q, sl,
+                               Y, Z, U, d0, z0, u0, sqrt_h)
+
+    for _ in _map_chunks(work, M, threads):
+        pass
     return Y, Z, U

@@ -79,7 +79,6 @@ __all__ = [
     "ConfigError",
     "parse_config",
     "run",
-    "dump_coefficients",
     "write_coefficients",
     "main",
 ]
@@ -158,6 +157,20 @@ class _RawConfig:
         return ConfigError(f"{self.path}:{lineno}: field '{key}': {message}")
 
 
+def _int_value(text: str) -> Optional[int]:
+    """An integer written as such or as an integral float (``2e4``); None
+    for anything else, including inf and nan."""
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    try:
+        value = float(text)
+    except ValueError:
+        return None
+    return int(value) if value.is_integer() else None
+
+
 def _parse_int(raw: _RawConfig, key: str, default: Optional[int],
                minimum: int = 1) -> int:
     got = raw.take(key)
@@ -166,16 +179,9 @@ def _parse_int(raw: _RawConfig, key: str, default: Optional[int],
             raise ConfigError(f"{raw.path}: missing required key '{key}'")
         return default
     text, lineno = got
-    try:
-        value = int(text)
-    except ValueError:
-        try:
-            as_float = float(text)
-        except ValueError:
-            raise raw.error(key, lineno, f"expected an integer, got {text!r}") from None
-        if as_float != int(as_float):
-            raise raw.error(key, lineno, f"expected an integer, got {text!r}") from None
-        value = int(as_float)
+    value = _int_value(text)
+    if value is None:
+        raise raw.error(key, lineno, f"expected an integer, got {text!r}")
     if value < minimum:
         raise raw.error(key, lineno, f"must be >= {minimum}, got {value}")
     return value
@@ -252,18 +258,10 @@ def parse_config(path: str) -> ExperimentConfig:
             part = part.strip()
             if not part:
                 raise raw.error("sweep_values", lineno, "empty list element")
-            try:
-                v = int(part)
-            except ValueError:
-                try:
-                    f = float(part)
-                except ValueError:
-                    raise raw.error("sweep_values", lineno,
-                                    f"expected an integer, got {part!r}") from None
-                if f != int(f):
-                    raise raw.error("sweep_values", lineno,
-                                    f"expected an integer, got {part!r}") from None
-                v = int(f)
+            v = _int_value(part)
+            if v is None:
+                raise raw.error("sweep_values", lineno,
+                                f"expected an integer, got {part!r}")
             if v < 1:
                 raise raw.error("sweep_values", lineno,
                                 f"values must be positive, got {v}")
@@ -429,11 +427,6 @@ def _run_point(config: ExperimentConfig, point: SolverConfig, driver: Driver,
         _fmt(wall_ms),
     ]
     return ",".join(fields), grid.coeffs_final
-
-
-def dump_coefficients(config: ExperimentConfig, *, threads: int = 1) -> int:
-    """Run the experiment and also write per-point coefficient dumps."""
-    return run(config, threads=threads, dump_coeffs=True)
 
 
 def _resolve_threads(requested: int) -> int:

@@ -233,6 +233,18 @@ def _driver_rows(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int,
     return out
 
 
+def _subtract_partial_sums(Y: np.ndarray, f: np.ndarray, h: float) -> None:
+    """Y[j] -= h * (f[0] + ... + f[j-1]) for j = 1..N, in place. Row by row
+    makes np.cumsum(f, axis=0)'s additions several times faster."""
+    acc = f[0].copy()
+    step = np.empty_like(acc)
+    for j in range(f.shape[0]):
+        if j:
+            acc += f[j]
+        np.multiply(acc, h, out=step)
+        Y[j + 1] -= step
+
+
 def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
           paths: Optional[PathBatch] = None, threads: int = 1) -> SolutionGrid:
     """Run the Picard iteration and return the final grid solution.
@@ -304,9 +316,9 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         if independent:
             fv = _driver_rows(driver, times, Yv, Zv, Uv, q)
             evaluate_grid(coeffs, ev, threads=threads, out=(Yv, Zv, Uv))
-            Yv[1:] -= h * np.cumsum(fv, axis=0)
+            _subtract_partial_sums(Yv, fv, h)
         evaluate_grid(coeffs, est, threads=threads, out=(Ye, Ze, Ue))
-        Ye[1:] -= h * np.cumsum(fe, axis=0)
+        _subtract_partial_sums(Ye, fe, h)
 
     Y, Z, U = (Yv, Zv, Uv) if independent else (Ye, Ze, Ue)
     for name, arr in (("Y", Y), ("Z", Z), ("U", U)):

@@ -6,6 +6,7 @@ with it to near machine precision on every code path (order 1, 2, and >= 3).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,14 @@ from chaosbsde import (
     SizingError,
     charlier_upto,
     coefficients_from_entries,
+    conditional,
     enumerate_indices,
     estimate,
+    evaluate_grid,
     hermite_upto,
+    malliavin_b,
+    malliavin_p,
+    PathView,
     sample_paths,
     variance_diagnostic,
     weight,
@@ -97,6 +103,90 @@ class TestPairKernel:
         assert np.array_equal(a.values, b.values)
         assert (variance_diagnostic(F, paths, p, threads=1)
                 == variance_diagnostic(F, paths, p, threads=3))
+
+
+class TestPrefixKernel:
+    """The prefix-recursion estimator (p >= 3, and p = 0) against naive sums.
+
+    M = 2500 leaves a ragged last chunk. At N = 7, p = 4 (J = 3059) every
+    (support, a, b) segment draws on parents of up to four orders, so its
+    sum runs over several groups.
+    """
+
+    @staticmethod
+    def case(N):
+        spec = GridSpec(T=2.0, N=N, kappa=3.0)
+        paths = sample_paths(spec, 2500, seed=60 + N)
+        rng = np.random.default_rng(N)
+        F = (rng.standard_normal(paths.M) + np.exp(0.3 * paths.Q.sum(axis=1))
+             + paths.G[:, 0] ** 3 * paths.Q[:, -1] + paths.G[:, -1] ** 2)
+        return paths, F
+
+    @pytest.mark.parametrize("N", [1, 2, 7])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_matches_naive_sums(self, N, p):
+        paths, F = self.case(N)
+        indices = enumerate_indices(N, p)
+        phi = basis_products(indices, paths)
+        w = np.array([weight(idx, paths.spec) for idx in indices])
+        coeffs = estimate(F, paths, p)
+        assert coeffs.d0 == pytest.approx(F.mean(), rel=1e-13)
+        want = (phi @ F) / paths.M / w
+        np.testing.assert_allclose(coeffs.values, want, rtol=1e-10,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        V = F.var(ddof=1) + float((phi * F).var(axis=1, ddof=1) @ (1.0 / w))
+        assert variance_diagnostic(F, paths, p) == pytest.approx(V, rel=1e-10)
+
+    def test_order_zero(self):
+        paths, F = self.case(2)
+        assert estimate(F, paths, 0).d0 == pytest.approx(F.mean(), rel=1e-13)
+        assert variance_diagnostic(F, paths, 0) == pytest.approx(F.var(ddof=1),
+                                                                 rel=1e-10)
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_thread_count_is_invisible(self, p):
+        paths, F = self.case(7)
+        a = estimate(F, paths, p, threads=1)
+        b = estimate(F, paths, p, threads=3)
+        assert a.d0 == b.d0
+        assert np.array_equal(a.values, b.values)
+        assert (variance_diagnostic(F, paths, p, threads=1)
+                == variance_diagnostic(F, paths, p, threads=3))
+
+
+class TestByteBudget:
+    def test_n50_p3_runs_and_matches_per_path_evaluators(self):
+        spec = GridSpec(T=2.0, N=50, kappa=3.0)
+        paths = sample_paths(spec, 300, seed=70)
+        F = np.exp(0.1 * paths.G[:, :3].sum(axis=1)) * (1.0 + paths.Q[:, -1])
+        coeffs = estimate(F, paths, 3)
+        assert coeffs.values.shape == (176_850,)
+        Y, Z, U = evaluate_grid(coeffs, paths)
+        for m in (0, 299):
+            view = PathView.from_batch(paths, m)
+            for r in (1, 50):
+                assert Y[r, m] == pytest.approx(conditional(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+                assert Z[r, m] == pytest.approx(malliavin_b(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+                assert U[r, m] == pytest.approx(malliavin_p(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+
+    def test_n50_p4_refused_before_allocating(self):
+        # J = C(104, 4) - 1 = 4,598,125 is under the index cap; its bytes are not.
+        assert math.comb(104, 4) - 1 < DEFAULT_INDEX_CAP
+        paths = sample_paths(GridSpec(T=2.0, N=50, kappa=3.0), 10, seed=71)
+        F = np.ones(paths.M)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizingError, match="MiB"):
+                estimate(F, paths, 4)
+            with pytest.raises(SizingError, match="MiB"):
+                enumerate_indices(50, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestEnumeration:

@@ -305,3 +305,54 @@ class TestPairKernel:
         b = evaluate_grid(coeffs, paths, threads=3)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+class TestPrefixKernel:
+    """The prefix-recursion evaluator (p >= 3, and p = 0).
+
+    M = 2500 leaves a ragged last chunk. Random coefficients on every index
+    load every (support, a, b) segment, and at N = 7, p = 4 each segment
+    sums over parents of up to four orders.
+    """
+
+    @staticmethod
+    def case(N, p):
+        spec = GridSpec(T=2.0, N=N, kappa=3.0)
+        paths = sample_paths(spec, 2500, seed=50 + N)
+        rng = np.random.default_rng(200 + N)
+        indices = enumerate_indices(N, p)
+        values = rng.uniform(0.5, 1.5, len(indices)) * rng.choice([-1.0, 1.0], len(indices))
+        coeffs = coefficients_from_entries(spec, p, d0=0.3,
+                                           entries=dict(zip(indices, values)))
+        return paths, coeffs
+
+    @pytest.mark.parametrize("N", [1, 2, 7])
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_matches_single_path_evaluators(self, N, p):
+        paths, coeffs = self.case(N, p)
+        Y, Z, U = evaluate_grid(coeffs, paths)
+        # first and last sample of the first chunk, the last of the ragged one
+        for m in (0, 1023, 2499):
+            view = PathView.from_batch(paths, m)
+            for r in range(N + 1):
+                assert Y[r, m] == pytest.approx(conditional(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+                assert Z[r, m] == pytest.approx(malliavin_b(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+                assert U[r, m] == pytest.approx(malliavin_p(coeffs, view, r),
+                                                rel=1e-11, abs=1e-11)
+
+    def test_order_zero_is_constant(self):
+        paths, _ = self.case(2, 3)
+        coeffs = coefficients_from_entries(paths.spec, 0, d0=-1.25)
+        Y, Z, U = evaluate_grid(coeffs, paths)
+        assert np.all(Y == -1.25)
+        assert not Z.any() and not U.any()
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_thread_count_is_invisible(self, p):
+        paths, coeffs = self.case(7, p)
+        a = evaluate_grid(coeffs, paths, threads=1)
+        b = evaluate_grid(coeffs, paths, threads=3)
+        for x, y in zip(a, b):
+            assert np.array_equal(x, y)

@@ -111,6 +111,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'M'"):
             parse_config(write_cfg(tmp_path, "example = example1\nM = 10.5\n"))
 
+    @pytest.mark.parametrize("text", ["inf", "nan", "1e999", "-inf"])
+    def test_non_finite_integers_rejected(self, tmp_path, text, capsys):
+        for body in (f"N = {text}\n",
+                     f"sweep_axis = M\nsweep_values = 1, {text}\n"):
+            path = write_cfg(tmp_path, "example = example1\n" + body)
+            with pytest.raises(ConfigError, match="expected an integer"):
+                parse_config(path)
+            assert main(["--config", path]) == 2
+            assert "expected an integer" in capsys.readouterr().err
+
     @pytest.mark.parametrize("sweep,pattern", [
         ("sweep_axis = M\n", "sweep_values"),
         ("sweep_values = 10,20\n", "sweep_axis"),
@@ -295,8 +305,16 @@ class TestBlasThreads:
         # Each child process fixes its BLAS thread count at start-up. An N = 50,
         # p = 2 solve is large enough that a product BLAS may split across
         # threads would change the result bytes.
-        cfg = write_cfg(tmp_path, "example = example2\nN = 50\np = 2\nM = 2e4\n"
-                                  "q = 3\nseed = 3\n")
+        self.check_columns(tmp_path, "example = example2\nN = 50\np = 2\nM = 2e4\n"
+                                     "q = 3\nseed = 3\n")
+
+    def test_result_columns_identical_at_order_three(self, tmp_path):
+        self.check_columns(tmp_path, "example = example1\nN = 10\np = 3\nM = 3000\n"
+                                     "q = 2\nseed = 3\n")
+
+    @staticmethod
+    def check_columns(tmp_path, cfg_text):
+        cfg = write_cfg(tmp_path, cfg_text)
         src = str(Path(__file__).resolve().parents[1] / "src")
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         texts = {}

@@ -16,6 +16,7 @@ from chaosbsde import (
     solve,
     terminal_samples,
 )
+from chaosbsde.picard_solver import _subtract_partial_sums
 
 
 @pytest.fixture(scope="module")
@@ -237,3 +238,17 @@ class TestSolve:
         grid_times = [(i + 1) * spec5.h for i in range(spec5.N)]
         assert times == pytest.approx(grid_times, rel=1e-15)
         assert 0.0 not in times
+
+
+class TestPartialSums:
+    @pytest.mark.parametrize("N,M", [(1, 7), (4, 33), (50, 1000)])
+    def test_bytes_match_cumsum(self, N, M):
+        rng = np.random.default_rng(N)
+        f = rng.standard_normal((N, M))
+        Y = rng.standard_normal((N + 1, M))
+        f[0, :2] = -0.0
+        Y[1, :2] = -0.0
+        want = Y.copy()
+        want[1:] -= 0.05 * np.cumsum(f, axis=0)
+        _subtract_partial_sums(Y, f, 0.05)
+        assert Y.tobytes() == want.tobytes()
