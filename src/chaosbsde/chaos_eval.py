@@ -31,10 +31,16 @@ For p <= 2 the chunk is time-major: with the stacked first-order factors
 X = [K1; C1] (2N rows, one column per sample), one product W^T X with the
 2N x 2N pair-coefficient matrix W gives both derivative sums at every slot,
 and the value sum follows from them elementwise. The product runs in column
-blocks small enough for BLAS to run single-threaded. For p >= 3 one sum per
-(support slot, Hermite and Charlier degree there) of coefficients times the
-basis products of their prefix-recursion parents gives all three, with no
-BLAS call.
+blocks small enough for BLAS to run single-threaded. For p >= 3 (and p = 0)
+one sum per (support slot, Hermite and Charlier degree there) of
+coefficients times the basis products of their prefix-recursion parents
+gives all three, with no BLAS call.
+
+The per-path evaluators and ``conditional_at`` run that prefix kernel, at
+every p, on a chunk of one path and read row r. For a time inside interval
+r, slot r's factors K_a * C_b are first replaced by theta**(a/2) * K_a * C_b
+at the partial increments; only the discarded rows after r would read them
+through the prefix table.
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ from typing import Optional
 import numpy as np
 
 from .chaos_core import (ChaosCoefficients, _block_width, _check_bytes,
-                         _chunk_tables, _map_chunks, _stacked_factors)
+                         _chunk_tables, _IndexSet, _map_chunks,
+                         _stacked_factors)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -95,13 +102,7 @@ def _check_args(coeffs: ChaosCoefficients, path: PathView, r: int,
 def _grid_evaluators(coeffs: ChaosCoefficients, path: PathView,
                      r: int) -> tuple[float, float, float]:
     _check_args(coeffs, path, r)
-    if r > 0:
-        return _evaluate_in_interval(coeffs, path, r, 1.0, path.G[r - 1],
-                                     path.Q[r - 1], coeffs.spec.jump_mean)
-    if coeffs.iset.J == 0:
-        return float(coeffs.d0), 0.0, 0.0
-    return (float(coeffs.d0), float(coeffs.values[0]) / math.sqrt(coeffs.spec.h),
-            float(coeffs.values[coeffs.spec.N]))
+    return _path_rows(coeffs, path, r)
 
 
 def conditional(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
@@ -166,52 +167,51 @@ def conditional_at(coeffs: ChaosCoefficients, path: PathView, r: int, t: float,
     if not math.isfinite(dB):
         raise ValueError(f"dB must be finite, got {dB!r}")
     tau = t - t_lo
-    return _evaluate_in_interval(coeffs, path, r, tau / h, dB / math.sqrt(tau),
-                                 dN, spec.kappa * tau)
+    return _path_rows(coeffs, path, r,
+                      slot=(tau / h, dB / math.sqrt(tau), dN, spec.kappa * tau))
 
 
-def _evaluate_in_interval(coeffs: ChaosCoefficients, path: PathView, r: int,
-                          theta: float, g: float, n: int,
-                          mean: float) -> tuple[float, float, float]:
-    """(y, z, u) once a fraction theta of interval r has elapsed, given the
-    standardized partial increment g, the partial count n of mean ``mean``,
-    and the path's slots before r."""
-    spec = coeffs.spec
+def _path_rows(coeffs: ChaosCoefficients, path: PathView, r: int,
+               slot: Optional[tuple[float, float, int, float]] = None,
+               ) -> tuple[float, float, float]:
+    """Row r of (Y, Z, U) from the prefix kernel run on this one path.
+
+    ``slot`` = (theta, g, n, mean) replaces slot r's factors K_a * C_b by
+    theta**(a/2) * K_a(g) * C_b(n, mean): the interval's fraction theta has
+    elapsed, with standardized partial increment g and partial count n of
+    mean ``mean``. Row r reads slot r's factors only through the value and
+    derivative sums of slot r itself; the Phi_pre rows built from the
+    original factors feed only the rows after r.
+    """
     iset = coeffs.iset
-    if iset.J == 0:
-        return float(coeffs.d0), 0.0, 0.0
-    sqrt_h = math.sqrt(spec.h)
-    Ktau = hermite_batch(iset.p, np.float64(g))
-    Ctau = charlier_batch(iset.p, np.float64(n), mean)
+    N = iset.N
+    KC, phi = _chunk_tables(iset, path.G[None], path.Q[None],
+                            coeffs.spec.jump_mean, slice(0, 1))
+    if slot is not None:
+        theta, g, n, mean = slot
+        K = hermite_batch(iset.p, np.float64(g))
+        C = charlier_batch(iset.p, np.float64(n), mean)
+        for k, (a, b) in enumerate(iset.prefix.pairs):
+            KC[k * N + r - 1] = theta ** (a / 2) * K[a] * C[b]
+    Y, Z, U = np.empty((3, N + 1, 1))
+    _prefix_rows(iset, _prefix_coeffs(coeffs), KC, phi, slice(0, 1),
+                 Y, Z, U, *_row_zero(coeffs))
+    return float(Y[r, 0]), float(Z[r, 0]), float(U[r, 0])
 
-    mask = iset.support <= r
-    dBr = iset.degB[mask, r - 1].astype(np.int64)
-    dPr = iset.degP[mask, r - 1].astype(np.int64)
-    vals = coeffs.values[mask]
-    # Product over the fully observed slots 1..r-1. Masked indices carry no
-    # degree beyond slot r, so restricting the columns suffices.
-    Ktab = hermite_batch(iset.p, path.G[:r - 1])
-    Ctab = charlier_batch(iset.p, np.asarray(path.Q[:r - 1], dtype=np.float64),
-                          spec.jump_mean)
-    cols = np.arange(r - 1)
-    A = (Ktab[iset.degB[mask, :r - 1], cols]
-         * Ctab[iset.degP[mask, :r - 1], cols]).prod(axis=1)
 
-    theta_half = np.power(theta, dBr / 2.0)
-    y = coeffs.d0 + vals @ (theta_half * Ktau[dBr] * Ctau[dPr] * A)
+def _row_zero(coeffs: ChaosCoefficients) -> tuple[float, float, float, float]:
+    """Deterministic row 0 of Y, Z and U, and sqrt(h)."""
+    sqrt_h = math.sqrt(coeffs.spec.h)
+    z0 = float(coeffs.values[0]) / sqrt_h if coeffs.iset.J else 0.0
+    u0 = float(coeffs.values[coeffs.spec.N]) if coeffs.iset.J else 0.0
+    return float(coeffs.d0), z0, u0, sqrt_h
 
-    zsel = dBr >= 1
-    z = 0.0
-    if zsel.any():
-        z = (vals[zsel] @ (np.power(theta, (dBr[zsel] - 1) / 2.0)
-                           * Ktau[dBr[zsel] - 1] * Ctau[dPr[zsel]] * A[zsel])) / sqrt_h
 
-    usel = dPr >= 1
-    u = 0.0
-    if usel.any():
-        u = vals[usel] @ (np.power(theta, dBr[usel] / 2.0) * Ktau[dBr[usel]]
-                          * dPr[usel] * Ctau[dPr[usel] - 1] * A[usel])
-    return float(y), float(z), float(u)
+def _prefix_coeffs(coeffs: ChaosCoefficients) -> np.ndarray:
+    """Coefficients in prefix order; position 0, the constant, is unused."""
+    d_pos = np.empty(1 + coeffs.iset.J)
+    d_pos[coeffs.iset.prefix.pos] = coeffs.values
+    return d_pos
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,21 +301,20 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
         np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
 
 
-def _eval_chunk_prefix(coeffs: ChaosCoefficients, d_pos: np.ndarray,
-                       kh: float, G, Q, sl: slice, Y, Z, U, d0: float,
-                       z0: float, u0: float, sqrt_h: float) -> None:
+def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
+                 phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
+                 u0: float, sqrt_h: float) -> None:
     """Order >= 3 kernel: one segment sum feeds the value and both derivatives.
 
+    Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`,
     V[a, b, r] sums d_j * Phi_pre[parent_j] over the indices j with support
     slot r and degrees (a, b) there, group by group of the prefix plan
     (``d_pos`` holds the coefficients in prefix order). Then at each slot r,
     SY = sum_ab V*K_a*C_b, SZ = sum_{a>=1} V*K_{a-1}*C_b and
     SU = sum_{b>=1} V*K_a*b*C_{b-1}.
     """
-    iset = coeffs.iset
     plan = iset.prefix
     N = iset.N
-    KC, phi = _chunk_tables(iset, G, Q, kh, sl)
     V = np.zeros_like(KC)
     for lo, hi, plo, f in plan.groups:
         V[f] += np.einsum("ij,i->j", phi[plo:plo + hi - lo], d_pos[lo:hi])
@@ -369,10 +368,7 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
             if arr.shape != (N + 1, M):
                 raise ValueError(f"out {name} has shape {arr.shape}, expected {(N + 1, M)}")
     _check_bytes(N, coeffs.p, threads)
-    d0 = float(coeffs.d0)
-    sqrt_h = math.sqrt(coeffs.spec.h)
-    z0 = float(coeffs.values[0]) / sqrt_h if coeffs.iset.J else 0.0
-    u0 = float(coeffs.values[N]) if coeffs.iset.J else 0.0
+    d0, z0, u0, sqrt_h = _row_zero(coeffs)
     kh = coeffs.spec.jump_mean
     if 1 <= coeffs.p <= 2:
         plan = _pair_plan(coeffs)
@@ -381,12 +377,12 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
             _eval_chunk_pairs(plan, kh, paths.G, paths.Q, sl,
                               Y, Z, U, d0, z0, u0, sqrt_h)
     else:
-        d_pos = np.empty(1 + coeffs.iset.J)
-        d_pos[coeffs.iset.prefix.pos] = coeffs.values
+        iset = coeffs.iset
+        d_pos = _prefix_coeffs(coeffs)
 
         def work(sl: slice) -> None:
-            _eval_chunk_prefix(coeffs, d_pos, kh, paths.G, paths.Q, sl,
-                               Y, Z, U, d0, z0, u0, sqrt_h)
+            KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl)
+            _prefix_rows(iset, d_pos, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h)
 
     for _ in _map_chunks(work, M, threads):
         pass

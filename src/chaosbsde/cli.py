@@ -129,7 +129,8 @@ class _RawConfig:
         self.path = path
         self.pairs: dict[str, tuple[str, int]] = {}
         try:
-            text = open(path, "r", encoding="utf-8").read()
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"{path}: cannot read config: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), start=1):

@@ -30,6 +30,7 @@ from chaosbsde import (
     variance_diagnostic,
     weight,
 )
+from test_chaos_eval import assert_rows_match, naive_grid
 
 
 def basis_products(indices, paths):
@@ -165,12 +166,12 @@ class TestByteBudget:
         for m in (0, 299):
             view = PathView.from_batch(paths, m)
             for r in (1, 50):
-                assert Y[r, m] == pytest.approx(conditional(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert Z[r, m] == pytest.approx(malliavin_b(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert U[r, m] == pytest.approx(malliavin_p(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
+                assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
+                                  naive_grid(coeffs, view, r))
+        # the public per-path functions run the same kernel on one path
+        assert_rows_match((Y[50, 299], Z[50, 299], U[50, 299]),
+                          (conditional(coeffs, view, 50), malliavin_b(coeffs, view, 50),
+                           malliavin_p(coeffs, view, 50)))
 
     def test_n50_p4_refused_before_allocating(self):
         # J = C(104, 4) - 1 = 4,598,125 is under the index cap; its bytes are not.

@@ -1,11 +1,15 @@
 """Conditional expectation and Malliavin evaluators from chaos coefficients.
 
-Single-path evaluators are checked against hand-computed values; the batch
-grid evaluator must reproduce the single-path functions bit-for-bit on both
-its dense (order <= 2) and generic (order >= 3) code paths.
+Single-path evaluators are checked against hand-computed values. The
+reference oracle is ``naive_in_interval``: per index, the basis product over
+the observed slots gathered from polynomial tables, times the in-interval
+factor of the last slot. The per-path evaluators and ``conditional_at`` (the
+prefix kernel on one path) and the batch grid evaluator (the fused order <= 2
+kernel, or the prefix kernel) must agree with it to rel/abs 1e-11.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +18,6 @@ from hypothesis import strategies as st
 
 from chaosbsde import (
     GridSpec,
-    enumerate_indices,
     MultiIndex,
     PathView,
     charlier_upto,
@@ -28,6 +31,77 @@ from chaosbsde import (
     malliavin_p,
     sample_paths,
 )
+from chaosbsde.chaos_core import ChaosCoefficients, _index_set
+from chaosbsde.orthopoly import charlier_batch, hermite_batch
+
+
+def naive_in_interval(coeffs, view, r, theta, g, n, mean):
+    """(y, z, u) once a fraction theta of interval r has elapsed, given the
+    standardized partial increment g, the partial count n of mean ``mean``,
+    and the path's slots before r. Naive per-index gather."""
+    spec = coeffs.spec
+    iset = coeffs.iset
+    if iset.J == 0:
+        return float(coeffs.d0), 0.0, 0.0
+    sqrt_h = math.sqrt(spec.h)
+    Ktau = hermite_batch(iset.p, np.float64(g))
+    Ctau = charlier_batch(iset.p, np.float64(n), mean)
+
+    mask = iset.support <= r
+    dBr = iset.degB[mask, r - 1].astype(np.int64)
+    dPr = iset.degP[mask, r - 1].astype(np.int64)
+    vals = coeffs.values[mask]
+    # Product over the fully observed slots 1..r-1. Masked indices carry no
+    # degree beyond slot r, so restricting the columns suffices.
+    Ktab = hermite_batch(iset.p, view.G[:r - 1])
+    Ctab = charlier_batch(iset.p, np.asarray(view.Q[:r - 1], dtype=np.float64),
+                          spec.jump_mean)
+    cols = np.arange(r - 1)
+    A = (Ktab[iset.degB[mask, :r - 1], cols]
+         * Ctab[iset.degP[mask, :r - 1], cols]).prod(axis=1)
+
+    theta_half = np.power(theta, dBr / 2.0)
+    y = coeffs.d0 + vals @ (theta_half * Ktau[dBr] * Ctau[dPr] * A)
+
+    zsel = dBr >= 1
+    z = 0.0
+    if zsel.any():
+        z = (vals[zsel] @ (np.power(theta, (dBr[zsel] - 1) / 2.0)
+                           * Ktau[dBr[zsel] - 1] * Ctau[dPr[zsel]] * A[zsel])) / sqrt_h
+
+    usel = dPr >= 1
+    u = 0.0
+    if usel.any():
+        u = vals[usel] @ (np.power(theta, dBr[usel] / 2.0) * Ktau[dBr[usel]]
+                          * dPr[usel] * Ctau[dPr[usel] - 1] * A[usel])
+    return float(y), float(z), float(u)
+
+
+def naive_grid(coeffs, view, r):
+    """(y, z, u) at grid time r: the first unit coefficients at r = 0, else
+    the whole of interval r elapsed."""
+    if r == 0:
+        if coeffs.iset.J == 0:
+            return float(coeffs.d0), 0.0, 0.0
+        N = coeffs.spec.N
+        return (float(coeffs.d0), float(coeffs.values[0]) / math.sqrt(coeffs.spec.h),
+                float(coeffs.values[N]))
+    return naive_in_interval(coeffs, view, r, 1.0, view.G[r - 1], view.Q[r - 1],
+                             coeffs.spec.jump_mean)
+
+
+def assert_rows_match(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g == pytest.approx(w, rel=1e-11, abs=1e-11)
+
+
+def random_coefficients(N, p, seed, T=2.0, kappa=3.0):
+    """Nonzero coefficients on every index, d0 = 0.3."""
+    spec = GridSpec(T=T, N=N, kappa=kappa)
+    iset = _index_set(N, p)
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(0.5, 1.5, iset.J) * rng.choice([-1.0, 1.0], iset.J)
+    return ChaosCoefficients(d0=0.3, values=values, p=p, spec=spec, iset=iset)
 
 
 def unit(N, slot, jump=False):
@@ -178,6 +252,56 @@ class TestConditionalAt:
             conditional_at(coeffs, view3, 1, spec3.h / 2, dB=0.0, dN=-1)
 
 
+class TestAgainstOracle:
+    """Per-path evaluators against the naive gather, every index loaded."""
+
+    @pytest.mark.parametrize("N", [1, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_grid_times(self, p, N):
+        coeffs = random_coefficients(N, p, seed=300 + 10 * N + p)
+        paths = sample_paths(coeffs.spec, 3, seed=60 + N)
+        for m in range(paths.M):
+            view = PathView.from_batch(paths, m)
+            for r in range(N + 1):
+                assert_rows_match((conditional(coeffs, view, r),
+                                   malliavin_b(coeffs, view, r),
+                                   malliavin_p(coeffs, view, r)),
+                                  naive_grid(coeffs, view, r))
+
+    @pytest.mark.parametrize("dN", [0, 2])
+    @pytest.mark.parametrize("theta", [0.25, 1.0])
+    @pytest.mark.parametrize("N", [1, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_inside_interval(self, p, N, theta, dN):
+        coeffs = random_coefficients(N, p, seed=400 + 10 * N + p)
+        spec = coeffs.spec
+        paths = sample_paths(spec, 2, seed=70 + N)
+        tau = theta * spec.h
+        dB = -0.45
+        for m in range(paths.M):
+            view = PathView.from_batch(paths, m)
+            for r in range(1, N + 1):
+                got = conditional_at(coeffs, view, r, (r - 1 + theta) * spec.h,
+                                     dB=dB, dN=dN)
+                assert_rows_match(got, naive_in_interval(
+                    coeffs, view, r, theta, dB / math.sqrt(tau), dN, spec.kappa * tau))
+
+    def test_n50_p3_peak_memory(self):
+        coeffs = random_coefficients(50, 3, seed=500)
+        view = PathView.from_batch(sample_paths(coeffs.spec, 1, seed=80), 0)
+        t = 49.5 * coeffs.spec.h
+        conditional(coeffs, view, 50)  # warm the index-set cache
+        for call in (lambda: conditional(coeffs, view, 50),
+                     lambda: conditional_at(coeffs, view, 50, t, dB=0.3, dN=1)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 << 20
+
+
 class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(r=st.integers(0, 3), tail=st.floats(-50, 50, allow_nan=False),
@@ -272,14 +396,8 @@ class TestPairKernel:
 
     @staticmethod
     def case(N, p):
-        spec = GridSpec(T=2.0, N=N, kappa=3.0)
-        paths = sample_paths(spec, 2500, seed=40 + N)
-        rng = np.random.default_rng(100 + N)
-        indices = enumerate_indices(N, p)
-        values = rng.uniform(0.5, 1.5, len(indices)) * rng.choice([-1.0, 1.0], len(indices))
-        coeffs = coefficients_from_entries(spec, p, d0=0.3,
-                                           entries=dict(zip(indices, values)))
-        return paths, coeffs
+        coeffs = random_coefficients(N, p, seed=100 + N)
+        return sample_paths(coeffs.spec, 2500, seed=40 + N), coeffs
 
     @pytest.mark.parametrize("N", [1, 2, 50])
     @pytest.mark.parametrize("p", [1, 2])
@@ -317,14 +435,8 @@ class TestPrefixKernel:
 
     @staticmethod
     def case(N, p):
-        spec = GridSpec(T=2.0, N=N, kappa=3.0)
-        paths = sample_paths(spec, 2500, seed=50 + N)
-        rng = np.random.default_rng(200 + N)
-        indices = enumerate_indices(N, p)
-        values = rng.uniform(0.5, 1.5, len(indices)) * rng.choice([-1.0, 1.0], len(indices))
-        coeffs = coefficients_from_entries(spec, p, d0=0.3,
-                                           entries=dict(zip(indices, values)))
-        return paths, coeffs
+        coeffs = random_coefficients(N, p, seed=200 + N)
+        return sample_paths(coeffs.spec, 2500, seed=50 + N), coeffs
 
     @pytest.mark.parametrize("N", [1, 2, 7])
     @pytest.mark.parametrize("p", [3, 4])
@@ -335,12 +447,13 @@ class TestPrefixKernel:
         for m in (0, 1023, 2499):
             view = PathView.from_batch(paths, m)
             for r in range(N + 1):
-                assert Y[r, m] == pytest.approx(conditional(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert Z[r, m] == pytest.approx(malliavin_b(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert U[r, m] == pytest.approx(malliavin_p(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
+                assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
+                                  naive_grid(coeffs, view, r))
+        # the public per-path functions run the same kernel on one path
+        view = PathView.from_batch(paths, 2499)
+        assert_rows_match((Y[N, 2499], Z[N, 2499], U[N, 2499]),
+                          (conditional(coeffs, view, N), malliavin_b(coeffs, view, N),
+                           malliavin_p(coeffs, view, N)))
 
     def test_order_zero_is_constant(self):
         paths, _ = self.case(2, 3)

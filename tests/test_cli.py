@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +142,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="sample_mode"):
             parse_config(write_cfg(tmp_path,
                                    "example = example1\nsample_mode = both\n"))
+
+    def test_config_file_is_closed(self, tmp_path):
+        path = write_cfg(tmp_path, "example = example1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            parse_config(path)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):
