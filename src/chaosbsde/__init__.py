@@ -33,7 +33,6 @@ Quick start::
 from .stochastic_grid import GridSpec, PathBatch, sample_paths
 from .orthopoly import MAX_DEGREE, PolyTable, charlier_upto, hermite_upto
 from .chaos_core import (
-    DEFAULT_INDEX_CAP,
     ChaosCoefficients,
     MultiIndex,
     SizingError,
@@ -77,7 +76,6 @@ __all__ = [
     "PolyTable", "hermite_upto", "charlier_upto", "MAX_DEGREE",
     "MultiIndex", "ChaosCoefficients", "SizingError", "enumerate_indices",
     "weight", "estimate", "variance_diagnostic", "coefficients_from_entries",
-    "DEFAULT_INDEX_CAP",
     "PathView", "conditional", "malliavin_b", "malliavin_p", "conditional_at",
     "evaluate_grid",
     "Driver", "TerminalFunctional", "SolverConfig", "SolutionGrid",

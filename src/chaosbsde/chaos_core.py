@@ -53,11 +53,7 @@ __all__ = [
     "estimate",
     "variance_diagnostic",
     "coefficients_from_entries",
-    "DEFAULT_INDEX_CAP",
 ]
-
-# Refuse to materialize truncated bases larger than this by default.
-DEFAULT_INDEX_CAP = 10_000_000
 
 # Fixed sample-chunk size for deterministic reductions. Small enough that
 # per-chunk work dominates fixed overhead from ~1e3 samples upward.
@@ -75,12 +71,14 @@ _BLAS_SERIAL_MACS = 1 << 18
 _INV_WEIGHT_GUARD = 1e300
 
 # Refuse a problem whose index set plus per-worker kernel buffers would need
-# more bytes than this, before allocating any of it.
+# more bytes than this, before allocating any of it. This is the only size
+# guard; with p <= MAX_DEGREE it admits no basis of 10**7 or more indices.
 _BYTE_BUDGET = 1 << 30
 
 
 class SizingError(ValueError):
-    """Raised when a truncated basis exceeds the index cap or byte budget."""
+    """Raised when a truncated basis and its kernel buffers would exceed the
+    byte budget."""
 
 
 @dataclass(frozen=True)
@@ -235,23 +233,23 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
                      pfact=pfact[pos], sumP=sumP[pos], prefix=plan)
 
 
-def _index_set(N: int, p: int, cap: int = DEFAULT_INDEX_CAP,
-               threads: int = 1) -> _IndexSet:
+def _index_set(N: int, p: int, workers: int = 1) -> _IndexSet:
     if not isinstance(p, int) or isinstance(p, bool) or p < 0:
         raise ValueError(f"p must be a nonnegative int, got {p!r}")
     if p > MAX_DEGREE:
         raise ValueError(f"p = {p} exceeds the degree cap {MAX_DEGREE}")
-    count = _basis_count(N, p)
-    if count > cap:
-        raise SizingError(
-            f"truncated basis for N={N}, p={p} has {count} indices, "
-            f"exceeding the cap {cap}; lower p or raise index_cap")
-    _check_bytes(N, p, threads)
+    _check_bytes(N, p, workers)
     return _build_index_set(N, p)
 
 
-def _check_bytes(N: int, p: int, threads: int) -> None:
-    """Refuse (N, p) when its index set and prefix plan, plus ``threads``
+def _workers(threads: int, M: int) -> int:
+    """Chunk functions that can run at once: ``_map_chunks`` runs at most
+    one per chunk of M samples."""
+    return max(1, min(threads, -(-M // _CHUNK)))
+
+
+def _check_bytes(N: int, p: int, workers: int) -> None:
+    """Refuse (N, p) when its index set and prefix plan, plus ``workers``
     times one worker's chunk working set, would exceed the byte budget."""
     J = _basis_count(N, p)
     n_pre = 1 + _basis_count(N, p - 1) if p >= 1 else 1
@@ -261,15 +259,16 @@ def _check_bytes(N: int, p: int, threads: int) -> None:
     index_bytes = J * (4 * N + 64)
     # Phi_pre, KC with its weighted copy and V, and four sum vectors.
     worker_bytes = 8 * (_CHUNK * (n_pre + 3 * n_kc) + 4 * (J + 1))
-    need = index_bytes + max(threads, 1) * worker_bytes
+    need = index_bytes + workers * worker_bytes
     if need > _BYTE_BUDGET:
+        # Integer MiB: need can exceed the float range.
         raise SizingError(
-            f"truncated basis for N={N}, p={p} at {threads} thread(s) needs "
-            f"about {need / 2**20:.0f} MiB, exceeding the budget of "
-            f"{_BYTE_BUDGET / 2**20:.0f} MiB; lower p, N or threads")
+            f"truncated basis for N={N}, p={p} with {workers} worker(s) needs "
+            f"about {need >> 20} MiB, exceeding the budget of "
+            f"{_BYTE_BUDGET >> 20} MiB; lower p, N or threads")
 
 
-def enumerate_indices(N: int, p: int, index_cap: int = DEFAULT_INDEX_CAP) -> list[MultiIndex]:
+def enumerate_indices(N: int, p: int) -> list[MultiIndex]:
     """All multi-indices with 1 <= total degree <= p over N slots, ranked.
 
     Ordering is graded by total degree, then descending lexicographic on the
@@ -279,11 +278,12 @@ def enumerate_indices(N: int, p: int, index_cap: int = DEFAULT_INDEX_CAP) -> lis
     Raises
     ------
     SizingError
-        If the count C(2N+p, p) - 1 exceeds ``index_cap``.
+        If the C(2N+p, p) - 1 indices would exceed the byte budget. This is
+        checked before anything is allocated.
     """
     if not isinstance(N, int) or isinstance(N, bool) or N < 1:
         raise ValueError(f"N must be a positive int, got {N!r}")
-    iset = _index_set(N, p, index_cap)
+    iset = _index_set(N, p)
     return [MultiIndex(tuple(int(v) for v in iset.degB[j]),
                        tuple(int(v) for v in iset.degP[j]))
             for j in range(iset.J)]
@@ -324,7 +324,7 @@ class ChaosCoefficients:
 
     @cached_property
     def entries(self) -> dict[MultiIndex, float]:
-        keys = enumerate_indices(self.spec.N, self.p, index_cap=self.iset.J)
+        keys = enumerate_indices(self.spec.N, self.p)
         return dict(zip(keys, (float(v) for v in self.values)))
 
     def entry(self, n) -> float:
@@ -343,16 +343,14 @@ class ChaosCoefficients:
 
 
 def coefficients_from_entries(spec: GridSpec, p: int, d0: float = 0.0,
-                              entries: dict | None = None,
-                              index_cap: int = DEFAULT_INDEX_CAP,
-                              ) -> ChaosCoefficients:
+                              entries: dict | None = None) -> ChaosCoefficients:
     """Build a ChaosCoefficients object from explicit (index, value) pairs.
 
     ``entries`` maps MultiIndex (or (nB, nP) tuple pairs) to coefficient
     values; every enumerated index absent from the map gets 0. Useful for
     constructing synthetic expansions in tests and experiments.
     """
-    iset = _index_set(spec.N, p, index_cap)
+    iset = _index_set(spec.N, p)
     values = np.zeros(iset.J)
     if entries:
         rank = {(tuple(int(v) for v in iset.degB[j]),
@@ -534,8 +532,7 @@ def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
         paths.M, 2 * n_out if squares else n_out, threads)
 
 
-def estimate(F, paths: PathBatch, p: int, *, threads: int = 1,
-             index_cap: int = DEFAULT_INDEX_CAP) -> ChaosCoefficients:
+def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficients:
     """Monte Carlo chaos coefficients of a terminal functional.
 
     Parameters
@@ -550,16 +547,20 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1,
     threads : int, optional
         Worker threads for the chunked reduction. Results are identical for
         every value, and for every BLAS thread count.
-    index_cap : int, optional
-        Refuse basis sizes beyond this (SizingError).
 
     Returns
     -------
     ChaosCoefficients
         d0 plus one coefficient per enumerated index.
+
+    Raises
+    ------
+    SizingError
+        If the basis plus the working sets of the workers that can run
+        would exceed the byte budget, checked before allocating.
     """
     F = _check_functional(F, paths)
-    iset = _index_set(paths.spec.N, p, index_cap, threads)
+    iset = _index_set(paths.spec.N, p, _workers(threads, paths.M))
     raw = _raw_sums(F, paths, iset, threads, squares=False)
     d0 = raw[0] / paths.M
     values = raw[1:1 + iset.J] * iset.inv_weights(paths.spec.jump_mean) / paths.M
@@ -567,8 +568,7 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1,
                              spec=paths.spec, iset=iset)
 
 
-def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1,
-                        index_cap: int = DEFAULT_INDEX_CAP) -> float:
+def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> float:
     """Predicted mean-square estimation error of the truncated expansion,
     scaled by the sample count.
 
@@ -580,11 +580,14 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1,
     with all variances replaced by their unbiased sample estimates. Note a
     constant functional c has V = c**2 * J (J = index count), not zero:
     every product c * Phi_n still fluctuates.
+
+    Raises SizingError, as :func:`estimate` does, when the byte budget
+    would be exceeded.
     """
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")
     F = _check_functional(F, paths)
-    iset = _index_set(paths.spec.N, p, index_cap, threads)
+    iset = _index_set(paths.spec.N, p, _workers(threads, paths.M))
     raw = _raw_sums(F, paths, iset, threads, squares=True)
     n_out = 1 + iset.J
     s1 = raw[:n_out]

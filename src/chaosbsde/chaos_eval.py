@@ -53,7 +53,7 @@ import numpy as np
 
 from .chaos_core import (ChaosCoefficients, _block_width, _check_bytes,
                          _chunk_tables, _IndexSet, _map_chunks,
-                         _stacked_factors)
+                         _stacked_factors, _workers)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -367,7 +367,7 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
         for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
             if arr.shape != (N + 1, M):
                 raise ValueError(f"out {name} has shape {arr.shape}, expected {(N + 1, M)}")
-    _check_bytes(N, coeffs.p, threads)
+    _check_bytes(N, coeffs.p, _workers(threads, M))
     d0, z0, u0, sqrt_h = _row_zero(coeffs)
     kh = coeffs.spec.jump_mean
     if 1 <= coeffs.p <= 2:

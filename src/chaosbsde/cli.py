@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import time
@@ -194,9 +195,12 @@ def _parse_float(raw: _RawConfig, key: str, default: float) -> float:
         return default
     text, lineno = got
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise raw.error(key, lineno, f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise raw.error(key, lineno, f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_choice(raw: _RawConfig, key: str, default: Optional[str],

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .chaos_core import ChaosCoefficients, estimate
-from .chaos_eval import PathView, evaluate_grid
+from .chaos_eval import evaluate_grid
 from .stochastic_grid import GridSpec, PathBatch, sample_paths
 
 __all__ = [
@@ -59,75 +59,56 @@ class Driver:
     """
 
     eval: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
-    descriptor: str
-    params: tuple = ()
 
     @classmethod
     def linear_jump(cls, c: float) -> "Driver":
         """f(t, y, z, u) = c * u."""
-        return cls(eval=lambda t, y, z, u: c * u,
-                   descriptor="linear_jump", params=(c,))
+        return cls(lambda t, y, z, u: c * u)
 
     @classmethod
     def linear(cls, alpha: float, beta: float, gamma: float) -> "Driver":
         """f(t, y, z, u) = alpha*y + beta*z + gamma*u."""
-        return cls(eval=lambda t, y, z, u: alpha * y + beta * z + gamma * u,
-                   descriptor="linear", params=(alpha, beta, gamma))
+        return cls(lambda t, y, z, u: alpha * y + beta * z + gamma * u)
 
     @classmethod
     def zero(cls) -> "Driver":
         """f identically 0 (driverless conditional-expectation problems)."""
-        return cls(eval=lambda t, y, z, u: np.zeros_like(y),
-                   descriptor="custom", params=())
+        return cls(lambda t, y, z, u: np.zeros_like(y))
 
     @classmethod
     def custom(cls, fn: Callable) -> "Driver":
-        return cls(eval=fn, descriptor="custom", params=())
+        return cls(fn)
 
 
 @dataclass(frozen=True)
 class TerminalFunctional:
-    """Terminal value xi as a functional of one path's increments.
+    """Terminal value xi, vectorized over the paths of a batch.
 
-    ``eval(path_view, grid_spec)`` returns the scalar terminal value.
-    Square-integrability of xi is the caller's responsibility; it is not
-    checked. ``batch`` optionally supplies a vectorized evaluation over a
-    whole PathBatch, returning a length-M vector; the built-in terminals
-    provide one.
+    ``eval(paths)`` returns the length-M vector of terminal values, one per
+    path of the PathBatch. Square-integrability of xi is the caller's
+    responsibility; it is not checked.
     """
 
-    eval: Callable[[PathView, GridSpec], float]
-    descriptor: str
-    params: tuple = ()
-    batch: Optional[Callable[[PathBatch], np.ndarray]] = None
+    eval: Callable[[PathBatch], np.ndarray]
 
     @classmethod
     def poisson_count(cls) -> "TerminalFunctional":
         """xi = total jump count over [0, T]."""
-        return cls(
-            eval=lambda path, spec: float(np.sum(path.Q)),
-            descriptor="poisson_count",
-            batch=lambda paths: paths.Q.sum(axis=1).astype(np.float64))
+        return cls(lambda paths: paths.Q.sum(axis=1).astype(np.float64))
 
     @classmethod
     def exp_levy(cls, a: float, b: float, c: float) -> "TerminalFunctional":
         """xi = exp(a*T + b*B_T + c*N_T), with B_T = sqrt(h) * sum(G)."""
-        def _eval(path: PathView, spec: GridSpec) -> float:
-            return math.exp(a * spec.T + b * math.sqrt(spec.h) * float(np.sum(path.G))
-                            + c * float(np.sum(path.Q)))
-
-        def _batch(paths: PathBatch) -> np.ndarray:
+        def _eval(paths: PathBatch) -> np.ndarray:
             spec = paths.spec
             return np.exp(a * spec.T + b * math.sqrt(spec.h) * paths.G.sum(axis=1)
                           + c * paths.Q.sum(axis=1))
 
-        return cls(eval=_eval, descriptor="exp_levy", params=(a, b, c), batch=_batch)
+        return cls(_eval)
 
     @classmethod
-    def custom(cls, fn: Callable[[PathView, GridSpec], float],
-               batch: Optional[Callable[[PathBatch], np.ndarray]] = None,
-               ) -> "TerminalFunctional":
-        return cls(eval=fn, descriptor="custom", batch=batch)
+    def custom(cls, fn: Callable[[PathBatch], np.ndarray]) -> "TerminalFunctional":
+        return cls(fn)
 
 
 @dataclass(frozen=True)
@@ -182,16 +163,10 @@ def terminal_samples(xi: TerminalFunctional, paths: PathBatch) -> np.ndarray:
     Returns a length-M float vector. Non-finite outputs are reported with
     the offending sample index.
     """
-    if xi.batch is not None:
-        out = np.asarray(xi.batch(paths), dtype=np.float64)
-        if out.shape != (paths.M,):
-            raise ValueError(
-                f"batch terminal evaluation returned shape {out.shape}, "
-                f"expected ({paths.M},)")
-    else:
-        out = np.empty(paths.M)
-        for m in range(paths.M):
-            out[m] = xi.eval(PathView.from_batch(paths, m), paths.spec)
+    out = np.asarray(xi.eval(paths), dtype=np.float64)
+    if out.shape != (paths.M,):
+        raise ValueError(
+            f"terminal functional returned shape {out.shape}, expected ({paths.M},)")
     bad = ~np.isfinite(out)
     if bad.any():
         m = int(np.argmax(bad))
@@ -200,14 +175,15 @@ def terminal_samples(xi: TerminalFunctional, paths: PathBatch) -> np.ndarray:
     return out
 
 
-def draw_paths(config: SolverConfig) -> PathBatch:
-    """Sample batch a solve with this config consumes.
+def _path_count(config: SolverConfig) -> int:
+    """``independent`` mode needs 2M paths (first M estimate coefficients,
+    second M evaluate the expansion); ``reuse`` needs M."""
+    return config.M if config.sample_mode == "reuse" else 2 * config.M
 
-    ``independent`` mode needs 2M paths (first M estimate coefficients,
-    second M evaluate the expansion); ``reuse`` needs M.
-    """
-    need = config.M if config.sample_mode == "reuse" else 2 * config.M
-    return sample_paths(config.spec, need, config.seed)
+
+def draw_paths(config: SolverConfig) -> PathBatch:
+    """Sample batch a solve with this config consumes."""
+    return sample_paths(config.spec, _path_count(config), config.seed)
 
 
 def _driver_rows(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int,
@@ -271,10 +247,10 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         history, and the batch the returned grid is evaluated on.
     """
     spec = config.spec
-    need = config.M if config.sample_mode == "reuse" else 2 * config.M
     if paths is None:
-        paths = sample_paths(spec, need, config.seed)
+        paths = draw_paths(config)
     else:
+        need = _path_count(config)
         if paths.spec != spec:
             raise ValueError(
                 f"provided paths use grid {paths.spec}, config expects {spec}")

@@ -34,13 +34,8 @@ EX2 = Example2Params(alpha=0.3, beta=0.3, gamma=0.2,
 
 
 def brownian_terminal():
-    def _eval(path, spec):
-        return math.sqrt(spec.h) * float(np.sum(path.G))
-
-    def _batch(paths):
-        return math.sqrt(paths.spec.h) * paths.G.sum(axis=1)
-
-    return TerminalFunctional.custom(_eval, batch=_batch)
+    return TerminalFunctional.custom(
+        lambda paths: math.sqrt(paths.spec.h) * paths.G.sum(axis=1))
 
 
 def test_01_counting_benchmark_reproduction():

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from chaosbsde import (
-    DEFAULT_INDEX_CAP,
     GridSpec,
     MultiIndex,
     SizingError,
@@ -156,13 +155,17 @@ class TestPrefixKernel:
 
 
 class TestByteBudget:
-    def test_n50_p3_runs_and_matches_per_path_evaluators(self):
+    @pytest.fixture(scope="class")
+    def n50_p3(self):
         spec = GridSpec(T=2.0, N=50, kappa=3.0)
         paths = sample_paths(spec, 300, seed=70)
         F = np.exp(0.1 * paths.G[:, :3].sum(axis=1)) * (1.0 + paths.Q[:, -1])
         coeffs = estimate(F, paths, 3)
+        return paths, F, coeffs, evaluate_grid(coeffs, paths)
+
+    def test_n50_p3_runs_and_matches_per_path_evaluators(self, n50_p3):
+        paths, _, coeffs, (Y, Z, U) = n50_p3
         assert coeffs.values.shape == (176_850,)
-        Y, Z, U = evaluate_grid(coeffs, paths)
         for m in (0, 299):
             view = PathView.from_batch(paths, m)
             for r in (1, 50):
@@ -173,9 +176,19 @@ class TestByteBudget:
                           (conditional(coeffs, view, 50), malliavin_b(coeffs, view, 50),
                            malliavin_p(coeffs, view, 50)))
 
+    def test_n50_p3_budget_counts_only_workers_that_run(self, n50_p3):
+        # 300 samples are one chunk, so threads=64 still runs one worker;
+        # charging 64 working sets would refuse this problem.
+        paths, F, coeffs, grid = n50_p3
+        wide = estimate(F, paths, 3, threads=64)
+        assert wide.d0 == coeffs.d0
+        assert np.array_equal(wide.values, coeffs.values)
+        for a, b in zip(evaluate_grid(coeffs, paths, threads=64), grid):
+            assert np.array_equal(a, b)
+
     def test_n50_p4_refused_before_allocating(self):
-        # J = C(104, 4) - 1 = 4,598,125 is under the index cap; its bytes are not.
-        assert math.comb(104, 4) - 1 < DEFAULT_INDEX_CAP
+        # J = C(104, 4) - 1 = 4,598,125 indices: the bytes refuse it.
+        assert math.comb(104, 4) - 1 == 4_598_125
         paths = sample_paths(GridSpec(T=2.0, N=50, kappa=3.0), 10, seed=71)
         F = np.ones(paths.M)
         tracemalloc.start()
@@ -222,8 +235,12 @@ class TestEnumeration:
 
     def test_sizing_cap(self):
         with pytest.raises(SizingError):
-            enumerate_indices(50, 5, index_cap=10_000)
-        assert DEFAULT_INDEX_CAP == 10_000_000
+            enumerate_indices(50, 5)
+
+    def test_huge_basis_refused_without_overflow(self):
+        # need is far beyond float range; the message must still format
+        with pytest.raises(SizingError, match="MiB"):
+            enumerate_indices(10**7, 60)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -347,7 +364,7 @@ class TestEstimate:
 
     def test_rejects_oversized_basis(self, small_paths):
         with pytest.raises(SizingError):
-            estimate(np.ones(small_paths.M), small_paths, 2, index_cap=3)
+            estimate(np.ones(small_paths.M), small_paths, 40)
 
 
 class TestCoefficientsContainer:

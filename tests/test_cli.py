@@ -122,6 +122,16 @@ class TestParseConfig:
             assert main(["--config", path]) == 2
             assert "expected an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["T", "kappa", "c"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_floats_rejected_with_location(self, tmp_path, key, text,
+                                                      capsys):
+        path = write_cfg(tmp_path, f"example = example1\n{key} = {text}\n")
+        assert main(["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:2: field '{key}'" in err
+        assert "finite" in err
+
     @pytest.mark.parametrize("sweep,pattern", [
         ("sweep_axis = M\n", "sweep_values"),
         ("sweep_values = 10,20\n", "sweep_axis"),

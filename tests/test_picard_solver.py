@@ -1,5 +1,6 @@
 """Forward Picard iteration: fixed points, determinism, error reporting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from chaosbsde import (
     Driver,
     GridSpec,
-    PathView,
+    PathBatch,
     SolverConfig,
     TerminalFunctional,
     draw_paths,
@@ -41,11 +42,18 @@ class TestDriver:
         assert f.eval(1.0, 2.0, 3.0, 4.0) == 3.0
 
 
+def one_path(spec, G, Q):
+    """Hand-built batch holding the single path (G, Q)."""
+    return PathBatch(spec, 1, np.array([G], dtype=np.float64),
+                     np.array([Q], dtype=np.int32), seed=0)
+
+
 class TestTerminalFunctional:
     def test_poisson_count_single_path(self):
         spec = GridSpec(T=1.0, N=3, kappa=1.0)
-        view = PathView(G=np.zeros(3), Q=np.array([1, 0, 2]))
-        assert TerminalFunctional.poisson_count().eval(view, spec) == 3.0
+        paths = one_path(spec, np.zeros(3), [1, 0, 2])
+        got = terminal_samples(TerminalFunctional.poisson_count(), paths)
+        np.testing.assert_array_equal(got, [3.0])
 
     def test_exp_levy_degenerate_is_one(self, spec5):
         xi = TerminalFunctional.exp_levy(0.0, 0.0, 0.0)
@@ -57,26 +65,31 @@ class TestTerminalFunctional:
         spec = GridSpec(T=2.0, N=4, kappa=1.0)
         xi = TerminalFunctional.exp_levy(-0.1, 0.1, 0.2)
         G = np.full(4, 1.0 / (4 * math.sqrt(spec.h)))
-        view = PathView(G=G, Q=np.array([1, 0, 1, 0]))
-        got = xi.eval(view, spec)
+        (got,) = terminal_samples(xi, one_path(spec, G, [1, 0, 1, 0]))
         assert got == pytest.approx(math.exp(0.3), rel=1e-12)
         assert got == pytest.approx(1.3499, abs=2e-4)
-
-    def test_batch_matches_per_row(self, spec5):
-        paths = sample_paths(spec5, 64, seed=23)
-        for xi in (TerminalFunctional.poisson_count(),
-                   TerminalFunctional.exp_levy(-0.1, 0.1, 0.2)):
-            F = terminal_samples(xi, paths)
-            rows = np.array([xi.eval(PathView.from_batch(paths, m), spec5)
-                             for m in range(paths.M)])
-            np.testing.assert_allclose(F, rows, rtol=1e-15)
 
     def test_non_finite_terminal_reports_sample(self, spec5):
         paths = sample_paths(spec5, 20, seed=24)
         xi = TerminalFunctional.custom(
-            lambda view, spec: math.inf if view.Q.sum() == 0 else 1.0)
-        with pytest.raises(ValueError, match="sample"):
+            lambda pb: np.where(pb.Q.sum(axis=1) == 0, math.inf, 1.0))
+        first = int(np.argmax(paths.Q.sum(axis=1) == 0))
+        assert paths.Q[first].sum() == 0
+        with pytest.raises(ValueError, match=f"at sample {first}$"):
             terminal_samples(xi, paths)
+
+    @pytest.mark.parametrize("fn", [
+        lambda pb: np.ones((pb.M, 1)),
+        lambda pb: 1.0,
+    ], ids=["column", "scalar"])
+    def test_wrong_shape_rejected(self, spec5, fn):
+        paths = sample_paths(spec5, 20, seed=25)
+        with pytest.raises(ValueError, match=r"expected \(20,\)"):
+            terminal_samples(TerminalFunctional.custom(fn), paths)
+
+    def test_one_field_each(self):
+        assert [f.name for f in dataclasses.fields(TerminalFunctional)] == ["eval"]
+        assert [f.name for f in dataclasses.fields(Driver)] == ["eval"]
 
 
 class TestSolverConfig:
@@ -110,7 +123,7 @@ class TestSolve:
         bit) while the higher coefficients see pure Monte Carlo noise, which
         shows up in Y, Z, U away from time 0 and shrinks like 1/sqrt(M).
         """
-        xi = TerminalFunctional.custom(lambda view, spec: 7.5)
+        xi = TerminalFunctional.custom(lambda pb: np.full(pb.M, 7.5))
         noise = {}
         for M in (500, 50_000):
             cfg = SolverConfig(spec=spec5, p=2, K_it=1, M=M, seed=7)
@@ -136,8 +149,7 @@ class TestSolve:
         # f = 0, xi = B_T: E_t(B_T) = B_t, Z = 1, U = 0 up to MC noise
         spec = GridSpec(T=1.0, N=8, kappa=1.0)
         xi = TerminalFunctional.custom(
-            lambda view, sp: float(math.sqrt(sp.h) * view.G.sum()),
-            batch=lambda pb: np.sqrt(pb.spec.h) * pb.G.sum(axis=1))
+            lambda pb: np.sqrt(pb.spec.h) * pb.G.sum(axis=1))
         cfg = SolverConfig(spec=spec, p=1, K_it=1, M=50_000, seed=5)
         grid = solve(cfg, Driver.zero(), xi)
         B = np.vstack([np.zeros(cfg.M),
