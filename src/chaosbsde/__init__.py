@@ -62,6 +62,7 @@ from .picard_solver import (
 from .benchmarks import (
     Example1Params,
     Example2Params,
+    ExactGrid,
     error_norm,
     example1_exact,
     example1_grid,
@@ -81,6 +82,6 @@ __all__ = [
     "Driver", "TerminalFunctional", "SolverConfig", "SolutionGrid",
     "terminal_samples", "draw_paths", "solve",
     "Example1Params", "Example2Params", "example1_exact", "example2_exact",
-    "example1_grid", "example2_grid", "error_norm",
+    "ExactGrid", "example1_grid", "example2_grid", "error_norm",
     "__version__",
 ]

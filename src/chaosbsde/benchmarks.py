@@ -21,11 +21,15 @@ xi = exp(a*T + b*B_T + c*N_T). Exact:
 Grid comparison convention: left limits coincide with grid values off a
 probability-zero event (a jump landing exactly on a grid point), so exact
 grids evaluate Y, Z, U at the state built from all increments up to and
-including interval r. Exact grids are materialized as SolutionGrid objects
-from the same PathBatch the solver consumed, so error norms isolate method
-error from path randomness.
+including interval r. They are taken on the same PathBatch the solver
+consumed, so error norms isolate method error from path randomness.
 
-The error norm discretizes a supremum-in-time norm for Y and
+Exact grids are row streams, not SolutionGrid matrices: ``example1_grid``
+and ``example2_grid`` return an ExactGrid whose ``rows()`` yields the
+length-M vectors (y, z, u) for r = 0..N from running sums of the batch's
+increments, so no (N+1) x M exact grid is ever held in memory.
+SolutionGrid has the same ``rows()``, and ``error_norm`` reads any two such
+streams in lockstep. It discretizes a supremum-in-time norm for Y and
 time-integrated squared norms for Z and U:
 
     errY = mean_m max_r |dY|^2
@@ -35,8 +39,10 @@ time-integrated squared norms for Z and U:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -48,6 +54,7 @@ __all__ = [
     "Example2Params",
     "example1_exact",
     "example2_exact",
+    "ExactGrid",
     "example1_grid",
     "example2_grid",
     "error_norm",
@@ -136,64 +143,101 @@ def example2_exact(params: Example2Params, t, b_t, n_t):
     return y, z, u
 
 
-def example1_grid(params: Example1Params, paths: PathBatch) -> SolutionGrid:
+@dataclass(frozen=True, eq=False)
+class ExactGrid:
+    """Closed-form (Y, Z, U) along a sampled batch, one grid row at a time.
+
+    ``row(t, B_t, N_t)`` returns the exact (y, z, u) vectors at time t for
+    the batch's Brownian and counting states at that time. It must not keep
+    N_t, which is updated in place for the next row.
+    """
+
+    paths: PathBatch
+    row: Callable[[float, np.ndarray, np.ndarray],
+                  tuple[np.ndarray, np.ndarray, np.ndarray]]
+
+    def rows(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield (y, z, u) at grid times r = 0..N. B_t and N_t are running
+        float64 sums over the batch's increments, added in the order
+        ``np.cumsum`` adds them; grid times are capped at T so that
+        ``times[N]`` never rounds past the horizon."""
+        paths = self.paths
+        spec = paths.spec
+        sqrt_h = math.sqrt(spec.h)
+        times = np.minimum(spec.times(), spec.T)
+        g_sum = np.zeros(paths.M)
+        counts = np.zeros(paths.M)
+        for r in range(spec.N + 1):
+            if r:
+                g_sum += paths.G[:, r - 1]
+                counts += paths.Q[:, r - 1]
+            yield self.row(times[r], sqrt_h * g_sum, counts)
+
+
+def _check_batch(params: Example1Params | Example2Params, paths: PathBatch) -> None:
+    spec = paths.spec
+    if spec.kappa != params.kappa or spec.T != params.T:
+        raise ValueError(
+            f"paths grid (T={spec.T}, kappa={spec.kappa}) does not match "
+            f"params (T={params.T}, kappa={params.kappa})")
+
+
+def example1_grid(params: Example1Params, paths: PathBatch) -> ExactGrid:
     """Exact solution of the counting benchmark along a sampled batch."""
-    spec = paths.spec
-    if spec.kappa != params.kappa or spec.T != params.T:
-        raise ValueError(
-            f"paths grid (T={spec.T}, kappa={spec.kappa}) does not match "
-            f"params (T={params.T}, kappa={params.kappa})")
-    N, M = spec.N, paths.M
-    counts = np.cumsum(paths.Q, axis=1, dtype=np.float64).T  # (N, M)
-    times = spec.times()
-    Y = np.empty((N + 1, M))
-    Y[0] = (1.0 + params.c) * params.T
-    Y[1:] = counts + ((1.0 + params.c) * (params.T - times[1:]))[:, None]
-    Z = np.zeros((N + 1, M))
-    U = np.ones((N + 1, M))
-    return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=None, paths=paths)
+    _check_batch(params, paths)
+    return ExactGrid(paths, lambda t, b_t, n_t: example1_exact(params, t, n_t))
 
 
-def example2_grid(params: Example2Params, paths: PathBatch) -> SolutionGrid:
+def example2_grid(params: Example2Params, paths: PathBatch) -> ExactGrid:
     """Exact solution of the exponential-Levy benchmark along a batch."""
-    spec = paths.spec
-    if spec.kappa != params.kappa or spec.T != params.T:
-        raise ValueError(
-            f"paths grid (T={spec.T}, kappa={spec.kappa}) does not match "
-            f"params (T={params.T}, kappa={params.kappa})")
-    N, M = spec.N, paths.M
-    times = spec.times()
-    B = math.sqrt(spec.h) * np.cumsum(paths.G, axis=1).T   # (N, M)
-    counts = np.cumsum(paths.Q, axis=1, dtype=np.float64).T
-    Y = np.empty((N + 1, M))
-    y0, _, _ = example2_exact(params, 0.0, 0.0, 0)
-    Y[0] = y0
-    yr, _, _ = example2_exact(params, times[1:][:, None], B, counts)
-    Y[1:] = yr
-    Z = params.b * Y
-    U = (math.exp(params.c) - 1.0) * Y
-    return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=None, paths=paths)
+    _check_batch(params, paths)
+    return ExactGrid(paths, lambda t, b_t, n_t: example2_exact(params, t, b_t, n_t))
 
 
-def error_norm(approx: SolutionGrid, exact: SolutionGrid, spec: GridSpec,
-               ) -> tuple[float, float, float]:
+def error_norm(approx: SolutionGrid | ExactGrid, exact: SolutionGrid | ExactGrid,
+               spec: GridSpec) -> tuple[float, float, float]:
     """Discretized squared error norms between two grid solutions.
 
-    Returns (errY, errZ, errU): pathwise-sup-squared for Y averaged over
-    samples, h-weighted time sums of squares for Z and U (the U norm also
-    carries the jump intensity factor). Zero on identical grids; scales
-    quadratically in the difference.
+    ``approx`` and ``exact`` are anything with ``rows()`` and ``paths``: a
+    SolutionGrid or an ExactGrid. Returns (errY, errZ, errU):
+    pathwise-sup-squared for Y averaged over samples, h-weighted time sums
+    of squares for Z and U (the U norm also carries the jump intensity
+    factor). Zero on identical grids; scales quadratically in the
+    difference. Both grids are read one row at a time, in lockstep, so the
+    working set is a few length-M vectors.
     """
-    shape = (spec.N + 1, approx.Y.shape[1])
-    for name, a, e in (("Y", approx.Y, exact.Y), ("Z", approx.Z, exact.Z),
-                       ("U", approx.U, exact.U)):
-        if a.shape != shape or e.shape != shape:
+    for grid in (approx, exact):
+        if grid.paths is not None and grid.paths.spec != spec:
             raise ValueError(
-                f"{name} grids have shapes {a.shape} and {e.shape}, expected {shape}")
-    dY = approx.Y - exact.Y
-    dZ = approx.Z - exact.Z
-    dU = approx.U - exact.U
-    errY = float(np.mean(np.max(dY * dY, axis=0)))
-    errZ = float(spec.h * np.mean(np.sum(dZ[1:] * dZ[1:], axis=0)))
-    errU = float(spec.kappa * spec.h * np.mean(np.sum(dU[1:] * dU[1:], axis=0)))
+                f"spec {spec} does not match the grid's paths, sampled on "
+                f"{grid.paths.spec}")
+    wrong_length = ValueError(f"grids must both have N+1 = {spec.N + 1} rows")
+    r = -1
+    for r, pair in enumerate(itertools.zip_longest(approx.rows(), exact.rows())):
+        if r > spec.N or pair[0] is None or pair[1] is None:
+            raise wrong_length
+        (ya, za, ua), (ye, ze, ue) = pair
+        if r == 0:
+            shape = np.shape(ya)
+            if len(shape) != 1:
+                raise ValueError(f"Y rows have shape {shape}, expected (M,)")
+            sup_y, sum_z, sum_u, d = (np.zeros(shape) for _ in range(4))
+        for name, a, e in (("Y", ya, ye), ("Z", za, ze), ("U", ua, ue)):
+            if np.shape(a) != shape or np.shape(e) != shape:
+                raise ValueError(
+                    f"{name} rows at grid index {r} have shapes {np.shape(a)} "
+                    f"and {np.shape(e)}, expected {shape}")
+        np.subtract(ya, ye, out=d)
+        d *= d
+        np.maximum(sup_y, d, out=sup_y)
+        if r:
+            for acc, a, e in ((sum_z, za, ze), (sum_u, ua, ue)):
+                np.subtract(a, e, out=d)
+                d *= d
+                acc += d
+    if r != spec.N:
+        raise wrong_length
+    errY = float(np.mean(sup_y))
+    errZ = float(spec.h * np.mean(sum_z))
+    errU = float(spec.kappa * spec.h * np.mean(sum_u))
     return errY, errZ, errU

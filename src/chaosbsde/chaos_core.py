@@ -34,6 +34,7 @@ each basis product from a lower-order one by the prefix recursion of
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -257,8 +258,10 @@ def _check_bytes(N: int, p: int, workers: int) -> None:
     # Per index: degree rows in prefix and in rank order, and ~64 bytes of
     # per-index vectors with their prefix-order copies and sort keys.
     index_bytes = J * (4 * N + 64)
-    # Phi_pre, KC with its weighted copy and V, and four sum vectors.
-    worker_bytes = 8 * (_CHUNK * (n_pre + 3 * n_kc) + 4 * (J + 1))
+    # A worker's _ChunkBuffers (Phi_pre, KC, its weighted copy or V, the
+    # Hermite and Charlier tables and three sum rows), and four sum vectors.
+    worker_bytes = 8 * (_CHUNK * (n_pre + 2 * n_kc + (2 * p + 5) * N)
+                        + 4 * (J + 1))
     need = index_bytes + workers * worker_bytes
     if need > _BYTE_BUDGET:
         # Integer MiB: need can exceed the float range.
@@ -469,18 +472,60 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     return out
 
 
-def _chunk_tables(iset: _IndexSet, G, Q, kh: float,
-                  sl: slice) -> tuple[np.ndarray, np.ndarray]:
-    """Slot factors KC and prefix table Phi_pre of one chunk, time-major."""
+class _ChunkBuffers:
+    """One worker's arrays for the prefix kernels, reused for every chunk it
+    runs within one estimate or evaluate call.
+
+    A chunk's tables take megabytes. Allocated afresh per chunk, they go
+    back to the allocator after each chunk, which may hand the pages back to
+    the operating system, so the next chunk faults them in again (about
+    19,000 minor page faults per call at N=10, p=3, M=2e4 under glibc's
+    malloc).
+    """
+
+    def __init__(self, iset: _IndexSet, width: int):
+        N = iset.N
+        n_kc = len(iset.prefix.pairs) * N
+        rows = {"K": (iset.p + 1) * N, "C": (iset.p + 1) * N, "KC": n_kc,
+                "W": n_kc, "phi": iset.prefix.n_pre, "S": 3 * N}
+        self._flat = {name: np.empty(n * width) for name, n in rows.items()}
+
+    def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """Contiguous view of buffer ``name`` with this shape (the chunk's
+        width last). "W" holds the weighted KC copy of the sums kernel and
+        V of the evaluation kernel."""
+        return self._flat[name][:math.prod(shape)].reshape(shape)
+
+
+def _per_worker(make):
+    """Function returning the calling thread's own ``make()``, built on its
+    first call; the instances live as long as the returned function."""
+    local = threading.local()
+
+    def get():
+        if not hasattr(local, "value"):
+            local.value = make()
+        return local.value
+
+    return get
+
+
+def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
+                  buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray]:
+    """Slot factors KC and prefix table Phi_pre of one chunk, time-major,
+    written into ``buf``."""
     plan = iset.prefix
+    N = iset.N
     Gt = G[sl].T
     Mc = Gt.shape[1]
-    K = hermite_batch(iset.p, Gt)         # (p+1, N, Mc)
-    C = charlier_batch(iset.p, Q[sl].T, kh)
-    a, b = np.array(plan.pairs).T
-    KC = (K[a] * C[b]).reshape(-1, Mc)
+    K = hermite_batch(iset.p, Gt, out=buf.get("K", (iset.p + 1, N, Mc)))
+    C = charlier_batch(iset.p, Q[sl].T, kh, out=buf.get("C", (iset.p + 1, N, Mc)))
+    KC = buf.get("KC", (len(plan.pairs), N, Mc))
+    for k, (a, b) in enumerate(plan.pairs):
+        np.multiply(K[a], C[b], out=KC[k])
+    KC = KC.reshape(-1, Mc)
     # One group at a time: parent rows times the group's slot factor.
-    phi = np.empty((plan.n_pre, Mc))
+    phi = buf.get("phi", (plan.n_pre, Mc))
     phi[0] = 1.0
     for lo, hi, plo, f in plan.groups:
         if hi > plan.n_pre:
@@ -490,7 +535,7 @@ def _chunk_tables(iset: _IndexSet, G, Q, kh: float,
 
 
 def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
-                       squares: bool) -> np.ndarray:
+                       squares: bool, buf: _ChunkBuffers) -> np.ndarray:
     """Raw sums over one chunk for any p by the prefix recursion.
 
     Per group, the sum of F*Phi_j is a row-wise dot of the parents' Phi_pre
@@ -500,7 +545,7 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     """
     plan = iset.prefix
     Fc = F[sl]
-    KC, phi = _chunk_tables(iset, G, Q, kh, sl)
+    KC, phi = _chunk_tables(iset, G, Q, kh, sl, buf)
     n_out = 1 + iset.J
     out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
     sums = np.empty(n_out)
@@ -511,7 +556,7 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
         return sums[plan.pos]
 
     out[0] = Fc.sum()
-    out[1:n_out] = dots(KC * Fc)
+    out[1:n_out] = dots(np.multiply(KC, Fc, out=buf.get("W", KC.shape)))
     if squares:
         F2 = Fc * Fc
         out[n_out] = F2.sum()
@@ -525,11 +570,17 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
 def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
               squares: bool) -> np.ndarray:
     kh = paths.spec.jump_mean
-    fn = _fast_sums_chunk if 1 <= iset.p <= 2 else _prefix_sums_chunk
     n_out = 1 + iset.J
-    return _reduce_chunks(
-        lambda sl: fn(F, paths.G, paths.Q, kh, iset, sl, squares),
-        paths.M, 2 * n_out if squares else n_out, threads)
+    if 1 <= iset.p <= 2:
+        def chunk(sl: slice) -> np.ndarray:
+            return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares)
+    else:
+        buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, paths.M)))
+
+        def chunk(sl: slice) -> np.ndarray:
+            return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares,
+                                      buffers())
+    return _reduce_chunks(chunk, paths.M, 2 * n_out if squares else n_out, threads)
 
 
 def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficients:

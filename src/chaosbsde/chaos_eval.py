@@ -51,9 +51,9 @@ from typing import Optional
 
 import numpy as np
 
-from .chaos_core import (ChaosCoefficients, _block_width, _check_bytes,
-                         _chunk_tables, _IndexSet, _map_chunks,
-                         _stacked_factors, _workers)
+from .chaos_core import (_CHUNK, ChaosCoefficients, _block_width, _check_bytes,
+                         _chunk_tables, _ChunkBuffers, _IndexSet, _map_chunks,
+                         _per_worker, _stacked_factors, _workers)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -185,8 +185,9 @@ def _path_rows(coeffs: ChaosCoefficients, path: PathView, r: int,
     """
     iset = coeffs.iset
     N = iset.N
+    buf = _ChunkBuffers(iset, 1)
     KC, phi = _chunk_tables(iset, path.G[None], path.Q[None],
-                            coeffs.spec.jump_mean, slice(0, 1))
+                            coeffs.spec.jump_mean, slice(0, 1), buf)
     if slot is not None:
         theta, g, n, mean = slot
         K = hermite_batch(iset.p, np.float64(g))
@@ -195,7 +196,7 @@ def _path_rows(coeffs: ChaosCoefficients, path: PathView, r: int,
             KC[k * N + r - 1] = theta ** (a / 2) * K[a] * C[b]
     Y, Z, U = np.empty((3, N + 1, 1))
     _prefix_rows(iset, _prefix_coeffs(coeffs), KC, phi, slice(0, 1),
-                 Y, Z, U, *_row_zero(coeffs))
+                 Y, Z, U, *_row_zero(coeffs), buf)
     return float(Y[r, 0]), float(Z[r, 0]), float(U[r, 0])
 
 
@@ -303,7 +304,7 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
 
 def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
                  phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
-                 u0: float, sqrt_h: float) -> None:
+                 u0: float, sqrt_h: float, buf: _ChunkBuffers) -> None:
     """Order >= 3 kernel: one segment sum feeds the value and both derivatives.
 
     Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`,
@@ -315,13 +316,16 @@ def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
     """
     plan = iset.prefix
     N = iset.N
-    V = np.zeros_like(KC)
+    V = buf.get("W", KC.shape)
+    V.fill(0.0)
     for lo, hi, plo, f in plan.groups:
         V[f] += np.einsum("ij,i->j", phi[plo:plo + hi - lo], d_pos[lo:hi])
     Mc = KC.shape[1]
     KC = KC.reshape(-1, N, Mc)
     V = V.reshape(-1, N, Mc)
-    SY, SZ, SU = np.zeros((3, N, Mc))
+    S = buf.get("S", (3, N, Mc))
+    S.fill(0.0)
+    SY, SZ, SU = S
     k_of = {ab: k for k, ab in enumerate(plan.pairs)}
     for k, (a, b) in enumerate(plan.pairs[1:], start=1):
         SY += V[k] * KC[k]
@@ -379,10 +383,12 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     else:
         iset = coeffs.iset
         d_pos = _prefix_coeffs(coeffs)
+        buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, M)))
 
         def work(sl: slice) -> None:
-            KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl)
-            _prefix_rows(iset, d_pos, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h)
+            buf = buffers()
+            KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
+            _prefix_rows(iset, d_pos, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h, buf)
 
     for _ in _map_chunks(work, M, threads):
         pass

@@ -66,14 +66,26 @@ def _check_degree(m_max: int) -> None:
         raise ValueError(f"m_max = {m_max} exceeds the degree cap {MAX_DEGREE}")
 
 
-def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
+def _table_out(m_max: int, x: np.ndarray, out) -> np.ndarray:
+    shape = (m_max + 1,) + x.shape
+    if out is None:
+        return np.empty(shape, dtype=np.float64)
+    if out.shape != shape or out.dtype != np.float64:
+        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
+                         f"expected {shape} float64")
+    return out
+
+
+def hermite_batch(m_max: int, x: np.ndarray, *,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Hermite values K_0..K_{m_max} at every entry of x.
 
-    Returns an array of shape (m_max+1,) + x.shape.
+    Returns an array of shape (m_max+1,) + x.shape, written into ``out``
+    when given.
     """
     _check_degree(m_max)
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((m_max + 1,) + x.shape, dtype=np.float64)
+    out = _table_out(m_max, x, out)
     out[0] = 1.0
     if m_max >= 1:
         out[1] = x
@@ -82,16 +94,18 @@ def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def charlier_batch(m_max: int, x: np.ndarray, t: float) -> np.ndarray:
+def charlier_batch(m_max: int, x: np.ndarray, t: float, *,
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Charlier values C_0..C_{m_max}(x, t) at every entry of x.
 
-    Returns an array of shape (m_max+1,) + x.shape.
+    Returns an array of shape (m_max+1,) + x.shape, written into ``out``
+    when given.
     """
     _check_degree(m_max)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty((m_max + 1,) + x.shape, dtype=np.float64)
+    out = _table_out(m_max, x, out)
     out[0] = 1.0
     if m_max >= 1:
         out[1] = x - t

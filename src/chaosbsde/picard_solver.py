@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -156,6 +156,11 @@ class SolutionGrid:
     history: Optional[tuple[ChaosCoefficients, ...]] = None
     paths: Optional[PathBatch] = None
 
+    def rows(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Yield (Y[r], Z[r], U[r]) for r = 0..N, the row stream that
+        ``benchmarks.error_norm`` reads."""
+        return zip(self.Y, self.Z, self.U)
+
 
 def terminal_samples(xi: TerminalFunctional, paths: PathBatch) -> np.ndarray:
     """Evaluate the terminal functional on every path of a batch.
@@ -186,16 +191,16 @@ def draw_paths(config: SolverConfig) -> PathBatch:
     return sample_paths(config.spec, _path_count(config), config.seed)
 
 
-def _driver_rows(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int,
-                 ) -> np.ndarray:
-    """Driver values at grid rows 1..N of the current iterate, shape (N, M).
+def _driver_rows(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int, *,
+                 out: np.ndarray) -> None:
+    """Write the driver values at grid rows 1..N of the current iterate into
+    ``out``, shape (N, M).
 
     The driver is never evaluated at time 0; the quadrature uses interval
     right endpoints only.
     """
     N = Y.shape[0] - 1
     M = Y.shape[1]
-    out = np.empty((N, M))
     for i in range(1, N + 1):
         vals = np.asarray(driver.eval(float(times[i]), Y[i], Z[i], U[i]),
                           dtype=np.float64)
@@ -206,7 +211,6 @@ def _driver_rows(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int,
         raise ValueError(
             f"driver returned non-finite value at iteration {iteration + 1}, "
             f"grid index {i + 1}, sample {m}")
-    return out
 
 
 def _subtract_partial_sums(Y: np.ndarray, f: np.ndarray, h: float) -> None:
@@ -271,15 +275,17 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     Ye = np.zeros((N + 1, est.M))
     Ze = np.zeros((N + 1, est.M))
     Ue = np.zeros((N + 1, est.M))
+    fe = np.empty((N, est.M))  # driver rows, refilled every iteration
     if independent:
         Yv = np.zeros((N + 1, ev.M))
         Zv = np.zeros((N + 1, ev.M))
         Uv = np.zeros((N + 1, ev.M))
+        fv = np.empty((N, ev.M))
     history: Optional[list[ChaosCoefficients]] = [] if config.keep_history else None
 
     coeffs: Optional[ChaosCoefficients] = None
     for q in range(config.K_it):
-        fe = _driver_rows(driver, times, Ye, Ze, Ue, q)
+        _driver_rows(driver, times, Ye, Ze, Ue, q, out=fe)
         F = xi_est + h * fe.sum(axis=0)
         bad = ~np.isfinite(F)
         if bad.any():
@@ -290,7 +296,7 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         if history is not None:
             history.append(coeffs)
         if independent:
-            fv = _driver_rows(driver, times, Yv, Zv, Uv, q)
+            _driver_rows(driver, times, Yv, Zv, Uv, q, out=fv)
             evaluate_grid(coeffs, ev, threads=threads, out=(Yv, Zv, Uv))
             _subtract_partial_sums(Yv, fv, h)
         evaluate_grid(coeffs, est, threads=threads, out=(Ye, Ze, Ue))

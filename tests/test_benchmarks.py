@@ -1,6 +1,8 @@
 """Closed-form reference solutions and the discretized error norm."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from chaosbsde import (
     Example1Params,
     Example2Params,
     GridSpec,
+    SolutionGrid,
     SolverConfig,
     TerminalFunctional,
     error_norm,
@@ -25,6 +28,56 @@ from chaosbsde import (
 
 PAPER2 = Example2Params(alpha=0.3, beta=0.3, gamma=0.2, a=-0.1, b=0.1, c=0.2,
                         kappa=3.0, T=2.0)
+
+
+# Oracles: the exact grids and the error norm materialized as whole
+# (N+1) x M matrices, the form the library computed before it streamed
+# rows. The streamed forms must match them bit for bit, since each row is
+# built and each sum is added in the same order.
+
+def oracle_example1_grid(params, paths):
+    spec = paths.spec
+    N, M = spec.N, paths.M
+    counts = np.cumsum(paths.Q, axis=1, dtype=np.float64).T  # (N, M)
+    times = spec.times()
+    Y = np.empty((N + 1, M))
+    Y[0] = (1.0 + params.c) * params.T
+    Y[1:] = counts + ((1.0 + params.c) * (params.T - times[1:]))[:, None]
+    Z = np.zeros((N + 1, M))
+    U = np.ones((N + 1, M))
+    return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=None, paths=paths)
+
+
+def oracle_example2_grid(params, paths):
+    spec = paths.spec
+    N, M = spec.N, paths.M
+    times = spec.times()
+    B = math.sqrt(spec.h) * np.cumsum(paths.G, axis=1).T   # (N, M)
+    counts = np.cumsum(paths.Q, axis=1, dtype=np.float64).T
+    Y = np.empty((N + 1, M))
+    y0, _, _ = example2_exact(params, 0.0, 0.0, 0)
+    Y[0] = y0
+    yr, _, _ = example2_exact(params, times[1:][:, None], B, counts)
+    Y[1:] = yr
+    Z = params.b * Y
+    U = (math.exp(params.c) - 1.0) * Y
+    return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=None, paths=paths)
+
+
+def oracle_error_norm(approx, exact, spec):
+    dY = approx.Y - exact.Y
+    dZ = approx.Z - exact.Z
+    dU = approx.U - exact.U
+    errY = float(np.mean(np.max(dY * dY, axis=0)))
+    errZ = float(spec.h * np.mean(np.sum(dZ[1:] * dZ[1:], axis=0)))
+    errU = float(spec.kappa * spec.h * np.mean(np.sum(dU[1:] * dU[1:], axis=0)))
+    return errY, errZ, errU
+
+
+def stacked(exact):
+    """An exact grid's row stream stacked into a SolutionGrid."""
+    Y, Z, U = (np.stack(rows) for rows in zip(*exact.rows()))
+    return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=None, paths=exact.paths)
 
 
 class TestExample1Exact:
@@ -92,7 +145,7 @@ class TestExactGrids:
         params = Example1Params(c=0.5, T=1.0)
         spec = params.grid(4)
         paths = sample_paths(spec, 50, seed=30)
-        grid = example1_grid(params, paths)
+        grid = stacked(example1_grid(params, paths))
         assert grid.Y.shape == (5, 50)
         counts = np.vstack([np.zeros(50, dtype=np.int64),
                             np.cumsum(paths.Q.T, axis=0)])
@@ -106,7 +159,7 @@ class TestExactGrids:
     def test_example2_grid_entries(self):
         spec = PAPER2.grid(5)
         paths = sample_paths(spec, 40, seed=31)
-        grid = example2_grid(PAPER2, paths)
+        grid = stacked(example2_grid(PAPER2, paths))
         B = np.vstack([np.zeros(40),
                        np.cumsum(math.sqrt(spec.h) * paths.G.T, axis=0)])
         counts = np.vstack([np.zeros(40, dtype=np.int64),
@@ -124,7 +177,7 @@ class TestExactGrids:
         params = Example1Params(c=0.5, T=1.0)
         spec = params.grid(4)
         paths = sample_paths(spec, 40_000, seed=32)
-        grid = example1_grid(params, paths)
+        grid = stacked(example1_grid(params, paths))
         drift = grid.Y.mean(axis=1) - grid.Y[0].mean()
         tol = 4.0 * math.sqrt(1.0 / paths.M) * np.sqrt(np.arange(5) * spec.h + 1e-12)
         for r in range(1, 5):
@@ -136,10 +189,10 @@ class TestErrorNorm:
     def make_solution(self, spec, seed=33, M=25):
         paths = sample_paths(spec, M, seed=seed)
         if spec.kappa == 1.0:
-            return example1_grid(Example1Params(c=0.5, T=spec.T), paths)
+            return stacked(example1_grid(Example1Params(c=0.5, T=spec.T), paths))
         params = Example2Params(alpha=0.3, beta=0.3, gamma=0.2, a=-0.1, b=0.1,
                                 c=0.2, kappa=spec.kappa, T=spec.T)
-        return example2_grid(params, paths)
+        return stacked(example2_grid(params, paths))
 
     def test_zero_on_equal_grids(self):
         spec = GridSpec(T=1.0, N=4, kappa=1.0)
@@ -147,7 +200,6 @@ class TestErrorNorm:
         assert error_norm(grid, grid, spec) == (0.0, 0.0, 0.0)
 
     def test_unit_y_offset(self):
-        import dataclasses
         spec = GridSpec(T=1.0, N=4, kappa=1.0)
         grid = self.make_solution(spec)
         shifted = dataclasses.replace(grid, Y=grid.Y + 1.0)
@@ -156,7 +208,6 @@ class TestErrorNorm:
         assert errZ == 0.0 and errU == 0.0
 
     def test_unit_z_offset_paper_grid(self):
-        import dataclasses
         spec = GridSpec(T=2.0, N=50, kappa=3.0)
         grid = self.make_solution(spec)
         shifted = dataclasses.replace(grid, Z=grid.Z + 1.0)
@@ -164,7 +215,6 @@ class TestErrorNorm:
         assert errZ == pytest.approx(2.0, rel=1e-12)
 
     def test_unit_u_offset_scales_with_intensity(self):
-        import dataclasses
         spec = GridSpec(T=2.0, N=50, kappa=3.0)
         grid = self.make_solution(spec)
         shifted = dataclasses.replace(grid, U=grid.U + 1.0)
@@ -172,7 +222,6 @@ class TestErrorNorm:
         assert errU == pytest.approx(spec.kappa * spec.T, rel=1e-12)
 
     def test_quadratic_homogeneity(self):
-        import dataclasses
         spec = GridSpec(T=1.0, N=4, kappa=1.0)
         grid = self.make_solution(spec)
         rng = np.random.default_rng(0)
@@ -208,3 +257,91 @@ class TestErrorNorm:
         assert errs[1][0] < errs[0][0]
         assert errs[1][1] < errs[0][1]
         assert errs[1][2] < errs[0][2]
+
+    def test_spec_must_match_the_grids_paths(self):
+        spec = GridSpec(T=2.0, N=50, kappa=3.0)
+        grid = self.make_solution(spec)
+        for wrong in (GridSpec(T=1.0, N=50, kappa=3.0),
+                      GridSpec(T=2.0, N=50, kappa=1.5)):
+            with pytest.raises(ValueError, match="does not match"):
+                error_norm(grid, grid, wrong)
+
+    def test_spec_check_skipped_without_paths(self):
+        spec = GridSpec(T=1.0, N=4, kappa=1.0)
+        grid = dataclasses.replace(self.make_solution(spec), paths=None)
+        other = GridSpec(T=3.0, N=4, kappa=2.0)
+        assert error_norm(grid, grid, other) == (0.0, 0.0, 0.0)
+
+    def test_row_count_mismatch_rejected(self):
+        spec = GridSpec(T=1.0, N=4, kappa=1.0)
+        grid = dataclasses.replace(self.make_solution(spec), paths=None)
+        short = dataclasses.replace(grid, Z=grid.Z[:-1])
+        for a, b in ((short, grid), (grid, short)):
+            with pytest.raises(ValueError, match="N\\+1 = 5 rows"):
+                error_norm(a, b, spec)
+        with pytest.raises(ValueError, match="N\\+1 = 4 rows"):
+            error_norm(grid, grid, GridSpec(T=1.0, N=3, kappa=1.0))
+
+
+def _example(name, T):
+    if name == "example1":
+        return Example1Params(c=0.5, T=T), example1_grid, oracle_example1_grid
+    return (dataclasses.replace(PAPER2, T=T), example2_grid, oracle_example2_grid)
+
+
+class TestStreamedAgainstOracle:
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    @pytest.mark.parametrize("M", [1, 25, 20_000])
+    @pytest.mark.parametrize("N", [1, 4, 50])
+    def test_rows_and_errors_bit_identical(self, example, N, M):
+        params, grid_fn, oracle_fn = _example(example, T=2.0 if N == 50 else 1.0)
+        spec = params.grid(N)
+        paths = sample_paths(spec, M, seed=40 + N)
+        want = oracle_fn(params, paths)
+        got = stacked(grid_fn(params, paths))
+        for a, b in ((got.Y, want.Y), (got.Z, want.Z), (got.U, want.U)):
+            assert np.array_equal(a, b)
+        rng = np.random.default_rng(N * M)
+        approx = dataclasses.replace(
+            want, Y=want.Y + rng.standard_normal(want.Y.shape),
+            Z=want.Z + 0.5 * rng.standard_normal(want.Z.shape),
+            U=want.U - 2.0 * rng.standard_normal(want.U.shape))
+        got_err = error_norm(approx, grid_fn(params, paths), spec)
+        want_err = oracle_error_norm(approx, want, spec)
+        if M > 1 or N < 8:
+            assert got_err == want_err
+        else:
+            # With one path the oracle's (N, 1) time sums reduce along a
+            # contiguous axis, which numpy sums pairwise once N >= 8; the
+            # stream adds rows in order. The max is order-free.
+            assert got_err[0] == want_err[0]
+            np.testing.assert_allclose(got_err[1:], want_err[1:],
+                                       rtol=N * np.finfo(np.float64).eps, atol=0)
+
+    def test_last_grid_time_never_passes_the_horizon(self):
+        # 11 * (0.1 / 11) rounds to just above 0.1; the last row is still
+        # the terminal value exp(a*T + b*B_T + c*N_T).
+        params = dataclasses.replace(PAPER2, T=0.1)
+        spec = params.grid(11)
+        paths = sample_paths(spec, 30, seed=44)
+        assert spec.times()[-1] > spec.T
+        y_T, _, _ = list(example2_grid(params, paths).rows())[-1]
+        B_T = math.sqrt(spec.h) * paths.G.sum(axis=1)
+        xi = np.exp(params.a * params.T + params.b * B_T + params.c * paths.Q.sum(axis=1))
+        np.testing.assert_allclose(y_T, xi, rtol=1e-12)
+
+    def test_report_working_set_is_a_few_rows(self):
+        # The parent's materializing report peaked near 55 MiB at this size.
+        params = PAPER2
+        spec = params.grid(50)
+        paths = sample_paths(spec, 20_000, seed=45)
+        grid = oracle_example2_grid(params, paths)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            error_norm(grid, example2_grid(params, grid.paths), spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base < 8 * 2**20

@@ -6,6 +6,7 @@ with it to near machine precision on every code path (order 1, 2, and >= 3).
 """
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -152,6 +153,55 @@ class TestPrefixKernel:
         assert np.array_equal(a.values, b.values)
         assert (variance_diagnostic(F, paths, p, threads=1)
                 == variance_diagnostic(F, paths, p, threads=3))
+
+
+class TestChunkBuffers:
+    """The p >= 3 kernels give each worker one set of chunk buffers per call,
+    which it reuses for every chunk it runs."""
+
+    @staticmethod
+    def case():
+        spec = GridSpec(T=1.0, N=6, kappa=2.0)
+        paths = sample_paths(spec, 8 * 1024 + 300, seed=66)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1] ** 2
+        return paths, F
+
+    def test_one_buffer_set_per_call_and_worker(self, monkeypatch):
+        from chaosbsde import chaos_core, chaos_eval
+
+        built = []
+
+        class Counted(chaos_core._ChunkBuffers):
+            def __init__(self, iset, width):
+                built.append(width)
+                super().__init__(iset, width)
+
+        monkeypatch.setattr(chaos_core, "_ChunkBuffers", Counted)
+        monkeypatch.setattr(chaos_eval, "_ChunkBuffers", Counted)
+        paths, F = self.case()
+        coeffs = estimate(F, paths, 3)
+        evaluate_grid(coeffs, paths)
+        assert built == [1024, 1024]
+        built.clear()
+        evaluate_grid(coeffs, paths, threads=2)
+        assert 1 <= len(built) <= 2
+
+    def test_workers_never_share_buffers(self):
+        # More workers than cores, switching threads as often as possible:
+        # two workers writing one buffer would corrupt the sums or the rows.
+        paths, F = self.case()
+        want = estimate(F, paths, 3, threads=1)
+        want_rows = evaluate_grid(want, paths, threads=1)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate(F, paths, 3, threads=6)
+            got_rows = evaluate_grid(want, paths, threads=6)
+        finally:
+            sys.setswitchinterval(old)
+        assert got.d0 == want.d0 and np.array_equal(got.values, want.values)
+        for a, b in zip(got_rows, want_rows):
+            assert np.array_equal(a, b)
 
 
 class TestByteBudget:

@@ -237,6 +237,45 @@ class TestRun:
         assert "chaosbsde" in capsys.readouterr().err
 
 
+class TestGoldenResults:
+    """Result columns (all but wall_ms) pinned to strings recorded with the
+    materializing error report that the streamed one replaced, so a change
+    to the solver or the report that moves any digit of the CSV shows up
+    here."""
+
+    HEADER = CSV_HEADER.rsplit(",", 1)[0]
+    CASES = {
+        "example1_p3": (
+            "example = example1\nN = 4\np = 3\nq = 3\nM = 2000\nseed = 3\n",
+            ["example1,3,4,2000,3,3,reuse,1.5703722847124844,-0.097455343271203324,"
+             "1.568546207581633,1.5,0,1,25.834279953022737,2.1903473216202602,"
+             "6.8070557868484851"]),
+        "example2_independent_seed_sweep": (
+            "example = example2\nN = 6\np = 2\nq = 3\nM = 300\n"
+            "sample_mode = independent\nsweep_axis = seed\nsweep_values = 1, 2, 5\n",
+            ["example2,2,6,300,3,1,independent,7.8447917185652827,4.6141447136224691,"
+             "-0.27147363166251132,6.5993928490002745,0.65993928490002751,"
+             "1.4611237789511622,72.741468390035109,48.643649226004598,"
+             "31.34379981679534",
+             "example2,2,6,300,3,2,independent,7.2518327287007196,-1.0227897301416824,"
+             "1.2436341723366504,6.5993928490002745,0.65993928490002751,"
+             "1.4611237789511622,121.56023819315058,65.705880458464478,"
+             "93.810028228355051",
+             "example2,2,6,300,3,5,independent,8.4658654267766185,1.9492315212116449,"
+             "2.8144866037017722,6.5993928490002745,0.65993928490002751,"
+             "1.4611237789511622,169.58024380740437,57.960309810190871,"
+             "156.18773875481932"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_result_columns_match_recorded_strings(self, tmp_path, case):
+        text, rows = self.CASES[case]
+        out = tmp_path / "golden.csv"
+        assert main(["--config", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+        got = strip_wall(out.read_text(encoding="utf-8"))
+        assert got == "\n".join([self.HEADER] + rows)
+
+
 class TestMain:
     def test_exit_codes(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "example = example9\n")

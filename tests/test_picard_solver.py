@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -236,6 +237,41 @@ class TestSolve:
         bad = Driver.custom(lambda t, y, z, u: math.nan if t > 0.5 else 0.0)
         with pytest.raises(ValueError, match="iteration"):
             solve(cfg, bad, TerminalFunctional.poisson_count())
+
+    @pytest.mark.parametrize("mode", ["reuse", "independent"])
+    def test_non_finite_driver_reports_grid_index_and_sample(self, spec5, mode):
+        cfg = SolverConfig(spec=spec5, p=1, K_it=2, M=50, seed=13, sample_mode=mode)
+
+        def bad(t, y, z, u):
+            out = np.zeros_like(y)
+            if t > 0.5:
+                out[7] = math.inf
+            return out
+
+        with pytest.raises(ValueError,
+                           match="iteration 1, grid index 3, sample 7"):
+            solve(cfg, Driver.custom(bad), TerminalFunctional.poisson_count())
+
+    def test_iterations_reuse_the_driver_row_buffer(self):
+        # Each iteration refills one (N, M) driver-row buffer, so more
+        # iterations add no N x M allocation to the peak.
+        spec = GridSpec(T=1.0, N=20, kappa=1.0)
+        M = 20_000
+
+        def peak(q):
+            cfg = SolverConfig(spec=spec, p=2, K_it=q, M=M, seed=15)
+            paths = draw_paths(cfg)
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                solve(cfg, Driver.linear_jump(0.5), TerminalFunctional.poisson_count(),
+                      paths=paths)
+                _, top = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return top - base
+
+        assert peak(3) - peak(1) < spec.N * M * 4
 
     def test_driver_sees_right_endpoint_times(self, spec5):
         seen = []
