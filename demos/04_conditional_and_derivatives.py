@@ -12,17 +12,7 @@ import math
 
 import numpy as np
 
-from chaosbsde import (
-    GridSpec,
-    PathView,
-    conditional,
-    conditional_at,
-    estimate,
-    evaluate_grid,
-    malliavin_b,
-    malliavin_p,
-    sample_paths,
-)
+from chaosbsde import GridSpec, conditional_at, estimate, evaluate_grid, sample_paths
 
 spec = GridSpec(T=1.0, N=8, kappa=1.0)
 M = 400_000
@@ -33,35 +23,36 @@ paths = sample_paths(spec, M, seed=3)
 F = math.sqrt(spec.h) * paths.G.sum(axis=1)
 coeffs = estimate(F, paths, p=1)
 
-# Walk one concrete path.
-view = PathView.from_batch(paths, m=0)
-B = np.concatenate([[0.0], np.sqrt(spec.h) * np.cumsum(view.G)])
+# Walk one concrete path: evaluate_grid on a one-path batch gives the
+# value (Y) and the two derivative evaluators (Z, U) at every grid time.
+path = paths.rows(0, 1)
+B = np.concatenate([[0.0], np.sqrt(spec.h) * np.cumsum(path.G[0])])
+Y1, Z1, U1 = evaluate_grid(coeffs, path)
 
 # Conditioning recovers the martingale property E_r[B_T] = B_r.
 print(" r   E_r[F]      B_r")
 for r in (0, 2, 5, 8):
-    print("%2d  %+.4f   %+.4f" % (r, conditional(coeffs, view, r), B[r]))
+    print("%2d  %+.4f   %+.4f" % (r, Y1[r, 0], B[r]))
 
 # The Brownian derivative of B_T is 1 at every time; the jump derivative
 # is 0. The evaluators recover both up to Monte Carlo noise.
-print("Z at r=4: %+.4f  (target 1)" % malliavin_b(coeffs, view, 4))
-print("U at r=4: %+.4f  (target 0)" % malliavin_p(coeffs, view, 4))
+print("Z at r=4: %+.4f  (target 1)" % Z1[4, 0])
+print("U at r=4: %+.4f  (target 0)" % U1[4, 0])
 
 # conditional_at extends all three evaluations to a time inside interval
-# r, given the partial increments (dB, dN) accrued since the interval
-# started at t_{r-1}.
-y, z, u = conditional_at(coeffs, view, r=5, t=4.5 * spec.h, dB=0.1, dN=0)
-print("mid-interval: y %+.4f  z %+.4f  u %+.4f" % (y, z, u))
+# r, given each path's partial increments (dB, dN) accrued since the
+# interval started at t_{r-1}: one entry per path of the batch.
+y, z, u = conditional_at(coeffs, path, r=5, t=4.5 * spec.h, dB=[0.1], dN=[0])
+print("mid-interval: y %+.4f  z %+.4f  u %+.4f" % (y[0], z[0], u[0]))
 # For a first-order expansion the value is linear in the running Brownian
 # increment with slope exactly z.
-y0, _, _ = conditional_at(coeffs, view, r=5, t=4.5 * spec.h, dB=0.0, dN=0)
+y0, _, _ = conditional_at(coeffs, path, r=5, t=4.5 * spec.h, dB=[0.0], dN=[0])
 print("value moved by dB * z:",
-      math.isclose(y - y0, 0.1 * z, rel_tol=0, abs_tol=1e-12))
+      math.isclose(y[0] - y0[0], 0.1 * z[0], rel_tol=0, abs_tol=1e-12))
 
-# evaluate_grid does all paths and all grid times at once; row r matches
-# the single-path evaluators.
+# evaluate_grid does all paths and all grid times at once; a path's column
+# matches its one-path evaluation.
 Y, Z, U = evaluate_grid(coeffs, paths.rows(0, 1000))
-print("grid row matches single-path evaluator:",
-      math.isclose(Y[4, 0], conditional(coeffs, view, 4)))
+print("grid row matches single-path evaluator:", math.isclose(Y[4, 0], Y1[4, 0]))
 print("mean Z over grid: %.4f   mean |U|: %.4f"
       % (float(Z.mean()), float(np.abs(U).mean())))

@@ -5,12 +5,13 @@ The pipeline, bottom to top:
 
 * :mod:`~chaosbsde.stochastic_grid` draws reproducible batches of
   standardized Brownian and Poisson increments on a regular grid.
-* :mod:`~chaosbsde.orthopoly` evaluates the Hermite and Charlier families
-  in the normalization the basis uses.
+* :mod:`~chaosbsde.orthopoly` tabulates the Hermite and Charlier families,
+  in the normalization the basis uses, at every entry of an array.
 * :mod:`~chaosbsde.chaos_core` enumerates the truncated multi-index basis
   and estimates chaos coefficients of a functional by Monte Carlo.
 * :mod:`~chaosbsde.chaos_eval` turns coefficients into conditional
-  expectations and the two derivative evaluators along paths.
+  expectations and the two derivative evaluators on every path of a
+  batch, at grid times or inside an interval.
 * :mod:`~chaosbsde.picard_solver` iterates the forward Picard scheme to
   solve the backward equation on the grid.
 * :mod:`~chaosbsde.benchmarks` provides two closed-form reference problems
@@ -31,7 +32,7 @@ Quick start::
 """
 
 from .stochastic_grid import GridSpec, PathBatch, sample_paths
-from .orthopoly import MAX_DEGREE, PolyTable, charlier_upto, hermite_upto
+from .orthopoly import MAX_DEGREE, charlier_batch, hermite_batch
 from .chaos_core import (
     ChaosCoefficients,
     MultiIndex,
@@ -42,14 +43,7 @@ from .chaos_core import (
     variance_diagnostic,
     weight,
 )
-from .chaos_eval import (
-    PathView,
-    conditional,
-    conditional_at,
-    evaluate_grid,
-    malliavin_b,
-    malliavin_p,
-)
+from .chaos_eval import conditional_at, evaluate_grid
 from .picard_solver import (
     Driver,
     SolutionGrid,
@@ -74,11 +68,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GridSpec", "PathBatch", "sample_paths",
-    "PolyTable", "hermite_upto", "charlier_upto", "MAX_DEGREE",
+    "hermite_batch", "charlier_batch", "MAX_DEGREE",
     "MultiIndex", "ChaosCoefficients", "SizingError", "enumerate_indices",
     "weight", "estimate", "variance_diagnostic", "coefficients_from_entries",
-    "PathView", "conditional", "malliavin_b", "malliavin_p", "conditional_at",
-    "evaluate_grid",
+    "evaluate_grid", "conditional_at",
     "Driver", "TerminalFunctional", "SolverConfig", "SolutionGrid",
     "terminal_samples", "draw_paths", "solve",
     "Example1Params", "Example2Params", "example1_exact", "example2_exact",

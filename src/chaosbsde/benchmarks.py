@@ -159,12 +159,11 @@ class ExactGrid:
     def rows(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (y, z, u) at grid times r = 0..N. B_t and N_t are running
         float64 sums over the batch's increments, added in the order
-        ``np.cumsum`` adds them; grid times are capped at T so that
-        ``times[N]`` never rounds past the horizon."""
+        ``np.cumsum`` adds them."""
         paths = self.paths
         spec = paths.spec
         sqrt_h = math.sqrt(spec.h)
-        times = np.minimum(spec.times(), spec.T)
+        times = spec.times()
         g_sum = np.zeros(paths.M)
         counts = np.zeros(paths.M)
         for r in range(spec.N + 1):

@@ -1,4 +1,4 @@
-"""Evaluators for truncated chaos expansions along a path.
+"""Evaluators for truncated chaos expansions over a batch of paths.
 
 Conditioning a truncated expansion on the information available at grid time
 t_r keeps exactly the indices supported on the first r intervals:
@@ -17,30 +17,30 @@ and keep only indices supported exactly up to r:
     d_n * K_{nB[r]}(G_r) * nP[r] * C_{nP[r]-1}(Q_r) * (earlier slots).
     At r = 0 the value is the first jump unit coefficient.
 
-``conditional_at`` refines this to an arbitrary time t inside interval r
-given the partial increments accumulated since t_{r-1}: each index is scaled
-by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its Hermite factor is
-evaluated at the partial increment standardized by the elapsed time, and its
-Charlier factor at the partial count with mean kappa*(t - t_{r-1}). The
-grid evaluators are the same computation at t = t_r.
+``evaluate_grid`` gives all three at every grid time for every path of a
+``PathBatch``; one path's values are ``evaluate_grid(coeffs,
+paths.rows(m, m + 1))``. Per chunk of paths it sums each index into the
+bucket of its support slot and takes a cumulative sum over r, so the full
+r = 0..N sweep is O(#indices) per path. For p <= 2 the chunk is
+time-major: with the stacked first-order factors X = [K1; C1] (2N rows, one
+column per sample), one product W^T X with the 2N x 2N pair-coefficient
+matrix W gives both derivative sums at every slot, and the value sum follows
+from them elementwise. The product runs in column blocks small enough for
+BLAS to run single-threaded. For p >= 3 (and p = 0) one sum per (support
+slot, Hermite and Charlier degree there) of coefficients times the basis
+products of their prefix-recursion parents gives all three, with no BLAS
+call.
 
-``evaluate_grid`` is the batched engine the solver uses. Per chunk of paths
-it sums each index into the bucket of its support slot and takes a
-cumulative sum over r, so the full r = 0..N sweep is O(#indices) per path.
-For p <= 2 the chunk is time-major: with the stacked first-order factors
-X = [K1; C1] (2N rows, one column per sample), one product W^T X with the
-2N x 2N pair-coefficient matrix W gives both derivative sums at every slot,
-and the value sum follows from them elementwise. The product runs in column
-blocks small enough for BLAS to run single-threaded. For p >= 3 (and p = 0)
-one sum per (support slot, Hermite and Charlier degree there) of
-coefficients times the basis products of their prefix-recursion parents
-gives all three, with no BLAS call.
-
-The per-path evaluators and ``conditional_at`` run that prefix kernel, at
-every p, on a chunk of one path and read row r. For a time inside interval
-r, slot r's factors K_a * C_b are first replaced by theta**(a/2) * K_a * C_b
-at the partial increments; only the discarded rows after r would read them
-through the prefix table.
+``conditional_at`` refines this to a time t inside interval r, for every
+path of a batch given its partial increments accumulated since t_{r-1}:
+each index is scaled by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its
+Hermite factor is evaluated at the partial increment standardized by the
+elapsed time, and its Charlier factor at the partial count with mean
+kappa*(t - t_{r-1}). It runs the prefix kernel, at every p, with slot r's
+factors K_a * C_b replaced by theta**(a/2) * K_a * C_b at the partial
+increments, and reads row r; only the discarded rows after r would read the
+replaced factors through the prefix table. At t = t_r with the full
+interval increments it gives row r of ``evaluate_grid``.
 """
 
 from __future__ import annotations
@@ -52,152 +52,85 @@ from typing import Optional
 import numpy as np
 
 from .chaos_core import (_CHUNK, ChaosCoefficients, _block_width, _check_bytes,
-                         _chunk_tables, _ChunkBuffers, _IndexSet, _map_chunks,
-                         _per_worker, _stacked_factors, _workers)
+                         _chunk_slices, _chunk_tables, _ChunkBuffers, _IndexSet,
+                         _map_chunks, _per_worker, _stacked_factors, _workers)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
-__all__ = [
-    "PathView",
-    "conditional",
-    "malliavin_b",
-    "malliavin_p",
-    "conditional_at",
-    "evaluate_grid",
-]
+__all__ = ["conditional_at", "evaluate_grid"]
 
 
-@dataclass(frozen=True, eq=False)
-class PathView:
-    """One sample path of standardized increments (one row of a PathBatch)."""
-
-    G: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self) -> None:
-        G = np.asarray(self.G, dtype=np.float64)
-        Q = np.asarray(self.Q)
-        if G.ndim != 1 or Q.ndim != 1 or G.shape != Q.shape:
-            raise ValueError(
-                f"G and Q must be equal-length vectors, got {G.shape} and {Q.shape}")
-        object.__setattr__(self, "G", G)
-        object.__setattr__(self, "Q", Q)
-
-    @classmethod
-    def from_batch(cls, paths: PathBatch, m: int) -> "PathView":
-        return cls(paths.G[m], paths.Q[m])
-
-
-def _check_args(coeffs: ChaosCoefficients, path: PathView, r: int,
-                r_min: int = 0) -> None:
-    if len(path.G) != coeffs.spec.N:
+def _check_spec(coeffs: ChaosCoefficients, paths: PathBatch) -> None:
+    if paths.spec != coeffs.spec:
         raise ValueError(
-            f"path has {len(path.G)} intervals, coefficients expect {coeffs.spec.N}")
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise TypeError(f"r must be an int, got {type(r).__name__}")
-    if not r_min <= r <= coeffs.spec.N:
-        raise ValueError(f"r must be in [{r_min}, {coeffs.spec.N}], got {r}")
+            f"path batch grid {paths.spec} does not match coefficients grid {coeffs.spec}")
 
 
-def _grid_evaluators(coeffs: ChaosCoefficients, path: PathView,
-                     r: int) -> tuple[float, float, float]:
-    _check_args(coeffs, path, r)
-    return _path_rows(coeffs, path, r)
-
-
-def conditional(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
-    """Conditional expectation of the truncated expansion at grid time r.
-
-    Only indices with support(n) <= r contribute; r = 0 returns d0 and
-    r = N the full reconstruction d0 + sum d_n Phi_n for this path.
-    """
-    return _grid_evaluators(coeffs, path, r)[0]
-
-
-def malliavin_b(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
-    """Brownian-direction derivative of the conditioned expansion at time r.
-
-    This is the Z-evaluator of the solver. At r = 0 it returns the first
-    Brownian unit coefficient divided by sqrt(h).
-    """
-    return _grid_evaluators(coeffs, path, r)[1]
-
-
-def malliavin_p(coeffs: ChaosCoefficients, path: PathView, r: int) -> float:
-    """Jump-direction derivative of the conditioned expansion at time r.
-
-    This is the U-evaluator of the solver. At r = 0 it returns the first
-    jump unit coefficient.
-    """
-    return _grid_evaluators(coeffs, path, r)[2]
-
-
-def conditional_at(coeffs: ChaosCoefficients, path: PathView, r: int, t: float,
-                   dB: float, dN: int) -> tuple[float, float, float]:
-    """Expansion value and its two derivatives at a time inside interval r.
+def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float,
+                   dB: np.ndarray, dN: np.ndarray,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Expansion value and its two derivatives at a time inside interval r,
+    for every path of a batch.
 
     Parameters
     ----------
-    coeffs, path
-        Expansion and the path observed up to t_{r-1}.
+    coeffs, paths
+        Expansion, and the M paths observed up to t_{r-1}.
     r : int
         Interval index, 1..N.
     t : float
-        Time in (t_{r-1}, t_r].
-    dB : float
-        Partial Brownian increment accumulated on (t_{r-1}, t].
-    dN : int
-        Partial jump count on (t_{r-1}, t], nonnegative.
+        Time in (t_{r-1}, t_r], with the grid times of ``GridSpec.times``.
+    dB : array of float, shape (M,)
+        Partial Brownian increment of each path on (t_{r-1}, t], finite.
+    dN : array of int, shape (M,)
+        Partial jump count of each path on (t_{r-1}, t], nonnegative.
 
     Returns
     -------
-    (y, z, u) : tuple of floats
-        At t = t_r with the full interval increments this agrees with the
-        three grid evaluators at r.
+    (y, z, u) : three arrays of shape (M,)
+        At t = t_r with the full interval increments these are row r of
+        :func:`evaluate_grid`.
     """
-    _check_args(coeffs, path, r, r_min=1)
+    _check_spec(coeffs, paths)
     spec = coeffs.spec
-    h = spec.h
-    t_lo = (r - 1) * h
-    t_hi = r * h
+    N = spec.N
+    M = paths.M
+    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
+        raise TypeError(f"r must be an int, got {type(r).__name__}")
+    if not 1 <= r <= N:
+        raise ValueError(f"r must be in [1, {N}], got {r}")
+    t_lo, t_hi = spec.times()[r - 1:r + 1]
     if not (t_lo < t <= t_hi):
         raise ValueError(f"t = {t!r} outside ({t_lo}, {t_hi}] for r = {r}")
-    if not (isinstance(dN, (int, np.integer)) and not isinstance(dN, bool)) or dN < 0:
-        raise ValueError(f"dN must be a nonnegative int, got {dN!r}")
-    if not math.isfinite(dB):
-        raise ValueError(f"dB must be finite, got {dB!r}")
-    tau = t - t_lo
-    return _path_rows(coeffs, path, r,
-                      slot=(tau / h, dB / math.sqrt(tau), dN, spec.kappa * tau))
+    dB = np.asarray(dB, dtype=np.float64)
+    if dB.shape != (M,) or not np.isfinite(dB).all():
+        raise ValueError(f"dB must be a finite vector of shape ({M},)")
+    dN = np.asarray(dN)
+    if (dN.shape != (M,) or not np.issubdtype(dN.dtype, np.integer)
+            or (dN < 0).any()):
+        raise ValueError(f"dN must be a nonnegative int vector of shape ({M},)")
+    _check_bytes(N, coeffs.p, 1)
 
-
-def _path_rows(coeffs: ChaosCoefficients, path: PathView, r: int,
-               slot: Optional[tuple[float, float, int, float]] = None,
-               ) -> tuple[float, float, float]:
-    """Row r of (Y, Z, U) from the prefix kernel run on this one path.
-
-    ``slot`` = (theta, g, n, mean) replaces slot r's factors K_a * C_b by
-    theta**(a/2) * K_a(g) * C_b(n, mean): the interval's fraction theta has
-    elapsed, with standardized partial increment g and partial count n of
-    mean ``mean``. Row r reads slot r's factors only through the value and
-    derivative sums of slot r itself; the Phi_pre rows built from the
-    original factors feed only the rows after r.
-    """
     iset = coeffs.iset
-    N = iset.N
-    buf = _ChunkBuffers(iset, 1)
-    KC, phi = _chunk_tables(iset, path.G[None], path.Q[None],
-                            coeffs.spec.jump_mean, slice(0, 1), buf)
-    if slot is not None:
-        theta, g, n, mean = slot
-        K = hermite_batch(iset.p, np.float64(g))
-        C = charlier_batch(iset.p, np.float64(n), mean)
+    tau = t - t_lo
+    g = dB / math.sqrt(tau)
+    scale = [(tau / spec.h) ** (a / 2) for a, _ in iset.prefix.pairs]
+    d_pos = _prefix_coeffs(coeffs)
+    row_zero = _row_zero(coeffs)
+    width = min(_CHUNK, M)
+    buf = _ChunkBuffers(iset, width)
+    Y, Z, U = np.empty((3, N + 1, width))
+    out = np.empty((3, M))
+    for sl in _chunk_slices(M):
+        KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf)
+        K = hermite_batch(iset.p, g[sl])
+        C = charlier_batch(iset.p, dN[sl], spec.kappa * tau)
         for k, (a, b) in enumerate(iset.prefix.pairs):
-            KC[k * N + r - 1] = theta ** (a / 2) * K[a] * C[b]
-    Y, Z, U = np.empty((3, N + 1, 1))
-    _prefix_rows(iset, _prefix_coeffs(coeffs), KC, phi, slice(0, 1),
-                 Y, Z, U, *_row_zero(coeffs), buf)
-    return float(Y[r, 0]), float(Z[r, 0]), float(U[r, 0])
+            np.multiply(scale[k] * K[a], C[b], out=KC[k * N + r - 1])
+        cols = slice(0, KC.shape[1])
+        _prefix_rows(iset, d_pos, KC, phi, cols, Y, Z, U, *row_zero, buf)
+        out[:, sl] = Y[r, cols], Z[r, cols], U[r, cols]
+    return out[0], out[1], out[2]
 
 
 def _row_zero(coeffs: ChaosCoefficients) -> tuple[float, float, float, float]:
@@ -357,9 +290,7 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     for every ``threads`` value, since chunks write disjoint column blocks,
     and for every BLAS thread count.
     """
-    if paths.spec != coeffs.spec:
-        raise ValueError(
-            f"path batch grid {paths.spec} does not match coefficients grid {coeffs.spec}")
+    _check_spec(coeffs, paths)
     N = coeffs.spec.N
     M = paths.M
     if out is None:

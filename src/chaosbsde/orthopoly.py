@@ -21,6 +21,11 @@ The discrete (Poisson) factor uses the Charlier family C_m(., t), t >= 0:
 
 and C_m(X, t) / sqrt(m! * t**m) is orthonormal when X is Poisson(t).
 
+Both tables are vectorized: ``hermite_batch(m_max, x)`` and
+``charlier_batch(m_max, x, t)`` return every degree 0..m_max at every entry
+of x, with the degree as the leading axis. A scalar x gives a vector of
+m_max + 1 values. Non-finite entries of x are rejected.
+
 Degrees are capped at MAX_DEGREE = 60: beyond that the factorial weights
 over/underflow float64 long before the values are of any statistical use.
 """
@@ -28,33 +33,12 @@ over/underflow float64 long before the values are of any statistical use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PolyTable", "hermite_upto", "charlier_upto", "MAX_DEGREE"]
+__all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 
 MAX_DEGREE = 60
-
-
-@dataclass(frozen=True, eq=False)
-class PolyTable:
-    """Values of one polynomial family at one point, degrees 0..m_max.
-
-    ``table[m]`` is the degree-m value; ``table.values`` is the full vector.
-    """
-
-    values: np.ndarray
-
-    def __getitem__(self, m: int) -> float:
-        return float(self.values[m])
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    @property
-    def max_degree(self) -> int:
-        return len(self.values) - 1
 
 
 def _check_degree(m_max: int) -> None:
@@ -64,6 +48,14 @@ def _check_degree(m_max: int) -> None:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     if m_max > MAX_DEGREE:
         raise ValueError(f"m_max = {m_max} exceeds the degree cap {MAX_DEGREE}")
+
+
+def _finite(x) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    bad = ~np.isfinite(x)
+    if bad.any():
+        raise ValueError(f"x must be finite, got {float(x[bad][0])!r}")
+    return x
 
 
 def _table_out(m_max: int, x: np.ndarray, out) -> np.ndarray:
@@ -81,10 +73,12 @@ def hermite_batch(m_max: int, x: np.ndarray, *,
     """Hermite values K_0..K_{m_max} at every entry of x.
 
     Returns an array of shape (m_max+1,) + x.shape, written into ``out``
-    when given.
+    when given. Examples: hermite_batch(1, 3.5) is [1, 3.5];
+    hermite_batch(2, 3.0) is [1, 3, 4] since K_2(3) = (9 - 1)/2;
+    hermite_batch(3, 2.0) is [1, 2, 1.5, 1/3] since K_3(2) = (8 - 6)/6.
     """
     _check_degree(m_max)
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x)
     out = _table_out(m_max, x, out)
     out[0] = 1.0
     if m_max >= 1:
@@ -99,12 +93,14 @@ def charlier_batch(m_max: int, x: np.ndarray, t: float, *,
     """Charlier values C_0..C_{m_max}(x, t) at every entry of x.
 
     Returns an array of shape (m_max+1,) + x.shape, written into ``out``
-    when given.
+    when given. Examples: charlier_batch(1, 4, 1.0) is [1, 3];
+    charlier_batch(2, 3, 1.0) is [1, 2, 1] and charlier_batch(2, 2, 1.0) is
+    [1, 1, -1] by the three-term recurrence.
     """
     _check_degree(m_max)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(x)
     out = _table_out(m_max, x, out)
     out[0] = 1.0
     if m_max >= 1:
@@ -112,27 +108,3 @@ def charlier_batch(m_max: int, x: np.ndarray, t: float, *,
     for m in range(1, m_max):
         out[m + 1] = (x - m - t) * out[m] - (m * t) * out[m - 1]
     return out
-
-
-def hermite_upto(m_max: int, x: float) -> PolyTable:
-    """Table of K_0(x)..K_{m_max}(x) at a scalar point.
-
-    Examples: hermite_upto(1, 3.5) has values [1, 3.5];
-    hermite_upto(2, 3) is [1, 3, 4] since K_2(3) = (9 - 1)/2;
-    hermite_upto(3, 2) is [1, 2, 1.5, 1/3] since K_3(2) = (8 - 6)/6.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return PolyTable(hermite_batch(m_max, np.float64(x)))
-
-
-def charlier_upto(m_max: int, x: float, t: float) -> PolyTable:
-    """Table of C_0(x, t)..C_{m_max}(x, t) at a scalar point.
-
-    Examples: charlier_upto(1, 4, 1) has values [1, 3];
-    charlier_upto(2, 3, 1) is [1, 2, 1] and charlier_upto(2, 2, 1) is
-    [1, 1, -1] by the three-term recurrence.
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    return PolyTable(charlier_batch(m_max, np.float64(x), t))

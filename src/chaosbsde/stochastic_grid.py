@@ -79,8 +79,9 @@ class GridSpec:
         return self.kappa * self.h
 
     def times(self) -> np.ndarray:
-        """Grid points t_i = i*h for i = 0..N (shape (N+1,))."""
-        return np.arange(self.N + 1, dtype=np.float64) * self.h
+        """Grid points t_i = i*h for i = 0..N (shape (N+1,)); the last is
+        exactly T, where N * (T/N) can round above it."""
+        return np.linspace(0.0, self.T, self.N + 1)
 
 
 @dataclass(frozen=True, eq=False)

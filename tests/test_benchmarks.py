@@ -319,12 +319,13 @@ class TestStreamedAgainstOracle:
                                        rtol=N * np.finfo(np.float64).eps, atol=0)
 
     def test_last_grid_time_never_passes_the_horizon(self):
-        # 11 * (0.1 / 11) rounds to just above 0.1; the last row is still
-        # the terminal value exp(a*T + b*B_T + c*N_T).
+        # 11 * (0.1 / 11) rounds to just above 0.1, but the last grid time
+        # is T and the last row the terminal value exp(a*T + b*B_T + c*N_T).
         params = dataclasses.replace(PAPER2, T=0.1)
         spec = params.grid(11)
         paths = sample_paths(spec, 30, seed=44)
-        assert spec.times()[-1] > spec.T
+        assert spec.N * spec.h > spec.T
+        assert spec.times()[-1] == spec.T
         y_T, _, _ = list(example2_grid(params, paths).rows())[-1]
         B_T = math.sqrt(spec.h) * paths.G.sum(axis=1)
         xi = np.exp(params.a * params.T + params.b * B_T + params.c * paths.Q.sum(axis=1))

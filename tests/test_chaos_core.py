@@ -16,16 +16,13 @@ from chaosbsde import (
     GridSpec,
     MultiIndex,
     SizingError,
-    charlier_upto,
+    charlier_batch,
     coefficients_from_entries,
-    conditional,
+    conditional_at,
     enumerate_indices,
     estimate,
     evaluate_grid,
-    hermite_upto,
-    malliavin_b,
-    malliavin_p,
-    PathView,
+    hermite_batch,
     sample_paths,
     variance_diagnostic,
     weight,
@@ -39,10 +36,8 @@ def basis_products(indices, paths):
     kh = spec.jump_mean
     M, N = paths.G.shape
     p = max(idx.order for idx in indices)
-    K = np.array([[hermite_upto(p, paths.G[m, i]).values for i in range(N)]
-                  for m in range(M)])  # (M, N, p+1)
-    C = np.array([[charlier_upto(p, int(paths.Q[m, i]), kh).values for i in range(N)]
-                  for m in range(M)])
+    K = np.moveaxis(hermite_batch(p, paths.G), 0, -1)  # (M, N, p+1)
+    C = np.moveaxis(charlier_batch(p, paths.Q, kh), 0, -1)
     out = np.empty((len(indices), M))
     for j, idx in enumerate(indices):
         prod = np.ones(M)
@@ -217,14 +212,15 @@ class TestByteBudget:
         paths, _, coeffs, (Y, Z, U) = n50_p3
         assert coeffs.values.shape == (176_850,)
         for m in (0, 299):
-            view = PathView.from_batch(paths, m)
             for r in (1, 50):
                 assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
-                                  naive_grid(coeffs, view, r))
-        # the public per-path functions run the same kernel on one path
-        assert_rows_match((Y[50, 299], Z[50, 299], U[50, 299]),
-                          (conditional(coeffs, view, 50), malliavin_b(coeffs, view, 50),
-                           malliavin_p(coeffs, view, 50)))
+                                  naive_grid(coeffs, paths.G[m], paths.Q[m], r))
+        # conditional_at at t_50 with the full increments is row 50
+        got = conditional_at(coeffs, paths, 50, paths.spec.T,
+                             dB=math.sqrt(paths.spec.h) * paths.G[:, 49],
+                             dN=paths.Q[:, 49])
+        for m in (0, 299):
+            assert_rows_match([g[m] for g in got], (Y[50, m], Z[50, m], U[50, m]))
 
     def test_n50_p3_budget_counts_only_workers_that_run(self, n50_p3):
         # 300 samples are one chunk, so threads=64 still runs one worker;

@@ -1,11 +1,12 @@
 """Conditional expectation and Malliavin evaluators from chaos coefficients.
 
-Single-path evaluators are checked against hand-computed values. The
-reference oracle is ``naive_in_interval``: per index, the basis product over
-the observed slots gathered from polynomial tables, times the in-interval
-factor of the last slot. The per-path evaluators and ``conditional_at`` (the
-prefix kernel on one path) and the batch grid evaluator (the fused order <= 2
-kernel, or the prefix kernel) must agree with it to rel/abs 1e-11.
+Grid-time values are checked through ``evaluate_grid`` on one-path batches
+against hand-computed values. The reference oracle is ``naive_in_interval``:
+per index, the basis product over the observed slots gathered from
+polynomial tables, times the in-interval factor of the last slot. The batch
+grid evaluator (the fused order <= 2 kernel, or the prefix kernel) and the
+batched ``conditional_at`` (the prefix kernel with slot r replaced) must
+agree with it to rel/abs 1e-11.
 """
 
 import math
@@ -19,26 +20,23 @@ from hypothesis import strategies as st
 from chaosbsde import (
     GridSpec,
     MultiIndex,
-    PathView,
-    charlier_upto,
+    PathBatch,
+    charlier_batch,
     coefficients_from_entries,
-    conditional,
     conditional_at,
     estimate,
     evaluate_grid,
-    hermite_upto,
-    malliavin_b,
-    malliavin_p,
+    hermite_batch,
     sample_paths,
 )
 from chaosbsde.chaos_core import ChaosCoefficients, _index_set
-from chaosbsde.orthopoly import charlier_batch, hermite_batch
 
 
-def naive_in_interval(coeffs, view, r, theta, g, n, mean):
+def naive_in_interval(coeffs, G, Q, r, theta, g, n, mean):
     """(y, z, u) once a fraction theta of interval r has elapsed, given the
     standardized partial increment g, the partial count n of mean ``mean``,
-    and the path's slots before r. Naive per-index gather."""
+    and one path's increments G, Q at the slots before r. Naive per-index
+    gather."""
     spec = coeffs.spec
     iset = coeffs.iset
     if iset.J == 0:
@@ -53,8 +51,8 @@ def naive_in_interval(coeffs, view, r, theta, g, n, mean):
     vals = coeffs.values[mask]
     # Product over the fully observed slots 1..r-1. Masked indices carry no
     # degree beyond slot r, so restricting the columns suffices.
-    Ktab = hermite_batch(iset.p, view.G[:r - 1])
-    Ctab = charlier_batch(iset.p, np.asarray(view.Q[:r - 1], dtype=np.float64),
+    Ktab = hermite_batch(iset.p, G[:r - 1])
+    Ctab = charlier_batch(iset.p, np.asarray(Q[:r - 1], dtype=np.float64),
                           spec.jump_mean)
     cols = np.arange(r - 1)
     A = (Ktab[iset.degB[mask, :r - 1], cols]
@@ -77,16 +75,16 @@ def naive_in_interval(coeffs, view, r, theta, g, n, mean):
     return float(y), float(z), float(u)
 
 
-def naive_grid(coeffs, view, r):
-    """(y, z, u) at grid time r: the first unit coefficients at r = 0, else
-    the whole of interval r elapsed."""
+def naive_grid(coeffs, G, Q, r):
+    """(y, z, u) at grid time r on the path with increments G, Q: the first
+    unit coefficients at r = 0, else the whole of interval r elapsed."""
     if r == 0:
         if coeffs.iset.J == 0:
             return float(coeffs.d0), 0.0, 0.0
         N = coeffs.spec.N
         return (float(coeffs.d0), float(coeffs.values[0]) / math.sqrt(coeffs.spec.h),
                 float(coeffs.values[N]))
-    return naive_in_interval(coeffs, view, r, 1.0, view.G[r - 1], view.Q[r - 1],
+    return naive_in_interval(coeffs, G, Q, r, 1.0, G[r - 1], Q[r - 1],
                              coeffs.spec.jump_mean)
 
 
@@ -111,35 +109,47 @@ def unit(N, slot, jump=False):
     return MultiIndex(tuple(nB), tuple(nP))
 
 
+def one_path(spec, G, Q):
+    """A batch holding the single path with increments G and counts Q."""
+    return PathBatch(spec, 1, np.asarray(G, dtype=np.float64)[None],
+                     np.asarray(Q, dtype=np.int32)[None], seed=0)
+
+
+def at_grid(coeffs, path, r):
+    """(y, z, u) at grid time r on a one-path batch, from evaluate_grid."""
+    Y, Z, U = evaluate_grid(coeffs, path)
+    return float(Y[r, 0]), float(Z[r, 0]), float(U[r, 0])
+
+
 @pytest.fixture(scope="module")
 def spec3():
     return GridSpec(T=1.0, N=3, kappa=1.0)
 
 
 @pytest.fixture(scope="module")
-def view3():
-    return PathView(G=np.array([0.7, -1.1, 0.4]), Q=np.array([1, 0, 2]))
+def path3(spec3):
+    return one_path(spec3, [0.7, -1.1, 0.4], [1, 0, 2])
 
 
 class TestConditional:
-    def test_constant_expansion(self, spec3, view3):
+    def test_constant_expansion(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, d0=2.0)
         for r in range(4):
-            assert conditional(coeffs, view3, r) == 2.0
+            assert at_grid(coeffs, path3, r)[0] == 2.0
 
-    def test_first_brownian_unit(self, spec3, view3):
+    def test_first_brownian_unit(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 0): 1.0})
-        assert conditional(coeffs, view3, 1) == pytest.approx(0.7, rel=1e-15)
+        assert at_grid(coeffs, path3, 1)[0] == pytest.approx(0.7, rel=1e-15)
 
-    def test_support_beyond_r_is_silent(self, spec3, view3):
+    def test_support_beyond_r_is_silent(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 1): 1.0})
-        assert conditional(coeffs, view3, 1) == 0.0
-        assert conditional(coeffs, view3, 2) == pytest.approx(-1.1, rel=1e-15)
+        assert at_grid(coeffs, path3, 1)[0] == 0.0
+        assert at_grid(coeffs, path3, 2)[0] == pytest.approx(-1.1, rel=1e-15)
 
-    def test_r_zero_is_d0(self, spec3, view3):
+    def test_r_zero_is_d0(self, spec3, path3):
         coeffs = coefficients_from_entries(
             spec3, 2, d0=0.25, entries={unit(3, 0): 5.0, unit(3, 2, jump=True): -3.0})
-        assert conditional(coeffs, view3, 0) == 0.25
+        assert at_grid(coeffs, path3, 0)[0] == 0.25
 
     def test_full_reconstruction_at_final_time(self, spec3):
         paths = sample_paths(spec3, 300, seed=14)
@@ -147,126 +157,177 @@ class TestConditional:
         coeffs = estimate(F, paths, 2)
         kh = spec3.jump_mean
         for m in (0, 17, 150):
-            view = PathView.from_batch(paths, m)
+            K = hermite_batch(2, paths.G[m])
+            C = charlier_batch(2, paths.Q[m], kh)
             total = coeffs.d0
             for idx, value in coeffs.entries.items():
                 prod = value
                 for i in range(spec3.N):
-                    prod *= hermite_upto(2, view.G[i])[idx.nB[i]]
-                    prod *= charlier_upto(2, int(view.Q[i]), kh)[idx.nP[i]]
+                    prod *= K[idx.nB[i], i] * C[idx.nP[i], i]
                 total += prod
-            got = conditional(coeffs, view, spec3.N)
+            got = at_grid(coeffs, paths.rows(m, m + 1), spec3.N)[0]
             assert got == pytest.approx(total, rel=1e-12)
 
 
 class TestMalliavinB:
-    def test_unit_gives_inverse_root_h(self, spec3, view3):
+    def test_unit_gives_inverse_root_h(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 0): 1.0})
         want = 1.0 / math.sqrt(spec3.h)
-        assert malliavin_b(coeffs, view3, 1) == pytest.approx(want, rel=1e-15)
+        assert at_grid(coeffs, path3, 1)[1] == pytest.approx(want, rel=1e-15)
 
-    def test_constant_has_no_brownian_derivative(self, spec3, view3):
+    def test_constant_has_no_brownian_derivative(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, d0=9.0)
         for r in range(4):
-            assert malliavin_b(coeffs, view3, r) == 0.0
+            assert at_grid(coeffs, path3, r)[1] == 0.0
 
     def test_second_degree_drops_to_first(self, spec3):
         # entry on nB = 2 e_1: derivative evaluates K_1(G_1) = G_1
         coeffs = coefficients_from_entries(
             spec3, 2, entries={MultiIndex((2, 0, 0), (0, 0, 0)): 1.0})
-        view = PathView(G=np.array([0.5, 0.0, 0.0]), Q=np.zeros(3, dtype=int))
+        path = one_path(spec3, [0.5, 0.0, 0.0], [0, 0, 0])
         want = 0.5 / math.sqrt(spec3.h)
-        assert malliavin_b(coeffs, view, 1) == pytest.approx(want, rel=1e-15)
+        assert at_grid(coeffs, path, 1)[1] == pytest.approx(want, rel=1e-15)
 
-    def test_r_zero_shortcut(self, spec3, view3):
+    def test_r_zero_shortcut(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 0): 0.3})
         want = 0.3 / math.sqrt(spec3.h)
-        assert malliavin_b(coeffs, view3, 0) == pytest.approx(want, rel=1e-15)
+        assert at_grid(coeffs, path3, 0)[1] == pytest.approx(want, rel=1e-15)
 
 
 class TestMalliavinP:
-    def test_unit_gives_one(self, spec3, view3):
+    def test_unit_gives_one(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 0, jump=True): 1.0})
-        assert malliavin_p(coeffs, view3, 1) == pytest.approx(1.0, rel=1e-15)
+        assert at_grid(coeffs, path3, 1)[2] == pytest.approx(1.0, rel=1e-15)
 
-    def test_brownian_unit_is_excluded(self, spec3, view3):
+    def test_brownian_unit_is_excluded(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 0): 1.0})
-        assert malliavin_p(coeffs, view3, 1) == 0.0
+        assert at_grid(coeffs, path3, 1)[2] == 0.0
 
     def test_double_jump_index(self):
         # nP = 2 e_1, Q_1 = 1, kappa h = 0.05: 2 * C_1(1, 0.05) = 1.9
         spec = GridSpec(T=0.05, N=1, kappa=1.0)
         coeffs = coefficients_from_entries(
             spec, 2, entries={MultiIndex((0,), (2,)): 1.0})
-        view = PathView(G=np.array([0.0]), Q=np.array([1]))
-        assert malliavin_p(coeffs, view, 1) == pytest.approx(1.9, rel=1e-15)
+        path = one_path(spec, [0.0], [1])
+        assert at_grid(coeffs, path, 1)[2] == pytest.approx(1.9, rel=1e-15)
 
-    def test_r_zero_shortcut(self, spec3, view3):
+    def test_r_zero_shortcut(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 0, jump=True): 0.7})
-        assert malliavin_p(coeffs, view3, 0) == pytest.approx(0.7, rel=1e-15)
+        assert at_grid(coeffs, path3, 0)[2] == pytest.approx(0.7, rel=1e-15)
 
 
 class TestConditionalAt:
-    def test_constant_everywhere(self, spec3, view3):
+    def test_constant_everywhere(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, d0=5.0)
-        y, z, u = conditional_at(coeffs, view3, 1, spec3.h / 3, dB=0.1, dN=0)
-        assert (y, z, u) == (5.0, 0.0, 0.0)
+        y, z, u = conditional_at(coeffs, path3, 1, spec3.h / 3, dB=[0.1], dN=[0])
+        assert (y.tolist(), z.tolist(), u.tolist()) == ([5.0], [0.0], [0.0])
 
-    def test_partial_interval_brownian_unit(self, spec3, view3):
+    def test_partial_interval_brownian_unit(self, spec3, path3):
         # quarter of the interval elapsed: y = sqrt(1/4) K_1(dB / sqrt(h/4))
         coeffs = coefficients_from_entries(spec3, 2, entries={unit(3, 0): 1.0})
         t = spec3.h / 4
-        y, z, u = conditional_at(coeffs, view3, 1, t, dB=0.2, dN=0)
+        y, z, u = conditional_at(coeffs, path3, 1, t, dB=[0.2], dN=[0])
         sh = math.sqrt(spec3.h)
-        assert y == pytest.approx(0.2 / sh, rel=1e-13)
-        assert z == pytest.approx(1.0 / sh, rel=1e-13)
-        assert u == 0.0
+        assert y[0] == pytest.approx(0.2 / sh, rel=1e-13)
+        assert z[0] == pytest.approx(1.0 / sh, rel=1e-13)
+        assert u[0] == 0.0
 
     def test_endpoint_matches_grid_evaluators(self, spec3):
         paths = sample_paths(spec3, 200, seed=15)
         F = np.asarray(paths.Q.sum(axis=1), dtype=float) + paths.G[:, 0]
         coeffs = estimate(F, paths, 2)
+        Y, Z, U = evaluate_grid(coeffs, paths)
         sh = math.sqrt(spec3.h)
-        for m in (0, 3, 77):
-            view = PathView.from_batch(paths, m)
-            for r in range(1, spec3.N + 1):
-                t = r * spec3.h
-                y, z, u = conditional_at(coeffs, view, r, t,
-                                         dB=sh * view.G[r - 1], dN=int(view.Q[r - 1]))
-                assert y == pytest.approx(conditional(coeffs, view, r), rel=1e-12)
-                assert z == pytest.approx(malliavin_b(coeffs, view, r),
-                                          rel=1e-12, abs=1e-12)
-                assert u == pytest.approx(malliavin_p(coeffs, view, r),
-                                          rel=1e-12, abs=1e-12)
+        times = spec3.times()
+        for r in range(1, spec3.N + 1):
+            y, z, u = conditional_at(coeffs, paths, r, times[r],
+                                     dB=sh * paths.G[:, r - 1], dN=paths.Q[:, r - 1])
+            assert y == pytest.approx(Y[r], rel=1e-12)
+            assert z == pytest.approx(Z[r], rel=1e-12, abs=1e-12)
+            assert u == pytest.approx(U[r], rel=1e-12, abs=1e-12)
 
-    def test_rejects_time_outside_interval(self, spec3, view3):
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_every_path_matches_oracle_on_ragged_chunks(self, p):
+        # 2500 = 2 * 1024 + 452 leaves a ragged last chunk.
+        coeffs = random_coefficients(3, p, seed=610 + p)
+        spec = coeffs.spec
+        M = 2500
+        paths = sample_paths(spec, M, seed=91)
+        rng = np.random.default_rng(92)
+        dB = rng.normal(0.0, 0.5, M)
+        dN = rng.integers(0, 4, M)
+        theta = 0.6
+        tau = theta * spec.h
+        for r in (1, spec.N):
+            t = spec.times()[r - 1] + tau
+            got = np.stack(conditional_at(coeffs, paths, r, t, dB=dB, dN=dN))
+            for m in range(M):
+                assert_rows_match(got[:, m], naive_in_interval(
+                    coeffs, paths.G[m], paths.Q[m], r, theta, dB[m] / math.sqrt(tau),
+                    dN[m], spec.kappa * tau))
+
+    def test_rejects_time_outside_interval(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
         with pytest.raises(ValueError):
-            conditional_at(coeffs, view3, 2, spec3.h * 0.5, dB=0.0, dN=0)
+            conditional_at(coeffs, path3, 2, spec3.h * 0.5, dB=[0.0], dN=[0])
         with pytest.raises(ValueError):
-            conditional_at(coeffs, view3, 1, spec3.h * 1.5, dB=0.0, dN=0)
+            conditional_at(coeffs, path3, 1, spec3.h * 1.5, dB=[0.0], dN=[0])
+        with pytest.raises(ValueError):
+            conditional_at(coeffs, path3, 1, 0.0, dB=[0.0], dN=[0])
 
-    def test_rejects_negative_jump_count(self, spec3, view3):
+    def test_rejects_negative_jump_count(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
         with pytest.raises(ValueError):
-            conditional_at(coeffs, view3, 1, spec3.h / 2, dB=0.0, dN=-1)
+            conditional_at(coeffs, path3, 1, spec3.h / 2, dB=[0.0], dN=[-1])
+
+    def test_rejects_float_jump_count(self, spec3, path3):
+        coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
+        with pytest.raises(ValueError, match="dN"):
+            conditional_at(coeffs, path3, 1, spec3.h / 2, dB=[0.0], dN=[1.0])
+
+    def test_rejects_non_finite_increment(self, spec3, path3):
+        coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="dB"):
+                conditional_at(coeffs, path3, 1, spec3.h / 2, dB=[bad], dN=[0])
+
+    @pytest.mark.parametrize("dB, dN", [
+        (0.0, [0]), ([0.0, 0.0], [0]), ([[0.0]], [0]),
+        ([0.0], 0), ([0.0], [0, 0]), ([0.0], [[0]]),
+    ])
+    def test_rejects_wrong_shape(self, spec3, path3, dB, dN):
+        coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
+        with pytest.raises(ValueError, match="shape"):
+            conditional_at(coeffs, path3, 1, spec3.h / 2, dB=dB, dN=dN)
+
+    def test_rejects_bad_interval_index(self, spec3, path3):
+        coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
+        for r in (0, 4, -1):
+            with pytest.raises(ValueError, match="r must be"):
+                conditional_at(coeffs, path3, r, spec3.h / 2, dB=[0.0], dN=[0])
+        for r in (1.0, True):
+            with pytest.raises(TypeError):
+                conditional_at(coeffs, path3, r, spec3.h / 2, dB=[0.0], dN=[0])
+
+    def test_rejects_mismatched_spec(self, spec3, path3):
+        coeffs = coefficients_from_entries(GridSpec(T=1.0, N=3, kappa=2.0), 2, d0=1.0)
+        with pytest.raises(ValueError, match="does not match"):
+            conditional_at(coeffs, path3, 1, spec3.h / 2, dB=[0.0], dN=[0])
 
 
 class TestAgainstOracle:
-    """Per-path evaluators against the naive gather, every index loaded."""
+    """Both evaluators against the naive gather, every index loaded."""
 
     @pytest.mark.parametrize("N", [1, 4])
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_grid_times(self, p, N):
         coeffs = random_coefficients(N, p, seed=300 + 10 * N + p)
         paths = sample_paths(coeffs.spec, 3, seed=60 + N)
+        Y, Z, U = evaluate_grid(coeffs, paths)
         for m in range(paths.M):
-            view = PathView.from_batch(paths, m)
             for r in range(N + 1):
-                assert_rows_match((conditional(coeffs, view, r),
-                                   malliavin_b(coeffs, view, r),
-                                   malliavin_p(coeffs, view, r)),
-                                  naive_grid(coeffs, view, r))
+                assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
+                                  naive_grid(coeffs, paths.G[m], paths.Q[m], r))
 
     @pytest.mark.parametrize("dN", [0, 2])
     @pytest.mark.parametrize("theta", [0.25, 1.0])
@@ -277,22 +338,22 @@ class TestAgainstOracle:
         spec = coeffs.spec
         paths = sample_paths(spec, 2, seed=70 + N)
         tau = theta * spec.h
-        dB = -0.45
-        for m in range(paths.M):
-            view = PathView.from_batch(paths, m)
-            for r in range(1, N + 1):
-                got = conditional_at(coeffs, view, r, (r - 1 + theta) * spec.h,
-                                     dB=dB, dN=dN)
-                assert_rows_match(got, naive_in_interval(
-                    coeffs, view, r, theta, dB / math.sqrt(tau), dN, spec.kappa * tau))
+        dB = np.array([-0.45, 0.8])
+        for r in range(1, N + 1):
+            got = np.stack(conditional_at(coeffs, paths, r, (r - 1 + theta) * spec.h,
+                                          dB=dB, dN=np.full(paths.M, dN)))
+            for m in range(paths.M):
+                assert_rows_match(got[:, m], naive_in_interval(
+                    coeffs, paths.G[m], paths.Q[m], r, theta, dB[m] / math.sqrt(tau),
+                    dN, spec.kappa * tau))
 
     def test_n50_p3_peak_memory(self):
         coeffs = random_coefficients(50, 3, seed=500)
-        view = PathView.from_batch(sample_paths(coeffs.spec, 1, seed=80), 0)
+        path = sample_paths(coeffs.spec, 1, seed=80)
         t = 49.5 * coeffs.spec.h
-        conditional(coeffs, view, 50)  # warm the index-set cache
-        for call in (lambda: conditional(coeffs, view, 50),
-                     lambda: conditional_at(coeffs, view, 50, t, dB=0.3, dN=1)):
+        evaluate_grid(coeffs, path)  # warm the index-set cache
+        for call in (lambda: evaluate_grid(coeffs, path),
+                     lambda: conditional_at(coeffs, path, 50, t, dB=[0.3], dN=[1])):
             tracemalloc.start()
             try:
                 call()
@@ -310,16 +371,13 @@ class TestProperties:
         paths = sample_paths(spec3, 50, seed=16)
         F = np.asarray(paths.G[:, 0] + paths.Q[:, 1], dtype=float)
         coeffs = estimate(F, paths, 2)
-        view = PathView.from_batch(paths, 7)
-        G2, Q2 = view.G.copy(), view.Q.copy()
+        G2, Q2 = paths.G[7].copy(), paths.Q[7].copy()
         G2[r:] = tail
         Q2[r:] = jumps
-        mutated = PathView(G=G2, Q=Q2)
-        assert conditional(coeffs, view, r) == conditional(coeffs, mutated, r)
-        assert malliavin_b(coeffs, view, r) == malliavin_b(coeffs, mutated, r)
-        assert malliavin_p(coeffs, view, r) == malliavin_p(coeffs, mutated, r)
+        mutated = one_path(spec3, G2, Q2)
+        assert at_grid(coeffs, paths.rows(7, 8), r) == at_grid(coeffs, mutated, r)
 
-    def test_linearity_in_coefficients(self, spec3, view3):
+    def test_linearity_in_coefficients(self, spec3, path3):
         e1 = unit(3, 0)
         e2 = MultiIndex((0, 1, 0), (1, 0, 0))
         ca = coefficients_from_entries(spec3, 2, d0=1.0, entries={e1: 2.0})
@@ -327,9 +385,9 @@ class TestProperties:
         csum = coefficients_from_entries(spec3, 2, d0=1.0 + 2 * (-0.5),
                                          entries={e1: 2.0, e2: 2 * 3.0})
         for r in range(4):
-            for fn in (conditional, malliavin_b, malliavin_p):
-                assert fn(csum, view3, r) == pytest.approx(
-                    fn(ca, view3, r) + 2 * fn(cb, view3, r), rel=1e-12, abs=1e-12)
+            for got, a, b in zip(at_grid(csum, path3, r), at_grid(ca, path3, r),
+                                 at_grid(cb, path3, r), strict=True):
+                assert got == pytest.approx(a + 2 * b, rel=1e-12, abs=1e-12)
 
 
 class TestEvaluateGrid:
@@ -342,14 +400,9 @@ class TestEvaluateGrid:
         Y, Z, U = evaluate_grid(coeffs, paths)
         assert Y.shape == Z.shape == U.shape == (spec.N + 1, paths.M)
         for m in (0, 31, 119):
-            view = PathView.from_batch(paths, m)
             for r in range(spec.N + 1):
-                assert Y[r, m] == pytest.approx(conditional(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert Z[r, m] == pytest.approx(malliavin_b(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert U[r, m] == pytest.approx(malliavin_p(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
+                assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
+                                  naive_grid(coeffs, paths.G[m], paths.Q[m], r))
 
     def test_row_zero_shortcuts(self, spec3):
         paths = sample_paths(spec3, 64, seed=18)
@@ -407,14 +460,9 @@ class TestPairKernel:
         # both sides of the first GEMM block boundary at N = 50, the start of
         # the second chunk, the last sample of the ragged chunk
         for m in (25, 26, 1024, 2499):
-            view = PathView.from_batch(paths, m)
             for r in range(N + 1):
-                assert Y[r, m] == pytest.approx(conditional(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert Z[r, m] == pytest.approx(malliavin_b(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
-                assert U[r, m] == pytest.approx(malliavin_p(coeffs, view, r),
-                                                rel=1e-11, abs=1e-11)
+                assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
+                                  naive_grid(coeffs, paths.G[m], paths.Q[m], r))
 
     @pytest.mark.parametrize("p", [1, 2])
     def test_thread_count_is_invisible_at_n50(self, p):
@@ -445,15 +493,12 @@ class TestPrefixKernel:
         Y, Z, U = evaluate_grid(coeffs, paths)
         # first and last sample of the first chunk, the last of the ragged one
         for m in (0, 1023, 2499):
-            view = PathView.from_batch(paths, m)
             for r in range(N + 1):
                 assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
-                                  naive_grid(coeffs, view, r))
-        # the public per-path functions run the same kernel on one path
-        view = PathView.from_batch(paths, 2499)
+                                  naive_grid(coeffs, paths.G[m], paths.Q[m], r))
+        # one path's grid values are evaluate_grid on a one-path batch
         assert_rows_match((Y[N, 2499], Z[N, 2499], U[N, 2499]),
-                          (conditional(coeffs, view, N), malliavin_b(coeffs, view, N),
-                           malliavin_p(coeffs, view, N)))
+                          at_grid(coeffs, paths.rows(2499, 2500), N))
 
     def test_order_zero_is_constant(self):
         paths, _ = self.case(2, 3)

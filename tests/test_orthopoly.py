@@ -1,4 +1,4 @@
-"""Polynomial families against closed-form series oracles and orthonormality."""
+"""Polynomial tables against closed-form series oracles and orthonormality."""
 
 import math
 
@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.hermite_e import hermegauss
 
-from chaosbsde import MAX_DEGREE, charlier_upto, hermite_upto
-from chaosbsde.orthopoly import charlier_batch, hermite_batch
+from chaosbsde import MAX_DEGREE, charlier_batch, hermite_batch
 
 finite_x = st.floats(min_value=-30.0, max_value=30.0,
                      allow_nan=False, allow_infinity=False)
@@ -37,19 +36,19 @@ def charlier_sum_oracle(m, x, t):
 
 class TestHermite:
     def test_degree_one(self):
-        assert list(hermite_upto(1, 3.5)) == [1.0, 3.5]
+        assert list(hermite_batch(1, 3.5)) == [1.0, 3.5]
 
     def test_degree_two(self):
-        np.testing.assert_allclose(hermite_upto(2, 3.0).values, [1, 3, 4], rtol=1e-15)
+        np.testing.assert_allclose(hermite_batch(2, 3.0), [1, 3, 4], rtol=1e-15)
 
     def test_degree_three(self):
-        np.testing.assert_allclose(hermite_upto(3, 2.0).values,
+        np.testing.assert_allclose(hermite_batch(3, 2.0),
                                    [1, 2, 1.5, 1 / 3], rtol=1e-14)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.floats(min_value=-8, max_value=8, allow_nan=False), m=st.integers(0, 8))
     def test_matches_series_oracle(self, x, m):
-        got = hermite_upto(m, x)[m]
+        got = hermite_batch(m, x)[m]
         want = hermite_series_oracle(m, x)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
@@ -57,7 +56,7 @@ class TestHermite:
     @given(x=finite_x, m=st.integers(2, 10))
     def test_recurrence_identity(self, x, m):
         # (m+1) K_{m+1} = x K_m - K_{m-1}
-        table = hermite_upto(m + 1, x)
+        table = hermite_batch(m + 1, x)
         assert (m + 1) * table[m + 1] == pytest.approx(
             x * table[m] - table[m - 1], rel=1e-12, abs=1e-300)
 
@@ -65,9 +64,9 @@ class TestHermite:
         # K'_m = K_{m-1}, checked by central differences at O(eps^2)
         eps = 1e-6
         for x in (-1.7, 0.3, 2.9):
-            up = hermite_upto(6, x + eps).values
-            dn = hermite_upto(6, x - eps).values
-            mid = hermite_upto(6, x).values
+            up = hermite_batch(6, x + eps)
+            dn = hermite_batch(6, x - eps)
+            mid = hermite_batch(6, x)
             for m in range(1, 7):
                 deriv = (up[m] - dn[m]) / (2 * eps)
                 assert deriv == pytest.approx(mid[m - 1], rel=1e-7, abs=1e-7)
@@ -76,7 +75,7 @@ class TestHermite:
         # E[m! K_m(G)^2] = 1 and cross moments vanish, G standard normal
         nodes, weights = hermegauss(60)
         weights = weights / weights.sum()
-        tables = np.array([hermite_upto(6, x).values for x in nodes])
+        tables = hermite_batch(6, nodes).T
         for m in range(7):
             for n in range(7):
                 moment = float(np.dot(weights, tables[:, m] * tables[:, n]))
@@ -86,40 +85,35 @@ class TestHermite:
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            hermite_upto(3, math.nan)
+            hermite_batch(3, math.nan)
         with pytest.raises(ValueError):
-            hermite_upto(3, math.inf)
+            hermite_batch(3, math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            hermite_batch(3, np.array([[0.5, 1.0], [-math.inf, 2.0]]))
 
     def test_rejects_above_degree_cap(self):
-        hermite_upto(MAX_DEGREE, 0.5)
+        hermite_batch(MAX_DEGREE, 0.5)
         with pytest.raises(ValueError):
-            hermite_upto(MAX_DEGREE + 1, 0.5)
+            hermite_batch(MAX_DEGREE + 1, 0.5)
 
     def test_rejects_negative_degree(self):
         with pytest.raises(ValueError):
-            hermite_upto(-1, 0.5)
-
-    def test_batch_matches_scalar(self):
-        xs = np.array([-2.0, 0.0, 0.7, 4.2])
-        table = hermite_batch(5, xs)
-        assert table.shape == (6, 4)
-        for j, x in enumerate(xs):
-            np.testing.assert_array_equal(table[:, j], hermite_upto(5, x).values)
+            hermite_batch(-1, 0.5)
 
 
 class TestCharlier:
     def test_degree_one(self):
-        assert list(charlier_upto(1, 5, 2.0)) == [1.0, 3.0]
+        assert list(charlier_batch(1, 5, 2.0)) == [1.0, 3.0]
 
     def test_degree_two_cases(self):
-        np.testing.assert_allclose(charlier_upto(2, 3, 1.0).values, [1, 2, 1], rtol=1e-15)
-        np.testing.assert_allclose(charlier_upto(2, 2, 1.0).values, [1, 1, -1], rtol=1e-15)
+        np.testing.assert_allclose(charlier_batch(2, 3, 1.0), [1, 2, 1], rtol=1e-15)
+        np.testing.assert_allclose(charlier_batch(2, 2, 1.0), [1, 1, -1], rtol=1e-15)
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.integers(0, 40), t=st.floats(min_value=0, max_value=5,
                                              allow_nan=False), m=st.integers(0, 8))
     def test_matches_falling_factorial_oracle(self, x, t, m):
-        got = charlier_upto(m, x, t)[m]
+        got = charlier_batch(m, x, t)[m]
         want = charlier_sum_oracle(m, float(x), t)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -128,7 +122,7 @@ class TestCharlier:
            t=st.floats(min_value=0, max_value=5, allow_nan=False),
            m=st.integers(1, 10))
     def test_recurrence_identity(self, x, t, m):
-        table = charlier_upto(m + 1, x, t)
+        table = charlier_batch(m + 1, x, t)
         want = (x - m - t) * table[m] - m * t * table[m - 1]
         assert table[m + 1] == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -138,7 +132,7 @@ class TestCharlier:
         x_max = 80
         pmf = np.array([math.exp(-t) * t ** x / math.factorial(x)
                         for x in range(x_max + 1)])
-        tables = np.array([charlier_upto(6, x, t).values for x in range(x_max + 1)])
+        tables = charlier_batch(6, np.arange(x_max + 1), t).T
         for m in range(7):
             for n in range(7):
                 got = float(np.dot(pmf, tables[:, m] * tables[:, n]))
@@ -148,24 +142,18 @@ class TestCharlier:
 
     def test_rejects_negative_t(self):
         with pytest.raises(ValueError):
-            charlier_upto(3, 1, -0.1)
+            charlier_batch(3, 1, -0.1)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            charlier_upto(3, math.nan, 1.0)
+            charlier_batch(3, math.nan, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            charlier_batch(3, np.array([0.0, math.inf]), 1.0)
 
     def test_rejects_above_degree_cap(self):
-        charlier_upto(MAX_DEGREE, 2, 0.5)
+        charlier_batch(MAX_DEGREE, 2, 0.5)
         with pytest.raises(ValueError):
-            charlier_upto(MAX_DEGREE + 1, 2, 0.5)
-
-    def test_batch_matches_scalar(self):
-        xs = np.array([0, 1, 2, 7], dtype=np.int64)
-        table = charlier_batch(4, xs, 0.12)
-        assert table.shape == (5, 4)
-        for j, x in enumerate(xs):
-            np.testing.assert_array_equal(table[:, j],
-                                          charlier_upto(4, int(x), 0.12).values)
+            charlier_batch(MAX_DEGREE + 1, 2, 0.5)
 
 
 class TestBatchOut:
@@ -184,12 +172,14 @@ class TestBatchOut:
             table(x, out=np.empty((5, 2, 3), dtype=np.float32))
 
 
-class TestPolyTable:
+class TestTables:
     def test_leading_entry_is_one(self):
-        assert hermite_upto(0, 1.23)[0] == 1.0
-        assert charlier_upto(0, 3, 0.7)[0] == 1.0
+        assert hermite_batch(0, 1.23)[0] == 1.0
+        assert charlier_batch(0, 3, 0.7)[0] == 1.0
 
-    def test_len_and_max_degree(self):
-        table = hermite_upto(4, 0.5)
-        assert len(table) == 5
-        assert table.max_degree == 4
+    def test_shape_is_degrees_then_x(self):
+        assert hermite_batch(4, 0.5).shape == (5,)
+        assert charlier_batch(4, 2, 0.5).shape == (5,)
+        x = np.zeros((2, 3))
+        assert hermite_batch(4, x).shape == (5, 2, 3)
+        assert charlier_batch(4, x, 0.5).shape == (5, 2, 3)

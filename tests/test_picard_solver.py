@@ -287,6 +287,19 @@ class TestSolve:
         assert times == pytest.approx(grid_times, rel=1e-15)
         assert 0.0 not in times
 
+    def test_last_driver_time_is_exactly_T(self):
+        # 11 * (0.1 / 11) rounds to just above 0.1.
+        spec = GridSpec(T=0.1, N=11, kappa=1.0)
+        seen = []
+
+        def recording(t, y, z, u):
+            seen.append(t)
+            return 0.0 * y
+
+        cfg = SolverConfig(spec=spec, p=1, K_it=1, M=20, seed=15)
+        solve(cfg, Driver.custom(recording), TerminalFunctional.poisson_count())
+        assert max(seen) == spec.T
+
 
 class TestPartialSums:
     @pytest.mark.parametrize("N,M", [(1, 7), (4, 33), (50, 1000)])

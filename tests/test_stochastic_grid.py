@@ -44,6 +44,16 @@ class TestGridSpec:
         with pytest.raises(TypeError):
             GridSpec(T=1.0, N=2.5, kappa=1.0)
 
+    @pytest.mark.parametrize("T", [0.1, 0.2, 0.3, 0.35, 0.7, 1.0, 1.1, 1.3, 2.0, 2.5, 3.0])
+    def test_times_end_exactly_at_T(self, T):
+        # N * (T/N) rounds above T for some N (T=0.1, N=11); the interior
+        # points stay i * (T/N).
+        for N in range(1, 200):
+            times = GridSpec(T=T, N=N, kappa=1.0).times()
+            assert times.shape == (N + 1,)
+            assert times[0] == 0.0 and times[-1] == T
+            np.testing.assert_array_equal(times[1:-1], np.arange(1, N) * (T / N))
+
 
 class TestSamplePaths:
     def test_shapes_and_dtypes(self, small_spec):
