@@ -249,20 +249,33 @@ def _workers(threads: int, M: int) -> int:
     return max(1, min(threads, -(-M // _CHUNK)))
 
 
+def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
+    """Rows of one worker's chunk buffers, by kernel family and name. Every
+    p has the prefix family (``conditional_at`` runs it at p <= 2 too); at
+    p = 1, 2 the pair family adds X = [K1; C1], T and an (N, width) scratch.
+    The budget charges both; a call allocates only the family it uses."""
+    n_kc = (p + 1) * (p + 2) // 2 * N
+    rows = {"prefix": {"K": (p + 1) * N, "C": (p + 1) * N, "KC": n_kc, "W": n_kc,
+                       "phi": 1 + _basis_count(N, p - 1) if p >= 1 else 1,
+                       "S": 3 * N}}
+    if 1 <= p <= 2:
+        rows["pair"] = {"X": 2 * N, "T": 2 * N, "tmp": N}
+    return rows
+
+
+def _worker_bytes(N: int, p: int) -> int:
+    """One worker's charge: its chunk buffers and four sum vectors."""
+    rows = sum(sum(family.values()) for family in _buffer_rows(N, p).values())
+    return 8 * (_CHUNK * rows + 4 * (_basis_count(N, p) + 1))
+
+
 def _check_bytes(N: int, p: int, workers: int) -> None:
     """Refuse (N, p) when its index set and prefix plan, plus ``workers``
     times one worker's chunk working set, would exceed the byte budget."""
-    J = _basis_count(N, p)
-    n_pre = 1 + _basis_count(N, p - 1) if p >= 1 else 1
-    n_kc = (p + 1) * (p + 2) // 2 * N
     # Per index: degree rows in prefix and in rank order, and ~64 bytes of
     # per-index vectors with their prefix-order copies and sort keys.
-    index_bytes = J * (4 * N + 64)
-    # A worker's _ChunkBuffers (Phi_pre, KC, its weighted copy or V, the
-    # Hermite and Charlier tables and three sum rows), and four sum vectors.
-    worker_bytes = 8 * (_CHUNK * (n_pre + 2 * n_kc + (2 * p + 5) * N)
-                        + 4 * (J + 1))
-    need = index_bytes + workers * worker_bytes
+    index_bytes = _basis_count(N, p) * (4 * N + 64)
+    need = index_bytes + workers * _worker_bytes(N, p)
     if need > _BYTE_BUDGET:
         # Integer MiB: need can exceed the float range.
         raise SizingError(
@@ -410,11 +423,12 @@ def _block_width(N: int) -> int:
     return max(1, _BLAS_SERIAL_MACS // (2 * N) ** 2)
 
 
-def _stacked_factors(G, Q, kh: float, sl: slice) -> np.ndarray:
-    """First-order factors X = [K1; C1] of one chunk, time-major (2N, Mc)."""
+def _stacked_factors(G, Q, kh: float, sl: slice, buf: _ChunkBuffers) -> np.ndarray:
+    """First-order factors X = [K1; C1] of one chunk, time-major (2N, Mc),
+    written into ``buf``."""
     Gc = G[sl]
     Mc, N = Gc.shape
-    X = np.empty((2 * N, Mc))
+    X = buf.get("X", (2 * N, Mc))
     X[:N] = Gc.T
     np.subtract(Q[sl].T, kh, out=X[N:])
     return X
@@ -430,7 +444,7 @@ def _pair_sums(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
-                     squares: bool) -> np.ndarray:
+                     squares: bool, buf: _ChunkBuffers) -> np.ndarray:
     """Raw sums of F*Phi_n (and optionally (F*Phi_n)**2) over one chunk.
 
     Closed-form layout for p <= 2. With X = [K1; C1] the chunk's stacked
@@ -440,13 +454,13 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     through K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh.
     """
     Fc = F[sl]
-    X = _stacked_factors(G, Q, kh, sl)
+    X = _stacked_factors(G, Q, kh, sl, buf)
     N2 = X.shape[0]
     N = N2 // 2
     n_out = 1 + iset.J
     out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
 
-    FX = Fc * X
+    FX = np.multiply(X, Fc, out=buf.get("T", X.shape))
     sF = Fc.sum()
     out[0] = sF
     out[1:1 + N2] = FX.sum(axis=1)
@@ -473,27 +487,36 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
 
 
 class _ChunkBuffers:
-    """One worker's arrays for the prefix kernels, reused for every chunk it
-    runs within one estimate or evaluate call.
+    """One worker's chunk arrays, for both kernel families, reused for every
+    chunk it runs within one estimate or evaluate call.
 
-    A chunk's tables take megabytes. Allocated afresh per chunk, they go
-    back to the allocator after each chunk, which may hand the pages back to
-    the operating system, so the next chunk faults them in again (about
-    19,000 minor page faults per call at N=10, p=3, M=2e4 under glibc's
-    malloc).
+    Arrays allocated afresh per chunk go back to glibc's malloc, which may
+    return the pages to the operating system, so the next chunk faults them
+    in again: ~19,000 minor faults per call at N=10, p=3, M=2e4, and up to
+    515,000 per solve at N=50, p=2, M=1e5, q=5 (~19,000 with these buffers).
+    The rows come from :func:`_buffer_rows`. A family's buffers are one
+    block, allocated at the first use of any of them: both families up
+    front cost ~5 MB of peak RSS at N=20, p=2, M=1e5, and one array per name
+    3.5x the faults.
     """
 
     def __init__(self, iset: _IndexSet, width: int):
-        N = iset.N
-        n_kc = len(iset.prefix.pairs) * N
-        rows = {"K": (iset.p + 1) * N, "C": (iset.p + 1) * N, "KC": n_kc,
-                "W": n_kc, "phi": iset.prefix.n_pre, "S": 3 * N}
-        self._flat = {name: np.empty(n * width) for name, n in rows.items()}
+        self._families = tuple(_buffer_rows(iset.N, iset.p).values())
+        self._width = width
+        self._flat: dict[str, np.ndarray] = {}
 
     def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """Contiguous view of buffer ``name`` with this shape (the chunk's
         width last). "W" holds the weighted KC copy of the sums kernel and
-        V of the evaluation kernel."""
+        V of the evaluation kernel; "T" holds F*X in the pair sums kernel
+        and T in the pair evaluation kernel."""
+        if name not in self._flat:
+            rows = next(family for family in self._families if name in family)
+            block = np.empty(sum(rows.values()) * self._width)
+            start = 0
+            for key, n in rows.items():
+                self._flat[key] = block[start:start + n * self._width]
+                start += n * self._width
         return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
@@ -511,9 +534,9 @@ def _per_worker(make):
 
 
 def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
-                  buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray]:
+                  buf: _ChunkBuffers, groups=None) -> tuple[np.ndarray, np.ndarray]:
     """Slot factors KC and prefix table Phi_pre of one chunk, time-major,
-    written into ``buf``."""
+    written into ``buf``; Phi_pre only for ``groups`` (default: the plan's)."""
     plan = iset.prefix
     N = iset.N
     Gt = G[sl].T
@@ -527,7 +550,7 @@ def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
     # One group at a time: parent rows times the group's slot factor.
     phi = buf.get("phi", (plan.n_pre, Mc))
     phi[0] = 1.0
-    for lo, hi, plo, f in plan.groups:
+    for lo, hi, plo, f in plan.groups if groups is None else groups:
         if hi > plan.n_pre:
             break
         np.multiply(phi[plo:plo + hi - lo], KC[f], out=phi[lo:hi])
@@ -571,15 +594,11 @@ def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
               squares: bool) -> np.ndarray:
     kh = paths.spec.jump_mean
     n_out = 1 + iset.J
-    if 1 <= iset.p <= 2:
-        def chunk(sl: slice) -> np.ndarray:
-            return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares)
-    else:
-        buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, paths.M)))
+    kernel = _fast_sums_chunk if 1 <= iset.p <= 2 else _prefix_sums_chunk
+    buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, paths.M)))
 
-        def chunk(sl: slice) -> np.ndarray:
-            return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares,
-                                      buffers())
+    def chunk(sl: slice) -> np.ndarray:
+        return kernel(F, paths.G, paths.Q, kh, iset, sl, squares, buffers())
     return _reduce_chunks(chunk, paths.M, 2 * n_out if squares else n_out, threads)
 
 

@@ -36,11 +36,11 @@ path of a batch given its partial increments accumulated since t_{r-1}:
 each index is scaled by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its
 Hermite factor is evaluated at the partial increment standardized by the
 elapsed time, and its Charlier factor at the partial count with mean
-kappa*(t - t_{r-1}). It runs the prefix kernel, at every p, with slot r's
-factors K_a * C_b replaced by theta**(a/2) * K_a * C_b at the partial
-increments, and reads row r; only the discarded rows after r would read the
-replaced factors through the prefix table. At t = t_r with the full
-interval increments it gives row r of ``evaluate_grid``.
+kappa*(t - t_{r-1}). It runs the prefix kernel, at every p, on the groups
+supported on slots 1..r only, with slot r's factors K_a * C_b replaced by
+theta**(a/2) * K_a * C_b at the partial increments, and reads row r. At
+t = t_r with the full interval increments it gives row r of
+``evaluate_grid``.
 """
 
 from __future__ import annotations
@@ -117,18 +117,22 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     scale = [(tau / spec.h) ** (a / 2) for a, _ in iset.prefix.pairs]
     d_pos = _prefix_coeffs(coeffs)
     row_zero = _row_zero(coeffs)
+    # Row r reads only the groups supported on slots 1..r. Their Phi_pre rows
+    # at slot r, built before its factors are replaced, parent no group here.
+    groups = tuple(gr for gr in iset.prefix.groups if gr[3] % N < r)
     width = min(_CHUNK, M)
     buf = _ChunkBuffers(iset, width)
     Y, Z, U = np.empty((3, N + 1, width))
     out = np.empty((3, M))
     for sl in _chunk_slices(M):
-        KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf)
+        KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf,
+                                groups)
         K = hermite_batch(iset.p, g[sl])
         C = charlier_batch(iset.p, dN[sl], spec.kappa * tau)
         for k, (a, b) in enumerate(iset.prefix.pairs):
             np.multiply(scale[k] * K[a], C[b], out=KC[k * N + r - 1])
         cols = slice(0, KC.shape[1])
-        _prefix_rows(iset, d_pos, KC, phi, cols, Y, Z, U, *row_zero, buf)
+        _prefix_rows(iset, d_pos, KC, phi, cols, Y, Z, U, *row_zero, buf, groups)
         out[:, sl] = Y[r, cols], Z[r, cols], U[r, cols]
     return out[0], out[1], out[2]
 
@@ -195,7 +199,8 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
 
 
 def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
-                      Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float) -> None:
+                      Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float,
+                      buf: _ChunkBuffers) -> None:
     """Fused order <= 2 kernel: one blocked GEMM and a few (N, Mc) passes.
 
     T = d1 + W^T X stacks the unscaled derivative sums SZ (rows :N) and SU
@@ -206,11 +211,12 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     SY = K1*SZ + C1*SU - (K1**2 + 1)/2*dBB - (C1*(C1 + 1) + kh)*dPP - K1*C1*dBP,
     computed as K1*(SZ - hBB*K1 - dBP*C1) + C1*(SU - dPP*(C1 + 1)) - c0.
     """
-    X = _stacked_factors(G, Q, kh, sl)
+    X = _stacked_factors(G, Q, kh, sl, buf)
     N = X.shape[0] // 2
     K1 = X[:N]
     C1 = X[N:]
-    T = np.empty_like(X)
+    T = buf.get("T", X.shape)
+    tmp = buf.get("tmp", K1.shape)
     if plan.Wt is None:
         T[:] = plan.d1
     else:
@@ -222,9 +228,9 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     np.divide(T[:N], sqrt_h, out=Z[1:, sl])
     U[0, sl] = u0
     U[1:, sl] = T[N:]
-    T[:N] -= plan.hBB * K1
-    T[:N] -= plan.dBP * C1
-    T[N:] -= plan.dPP * (C1 + 1.0)
+    T[:N] -= np.multiply(plan.hBB, K1, out=tmp)
+    T[:N] -= np.multiply(plan.dBP, C1, out=tmp)
+    T[N:] -= np.multiply(plan.dPP, np.add(C1, 1.0, out=tmp), out=tmp)
     T *= X
     SY = T[:N]
     SY += T[N:]
@@ -237,13 +243,14 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
 
 def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
                  phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
-                 u0: float, sqrt_h: float, buf: _ChunkBuffers) -> None:
+                 u0: float, sqrt_h: float, buf: _ChunkBuffers, groups=None) -> None:
     """Order >= 3 kernel: one segment sum feeds the value and both derivatives.
 
     Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`,
     V[a, b, r] sums d_j * Phi_pre[parent_j] over the indices j with support
     slot r and degrees (a, b) there, group by group of the prefix plan
-    (``d_pos`` holds the coefficients in prefix order). Then at each slot r,
+    (``d_pos`` holds the coefficients in prefix order; ``groups`` defaults
+    to all of the plan's). Then at each slot r,
     SY = sum_ab V*K_a*C_b, SZ = sum_{a>=1} V*K_{a-1}*C_b and
     SU = sum_{b>=1} V*K_a*b*C_{b-1}.
     """
@@ -251,7 +258,7 @@ def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
     N = iset.N
     V = buf.get("W", KC.shape)
     V.fill(0.0)
-    for lo, hi, plo, f in plan.groups:
+    for lo, hi, plo, f in plan.groups if groups is None else groups:
         V[f] += np.einsum("ij,i->j", phi[plo:plo + hi - lo], d_pos[lo:hi])
     Mc = KC.shape[1]
     KC = KC.reshape(-1, N, Mc)
@@ -305,16 +312,16 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     _check_bytes(N, coeffs.p, _workers(threads, M))
     d0, z0, u0, sqrt_h = _row_zero(coeffs)
     kh = coeffs.spec.jump_mean
+    iset = coeffs.iset
+    buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, M)))
     if 1 <= coeffs.p <= 2:
         plan = _pair_plan(coeffs)
 
         def work(sl: slice) -> None:
             _eval_chunk_pairs(plan, kh, paths.G, paths.Q, sl,
-                              Y, Z, U, d0, z0, u0, sqrt_h)
+                              Y, Z, U, d0, z0, u0, sqrt_h, buffers())
     else:
-        iset = coeffs.iset
         d_pos = _prefix_coeffs(coeffs)
-        buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, M)))
 
         def work(sl: slice) -> None:
             buf = buffers()

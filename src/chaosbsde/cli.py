@@ -87,16 +87,13 @@ __all__ = [
 CSV_HEADER = ("example,p,N,M,q,seed,sample_mode,Y0,Z0,U0,"
               "exactY0,exactZ0,exactU0,errY,errZ,errU,wall_ms")
 
-_SWEEP_AXES = ("M", "N", "p", "q", "seed")
+# Sweep axis -> the SolverConfig field it sets. N is the one axis that is
+# not a field of its own: its value rebuilds the grid spec.
+_SWEEP_FIELDS = {"M": "M", "N": "spec", "p": "p", "q": "K_it", "seed": "seed"}
 
 _EXAMPLE_DEFAULTS = {
     "example1": dict(T=1.0, N=20, kappa=1.0, q=5),
     "example2": dict(T=2.0, N=50, kappa=3.0, q=10),
-}
-
-_PARAM_KEYS = {
-    "example1": ("c",),
-    "example2": ("alpha", "beta", "gamma", "a", "b", "c"),
 }
 
 _PARAM_DEFAULTS = {
@@ -240,8 +237,8 @@ def parse_config(path: str) -> ExperimentConfig:
         raise raw.error("out", out_got[1], "must be a nonempty path")
 
     pvals = {}
-    for key in _PARAM_KEYS[example]:
-        pvals[key] = _parse_float(raw, key, _PARAM_DEFAULTS[example][key])
+    for key, default in _PARAM_DEFAULTS[example].items():
+        pvals[key] = _parse_float(raw, key, default)
 
     sweep_axis_got = raw.take("sweep_axis")
     sweep_values_got = raw.take("sweep_values")
@@ -251,9 +248,9 @@ def parse_config(path: str) -> ExperimentConfig:
                         "sweep_values given without sweep_axis")
     if sweep_axis_got is not None:
         axis, axis_line = sweep_axis_got
-        if axis not in _SWEEP_AXES:
+        if axis not in _SWEEP_FIELDS:
             raise raw.error("sweep_axis", axis_line,
-                            f"must be one of {', '.join(_SWEEP_AXES)}; got {axis!r}")
+                            f"must be one of {', '.join(_SWEEP_FIELDS)}; got {axis!r}")
         if sweep_values_got is None:
             raise raw.error("sweep_axis", axis_line,
                             "sweep_axis given without sweep_values")
@@ -280,7 +277,7 @@ def parse_config(path: str) -> ExperimentConfig:
 
     if raw.pairs:
         key, (_, lineno) = next(iter(raw.pairs.items()))
-        valid = _COMMON_KEYS + _PARAM_KEYS[example]
+        valid = _COMMON_KEYS + tuple(_PARAM_DEFAULTS[example])
         raise raw.error(key, lineno,
                         f"unknown key for {example}; valid keys: {', '.join(valid)}")
 
@@ -308,17 +305,9 @@ def _sweep_points(config: ExperimentConfig) -> list[SolverConfig]:
     axis, values = config.sweep
     points = []
     for v in values:
-        if axis == "M":
-            points.append(dataclasses.replace(base, M=v))
-        elif axis == "N":
-            spec = GridSpec(T=base.spec.T, N=v, kappa=base.spec.kappa)
-            points.append(dataclasses.replace(base, spec=spec))
-        elif axis == "p":
-            points.append(dataclasses.replace(base, p=v))
-        elif axis == "q":
-            points.append(dataclasses.replace(base, K_it=v))
-        else:  # seed
-            points.append(dataclasses.replace(base, seed=v))
+        if axis == "N":
+            v = dataclasses.replace(base.spec, N=v)
+        points.append(dataclasses.replace(base, **{_SWEEP_FIELDS[axis]: v}))
     return points
 
 
@@ -397,8 +386,7 @@ def run(config: ExperimentConfig, *, threads: int = 1,
 def _axis_value(axis: Optional[str], point: SolverConfig) -> Optional[int]:
     if axis is None:
         return None
-    return {"M": point.M, "N": point.spec.N, "p": point.p,
-            "q": point.K_it, "seed": point.seed}[axis]
+    return point.spec.N if axis == "N" else getattr(point, _SWEEP_FIELDS[axis])
 
 
 def _point_label(axis: Optional[str], point: SolverConfig) -> str:

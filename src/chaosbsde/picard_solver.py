@@ -191,38 +191,26 @@ def draw_paths(config: SolverConfig) -> PathBatch:
     return sample_paths(config.spec, _path_count(config), config.seed)
 
 
-def _driver_rows(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int, *,
+def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int, *,
                  out: np.ndarray) -> None:
-    """Write the driver values at grid rows 1..N of the current iterate into
-    ``out``, shape (N, M).
-
-    The driver is never evaluated at time 0; the quadrature uses interval
-    right endpoints only.
+    """Write the running driver sums out[i-1] = f_1 + ... + f_i, added in
+    row order, of the current iterate into ``out``, shape (N, M), checking
+    each row f_i (the driver at grid row i) as it is produced. The driver is
+    never evaluated at time 0: the quadrature uses right endpoints only.
     """
-    N = Y.shape[0] - 1
-    M = Y.shape[1]
+    N, M = out.shape
     for i in range(1, N + 1):
         vals = np.asarray(driver.eval(float(times[i]), Y[i], Z[i], U[i]),
                           dtype=np.float64)
-        out[i - 1] = np.broadcast_to(vals, (M,))
-    bad = ~np.isfinite(out)
-    if bad.any():
-        i, m = np.unravel_index(int(np.argmax(bad)), out.shape)
-        raise ValueError(
-            f"driver returned non-finite value at iteration {iteration + 1}, "
-            f"grid index {i + 1}, sample {m}")
-
-
-def _subtract_partial_sums(Y: np.ndarray, f: np.ndarray, h: float) -> None:
-    """Y[j] -= h * (f[0] + ... + f[j-1]) for j = 1..N, in place. Row by row
-    makes np.cumsum(f, axis=0)'s additions several times faster."""
-    acc = f[0].copy()
-    step = np.empty_like(acc)
-    for j in range(f.shape[0]):
-        if j:
-            acc += f[j]
-        np.multiply(acc, h, out=step)
-        Y[j + 1] -= step
+        row = out[i - 1]
+        row[:] = np.broadcast_to(vals, (M,))
+        finite = np.isfinite(row)
+        if not finite.all():
+            raise ValueError(
+                f"driver returned non-finite value at iteration {iteration + 1}, "
+                f"grid index {i}, sample {int(np.argmin(finite))}")
+        if i > 1:
+            row += out[i - 2]
 
 
 def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
@@ -263,46 +251,41 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
                 f"provided batch has {paths.M} paths, config ({config.sample_mode}) "
                 f"needs {need}")
 
-    independent = config.sample_mode == "independent"
-    est = paths.rows(0, config.M) if independent else paths
-    ev = paths.rows(config.M, 2 * config.M) if independent else paths
-
-    xi_est = terminal_samples(xi, est)
+    # Coefficients are estimated on the first batch; every batch gets the
+    # next iterate evaluated on it, and the last one is returned.
+    if config.sample_mode == "independent":
+        batches = [paths.rows(0, config.M), paths.rows(config.M, 2 * config.M)]
+    else:
+        batches = [paths]
+    xi_est = terminal_samples(xi, batches[0])
     N = spec.N
     h = spec.h
     times = spec.times()
-
-    Ye = np.zeros((N + 1, est.M))
-    Ze = np.zeros((N + 1, est.M))
-    Ue = np.zeros((N + 1, est.M))
-    fe = np.empty((N, est.M))  # driver rows, refilled every iteration
-    if independent:
-        Yv = np.zeros((N + 1, ev.M))
-        Zv = np.zeros((N + 1, ev.M))
-        Uv = np.zeros((N + 1, ev.M))
-        fv = np.empty((N, ev.M))
+    # Per batch: the (Y, Z, U) grid and its running driver sums, both
+    # refilled every iteration.
+    grids = [tuple(np.zeros((N + 1, b.M)) for _ in range(3)) for b in batches]
+    sums = [np.empty((N, b.M)) for b in batches]
     history: Optional[list[ChaosCoefficients]] = [] if config.keep_history else None
 
     coeffs: Optional[ChaosCoefficients] = None
     for q in range(config.K_it):
-        _driver_rows(driver, times, Ye, Ze, Ue, q, out=fe)
-        F = xi_est + h * fe.sum(axis=0)
+        for grid, S in zip(grids, sums):
+            _driver_sums(driver, times, *grid, q, out=S)
+        F = xi_est + h * sums[0][-1]
         bad = ~np.isfinite(F)
         if bad.any():
             raise ValueError(
                 f"non-finite functional at iteration {q + 1}, "
                 f"sample {int(np.argmax(bad))}")
-        coeffs = estimate(F, est, config.p, threads=threads)
+        coeffs = estimate(F, batches[0], config.p, threads=threads)
         if history is not None:
             history.append(coeffs)
-        if independent:
-            _driver_rows(driver, times, Yv, Zv, Uv, q, out=fv)
-            evaluate_grid(coeffs, ev, threads=threads, out=(Yv, Zv, Uv))
-            _subtract_partial_sums(Yv, fv, h)
-        evaluate_grid(coeffs, est, threads=threads, out=(Ye, Ze, Ue))
-        _subtract_partial_sums(Ye, fe, h)
+        for batch, grid, S in zip(batches, grids, sums):
+            evaluate_grid(coeffs, batch, threads=threads, out=grid)
+            S *= h  # read again only after the next iteration refills it
+            grid[0][1:] -= S
 
-    Y, Z, U = (Yv, Zv, Uv) if independent else (Ye, Ze, Ue)
+    Y, Z, U = grids[-1]
     for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
         bad = ~np.isfinite(arr)
         if bad.any():
@@ -312,4 +295,4 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
 
     return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=coeffs,
                         history=tuple(history) if history is not None else None,
-                        paths=ev)
+                        paths=batches[-1])

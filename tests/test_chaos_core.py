@@ -151,8 +151,8 @@ class TestPrefixKernel:
 
 
 class TestChunkBuffers:
-    """The p >= 3 kernels give each worker one set of chunk buffers per call,
-    which it reuses for every chunk it runs."""
+    """Both kernel families give each worker one set of chunk buffers per
+    call, which it reuses for every chunk it runs."""
 
     @staticmethod
     def case():
@@ -174,29 +174,32 @@ class TestChunkBuffers:
         monkeypatch.setattr(chaos_core, "_ChunkBuffers", Counted)
         monkeypatch.setattr(chaos_eval, "_ChunkBuffers", Counted)
         paths, F = self.case()
-        coeffs = estimate(F, paths, 3)
-        evaluate_grid(coeffs, paths)
-        assert built == [1024, 1024]
-        built.clear()
-        evaluate_grid(coeffs, paths, threads=2)
-        assert 1 <= len(built) <= 2
+        for p in (2, 3):
+            built.clear()
+            coeffs = estimate(F, paths, p)
+            evaluate_grid(coeffs, paths)
+            assert built == [1024, 1024]
+            built.clear()
+            evaluate_grid(coeffs, paths, threads=2)
+            assert 1 <= len(built) <= 2
 
     def test_workers_never_share_buffers(self):
         # More workers than cores, switching threads as often as possible:
         # two workers writing one buffer would corrupt the sums or the rows.
         paths, F = self.case()
-        want = estimate(F, paths, 3, threads=1)
-        want_rows = evaluate_grid(want, paths, threads=1)
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = estimate(F, paths, 3, threads=6)
-            got_rows = evaluate_grid(want, paths, threads=6)
-        finally:
-            sys.setswitchinterval(old)
-        assert got.d0 == want.d0 and np.array_equal(got.values, want.values)
-        for a, b in zip(got_rows, want_rows):
-            assert np.array_equal(a, b)
+        for p in (2, 3):
+            want = estimate(F, paths, p, threads=1)
+            want_rows = evaluate_grid(want, paths, threads=1)
+            old = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                got = estimate(F, paths, p, threads=6)
+                got_rows = evaluate_grid(want, paths, threads=6)
+            finally:
+                sys.setswitchinterval(old)
+            assert got.d0 == want.d0 and np.array_equal(got.values, want.values)
+            for a, b in zip(got_rows, want_rows):
+                assert np.array_equal(a, b)
 
 
 class TestByteBudget:
@@ -215,12 +218,14 @@ class TestByteBudget:
             for r in (1, 50):
                 assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
                                   naive_grid(coeffs, paths.G[m], paths.Q[m], r))
-        # conditional_at at t_50 with the full increments is row 50
-        got = conditional_at(coeffs, paths, 50, paths.spec.T,
-                             dB=math.sqrt(paths.spec.h) * paths.G[:, 49],
-                             dN=paths.Q[:, 49])
-        for m in (0, 299):
-            assert_rows_match([g[m] for g in got], (Y[50, m], Z[50, m], U[50, m]))
+        # conditional_at at t_r with the full increments is row r
+        times = paths.spec.times()
+        for r in (1, 25, 50):
+            got = conditional_at(coeffs, paths, r, times[r],
+                                 dB=math.sqrt(paths.spec.h) * paths.G[:, r - 1],
+                                 dN=paths.Q[:, r - 1])
+            for m in (0, 299):
+                assert_rows_match([g[m] for g in got], (Y[r, m], Z[r, m], U[r, m]))
 
     def test_n50_p3_budget_counts_only_workers_that_run(self, n50_p3):
         # 300 samples are one chunk, so threads=64 still runs one worker;
@@ -247,6 +252,52 @@ class TestByteBudget:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestBufferLayout:
+    """The byte budget and the chunk buffers read one row table."""
+
+    @staticmethod
+    def written_out_need(N, p, workers):
+        """The budget's bytes as written out before the row table existed."""
+        J = math.comb(2 * N + p, p) - 1
+        n_pre = math.comb(2 * N + p - 1, p - 1)
+        n_kc = (p + 1) * (p + 2) // 2 * N
+        index_bytes = J * (4 * N + 64)
+        worker_bytes = 8 * (1024 * (n_pre + 2 * n_kc + (2 * p + 5) * N) + 4 * (J + 1))
+        return index_bytes + workers * worker_bytes
+
+    def test_order_three_and_up_charge_unchanged(self):
+        from chaosbsde.chaos_core import _check_bytes
+
+        refused = 0
+        for N in range(1, 61):
+            for p in range(3, 7):
+                for workers in (1, 2, 8):
+                    need = self.written_out_need(N, p, workers)
+                    if need <= 1 << 30:
+                        _check_bytes(N, p, workers)
+                        continue
+                    refused += 1
+                    with pytest.raises(SizingError) as err:
+                        _check_bytes(N, p, workers)
+                    assert f"about {need >> 20} MiB" in str(err.value)
+        assert 0 < refused < 60 * 4 * 3
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+    def test_buffers_fit_the_worker_charge(self, p):
+        from chaosbsde.chaos_core import (_buffer_rows, _build_index_set, _ChunkBuffers,
+                                          _worker_bytes)
+
+        N = 6
+        buf = _ChunkBuffers(_build_index_set(N, p), 1024)
+        rows = _buffer_rows(N, p)
+        for family in rows.values():
+            for name, n in family.items():
+                buf.get(name, (n, 1024))
+        held = sum(a.nbytes for a in buf._flat.values())
+        assert 0 < held <= _worker_bytes(N, p)
+        assert ("pair" in rows) == (1 <= p <= 2)
 
 
 class TestEnumeration:

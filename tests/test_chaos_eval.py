@@ -258,7 +258,7 @@ class TestConditionalAt:
         dN = rng.integers(0, 4, M)
         theta = 0.6
         tau = theta * spec.h
-        for r in (1, spec.N):
+        for r in (1, -(-spec.N // 2), spec.N):
             t = spec.times()[r - 1] + tau
             got = np.stack(conditional_at(coeffs, paths, r, t, dB=dB, dN=dN))
             for m in range(M):

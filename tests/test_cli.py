@@ -210,6 +210,20 @@ class TestRun:
         assert [r["seed"] for r in rows] == ["1", "4", "9"]
         assert len({r["Y0"] for r in rows}) == 3
 
+    @pytest.mark.parametrize("axis", ["M", "N", "p", "q", "seed"])
+    def test_every_sweep_axis_sets_its_column(self, tmp_path, axis):
+        out = tmp_path / "s.csv"
+        base = {"N": "4", "M": "100", "q": "1", "p": "1", "seed": "5"}
+        text = ("example = example1\n" + "".join(f"{k} = {v}\n" for k, v in base.items())
+                + f"out = {out}\nsweep_axis = {axis}\nsweep_values = 2, 3\n")
+        assert main(["--config", write_cfg(tmp_path, text), "--dump-coeffs"]) == 0
+        _, rows = read_rows(out)
+        for key, value in base.items():
+            want = ["2", "3"] if key == axis else [value, value]
+            assert [r[key] for r in rows] == want
+        for v in (2, 3):
+            assert (tmp_path / f"s_coeffs_{axis}{v}.csv").exists()
+
     def test_output_is_byte_stable_modulo_wall(self, tmp_path):
         out = tmp_path / "s.csv"
         cfg = parse_config(write_cfg(tmp_path, self.base_text(out)))

@@ -14,11 +14,12 @@ from chaosbsde import (
     SolverConfig,
     TerminalFunctional,
     draw_paths,
+    estimate,
+    evaluate_grid,
     sample_paths,
     solve,
     terminal_samples,
 )
-from chaosbsde.picard_solver import _subtract_partial_sums
 
 
 @pytest.fixture(scope="module")
@@ -301,15 +302,49 @@ class TestSolve:
         assert max(seen) == spec.T
 
 
-class TestPartialSums:
-    @pytest.mark.parametrize("N,M", [(1, 7), (4, 33), (50, 1000)])
-    def test_bytes_match_cumsum(self, N, M):
-        rng = np.random.default_rng(N)
-        f = rng.standard_normal((N, M))
-        Y = rng.standard_normal((N + 1, M))
-        f[0, :2] = -0.0
-        Y[1, :2] = -0.0
-        want = Y.copy()
-        want[1:] -= 0.05 * np.cumsum(f, axis=0)
-        _subtract_partial_sums(Y, f, 0.05)
-        assert Y.tobytes() == want.tobytes()
+class TestAgainstHandRunScheme:
+    """``solve`` byte for byte against the scheme run by hand from the public
+    layers: the driver sums are np.cumsum's (additions in row order), F adds
+    the last one to xi, and Y subtracts each from the evaluated rows."""
+
+    @staticmethod
+    def hand_run(cfg, driver, xi):
+        paths = draw_paths(cfg)
+        M, N, h = cfg.M, cfg.spec.N, cfg.spec.h
+        if cfg.sample_mode == "independent":
+            batches = [paths.rows(0, M), paths.rows(M, 2 * M)]
+        else:
+            batches = [paths]
+        times = cfg.spec.times()
+        grids = [[np.zeros((N + 1, M)) for _ in range(3)] for _ in batches]
+        for _ in range(cfg.K_it):
+            sums = [np.cumsum([driver.eval(float(times[i]), Y[i], Z[i], U[i])
+                               for i in range(1, N + 1)], axis=0)
+                    for Y, Z, U in grids]
+            F = terminal_samples(xi, batches[0]) + h * sums[0][-1]
+            coeffs = estimate(F, batches[0], cfg.p)
+            for k, batch in enumerate(batches):
+                grids[k] = list(evaluate_grid(coeffs, batch))
+                grids[k][0][1:] -= h * sums[k]
+        return grids[-1]
+
+    @pytest.mark.parametrize("M", [1, 2500])
+    @pytest.mark.parametrize("mode", ["reuse", "independent"])
+    def test_bytes_match(self, mode, M):
+        # M = 1: numpy sums an (N, 1) array along axis 0 pairwise, so F must
+        # come from the running sums, never from a separate reduction.
+        cfg = SolverConfig(spec=GridSpec(T=1.0, N=10, kappa=2.0), p=2, K_it=2, M=M,
+                           seed=31, sample_mode=mode)
+        calls = []
+
+        def f(t, y, z, u):
+            calls.append(t)
+            return 0.1 + 0.3 * y - 0.2 * z + 0.4 * u
+
+        xi = TerminalFunctional.exp_levy(-0.1, 0.3, 0.2)
+        grid = solve(cfg, Driver.custom(f), xi)
+        batches = 2 if mode == "independent" else 1
+        assert len(calls) == cfg.K_it * cfg.spec.N * batches
+        for got, want in zip((grid.Y, grid.Z, grid.U),
+                             self.hand_run(cfg, Driver.custom(f), xi)):
+            assert got.tobytes() == want.tobytes()
