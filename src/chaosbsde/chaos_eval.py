@@ -132,7 +132,8 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
         for k, (a, b) in enumerate(iset.prefix.pairs):
             np.multiply(scale[k] * K[a], C[b], out=KC[k * N + r - 1])
         cols = slice(0, KC.shape[1])
-        _prefix_rows(iset, d_pos, KC, phi, cols, Y, Z, U, *row_zero, buf, groups)
+        _prefix_rows(iset, d_pos, KC, phi, cols, Y, Z, U, *row_zero, buf,
+                     groups=groups)
         out[:, sl] = Y[r, cols], Z[r, cols], U[r, cols]
     return out[0], out[1], out[2]
 
@@ -200,7 +201,7 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
 
 def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
                       Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float,
-                      buf: _ChunkBuffers) -> None:
+                      buf: _ChunkBuffers, sums_h: Optional[float]) -> None:
     """Fused order <= 2 kernel: one blocked GEMM and a few (N, Mc) passes.
 
     T = d1 + W^T X stacks the unscaled derivative sums SZ (rows :N) and SU
@@ -235,15 +236,13 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     SY = T[:N]
     SY += T[N:]
     SY -= plan.c0
-    # Row by row: numpy's cumsum along axis 0 is about twice as slow here.
-    Y[0, sl] = d0
-    for r in range(N):
-        np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
+    _value_rows(Y, sl, SY, d0, tmp[0], sums_h)
 
 
 def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
                  phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
-                 u0: float, sqrt_h: float, buf: _ChunkBuffers, groups=None) -> None:
+                 u0: float, sqrt_h: float, buf: _ChunkBuffers,
+                 sums_h: Optional[float] = None, groups=None) -> None:
     """Order >= 3 kernel: one segment sum feeds the value and both derivatives.
 
     Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`,
@@ -277,14 +276,36 @@ def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
     np.divide(SZ, sqrt_h, out=Z[1:, sl])
     U[0, sl] = u0
     U[1:, sl] = SU
+    _value_rows(Y, sl, SY, d0, SZ[0], sums_h)
+
+
+def _value_rows(Y, sl: slice, SY: np.ndarray, d0: float, acc: np.ndarray,
+                sums_h: Optional[float]) -> None:
+    """Write the value rows of one chunk: Y[0] = d0 and, from the support
+    slot sums SY, the conditional values cond_{r+1} = cond_r + SY[r].
+
+    With ``sums_h`` set, rows 1..N of Y arrive holding the running driver
+    sums S and are written as cond - sums_h * S, the cumulative sum kept in
+    ``acc``, a chunk row the kernel no longer reads. Row by row: numpy's
+    cumsum along axis 0 is about twice as slow here.
+    """
     Y[0, sl] = d0
-    for r in range(N):
-        np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
+    if sums_h is None:
+        for r in range(len(SY)):
+            np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
+        return
+    acc[:] = d0
+    for r in range(len(SY)):
+        np.add(acc, SY[r], out=acc)
+        row = Y[r + 1, sl]
+        row *= sums_h
+        np.subtract(acc, row, out=row)
 
 
 def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
                   threads: int = 1,
                   out: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None,
+                  _sums_h: Optional[float] = None,
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expansion value and both derivative evaluators at every grid time,
     for every path of a batch.
@@ -296,6 +317,10 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     avoiding reallocation in iterative callers. Results are bit-identical
     for every ``threads`` value, since chunks write disjoint column blocks,
     and for every BLAS thread count.
+
+    ``_sums_h`` is the solver's: rows 1..N of ``out``'s Y then hold the
+    running driver sums S, and Y[r] is written as the conditional value
+    minus ``_sums_h * S[r]``, bit for bit what subtracting afterwards gives.
     """
     _check_spec(coeffs, paths)
     N = coeffs.spec.N
@@ -319,14 +344,15 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
 
         def work(sl: slice) -> None:
             _eval_chunk_pairs(plan, kh, paths.G, paths.Q, sl,
-                              Y, Z, U, d0, z0, u0, sqrt_h, buffers())
+                              Y, Z, U, d0, z0, u0, sqrt_h, buffers(), _sums_h)
     else:
         d_pos = _prefix_coeffs(coeffs)
 
         def work(sl: slice) -> None:
             buf = buffers()
             KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
-            _prefix_rows(iset, d_pos, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h, buf)
+            _prefix_rows(iset, d_pos, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h, buf,
+                         _sums_h)
 
     for _ in _map_chunks(work, M, threads):
         pass

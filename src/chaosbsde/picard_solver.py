@@ -19,6 +19,14 @@ produced F (never at time 0). Row 0 of the returned grid is deterministic:
 Y_0 is the constant coefficient, Z_0 and U_0 the first-order unit
 coefficients (scaled by 1/sqrt(h) for Z).
 
+The running sums sum_{i<=j} f_i are F_{t_j}-measurable, so the scheme may
+subtract them path by path. They live in Y itself: once f_j is computed
+from row j of the iterate, Y_j is not read again, so it is overwritten with
+f_1 + ... + f_j (added in row order), F takes the last of them, and
+``evaluate_grid`` writes each new Y_j as the conditional value minus h times
+the sum it finds there. A solve thus holds the paths and three (N+1) x M
+grids per batch, and no other array of that size.
+
 Sampling modes: ``reuse`` estimates coefficients and evaluates the expansion
 on the same M paths; ``independent`` draws 2M paths, estimating on the first
 M and evaluating on the second M, which is the regime the error analysis
@@ -55,7 +63,9 @@ class Driver:
     """BSDE driver f(t, y, z, u), vectorized over samples.
 
     ``eval`` must accept scalar t and equal-length arrays (y, z, u) and
-    return finite values for finite inputs.
+    return finite values for finite inputs, as a scalar or an array of the
+    same length. ``solve`` passes views of grid rows that it overwrites
+    after ``eval`` returns, so ``eval`` must neither modify nor keep them.
     """
 
     eval: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -68,7 +78,15 @@ class Driver:
     @classmethod
     def linear(cls, alpha: float, beta: float, gamma: float) -> "Driver":
         """f(t, y, z, u) = alpha*y + beta*z + gamma*u."""
-        return cls(lambda t, y, z, u: alpha * y + beta * z + gamma * u)
+        def _eval(t, y, z, u):
+            # Two temporaries per call, summed in the order of the formula.
+            out = np.multiply(alpha, y, out=np.empty(np.shape(y)))
+            tmp = np.multiply(beta, z, out=np.empty(np.shape(z)))
+            out += tmp
+            out += np.multiply(gamma, u, out=tmp)
+            return out
+
+        return cls(_eval)
 
     @classmethod
     def zero(cls) -> "Driver":
@@ -191,26 +209,31 @@ def draw_paths(config: SolverConfig) -> PathBatch:
     return sample_paths(config.spec, _path_count(config), config.seed)
 
 
-def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int, *,
-                 out: np.ndarray) -> None:
-    """Write the running driver sums out[i-1] = f_1 + ... + f_i, added in
-    row order, of the current iterate into ``out``, shape (N, M), checking
-    each row f_i (the driver at grid row i) as it is produced. The driver is
-    never evaluated at time 0: the quadrature uses right endpoints only.
+def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> None:
+    """Overwrite rows 1..N of Y with the running driver sums
+    f_1 + ... + f_i, added in row order, of the current iterate, checking
+    each row f_i (the driver at grid row i) as it is produced. Row i of Y is
+    read only by the driver call at row i, so it is free once that call
+    returns. The driver is never evaluated at time 0: the quadrature uses
+    right endpoints only.
     """
-    N, M = out.shape
-    for i in range(1, N + 1):
+    M = Y.shape[1]
+    for i in range(1, Y.shape[0]):
         vals = np.asarray(driver.eval(float(times[i]), Y[i], Z[i], U[i]),
                           dtype=np.float64)
-        row = out[i - 1]
-        row[:] = np.broadcast_to(vals, (M,))
+        if vals.shape not in ((), (M,)):
+            raise ValueError(
+                f"driver returned shape {vals.shape} at iteration {iteration + 1}, "
+                f"grid index {i}, expected a scalar or ({M},)")
+        row = Y[i]
+        row[:] = vals
         finite = np.isfinite(row)
         if not finite.all():
             raise ValueError(
                 f"driver returned non-finite value at iteration {iteration + 1}, "
                 f"grid index {i}, sample {int(np.argmin(finite))}")
         if i > 1:
-            row += out[i - 2]
+            row += Y[i - 1]
 
 
 def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
@@ -261,17 +284,16 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     N = spec.N
     h = spec.h
     times = spec.times()
-    # Per batch: the (Y, Z, U) grid and its running driver sums, both
-    # refilled every iteration.
+    # Per batch: the (Y, Z, U) grid, refilled every iteration. Between the
+    # driver pass and the evaluation, Y's rows 1..N hold the driver sums.
     grids = [tuple(np.zeros((N + 1, b.M)) for _ in range(3)) for b in batches]
-    sums = [np.empty((N, b.M)) for b in batches]
     history: Optional[list[ChaosCoefficients]] = [] if config.keep_history else None
 
     coeffs: Optional[ChaosCoefficients] = None
     for q in range(config.K_it):
-        for grid, S in zip(grids, sums):
-            _driver_sums(driver, times, *grid, q, out=S)
-        F = xi_est + h * sums[0][-1]
+        for grid in grids:
+            _driver_sums(driver, times, *grid, q)
+        F = xi_est + h * grids[0][0][N]
         bad = ~np.isfinite(F)
         if bad.any():
             raise ValueError(
@@ -280,18 +302,17 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         coeffs = estimate(F, batches[0], config.p, threads=threads)
         if history is not None:
             history.append(coeffs)
-        for batch, grid, S in zip(batches, grids, sums):
-            evaluate_grid(coeffs, batch, threads=threads, out=grid)
-            S *= h  # read again only after the next iteration refills it
-            grid[0][1:] -= S
+        for batch, grid in zip(batches, grids):
+            evaluate_grid(coeffs, batch, threads=threads, out=grid, _sums_h=h)
 
     Y, Z, U = grids[-1]
     for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
-        bad = ~np.isfinite(arr)
-        if bad.any():
-            r, m = np.unravel_index(int(np.argmax(bad)), arr.shape)
-            raise ValueError(
-                f"non-finite {name} value in final grid at grid index {r}, sample {m}")
+        for r, row in enumerate(arr):
+            finite = np.isfinite(row)
+            if not finite.all():
+                raise ValueError(
+                    f"non-finite {name} value in final grid at grid index {r}, "
+                    f"sample {int(np.argmin(finite))}")
 
     return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=coeffs,
                         history=tuple(history) if history is not None else None,

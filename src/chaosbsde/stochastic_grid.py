@@ -37,6 +37,9 @@ MAX_POISSON_MEAN = 600.0
 # Truncate the inversion table once the remaining tail mass is below this.
 _TAIL_EPS = 1e-17
 
+# Uniforms drawn per block for Poisson inversion (512 KB of float64).
+_UNIFORM_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -182,8 +185,16 @@ def sample_paths(spec: GridSpec, M: int, seed: int) -> PathBatch:
     # it is part of the reproducibility contract.
     rng = np.random.Generator(np.random.Philox(seed))
     G = rng.standard_normal((M, spec.N))
-    u = rng.random((M, spec.N))
     # Inversion: Q = #{k : cdf[k] <= u}. searchsorted returns the insertion
-    # point to the right, which is exactly that count.
-    Q = np.searchsorted(_poisson_cdf(mean), u, side="right").astype(np.int32)
+    # point to the right, which is exactly that count; it is 0 below cdf[0],
+    # so only the hits are searched. The uniforms come in row blocks, which
+    # continue the stream exactly as one (M, N) draw would.
+    cdf = _poisson_cdf(mean)
+    Q = np.zeros((M, spec.N), dtype=np.int32)
+    rows = max(1, _UNIFORM_BLOCK // spec.N)
+    u = np.empty((min(rows, M), spec.N))
+    for a in range(0, M, rows):
+        ub = rng.random(out=u[:min(rows, M - a)])
+        hit = ub >= cdf[0]
+        Q[a:a + len(ub)][hit] = np.searchsorted(cdf, ub[hit], side="right")
     return PathBatch(spec=spec, M=M, G=G, Q=Q, seed=seed)

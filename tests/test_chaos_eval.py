@@ -430,6 +430,25 @@ class TestEvaluateGrid:
         for g, o in zip(got, out):
             assert g is o
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("p", [0, 1, 2, 3])
+    def test_sums_offset_is_subtracting_afterwards(self, p, threads):
+        # The solver's offset: Y arrives holding driver sums S in rows 1..N
+        # and leaves as cond - h*S, byte for byte what the plain call minus
+        # h*S gives, in the pair family (p = 1, 2) and the prefix one.
+        spec = GridSpec(T=1.0, N=6, kappa=2.0)
+        paths = sample_paths(spec, 2500, seed=22)
+        coeffs = estimate(np.exp(0.3 * paths.G[:, 2]) + paths.Q[:, 4], paths, p)
+        S = np.cumsum(np.random.default_rng(0).standard_normal((spec.N, paths.M)),
+                      axis=0)
+        Y, Z, U = evaluate_grid(coeffs, paths)
+        Y[1:] -= spec.h * S
+        out = tuple(np.zeros((spec.N + 1, paths.M)) for _ in range(3))
+        out[0][1:] = S
+        got = evaluate_grid(coeffs, paths, threads=threads, out=out, _sums_h=spec.h)
+        for g, want in zip(got, (Y, Z, U)):
+            assert g.tobytes() == want.tobytes()
+
     def test_rejects_mismatched_spec(self, spec3):
         paths = sample_paths(spec3, 10, seed=21)
         other = sample_paths(GridSpec(T=1.0, N=5, kappa=1.0), 10, seed=21)

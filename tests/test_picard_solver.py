@@ -36,6 +36,15 @@ class TestDriver:
         f = Driver.linear(0.3, 0.3, 0.2)
         assert f.eval(0.0, 1.0, 2.0, 3.0) == pytest.approx(0.3 + 0.6 + 0.6)
 
+    def test_linear_matches_the_formula_bitwise(self):
+        rng = np.random.default_rng(0)
+        y, z, u = rng.standard_normal((3, 1000))
+        alpha, beta, gamma = 0.3, -0.7, 0.2
+        got = Driver.linear(alpha, beta, gamma).eval(0.5, y, z, u)
+        assert np.array_equal(got, alpha * y + beta * z + gamma * u)
+        for arg in (y, z, u):
+            assert not np.shares_memory(got, arg)
+
     def test_zero(self):
         assert Driver.zero().eval(1.0, 5.0, 5.0, 5.0) == 0.0
 
@@ -253,8 +262,30 @@ class TestSolve:
                            match="iteration 1, grid index 3, sample 7"):
             solve(cfg, Driver.custom(bad), TerminalFunctional.poisson_count())
 
+    def test_non_finite_final_grid_reports_grid_index_and_sample(self, spec5):
+        # Finite driver values whose running sum overflows on the evaluation
+        # batch only: F stays finite, and the final scan names the first
+        # non-finite Y entry, row by row.
+        cfg = SolverConfig(spec=spec5, p=1, K_it=1, M=50, seed=13,
+                           sample_mode="independent")
+        calls = []
+
+        def huge_on_second_batch(t, y, z, u):
+            calls.append(t)
+            out = np.zeros_like(y)
+            if len(calls) > spec5.N:
+                out[7] = 1e308
+            return out
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError,
+                               match="non-finite Y value in final grid at grid index 2, "
+                                     "sample 7$"):
+                solve(cfg, Driver.custom(huge_on_second_batch),
+                      TerminalFunctional.poisson_count())
+
     def test_iterations_reuse_the_driver_row_buffer(self):
-        # Each iteration refills one (N, M) driver-row buffer, so more
+        # Each iteration writes its driver sums into the rows of Y, so more
         # iterations add no N x M allocation to the peak.
         spec = GridSpec(T=1.0, N=20, kappa=1.0)
         M = 20_000
@@ -273,6 +304,34 @@ class TestSolve:
             return top - base
 
         assert peak(3) - peak(1) < spec.N * M * 4
+
+    def test_peak_is_three_grids_and_less_than_one_more_array(self):
+        # Y, Z and U are the only (N+1) x M arrays: the driver sums live in
+        # Y's rows, and the final finiteness scan reads a row at a time.
+        spec = GridSpec(T=1.0, N=50, kappa=1.0)
+        cfg = SolverConfig(spec=spec, p=2, K_it=2, M=20_000, seed=16)
+        paths = draw_paths(cfg)
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            solve(cfg, Driver.linear_jump(0.5), TerminalFunctional.poisson_count(),
+                  paths=paths)
+            _, top = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        grid = (spec.N + 1) * cfg.M * 8
+        assert top - base < 3 * grid + spec.N * cfg.M * 8
+
+    @pytest.mark.parametrize("fn, shape", [
+        (lambda t, y, z, u: y[:, None], r"\(50, 1\)"),
+        (lambda t, y, z, u: y[1:], r"\(49,\)"),
+    ], ids=["column", "short"])
+    def test_wrong_driver_shape_rejected(self, spec5, fn, shape):
+        cfg = SolverConfig(spec=spec5, p=1, K_it=2, M=50, seed=13)
+        with pytest.raises(ValueError,
+                           match=rf"driver returned shape {shape} at iteration 1, "
+                                 r"grid index 1, expected a scalar or \(50,\)"):
+            solve(cfg, Driver.custom(fn), TerminalFunctional.poisson_count())
 
     def test_driver_sees_right_endpoint_times(self, spec5):
         seen = []
@@ -307,6 +366,13 @@ class TestAgainstHandRunScheme:
     layers: the driver sums are np.cumsum's (additions in row order), F adds
     the last one to xi, and Y subtracts each from the evaluated rows."""
 
+    DRIVERS = {
+        "affine": lambda t, y, z, u: 0.1 + 0.3 * y - 0.2 * z + 0.4 * u,
+        # A view of the very grid row the solver overwrites with the sums.
+        "own_y": lambda t, y, z, u: y,
+        "scalar": lambda t, y, z, u: 0.5 * t,
+    }
+
     @staticmethod
     def hand_run(cfg, driver, xi):
         paths = draw_paths(cfg)
@@ -318,8 +384,9 @@ class TestAgainstHandRunScheme:
         times = cfg.spec.times()
         grids = [[np.zeros((N + 1, M)) for _ in range(3)] for _ in batches]
         for _ in range(cfg.K_it):
-            sums = [np.cumsum([driver.eval(float(times[i]), Y[i], Z[i], U[i])
-                               for i in range(1, N + 1)], axis=0)
+            sums = [np.cumsum([np.broadcast_to(
+                        driver.eval(float(times[i]), Y[i], Z[i], U[i]), (M,))
+                        for i in range(1, N + 1)], axis=0)
                     for Y, Z, U in grids]
             F = terminal_samples(xi, batches[0]) + h * sums[0][-1]
             coeffs = estimate(F, batches[0], cfg.p)
@@ -328,6 +395,21 @@ class TestAgainstHandRunScheme:
                 grids[k][0][1:] -= h * sums[k]
         return grids[-1]
 
+    def check(self, cfg, fn, threads=1):
+        calls = []
+
+        def f(t, y, z, u):
+            calls.append(t)
+            return fn(t, y, z, u)
+
+        xi = TerminalFunctional.exp_levy(-0.1, 0.3, 0.2)
+        grid = solve(cfg, Driver.custom(f), xi, threads=threads)
+        batches = 2 if cfg.sample_mode == "independent" else 1
+        assert len(calls) == cfg.K_it * cfg.spec.N * batches
+        for got, want in zip((grid.Y, grid.Z, grid.U),
+                             self.hand_run(cfg, Driver.custom(fn), xi)):
+            assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("M", [1, 2500])
     @pytest.mark.parametrize("mode", ["reuse", "independent"])
     def test_bytes_match(self, mode, M):
@@ -335,16 +417,15 @@ class TestAgainstHandRunScheme:
         # come from the running sums, never from a separate reduction.
         cfg = SolverConfig(spec=GridSpec(T=1.0, N=10, kappa=2.0), p=2, K_it=2, M=M,
                            seed=31, sample_mode=mode)
-        calls = []
+        self.check(cfg, self.DRIVERS["affine"])
 
-        def f(t, y, z, u):
-            calls.append(t)
-            return 0.1 + 0.3 * y - 0.2 * z + 0.4 * u
-
-        xi = TerminalFunctional.exp_levy(-0.1, 0.3, 0.2)
-        grid = solve(cfg, Driver.custom(f), xi)
-        batches = 2 if mode == "independent" else 1
-        assert len(calls) == cfg.K_it * cfg.spec.N * batches
-        for got, want in zip((grid.Y, grid.Z, grid.U),
-                             self.hand_run(cfg, Driver.custom(f), xi)):
-            assert got.tobytes() == want.tobytes()
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("drv", sorted(DRIVERS))
+    @pytest.mark.parametrize("mode", ["reuse", "independent"])
+    def test_bytes_match_per_family_driver_and_threads(self, mode, drv, p, threads):
+        # p = 2 runs the pair kernel family, p = 3 the prefix one; M spans
+        # three chunks, the last one partial.
+        cfg = SolverConfig(spec=GridSpec(T=1.0, N=10, kappa=2.0), p=p, K_it=2,
+                           M=2500, seed=32, sample_mode=mode)
+        self.check(cfg, self.DRIVERS[drv], threads)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosbsde import GridSpec, PathBatch, sample_paths
+from chaosbsde.stochastic_grid import _poisson_cdf
 
 
 class TestGridSpec:
@@ -121,6 +122,23 @@ class TestSamplePaths:
         digest = hashlib.sha256(paths.G.astype("<f8").tobytes()
                                 + paths.Q.astype("<i4").tobytes()).hexdigest()
         assert digest == "11d8280542f9f92f33b729e7f1106514f67f2a9a7f352d9b31f37aee8849871d"
+
+    @pytest.mark.parametrize("N, M, kappa", [
+        (50, 3_000, 3.0),     # several uniform blocks, the last one partial
+        (20, 7_000, 1.0),
+        (10, 2_000, 1000.0),  # kappa*h = 100: every uniform is a hit
+        (70_000, 2, 1.0),     # one row is more than a block
+    ])
+    def test_blocked_inversion_matches_one_draw(self, N, M, kappa):
+        # Oracle: all M*N uniforms in one draw, every one inverted.
+        spec = GridSpec(T=1.0, N=N, kappa=kappa)
+        rng = np.random.Generator(np.random.Philox(3))
+        G = rng.standard_normal((M, N))
+        cdf = _poisson_cdf(spec.jump_mean)
+        Q = np.searchsorted(cdf, rng.random((M, N)), side="right")
+        paths = sample_paths(spec, M, seed=3)
+        assert np.array_equal(paths.G, G)
+        assert np.array_equal(paths.Q, Q)
 
     def test_seed_changes_output(self, small_spec):
         a = sample_paths(small_spec, 500, seed=11)
