@@ -24,10 +24,12 @@ Sums over samples are accumulated in fixed chunks of 1024 and combined in
 chunk order, so results are bit-identical across runs and across worker
 thread counts. For p <= 2 a chunk's sums come from its stacked first-order
 factors X = [K1; C1] (2N rows, one column per sample): row sums of F*X give
-the units and one product (F*X) X^T every order-2 sum. That product is taken
-over fixed sample blocks small enough for BLAS to run single-threaded, so
-results do not depend on the BLAS thread count either. Other orders build
-each basis product from a lower-order one by the prefix recursion of
+the units and the upper triangle of the symmetric product (F*X) X^T every
+order-2 sum. Only its upper block triangle is formed, a few rows of F*X at a
+time against the trailing rows of X, over fixed sample blocks small enough
+for BLAS to run single-threaded (:func:`_pair_blocks`), so results do not
+depend on the BLAS thread count either. Other orders build each basis
+product from a lower-order one by the prefix recursion of
 :class:`_PrefixPlan`, and make no BLAS call.
 """
 
@@ -60,12 +62,24 @@ __all__ = [
 # per-chunk work dominates fixed overhead from ~1e3 samples upward.
 _CHUNK = 1024
 
-# OpenBLAS runs a GEMM of at most 2**18 multiply-adds on the calling thread
-# (its default threading cut-off). The order <= 2 kernels keep every BLAS call
-# under it, so BLAS never splits a product across threads: results do not
-# depend on the BLAS thread count, and pool workers do not compete with BLAS
-# threads for the same cores.
+# OpenBLAS runs a GEMM of at most 2**18 multiply-adds, and a GEMV on a matrix
+# of fewer than 9216 entries, on the calling thread (its default threading
+# cut-offs, 65536 and 2304 times GEMM_MULTITHREAD_THRESHOLD = 4); numpy sends
+# a product with a one-row or one-column operand to GEMV. The order <= 2
+# kernels keep every BLAS call under these, so BLAS never splits a product
+# across threads: results do not depend on the BLAS thread count, and pool
+# workers do not compete with BLAS threads for the same cores. Their only
+# GEMVs are the evaluation's one-sample tails, on at most 5 x 2N entries, and
+# its one-slot block at N = 1, on at most 2 x 1024, so GEMM's cut-off alone
+# sets the block widths (test_chaos_core.TestBlasSerialBlocks checks both).
 _BLAS_SERIAL_MACS = 1 << 18
+
+# Block size of the order <= 2 products (:func:`_pair_blocks`): rows of F*X
+# per sums product, and output slots per evaluation product. Small blocks
+# skip most of the redundant half of each product. Timed per chunk at
+# N = 20, 50 and 100, 4 was within 10% of the best of 4, 5, 6 and 8 in both
+# kernels, where 8 rows made the sums 30% slower at N = 100.
+_PAIR_BLOCK = 4
 
 # Cap on precomputed inverse weights; degenerate parameter corners can push
 # 1/w past float64 range and the estimate should saturate, not turn inf/nan.
@@ -252,14 +266,15 @@ def _workers(threads: int, M: int) -> int:
 def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
     """Rows of one worker's chunk buffers, by kernel family and name. Every
     p has the prefix family (``conditional_at`` runs it at p <= 2 too); at
-    p = 1, 2 the pair family adds X = [K1; C1], T and an (N, width) scratch.
+    p = 1, 2 the pair family adds X = [K1; C1], its slot-block-major copy
+    XS and T.
     The budget charges both; a call allocates only the family it uses."""
     n_kc = (p + 1) * (p + 2) // 2 * N
     rows = {"prefix": {"K": (p + 1) * N, "C": (p + 1) * N, "KC": n_kc, "W": n_kc,
                        "phi": 1 + _basis_count(N, p - 1) if p >= 1 else 1,
                        "S": 3 * N}}
     if 1 <= p <= 2:
-        rows["pair"] = {"X": 2 * N, "T": 2 * N, "tmp": N}
+        rows["pair"] = {"X": 2 * N, "XS": 2 * N, "T": 2 * N}
     return rows
 
 
@@ -418,9 +433,41 @@ def _check_functional(F, paths: PathBatch) -> np.ndarray:
     return F
 
 
-def _block_width(N: int) -> int:
-    """Sample-axis block width that keeps a 2N x 2N x width GEMM BLAS-serial."""
-    return max(1, _BLAS_SERIAL_MACS // (2 * N) ** 2)
+def _blocks(n: int, size: int) -> list[tuple[int, int]]:
+    """Split range(n) into consecutive blocks of ``size``, the last one
+    shorter, or one longer where a single row would be left: no block has a
+    single row unless n = 1."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
+@dataclass(frozen=True)
+class _PairBlocks:
+    """Block shapes of the order <= 2 products, the same for every chunk.
+
+    ``sums``: (lo, hi, width) per row block of the sums kernel, which takes
+    rows lo:hi of F*X times X[lo:]^T over sample blocks of ``width``; the
+    row blocks tile the upper block triangle of (F*X) X^T.
+    ``evals``: (s0, s1, width) per slot block of the evaluation kernel,
+    whose output rows at slots s0:s1 read the first 2*s1 rows of the
+    slot-block-major factors, over sample blocks of ``width``.
+    Each width is the widest that keeps the block's product within
+    _BLAS_SERIAL_MACS multiply-adds.
+    """
+
+    sums: tuple[tuple[int, int, int], ...]
+    evals: tuple[tuple[int, int, int], ...]
+
+
+@lru_cache(maxsize=16)
+def _pair_blocks(N: int) -> _PairBlocks:
+    sums = tuple((lo, hi, _BLAS_SERIAL_MACS // ((hi - lo) * (2 * N - lo)))
+                 for lo, hi in _blocks(2 * N, _PAIR_BLOCK))
+    evals = tuple((s0, s1, _BLAS_SERIAL_MACS // ((s1 - s0) * 2 * s1))
+                  for s0, s1 in _blocks(N, _PAIR_BLOCK))
+    return _PairBlocks(sums=sums, evals=evals)
 
 
 def _stacked_factors(G, Q, kh: float, sl: slice, buf: _ChunkBuffers) -> np.ndarray:
@@ -435,11 +482,16 @@ def _stacked_factors(G, Q, kh: float, sl: slice, buf: _ChunkBuffers) -> np.ndarr
 
 
 def _pair_sums(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """A @ X.T as partial products over fixed sample blocks, summed in order."""
-    width = _block_width(X.shape[0] // 2)
-    S = A[:, :width] @ X[:, :width].T
-    for a in range(width, X.shape[1], width):
-        S += A[:, a:a + width] @ X[:, a:a + width].T
+    """Upper block triangle of A @ X.T: per row block of :func:`_pair_blocks`,
+    partial products over fixed sample blocks, summed in order. Entries
+    below the diagonal blocks are left unset."""
+    n, Mc = X.shape
+    S = np.empty((n, n))
+    for lo, hi, width in _pair_blocks(n // 2).sums:
+        rows = S[lo:hi, lo:]
+        np.matmul(A[lo:hi, :width], X[lo:, :width].T, out=rows)
+        for a in range(width, Mc, width):
+            rows += np.matmul(A[lo:hi, a:a + width], X[lo:, a:a + width].T)
     return S
 
 
@@ -448,10 +500,10 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     """Raw sums of F*Phi_n (and optionally (F*Phi_n)**2) over one chunk.
 
     Closed-form layout for p <= 2. With X = [K1; C1] the chunk's stacked
-    first-order factors, the unit sums are the row sums of F*X, and one
-    product S = (F*X) X^T holds every order-2 sum: S[a, b] for a < b is the
-    pair (a, b), and the same-slot degree-2 sums follow from the diagonal
-    through K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh.
+    first-order factors, the unit sums are the row sums of F*X, and the
+    upper triangle of S = (F*X) X^T holds every order-2 sum: S[a, b] for
+    a < b is the pair (a, b), and the same-slot degree-2 sums follow from
+    the diagonal through K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh.
     """
     Fc = F[sl]
     X = _stacked_factors(G, Q, kh, sl, buf)
@@ -509,7 +561,8 @@ class _ChunkBuffers:
         """Contiguous view of buffer ``name`` with this shape (the chunk's
         width last). "W" holds the weighted KC copy of the sums kernel and
         V of the evaluation kernel; "T" holds F*X in the pair sums kernel
-        and T in the pair evaluation kernel."""
+        and T in the pair evaluation kernel, and "XS" there the
+        slot-block-major factors, then an (N, width) scratch."""
         if name not in self._flat:
             rows = next(family for family in self._families if name in family)
             block = np.empty(sum(rows.values()) * self._width)

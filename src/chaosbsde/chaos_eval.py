@@ -23,10 +23,14 @@ paths.rows(m, m + 1))``. Per chunk of paths it sums each index into the
 bucket of its support slot and takes a cumulative sum over r, so the full
 r = 0..N sweep is O(#indices) per path. For p <= 2 the chunk is
 time-major: with the stacked first-order factors X = [K1; C1] (2N rows, one
-column per sample), one product W^T X with the 2N x 2N pair-coefficient
+column per sample), the product W^T X with the 2N x 2N pair-coefficient
 matrix W gives both derivative sums at every slot, and the value sum follows
-from them elementwise. The product runs in column blocks small enough for
-BLAS to run single-threaded. For p >= 3 (and p = 0) one sum per (support
+from them elementwise. W is zero wherever the input factor's slot is later
+than the output's, so the product is taken per block of output slots from a
+slot-block-major copy of X: the Z and U rows of slots s0:s1 read only the
+factors of slots before s1. Every block product runs over sample blocks
+small enough for BLAS to run single-threaded (see
+:func:`chaosbsde.chaos_core._pair_blocks`). For p >= 3 (and p = 0) one sum per (support
 slot, Hermite and Charlier degree there) of coefficients times the basis
 products of their prefix-recursion parents gives all three, with no BLAS
 call.
@@ -51,9 +55,9 @@ from typing import Optional
 
 import numpy as np
 
-from .chaos_core import (_CHUNK, ChaosCoefficients, _block_width, _check_bytes,
-                         _chunk_slices, _chunk_tables, _ChunkBuffers, _IndexSet,
-                         _map_chunks, _per_worker, _stacked_factors, _workers)
+from .chaos_core import (_CHUNK, ChaosCoefficients, _check_bytes, _chunk_slices,
+                         _chunk_tables, _ChunkBuffers, _IndexSet, _map_chunks,
+                         _pair_blocks, _per_worker, _stacked_factors, _workers)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -163,7 +167,13 @@ class _PairPlan:
     """
 
     d1: np.ndarray            # (2N, 1) unit coefficients
-    Wt: Optional[np.ndarray]  # (2N, 2N) transposed pair matrix; None when p = 1
+    # Rows of X in slot-block-major order: per slot block s0:s1 of
+    # _pair_blocks, K1 then C1 at those slots. None when p = 1.
+    perm: Optional[np.ndarray]
+    # Per slot block (s0, s1, width, Wb): Wb[0] and Wb[1], (s1 - s0, 2*s1),
+    # give the Z and U rows of slots s0:s1 from the first 2*s1 rows of
+    # X[perm]. Empty when p = 1.
+    blocks: tuple[tuple[int, int, int, np.ndarray], ...]
     # Same-slot terms, all zero when p = 1.
     hBB: np.ndarray           # (N, 1) half the same-slot Hermite degree-2 coefficient
     dPP: np.ndarray           # (N, 1) same-slot Charlier degree 2
@@ -178,7 +188,8 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
     d1 = v[:2 * N, None]
     zero = np.zeros((N, 1))
     if iset.p < 2:
-        return _PairPlan(d1=d1, Wt=None, hBB=zero, dPP=zero, dBP=zero, c0=zero)
+        return _PairPlan(d1=d1, perm=None, blocks=(), hBB=zero, dPP=zero, dBP=zero,
+                         c0=zero)
     # P[a, b] (a <= b) is the coefficient of the factor product X_a * X_b.
     P = np.zeros((2 * N, 2 * N))
     P[iset.pairs] = v[2 * N:]
@@ -187,14 +198,21 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
     dBP = np.diag(P[:N, N:]).copy()
     # W[a, b] multiplies X_a in the derivative along factor b at b's slot:
     # every pair feeds the factor of its later slot, a same-slot mixed pair
-    # feeds both of its factors, and d/dC1 of C2 is 2*C1.
+    # feeds both of its factors, and d/dC1 of C2 is 2*C1. So W[a, b] is zero
+    # when a's slot is after b's.
     W = np.triu(P)
     W[N:, :N] = np.tril(P[:N, N:]).T
     W[:N, N:] = np.triu(P[:N, N:])
     W[N:, N:] += np.diag(dPP)
+    evals = _pair_blocks(N).evals
+    rows = [np.r_[s0:s1, N + s0:N + s1] for s0, s1, _ in evals]
+    perm = np.concatenate(rows)
+    Wt = W.T[:, perm]
+    blocks = tuple((s0, s1, width, Wt[r, :2 * s1].reshape(2, s1 - s0, 2 * s1))
+                   for (s0, s1, width), r in zip(evals, rows))
     hBB = 0.5 * dBB
     kh = coeffs.spec.jump_mean
-    return _PairPlan(d1=d1, Wt=np.ascontiguousarray(W.T), hBB=hBB[:, None],
+    return _PairPlan(d1=d1, perm=perm, blocks=blocks, hBB=hBB[:, None],
                      dPP=dPP[:, None], dBP=dBP[:, None],
                      c0=(hBB + kh * dPP)[:, None])
 
@@ -202,10 +220,11 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
 def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
                       Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float,
                       buf: _ChunkBuffers, sums_h: Optional[float]) -> None:
-    """Fused order <= 2 kernel: one blocked GEMM and a few (N, Mc) passes.
+    """Fused order <= 2 kernel: block-triangular GEMMs and a few (N, Mc) passes.
 
     T = d1 + W^T X stacks the unscaled derivative sums SZ (rows :N) and SU
-    (rows N:) at every slot. K1*SZ + C1*SU holds every term of the value sum
+    (rows N:) at every slot; one stacked product per slot block and sample
+    block writes both halves. K1*SZ + C1*SU holds every term of the value sum
     SY at its support slot, except that the same-slot terms appear as
     dBB*K1**2 in place of dBB*K2, 2*dPP*C1**2 in place of dPP*C2, and the
     mixed one twice. Removing that surplus,
@@ -213,18 +232,20 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     computed as K1*(SZ - hBB*K1 - dBP*C1) + C1*(SU - dPP*(C1 + 1)) - c0.
     """
     X = _stacked_factors(G, Q, kh, sl, buf)
-    N = X.shape[0] // 2
+    N, Mc = X.shape[0] // 2, X.shape[1]
     K1 = X[:N]
     C1 = X[N:]
     T = buf.get("T", X.shape)
-    tmp = buf.get("tmp", K1.shape)
-    if plan.Wt is None:
-        T[:] = plan.d1
-    else:
-        width = _block_width(N)
-        for a in range(0, X.shape[1], width):
-            np.matmul(plan.Wt, X[:, a:a + width], out=T[:, a:a + width])
+    if plan.blocks:
+        XS = np.take(X, plan.perm, axis=0, out=buf.get("XS", X.shape), mode="clip")
+        T2 = T.reshape(2, N, Mc)
+        for s0, s1, width, Wb in plan.blocks:
+            for a in range(0, Mc, width):
+                np.matmul(Wb, XS[:2 * s1, a:a + width], out=T2[:, s0:s1, a:a + width])
         T += plan.d1
+    else:
+        T[:] = plan.d1
+    tmp = buf.get("XS", K1.shape)  # the copy is read no more
     Z[0, sl] = z0
     np.divide(T[:N], sqrt_h, out=Z[1:, sl])
     U[0, sl] = u0
@@ -236,7 +257,7 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     SY = T[:N]
     SY += T[N:]
     SY -= plan.c0
-    _value_rows(Y, sl, SY, d0, tmp[0], sums_h)
+    _value_rows(Y, sl, SY, d0, sums_h)
 
 
 def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
@@ -276,30 +297,29 @@ def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
     np.divide(SZ, sqrt_h, out=Z[1:, sl])
     U[0, sl] = u0
     U[1:, sl] = SU
-    _value_rows(Y, sl, SY, d0, SZ[0], sums_h)
+    _value_rows(Y, sl, SY, d0, sums_h)
 
 
-def _value_rows(Y, sl: slice, SY: np.ndarray, d0: float, acc: np.ndarray,
+def _value_rows(Y, sl: slice, SY: np.ndarray, d0: float,
                 sums_h: Optional[float]) -> None:
     """Write the value rows of one chunk: Y[0] = d0 and, from the support
-    slot sums SY, the conditional values cond_{r+1} = cond_r + SY[r].
+    slot sums SY, the conditional values cond_{r+1} = cond_r + SY[r],
+    accumulated in place in SY row by row (numpy's cumsum along axis 0 is
+    about twice as slow here).
 
     With ``sums_h`` set, rows 1..N of Y arrive holding the running driver
-    sums S and are written as cond - sums_h * S, the cumulative sum kept in
-    ``acc``, a chunk row the kernel no longer reads. Row by row: numpy's
-    cumsum along axis 0 is about twice as slow here.
+    sums S and are written as cond - sums_h * S.
     """
     Y[0, sl] = d0
+    SY[0] += d0
+    for r in range(1, len(SY)):
+        np.add(SY[r - 1], SY[r], out=SY[r])
+    rows = Y[1:, sl]
     if sums_h is None:
-        for r in range(len(SY)):
-            np.add(Y[r, sl], SY[r], out=Y[r + 1, sl])
+        rows[:] = SY
         return
-    acc[:] = d0
-    for r in range(len(SY)):
-        np.add(acc, SY[r], out=acc)
-        row = Y[r + 1, sl]
-        row *= sums_h
-        np.subtract(acc, row, out=row)
+    rows *= sums_h
+    np.subtract(SY, rows, out=rows)
 
 
 def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,

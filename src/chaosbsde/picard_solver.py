@@ -212,10 +212,11 @@ def draw_paths(config: SolverConfig) -> PathBatch:
 def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> None:
     """Overwrite rows 1..N of Y with the running driver sums
     f_1 + ... + f_i, added in row order, of the current iterate, checking
-    each row f_i (the driver at grid row i) as it is produced. Row i of Y is
-    read only by the driver call at row i, so it is free once that call
-    returns. The driver is never evaluated at time 0: the quadrature uses
-    right endpoints only.
+    each summed row as it is produced: a non-finite entry is reported as a
+    non-finite driver value where f_i has one, else as an overflowing sum.
+    Row i of Y is read only by the driver call at row i, so it is free once
+    that call returns. The driver is never evaluated at time 0: the
+    quadrature uses right endpoints only.
     """
     M = Y.shape[1]
     for i in range(1, Y.shape[0]):
@@ -225,15 +226,19 @@ def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> 
             raise ValueError(
                 f"driver returned shape {vals.shape} at iteration {iteration + 1}, "
                 f"grid index {i}, expected a scalar or ({M},)")
-        row = Y[i]
-        row[:] = vals
-        finite = np.isfinite(row)
+        if i == 1:
+            Y[1] = vals
+        else:
+            if np.may_share_memory(vals, Y[i]):
+                vals = vals.copy()  # the sum overwrites it; keep f_i for the check
+            np.add(vals, Y[i - 1], out=Y[i])
+        finite = np.isfinite(Y[i])
         if not finite.all():
-            raise ValueError(
-                f"driver returned non-finite value at iteration {iteration + 1}, "
-                f"grid index {i}, sample {int(np.argmin(finite))}")
-        if i > 1:
-            row += Y[i - 1]
+            m = int(np.argmin(finite))
+            where = f"at iteration {iteration + 1}, grid index {i}, sample {m}"
+            if np.isfinite(np.broadcast_to(vals, (M,))[m]):
+                raise ValueError(f"running driver sum overflowed {where}")
+            raise ValueError(f"driver returned non-finite value {where}")
 
 
 def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,

@@ -60,10 +60,12 @@ def naive_estimate(F, paths, p):
 class TestPairKernel:
     """The closed-form order <= 2 estimator against naive per-sample sums.
 
-    M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452), and at
-    N = 50 the sample-axis GEMM blocks (width 26) do not divide a chunk.
-    The functional loads every family: units, same-slot degree 2, same-slot
-    mixed pairs and distinct-slot pairs in both slot orders.
+    M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452). At odd N
+    the 4-row blocks of the upper block triangle leave a 2-row block, and
+    at N = 50 the sample blocks (655 samples in the first row block) do not
+    divide a chunk. The functional loads every family: units, same-slot
+    degree 2, same-slot mixed pairs and distinct-slot pairs in both slot
+    orders.
     """
 
     @staticmethod
@@ -75,7 +77,7 @@ class TestPairKernel:
              + paths.G[:, 0] * paths.Q[:, -1] + paths.G[:, -1] ** 2)
         return paths, F
 
-    @pytest.mark.parametrize("N", [1, 2, 50])
+    @pytest.mark.parametrize("N", [1, 2, 7, 23, 50])
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_naive_sums(self, N, p):
         paths, F = self.case(N)
@@ -99,6 +101,95 @@ class TestPairKernel:
         assert np.array_equal(a.values, b.values)
         assert (variance_diagnostic(F, paths, p, threads=1)
                 == variance_diagnostic(F, paths, p, threads=3))
+
+
+class TestBlasSerialBlocks:
+    """Every BLAS product of the p <= 2 kernels stays under OpenBLAS's
+    threading cut-offs, for every N a p = 2 basis can have and every chunk
+    width, so BLAS never splits a product across threads. The products are
+    (m, k) @ (k, n) matrices; numpy sends one with m = 1 or n = 1 to GEMV
+    (or a dot product), and one with k = 1 to no BLAS routine at all."""
+
+    GEMM_MACS = 1 << 18      # OpenBLAS: 65536 * GEMM_MULTITHREAD_THRESHOLD (4)
+    GEMV_ENTRIES = 2304 * 4  # OpenBLAS: GEMV is threaded from m * n = 9216 up
+    WIDTHS = (1, 2, 3, 5, 452, 1023, 1024)
+
+    @staticmethod
+    def lengths(Mc, width):
+        """Lengths of the sample blocks of a chunk of Mc samples."""
+        return [min(width, Mc - a) for a in range(0, Mc, width)]
+
+    @classmethod
+    def products(cls, N, Mc):
+        """(m, k, n) of every product one chunk of Mc samples makes: the
+        sums kernel's, then the evaluation kernel's (two per stacked call)."""
+        from chaosbsde.chaos_core import _pair_blocks
+
+        blocks = _pair_blocks(N)
+        sums = [(hi - lo, k, 2 * N - lo) for lo, hi, width in blocks.sums
+                for k in cls.lengths(Mc, width)]
+        evals = [(s1 - s0, 2 * s1, n) for s0, s1, width in blocks.evals
+                 for n in cls.lengths(Mc, width) for _ in range(2)]
+        return sums, evals
+
+    def serial(self, m, k, n):
+        if m == 1 or n == 1:
+            return (k * n if m == 1 else m * k) < self.GEMV_ENTRIES
+        return m * n * k <= self.GEMM_MACS
+
+    def test_every_product_is_blas_serial_at_every_admitted_n(self):
+        from chaosbsde.chaos_core import _check_bytes, _pair_blocks
+
+        N = 1
+        while True:
+            try:
+                _check_bytes(N, 2, 1)
+            except SizingError:
+                break
+            blocks = _pair_blocks(N)
+            # The row blocks tile the rows of the upper block triangle, and
+            # the slot blocks the slots.
+            for tiles, n in ((blocks.sums, 2 * N), (blocks.evals, N)):
+                edges = [lo for lo, _, _ in tiles] + [n]
+                assert [hi for _, hi, _ in tiles] == edges[1:] and edges[0] == 0
+            for Mc in self.WIDTHS:
+                sums, evals = self.products(N, Mc)
+                shapes = set(sums) | set(evals)
+                bad = [s for s in shapes if not self.serial(*s)]
+                assert not bad, (N, Mc, bad)
+            N += 1
+        assert N > 300
+
+    @pytest.mark.parametrize("N", [1, 7, 9, 50])
+    def test_kernels_make_exactly_these_products(self, monkeypatch, N):
+        # 2049 samples: the last chunk has one sample, so each kernel's last
+        # sample block is a one-sample tail.
+        spec = GridSpec(T=2.0, N=N, kappa=3.0)
+        paths = sample_paths(spec, 2049, seed=80 + N)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        coeffs = estimate(F, paths, 2)
+        matmul = np.matmul
+        made = []
+
+        def spy(a, b, **kwargs):
+            made.extend([(a.shape[-2], a.shape[-1], b.shape[-1])]
+                        * (a.shape[0] if a.ndim == 3 else 1))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        sums, evals = zip(*(self.products(N, Mc) for Mc in (1024, 1024, 1)))
+        sums, evals = sum(sums, []), sum(evals, [])
+        estimate(F, paths, 2)
+        assert sorted(made) == sorted(sums)
+        made.clear()
+        variance_diagnostic(F, paths, 2)
+        assert sorted(made) == sorted(2 * sums)
+        made.clear()
+        Y, Z, U = evaluate_grid(coeffs, paths)
+        assert sorted(made) == sorted(evals)
+        for r in range(N + 1):
+            assert_rows_match((Y[r, -1], Z[r, -1], U[r, -1]),
+                              naive_grid(coeffs, paths.G[-1], paths.Q[-1], r))
 
 
 class TestPrefixKernel:

@@ -29,7 +29,7 @@ from chaosbsde import (
     hermite_batch,
     sample_paths,
 )
-from chaosbsde.chaos_core import ChaosCoefficients, _index_set
+from chaosbsde.chaos_core import ChaosCoefficients, _index_set, _pair_blocks
 
 
 def naive_in_interval(coeffs, G, Q, r, theta, g, n, mean):
@@ -460,8 +460,10 @@ class TestEvaluateGrid:
 class TestPairKernel:
     """The fused order <= 2 evaluator with every coefficient family nonzero.
 
-    M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452), and at
-    N = 50 the GEMM column blocks (width 26) do not divide a chunk. Random
+    M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452). At N = 7
+    and 23 the 4-slot blocks of the product leave a 3-slot block, at N = 9
+    the last block has 5 slots, and at N = 50 the sample blocks (682
+    samples in the narrowest) do not divide a chunk. Random
     coefficients load units, same-slot degree 2, same-slot mixed pairs and
     distinct-slot pairs in both slot orders.
     """
@@ -471,14 +473,15 @@ class TestPairKernel:
         coeffs = random_coefficients(N, p, seed=100 + N)
         return sample_paths(coeffs.spec, 2500, seed=40 + N), coeffs
 
-    @pytest.mark.parametrize("N", [1, 2, 50])
+    @pytest.mark.parametrize("N", [1, 2, 7, 9, 23, 50])
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_single_path_evaluators(self, N, p):
         paths, coeffs = self.case(N, p)
         Y, Z, U = evaluate_grid(coeffs, paths)
-        # both sides of the first GEMM block boundary at N = 50, the start of
+        # both sides of the narrowest sample block boundary, the start of
         # the second chunk, the last sample of the ragged chunk
-        for m in (25, 26, 1024, 2499):
+        width = min(w for _, _, w in _pair_blocks(N).evals)
+        for m in sorted({width - 1, width, 1024, 2499} & set(range(paths.M))):
             for r in range(N + 1):
                 assert_rows_match((Y[r, m], Z[r, m], U[r, m]),
                                   naive_grid(coeffs, paths.G[m], paths.Q[m], r))

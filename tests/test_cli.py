@@ -252,10 +252,11 @@ class TestRun:
 
 
 class TestGoldenResults:
-    """Result columns (all but wall_ms) pinned to strings recorded with the
-    materializing error report that the streamed one replaced, so a change
-    to the solver or the report that moves any digit of the CSV shows up
-    here."""
+    """Result columns (all but wall_ms) pinned to recorded strings, so a
+    change to the solver or the report that moves any digit of the CSV
+    shows up here. ``example1_p3`` was recorded with the materializing error
+    report that the streamed one replaced, the p = 2 sweep with the
+    block-triangular p <= 2 kernels."""
 
     HEADER = CSV_HEADER.rsplit(",", 1)[0]
     CASES = {
@@ -267,18 +268,18 @@ class TestGoldenResults:
         "example2_independent_seed_sweep": (
             "example = example2\nN = 6\np = 2\nq = 3\nM = 300\n"
             "sample_mode = independent\nsweep_axis = seed\nsweep_values = 1, 2, 5\n",
-            ["example2,2,6,300,3,1,independent,7.8447917185652827,4.6141447136224691,"
-             "-0.27147363166251132,6.5993928490002745,0.65993928490002751,"
+            ["example2,2,6,300,3,1,independent,7.8447917185652827,4.61414471362247,"
+             "-0.27147363166251126,6.5993928490002745,0.65993928490002751,"
              "1.4611237789511622,72.741468390035109,48.643649226004598,"
-             "31.34379981679534",
+             "31.34379981679535",
              "example2,2,6,300,3,2,independent,7.2518327287007196,-1.0227897301416824,"
-             "1.2436341723366504,6.5993928490002745,0.65993928490002751,"
+             "1.2436341723366506,6.5993928490002745,0.65993928490002751,"
              "1.4611237789511622,121.56023819315058,65.705880458464478,"
-             "93.810028228355051",
-             "example2,2,6,300,3,5,independent,8.4658654267766185,1.9492315212116449,"
+             "93.810028228355065",
+             "example2,2,6,300,3,5,independent,8.4658654267766185,1.9492315212116444,"
              "2.8144866037017722,6.5993928490002745,0.65993928490002751,"
-             "1.4611237789511622,169.58024380740437,57.960309810190871,"
-             "156.18773875481932"]),
+             "1.4611237789511622,169.58024380740437,57.960309810190878,"
+             "156.18773875481929"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -378,6 +379,13 @@ class TestBlasThreads:
         # threads would change the result bytes.
         self.check_columns(tmp_path, "example = example2\nN = 50\np = 2\nM = 2e4\n"
                                      "q = 3\nseed = 3\n")
+
+    def test_result_columns_identical_at_n20_independent(self, tmp_path):
+        # At N = 20 every block product spans a whole chunk, where at N = 50
+        # the later blocks split it, and independent mode evaluates on a
+        # batch the coefficients were not estimated on.
+        self.check_columns(tmp_path, "example = example1\nN = 20\np = 2\nM = 3000\n"
+                                     "q = 2\nsample_mode = independent\nseed = 3\n")
 
     def test_result_columns_identical_at_order_three(self, tmp_path):
         self.check_columns(tmp_path, "example = example1\nN = 10\np = 3\nM = 3000\n"

@@ -20,6 +20,7 @@ from chaosbsde import (
     solve,
     terminal_samples,
 )
+from chaosbsde.picard_solver import _driver_sums
 
 
 @pytest.fixture(scope="module")
@@ -262,10 +263,10 @@ class TestSolve:
                            match="iteration 1, grid index 3, sample 7"):
             solve(cfg, Driver.custom(bad), TerminalFunctional.poisson_count())
 
-    def test_non_finite_final_grid_reports_grid_index_and_sample(self, spec5):
+    def test_overflowing_driver_sum_reports_grid_index_and_sample(self, spec5):
         # Finite driver values whose running sum overflows on the evaluation
-        # batch only: F stays finite, and the final scan names the first
-        # non-finite Y entry, row by row.
+        # batch only: F stays finite, and the summed row is checked as it is
+        # produced.
         cfg = SolverConfig(spec=spec5, p=1, K_it=1, M=50, seed=13,
                            sample_mode="independent")
         calls = []
@@ -279,9 +280,45 @@ class TestSolve:
 
         with np.errstate(over="ignore"):
             with pytest.raises(ValueError,
+                               match="running driver sum overflowed at iteration 1, "
+                                     "grid index 2, sample 7$"):
+                solve(cfg, Driver.custom(huge_on_second_batch),
+                      TerminalFunctional.poisson_count())
+
+    def test_overflowing_sum_of_the_drivers_own_rows(self):
+        # A driver returning its y argument returns the row the sum is
+        # written to; the check must still see the finite f_i.
+        Y = np.zeros((4, 10))
+        Y[1:3, 7] = 1e308
+        times = np.linspace(0.0, 1.0, 4)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError,
+                               match="running driver sum overflowed at iteration 2, "
+                                     "grid index 2, sample 7$"):
+                _driver_sums(Driver.custom(lambda t, y, z, u: y), times, Y,
+                             np.zeros_like(Y), np.zeros_like(Y), 1)
+
+    def test_non_finite_final_grid_reports_grid_index_and_sample(self):
+        # h = 2: a finite driver sum S on the evaluation batch passes the
+        # driver check, but the offset h * S overflows in the evaluation, and
+        # the final scan names the first non-finite Y entry, row by row.
+        spec = GridSpec(T=10.0, N=5, kappa=1.0)
+        cfg = SolverConfig(spec=spec, p=1, K_it=1, M=50, seed=13,
+                           sample_mode="independent")
+        calls = []
+
+        def huge_once_on_second_batch(t, y, z, u):
+            calls.append(t)
+            out = np.zeros_like(y)
+            if len(calls) == spec.N + 2:
+                out[7] = 1e308
+            return out
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError,
                                match="non-finite Y value in final grid at grid index 2, "
                                      "sample 7$"):
-                solve(cfg, Driver.custom(huge_on_second_batch),
+                solve(cfg, Driver.custom(huge_once_on_second_batch),
                       TerminalFunctional.poisson_count())
 
     def test_iterations_reuse_the_driver_row_buffer(self):
