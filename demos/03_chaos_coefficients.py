@@ -10,13 +10,7 @@ This script estimates the expansion of F = N_T, the total jump count.
 
 import numpy as np
 
-from chaosbsde import (
-    GridSpec,
-    enumerate_indices,
-    estimate,
-    sample_paths,
-    variance_diagnostic,
-)
+from chaosbsde import GridSpec, estimate, sample_paths, variance_diagnostic
 
 spec = GridSpec(T=1.0, N=10, kappa=1.0)
 M = 200_000
@@ -24,10 +18,10 @@ paths = sample_paths(spec, M, seed=11)
 F = paths.Q.sum(axis=1).astype(float)
 
 # Truncation order p = 2 keeps all multi-indices of total degree <= 2.
-indices = enumerate_indices(spec.N, 2)
-print("basis size at N=10, p=2:", len(indices))
-
+# values[j] is the coefficient of the index of rank j, whose degree vectors
+# are coeffs.degB[j] and coeffs.degP[j].
 coeffs = estimate(F, paths, p=2)
+print("basis size at N=10, p=2:", coeffs.values.size)
 
 # N_T has an exact one-term-per-interval expansion: d0 = kappa T and a
 # unit coefficient on each first-order Charlier index. Everything else

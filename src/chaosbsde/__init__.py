@@ -7,7 +7,7 @@ The pipeline, bottom to top:
   standardized Brownian and Poisson increments on a regular grid.
 * :mod:`~chaosbsde.orthopoly` tabulates the Hermite and Charlier families,
   in the normalization the basis uses, at every entry of an array.
-* :mod:`~chaosbsde.chaos_core` enumerates the truncated multi-index basis
+* :mod:`~chaosbsde.chaos_core` ranks the truncated multi-index basis
   and estimates chaos coefficients of a functional by Monte Carlo.
 * :mod:`~chaosbsde.chaos_eval` turns coefficients into conditional
   expectations and the two derivative evaluators on every path of a
@@ -35,13 +35,10 @@ from .stochastic_grid import GridSpec, PathBatch, sample_paths
 from .orthopoly import MAX_DEGREE, charlier_batch, hermite_batch
 from .chaos_core import (
     ChaosCoefficients,
-    MultiIndex,
     SizingError,
     coefficients_from_entries,
-    enumerate_indices,
     estimate,
     variance_diagnostic,
-    weight,
 )
 from .chaos_eval import conditional_at, evaluate_grid
 from .picard_solver import (
@@ -69,8 +66,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GridSpec", "PathBatch", "sample_paths",
     "hermite_batch", "charlier_batch", "MAX_DEGREE",
-    "MultiIndex", "ChaosCoefficients", "SizingError", "enumerate_indices",
-    "weight", "estimate", "variance_diagnostic", "coefficients_from_entries",
+    "ChaosCoefficients", "SizingError", "estimate", "variance_diagnostic",
+    "coefficients_from_entries",
     "evaluate_grid", "conditional_at",
     "Driver", "TerminalFunctional", "SolverConfig", "SolutionGrid",
     "terminal_samples", "draw_paths", "solve",

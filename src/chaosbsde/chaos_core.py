@@ -16,9 +16,11 @@ Monte Carlo samples by the empirical mean
     d0_hat = mean(F),        d_n_hat = mean(F * Phi_n) / w(n).
 
 The truncation keeps every multi-index with total degree |nB| + |nP| <= p.
-Indices are enumerated graded by total degree, and within a grade by
+Indices are ranked graded by total degree, and within a grade by
 descending lexicographic order of the concatenated vector (nB, nP), which
-puts the two order-1 blocks (Brownian units, then jump units) first.
+puts the two order-1 blocks (Brownian units, then jump units) first. A
+:class:`ChaosCoefficients` holds one coefficient per rank in ``values``,
+and its (J, N) arrays ``degB`` and ``degP`` give each rank's degrees.
 
 Sums over samples are accumulated in fixed chunks of 1024 and combined in
 chunk order, so results are bit-identical across runs and across worker
@@ -40,7 +42,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -48,11 +49,8 @@ from .orthopoly import MAX_DEGREE, charlier_batch, hermite_batch
 from .stochastic_grid import GridSpec, PathBatch
 
 __all__ = [
-    "MultiIndex",
     "ChaosCoefficients",
     "SizingError",
-    "enumerate_indices",
-    "weight",
     "estimate",
     "variance_diagnostic",
     "coefficients_from_entries",
@@ -82,7 +80,8 @@ _BLAS_SERIAL_MACS = 1 << 18
 _PAIR_BLOCK = 4
 
 # Cap on precomputed inverse weights; degenerate parameter corners can push
-# 1/w past float64 range and the estimate should saturate, not turn inf/nan.
+# 1/w past float64 range and the estimate should saturate, not turn inf/nan
+# (a coefficient that still overflows is refused by ChaosCoefficients).
 _INV_WEIGHT_GUARD = 1e300
 
 # Refuse a problem whose index set plus per-worker kernel buffers would need
@@ -96,46 +95,16 @@ class SizingError(ValueError):
     byte budget."""
 
 
-@dataclass(frozen=True)
-class MultiIndex:
-    """Degree vectors (nB, nP) of one chaos basis element, dense per slot."""
-
-    nB: tuple[int, ...]
-    nP: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.nB) != len(self.nP):
-            raise ValueError(
-                f"nB and nP must have equal length, got {len(self.nB)} and {len(self.nP)}")
-        for vec in (self.nB, self.nP):
-            for d in vec:
-                if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-                    raise ValueError(f"degrees must be nonnegative ints, got {d!r}")
-
-    @property
-    def order(self) -> int:
-        """Total degree |nB| + |nP|."""
-        return sum(self.nB) + sum(self.nP)
-
-    @property
-    def support(self) -> int:
-        """Largest slot (1-based) carrying a nonzero degree; 0 if none."""
-        for i in range(len(self.nB) - 1, -1, -1):
-            if self.nB[i] or self.nP[i]:
-                return i + 1
-        return 0
-
-
 @dataclass(frozen=True, eq=False)
 class _IndexSet:
-    """Dense enumeration of the truncated basis for (N, p), rank-ordered."""
+    """Dense enumeration of the truncated basis for (N, p), rank-ordered.
+    Its arrays are shared by every solve at (N, p), so they are read-only."""
 
     N: int
     p: int
     J: int
     degB: np.ndarray     # (J, N) int8
     degP: np.ndarray     # (J, N) int8
-    support: np.ndarray  # (J,) int16, 1-based
     bfact: np.ndarray    # (J,) float64, prod of nB[i]!
     pfact: np.ndarray    # (J,) float64, prod of nP[i]!
     sumP: np.ndarray     # (J,) int16
@@ -149,6 +118,31 @@ class _IndexSet:
         with np.errstate(divide="ignore", over="ignore"):
             inv = 1.0 / w
         return np.minimum(inv, _INV_WEIGHT_GUARD)
+
+    @cached_property
+    def _ranks(self) -> dict[bytes, int]:
+        """Rank of each index, keyed by its packed degree row (nB, nP)."""
+        rows = np.concatenate([self.degB, self.degP], axis=1)
+        return dict(zip(rows.view((np.void, 2 * self.N)).ravel().tolist(),
+                        range(self.J)))
+
+    def rank(self, key) -> int:
+        """Rank of the index ``key = (nB, nP)``: ValueError for a malformed
+        key, KeyError for one outside the truncation."""
+        nB, nP = key
+        if len(nB) != self.N or len(nP) != self.N:
+            raise ValueError(f"index {key!r} needs two degree vectors of length {self.N}")
+        degs = []
+        for d in (*nB, *nP):
+            if (isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer))
+                    or d < 0):
+                raise ValueError(f"degrees must be nonnegative ints, got {d!r}")
+            degs.append(int(d))
+        # Checked before packing: each degree is then at most p, so its byte
+        # cannot wrap around onto another index's.
+        if sum(degs) > self.p:
+            raise KeyError(f"index {key!r} is not in the order-{self.p} truncation")
+        return self._ranks[bytes(degs)]
 
     # Rank layout used by the closed-form order <= 2 kernels. Stack the 2N
     # first-order factors of a path as X = [K1; C1] (Brownian slots, then
@@ -243,9 +237,12 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
     # With p = 0, Phi_pre is the constant alone.
     plan = _PrefixPlan(pairs=pairs, n_pre=starts[max(p, 1)], pos=pos,
                        groups=tuple(groups))
-    return _IndexSet(N=N, p=p, J=J, degB=deg[pos, :N], degP=deg[pos, N:],
-                     support=supp[pos], bfact=bfact[pos],
-                     pfact=pfact[pos], sumP=sumP[pos], prefix=plan)
+    iset = _IndexSet(N=N, p=p, J=J, degB=deg[pos, :N], degP=deg[pos, N:],
+                     bfact=bfact[pos], pfact=pfact[pos], sumP=sumP[pos],
+                     prefix=plan)
+    for a in (pos, iset.degB, iset.degP, iset.bfact, iset.pfact, iset.sumP):
+        a.flags.writeable = False
+    return iset
 
 
 def _index_set(N: int, p: int, workers: int = 1) -> _IndexSet:
@@ -299,77 +296,63 @@ def _check_bytes(N: int, p: int, workers: int) -> None:
             f"{_BYTE_BUDGET >> 20} MiB; lower p, N or threads")
 
 
-def enumerate_indices(N: int, p: int) -> list[MultiIndex]:
-    """All multi-indices with 1 <= total degree <= p over N slots, ranked.
+@dataclass(frozen=True, eq=False)
+class ChaosCoefficients:
+    """Chaos coefficients of one functional, truncated at order p.
 
-    Ordering is graded by total degree, then descending lexicographic on the
-    concatenated degree vector (nB, nP). The first 2N entries are therefore
-    the N Brownian unit indices followed by the N jump unit indices.
+    ``d0`` is the coefficient of the constant and ``values[j]`` the one of
+    the index of rank j, whose degrees are ``degB[j]`` and ``degP[j]``.
+    Built from a values array of shape (J,): the constructor checks the
+    shape and that every coefficient is finite.
 
     Raises
     ------
     SizingError
-        If the C(2N+p, p) - 1 indices would exceed the byte budget. This is
-        checked before anything is allocated.
-    """
-    if not isinstance(N, int) or isinstance(N, bool) or N < 1:
-        raise ValueError(f"N must be a positive int, got {N!r}")
-    iset = _index_set(N, p)
-    return [MultiIndex(tuple(int(v) for v in iset.degB[j]),
-                       tuple(int(v) for v in iset.degP[j]))
-            for j in range(iset.J)]
-
-
-def weight(n: MultiIndex, spec: GridSpec) -> float:
-    """Second moment w(n) = E[Phi_n**2] of the basis element n on this grid."""
-    if len(n.nB) != spec.N:
-        raise ValueError(f"index has {len(n.nB)} slots, grid has {spec.N}")
-    num = 1.0
-    for d in n.nP:
-        num *= math.factorial(d)
-    den = 1.0
-    for d in n.nB:
-        den *= math.factorial(d)
-    return num * spec.jump_mean ** sum(n.nP) / den
-
-
-@dataclass(frozen=True, eq=False)
-class ChaosCoefficients:
-    """Estimated chaos coefficients of one functional, truncated at order p.
-
-    ``values[j]`` is the coefficient of the j-th index in enumeration order
-    (see :func:`enumerate_indices`); ``entries`` exposes the same data as a
-    MultiIndex-keyed mapping. ``d0`` is the coefficient of the constant.
+        If the truncated basis would exceed the byte budget.
     """
 
     d0: float
     values: np.ndarray
     p: int
     spec: GridSpec
-    iset: _IndexSet = field(repr=False)
+    iset: _IndexSet = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.values.shape != (self.iset.J,):
-            raise ValueError(
-                f"values has shape {self.values.shape}, expected ({self.iset.J},)")
+        iset = _index_set(self.spec.N, self.p)
+        values = np.asarray(self.values, dtype=np.float64)
+        if values.shape != (iset.J,):
+            raise ValueError(f"values has shape {values.shape}, expected ({iset.J},)")
+        d0 = float(self.d0)
+        if not math.isfinite(d0):
+            raise ValueError(f"d0 is not finite: {d0!r}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise ValueError(f"values contains a non-finite coefficient at rank {j}: "
+                             f"{values[j]!r}")
+        object.__setattr__(self, "d0", d0)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "iset", iset)
 
-    @cached_property
-    def entries(self) -> dict[MultiIndex, float]:
-        keys = enumerate_indices(self.spec.N, self.p)
-        return dict(zip(keys, (float(v) for v in self.values)))
+    @property
+    def degB(self) -> np.ndarray:
+        """(J, N) Brownian degrees of every index, rank-aligned with
+        ``values``; read-only."""
+        return self.iset.degB
+
+    @property
+    def degP(self) -> np.ndarray:
+        """(J, N) jump degrees of every index, rank-aligned with ``values``;
+        read-only."""
+        return self.iset.degP
 
     def entry(self, n) -> float:
-        """Coefficient of one index (KeyError if outside the truncation).
-
-        Accepts a MultiIndex or a plain (nB, nP) tuple pair.
-        """
-        if not isinstance(n, MultiIndex):
-            nB, nP = n
-            n = MultiIndex(tuple(int(v) for v in nB), tuple(int(v) for v in nP))
-        return self.entries[n]
+        """Coefficient of the index ``n = (nB, nP)``, two degree vectors of
+        length N (KeyError if outside the truncation)."""
+        return float(self.values[self.iset.rank(n)])
 
     def weights(self) -> np.ndarray:
-        """w(n) for every enumerated index, rank-aligned with ``values``."""
+        """w(n) for every index, rank-aligned with ``values``."""
         return self.iset.weights(self.spec.jump_mean)
 
 
@@ -377,25 +360,15 @@ def coefficients_from_entries(spec: GridSpec, p: int, d0: float = 0.0,
                               entries: dict | None = None) -> ChaosCoefficients:
     """Build a ChaosCoefficients object from explicit (index, value) pairs.
 
-    ``entries`` maps MultiIndex (or (nB, nP) tuple pairs) to coefficient
-    values; every enumerated index absent from the map gets 0. Useful for
-    constructing synthetic expansions in tests and experiments.
+    ``entries`` maps (nB, nP) pairs of degree vectors to coefficient values;
+    every index absent from the map gets 0. Useful for constructing
+    synthetic expansions in tests and experiments.
     """
     iset = _index_set(spec.N, p)
     values = np.zeros(iset.J)
-    if entries:
-        rank = {(tuple(int(v) for v in iset.degB[j]),
-                 tuple(int(v) for v in iset.degP[j])): j for j in range(iset.J)}
-        for key, val in entries.items():
-            if isinstance(key, MultiIndex):
-                pair = (key.nB, key.nP)
-            else:
-                nB, nP = key
-                pair = (tuple(nB), tuple(nP))
-            if pair not in rank:
-                raise KeyError(f"index {pair} is not in the order-{p} truncation")
-            values[rank[pair]] = float(val)
-    return ChaosCoefficients(d0=float(d0), values=values, p=p, spec=spec, iset=iset)
+    for key, val in (entries or {}).items():
+        values[iset.rank(key)] = float(val)
+    return ChaosCoefficients(d0=d0, values=values, p=p, spec=spec)
 
 
 def _chunk_slices(M: int) -> list[slice]:
@@ -674,21 +647,22 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
     Returns
     -------
     ChaosCoefficients
-        d0 plus one coefficient per enumerated index.
+        d0 plus one coefficient per index.
 
     Raises
     ------
     SizingError
         If the basis plus the working sets of the workers that can run
         would exceed the byte budget, checked before allocating.
+    ValueError
+        If F is not finite, or a coefficient overflows float64.
     """
     F = _check_functional(F, paths)
     iset = _index_set(paths.spec.N, p, _workers(threads, paths.M))
     raw = _raw_sums(F, paths, iset, threads, squares=False)
     d0 = raw[0] / paths.M
     values = raw[1:1 + iset.J] * iset.inv_weights(paths.spec.jump_mean) / paths.M
-    return ChaosCoefficients(d0=float(d0), values=values, p=p,
-                             spec=paths.spec, iset=iset)
+    return ChaosCoefficients(d0=d0, values=values, p=p, spec=paths.spec)
 
 
 def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> float:

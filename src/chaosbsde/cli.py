@@ -327,18 +327,15 @@ def _fmt(x: float) -> str:
 
 def write_coefficients(coeffs: ChaosCoefficients, path: str) -> None:
     """Serialize a coefficient vector as CSV (rank, nB, nP, d_value, weight)."""
-    iset = coeffs.iset
-    N = iset.N
-    zeros = " ".join(["0"] * N)
-    weights = coeffs.weights()
+    zeros = " ".join(["0"] * coeffs.spec.N)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("rank,nB,nP,d_value,weight\n")
         fh.write(f"0,{zeros},{zeros},{_fmt(coeffs.d0)},{_fmt(1.0)}\n")
-        for j in range(iset.J):
-            nb = " ".join(str(int(v)) for v in iset.degB[j])
-            np_ = " ".join(str(int(v)) for v in iset.degP[j])
-            fh.write(f"{j + 1},{nb},{np_},{_fmt(float(coeffs.values[j]))},"
-                     f"{_fmt(float(weights[j]))}\n")
+        rows = zip(coeffs.degB.tolist(), coeffs.degP.tolist(),
+                   coeffs.values.tolist(), coeffs.weights().tolist())
+        for j, (nB, nP, d, w) in enumerate(rows, start=1):
+            fh.write(f"{j},{' '.join(map(str, nB))},{' '.join(map(str, nP))},"
+                     f"{_fmt(d)},{_fmt(w)}\n")
 
 
 def _dump_path(out: str, axis: Optional[str], value: Optional[int]) -> str:

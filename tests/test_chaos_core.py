@@ -1,10 +1,14 @@
-"""Basis enumeration, coefficient estimation, and the variance diagnostic.
+"""Basis ranking, coefficient estimation, and the variance diagnostic.
 
-The estimator oracle here is deliberately naive: per index, build the basis
-product from polynomial tables and average. The production code must agree
-with it to near machine precision on every code path (order 1, 2, and >= 3).
+The oracles here are deliberately naive: the basis is enumerated index by
+index with itertools and weighted by the factorial formula, and the
+estimator builds each basis product from polynomial tables and averages.
+The rank-aligned arrays must match the enumeration exactly, and the
+estimator must agree with the naive one to near machine precision on every
+code path (order 1, 2, and >= 3).
 """
 
+import itertools
 import math
 import sys
 import tracemalloc
@@ -13,48 +17,71 @@ import numpy as np
 import pytest
 
 from chaosbsde import (
+    ChaosCoefficients,
     GridSpec,
-    MultiIndex,
     SizingError,
     charlier_batch,
     coefficients_from_entries,
     conditional_at,
-    enumerate_indices,
     estimate,
     evaluate_grid,
     hermite_batch,
     sample_paths,
     variance_diagnostic,
-    weight,
 )
 from test_chaos_eval import assert_rows_match, naive_grid
 
 
+def oracle_indices(N, p):
+    """Every index (nB, nP) with 1 <= |nB| + |nP| <= p over N slots, graded
+    by total degree, then in descending lexicographic order of the
+    concatenated degree vector (nB, nP)."""
+    ranked = []
+    for g in range(1, p + 1):
+        grade = []
+        for slots in itertools.combinations_with_replacement(range(2 * N), g):
+            deg = [0] * (2 * N)
+            for i in slots:
+                deg[i] += 1
+            grade.append(tuple(deg))
+        ranked += sorted(grade, reverse=True)
+    return [(d[:N], d[N:]) for d in ranked]
+
+
+def oracle_weight(n, spec):
+    """w(n) = E[Phi_n**2] = prod nP[i]! * (kappa h)**|nP| / prod nB[i]!."""
+    nB, nP = n
+    return (math.prod(map(math.factorial, nP)) * spec.jump_mean ** sum(nP)
+            / math.prod(map(math.factorial, nB)))
+
+
+def oracle_weights(spec, p):
+    return np.array([oracle_weight(n, spec) for n in oracle_indices(spec.N, p)])
+
+
 def basis_products(indices, paths):
-    """Phi_n(path m) for every enumerated index: (J, M) matrix, naive impl."""
+    """Phi_n(path m) for every index (nB, nP): (J, M) matrix, naive impl."""
     spec = paths.spec
     kh = spec.jump_mean
     M, N = paths.G.shape
-    p = max(idx.order for idx in indices)
+    p = max(sum(nB) + sum(nP) for nB, nP in indices)
     K = np.moveaxis(hermite_batch(p, paths.G), 0, -1)  # (M, N, p+1)
     C = np.moveaxis(charlier_batch(p, paths.Q, kh), 0, -1)
     out = np.empty((len(indices), M))
-    for j, idx in enumerate(indices):
+    for j, (nB, nP) in enumerate(indices):
         prod = np.ones(M)
         for i in range(N):
-            if idx.nB[i]:
-                prod = prod * K[:, i, idx.nB[i]]
-            if idx.nP[i]:
-                prod = prod * C[:, i, idx.nP[i]]
+            if nB[i]:
+                prod = prod * K[:, i, nB[i]]
+            if nP[i]:
+                prod = prod * C[:, i, nP[i]]
         out[j] = prod
     return out
 
 
 def naive_estimate(F, paths, p):
-    indices = enumerate_indices(paths.spec.N, p)
-    phi = basis_products(indices, paths)
-    w = np.array([weight(idx, paths.spec) for idx in indices])
-    return F.mean(), (phi @ F) / len(F) / w
+    phi = basis_products(oracle_indices(paths.spec.N, p), paths)
+    return F.mean(), (phi @ F) / len(F) / oracle_weights(paths.spec, p)
 
 
 class TestPairKernel:
@@ -81,9 +108,8 @@ class TestPairKernel:
     @pytest.mark.parametrize("p", [1, 2])
     def test_matches_naive_sums(self, N, p):
         paths, F = self.case(N)
-        indices = enumerate_indices(N, p)
-        phi = basis_products(indices, paths)
-        w = np.array([weight(idx, paths.spec) for idx in indices])
+        phi = basis_products(oracle_indices(N, p), paths)
+        w = oracle_weights(paths.spec, p)
         coeffs = estimate(F, paths, p)
         assert coeffs.d0 == pytest.approx(F.mean(), rel=1e-13)
         want = (phi @ F) / paths.M / w
@@ -213,9 +239,8 @@ class TestPrefixKernel:
     @pytest.mark.parametrize("p", [3, 4])
     def test_matches_naive_sums(self, N, p):
         paths, F = self.case(N)
-        indices = enumerate_indices(N, p)
-        phi = basis_products(indices, paths)
-        w = np.array([weight(idx, paths.spec) for idx in indices])
+        phi = basis_products(oracle_indices(N, p), paths)
+        w = oracle_weights(paths.spec, p)
         coeffs = estimate(F, paths, p)
         assert coeffs.d0 == pytest.approx(F.mean(), rel=1e-13)
         want = (phi @ F) / paths.M / w
@@ -338,7 +363,7 @@ class TestByteBudget:
             with pytest.raises(SizingError, match="MiB"):
                 estimate(F, paths, 4)
             with pytest.raises(SizingError, match="MiB"):
-                enumerate_indices(50, 4)
+                coefficients_from_entries(paths.spec, 4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -391,16 +416,21 @@ class TestBufferLayout:
         assert ("pair" in rows) == (1 <= p <= 2)
 
 
+def arrays(N, p):
+    """The (nB, nP) pairs of an order-p basis, in rank order, from its
+    degree arrays."""
+    coeffs = coefficients_from_entries(GridSpec(T=1.0, N=N, kappa=1.0), p)
+    return [(tuple(b), tuple(q)) for b, q in zip(coeffs.degB.tolist(),
+                                                  coeffs.degP.tolist())]
+
+
 class TestEnumeration:
     def test_unit_vectors_first(self):
-        indices = enumerate_indices(2, 1)
-        assert len(indices) == 4
-        assert [(idx.nB, idx.nP) for idx in indices] == [
+        assert arrays(2, 1) == [
             ((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (1, 0)), ((0, 0), (0, 1))]
 
     def test_order_two_single_interval(self):
-        indices = enumerate_indices(1, 2)
-        assert [(idx.nB, idx.nP) for idx in indices] == [
+        assert arrays(1, 2) == [
             ((1,), (0,)), ((0,), (1,)),
             ((2,), (0,)), ((1,), (1,)), ((0,), (2,))]
 
@@ -408,60 +438,82 @@ class TestEnumeration:
         (20, 2, 860), (50, 2, 5150), (1, 2, 5), (2, 1, 4), (3, 3, 83)])
     def test_counts_stars_and_bars(self, N, p, count):
         assert math.comb(2 * N + p, p) - 1 == count
-        assert len(enumerate_indices(N, p)) == count
+        assert len(oracle_indices(N, p)) == count
+        spec = GridSpec(T=1.0, N=N, kappa=1.0)
+        coeffs = coefficients_from_entries(spec, p)
+        assert coeffs.values.size == count
+        assert coeffs.degB.shape == coeffs.degP.shape == (count, N)
+
+    @pytest.mark.parametrize("N,p", [(1, 4), (2, 3), (7, 2), (4, 4)])
+    def test_arrays_match_oracle_enumeration(self, N, p):
+        assert arrays(N, p) == oracle_indices(N, p)
 
     def test_p_zero_is_empty(self):
-        assert enumerate_indices(3, 0) == []
+        coeffs = coefficients_from_entries(GridSpec(T=1.0, N=3, kappa=1.0), 0)
+        assert coeffs.values.shape == (0,)
+        assert coeffs.degB.shape == coeffs.degP.shape == (0, 3)
 
     def test_graded_then_support_ordered(self):
-        indices = enumerate_indices(3, 3)
-        orders = [idx.order for idx in indices]
+        indices = arrays(3, 3)
+        orders = [sum(nB) + sum(nP) for nB, nP in indices]
         assert orders == sorted(orders)
-        for idx in indices:
-            active = [i + 1 for i in range(3) if idx.nB[i] or idx.nP[i]]
-            assert idx.support == max(active)
+        assert all(1 <= g <= 3 for g in orders)
+        assert indices == oracle_indices(3, 3)
 
     def test_sizing_cap(self):
+        spec = GridSpec(T=1.0, N=50, kappa=1.0)
         with pytest.raises(SizingError):
-            enumerate_indices(50, 5)
+            ChaosCoefficients(d0=0.0, values=np.zeros(0), p=5, spec=spec)
+        with pytest.raises(SizingError):
+            coefficients_from_entries(spec, 5)
 
     def test_huge_basis_refused_without_overflow(self):
         # need is far beyond float range; the message must still format
         with pytest.raises(SizingError, match="MiB"):
-            enumerate_indices(10**7, 60)
+            ChaosCoefficients(d0=0.0, values=np.zeros(0), p=60,
+                              spec=GridSpec(T=1.0, N=10**7, kappa=1.0))
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            enumerate_indices(0, 2)
-        with pytest.raises(ValueError):
-            enumerate_indices(3, -1)
+        spec = GridSpec(T=1.0, N=3, kappa=1.0)
+        for p in (-1, 2.0, True, 61):
+            with pytest.raises(ValueError):
+                coefficients_from_entries(spec, p)
+            with pytest.raises(ValueError):
+                ChaosCoefficients(d0=0.0, values=np.zeros(0), p=p, spec=spec)
 
 
 class TestWeight:
+    """``weights()`` against the factorial formula, index by index."""
+
+    @staticmethod
+    def weight_of(n, spec, p=2):
+        coeffs = coefficients_from_entries(spec, p)
+        return coeffs.weights()[oracle_indices(spec.N, p).index(n)]
+
     def test_brownian_unit(self):
         spec = GridSpec(T=1.0, N=3, kappa=1.0)
-        assert weight(MultiIndex((1, 0, 0), (0, 0, 0)), spec) == 1.0
+        assert self.weight_of(((1, 0, 0), (0, 0, 0)), spec) == 1.0
 
     def test_poisson_unit_is_jump_mean(self):
         spec = GridSpec(T=0.15, N=3, kappa=1.0)  # kappa h = 0.05
-        assert weight(MultiIndex((0, 0, 0), (1, 0, 0)), spec) == pytest.approx(0.05)
+        assert self.weight_of(((0, 0, 0), (1, 0, 0)), spec) == pytest.approx(0.05)
 
     def test_mixed_formula(self):
         # nB = (2,0,0), nP = (0,1,0): 1! * 0.05 / 2! = 0.025
         spec = GridSpec(T=0.15, N=3, kappa=1.0)
-        idx = MultiIndex((2, 0, 0), (0, 1, 0))
-        assert weight(idx, spec) == pytest.approx(0.025)
+        idx = ((2, 0, 0), (0, 1, 0))
+        assert self.weight_of(idx, spec, p=3) == pytest.approx(0.025)
+        assert oracle_weight(idx, spec) == pytest.approx(0.025)
 
     def test_matches_empirical_second_moment(self):
         # w(n) = E Phi_n^2; check on a large batch for a few indices
         spec = GridSpec(T=1.0, N=2, kappa=1.0)
         paths = sample_paths(spec, 200_000, seed=8)
-        indices = enumerate_indices(2, 2)
-        phi = basis_products(indices, paths)
-        for j, idx in enumerate(indices):
-            w = weight(idx, spec)
+        phi = basis_products(oracle_indices(2, 2), paths)
+        w = coefficients_from_entries(spec, 2).weights()
+        for j in range(len(w)):
             emp = float((phi[j] ** 2).mean())
-            assert emp == pytest.approx(w, rel=0.1)
+            assert emp == pytest.approx(w[j], rel=0.1)
 
 
 class TestEstimate:
@@ -470,9 +522,8 @@ class TestEstimate:
         F = np.full(paths.M, 2.0)
         coeffs = estimate(F, paths, 2)
         assert coeffs.d0 == 2.0
-        indices = enumerate_indices(small_spec.N, 2)
-        phi = basis_products(indices, paths)
-        w = np.array([weight(idx, small_spec) for idx in indices])
+        phi = basis_products(oracle_indices(small_spec.N, 2), paths)
+        w = oracle_weights(small_spec, 2)
         bound = 4.0 * np.sqrt(phi.var(axis=1, ddof=1) / paths.M) * 2.0 / w
         assert np.all(np.abs(coeffs.values) <= bound)
 
@@ -481,10 +532,9 @@ class TestEstimate:
         F = paths.G[:, 0].copy()
         coeffs = estimate(F, paths, 2)
         tol = 4.0 * math.sqrt(2.0 / paths.M)
-        assert coeffs.entry(MultiIndex((1, 0, 0, 0), (0, 0, 0, 0))) == pytest.approx(
-            1.0, abs=tol)
-        others = [v for idx, v in coeffs.entries.items()
-                  if idx != MultiIndex((1, 0, 0, 0), (0, 0, 0, 0))]
+        unit = ((1, 0, 0, 0), (0, 0, 0, 0))
+        assert coeffs.entry(unit) == pytest.approx(1.0, abs=tol)
+        others = np.delete(coeffs.values, oracle_indices(small_spec.N, 2).index(unit))
         # generous uniform bound: inflation 1/w <= 1/(kappa h)^2 = 16
         assert np.max(np.abs(others)) <= 16 * 4.0 / math.sqrt(paths.M) * 3
 
@@ -512,12 +562,11 @@ class TestEstimate:
     def test_idempotent_on_basis_elements(self):
         spec = GridSpec(T=1.0, N=3, kappa=1.0)
         paths = sample_paths(spec, 150_000, seed=6)
-        indices = enumerate_indices(3, 2)
-        target = MultiIndex((1, 0, 0), (0, 0, 1))
-        j = indices.index(target)
+        target = ((1, 0, 0), (0, 0, 1))
+        j = oracle_indices(3, 2).index(target)
         phi = basis_products([target], paths)[0]
         coeffs = estimate(phi.copy(), paths, 2)
-        w = weight(target, spec)
+        w = oracle_weight(target, spec)
         # var(Phi^2)/w^2 <= E Phi^4 / w^2; bound empirically
         tol = 4.0 * math.sqrt(phi.var(ddof=1) * np.max(phi ** 2) / paths.M) / w
         assert coeffs.values[j] == pytest.approx(1.0, abs=min(tol, 0.2))
@@ -557,29 +606,108 @@ class TestEstimate:
 
 class TestCoefficientsContainer:
     def test_round_trip_entries(self, small_spec):
-        idx = MultiIndex((0, 1, 0, 0), (0, 0, 0, 0))
+        idx = ((0, 1, 0, 0), (0, 0, 0, 0))
         coeffs = coefficients_from_entries(small_spec, 2, d0=1.5, entries={idx: 0.25})
         assert coeffs.d0 == 1.5
         assert coeffs.entry(idx) == 0.25
-        assert coeffs.entries[idx] == 0.25
+        j = oracle_indices(small_spec.N, 2).index(idx)
+        assert coeffs.values[j] == 0.25
         nonzero = [v for v in coeffs.values if v != 0.0]
         assert nonzero == [0.25]
 
     def test_tuple_keys_accepted(self, small_spec):
+        # Any integer sequences of length N; numpy integers too.
         coeffs = coefficients_from_entries(
             small_spec, 1, entries={((1, 0, 0, 0), (0, 0, 0, 0)): 2.0})
-        assert coeffs.entry(MultiIndex((1, 0, 0, 0), (0, 0, 0, 0))) == 2.0
+        assert coeffs.entry(((1, 0, 0, 0), (0, 0, 0, 0))) == 2.0
+        assert coeffs.entry((coeffs.degB[0], coeffs.degP[0])) == 2.0
+        assert coeffs.entry(([1, 0, 0, 0], np.zeros(4, dtype=np.int64))) == 2.0
+
+    def test_every_rank_round_trips(self, small_spec):
+        indices = oracle_indices(small_spec.N, 2)
+        values = np.arange(1.0, len(indices) + 1)
+        coeffs = coefficients_from_entries(small_spec, 2, entries=dict(zip(indices, values)))
+        assert np.array_equal(coeffs.values, values)
+        assert [coeffs.entry(n) for n in indices] == values.tolist()
 
     def test_rejects_out_of_range_index(self, small_spec):
-        bad = MultiIndex((2, 1, 0, 0), (0, 0, 0, 0))  # order 3 > p = 2
+        bad = ((2, 1, 0, 0), (0, 0, 0, 0))  # order 3 > p = 2
         with pytest.raises(KeyError):
             coefficients_from_entries(small_spec, 2, entries={bad: 1.0})
+        coeffs = coefficients_from_entries(small_spec, 2)
+        for key in (bad, ((0, 0, 0, 0), (0, 0, 0, 0))):
+            with pytest.raises(KeyError):
+                coeffs.entry(key)
+
+    def test_large_degree_does_not_wrap_onto_another_index(self, small_spec):
+        # 300 and 256 + 1 pack to 44 and 1 in a byte: both are order > p.
+        coeffs = coefficients_from_entries(small_spec, 2)
+        for d in (300, 257, 256):
+            key = ((d, 0, 0, 0), (0, 0, 0, 0))
+            with pytest.raises(KeyError):
+                coeffs.entry(key)
+            with pytest.raises(KeyError):
+                coefficients_from_entries(small_spec, 2, entries={key: 1.0})
+
+    @pytest.mark.parametrize("key", [
+        ((1, 0, 0), (0, 0, 0, 0)),              # nB too short
+        ((1, 0, 0, 0), (0, 0, 0, 0, 0)),        # nP too long
+        ((1, 0, 0, 0), (0, 0, 0, 0), (0,)),     # three vectors
+        ((-1, 0, 0, 0), (1, 0, 0, 0)),          # negative
+        ((1.0, 0, 0, 0), (0, 0, 0, 0)),         # float
+        ((True, 0, 0, 0), (0, 0, 0, 0)),        # bool
+        ((np.True_, 0, 0, 0), (0, 0, 0, 0)),    # numpy bool
+    ])
+    def test_rejects_malformed_key(self, small_spec, key):
+        coeffs = coefficients_from_entries(small_spec, 2)
+        with pytest.raises(ValueError):
+            coeffs.entry(key)
+        with pytest.raises(ValueError):
+            coefficients_from_entries(small_spec, 2, entries={key: 1.0})
 
     def test_weights_match_weight_function(self, small_spec, small_paths):
         coeffs = estimate(np.ones(small_paths.M), small_paths, 2)
-        indices = enumerate_indices(small_spec.N, 2)
-        w = np.array([weight(idx, small_spec) for idx in indices])
-        np.testing.assert_allclose(coeffs.weights(), w, rtol=1e-15)
+        np.testing.assert_allclose(coeffs.weights(), oracle_weights(small_spec, 2),
+                                   rtol=1e-15)
+
+    def test_constructor_takes_a_values_array(self, small_spec):
+        J = math.comb(2 * small_spec.N + 2, 2) - 1
+        coeffs = ChaosCoefficients(d0=1, values=list(range(J)), p=2, spec=small_spec)
+        assert coeffs.d0 == 1.0 and isinstance(coeffs.d0, float)
+        assert coeffs.values.dtype == np.float64
+        assert coeffs.values.tolist() == list(range(J))
+        with pytest.raises(ValueError, match="shape"):
+            ChaosCoefficients(d0=0.0, values=np.zeros(J + 1), p=2, spec=small_spec)
+        with pytest.raises(ValueError, match="shape"):
+            ChaosCoefficients(d0=0.0, values=np.zeros((1, J)), p=2, spec=small_spec)
+        with pytest.raises(TypeError):
+            ChaosCoefficients(d0=0.0, values=np.zeros(J), p=2, spec=small_spec,
+                              iset=coeffs.iset)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_d0(self, small_spec, bad):
+        with pytest.raises(ValueError, match="d0"):
+            coefficients_from_entries(small_spec, 2, d0=bad)
+        with pytest.raises(ValueError, match="d0"):
+            coefficients_from_entries(small_spec, 0, d0=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_value_with_rank(self, small_spec, bad):
+        J = math.comb(2 * small_spec.N + 2, 2) - 1
+        values = np.zeros(J)
+        values[[17, 30]] = bad
+        with pytest.raises(ValueError, match="rank 17"):
+            ChaosCoefficients(d0=0.0, values=values, p=2, spec=small_spec)
+        key = oracle_indices(small_spec.N, 2)[5]
+        with pytest.raises(ValueError, match="rank 5"):
+            coefficients_from_entries(small_spec, 2, entries={key: bad})
+
+    def test_estimate_overflow_is_refused(self):
+        # Finite samples whose sum overflows float64 make a d0 of inf.
+        paths = sample_paths(GridSpec(T=1.0, N=2, kappa=1.0), 4, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="d0"):
+            estimate(np.full(paths.M, 1e308), paths, 1)
 
 
 class TestVarianceDiagnostic:
@@ -595,7 +723,7 @@ class TestVarianceDiagnostic:
         # each Var(c Phi_n)/w(n) is about c^2: the total is near c^2 * J, not 0
         paths = sample_paths(small_spec, 50_000, seed=10)
         c = 3.0
-        J = len(enumerate_indices(small_spec.N, 2))
+        J = len(oracle_indices(small_spec.N, 2))
         V = variance_diagnostic(np.full(paths.M, c), paths, 2)
         assert V == pytest.approx(c * c * J, rel=0.25)
 

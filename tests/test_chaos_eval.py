@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosbsde import (
+    ChaosCoefficients,
     GridSpec,
-    MultiIndex,
     PathBatch,
     charlier_batch,
     coefficients_from_entries,
@@ -29,7 +29,7 @@ from chaosbsde import (
     hermite_batch,
     sample_paths,
 )
-from chaosbsde.chaos_core import ChaosCoefficients, _index_set, _pair_blocks
+from chaosbsde.chaos_core import _pair_blocks
 
 
 def naive_in_interval(coeffs, G, Q, r, theta, g, n, mean):
@@ -38,25 +38,27 @@ def naive_in_interval(coeffs, G, Q, r, theta, g, n, mean):
     and one path's increments G, Q at the slots before r. Naive per-index
     gather."""
     spec = coeffs.spec
-    iset = coeffs.iset
-    if iset.J == 0:
+    p = coeffs.p
+    degB, degP = coeffs.degB, coeffs.degP
+    if coeffs.values.size == 0:
         return float(coeffs.d0), 0.0, 0.0
     sqrt_h = math.sqrt(spec.h)
-    Ktau = hermite_batch(iset.p, np.float64(g))
-    Ctau = charlier_batch(iset.p, np.float64(n), mean)
+    Ktau = hermite_batch(p, np.float64(g))
+    Ctau = charlier_batch(p, np.float64(n), mean)
 
-    mask = iset.support <= r
-    dBr = iset.degB[mask, r - 1].astype(np.int64)
-    dPr = iset.degP[mask, r - 1].astype(np.int64)
+    # Indices supported at or before slot r: no degree beyond it.
+    mask = ~(degB[:, r:].any(axis=1) | degP[:, r:].any(axis=1))
+    dBr = degB[mask, r - 1].astype(np.int64)
+    dPr = degP[mask, r - 1].astype(np.int64)
     vals = coeffs.values[mask]
     # Product over the fully observed slots 1..r-1. Masked indices carry no
     # degree beyond slot r, so restricting the columns suffices.
-    Ktab = hermite_batch(iset.p, G[:r - 1])
-    Ctab = charlier_batch(iset.p, np.asarray(Q[:r - 1], dtype=np.float64),
+    Ktab = hermite_batch(p, G[:r - 1])
+    Ctab = charlier_batch(p, np.asarray(Q[:r - 1], dtype=np.float64),
                           spec.jump_mean)
     cols = np.arange(r - 1)
-    A = (Ktab[iset.degB[mask, :r - 1], cols]
-         * Ctab[iset.degP[mask, :r - 1], cols]).prod(axis=1)
+    A = (Ktab[degB[mask, :r - 1], cols]
+         * Ctab[degP[mask, :r - 1], cols]).prod(axis=1)
 
     theta_half = np.power(theta, dBr / 2.0)
     y = coeffs.d0 + vals @ (theta_half * Ktau[dBr] * Ctau[dPr] * A)
@@ -79,7 +81,7 @@ def naive_grid(coeffs, G, Q, r):
     """(y, z, u) at grid time r on the path with increments G, Q: the first
     unit coefficients at r = 0, else the whole of interval r elapsed."""
     if r == 0:
-        if coeffs.iset.J == 0:
+        if coeffs.values.size == 0:
             return float(coeffs.d0), 0.0, 0.0
         N = coeffs.spec.N
         return (float(coeffs.d0), float(coeffs.values[0]) / math.sqrt(coeffs.spec.h),
@@ -96,17 +98,17 @@ def assert_rows_match(got, want):
 def random_coefficients(N, p, seed, T=2.0, kappa=3.0):
     """Nonzero coefficients on every index, d0 = 0.3."""
     spec = GridSpec(T=T, N=N, kappa=kappa)
-    iset = _index_set(N, p)
+    J = math.comb(2 * N + p, p) - 1
     rng = np.random.default_rng(seed)
-    values = rng.uniform(0.5, 1.5, iset.J) * rng.choice([-1.0, 1.0], iset.J)
-    return ChaosCoefficients(d0=0.3, values=values, p=p, spec=spec, iset=iset)
+    values = rng.uniform(0.5, 1.5, J) * rng.choice([-1.0, 1.0], J)
+    return ChaosCoefficients(d0=0.3, values=values, p=p, spec=spec)
 
 
 def unit(N, slot, jump=False):
     nB = [0] * N
     nP = [0] * N
     (nP if jump else nB)[slot] = 1
-    return MultiIndex(tuple(nB), tuple(nP))
+    return tuple(nB), tuple(nP)
 
 
 def one_path(spec, G, Q):
@@ -160,10 +162,10 @@ class TestConditional:
             K = hermite_batch(2, paths.G[m])
             C = charlier_batch(2, paths.Q[m], kh)
             total = coeffs.d0
-            for idx, value in coeffs.entries.items():
+            for nB, nP, value in zip(coeffs.degB, coeffs.degP, coeffs.values):
                 prod = value
                 for i in range(spec3.N):
-                    prod *= K[idx.nB[i], i] * C[idx.nP[i], i]
+                    prod *= K[nB[i], i] * C[nP[i], i]
                 total += prod
             got = at_grid(coeffs, paths.rows(m, m + 1), spec3.N)[0]
             assert got == pytest.approx(total, rel=1e-12)
@@ -183,7 +185,7 @@ class TestMalliavinB:
     def test_second_degree_drops_to_first(self, spec3):
         # entry on nB = 2 e_1: derivative evaluates K_1(G_1) = G_1
         coeffs = coefficients_from_entries(
-            spec3, 2, entries={MultiIndex((2, 0, 0), (0, 0, 0)): 1.0})
+            spec3, 2, entries={((2, 0, 0), (0, 0, 0)): 1.0})
         path = one_path(spec3, [0.5, 0.0, 0.0], [0, 0, 0])
         want = 0.5 / math.sqrt(spec3.h)
         assert at_grid(coeffs, path, 1)[1] == pytest.approx(want, rel=1e-15)
@@ -207,7 +209,7 @@ class TestMalliavinP:
         # nP = 2 e_1, Q_1 = 1, kappa h = 0.05: 2 * C_1(1, 0.05) = 1.9
         spec = GridSpec(T=0.05, N=1, kappa=1.0)
         coeffs = coefficients_from_entries(
-            spec, 2, entries={MultiIndex((0,), (2,)): 1.0})
+            spec, 2, entries={((0,), (2,)): 1.0})
         path = one_path(spec, [0.0], [1])
         assert at_grid(coeffs, path, 1)[2] == pytest.approx(1.9, rel=1e-15)
 
@@ -379,7 +381,7 @@ class TestProperties:
 
     def test_linearity_in_coefficients(self, spec3, path3):
         e1 = unit(3, 0)
-        e2 = MultiIndex((0, 1, 0), (1, 0, 0))
+        e2 = ((0, 1, 0), (1, 0, 0))
         ca = coefficients_from_entries(spec3, 2, d0=1.0, entries={e1: 2.0})
         cb = coefficients_from_entries(spec3, 2, d0=-0.5, entries={e2: 3.0})
         csum = coefficients_from_entries(spec3, 2, d0=1.0 + 2 * (-0.5),

@@ -25,6 +25,7 @@ from chaosbsde.cli import (
     parse_config,
     run,
 )
+from test_chaos_core import oracle_indices
 
 
 def write_cfg(tmp_path, text, name="exp.cfg"):
@@ -342,6 +343,9 @@ class TestDumpCoefficients:
         assert len(lines) == 2 + len(co.values)
         ranks = [int(line.split(",")[0]) for line in lines[1:]]
         assert ranks == list(range(len(co.values) + 1))
+        degrees = [tuple(tuple(int(d) for d in col.split()) for col in line.split(",")[1:3])
+                   for line in lines[2:]]
+        assert degrees == oracle_indices(3, cfg.solver.p)
         np.testing.assert_array_equal(
             np.array([float(line.split(",")[3]) for line in lines[2:]]), co.values)
         np.testing.assert_allclose(

@@ -1,16 +1,16 @@
 """The package's public surface: exactly the names below, each resolvable,
-and none of the removed per-path or scalar-table names."""
+and none of the removed per-path, scalar-table or per-index names."""
 
 import pytest
 
 import chaosbsde
-from chaosbsde import chaos_eval, orthopoly
+from chaosbsde import GridSpec, chaos_core, chaos_eval, coefficients_from_entries, orthopoly
 
 PUBLIC = {
     "GridSpec", "PathBatch", "sample_paths",
     "hermite_batch", "charlier_batch", "MAX_DEGREE",
-    "MultiIndex", "ChaosCoefficients", "SizingError", "enumerate_indices",
-    "weight", "estimate", "variance_diagnostic", "coefficients_from_entries",
+    "ChaosCoefficients", "SizingError",
+    "estimate", "variance_diagnostic", "coefficients_from_entries",
     "evaluate_grid", "conditional_at",
     "Driver", "TerminalFunctional", "SolverConfig", "SolutionGrid",
     "terminal_samples", "draw_paths", "solve",
@@ -20,7 +20,8 @@ PUBLIC = {
 }
 
 REMOVED = ["PathView", "conditional", "malliavin_b", "malliavin_p",
-           "PolyTable", "hermite_upto", "charlier_upto"]
+           "PolyTable", "hermite_upto", "charlier_upto",
+           "MultiIndex", "enumerate_indices", "weight"]
 
 
 def test_all_is_the_public_set():
@@ -36,5 +37,17 @@ def test_every_public_name_resolves():
 @pytest.mark.parametrize("name", REMOVED)
 def test_removed_name_is_gone(name):
     assert not hasattr(chaosbsde, name)
+    assert not hasattr(chaos_core, name)
     assert not hasattr(chaos_eval, name)
     assert not hasattr(orthopoly, name)
+
+
+def test_coefficients_have_only_the_array_form():
+    coeffs = coefficients_from_entries(GridSpec(T=1.0, N=3, kappa=1.0), 2)
+    assert not hasattr(chaosbsde.ChaosCoefficients, "entries")
+    assert not hasattr(coeffs, "entries")
+    # The degree arrays are the basis every later solve at (N, p) shares.
+    for arr in (coeffs.degB, coeffs.degP):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 5
+    assert coeffs.degB[0, 0] == 1
