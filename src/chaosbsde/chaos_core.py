@@ -31,8 +31,10 @@ order-2 sum. Only its upper block triangle is formed, a few rows of F*X at a
 time against the trailing rows of X, over fixed sample blocks small enough
 for BLAS to run single-threaded (:func:`_pair_blocks`), so results do not
 depend on the BLAS thread count either. Other orders build each basis
-product from a lower-order one by the prefix recursion of
-:class:`_PrefixPlan`, and make no BLAS call.
+product below order p from a lower-order one by the prefix recursion of
+:class:`_PrefixPlan`; every sum is then an entry of the product of those
+basis products with F times the slot factors, taken in tiles of its block
+triangle (:func:`_prefix_tiles`) under the same single-threaded bound.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,13 +66,15 @@ _CHUNK = 1024
 # OpenBLAS runs a GEMM of at most 2**18 multiply-adds, and a GEMV on a matrix
 # of fewer than 9216 entries, on the calling thread (its default threading
 # cut-offs, 65536 and 2304 times GEMM_MULTITHREAD_THRESHOLD = 4); numpy sends
-# a product with a one-row or one-column operand to GEMV. The order <= 2
-# kernels keep every BLAS call under these, so BLAS never splits a product
+# a product with a one-row or one-column operand to GEMV. Both kernel
+# families keep every BLAS call under these, so BLAS never splits a product
 # across threads: results do not depend on the BLAS thread count, and pool
-# workers do not compete with BLAS threads for the same cores. Their only
-# GEMVs are the evaluation's one-sample tails, on at most 5 x 2N entries, and
-# its one-slot block at N = 1, on at most 2 x 1024, so GEMM's cut-off alone
-# sets the block widths (test_chaos_core.TestBlasSerialBlocks checks both).
+# workers do not compete with BLAS threads for the same cores. The order <= 2
+# kernels' only GEMVs are the evaluation's one-sample tails, on at most
+# 5 x 2N entries, and its one-slot block at N = 1, on at most 2 x 1024; the
+# prefix kernels' only ones are the evaluation's one-sample chunks, on one
+# tile's entries, about _PREFIX_ENTRIES. So GEMM's cut-off alone sets the
+# block widths (test_chaos_core.TestBlasSerialBlocks checks both).
 _BLAS_SERIAL_MACS = 1 << 18
 
 # Block size of the order <= 2 products (:func:`_pair_blocks`): rows of F*X
@@ -78,6 +83,16 @@ _BLAS_SERIAL_MACS = 1 << 18
 # N = 20, 50 and 100, 4 was within 10% of the best of 4, 5, 6 and 8 in both
 # kernels, where 8 rows made the sums 30% slower at N = 100.
 _PAIR_BLOCK = 4
+
+# Row blocks of the prefix kernels' tiles (:func:`_prefix_tiles`): each
+# spans at most this many last support slots of its parents, so few of its
+# entries fall outside the block triangle, and has about this many entries
+# (rows times factor columns), which leaves sample blocks of ~60 or more.
+# Per chunk at (N, p) = (10, 3), (8, 4), (20, 3) and (50, 3), spans of 1 to
+# 4 slots and 2048 to 8192 entries were within the timing noise (~15%) of
+# each other, except that larger spans waste more at small N.
+_PREFIX_SPAN = 2
+_PREFIX_ENTRIES = 4096
 
 # Cap on precomputed inverse weights; degenerate parameter corners can push
 # 1/w past float64 range and the estimate should saturate, not turn inf/nan
@@ -165,67 +180,141 @@ def _basis_count(N: int, p: int) -> int:
     return math.comb(2 * N + p, p) - 1
 
 
+def _kc_row(N: int, d: int, r: int) -> int:
+    """First row of the slot factors of degree sum d at slot r in KC: per
+    degree sum d >= 1, the rows (r, i) hold K_{d-i} * C_i, slot-major."""
+    return N * (d * (d + 1) // 2 - 1) + r * (d + 1)
+
+
+class _Tile(NamedTuple):
+    """Phi_pre rows lo:hi, the parents of one order, times KC rows c0:c1, the
+    degree-sum-d factors at the slots after the first row's last slot. The
+    product is taken over sample blocks of ``width``; its sums are entries
+    t0:t0 + (hi-lo)*(c1-c0) of the flat table, which starts with the n_kc
+    row sums of F * KC, the indices whose parent is the constant."""
+
+    lo: int
+    hi: int
+    d: int
+    c0: int
+    c1: int
+    t0: int
+    width: int
+
+
+def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
+    """Tiles of the prefix plan and the size of its flat table.
+
+    The parents of order o are the Phi_pre rows from 1 + J_{o-1}, sorted by
+    last slot l, and A(o, l) = C(2l + 2 + o - 1, o) of them have l' <= l. Row
+    blocks span at most _PREFIX_SPAN last slots before N - 1 and have about
+    _PREFIX_ENTRIES entries at the widest d, and none has one row; each
+    tile's width keeps width + 1 samples within _BLAS_SERIAL_MACS.
+    """
+    tiles = []
+    n_flat = _kc_row(N, p + 1, 0)
+    for o in range(1, p):
+        start = 1 + _basis_count(N, o - 1)
+        below = [math.comb(2 * l + o + 1, o) for l in range(N - 1)]  # A(o, l)
+        for l0 in range(0, N - 1, _PREFIX_SPAN):
+            lo = start + (below[l0 - 1] if l0 else 0)
+            hi = start + below[min(l0 + _PREFIX_SPAN, N - 1) - 1]
+            size = max(2, _PREFIX_ENTRIES // ((p - o + 1) * (N - 1 - l0)))
+            for a, b in _blocks(hi - lo, size):
+                for d in range(1, p - o + 1):
+                    c0, c1 = _kc_row(N, d, l0 + 1), _kc_row(N, d + 1, 0)
+                    n = (b - a) * (c1 - c0)
+                    tiles.append(_Tile(lo + a, lo + b, d, c0, c1, n_flat,
+                                       _BLAS_SERIAL_MACS // n - 1))
+                    n_flat += n
+    return tuple(tiles), n_flat
+
+
 @dataclass(frozen=True, eq=False)
 class _PrefixPlan:
     """Layout of the prefix recursion behind the kernels for p >= 3 and p = 0.
 
-    Let r be the support slot of index j and (a, b) its Hermite and Charlier
-    degrees there. Its parent, j with slot r zeroed, has lower order, and
+    Let r be the last slot of index j's support, (a, b) its Hermite and
+    Charlier degrees there and d = a + b. Its parent, j with slot r zeroed,
+    has order o = |j| - d and support before r, and
 
         Phi_j = Phi_parent(j) * K_a(G_r) * C_b(Q_r).
 
-    Prefix order puts the constant first, then the indices graded by order,
-    then by r, by (a, b) and by their parent's position. The indices sharing
-    (order g, r, a, b) form a group whose parents, each once and in order,
-    are the indices of order g - a - b supported before r: both are runs of
-    consecutive positions. Per chunk the kernels tabulate the slot factors
-    KC, row k*N + r being K_a(G_r) * C_b(Q_r) for (a, b) = pairs[k], and
-    Phi_pre, Phi at the first n_pre positions (the orders below p).
+    Per chunk the kernels tabulate the slot factors KC (rows of
+    :func:`_kc_row`) and Phi_pre, Phi at the orders below p in prefix
+    order: the constant first, then graded by order, then by r, by d, by b
+    and by their parent's position. Each order's indices are thus sorted by
+    last slot, and the indices sharing (order, r, d) are the outer product
+    of the d + 1 factors of (r, d) with one run of parents, the indices of
+    order o - d supported before r.
+
+    Every sum of F * Phi_j is the entry (parent, factor) of the product
+    Phi_pre * (F * KC)^T. Its kept entries, a parent before a factor's slot,
+    form one block triangle per (parent order, d); the tiles cover it.
     """
 
-    pairs: tuple[tuple[int, int], ...]  # (a, b) with a + b <= p, (0, 0) first
+    n_kc: int                           # rows of KC
     n_pre: int                          # rows of Phi_pre, 1 + J_{p-1}
-    pos: np.ndarray                     # (J,) prefix position of each rank
-    # Per group, in prefix order: (first position, end position, first
-    # parent position, KC row).
-    groups: tuple[tuple[int, int, int, int], ...]
+    # Per (order, r, d) with r < N - 1, in prefix order: rows lo:hi of
+    # Phi_pre are KC rows k0:k0+d+1 times the parent rows plo:plo+n.
+    # Indices supported on the last slot parent no index, so their rows are
+    # not built; ``built`` holds the built rows (lo, hi) of each order >= 1.
+    segments: tuple[tuple[int, int, int, int, int, int], ...]
+    built: tuple[tuple[int, int], ...]
+    tiles: tuple[_Tile, ...]
+    n_flat: int                         # entries of the flat table
+    gather: np.ndarray                  # (J,) flat table entry of each rank
 
 
 @lru_cache(maxsize=16)
 def _build_index_set(N: int, p: int) -> _IndexSet:
     J = _basis_count(N, p)
-    pairs = tuple((a, b) for a in range(p + 1) for b in range(p + 1 - a))
-    fact = [math.factorial(i) for i in range(p + 1)]
-    # Enumerate in prefix order, one group at a time: a group's rows are its
-    # parents' rows with the degrees (a, b) put at slot r.
+    fact = np.array([math.factorial(i) for i in range(p + 1)], dtype=np.float64)
+    n_kc = _kc_row(N, p + 1, 0)
+    # Enumerate in prefix order, one (order, r, d) run at a time: its rows
+    # are its parents' rows with the degrees (d - b, b) put at slot r.
     deg = np.zeros((1 + J, 2 * N), dtype=np.int8)
-    supp = np.zeros(1 + J, dtype=np.int16)
+    last = np.full(1 + J, -1, dtype=np.int16)   # last support slot
     bfact = np.ones(1 + J)
     pfact = np.ones(1 + J)
     sumP = np.zeros(1 + J, dtype=np.int16)
-    starts = [0, 1]  # first position of each grade
-    groups = []
+    # Entry of the flat table of each index: base[d, q] + (KC row of a
+    # degree-d factor) is the entry of parent q times that factor.
+    flat = np.zeros(1 + J, dtype=np.intp)
+    n_pre = 1 + _basis_count(N, p - 1) if p >= 1 else 1
+    base = np.zeros((p + 1, n_pre), dtype=np.intp)
+    tiles, n_flat = _prefix_tiles(N, p)
+    for t in tiles:
+        base[t.d, t.lo:t.hi] = t.t0 - t.c0 + (t.c1 - t.c0) * np.arange(t.hi - t.lo)
+    starts = [0, 1]  # first position of each order
+    segments, built = [], []
+    lo = 1
     for g in range(1, p + 1):
         for r in range(N):
-            for k, (a, b) in enumerate(pairs):
-                if not 1 <= a + b <= g:
+            if g < p and r == N - 1:
+                built.append((starts[g], lo))
+            for d in range(1, g + 1):
+                # Parents: order g - d, supported before slot r.
+                p_lo, p_hi = starts[g - d], starts[g - d + 1]
+                n = int(np.searchsorted(last[p_lo:p_hi], r))
+                if n == 0:
                     continue
-                # Parents: order g - a - b, supported before slot r.
-                p_lo, p_hi = starts[g - a - b], starts[g - a - b + 1]
-                p_hi = p_lo + int(np.searchsorted(supp[p_lo:p_hi], r, side="right"))
-                lo = groups[-1][1] if groups else 1
-                hi = lo + p_hi - p_lo
-                if hi == lo:
-                    continue
-                deg[lo:hi] = deg[p_lo:p_hi]
-                deg[lo:hi, r] = a
-                deg[lo:hi, N + r] = b
-                supp[lo:hi] = r + 1
-                bfact[lo:hi] = bfact[p_lo:p_hi] * fact[a]
-                pfact[lo:hi] = pfact[p_lo:p_hi] * fact[b]
-                sumP[lo:hi] = sumP[p_lo:p_hi] + b
-                groups.append((lo, hi, p_lo, k * N + r))
-        starts.append(groups[-1][1])
+                hi = lo + (d + 1) * n
+                b = np.arange(d + 1)
+                rows = deg[lo:hi].reshape(d + 1, n, 2 * N)
+                rows[:] = deg[p_lo:p_lo + n]
+                rows[:, :, r] = (d - b)[:, None]
+                rows[:, :, N + r] = b[:, None]
+                last[lo:hi] = r
+                bfact[lo:hi] = np.outer(fact[d - b], bfact[p_lo:p_lo + n]).ravel()
+                pfact[lo:hi] = np.outer(fact[b], pfact[p_lo:p_lo + n]).ravel()
+                sumP[lo:hi] = (b[:, None] + sumP[p_lo:p_lo + n]).ravel()
+                k0 = _kc_row(N, d, r)
+                flat[lo:hi] = (base[d, p_lo:p_lo + n] + k0 + b[:, None]).ravel()
+                if g < p and r < N - 1:
+                    segments.append((lo, hi, p_lo, n, k0, d))
+                lo = hi
+        starts.append(lo)
     assert starts[-1] == 1 + J
 
     # Within a grade, ranks follow descending lexicographic order of the
@@ -234,13 +323,13 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
     pos = np.empty(J, dtype=np.intp)
     for lo, hi in zip(starts[1:], starts[2:]):
         pos[lo - 1:hi - 1] = lo + np.argsort(deg[lo:hi].view(row_key).ravel())[::-1]
-    # With p = 0, Phi_pre is the constant alone.
-    plan = _PrefixPlan(pairs=pairs, n_pre=starts[max(p, 1)], pos=pos,
-                       groups=tuple(groups))
+    plan = _PrefixPlan(n_kc=n_kc, n_pre=n_pre, segments=tuple(segments),
+                       built=tuple(built), tiles=tiles, n_flat=n_flat,
+                       gather=flat[pos])
     iset = _IndexSet(N=N, p=p, J=J, degB=deg[pos, :N], degP=deg[pos, N:],
                      bfact=bfact[pos], pfact=pfact[pos], sumP=sumP[pos],
                      prefix=plan)
-    for a in (pos, iset.degB, iset.degP, iset.bfact, iset.pfact, iset.sumP):
+    for a in (plan.gather, iset.degB, iset.degP, iset.bfact, iset.pfact, iset.sumP):
         a.flags.writeable = False
     return iset
 
@@ -265,7 +354,9 @@ def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
     p has the prefix family (``conditional_at`` runs it at p <= 2 too); at
     p = 1, 2 the pair family adds X = [K1; C1], its slot-block-major copy
     XS and T.
-    The budget charges both; a call allocates only the family it uses."""
+    The budget charges both; a call allocates only the family it uses.
+    KC and W are charged a row per pair (a, b) and slot; the kernels store
+    no row for (0, 0), so N rows of each stay unused."""
     n_kc = (p + 1) * (p + 2) // 2 * N
     rows = {"prefix": {"K": (p + 1) * N, "C": (p + 1) * N, "KC": n_kc, "W": n_kc,
                        "phi": 1 + _basis_count(N, p - 1) if p >= 1 else 1,
@@ -533,7 +624,8 @@ class _ChunkBuffers:
     def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """Contiguous view of buffer ``name`` with this shape (the chunk's
         width last). "W" holds the weighted KC copy of the sums kernel and
-        V of the evaluation kernel; "T" holds F*X in the pair sums kernel
+        V of the evaluation kernel, and "K" the evaluation kernel's scratch
+        once KC is built; "T" holds F*X in the pair sums kernel
         and T in the pair evaluation kernel, and "XS" there the
         slot-block-major factors, then an (N, width) scratch."""
         if name not in self._flat:
@@ -559,27 +651,55 @@ def _per_worker(make):
     return get
 
 
+def _sample_blocks(Mc: int, width: int) -> int:
+    """Number of whole sample blocks of ``width`` a product over Mc samples
+    stacks; the rest is its tail, which never has one sample unless Mc = 1
+    (widths leave room for width + 1 samples)."""
+    nb = Mc // width
+    return nb - 1 if nb and Mc - nb * width == 1 else nb
+
+
+def _tile_sums(A: np.ndarray, B: np.ndarray, width: int, out: np.ndarray) -> None:
+    """out = A @ B.T over a chunk's samples: one stacked product over its
+    sample blocks, summed in order, plus the tail. Over one sample it is an
+    outer product, formed without BLAS."""
+    (m, Mc), n = A.shape, B.shape[0]
+    nb = _sample_blocks(Mc, width)
+    cut = nb * width
+    if nb:
+        blocks = np.matmul(A[:, :cut].reshape(m, nb, width).transpose(1, 0, 2),
+                           B[:, :cut].reshape(n, nb, width).transpose(1, 2, 0))
+        blocks.sum(axis=0, out=out)
+        if cut < Mc:
+            out += np.matmul(A[:, cut:], B[:, cut:].T)
+    elif Mc == 1:
+        np.multiply(A, B.T, out=out)
+    else:
+        np.matmul(A, B.T, out=out)
+
+
 def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
-                  buf: _ChunkBuffers, groups=None) -> tuple[np.ndarray, np.ndarray]:
+                  buf: _ChunkBuffers, segments=None) -> tuple[np.ndarray, np.ndarray]:
     """Slot factors KC and prefix table Phi_pre of one chunk, time-major,
-    written into ``buf``; Phi_pre only for ``groups`` (default: the plan's)."""
+    written into ``buf``; Phi_pre only for ``segments`` (default: the
+    plan's)."""
     plan = iset.prefix
     N = iset.N
     Gt = G[sl].T
     Mc = Gt.shape[1]
     K = hermite_batch(iset.p, Gt, out=buf.get("K", (iset.p + 1, N, Mc)))
     C = charlier_batch(iset.p, Q[sl].T, kh, out=buf.get("C", (iset.p + 1, N, Mc)))
-    KC = buf.get("KC", (len(plan.pairs), N, Mc))
-    for k, (a, b) in enumerate(plan.pairs):
-        np.multiply(K[a], C[b], out=KC[k])
-    KC = KC.reshape(-1, Mc)
-    # One group at a time: parent rows times the group's slot factor.
+    KC = buf.get("KC", (plan.n_kc, Mc))
+    for d in range(1, iset.p + 1):
+        rows = KC[_kc_row(N, d, 0):_kc_row(N, d + 1, 0)]
+        np.multiply(K[d::-1], C[:d + 1],
+                    out=rows.reshape(N, d + 1, Mc).transpose(1, 0, 2))
+    # One run at a time: the run's d + 1 factors times its parent rows.
     phi = buf.get("phi", (plan.n_pre, Mc))
     phi[0] = 1.0
-    for lo, hi, plo, f in plan.groups if groups is None else groups:
-        if hi > plan.n_pre:
-            break
-        np.multiply(phi[plo:plo + hi - lo], KC[f], out=phi[lo:hi])
+    for lo, hi, plo, n, k0, d in plan.segments if segments is None else segments:
+        np.multiply(KC[k0:k0 + d + 1, None], phi[plo:plo + n],
+                    out=phi[lo:hi].reshape(d + 1, n, Mc))
     return KC, phi
 
 
@@ -587,32 +707,36 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
                        squares: bool, buf: _ChunkBuffers) -> np.ndarray:
     """Raw sums over one chunk for any p by the prefix recursion.
 
-    Per group, the sum of F*Phi_j is a row-wise dot of the parents' Phi_pre
-    rows with the group's F*KC row; the sum of (F*Phi_j)**2 is the same with
-    every factor squared. Sums are taken in prefix order, then put in rank
-    order.
+    With W = F*KC, the sums of F*Phi_j fill a flat table: the row sums of W
+    (the indices whose parent is the constant), then per tile the product of
+    its Phi_pre rows with its rows of W. The sums of (F*Phi_j)**2 are the
+    same with Phi_pre and W squared. Each is gathered into rank order.
     """
     plan = iset.prefix
     Fc = F[sl]
     KC, phi = _chunk_tables(iset, G, Q, kh, sl, buf)
     n_out = 1 + iset.J
     out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
-    sums = np.empty(n_out)
+    flat = np.empty(plan.n_flat)
+    W = np.multiply(KC, Fc, out=buf.get("W", KC.shape))
 
-    def dots(T: np.ndarray) -> np.ndarray:
-        for lo, hi, plo, f in plan.groups:
-            np.einsum("ij,j->i", phi[plo:plo + hi - lo], T[f], out=sums[lo:hi])
-        return sums[plan.pos]
+    def sums() -> np.ndarray:
+        W.sum(axis=1, out=flat[:plan.n_kc])
+        for t in plan.tiles:
+            _tile_sums(phi[t.lo:t.hi], W[t.c0:t.c1], t.width,
+                       flat[t.t0:t.t0 + (t.hi - t.lo) * (t.c1 - t.c0)]
+                       .reshape(t.hi - t.lo, t.c1 - t.c0))
+        return flat[plan.gather]
 
     out[0] = Fc.sum()
-    out[1:n_out] = dots(np.multiply(KC, Fc, out=buf.get("W", KC.shape)))
+    out[1:n_out] = sums()
     if squares:
         F2 = Fc * Fc
         out[n_out] = F2.sum()
-        phi *= phi
-        KC *= KC
-        KC *= F2
-        out[1 + n_out:] = dots(KC)
+        for lo, hi in plan.built:
+            phi[lo:hi] *= phi[lo:hi]
+        W *= W
+        out[1 + n_out:] = sums()
     return out
 
 
@@ -624,7 +748,11 @@ def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
     buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, paths.M)))
 
     def chunk(sl: slice) -> np.ndarray:
-        return kernel(F, paths.G, paths.Q, kh, iset, sl, squares, buffers())
+        # Finite F can still overflow a product; the callers refuse the
+        # non-finite sums that result. errstate is per thread, so it is set
+        # in the worker.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return kernel(F, paths.G, paths.Q, kh, iset, sl, squares, buffers())
     return _reduce_chunks(chunk, paths.M, 2 * n_out if squares else n_out, threads)
 
 
@@ -679,7 +807,8 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     every product c * Phi_n still fluctuates.
 
     Raises SizingError, as :func:`estimate` does, when the byte budget
-    would be exceeded.
+    would be exceeded, and ValueError when F is not finite or a variance
+    overflows float64.
     """
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")
@@ -690,7 +819,17 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     s1 = raw[:n_out]
     s2 = raw[n_out:]
     M = paths.M
-    var = (s2 - s1 * s1 / M) / (M - 1)
-    np.maximum(var, 0.0, out=var)  # rounding can leave tiny negatives
     inv_w = iset.inv_weights(paths.spec.jump_mean)
-    return float(var[0] + var[1:] @ inv_w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = (s2 - s1 * s1 / M) / (M - 1)
+        np.maximum(var, 0.0, out=var)  # rounding can leave tiny negatives
+        total = var[0] + var[1:] @ inv_w
+    bad = ~np.isfinite(var)
+    if bad.any():
+        i = int(np.argmax(bad))
+        what = "Var(F)" if i == 0 else f"Var(F * Phi_n) at rank {i - 1}"
+        raise ValueError(f"variance diagnostic overflows float64: {what} is not finite")
+    if not math.isfinite(total):
+        raise ValueError("variance diagnostic overflows float64: the weighted sum "
+                         "of the variances is not finite")
+    return float(total)

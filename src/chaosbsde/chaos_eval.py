@@ -30,20 +30,22 @@ than the output's, so the product is taken per block of output slots from a
 slot-block-major copy of X: the Z and U rows of slots s0:s1 read only the
 factors of slots before s1. Every block product runs over sample blocks
 small enough for BLAS to run single-threaded (see
-:func:`chaosbsde.chaos_core._pair_blocks`). For p >= 3 (and p = 0) one sum per (support
-slot, Hermite and Charlier degree there) of coefficients times the basis
-products of their prefix-recursion parents gives all three, with no BLAS
-call.
+:func:`chaosbsde.chaos_core._pair_blocks`). For p >= 3 (and p = 0) one sum
+V per (support slot, Hermite and Charlier degree there) of coefficients
+times the basis products of their prefix-recursion parents gives all three.
+V is the transposed product of the sums kernel: the coefficients, scattered
+into its tiles, times the basis products below order p, tile by tile under
+the same single-threaded bound.
 
 ``conditional_at`` refines this to a time t inside interval r, for every
 path of a batch given its partial increments accumulated since t_{r-1}:
 each index is scaled by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its
 Hermite factor is evaluated at the partial increment standardized by the
 elapsed time, and its Charlier factor at the partial count with mean
-kappa*(t - t_{r-1}). It runs the prefix kernel, at every p, on the groups
-supported on slots 1..r only, with slot r's factors K_a * C_b replaced by
-theta**(a/2) * K_a * C_b at the partial increments, and reads row r. At
-t = t_r with the full interval increments it gives row r of
+kappa*(t - t_{r-1}). It runs the prefix kernel, at every p, on the
+indices supported on slots 1..r only, with slot r's factors K_a * C_b
+replaced by theta**(a/2) * K_a * C_b at the partial increments, and reads
+row r. At t = t_r with the full interval increments it gives row r of
 ``evaluate_grid``.
 """
 
@@ -56,8 +58,9 @@ from typing import Optional
 import numpy as np
 
 from .chaos_core import (_CHUNK, ChaosCoefficients, _check_bytes, _chunk_slices,
-                         _chunk_tables, _ChunkBuffers, _IndexSet, _map_chunks,
-                         _pair_blocks, _per_worker, _stacked_factors, _workers)
+                         _chunk_tables, _ChunkBuffers, _IndexSet, _kc_row,
+                         _map_chunks, _pair_blocks, _per_worker, _sample_blocks,
+                         _stacked_factors, _workers)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -118,26 +121,36 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     iset = coeffs.iset
     tau = t - t_lo
     g = dB / math.sqrt(tau)
-    scale = [(tau / spec.h) ** (a / 2) for a, _ in iset.prefix.pairs]
-    d_pos = _prefix_coeffs(coeffs)
+    D = _prefix_coeffs(coeffs)
     row_zero = _row_zero(coeffs)
-    # Row r reads only the groups supported on slots 1..r. Their Phi_pre rows
-    # at slot r, built before its factors are replaced, parent no group here.
-    groups = tuple(gr for gr in iset.prefix.groups if gr[3] % N < r)
+    # Row r reads the indices supported on slots 1..r, whose parents end
+    # before slot r: the tiles whose factors start by slot r, and the
+    # Phi_pre rows these read (their row blocks end at the same last slots
+    # in every order, so the rows' parents are among them).
+    read = np.zeros(iset.prefix.n_pre, dtype=bool)
+    for tile in iset.prefix.tiles:
+        if tile.c0 < _kc_row(N, tile.d, r):
+            read[tile.lo:tile.hi] = True
+    segments = tuple(seg for seg in iset.prefix.segments if read[seg[0]])
     width = min(_CHUNK, M)
     buf = _ChunkBuffers(iset, width)
     Y, Z, U = np.empty((3, N + 1, width))
     out = np.empty((3, M))
     for sl in _chunk_slices(M):
         KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf,
-                                groups)
+                                segments)
+        # Slot r's factors become the in-interval ones. The Phi_pre rows
+        # built from the full-interval ones parent only indices supported
+        # after slot r, which row r does not read.
         K = hermite_batch(iset.p, g[sl])
         C = charlier_batch(iset.p, dN[sl], spec.kappa * tau)
-        for k, (a, b) in enumerate(iset.prefix.pairs):
-            np.multiply(scale[k] * K[a], C[b], out=KC[k * N + r - 1])
+        for d in range(1, iset.p + 1):
+            k0 = _kc_row(N, d, r - 1)
+            for b in range(d + 1):
+                np.multiply((tau / spec.h) ** ((d - b) / 2) * K[d - b], C[b],
+                            out=KC[k0 + b])
         cols = slice(0, KC.shape[1])
-        _prefix_rows(iset, d_pos, KC, phi, cols, Y, Z, U, *row_zero, buf,
-                     groups=groups)
+        _prefix_rows(iset, D, KC, phi, cols, Y, Z, U, *row_zero, buf, slots=r)
         out[:, sl] = Y[r, cols], Z[r, cols], U[r, cols]
     return out[0], out[1], out[2]
 
@@ -151,10 +164,12 @@ def _row_zero(coeffs: ChaosCoefficients) -> tuple[float, float, float, float]:
 
 
 def _prefix_coeffs(coeffs: ChaosCoefficients) -> np.ndarray:
-    """Coefficients in prefix order; position 0, the constant, is unused."""
-    d_pos = np.empty(1 + coeffs.iset.J)
-    d_pos[coeffs.iset.prefix.pos] = coeffs.values
-    return d_pos
+    """Coefficients scattered into the flat table of the prefix kernel,
+    zero at the entries no index has."""
+    plan = coeffs.iset.prefix
+    D = np.zeros(plan.n_flat)
+    D[plan.gather] = coeffs.values
+    return D
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,44 +275,75 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     _value_rows(Y, sl, SY, d0, sums_h)
 
 
-def _prefix_rows(iset: _IndexSet, d_pos: np.ndarray, KC: np.ndarray,
+def _prefix_rows(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
                  phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
                  u0: float, sqrt_h: float, buf: _ChunkBuffers,
-                 sums_h: Optional[float] = None, groups=None) -> None:
+                 sums_h: Optional[float] = None, slots: Optional[int] = None) -> None:
     """Order >= 3 kernel: one segment sum feeds the value and both derivatives.
 
-    Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`,
-    V[a, b, r] sums d_j * Phi_pre[parent_j] over the indices j with support
-    slot r and degrees (a, b) there, group by group of the prefix plan
-    (``d_pos`` holds the coefficients in prefix order; ``groups`` defaults
-    to all of the plan's). Then at each slot r,
-    SY = sum_ab V*K_a*C_b, SZ = sum_{a>=1} V*K_{a-1}*C_b and
+    Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`
+    and the coefficients D in the flat table of the prefix plan, V, laid out
+    as KC, sums d_j * Phi_pre[parent_j] over the indices j of each factor
+    (r, a, b): the constant parent's coefficients, plus per tile the
+    product of its coefficients, transposed, with its Phi_pre rows. With
+    ``slots`` set, V is only summed at the first ``slots`` slots. Then at
+    each slot r, SY = sum_ab V*K_a*C_b, SZ = sum_{a>=1} V*K_{a-1}*C_b and
     SU = sum_{b>=1} V*K_a*b*C_{b-1}.
     """
     plan = iset.prefix
     N = iset.N
-    V = buf.get("W", KC.shape)
-    V.fill(0.0)
-    for lo, hi, plo, f in plan.groups if groups is None else groups:
-        V[f] += np.einsum("ij,i->j", phi[plo:plo + hi - lo], d_pos[lo:hi])
     Mc = KC.shape[1]
-    KC = KC.reshape(-1, N, Mc)
-    V = V.reshape(-1, N, Mc)
+    V = buf.get("W", KC.shape)
+    V[:] = D[:plan.n_kc, None]
+    for t in plan.tiles:
+        c1 = t.c1 if slots is None else min(t.c1, _kc_row(N, t.d, slots))
+        if c1 > t.c0:
+            m, n = t.hi - t.lo, t.c1 - t.c0
+            Dt = D[t.t0:t.t0 + m * n].reshape(m, n)[:, :c1 - t.c0].T
+            _tile_rows(V[t.c0:c1], Dt, phi[t.lo:t.hi], t.width)
     S = buf.get("S", (3, N, Mc))
-    S.fill(0.0)
     SY, SZ, SU = S
-    k_of = {ab: k for k, ab in enumerate(plan.pairs)}
-    for k, (a, b) in enumerate(plan.pairs[1:], start=1):
-        SY += V[k] * KC[k]
-        if a:
-            SZ += V[k] * KC[k_of[a - 1, b]]
-        if b:
-            SU += b * V[k] * KC[k_of[a, b - 1]]
+    if iset.p == 0:
+        S.fill(0.0)
+    else:
+        # Degree sum 1 first: its lower factor K_0 * C_0 is 1.
+        V1 = V[:2 * N].reshape(N, 2, Mc)
+        SZ[:] = V1[:, 0]
+        SU[:] = V1[:, 1]
+        np.multiply(V1, KC[:2 * N].reshape(N, 2, Mc), out=V1)
+        np.add(V1[:, 0], V1[:, 1], out=SY)
+    tmp = buf.get("K", (N, Mc))  # scratch: K is read no more
+    for d in range(2, iset.p + 1):
+        rows = slice(_kc_row(N, d, 0), _kc_row(N, d + 1, 0))
+        Vd = V[rows].reshape(N, d + 1, Mc)
+        KCd = KC[rows].reshape(N, d + 1, Mc)
+        below = KC[_kc_row(N, d - 1, 0):rows.start].reshape(N, d, Mc)
+        for b in range(d + 1):  # the factor K_{d-b} * C_b
+            SY += np.multiply(Vd[:, b], KCd[:, b], out=tmp)
+            if b < d:
+                SZ += np.multiply(Vd[:, b], below[:, b], out=tmp)
+            if b:
+                np.multiply(Vd[:, b], below[:, b - 1], out=tmp)
+                tmp *= b
+                SU += tmp
     Z[0, sl] = z0
     np.divide(SZ, sqrt_h, out=Z[1:, sl])
     U[0, sl] = u0
     U[1:, sl] = SU
     _value_rows(Y, sl, SY, d0, sums_h)
+
+
+def _tile_rows(V: np.ndarray, Dt: np.ndarray, P: np.ndarray, width: int) -> None:
+    """V += Dt @ P over a chunk's samples: one stacked product over the
+    sample blocks of :func:`chaosbsde.chaos_core._sample_blocks`, and the tail."""
+    (n, Mc), m = V.shape, P.shape[0]
+    nb = _sample_blocks(Mc, width)
+    cut = nb * width
+    if nb:
+        Vb = V[:, :cut].reshape(n, nb, width).transpose(1, 0, 2)
+        Vb += np.matmul(Dt, P[:, :cut].reshape(m, nb, width).transpose(1, 0, 2))
+    if cut < Mc:
+        V[:, cut:] += np.matmul(Dt, P[:, cut:])
 
 
 def _value_rows(Y, sl: slice, SY: np.ndarray, d0: float,
@@ -366,12 +412,12 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
             _eval_chunk_pairs(plan, kh, paths.G, paths.Q, sl,
                               Y, Z, U, d0, z0, u0, sqrt_h, buffers(), _sums_h)
     else:
-        d_pos = _prefix_coeffs(coeffs)
+        D = _prefix_coeffs(coeffs)
 
         def work(sl: slice) -> None:
             buf = buffers()
             KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
-            _prefix_rows(iset, d_pos, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h, buf,
+            _prefix_rows(iset, D, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h, buf,
                          _sums_h)
 
     for _ in _map_chunks(work, M, threads):

@@ -130,8 +130,8 @@ class TestPairKernel:
 
 
 class TestBlasSerialBlocks:
-    """Every BLAS product of the p <= 2 kernels stays under OpenBLAS's
-    threading cut-offs, for every N a p = 2 basis can have and every chunk
+    """Every BLAS product of the kernels stays under OpenBLAS's threading
+    cut-offs, for every N a p = 2, 3 or 4 basis can have and every chunk
     width, so BLAS never splits a product across threads. The products are
     (m, k) @ (k, n) matrices; numpy sends one with m = 1 or n = 1 to GEMV
     (or a dot product), and one with k = 1 to no BLAS routine at all."""
@@ -145,17 +145,39 @@ class TestBlasSerialBlocks:
         """Lengths of the sample blocks of a chunk of Mc samples."""
         return [min(width, Mc - a) for a in range(0, Mc, width)]
 
-    @classmethod
-    def products(cls, N, Mc):
-        """(m, k, n) of every product one chunk of Mc samples makes: the
-        sums kernel's, then the evaluation kernel's (two per stacked call)."""
-        from chaosbsde.chaos_core import _pair_blocks
+    @staticmethod
+    def tile_lengths(Mc, width):
+        """Lengths of the sample blocks of a prefix tile: whole blocks of
+        width, then the rest; a one-sample rest joins the last whole block
+        unless Mc = 1."""
+        n = Mc // width
+        if n and Mc - n * width == 1:
+            n -= 1
+        rest = Mc - n * width
+        return [width] * n + [rest] * (rest > 0)
 
-        blocks = _pair_blocks(N)
-        sums = [(hi - lo, k, 2 * N - lo) for lo, hi, width in blocks.sums
-                for k in cls.lengths(Mc, width)]
-        evals = [(s1 - s0, 2 * s1, n) for s0, s1, width in blocks.evals
-                 for n in cls.lengths(Mc, width) for _ in range(2)]
+    @classmethod
+    def products(cls, N, p, Mc):
+        """(m, k, n) of every product one chunk of Mc samples makes: the
+        sums kernel's, then the evaluation kernel's (two per stacked call of
+        the pair kernel)."""
+        from chaosbsde.chaos_core import _pair_blocks, _prefix_tiles
+
+        if p == 2:
+            blocks = _pair_blocks(N)
+            sums = [(hi - lo, k, 2 * N - lo) for lo, hi, width in blocks.sums
+                    for k in cls.lengths(Mc, width)]
+            evals = [(s1 - s0, 2 * s1, n) for s0, s1, width in blocks.evals
+                     for n in cls.lengths(Mc, width) for _ in range(2)]
+            return sums, evals
+        # Prefix tiles: Phi_pre rows times factor rows for the sums, the
+        # transposed coefficient block times Phi_pre rows for V. Over one
+        # sample the sums are an outer product, formed by broadcasting.
+        tiles, _ = _prefix_tiles(N, p)
+        sums = [(t.hi - t.lo, k, t.c1 - t.c0) for t in tiles
+                for k in cls.tile_lengths(Mc, t.width) if Mc > 1]
+        evals = [(t.c1 - t.c0, t.hi - t.lo, n) for t in tiles
+                 for n in cls.tile_lengths(Mc, t.width)]
         return sums, evals
 
     def serial(self, m, k, n):
@@ -179,36 +201,64 @@ class TestBlasSerialBlocks:
                 edges = [lo for lo, _, _ in tiles] + [n]
                 assert [hi for _, hi, _ in tiles] == edges[1:] and edges[0] == 0
             for Mc in self.WIDTHS:
-                sums, evals = self.products(N, Mc)
+                sums, evals = self.products(N, 2, Mc)
                 shapes = set(sums) | set(evals)
                 bad = [s for s in shapes if not self.serial(*s)]
                 assert not bad, (N, Mc, bad)
             N += 1
         assert N > 300
 
-    @pytest.mark.parametrize("N", [1, 7, 9, 50])
-    def test_kernels_make_exactly_these_products(self, monkeypatch, N):
+    @pytest.mark.parametrize("p, n_max", [(3, 106), (4, 38)])
+    def test_prefix_products_are_blas_serial_at_every_admitted_n(self, p, n_max):
+        # Also no k = 1 product, where a sample width of 1 would turn each
+        # tile into an outer product: every width is 2 or more samples.
+        from chaosbsde.chaos_core import _check_bytes
+
+        N = 1
+        while True:
+            try:
+                _check_bytes(N, p, 1)
+            except SizingError:
+                break
+            for Mc in self.WIDTHS:
+                sums, evals = self.products(N, p, Mc)
+                shapes = set(sums) | set(evals)
+                bad = [s for s in shapes if not self.serial(*s) or s[1] < 2]
+                assert not bad, (N, Mc, bad)
+            N += 1
+        assert N - 1 == n_max
+
+    @staticmethod
+    def spy(monkeypatch):
+        """List that collects (m, k, n) of every np.matmul product made, one
+        entry per matrix of a stacked operand."""
+        matmul = np.matmul
+        made = []
+
+        def spy(a, b, **kwargs):
+            batch = a.shape[0] if a.ndim == 3 else b.shape[0] if b.ndim == 3 else 1
+            made.extend([(a.shape[-2], a.shape[-1], b.shape[-1])] * batch)
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", spy)
+        return made
+
+    @pytest.mark.parametrize("N, p", [(1, 2), (7, 2), (9, 2), (50, 2),
+                                      (1, 3), (7, 3), (1, 4), (7, 4)])
+    def test_kernels_make_exactly_these_products(self, monkeypatch, N, p):
         # 2049 samples: the last chunk has one sample, so each kernel's last
         # sample block is a one-sample tail.
         spec = GridSpec(T=2.0, N=N, kappa=3.0)
         paths = sample_paths(spec, 2049, seed=80 + N)
         F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
-        coeffs = estimate(F, paths, 2)
-        matmul = np.matmul
-        made = []
-
-        def spy(a, b, **kwargs):
-            made.extend([(a.shape[-2], a.shape[-1], b.shape[-1])]
-                        * (a.shape[0] if a.ndim == 3 else 1))
-            return matmul(a, b, **kwargs)
-
-        monkeypatch.setattr(np, "matmul", spy)
-        sums, evals = zip(*(self.products(N, Mc) for Mc in (1024, 1024, 1)))
+        coeffs = estimate(F, paths, p)
+        made = self.spy(monkeypatch)
+        sums, evals = zip(*(self.products(N, p, Mc) for Mc in (1024, 1024, 1)))
         sums, evals = sum(sums, []), sum(evals, [])
-        estimate(F, paths, 2)
+        estimate(F, paths, p)
         assert sorted(made) == sorted(sums)
         made.clear()
-        variance_diagnostic(F, paths, 2)
+        variance_diagnostic(F, paths, p)
         assert sorted(made) == sorted(2 * sums)
         made.clear()
         Y, Z, U = evaluate_grid(coeffs, paths)
@@ -217,13 +267,29 @@ class TestBlasSerialBlocks:
             assert_rows_match((Y[r, -1], Z[r, -1], U[r, -1]),
                               naive_grid(coeffs, paths.G[-1], paths.Q[-1], r))
 
+    @pytest.mark.parametrize("N, p", [(7, 4), (10, 3)])
+    def test_one_sample_rest_joins_the_last_block(self, monkeypatch, N, p):
+        # A chunk of a tile's width + 1 samples: one whole block and a
+        # one-sample rest would make a k = 1 product; the rest joins the
+        # block, which the width leaves room for.
+        from chaosbsde.chaos_core import _prefix_tiles
+
+        Mc = min(t.width for t in _prefix_tiles(N, p)[0]) + 1
+        assert Mc <= 1024
+        paths = sample_paths(GridSpec(T=2.0, N=N, kappa=3.0), Mc, seed=85 + N)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        made = self.spy(monkeypatch)
+        estimate(F, paths, p)
+        assert sorted(made) == sorted(self.products(N, p, Mc)[0])
+        assert min(k for _, k, _ in made) >= 2
+
 
 class TestPrefixKernel:
     """The prefix-recursion estimator (p >= 3, and p = 0) against naive sums.
 
     M = 2500 leaves a ragged last chunk. At N = 7, p = 4 (J = 3059) every
     (support, a, b) segment draws on parents of up to four orders, so its
-    sum runs over several groups.
+    sum runs over several tiles.
     """
 
     @staticmethod
@@ -751,6 +817,16 @@ class TestVarianceDiagnostic:
         a = variance_diagnostic(F, small_paths, 2, threads=1)
         b = variance_diagnostic(F, small_paths, 2, threads=3)
         assert a == b
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_overflow_is_refused(self, p):
+        # Finite samples whose squares overflow float64: V would be inf - inf.
+        # Both kernel families, and no RuntimeWarning escapes (the suite
+        # turns warnings into errors), in pool workers (three chunks) too.
+        paths = sample_paths(GridSpec(T=1.0, N=2, kappa=1.0), 2049, seed=0)
+        for threads in (1, 2):
+            with pytest.raises(ValueError, match="overflows float64"):
+                variance_diagnostic(np.full(paths.M, 1e200), paths, p, threads=threads)
 
     def test_requires_two_samples(self, small_spec):
         paths = sample_paths(small_spec, 1, seed=0)

@@ -255,17 +255,16 @@ class TestRun:
 class TestGoldenResults:
     """Result columns (all but wall_ms) pinned to recorded strings, so a
     change to the solver or the report that moves any digit of the CSV
-    shows up here. ``example1_p3`` was recorded with the materializing error
-    report that the streamed one replaced, the p = 2 sweep with the
-    block-triangular p <= 2 kernels."""
+    shows up here. ``example1_p3`` was recorded with the tiled prefix
+    kernels, the p = 2 sweep with the block-triangular p <= 2 kernels."""
 
     HEADER = CSV_HEADER.rsplit(",", 1)[0]
     CASES = {
         "example1_p3": (
             "example = example1\nN = 4\np = 3\nq = 3\nM = 2000\nseed = 3\n",
-            ["example1,3,4,2000,3,3,reuse,1.5703722847124844,-0.097455343271203324,"
-             "1.568546207581633,1.5,0,1,25.834279953022737,2.1903473216202602,"
-             "6.8070557868484851"]),
+            ["example1,3,4,2000,3,3,reuse,1.5703722847124841,-0.097455343271203296,"
+             "1.5685462075816328,1.5,0,1,25.834279953022712,2.1903473216202589,"
+             "6.8070557868484727"]),
         "example2_independent_seed_sweep": (
             "example = example2\nN = 6\np = 2\nq = 3\nM = 300\n"
             "sample_mode = independent\nsweep_axis = seed\nsweep_values = 1, 2, 5\n",
@@ -394,6 +393,13 @@ class TestBlasThreads:
     def test_result_columns_identical_at_order_three(self, tmp_path):
         self.check_columns(tmp_path, "example = example1\nN = 10\np = 3\nM = 3000\n"
                                      "q = 2\nseed = 3\n")
+
+    def test_result_columns_identical_at_order_three_n20(self, tmp_path):
+        # At N = 20 the order-2 parents fall into ten row blocks (two last
+        # slots each), and nine of the 30 tiles stack several sample blocks
+        # into one np.matmul call.
+        self.check_columns(tmp_path, "example = example1\nN = 20\np = 3\nM = 3000\n"
+                                     "q = 1\nseed = 3\n")
 
     @staticmethod
     def check_columns(tmp_path, cfg_text):
