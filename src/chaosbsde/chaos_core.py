@@ -24,17 +24,16 @@ and its (J, N) arrays ``degB`` and ``degP`` give each rank's degrees.
 
 Sums over samples are accumulated in fixed chunks of 1024 and combined in
 chunk order, so results are bit-identical across runs and across worker
-thread counts. For p <= 2 a chunk's sums come from its stacked first-order
-factors X = [K1; C1] (2N rows, one column per sample): row sums of F*X give
-the units and the upper triangle of the symmetric product (F*X) X^T every
-order-2 sum. Only its upper block triangle is formed, a few rows of F*X at a
-time against the trailing rows of X, over fixed sample blocks small enough
-for BLAS to run single-threaded (:func:`_pair_blocks`), so results do not
-depend on the BLAS thread count either. Other orders build each basis
-product below order p from a lower-order one by the prefix recursion of
-:class:`_PrefixPlan`; every sum is then an entry of the product of those
-basis products with F times the slot factors, taken in tiles of its block
-triangle (:func:`_prefix_tiles`) under the same single-threaded bound.
+thread counts. A chunk's sums build each basis product below order p from
+a lower-order one by the prefix recursion of :class:`_PrefixPlan`; every
+sum is then an entry of the product of those basis products with F times
+the slot factors, taken in tiles of its block triangle (:func:`_prefix_tiles`)
+over fixed sample blocks small enough for BLAS to run single-threaded, so
+results do not depend on the BLAS thread count either. Only
+:func:`estimate` at p = 2 has a kernel of its own, several times faster:
+with the stacked first-order factors X = [K1; C1] (2N rows, one column per
+sample), row sums of F*X give the units and the upper block triangle of
+(F*X) X^T every order-2 sum, under the same bound (:func:`_pair_blocks`).
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ _CHUNK = 1024
 # a product with a one-row or one-column operand to GEMV. Both kernel
 # families keep every BLAS call under these, so BLAS never splits a product
 # across threads: results do not depend on the BLAS thread count, and pool
-# workers do not compete with BLAS threads for the same cores. The order <= 2
+# workers do not compete with BLAS threads for the same cores. The p = 2 pair
 # kernels' only GEMVs are the evaluation's one-sample tails, on at most
 # 5 x 2N entries, and its one-slot block at N = 1, on at most 2 x 1024; the
 # prefix kernels' only ones are the evaluation's one-sample chunks, on one
@@ -77,7 +76,7 @@ _CHUNK = 1024
 # block widths (test_chaos_core.TestBlasSerialBlocks checks both).
 _BLAS_SERIAL_MACS = 1 << 18
 
-# Block size of the order <= 2 products (:func:`_pair_blocks`): rows of F*X
+# Block size of the p = 2 pair products (:func:`_pair_blocks`): rows of F*X
 # per sums product, and output slots per evaluation product. Small blocks
 # skip most of the redundant half of each product. Timed per chunk at
 # N = 20, 50 and 100, 4 was within 10% of the best of 4, 5, 6 and 8 in both
@@ -159,7 +158,7 @@ class _IndexSet:
             raise KeyError(f"index {key!r} is not in the order-{self.p} truncation")
         return self._ranks[bytes(degs)]
 
-    # Rank layout used by the closed-form order <= 2 kernels. Stack the 2N
+    # Rank layout used by the p = 2 pair kernels. Stack the 2N
     # first-order factors of a path as X = [K1; C1] (Brownian slots, then
     # jump slots). Grade-1 ranks 0..2N-1 are the rows of X in order, and
     # grade-2 rank 2N + k is the product of rows (a, b) = np.triu_indices(2N)[k].
@@ -232,7 +231,8 @@ def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
 
 @dataclass(frozen=True, eq=False)
 class _PrefixPlan:
-    """Layout of the prefix recursion behind the kernels for p >= 3 and p = 0.
+    """Layout of the prefix recursion behind the general kernels, which run
+    at every p except the p = 2 :func:`estimate` and ``evaluate_grid``.
 
     Let r be the last slot of index j's support, (a, b) its Hermite and
     Charlier degrees there and d = a + b. Its parent, j with slot r zeroed,
@@ -343,17 +343,26 @@ def _index_set(N: int, p: int, workers: int = 1) -> _IndexSet:
     return _build_index_set(N, p)
 
 
+def _check_threads(threads) -> None:
+    """Refuse a worker thread count that is not an int of at least 1."""
+    if (isinstance(threads, (bool, np.bool_))
+            or not isinstance(threads, (int, np.integer))):
+        raise TypeError(f"threads must be an int, got {type(threads).__name__}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+
+
 def _workers(threads: int, M: int) -> int:
     """Chunk functions that can run at once: ``_map_chunks`` runs at most
-    one per chunk of M samples."""
+    one per chunk of M samples. Refuses an invalid ``threads``."""
+    _check_threads(threads)
     return max(1, min(threads, -(-M // _CHUNK)))
 
 
 def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
     """Rows of one worker's chunk buffers, by kernel family and name. Every
-    p has the prefix family (``conditional_at`` runs it at p <= 2 too); at
-    p = 1, 2 the pair family adds X = [K1; C1], its slot-block-major copy
-    XS and T.
+    p has the prefix family; at p = 2 the pair family adds X = [K1; C1], its
+    slot-block-major copy XS and T.
     The budget charges both; a call allocates only the family it uses.
     KC and W are charged a row per pair (a, b) and slot; the kernels store
     no row for (0, 0), so N rows of each stay unused."""
@@ -361,7 +370,7 @@ def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
     rows = {"prefix": {"K": (p + 1) * N, "C": (p + 1) * N, "KC": n_kc, "W": n_kc,
                        "phi": 1 + _basis_count(N, p - 1) if p >= 1 else 1,
                        "S": 3 * N}}
-    if 1 <= p <= 2:
+    if p == 2:
         rows["pair"] = {"X": 2 * N, "XS": 2 * N, "T": 2 * N}
     return rows
 
@@ -509,7 +518,7 @@ def _blocks(n: int, size: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _PairBlocks:
-    """Block shapes of the order <= 2 products, the same for every chunk.
+    """Block shapes of the p = 2 pair products, the same for every chunk.
 
     ``sums``: (lo, hi, width) per row block of the sums kernel, which takes
     rows lo:hi of F*X times X[lo:]^T over sample blocks of ``width``; the
@@ -560,45 +569,30 @@ def _pair_sums(A: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 
 def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
-                     squares: bool, buf: _ChunkBuffers) -> np.ndarray:
-    """Raw sums of F*Phi_n (and optionally (F*Phi_n)**2) over one chunk.
+                     buf: _ChunkBuffers) -> np.ndarray:
+    """Raw sums of F*Phi_n over one chunk at p = 2.
 
-    Closed-form layout for p <= 2. With X = [K1; C1] the chunk's stacked
-    first-order factors, the unit sums are the row sums of F*X, and the
-    upper triangle of S = (F*X) X^T holds every order-2 sum: S[a, b] for
-    a < b is the pair (a, b), and the same-slot degree-2 sums follow from
-    the diagonal through K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh.
+    With X = [K1; C1] the chunk's stacked first-order factors, the unit sums
+    are the row sums of F*X, and the upper triangle of S = (F*X) X^T holds
+    every order-2 sum: S[a, b] for a < b is the pair (a, b), and the
+    same-slot degree-2 sums follow from the diagonal through
+    K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh.
     """
     Fc = F[sl]
     X = _stacked_factors(G, Q, kh, sl, buf)
     N2 = X.shape[0]
     N = N2 // 2
-    n_out = 1 + iset.J
-    out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
+    out = np.empty(1 + iset.J, dtype=np.float64)
 
     FX = np.multiply(X, Fc, out=buf.get("T", X.shape))
     sF = Fc.sum()
     out[0] = sF
     out[1:1 + N2] = FX.sum(axis=1)
-    if iset.p >= 2:
-        S = _pair_sums(FX, X)
-        out[1 + N2:n_out] = S[iset.pairs]
-        diag = np.diagonal(S)
-        out[1 + iset.pair_diag[:N]] = 0.5 * (diag[:N] - sF)
-        out[1 + iset.pair_diag[N:]] = diag[N:] - out[1 + N:1 + N2] - kh * sF
-    if squares:
-        sq = out[n_out:]
-        F2 = Fc * Fc
-        X2 = X * X
-        F2X2 = F2 * X2
-        sq[0] = F2.sum()
-        sq[1:1 + N2] = F2X2.sum(axis=1)
-        if iset.p >= 2:
-            sq[1 + N2:] = _pair_sums(F2X2, X2)[iset.pairs]
-            K2 = 0.5 * (X2[:N] - 1.0)
-            C2 = X2[N:] - X[N:] - kh
-            sq[1 + iset.pair_diag[:N]] = (F2 * (K2 * K2)).sum(axis=1)
-            sq[1 + iset.pair_diag[N:]] = (F2 * (C2 * C2)).sum(axis=1)
+    S = _pair_sums(FX, X)
+    out[1 + N2:] = S[iset.pairs]
+    diag = np.diagonal(S)
+    out[1 + iset.pair_diag[:N]] = 0.5 * (diag[:N] - sF)
+    out[1 + iset.pair_diag[N:]] = diag[N:] - out[1 + N:1 + N2] - kh * sF
     return out
 
 
@@ -744,7 +738,7 @@ def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
               squares: bool) -> np.ndarray:
     kh = paths.spec.jump_mean
     n_out = 1 + iset.J
-    kernel = _fast_sums_chunk if 1 <= iset.p <= 2 else _prefix_sums_chunk
+    pair = iset.p == 2 and not squares
     buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, paths.M)))
 
     def chunk(sl: slice) -> np.ndarray:
@@ -752,7 +746,10 @@ def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
         # non-finite sums that result. errstate is per thread, so it is set
         # in the worker.
         with np.errstate(over="ignore", invalid="ignore"):
-            return kernel(F, paths.G, paths.Q, kh, iset, sl, squares, buffers())
+            if pair:
+                return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buffers())
+            return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares,
+                                      buffers())
     return _reduce_chunks(chunk, paths.M, 2 * n_out if squares else n_out, threads)
 
 
@@ -769,8 +766,8 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
     p : int
         Truncation order (total degree), >= 0.
     threads : int, optional
-        Worker threads for the chunked reduction. Results are identical for
-        every value, and for every BLAS thread count.
+        Worker threads for the chunked reduction, >= 1. Results are
+        identical for every value, and for every BLAS thread count.
 
     Returns
     -------
@@ -782,8 +779,11 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
     SizingError
         If the basis plus the working sets of the workers that can run
         would exceed the byte budget, checked before allocating.
+    TypeError
+        If threads is not an int.
     ValueError
-        If F is not finite, or a coefficient overflows float64.
+        If F is not finite, threads is below 1, or a coefficient overflows
+        float64.
     """
     F = _check_functional(F, paths)
     iset = _index_set(paths.spec.N, p, _workers(threads, paths.M))
@@ -806,9 +806,8 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     constant functional c has V = c**2 * J (J = index count), not zero:
     every product c * Phi_n still fluctuates.
 
-    Raises SizingError, as :func:`estimate` does, when the byte budget
-    would be exceeded, and ValueError when F is not finite or a variance
-    overflows float64.
+    Raises SizingError, TypeError and ValueError as :func:`estimate` does,
+    and ValueError when a variance overflows float64.
     """
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")

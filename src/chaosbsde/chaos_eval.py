@@ -21,21 +21,21 @@ and keep only indices supported exactly up to r:
 ``PathBatch``; one path's values are ``evaluate_grid(coeffs,
 paths.rows(m, m + 1))``. Per chunk of paths it sums each index into the
 bucket of its support slot and takes a cumulative sum over r, so the full
-r = 0..N sweep is O(#indices) per path. For p <= 2 the chunk is
-time-major: with the stacked first-order factors X = [K1; C1] (2N rows, one
-column per sample), the product W^T X with the 2N x 2N pair-coefficient
-matrix W gives both derivative sums at every slot, and the value sum follows
-from them elementwise. W is zero wherever the input factor's slot is later
-than the output's, so the product is taken per block of output slots from a
-slot-block-major copy of X: the Z and U rows of slots s0:s1 read only the
-factors of slots before s1. Every block product runs over sample blocks
-small enough for BLAS to run single-threaded (see
-:func:`chaosbsde.chaos_core._pair_blocks`). For p >= 3 (and p = 0) one sum
-V per (support slot, Hermite and Charlier degree there) of coefficients
-times the basis products of their prefix-recursion parents gives all three.
+r = 0..N sweep is O(#indices) per path. The general kernel forms one sum V
+per (support slot, Hermite and Charlier degree there) of coefficients times
+the basis products of their prefix-recursion parents, which gives all three.
 V is the transposed product of the sums kernel: the coefficients, scattered
-into its tiles, times the basis products below order p, tile by tile under
-the same single-threaded bound.
+into its tiles, times the basis products below order p, tile by tile over
+sample blocks small enough for BLAS to run single-threaded. It serves every
+p but 2, where a pair kernel is several times faster: with the stacked
+first-order factors X = [K1; C1] (2N rows, one column per sample), the
+product W^T X with the 2N x 2N pair-coefficient matrix W gives both
+derivative sums at every slot, and the value sum follows from them
+elementwise. W is zero wherever the input factor's slot is later than the
+output's, so the product is taken per block of output slots from a
+slot-block-major copy of X: the Z and U rows of slots s0:s1 read only the
+factors of slots before s1, under the same single-threaded bound (see
+:func:`chaosbsde.chaos_core._pair_blocks`).
 
 ``conditional_at`` refines this to a time t inside interval r, for every
 path of a batch given its partial increments accumulated since t_{r-1}:
@@ -116,7 +116,6 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     if (dN.shape != (M,) or not np.issubdtype(dN.dtype, np.integer)
             or (dN < 0).any()):
         raise ValueError(f"dN must be a nonnegative int vector of shape ({M},)")
-    _check_bytes(N, coeffs.p, 1)
 
     iset = coeffs.iset
     tau = t - t_lo
@@ -174,7 +173,7 @@ def _prefix_coeffs(coeffs: ChaosCoefficients) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _PairPlan:
-    """Order <= 2 coefficients arranged for the fused time-major kernel.
+    """Order-2 coefficients arranged for the fused time-major kernel.
 
     Rows follow the stacked factors X = [K1; C1] of
     :func:`chaosbsde.chaos_core._stacked_factors`; per-slot vectors are
@@ -183,13 +182,13 @@ class _PairPlan:
 
     d1: np.ndarray            # (2N, 1) unit coefficients
     # Rows of X in slot-block-major order: per slot block s0:s1 of
-    # _pair_blocks, K1 then C1 at those slots. None when p = 1.
-    perm: Optional[np.ndarray]
+    # _pair_blocks, K1 then C1 at those slots.
+    perm: np.ndarray
     # Per slot block (s0, s1, width, Wb): Wb[0] and Wb[1], (s1 - s0, 2*s1),
     # give the Z and U rows of slots s0:s1 from the first 2*s1 rows of
-    # X[perm]. Empty when p = 1.
+    # X[perm].
     blocks: tuple[tuple[int, int, int, np.ndarray], ...]
-    # Same-slot terms, all zero when p = 1.
+    # Same-slot terms.
     hBB: np.ndarray           # (N, 1) half the same-slot Hermite degree-2 coefficient
     dPP: np.ndarray           # (N, 1) same-slot Charlier degree 2
     dBP: np.ndarray           # (N, 1) same-slot mixed pair
@@ -201,10 +200,6 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
     N = iset.N
     v = coeffs.values
     d1 = v[:2 * N, None]
-    zero = np.zeros((N, 1))
-    if iset.p < 2:
-        return _PairPlan(d1=d1, perm=None, blocks=(), hBB=zero, dPP=zero, dBP=zero,
-                         c0=zero)
     # P[a, b] (a <= b) is the coefficient of the factor product X_a * X_b.
     P = np.zeros((2 * N, 2 * N))
     P[iset.pairs] = v[2 * N:]
@@ -235,7 +230,7 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
 def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
                       Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float,
                       buf: _ChunkBuffers, sums_h: Optional[float]) -> None:
-    """Fused order <= 2 kernel: block-triangular GEMMs and a few (N, Mc) passes.
+    """Fused p = 2 kernel: block-triangular GEMMs and a few (N, Mc) passes.
 
     T = d1 + W^T X stacks the unscaled derivative sums SZ (rows :N) and SU
     (rows N:) at every slot; one stacked product per slot block and sample
@@ -251,15 +246,12 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     K1 = X[:N]
     C1 = X[N:]
     T = buf.get("T", X.shape)
-    if plan.blocks:
-        XS = np.take(X, plan.perm, axis=0, out=buf.get("XS", X.shape), mode="clip")
-        T2 = T.reshape(2, N, Mc)
-        for s0, s1, width, Wb in plan.blocks:
-            for a in range(0, Mc, width):
-                np.matmul(Wb, XS[:2 * s1, a:a + width], out=T2[:, s0:s1, a:a + width])
-        T += plan.d1
-    else:
-        T[:] = plan.d1
+    XS = np.take(X, plan.perm, axis=0, out=buf.get("XS", X.shape), mode="clip")
+    T2 = T.reshape(2, N, Mc)
+    for s0, s1, width, Wb in plan.blocks:
+        for a in range(0, Mc, width):
+            np.matmul(Wb, XS[:2 * s1, a:a + width], out=T2[:, s0:s1, a:a + width])
+    T += plan.d1
     tmp = buf.get("XS", K1.shape)  # the copy is read no more
     Z[0, sl] = z0
     np.divide(T[:N], sqrt_h, out=Z[1:, sl])
@@ -279,7 +271,7 @@ def _prefix_rows(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
                  phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
                  u0: float, sqrt_h: float, buf: _ChunkBuffers,
                  sums_h: Optional[float] = None, slots: Optional[int] = None) -> None:
-    """Order >= 3 kernel: one segment sum feeds the value and both derivatives.
+    """General kernel: one segment sum feeds the value and both derivatives.
 
     Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`
     and the coefficients D in the flat table of the prefix plan, V, laid out
@@ -380,9 +372,10 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     time r. Row 0 is the deterministic time-0 value of each evaluator.
 
     ``out`` optionally supplies preallocated (N+1, M) arrays to fill,
-    avoiding reallocation in iterative callers. Results are bit-identical
-    for every ``threads`` value, since chunks write disjoint column blocks,
-    and for every BLAS thread count.
+    avoiding reallocation in iterative callers. ``threads`` is an int >= 1
+    (TypeError or ValueError otherwise). Results are bit-identical for
+    every ``threads`` value, since chunks write disjoint column blocks, and
+    for every BLAS thread count.
 
     ``_sums_h`` is the solver's: rows 1..N of ``out``'s Y then hold the
     running driver sums S, and Y[r] is written as the conditional value
@@ -391,6 +384,7 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     _check_spec(coeffs, paths)
     N = coeffs.spec.N
     M = paths.M
+    _check_bytes(N, coeffs.p, _workers(threads, M))
     if out is None:
         Y = np.empty((N + 1, M))
         Z = np.empty((N + 1, M))
@@ -400,12 +394,11 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
         for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
             if arr.shape != (N + 1, M):
                 raise ValueError(f"out {name} has shape {arr.shape}, expected {(N + 1, M)}")
-    _check_bytes(N, coeffs.p, _workers(threads, M))
     d0, z0, u0, sqrt_h = _row_zero(coeffs)
     kh = coeffs.spec.jump_mean
     iset = coeffs.iset
     buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, M)))
-    if 1 <= coeffs.p <= 2:
+    if coeffs.p == 2:
         plan = _pair_plan(coeffs)
 
         def work(sl: slice) -> None:

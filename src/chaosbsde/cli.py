@@ -11,10 +11,10 @@ starts a comment, blank lines are ignored, lists are comma-separated.
 Common keys (defaults in parentheses, per example):
 
     example       example1 | example2            required
-    T             horizon                        (1.0 / 2.0)
+    T             horizon, > 0                   (1.0 / 2.0)
     N             grid intervals                 (20 / 50)
-    kappa         jump intensity                 (1.0, pinned / 3.0)
-    p             chaos truncation order         (2)
+    kappa         jump intensity, > 0            (1.0, pinned / 3.0)
+    p             chaos truncation order, <= 60  (2)
     q             Picard iteration count         (5 / 10)
     M             Monte Carlo sample count       (10000)
     seed          base seed                      (0)
@@ -66,6 +66,7 @@ from .benchmarks import (
     example2_grid,
 )
 from .chaos_core import ChaosCoefficients
+from .orthopoly import MAX_DEGREE
 from .picard_solver import (
     Driver,
     SolverConfig,
@@ -171,7 +172,7 @@ def _int_value(text: str) -> Optional[int]:
 
 
 def _parse_int(raw: _RawConfig, key: str, default: Optional[int],
-               minimum: int = 1) -> int:
+               minimum: int = 1, maximum: Optional[int] = None) -> int:
     got = raw.take(key)
     if got is None:
         if default is None:
@@ -183,10 +184,13 @@ def _parse_int(raw: _RawConfig, key: str, default: Optional[int],
         raise raw.error(key, lineno, f"expected an integer, got {text!r}")
     if value < minimum:
         raise raw.error(key, lineno, f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise raw.error(key, lineno, f"must be <= {maximum}, got {value}")
     return value
 
 
-def _parse_float(raw: _RawConfig, key: str, default: float) -> float:
+def _parse_float(raw: _RawConfig, key: str, default: float,
+                 positive: bool = False) -> float:
     got = raw.take(key)
     if got is None:
         return default
@@ -197,6 +201,8 @@ def _parse_float(raw: _RawConfig, key: str, default: float) -> float:
         raise raw.error(key, lineno, f"expected a number, got {text!r}") from None
     if not math.isfinite(value):
         raise raw.error(key, lineno, f"expected a finite number, got {text!r}")
+    if positive and value <= 0:
+        raise raw.error(key, lineno, f"must be > 0, got {text!r}")
     return value
 
 
@@ -223,10 +229,10 @@ def parse_config(path: str) -> ExperimentConfig:
     example = _parse_choice(raw, "example", None, ("example1", "example2"))
     defaults = _EXAMPLE_DEFAULTS[example]
 
-    T = _parse_float(raw, "T", defaults["T"])
+    T = _parse_float(raw, "T", defaults["T"], positive=True)
     N = _parse_int(raw, "N", defaults["N"])
-    kappa = _parse_float(raw, "kappa", defaults["kappa"])
-    p = _parse_int(raw, "p", 2)
+    kappa = _parse_float(raw, "kappa", defaults["kappa"], positive=True)
+    p = _parse_int(raw, "p", 2, maximum=MAX_DEGREE)
     q = _parse_int(raw, "q", defaults["q"])
     M = _parse_int(raw, "M", 10_000)
     seed = _parse_int(raw, "seed", 0, minimum=0)
@@ -267,6 +273,9 @@ def parse_config(path: str) -> ExperimentConfig:
             if v < 1:
                 raise raw.error("sweep_values", lineno,
                                 f"values must be positive, got {v}")
+            if axis == "p" and v > MAX_DEGREE:
+                raise raw.error("sweep_values", lineno,
+                                f"p values must be <= {MAX_DEGREE}, got {v}")
             values.append(v)
         if not values:
             raise raw.error("sweep_values", lineno, "empty sweep")

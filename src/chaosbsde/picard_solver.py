@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .chaos_core import ChaosCoefficients, estimate
+from .chaos_core import ChaosCoefficients, _check_threads, estimate
 from .chaos_eval import evaluate_grid
 from .stochastic_grid import GridSpec, PathBatch, sample_paths
 
@@ -258,7 +258,8 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         from the config seed when omitted. Passing it lets callers time the
         solve separately from path generation.
     threads : int, optional
-        Worker threads for estimation and evaluation; never affects values.
+        Worker threads for estimation and evaluation, >= 1; never affects
+        values. Checked before any paths are drawn.
 
     Returns
     -------
@@ -266,6 +267,7 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         Final iterate, its coefficients, optional per-iteration coefficient
         history, and the batch the returned grid is evaluated on.
     """
+    _check_threads(threads)
     spec = config.spec
     if paths is None:
         paths = draw_paths(config)

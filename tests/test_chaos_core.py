@@ -29,7 +29,7 @@ from chaosbsde import (
     sample_paths,
     variance_diagnostic,
 )
-from test_chaos_eval import assert_rows_match, naive_grid
+from test_chaos_eval import BAD_THREADS, assert_rows_match, naive_grid
 
 
 def oracle_indices(N, p):
@@ -85,7 +85,8 @@ def naive_estimate(F, paths, p):
 
 
 class TestPairKernel:
-    """The closed-form order <= 2 estimator against naive per-sample sums.
+    """The closed-form p = 2 estimator against naive per-sample sums, and
+    the prefix kernels on the same cases at p = 1 and in variance_diagnostic.
 
     M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452). At odd N
     the 4-row blocks of the upper block triangle leave a 2-row block, and
@@ -158,10 +159,10 @@ class TestBlasSerialBlocks:
 
     @classmethod
     def products(cls, N, p, Mc):
-        """(m, k, n) of every product one chunk of Mc samples makes: the
-        sums kernel's, then the evaluation kernel's (two per stacked call of
-        the pair kernel)."""
-        from chaosbsde.chaos_core import _pair_blocks, _prefix_tiles
+        """(m, k, n) of every product one chunk of Mc samples makes in the
+        kernels of estimate and evaluate_grid: the sums kernel's, then the
+        evaluation kernel's (two per stacked call of the pair kernel)."""
+        from chaosbsde.chaos_core import _pair_blocks
 
         if p == 2:
             blocks = _pair_blocks(N)
@@ -170,6 +171,14 @@ class TestBlasSerialBlocks:
             evals = [(s1 - s0, 2 * s1, n) for s0, s1, width in blocks.evals
                      for n in cls.lengths(Mc, width) for _ in range(2)]
             return sums, evals
+        return cls.prefix_products(N, p, Mc)
+
+    @classmethod
+    def prefix_products(cls, N, p, Mc):
+        """(sums, evals) of the prefix kernels, which run at every p but the
+        p = 2 estimate and evaluate_grid."""
+        from chaosbsde.chaos_core import _prefix_tiles
+
         # Prefix tiles: Phi_pre rows times factor rows for the sums, the
         # transposed coefficient block times Phi_pre rows for V. Over one
         # sample the sums are an outer product, formed by broadcasting.
@@ -208,10 +217,11 @@ class TestBlasSerialBlocks:
             N += 1
         assert N > 300
 
-    @pytest.mark.parametrize("p, n_max", [(3, 106), (4, 38)])
+    @pytest.mark.parametrize("p, n_max", [(2, 484), (3, 106), (4, 38)])
     def test_prefix_products_are_blas_serial_at_every_admitted_n(self, p, n_max):
         # Also no k = 1 product, where a sample width of 1 would turn each
         # tile into an outer product: every width is 2 or more samples.
+        # variance_diagnostic runs the prefix kernels at p = 2.
         from chaosbsde.chaos_core import _check_bytes
 
         N = 1
@@ -221,7 +231,7 @@ class TestBlasSerialBlocks:
             except SizingError:
                 break
             for Mc in self.WIDTHS:
-                sums, evals = self.products(N, p, Mc)
+                sums, evals = self.prefix_products(N, p, Mc)
                 shapes = set(sums) | set(evals)
                 bad = [s for s in shapes if not self.serial(*s) or s[1] < 2]
                 assert not bad, (N, Mc, bad)
@@ -243,23 +253,29 @@ class TestBlasSerialBlocks:
         monkeypatch.setattr(np, "matmul", spy)
         return made
 
-    @pytest.mark.parametrize("N, p", [(1, 2), (7, 2), (9, 2), (50, 2),
-                                      (1, 3), (7, 3), (1, 4), (7, 4)])
+    @pytest.mark.parametrize("N, p", [(1, 1), (7, 1), (1, 2), (7, 2), (9, 2),
+                                      (50, 2), (1, 3), (7, 3), (1, 4), (7, 4)])
     def test_kernels_make_exactly_these_products(self, monkeypatch, N, p):
         # 2049 samples: the last chunk has one sample, so each kernel's last
-        # sample block is a one-sample tail.
+        # sample block is a one-sample tail. variance_diagnostic runs the
+        # prefix sums kernel twice per chunk at every p, for the sums and
+        # the squared sums; at p = 1 no kernel makes a product.
         spec = GridSpec(T=2.0, N=N, kappa=3.0)
         paths = sample_paths(spec, 2049, seed=80 + N)
         F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
         coeffs = estimate(F, paths, p)
         made = self.spy(monkeypatch)
-        sums, evals = zip(*(self.products(N, p, Mc) for Mc in (1024, 1024, 1)))
+        chunks = (1024, 1024, 1)
+        sums, evals = zip(*(self.products(N, p, Mc) for Mc in chunks))
         sums, evals = sum(sums, []), sum(evals, [])
+        squares = sum((self.prefix_products(N, p, Mc)[0] for Mc in chunks), [])
+        if p == 1:
+            assert not (sums or evals or squares)
         estimate(F, paths, p)
         assert sorted(made) == sorted(sums)
         made.clear()
         variance_diagnostic(F, paths, p)
-        assert sorted(made) == sorted(2 * sums)
+        assert sorted(made) == sorted(2 * squares)
         made.clear()
         Y, Z, U = evaluate_grid(coeffs, paths)
         assert sorted(made) == sorted(evals)
@@ -285,7 +301,9 @@ class TestBlasSerialBlocks:
 
 
 class TestPrefixKernel:
-    """The prefix-recursion estimator (p >= 3, and p = 0) against naive sums.
+    """The prefix-recursion estimator, which runs at every p but 2 and in
+    variance_diagnostic at every p, against naive sums (p = 1 and p = 2's
+    variance_diagnostic are covered by TestPairKernel's cases).
 
     M = 2500 leaves a ragged last chunk. At N = 7, p = 4 (J = 3059) every
     (support, a, b) segment draws on parents of up to four orders, so its
@@ -479,7 +497,7 @@ class TestBufferLayout:
                 buf.get(name, (n, 1024))
         held = sum(a.nbytes for a in buf._flat.values())
         assert 0 < held <= _worker_bytes(N, p)
-        assert ("pair" in rows) == (1 <= p <= 2)
+        assert ("pair" in rows) == (p == 2)
 
 
 def arrays(N, p):
@@ -583,6 +601,15 @@ class TestWeight:
 
 
 class TestEstimate:
+    @pytest.mark.parametrize("threads, error", BAD_THREADS)
+    def test_threads_validated(self, small_paths, threads, error):
+        F = small_paths.G[:, 0].copy()
+        with pytest.raises(error, match="threads"):
+            estimate(F, small_paths, 1, threads=threads)
+        a = estimate(F, small_paths, 1, threads=np.int64(2))
+        b = estimate(F, small_paths, 1)
+        assert a.d0 == b.d0 and np.array_equal(a.values, b.values)
+
     def test_constant_is_order_zero(self, small_spec):
         paths = sample_paths(small_spec, 20_000, seed=2)
         F = np.full(paths.M, 2.0)
@@ -616,7 +643,7 @@ class TestEstimate:
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_naive_oracle(self, p, rng):
-        # p = 1, 2 exercise the dense fast path; p = 3 the generic gather path
+        # p = 2 exercises the pair kernel; p = 1, 3 the prefix kernel
         spec = GridSpec(T=1.0, N=3, kappa=2.0)
         paths = sample_paths(spec, 400, seed=5)
         F = rng.standard_normal(paths.M) + np.exp(0.3 * paths.Q.sum(axis=1))
@@ -777,6 +804,14 @@ class TestCoefficientsContainer:
 
 
 class TestVarianceDiagnostic:
+    @pytest.mark.parametrize("threads, error", BAD_THREADS)
+    def test_threads_validated(self, small_paths, threads, error):
+        F = small_paths.G[:, 0].copy()
+        with pytest.raises(error, match="threads"):
+            variance_diagnostic(F, small_paths, 1, threads=threads)
+        assert (variance_diagnostic(F, small_paths, 1, threads=np.int64(2))
+                == variance_diagnostic(F, small_paths, 1))
+
     def test_gaussian_unit_value(self):
         # V = Var(G) + Var(G K1(G))/1 + Var(G C1(Q))/kh = 1 + 2 + 1 = 4
         spec = GridSpec(T=0.25, N=1, kappa=1.0)
@@ -821,8 +856,9 @@ class TestVarianceDiagnostic:
     @pytest.mark.parametrize("p", [1, 3])
     def test_overflow_is_refused(self, p):
         # Finite samples whose squares overflow float64: V would be inf - inf.
-        # Both kernel families, and no RuntimeWarning escapes (the suite
-        # turns warnings into errors), in pool workers (three chunks) too.
+        # With prefix tiles (p = 3) and without (p = 1), and no
+        # RuntimeWarning escapes (the suite turns warnings into errors), in
+        # pool workers (three chunks) too.
         paths = sample_paths(GridSpec(T=1.0, N=2, kappa=1.0), 2049, seed=0)
         for threads in (1, 2):
             with pytest.raises(ValueError, match="overflows float64"):

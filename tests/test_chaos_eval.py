@@ -4,7 +4,7 @@ Grid-time values are checked through ``evaluate_grid`` on one-path batches
 against hand-computed values. The reference oracle is ``naive_in_interval``:
 per index, the basis product over the observed slots gathered from
 polynomial tables, times the in-interval factor of the last slot. The batch
-grid evaluator (the fused order <= 2 kernel, or the prefix kernel) and the
+grid evaluator (the fused p = 2 kernel, or the prefix kernel) and the
 batched ``conditional_at`` (the prefix kernel with slot r replaced) must
 agree with it to rel/abs 1e-11.
 """
@@ -30,6 +30,11 @@ from chaosbsde import (
     sample_paths,
 )
 from chaosbsde.chaos_core import _pair_blocks
+
+
+# Invalid worker thread counts and the error each entry point raises.
+BAD_THREADS = [(0, ValueError), (-3, ValueError), (2.5, TypeError),
+               (True, TypeError), ("2", TypeError), (None, TypeError)]
 
 
 def naive_in_interval(coeffs, G, Q, r, theta, g, n, mean):
@@ -395,6 +400,16 @@ class TestProperties:
 
 
 class TestEvaluateGrid:
+    @pytest.mark.parametrize("threads, error", BAD_THREADS)
+    def test_threads_validated(self, spec3, threads, error):
+        paths = sample_paths(spec3, 50, seed=23)
+        coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
+        with pytest.raises(error, match="threads"):
+            evaluate_grid(coeffs, paths, threads=threads)
+        for a, b in zip(evaluate_grid(coeffs, paths, threads=np.int64(2)),
+                        evaluate_grid(coeffs, paths)):
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_matches_single_path_evaluators(self, p):
         spec = GridSpec(T=1.0, N=4, kappa=2.0)
@@ -439,7 +454,7 @@ class TestEvaluateGrid:
     def test_sums_offset_is_subtracting_afterwards(self, p, threads):
         # The solver's offset: Y arrives holding driver sums S in rows 1..N
         # and leaves as cond - h*S, byte for byte what the plain call minus
-        # h*S gives, in the pair family (p = 1, 2) and the prefix one.
+        # h*S gives, in the pair family (p = 2) and the prefix one.
         spec = GridSpec(T=1.0, N=6, kappa=2.0)
         paths = sample_paths(spec, 2500, seed=22)
         coeffs = estimate(np.exp(0.3 * paths.G[:, 2]) + paths.Q[:, 4], paths, p)
@@ -462,7 +477,8 @@ class TestEvaluateGrid:
 
 
 class TestPairKernel:
-    """The fused order <= 2 evaluator with every coefficient family nonzero.
+    """The fused p = 2 evaluator with every coefficient family nonzero, and
+    the prefix evaluator on the same cases at p = 1.
 
     M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452). At N = 7
     and 23 the 4-slot blocks of the product leave a 3-slot block, at N = 9
@@ -500,7 +516,8 @@ class TestPairKernel:
 
 
 class TestPrefixKernel:
-    """The prefix-recursion evaluator (p >= 3, and p = 0).
+    """The prefix-recursion evaluator, which runs at every p but 2 (p = 1
+    is covered by TestPairKernel's cases).
 
     M = 2500 leaves a ragged last chunk. Random coefficients on every index
     load every (support, a, b) segment, and at N = 7, p = 4 each segment

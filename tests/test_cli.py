@@ -145,6 +145,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=pattern):
             parse_config(write_cfg(tmp_path, "example = example1\n" + sweep))
 
+    @pytest.mark.parametrize("example, body, field, message", [
+        ("example1", "T = -1\n", "T", "must be > 0"),
+        ("example2", "T = 0\n", "T", "must be > 0"),
+        ("example2", "kappa = 0\n", "kappa", "must be > 0"),
+        ("example1", "p = 61\n", "p", "must be <= 60"),
+        ("example1", "sweep_axis = p\nsweep_values = 1, 61\n", "sweep_values",
+         "p values must be <= 60"),
+    ], ids=["T_negative", "T_zero", "kappa_zero", "p_above_cap", "p_sweep_above_cap"])
+    def test_invalid_values_refused_at_parse_time(self, tmp_path, capsys, example,
+                                                  body, field, message):
+        # The sweep's first point is valid: nothing runs before the refusal.
+        out = tmp_path / "never.csv"
+        path = write_cfg(tmp_path, f"example = {example}\nM = 10\nq = 1\n"
+                                   f"out = {out}\n{body}")
+        with pytest.raises(ConfigError):
+            parse_config(path)
+        assert main(["--config", path]) == 2
+        err = capsys.readouterr().err
+        line = 6 if field == "sweep_values" else 5
+        assert f"{path}:{line}: field '{field}': {message}" in err
+        assert not out.exists()
+
     def test_example1_kappa_must_stay_pinned(self, tmp_path):
         with pytest.raises(ConfigError, match="kappa"):
             parse_config(write_cfg(tmp_path, "example = example1\nkappa = 2\n"))
@@ -256,7 +278,9 @@ class TestGoldenResults:
     """Result columns (all but wall_ms) pinned to recorded strings, so a
     change to the solver or the report that moves any digit of the CSV
     shows up here. ``example1_p3`` was recorded with the tiled prefix
-    kernels, the p = 2 sweep with the block-triangular p <= 2 kernels."""
+    kernels, the p = 2 sweep with the block-triangular pair kernels, and
+    ``example2_p1`` with the pair kernels, before p = 1 moved to the prefix
+    kernels."""
 
     HEADER = CSV_HEADER.rsplit(",", 1)[0]
     CASES = {
@@ -265,6 +289,12 @@ class TestGoldenResults:
             ["example1,3,4,2000,3,3,reuse,1.5703722847124841,-0.097455343271203296,"
              "1.5685462075816328,1.5,0,1,25.834279953022712,2.1903473216202589,"
              "6.8070557868484727"]),
+        "example2_p1": (
+            "example = example2\nN = 6\np = 1\nq = 3\nM = 300\nseed = 4\n",
+            ["example2,1,6,300,3,4,reuse,6.6551172833665539,0.63655583803006066,"
+             "2.1102535073425117,6.5993928490002745,0.65993928490002751,"
+             "1.4611237789511622,5.5894874568162791,2.768829733778738,"
+             "3.2070104023641264"]),
         "example2_independent_seed_sweep": (
             "example = example2\nN = 6\np = 2\nq = 3\nM = 300\n"
             "sample_mode = independent\nsweep_axis = seed\nsweep_values = 1, 2, 5\n",
@@ -318,6 +348,17 @@ class TestMain:
         cfg_path = write_cfg(tmp_path, "example = example1\n")
         assert main(["--config", cfg_path, "--threads", "-1"]) == 2
         capsys.readouterr()
+
+    def test_threads_zero_is_auto(self, tmp_path):
+        # 0 resolves to a positive count before the solver checks threads.
+        cfg_path = write_cfg(tmp_path, "example = example1\nN = 3\nM = 3000\nq = 1\n")
+        texts = []
+        for threads in ("0", "1"):
+            out = tmp_path / f"t{threads}.csv"
+            assert main(["--config", cfg_path, "--out", str(out),
+                         "--threads", threads]) == 0
+            texts.append(strip_wall(out.read_text(encoding="utf-8")))
+        assert texts[0] == texts[1]
 
 
 class TestDumpCoefficients:

@@ -21,6 +21,7 @@ from chaosbsde import (
     terminal_samples,
 )
 from chaosbsde.picard_solver import _driver_sums
+from test_chaos_eval import BAD_THREADS
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +117,20 @@ class TestSolverConfig:
             SolverConfig(spec=spec5, p=1, K_it=1, M=10, seed=-1)
         with pytest.raises(ValueError):
             SolverConfig(spec=spec5, p=1, K_it=1, M=10, seed=0, sample_mode="half")
+
+    @pytest.mark.parametrize("threads, error", BAD_THREADS)
+    def test_threads_refused_before_drawing_paths(self, spec5, monkeypatch,
+                                                  threads, error):
+        import chaosbsde.picard_solver as ps
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("paths drawn before threads was checked")
+
+        monkeypatch.setattr(ps, "sample_paths", no_draw)
+        cfg = SolverConfig(spec=spec5, p=1, K_it=1, M=10, seed=0)
+        with pytest.raises(error, match="threads"):
+            solve(cfg, Driver.zero(), TerminalFunctional.poisson_count(),
+                  threads=threads)
 
     def test_draw_paths_independent_mode_doubles(self, spec5):
         reuse = draw_paths(SolverConfig(spec=spec5, p=1, K_it=1, M=30, seed=0))
