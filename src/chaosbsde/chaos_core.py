@@ -65,15 +65,16 @@ _CHUNK = 1024
 # OpenBLAS runs a GEMM of at most 2**18 multiply-adds, and a GEMV on a matrix
 # of fewer than 9216 entries, on the calling thread (its default threading
 # cut-offs, 65536 and 2304 times GEMM_MULTITHREAD_THRESHOLD = 4); numpy sends
-# a product with a one-row or one-column operand to GEMV. Both kernel
-# families keep every BLAS call under these, so BLAS never splits a product
-# across threads: results do not depend on the BLAS thread count, and pool
-# workers do not compete with BLAS threads for the same cores. The p = 2 pair
-# kernels' only GEMVs are the evaluation's one-sample tails, on at most
-# 5 x 2N entries, and its one-slot block at N = 1, on at most 2 x 1024; the
-# prefix kernels' only ones are the evaluation's one-sample chunks, on one
-# tile's entries, about _PREFIX_ENTRIES. So GEMM's cut-off alone sets the
-# block widths (test_chaos_core.TestBlasSerialBlocks checks both).
+# a product with a one-row or one-column operand to GEMV, and one over a
+# single sample to no BLAS routine. Both kernel families keep every BLAS call
+# under these, so BLAS never splits a product across threads: results do not
+# depend on the BLAS thread count, and pool workers do not compete with BLAS
+# threads for the same cores. Every sample-blocked product of rows x columns
+# entries takes whole blocks of width = _BLAS_SERIAL_MACS // (rows x columns)
+# samples, then the rest. A one-row product or a one-sample rest is then a
+# GEMV under its cut-off or a product without BLAS, and every other one a
+# GEMM under its cut-off (test_chaos_core.TestBlasSerialBlocks checks every
+# product at every N the byte budget admits).
 _BLAS_SERIAL_MACS = 1 << 18
 
 # Block size of the p = 2 pair products (:func:`_pair_blocks`): rows of F*X
@@ -208,7 +209,7 @@ def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
     last slot l, and A(o, l) = C(2l + 2 + o - 1, o) of them have l' <= l. Row
     blocks span at most _PREFIX_SPAN last slots before N - 1 and have about
     _PREFIX_ENTRIES entries at the widest d, and none has one row; each
-    tile's width keeps width + 1 samples within _BLAS_SERIAL_MACS.
+    tile's width keeps its sample blocks within _BLAS_SERIAL_MACS.
     """
     tiles = []
     n_flat = _kc_row(N, p + 1, 0)
@@ -224,7 +225,7 @@ def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
                     c0, c1 = _kc_row(N, d, l0 + 1), _kc_row(N, d + 1, 0)
                     n = (b - a) * (c1 - c0)
                     tiles.append(_Tile(lo + a, lo + b, d, c0, c1, n_flat,
-                                       _BLAS_SERIAL_MACS // n - 1))
+                                       _BLAS_SERIAL_MACS // n))
                     n_flat += n
     return tuple(tiles), n_flat
 
@@ -555,16 +556,13 @@ def _stacked_factors(G, Q, kh: float, sl: slice, buf: _ChunkBuffers) -> np.ndarr
 
 
 def _pair_sums(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Upper block triangle of A @ X.T: per row block of :func:`_pair_blocks`,
-    partial products over fixed sample blocks, summed in order. Entries
-    below the diagonal blocks are left unset."""
-    n, Mc = X.shape
+    """Upper block triangle of A @ X.T, one :func:`_tile_sums` per row block
+    of :func:`_pair_blocks`. Entries below the diagonal blocks are left
+    unset."""
+    n = X.shape[0]
     S = np.empty((n, n))
     for lo, hi, width in _pair_blocks(n // 2).sums:
-        rows = S[lo:hi, lo:]
-        np.matmul(A[lo:hi, :width], X[lo:, :width].T, out=rows)
-        for a in range(width, Mc, width):
-            rows += np.matmul(A[lo:hi, a:a + width], X[lo:, a:a + width].T)
+        _tile_sums(A[lo:hi], X[lo:], width, S[lo:hi, lo:])
     return S
 
 
@@ -645,38 +643,27 @@ def _per_worker(make):
     return get
 
 
-def _sample_blocks(Mc: int, width: int) -> int:
-    """Number of whole sample blocks of ``width`` a product over Mc samples
-    stacks; the rest is its tail, which never has one sample unless Mc = 1
-    (widths leave room for width + 1 samples)."""
-    nb = Mc // width
-    return nb - 1 if nb and Mc - nb * width == 1 else nb
-
-
 def _tile_sums(A: np.ndarray, B: np.ndarray, width: int, out: np.ndarray) -> None:
-    """out = A @ B.T over a chunk's samples: one stacked product over its
-    sample blocks, summed in order, plus the tail. Over one sample it is an
-    outer product, formed without BLAS."""
+    """out = A @ B.T over a chunk's samples: its whole sample blocks of
+    ``width``, summed in order (one stacked product when there are several),
+    plus the rest."""
     (m, Mc), n = A.shape, B.shape[0]
-    nb = _sample_blocks(Mc, width)
-    cut = nb * width
-    if nb:
+    nb = Mc // width
+    cut = nb * width if nb else Mc
+    if nb > 1:
         blocks = np.matmul(A[:, :cut].reshape(m, nb, width).transpose(1, 0, 2),
                            B[:, :cut].reshape(n, nb, width).transpose(1, 2, 0))
         blocks.sum(axis=0, out=out)
-        if cut < Mc:
-            out += np.matmul(A[:, cut:], B[:, cut:].T)
-    elif Mc == 1:
-        np.multiply(A, B.T, out=out)
     else:
-        np.matmul(A, B.T, out=out)
+        np.matmul(A[:, :cut], B[:, :cut].T, out=out)
+    if cut < Mc:
+        out += np.matmul(A[:, cut:], B[:, cut:].T)
 
 
 def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
-                  buf: _ChunkBuffers, segments=None) -> tuple[np.ndarray, np.ndarray]:
+                  buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray]:
     """Slot factors KC and prefix table Phi_pre of one chunk, time-major,
-    written into ``buf``; Phi_pre only for ``segments`` (default: the
-    plan's)."""
+    written into ``buf``."""
     plan = iset.prefix
     N = iset.N
     Gt = G[sl].T
@@ -691,7 +678,7 @@ def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
     # One run at a time: the run's d + 1 factors times its parent rows.
     phi = buf.get("phi", (plan.n_pre, Mc))
     phi[0] = 1.0
-    for lo, hi, plo, n, k0, d in plan.segments if segments is None else segments:
+    for lo, hi, plo, n, k0, d in plan.segments:
         np.multiply(KC[k0:k0 + d + 1, None], phi[plo:plo + n],
                     out=phi[lo:hi].reshape(d + 1, n, Mc))
     return KC, phi

@@ -42,10 +42,10 @@ path of a batch given its partial increments accumulated since t_{r-1}:
 each index is scaled by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its
 Hermite factor is evaluated at the partial increment standardized by the
 elapsed time, and its Charlier factor at the partial count with mean
-kappa*(t - t_{r-1}). It runs the prefix kernel, at every p, on the
-indices supported on slots 1..r only, with slot r's factors K_a * C_b
-replaced by theta**(a/2) * K_a * C_b at the partial increments, and reads
-row r. At t = t_r with the full interval increments it gives row r of
+kappa*(t - t_{r-1}). It runs the prefix kernel of ``evaluate_grid``, at
+every p, on the whole grid with slot r's factors K_a * C_b replaced by
+theta**(a/2) * K_a * C_b at the partial increments, and reads row r. At
+t = t_r with the full interval increments it gives row r of
 ``evaluate_grid``.
 """
 
@@ -59,8 +59,8 @@ import numpy as np
 
 from .chaos_core import (_CHUNK, ChaosCoefficients, _check_bytes, _chunk_slices,
                          _chunk_tables, _ChunkBuffers, _IndexSet, _kc_row,
-                         _map_chunks, _pair_blocks, _per_worker, _sample_blocks,
-                         _stacked_factors, _workers)
+                         _map_chunks, _pair_blocks, _per_worker, _stacked_factors,
+                         _workers)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -122,25 +122,16 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     g = dB / math.sqrt(tau)
     D = _prefix_coeffs(coeffs)
     row_zero = _row_zero(coeffs)
-    # Row r reads the indices supported on slots 1..r, whose parents end
-    # before slot r: the tiles whose factors start by slot r, and the
-    # Phi_pre rows these read (their row blocks end at the same last slots
-    # in every order, so the rows' parents are among them).
-    read = np.zeros(iset.prefix.n_pre, dtype=bool)
-    for tile in iset.prefix.tiles:
-        if tile.c0 < _kc_row(N, tile.d, r):
-            read[tile.lo:tile.hi] = True
-    segments = tuple(seg for seg in iset.prefix.segments if read[seg[0]])
     width = min(_CHUNK, M)
     buf = _ChunkBuffers(iset, width)
     Y, Z, U = np.empty((3, N + 1, width))
     out = np.empty((3, M))
     for sl in _chunk_slices(M):
-        KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf,
-                                segments)
+        KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf)
         # Slot r's factors become the in-interval ones. The Phi_pre rows
         # built from the full-interval ones parent only indices supported
-        # after slot r, which row r does not read.
+        # after slot r, which row r does not read; the rows other than r
+        # are computed and discarded.
         K = hermite_batch(iset.p, g[sl])
         C = charlier_batch(iset.p, dN[sl], spec.kappa * tau)
         for d in range(1, iset.p + 1):
@@ -149,7 +140,7 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
                 np.multiply((tau / spec.h) ** ((d - b) / 2) * K[d - b], C[b],
                             out=KC[k0 + b])
         cols = slice(0, KC.shape[1])
-        _prefix_rows(iset, D, KC, phi, cols, Y, Z, U, *row_zero, buf, slots=r)
+        _prefix_rows(iset, D, KC, phi, cols, Y, Z, U, *row_zero, buf)
         out[:, sl] = Y[r, cols], Z[r, cols], U[r, cols]
     return out[0], out[1], out[2]
 
@@ -270,15 +261,14 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
 def _prefix_rows(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
                  phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
                  u0: float, sqrt_h: float, buf: _ChunkBuffers,
-                 sums_h: Optional[float] = None, slots: Optional[int] = None) -> None:
+                 sums_h: Optional[float] = None) -> None:
     """General kernel: one segment sum feeds the value and both derivatives.
 
     Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`
     and the coefficients D in the flat table of the prefix plan, V, laid out
     as KC, sums d_j * Phi_pre[parent_j] over the indices j of each factor
     (r, a, b): the constant parent's coefficients, plus per tile the
-    product of its coefficients, transposed, with its Phi_pre rows. With
-    ``slots`` set, V is only summed at the first ``slots`` slots. Then at
+    product of its coefficients, transposed, with its Phi_pre rows. Then at
     each slot r, SY = sum_ab V*K_a*C_b, SZ = sum_{a>=1} V*K_{a-1}*C_b and
     SU = sum_{b>=1} V*K_a*b*C_{b-1}.
     """
@@ -288,11 +278,9 @@ def _prefix_rows(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
     V = buf.get("W", KC.shape)
     V[:] = D[:plan.n_kc, None]
     for t in plan.tiles:
-        c1 = t.c1 if slots is None else min(t.c1, _kc_row(N, t.d, slots))
-        if c1 > t.c0:
-            m, n = t.hi - t.lo, t.c1 - t.c0
-            Dt = D[t.t0:t.t0 + m * n].reshape(m, n)[:, :c1 - t.c0].T
-            _tile_rows(V[t.c0:c1], Dt, phi[t.lo:t.hi], t.width)
+        m, n = t.hi - t.lo, t.c1 - t.c0
+        _tile_rows(V[t.c0:t.c1], D[t.t0:t.t0 + m * n].reshape(m, n).T,
+                   phi[t.lo:t.hi], t.width)
     S = buf.get("S", (3, N, Mc))
     SY, SZ, SU = S
     if iset.p == 0:
@@ -326,10 +314,10 @@ def _prefix_rows(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
 
 
 def _tile_rows(V: np.ndarray, Dt: np.ndarray, P: np.ndarray, width: int) -> None:
-    """V += Dt @ P over a chunk's samples: one stacked product over the
-    sample blocks of :func:`chaosbsde.chaos_core._sample_blocks`, and the tail."""
+    """V += Dt @ P over a chunk's samples: one stacked product over its
+    whole sample blocks of ``width``, plus the rest."""
     (n, Mc), m = V.shape, P.shape[0]
-    nb = _sample_blocks(Mc, width)
+    nb = Mc // width
     cut = nb * width
     if nb:
         Vb = V[:, :cut].reshape(n, nb, width).transpose(1, 0, 2)
@@ -371,11 +359,12 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     Returns (Y, Z, U), each of shape (N+1, M): row r holds the value at grid
     time r. Row 0 is the deterministic time-0 value of each evaluator.
 
-    ``out`` optionally supplies preallocated (N+1, M) arrays to fill,
-    avoiding reallocation in iterative callers. ``threads`` is an int >= 1
-    (TypeError or ValueError otherwise). Results are bit-identical for
-    every ``threads`` value, since chunks write disjoint column blocks, and
-    for every BLAS thread count.
+    ``out`` optionally supplies preallocated (N+1, M) float64 arrays to
+    fill, avoiding reallocation in iterative callers (ValueError for any
+    other shape or dtype). ``threads`` is an int >= 1 (TypeError or
+    ValueError otherwise). Results are bit-identical for every ``threads``
+    value, since chunks write disjoint column blocks, and for every BLAS
+    thread count.
 
     ``_sums_h`` is the solver's: rows 1..N of ``out``'s Y then hold the
     running driver sums S, and Y[r] is written as the conditional value
@@ -394,6 +383,8 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
         for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
             if arr.shape != (N + 1, M):
                 raise ValueError(f"out {name} has shape {arr.shape}, expected {(N + 1, M)}")
+            if arr.dtype != np.float64:
+                raise ValueError(f"out {name} has dtype {arr.dtype}, expected float64")
     d0, z0, u0, sqrt_h = _row_zero(coeffs)
     kh = coeffs.spec.jump_mean
     iset = coeffs.iset

@@ -96,13 +96,18 @@ class PathBatch:
     spec : GridSpec
         Grid the increments live on.
     M : int
-        Number of sample paths.
+        Number of sample paths, at least 1.
     G : numpy.ndarray
-        Standardized Brownian increments, float64, shape (M, N).
+        Standardized Brownian increments, float64, shape (M, N), finite.
     Q : numpy.ndarray
-        Poisson interval counts, int32, shape (M, N).
+        Poisson interval counts, int32, shape (M, N), nonnegative.
     seed : int
         Seed the batch was generated from (kept for audit trails).
+
+    The constructor, and so :meth:`rows`, raises ValueError for an M that
+    is not an int of at least 1, a shape other than (M, N), a non-finite
+    increment in G, or a Q that is not an integer array or has a negative
+    count: the kernels cannot use such a batch.
     """
 
     spec: GridSpec
@@ -112,11 +117,24 @@ class PathBatch:
     seed: int
 
     def __post_init__(self) -> None:
+        if (isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer))
+                or self.M < 1):
+            raise ValueError(f"M must be an int >= 1, got {self.M!r}")
         expected = (self.M, self.spec.N)
         if self.G.shape != expected:
             raise ValueError(f"G has shape {self.G.shape}, expected {expected}")
         if self.Q.shape != expected:
             raise ValueError(f"Q has shape {self.Q.shape}, expected {expected}")
+        if not np.isfinite(self.G).all():
+            m, i = np.argwhere(~np.isfinite(self.G))[0]
+            raise ValueError(f"G has a non-finite increment at sample {m}, "
+                             f"interval {i}: {float(self.G[m, i])!r}")
+        if not np.issubdtype(self.Q.dtype, np.integer):
+            raise ValueError(f"Q must hold integer counts, got dtype {self.Q.dtype}")
+        if (self.Q < 0).any():
+            m, i = np.argwhere(self.Q < 0)[0]
+            raise ValueError(f"Q has a negative count at sample {m}, interval {i}: "
+                             f"{int(self.Q[m, i])}")
 
     def rows(self, start: int, stop: int) -> "PathBatch":
         """View of sample paths start..stop-1 as a new batch (no copy)."""

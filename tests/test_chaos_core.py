@@ -143,19 +143,9 @@ class TestBlasSerialBlocks:
 
     @staticmethod
     def lengths(Mc, width):
-        """Lengths of the sample blocks of a chunk of Mc samples."""
+        """Lengths of the sample blocks of a chunk of Mc samples, in both
+        kernel families: whole blocks of width, then the rest."""
         return [min(width, Mc - a) for a in range(0, Mc, width)]
-
-    @staticmethod
-    def tile_lengths(Mc, width):
-        """Lengths of the sample blocks of a prefix tile: whole blocks of
-        width, then the rest; a one-sample rest joins the last whole block
-        unless Mc = 1."""
-        n = Mc // width
-        if n and Mc - n * width == 1:
-            n -= 1
-        rest = Mc - n * width
-        return [width] * n + [rest] * (rest > 0)
 
     @classmethod
     def products(cls, N, p, Mc):
@@ -180,13 +170,12 @@ class TestBlasSerialBlocks:
         from chaosbsde.chaos_core import _prefix_tiles
 
         # Prefix tiles: Phi_pre rows times factor rows for the sums, the
-        # transposed coefficient block times Phi_pre rows for V. Over one
-        # sample the sums are an outer product, formed by broadcasting.
+        # transposed coefficient block times Phi_pre rows for V.
         tiles, _ = _prefix_tiles(N, p)
         sums = [(t.hi - t.lo, k, t.c1 - t.c0) for t in tiles
-                for k in cls.tile_lengths(Mc, t.width) if Mc > 1]
+                for k in cls.lengths(Mc, t.width)]
         evals = [(t.c1 - t.c0, t.hi - t.lo, n) for t in tiles
-                 for n in cls.tile_lengths(Mc, t.width)]
+                 for n in cls.lengths(Mc, t.width)]
         return sums, evals
 
     def serial(self, m, k, n):
@@ -219,8 +208,6 @@ class TestBlasSerialBlocks:
 
     @pytest.mark.parametrize("p, n_max", [(2, 484), (3, 106), (4, 38)])
     def test_prefix_products_are_blas_serial_at_every_admitted_n(self, p, n_max):
-        # Also no k = 1 product, where a sample width of 1 would turn each
-        # tile into an outer product: every width is 2 or more samples.
         # variance_diagnostic runs the prefix kernels at p = 2.
         from chaosbsde.chaos_core import _check_bytes
 
@@ -233,7 +220,7 @@ class TestBlasSerialBlocks:
             for Mc in self.WIDTHS:
                 sums, evals = self.prefix_products(N, p, Mc)
                 shapes = set(sums) | set(evals)
-                bad = [s for s in shapes if not self.serial(*s) or s[1] < 2]
+                bad = [s for s in shapes if not self.serial(*s)]
                 assert not bad, (N, Mc, bad)
             N += 1
         assert N - 1 == n_max
@@ -282,22 +269,6 @@ class TestBlasSerialBlocks:
         for r in range(N + 1):
             assert_rows_match((Y[r, -1], Z[r, -1], U[r, -1]),
                               naive_grid(coeffs, paths.G[-1], paths.Q[-1], r))
-
-    @pytest.mark.parametrize("N, p", [(7, 4), (10, 3)])
-    def test_one_sample_rest_joins_the_last_block(self, monkeypatch, N, p):
-        # A chunk of a tile's width + 1 samples: one whole block and a
-        # one-sample rest would make a k = 1 product; the rest joins the
-        # block, which the width leaves room for.
-        from chaosbsde.chaos_core import _prefix_tiles
-
-        Mc = min(t.width for t in _prefix_tiles(N, p)[0]) + 1
-        assert Mc <= 1024
-        paths = sample_paths(GridSpec(T=2.0, N=N, kappa=3.0), Mc, seed=85 + N)
-        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
-        made = self.spy(monkeypatch)
-        estimate(F, paths, p)
-        assert sorted(made) == sorted(self.products(N, p, Mc)[0])
-        assert min(k for _, k, _ in made) >= 2
 
 
 class TestPrefixKernel:

@@ -449,6 +449,17 @@ class TestEvaluateGrid:
         for g, o in zip(got, out):
             assert g is o
 
+    @pytest.mark.parametrize("name", ["Y", "Z", "U"])
+    def test_rejects_out_buffers_that_are_not_float64(self, spec3, name):
+        # A float32 buffer would be filled with rounded values.
+        paths = sample_paths(spec3, 40, seed=20)
+        coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
+        shape = (spec3.N + 1, paths.M)
+        out = {key: np.empty(shape) for key in "YZU"}
+        out[name] = np.empty(shape, dtype=np.float32)
+        with pytest.raises(ValueError, match=f"out {name} has dtype float32"):
+            evaluate_grid(coeffs, paths, out=tuple(out.values()))
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_sums_offset_is_subtracting_afterwards(self, p, threads):

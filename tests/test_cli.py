@@ -280,7 +280,10 @@ class TestGoldenResults:
     shows up here. ``example1_p3`` was recorded with the tiled prefix
     kernels, the p = 2 sweep with the block-triangular pair kernels, and
     ``example2_p1`` with the pair kernels, before p = 1 moved to the prefix
-    kernels."""
+    kernels. In those three every product takes a chunk in one sample block;
+    the two ``_split`` cases have 1100 samples, and at N = 50, p = 2 and
+    N = 10, p = 3 the sample blocks split each 1024-sample chunk, so they pin
+    the blocking rule's rounding as well."""
 
     HEADER = CSV_HEADER.rsplit(",", 1)[0]
     CASES = {
@@ -310,6 +313,17 @@ class TestGoldenResults:
              "2.8144866037017722,6.5993928490002745,0.65993928490002751,"
              "1.4611237789511622,169.58024380740437,57.960309810190878,"
              "156.18773875481929"]),
+        "example2_p2_split": (
+            "example = example2\nN = 50\np = 2\nq = 2\nM = 1100\nseed = 6\n",
+            ["example2,2,50,1100,2,6,reuse,8.9236260467712025,1.0540391612632041,"
+             "1.3441118457625263,6.5993928490002745,0.65993928490002751,"
+             "1.4611237789511622,18090.457243486591,527.43495328183678,"
+             "1024.4102034553243"]),
+        "example1_p3_split": (
+            "example = example1\nN = 10\np = 3\nq = 2\nM = 1100\nseed = 6\n",
+            ["example1,3,10,1100,2,6,reuse,1.6359567466788281,0.5226801910053801,"
+             "1.4795464415934787,1.5,0,1,1569.9947876331912,24.084230954577379,"
+             "96.203442682089417"]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosbsde import GridSpec, PathBatch, sample_paths
+from chaosbsde import GridSpec, PathBatch, estimate, evaluate_grid, sample_paths
 from chaosbsde.stochastic_grid import _poisson_cdf
 
 
@@ -179,3 +179,48 @@ class TestSamplePaths:
         assert part.M == 10
         assert np.shares_memory(part.G, small_paths.G)
         assert np.array_equal(part.G, small_paths.G[10:20])
+
+
+def with_entry(a, index, value):
+    """Copy of array a with a[index] = value."""
+    a = a.copy()
+    a[index] = value
+    return a
+
+
+class TestPathBatch:
+    """A batch holds what the kernels can use, or is refused when built:
+    M an int >= 1, G finite, Q integer counts >= 0. The refusal is the same
+    at every p, since no kernel sees the batch."""
+
+    SPEC = GridSpec(T=1.0, N=3, kappa=2.0)
+    # Each defect maps (M, G, Q) of a valid batch to a defective one.
+    DEFECTS = {
+        "nan_in_G": (lambda M, G, Q: (M, with_entry(G, (7, 1), np.nan), Q),
+                     "non-finite increment at sample 7, interval 1: nan"),
+        "negative_count": (lambda M, G, Q: (M, G, with_entry(Q, (4, 2), -1)),
+                           "negative count at sample 4, interval 2: -1"),
+        "fractional_counts": (lambda M, G, Q: (M, G, Q + 0.5),
+                              "integer counts, got dtype float64"),
+        "no_samples": (lambda M, G, Q: (0, G[:0], Q[:0]),
+                       "M must be an int >= 1, got 0"),
+        "float_M": (lambda M, G, Q: (float(M), G, Q),
+                    r"M must be an int >= 1, got 40\.0"),
+    }
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("defect", sorted(DEFECTS))
+    def test_defect_refused_before_any_kernel(self, p, defect):
+        paths = sample_paths(self.SPEC, 40, seed=11)
+        coeffs = estimate(paths.G[:, 0] * paths.Q[:, 2], paths, p)
+        make, match = self.DEFECTS[defect]
+        M, G, Q = make(paths.M, paths.G, paths.Q)
+        with pytest.raises(ValueError, match=match):
+            evaluate_grid(coeffs, PathBatch(self.SPEC, M, G, Q, seed=11))
+
+    def test_rows_runs_the_same_check(self):
+        paths = sample_paths(self.SPEC, 40, seed=11)
+        paths.G[12, 0] = np.inf
+        paths.rows(0, 12)
+        with pytest.raises(ValueError, match="sample 2, interval 0: inf"):
+            paths.rows(10, 20)
