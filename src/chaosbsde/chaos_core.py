@@ -336,10 +336,12 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
 
 
 def _index_set(N: int, p: int, workers: int = 1) -> _IndexSet:
-    if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+    """The index set for (N, p); p may be a numpy integer, not a bool."""
+    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
         raise ValueError(f"p must be a nonnegative int, got {p!r}")
     if p > MAX_DEGREE:
         raise ValueError(f"p = {p} exceeds the degree cap {MAX_DEGREE}")
+    p = int(p)
     _check_bytes(N, p, workers)
     return _build_index_set(N, p)
 
@@ -354,8 +356,8 @@ def _check_threads(threads) -> None:
 
 
 def _workers(threads: int, M: int) -> int:
-    """Chunk functions that can run at once: ``_map_chunks`` runs at most
-    one per chunk of M samples. Refuses an invalid ``threads``."""
+    """Chunk functions that can run at once: :func:`_run_chunks` runs at
+    most one per chunk of M samples. Refuses an invalid ``threads``."""
     _check_threads(threads)
     return max(1, min(threads, -(-M // _CHUNK)))
 
@@ -433,6 +435,7 @@ class ChaosCoefficients:
                              f"{values[j]!r}")
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "p", iset.p)
         object.__setattr__(self, "iset", iset)
 
     @property
@@ -470,30 +473,6 @@ def coefficients_from_entries(spec: GridSpec, p: int, d0: float = 0.0,
     for key, val in (entries or {}).items():
         values[iset.rank(key)] = float(val)
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=spec)
-
-
-def _chunk_slices(M: int) -> list[slice]:
-    return [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
-
-
-def _map_chunks(chunk_fn, M: int, threads: int):
-    """chunk_fn over the fixed chunks of M samples, results in chunk order."""
-    slices = _chunk_slices(M)
-    if threads <= 1 or len(slices) == 1:
-        yield from map(chunk_fn, slices)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        # pool.map yields results in submission order regardless of which
-        # worker finishes first, so a reduction over them has a fixed order.
-        yield from pool.map(chunk_fn, slices)
-
-
-def _reduce_chunks(chunk_fn, M: int, n_out: int, threads: int) -> np.ndarray:
-    """Sum chunk_fn over fixed chunks, combining partials in chunk order."""
-    total = np.zeros(n_out, dtype=np.float64)
-    for part in _map_chunks(chunk_fn, M, threads):
-        total += part
-    return total
 
 
 def _check_functional(F, paths: PathBatch) -> np.ndarray:
@@ -596,7 +575,9 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
 
 class _ChunkBuffers:
     """One worker's chunk arrays, for both kernel families, reused for every
-    chunk it runs within one estimate or evaluate call.
+    chunk it runs within one call: :func:`_run_chunks` gives each worker
+    thread of a call its own. The evaluation kernels return their slot sums
+    as views of these arrays, valid until the worker's next chunk.
 
     Arrays allocated afresh per chunk go back to glibc's malloc, which may
     return the pages to the operating system, so the next chunk faults them
@@ -619,7 +600,7 @@ class _ChunkBuffers:
         V of the evaluation kernel, and "K" the evaluation kernel's scratch
         once KC is built; "T" holds F*X in the pair sums kernel
         and T in the pair evaluation kernel, and "XS" there the
-        slot-block-major factors, then an (N, width) scratch."""
+        slot-block-major factors, then SY and an (N, width) scratch."""
         if name not in self._flat:
             rows = next(family for family in self._families if name in family)
             block = np.empty(sum(rows.values()) * self._width)
@@ -630,17 +611,25 @@ class _ChunkBuffers:
         return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
-def _per_worker(make):
-    """Function returning the calling thread's own ``make()``, built on its
-    first call; the instances live as long as the returned function."""
+def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int):
+    """Yield ``chunk_fn(sl, buf)`` for the fixed chunks ``sl`` of M samples,
+    in chunk order whichever worker finishes first, so a reduction over the
+    results has a fixed order. Each worker thread of the call builds one
+    :class:`_ChunkBuffers` at its first chunk and passes it as ``buf`` to
+    every chunk it runs."""
+    slices = [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
     local = threading.local()
 
-    def get():
-        if not hasattr(local, "value"):
-            local.value = make()
-        return local.value
+    def run(sl: slice):
+        if not hasattr(local, "buf"):
+            local.buf = _ChunkBuffers(iset, min(_CHUNK, M))
+        return chunk_fn(sl, local.buf)
 
-    return get
+    if threads <= 1 or len(slices) == 1:
+        yield from map(run, slices)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(run, slices)
 
 
 def _tile_sums(A: np.ndarray, B: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -724,20 +713,21 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
 def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
               squares: bool) -> np.ndarray:
     kh = paths.spec.jump_mean
-    n_out = 1 + iset.J
     pair = iset.p == 2 and not squares
-    buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, paths.M)))
 
-    def chunk(sl: slice) -> np.ndarray:
+    def chunk(sl: slice, buf: _ChunkBuffers) -> np.ndarray:
         # Finite F can still overflow a product; the callers refuse the
         # non-finite sums that result. errstate is per thread, so it is set
         # in the worker.
         with np.errstate(over="ignore", invalid="ignore"):
             if pair:
-                return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buffers())
-            return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares,
-                                      buffers())
-    return _reduce_chunks(chunk, paths.M, 2 * n_out if squares else n_out, threads)
+                return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
+            return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares, buf)
+
+    total = np.zeros((2 if squares else 1) * (1 + iset.J))
+    for part in _run_chunks(chunk, iset, paths.M, threads):
+        total += part
+    return total
 
 
 def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficients:

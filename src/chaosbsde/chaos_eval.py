@@ -19,9 +19,12 @@ and keep only indices supported exactly up to r:
 
 ``evaluate_grid`` gives all three at every grid time for every path of a
 ``PathBatch``; one path's values are ``evaluate_grid(coeffs,
-paths.rows(m, m + 1))``. Per chunk of paths it sums each index into the
-bucket of its support slot and takes a cumulative sum over r, so the full
-r = 0..N sweep is O(#indices) per path. The general kernel forms one sum V
+paths.rows(m, m + 1))``. Per chunk of paths a kernel sums each index into
+the bucket of its support slot, giving the chunk's slot sums (SY, SZ, SU),
+one row per slot; one writer (:func:`_write_rows`) turns them into rows
+1..N, the value rows by a cumulative sum over r, so the full r = 0..N sweep
+is O(#indices) per path. The chunks run under the chunk driver of
+:func:`chaosbsde.chaos_core._run_chunks`. The general kernel forms one sum V
 per (support slot, Hermite and Charlier degree there) of coefficients times
 the basis products of their prefix-recursion parents, which gives all three.
 V is the transposed product of the sums kernel: the coefficients, scattered
@@ -43,10 +46,10 @@ each index is scaled by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its
 Hermite factor is evaluated at the partial increment standardized by the
 elapsed time, and its Charlier factor at the partial count with mean
 kappa*(t - t_{r-1}). It runs the prefix kernel of ``evaluate_grid``, at
-every p, on the whole grid with slot r's factors K_a * C_b replaced by
-theta**(a/2) * K_a * C_b at the partial increments, and reads row r. At
-t = t_r with the full interval increments it gives row r of
-``evaluate_grid``.
+every p, on the whole grid with interval r's factors K_a * C_b replaced by
+theta**(a/2) * K_a * C_b at the partial increments, and reads interval r's
+slot sums, accumulating the value sums up to it. At t = t_r with the full
+interval increments it gives row r of ``evaluate_grid``.
 """
 
 from __future__ import annotations
@@ -57,10 +60,9 @@ from typing import Optional
 
 import numpy as np
 
-from .chaos_core import (_CHUNK, ChaosCoefficients, _check_bytes, _chunk_slices,
-                         _chunk_tables, _ChunkBuffers, _IndexSet, _kc_row,
-                         _map_chunks, _pair_blocks, _per_worker, _stacked_factors,
-                         _workers)
+from .chaos_core import (ChaosCoefficients, _check_bytes, _chunk_tables,
+                         _ChunkBuffers, _IndexSet, _kc_row, _pair_blocks,
+                         _run_chunks, _stacked_factors, _workers)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import PathBatch
 
@@ -121,17 +123,14 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     tau = t - t_lo
     g = dB / math.sqrt(tau)
     D = _prefix_coeffs(coeffs)
-    row_zero = _row_zero(coeffs)
-    width = min(_CHUNK, M)
-    buf = _ChunkBuffers(iset, width)
-    Y, Z, U = np.empty((3, N + 1, width))
+    sqrt_h = math.sqrt(spec.h)
     out = np.empty((3, M))
-    for sl in _chunk_slices(M):
+
+    def chunk(sl: slice, buf: _ChunkBuffers) -> None:
         KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf)
         # Slot r's factors become the in-interval ones. The Phi_pre rows
         # built from the full-interval ones parent only indices supported
-        # after slot r, which row r does not read; the rows other than r
-        # are computed and discarded.
+        # after slot r, whose sums are computed and not read.
         K = hermite_batch(iset.p, g[sl])
         C = charlier_batch(iset.p, dN[sl], spec.kappa * tau)
         for d in range(1, iset.p + 1):
@@ -139,18 +138,15 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
             for b in range(d + 1):
                 np.multiply((tau / spec.h) ** ((d - b) / 2) * K[d - b], C[b],
                             out=KC[k0 + b])
-        cols = slice(0, KC.shape[1])
-        _prefix_rows(iset, D, KC, phi, cols, Y, Z, U, *row_zero, buf)
-        out[:, sl] = Y[r, cols], Z[r, cols], U[r, cols]
+        SY, SZ, SU = _prefix_slot_sums(iset, D, KC, phi, buf)
+        _cumulate(SY[:r], coeffs.d0)
+        out[0, sl] = SY[r - 1]
+        np.divide(SZ[r - 1], sqrt_h, out=out[1, sl])
+        out[2, sl] = SU[r - 1]
+
+    for _ in _run_chunks(chunk, iset, M, 1):
+        pass
     return out[0], out[1], out[2]
-
-
-def _row_zero(coeffs: ChaosCoefficients) -> tuple[float, float, float, float]:
-    """Deterministic row 0 of Y, Z and U, and sqrt(h)."""
-    sqrt_h = math.sqrt(coeffs.spec.h)
-    z0 = float(coeffs.values[0]) / sqrt_h if coeffs.iset.J else 0.0
-    u0 = float(coeffs.values[coeffs.spec.N]) if coeffs.iset.J else 0.0
-    return float(coeffs.d0), z0, u0, sqrt_h
 
 
 def _prefix_coeffs(coeffs: ChaosCoefficients) -> np.ndarray:
@@ -218,10 +214,10 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
                      c0=(hBB + kh * dPP)[:, None])
 
 
-def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
-                      Y, Z, U, d0: float, z0: float, u0: float, sqrt_h: float,
-                      buf: _ChunkBuffers, sums_h: Optional[float]) -> None:
-    """Fused p = 2 kernel: block-triangular GEMMs and a few (N, Mc) passes.
+def _pair_slot_sums(plan: _PairPlan, kh: float, G, Q, sl: slice,
+                    buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fused p = 2 kernel: one chunk's slot sums (SY, SZ, SU), each (N, Mc),
+    from block-triangular GEMMs and a few (N, Mc) passes.
 
     T = d1 + W^T X stacks the unscaled derivative sums SZ (rows :N) and SU
     (rows N:) at every slot; one stacked product per slot block and sample
@@ -231,6 +227,8 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
     mixed one twice. Removing that surplus,
     SY = K1*SZ + C1*SU - (K1**2 + 1)/2*dBB - (C1*(C1 + 1) + kh)*dPP - K1*C1*dBP,
     computed as K1*(SZ - hBB*K1 - dBP*C1) + C1*(SU - dPP*(C1 + 1)) - c0.
+    SZ and SU stay in T; SY goes into the slot-block-major copy of X, which
+    the products were the last to read.
     """
     X = _stacked_factors(G, Q, kh, sl, buf)
     N, Mc = X.shape[0] // 2, X.shape[1]
@@ -243,26 +241,23 @@ def _eval_chunk_pairs(plan: _PairPlan, kh: float, G, Q, sl: slice,
         for a in range(0, Mc, width):
             np.matmul(Wb, XS[:2 * s1, a:a + width], out=T2[:, s0:s1, a:a + width])
     T += plan.d1
-    tmp = buf.get("XS", K1.shape)  # the copy is read no more
-    Z[0, sl] = z0
-    np.divide(T[:N], sqrt_h, out=Z[1:, sl])
-    U[0, sl] = u0
-    U[1:, sl] = T[N:]
-    T[:N] -= np.multiply(plan.hBB, K1, out=tmp)
-    T[:N] -= np.multiply(plan.dBP, C1, out=tmp)
-    T[N:] -= np.multiply(plan.dPP, np.add(C1, 1.0, out=tmp), out=tmp)
-    T *= X
-    SY = T[:N]
-    SY += T[N:]
+    SZ, SU = T2
+    SY, tmp = XS.reshape(2, N, Mc)
+    np.subtract(SZ, np.multiply(plan.hBB, K1, out=tmp), out=SY)
+    SY -= np.multiply(plan.dBP, C1, out=tmp)
+    SY *= K1
+    np.subtract(SU, np.multiply(plan.dPP, np.add(C1, 1.0, out=tmp), out=tmp), out=tmp)
+    tmp *= C1
+    SY += tmp
     SY -= plan.c0
-    _value_rows(Y, sl, SY, d0, sums_h)
+    return SY, SZ, SU
 
 
-def _prefix_rows(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
-                 phi: np.ndarray, sl: slice, Y, Z, U, d0: float, z0: float,
-                 u0: float, sqrt_h: float, buf: _ChunkBuffers,
-                 sums_h: Optional[float] = None) -> None:
-    """General kernel: one segment sum feeds the value and both derivatives.
+def _prefix_slot_sums(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
+                      phi: np.ndarray, buf: _ChunkBuffers,
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """General kernel: one chunk's slot sums (SY, SZ, SU), each (N, Mc), from
+    one segment sum that feeds the value and both derivatives.
 
     Given a chunk's tables from :func:`chaosbsde.chaos_core._chunk_tables`
     and the coefficients D in the flat table of the prefix plan, V, laid out
@@ -306,11 +301,7 @@ def _prefix_rows(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
                 np.multiply(Vd[:, b], below[:, b - 1], out=tmp)
                 tmp *= b
                 SU += tmp
-    Z[0, sl] = z0
-    np.divide(SZ, sqrt_h, out=Z[1:, sl])
-    U[0, sl] = u0
-    U[1:, sl] = SU
-    _value_rows(Y, sl, SY, d0, sums_h)
+    return SY, SZ, SU
 
 
 def _tile_rows(V: np.ndarray, Dt: np.ndarray, P: np.ndarray, width: int) -> None:
@@ -326,20 +317,36 @@ def _tile_rows(V: np.ndarray, Dt: np.ndarray, P: np.ndarray, width: int) -> None
         V[:, cut:] += np.matmul(Dt, P[:, cut:])
 
 
-def _value_rows(Y, sl: slice, SY: np.ndarray, d0: float,
-                sums_h: Optional[float]) -> None:
-    """Write the value rows of one chunk: Y[0] = d0 and, from the support
-    slot sums SY, the conditional values cond_{r+1} = cond_r + SY[r],
-    accumulated in place in SY row by row (numpy's cumsum along axis 0 is
-    about twice as slow here).
+def _cumulate(SY: np.ndarray, d0: float) -> None:
+    """Turn value sums by support slot into the conditional values
+    cond_{r+1} = cond_r + SY[r] with cond_0 = d0, in place, row by row
+    (numpy's cumsum along axis 0 is about twice as slow here)."""
+    SY[0] += d0
+    for r in range(1, len(SY)):
+        np.add(SY[r - 1], SY[r], out=SY[r])
+
+
+def _write_rows(S: tuple[np.ndarray, np.ndarray, np.ndarray],
+                coeffs: ChaosCoefficients, out: tuple[np.ndarray, np.ndarray, np.ndarray],
+                sl: slice, sums_h: Optional[float]) -> None:
+    """Write columns ``sl`` of the grids ``out`` = (Y, Z, U) from one chunk's
+    slot sums S = (SY, SZ, SU): row 0 the deterministic time-0 values, rows
+    1..N of Z and U the derivative sums SZ / sqrt(h) and SU, and of Y the
+    conditional values, accumulated in SY.
 
     With ``sums_h`` set, rows 1..N of Y arrive holding the running driver
     sums S and are written as cond - sums_h * S.
     """
-    Y[0, sl] = d0
-    SY[0] += d0
-    for r in range(1, len(SY)):
-        np.add(SY[r - 1], SY[r], out=SY[r])
+    SY, SZ, SU = S
+    Y, Z, U = out
+    sqrt_h = math.sqrt(coeffs.spec.h)
+    v = coeffs.values
+    Y[0, sl] = coeffs.d0
+    Z[0, sl] = v[0] / sqrt_h if v.size else 0.0
+    U[0, sl] = v[coeffs.spec.N] if v.size else 0.0
+    np.divide(SZ, sqrt_h, out=Z[1:, sl])
+    U[1:, sl] = SU
+    _cumulate(SY, coeffs.d0)
     rows = Y[1:, sl]
     if sums_h is None:
         rows[:] = SY
@@ -385,25 +392,23 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
                 raise ValueError(f"out {name} has shape {arr.shape}, expected {(N + 1, M)}")
             if arr.dtype != np.float64:
                 raise ValueError(f"out {name} has dtype {arr.dtype}, expected float64")
-    d0, z0, u0, sqrt_h = _row_zero(coeffs)
     kh = coeffs.spec.jump_mean
     iset = coeffs.iset
-    buffers = _per_worker(lambda: _ChunkBuffers(iset, min(_CHUNK, M)))
     if coeffs.p == 2:
         plan = _pair_plan(coeffs)
 
-        def work(sl: slice) -> None:
-            _eval_chunk_pairs(plan, kh, paths.G, paths.Q, sl,
-                              Y, Z, U, d0, z0, u0, sqrt_h, buffers(), _sums_h)
+        def sums(sl: slice, buf: _ChunkBuffers):
+            return _pair_slot_sums(plan, kh, paths.G, paths.Q, sl, buf)
     else:
         D = _prefix_coeffs(coeffs)
 
-        def work(sl: slice) -> None:
-            buf = buffers()
+        def sums(sl: slice, buf: _ChunkBuffers):
             KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
-            _prefix_rows(iset, D, KC, phi, sl, Y, Z, U, d0, z0, u0, sqrt_h, buf,
-                         _sums_h)
+            return _prefix_slot_sums(iset, D, KC, phi, buf)
 
-    for _ in _map_chunks(work, M, threads):
+    def chunk(sl: slice, buf: _ChunkBuffers) -> None:
+        _write_rows(sums(sl, buf), coeffs, (Y, Z, U), sl, _sums_h)
+
+    for _ in _run_chunks(chunk, iset, M, threads):
         pass
     return Y, Z, U

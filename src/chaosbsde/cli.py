@@ -74,7 +74,7 @@ from .picard_solver import (
     draw_paths,
     solve,
 )
-from .stochastic_grid import GridSpec
+from .stochastic_grid import MAX_POISSON_MEAN, GridSpec
 
 __all__ = [
     "ExperimentConfig",
@@ -230,6 +230,7 @@ def parse_config(path: str) -> ExperimentConfig:
     defaults = _EXAMPLE_DEFAULTS[example]
 
     T = _parse_float(raw, "T", defaults["T"], positive=True)
+    N_line = raw.pairs.get("N", (None, None))[1]
     N = _parse_int(raw, "N", defaults["N"])
     kappa = _parse_float(raw, "kappa", defaults["kappa"], positive=True)
     p = _parse_int(raw, "p", 2, maximum=MAX_DEGREE)
@@ -300,6 +301,20 @@ def parse_config(path: str) -> ExperimentConfig:
         params = Example2Params(alpha=pvals["alpha"], beta=pvals["beta"],
                                 gamma=pvals["gamma"], a=pvals["a"], b=pvals["b"],
                                 c=pvals["c"], kappa=kappa, T=T)
+
+    # Every grid the run will sample must pass sample_paths' jump-mean cap.
+    if sweep is not None and sweep[0] == "N":
+        grids, key, lineno = sweep[1], "sweep_values", sweep_values_got[1]
+    else:
+        grids, key, lineno = (N,), "N", N_line
+    for n in grids:
+        mean = GridSpec(T=T, N=n, kappa=kappa).jump_mean
+        if mean > MAX_POISSON_MEAN:
+            message = (f"per-interval jump mean kappa*h = {mean:g} at N = {n} "
+                       f"exceeds the supported maximum {MAX_POISSON_MEAN:g}; raise N")
+            if lineno is None:
+                raise ConfigError(f"{path}: {message}")
+            raise raw.error(key, lineno, message)
 
     solver = SolverConfig(spec=GridSpec(T=T, N=N, kappa=kappa), p=p, K_it=q,
                           M=M, seed=seed, sample_mode=sample_mode)
@@ -460,6 +475,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            if config.sweep is not None and config.sweep[0] == "seed":
+                raise ConfigError(
+                    f"{args.config}: --seed {args.seed} conflicts with "
+                    f"sweep_axis = seed, whose sweep_values set every seed")
             config = dataclasses.replace(
                 config, solver=dataclasses.replace(config.solver, seed=args.seed))
         threads = _resolve_threads(args.threads)

@@ -41,13 +41,15 @@ __all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 MAX_DEGREE = 60
 
 
-def _check_degree(m_max: int) -> None:
-    if not isinstance(m_max, int) or isinstance(m_max, bool):
+def _check_degree(m_max: int) -> int:
+    """``m_max`` as a Python int; numpy integers count, bools do not."""
+    if not isinstance(m_max, (int, np.integer)) or isinstance(m_max, bool):
         raise TypeError(f"m_max must be an int, got {type(m_max).__name__}")
     if m_max < 0:
         raise ValueError(f"m_max must be >= 0, got {m_max}")
     if m_max > MAX_DEGREE:
         raise ValueError(f"m_max = {m_max} exceeds the degree cap {MAX_DEGREE}")
+    return int(m_max)
 
 
 def _finite(x) -> np.ndarray:
@@ -77,7 +79,7 @@ def hermite_batch(m_max: int, x: np.ndarray, *,
     hermite_batch(2, 3.0) is [1, 3, 4] since K_2(3) = (9 - 1)/2;
     hermite_batch(3, 2.0) is [1, 2, 1.5, 1/3] since K_3(2) = (8 - 6)/6.
     """
-    _check_degree(m_max)
+    m_max = _check_degree(m_max)
     x = _finite(x)
     out = _table_out(m_max, x, out)
     out[0] = 1.0
@@ -97,7 +99,7 @@ def charlier_batch(m_max: int, x: np.ndarray, t: float, *,
     charlier_batch(2, 3, 1.0) is [1, 2, 1] and charlier_batch(2, 2, 1.0) is
     [1, 1, -1] by the three-term recurrence.
     """
-    _check_degree(m_max)
+    m_max = _check_degree(m_max)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     x = _finite(x)

@@ -148,10 +148,11 @@ class SolverConfig:
     def __post_init__(self) -> None:
         for name, lo in (("p", 1), ("K_it", 1), ("M", 1), ("seed", 0)):
             v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):
+            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
                 raise TypeError(f"{name} must be an int, got {type(v).__name__}")
             if v < lo:
                 raise ValueError(f"{name} must be >= {lo}, got {v}")
+            object.__setattr__(self, name, int(v))
         if self.sample_mode not in _SAMPLE_MODES:
             raise ValueError(
                 f"sample_mode must be one of {_SAMPLE_MODES}, got {self.sample_mode!r}")

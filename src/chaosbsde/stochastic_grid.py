@@ -60,10 +60,11 @@ class GridSpec:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, int) or isinstance(self.N, bool):
+        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
             raise TypeError(f"N must be an int, got {type(self.N).__name__}")
         if self.N < 1:
             raise ValueError(f"N must be >= 1, got {self.N}")
+        object.__setattr__(self, "N", int(self.N))
         for name in ("T", "kappa"):
             v = getattr(self, name)
             if not isinstance(v, (int, float)) or isinstance(v, bool):
@@ -120,6 +121,7 @@ class PathBatch:
         if (isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer))
                 or self.M < 1):
             raise ValueError(f"M must be an int >= 1, got {self.M!r}")
+        object.__setattr__(self, "M", int(self.M))
         expected = (self.M, self.spec.N)
         if self.G.shape != expected:
             raise ValueError(f"G has shape {self.G.shape}, expected {expected}")
@@ -184,14 +186,15 @@ def sample_paths(spec: GridSpec, M: int, seed: int) -> PathBatch:
     TypeError
         If M or seed is not an integer.
     """
-    if not isinstance(M, int) or isinstance(M, bool):
+    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
         raise TypeError(f"M must be an int, got {type(M).__name__}")
     if M < 1:
         raise ValueError(f"M must be >= 1, got {M}")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
         raise TypeError(f"seed must be an int, got {type(seed).__name__}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    M, seed = int(M), int(seed)
     mean = spec.jump_mean
     if not (mean <= MAX_POISSON_MEAN):
         raise ValueError(

@@ -168,7 +168,10 @@ def test_08_polynomial_orthonormality():
 
 def test_09_wall_time_scales_linearly_in_sample_count(tmp_path):
     """Runner wall time grows about linearly in M: the M=1e4 / M=1e3 wall
-    ratio lies in [5, 15] (median of three runs, after a warm-up solve)."""
+    ratio lies in [5, 15], taking each M's fastest of three runs (after a
+    warm-up solve). The minimum drops a run that one scheduler delay slowed,
+    which on a busy machine can cost the ~6 ms M=1e3 solve a third of its
+    ratio."""
     warm = SolverConfig(spec=EX1.grid(20), p=2, K_it=5, M=10_000, seed=0)
     solve(warm, Driver.linear_jump(EX1.c), TerminalFunctional.poisson_count())
     out = tmp_path / "timing.csv"
@@ -177,14 +180,14 @@ def test_09_wall_time_scales_linearly_in_sample_count(tmp_path):
         f"example = example1\nN = 20\nq = 5\nout = {out}\n"
         f"sweep_axis = M\nsweep_values = 1000, 10000\n", encoding="utf-8")
     cfg = parse_config(str(cfg_path))
-    ratios = []
+    walls = []
     for _ in range(3):
         assert run(cfg) == 0
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
-        walls = [float(line.split(",")[-1]) for line in rows]
-        ratios.append(walls[1] / walls[0])
-    ratio = sorted(ratios)[1]
-    assert 5.0 <= ratio <= 15.0, f"wall ratios = {ratios}"
+        walls.append([float(line.split(",")[-1]) for line in rows])
+    small, large = (min(w) for w in zip(*walls))
+    ratio = large / small
+    assert 5.0 <= ratio <= 15.0, f"wall_ms per run (M=1e3, M=1e4) = {walls}"
 
 
 def test_10_thread_count_leaves_results_byte_identical(tmp_path):

@@ -322,8 +322,9 @@ class TestPrefixKernel:
 
 
 class TestChunkBuffers:
-    """Both kernel families give each worker one set of chunk buffers per
-    call, which it reuses for every chunk it runs."""
+    """All four kernel entry points, through both kernel families, give
+    each worker one set of chunk buffers per call, which it reuses for
+    every chunk it runs."""
 
     @staticmethod
     def case():
@@ -333,7 +334,7 @@ class TestChunkBuffers:
         return paths, F
 
     def test_one_buffer_set_per_call_and_worker(self, monkeypatch):
-        from chaosbsde import chaos_core, chaos_eval
+        from chaosbsde import chaos_core, chaos_eval, conditional_at
 
         built = []
 
@@ -353,6 +354,14 @@ class TestChunkBuffers:
             built.clear()
             evaluate_grid(coeffs, paths, threads=2)
             assert 1 <= len(built) <= 2
+            built.clear()
+            variance_diagnostic(F, paths, p)
+            assert built == [1024]
+            built.clear()
+            r = coeffs.spec.N // 2
+            conditional_at(coeffs, paths, r, coeffs.spec.times()[r],
+                           paths.G[:, r - 1] * np.sqrt(coeffs.spec.h), paths.Q[:, r - 1])
+            assert built == [1024]
 
     def test_workers_never_share_buffers(self):
         # More workers than cores, switching threads as often as possible:

@@ -167,6 +167,26 @@ class TestParseConfig:
         assert f"{path}:{line}: field '{field}': {message}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("example, body, where", [
+        ("example2", "kappa = 2000\nN = 2\n", ":6: field 'N': "),
+        ("example2", "kappa = 2000\nsweep_axis = N\nsweep_values = 2, 50\n",
+         ":7: field 'sweep_values': "),
+        ("example1", "T = 20000\n", ": "),
+    ], ids=["N", "N_sweep", "default_N"])
+    def test_oversized_jump_mean_refused_at_parse_time(self, tmp_path, capsys,
+                                                       example, body, where):
+        # kappa*h = 2000 at N = 2 and 1000 at example1's default N = 20; the
+        # sweep's base N = 50 (kappa*h = 80) alone would pass.
+        out = tmp_path / "never.csv"
+        path = write_cfg(tmp_path, f"example = {example}\nM = 10\nq = 1\n"
+                                   f"out = {out}\n{body}")
+        with pytest.raises(ConfigError, match="exceeds the supported maximum 600"):
+            parse_config(path)
+        assert main(["--config", path]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}{where}per-interval jump mean kappa*h = " in err
+        assert not out.exists()
+
     def test_example1_kappa_must_stay_pinned(self, tmp_path):
         with pytest.raises(ConfigError, match="kappa"):
             parse_config(write_cfg(tmp_path, "example = example1\nkappa = 2\n"))
@@ -357,6 +377,16 @@ class TestMain:
         cfg_path = write_cfg(tmp_path, "example = example1\n")
         assert main(["--config", cfg_path, "--seed", "-2"]) == 2
         capsys.readouterr()
+
+    def test_seed_override_refused_in_a_seed_sweep(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        cfg_path = write_cfg(tmp_path, f"example = example1\nN = 3\nM = 300\nq = 1\n"
+                                       f"out = {out}\nsweep_axis = seed\n"
+                                       f"sweep_values = 1, 2\n")
+        assert main(["--config", cfg_path, "--seed", "7"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed 7" in err and "sweep_axis = seed" in err
+        assert not out.exists()
 
     def test_negative_threads_rejected(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, "example = example1\n")

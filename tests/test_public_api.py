@@ -1,10 +1,13 @@
 """The package's public surface: exactly the names below, each resolvable,
 and none of the removed per-path, scalar-table or per-index names."""
 
+import numpy as np
 import pytest
 
 import chaosbsde
-from chaosbsde import GridSpec, chaos_core, chaos_eval, coefficients_from_entries, orthopoly
+from chaosbsde import (GridSpec, PathBatch, SolverConfig, chaos_core, chaos_eval,
+                       charlier_batch, coefficients_from_entries, estimate,
+                       hermite_batch, orthopoly, sample_paths)
 
 PUBLIC = {
     "GridSpec", "PathBatch", "sample_paths",
@@ -51,3 +54,45 @@ def test_coefficients_have_only_the_array_form():
         with pytest.raises(ValueError):
             arr[0, 0] = 5
     assert coeffs.degB[0, 0] == 1
+
+
+SPEC = GridSpec(T=1.0, N=3, kappa=1.0)
+PATHS = sample_paths(SPEC, 40, seed=1)
+
+
+def _config(**counts):
+    return SolverConfig(**{"spec": SPEC, "p": 2, "K_it": 1, "M": 4, "seed": 0, **counts})
+
+
+# Entry point -> (call with a count n, exception for a non-integer n).
+COUNTS = {
+    "GridSpec.N": (lambda n: GridSpec(T=1.0, N=n, kappa=1.0).N, TypeError),
+    "sample_paths.M": (lambda n: sample_paths(SPEC, n, 0).M, TypeError),
+    "sample_paths.seed": (lambda n: sample_paths(SPEC, 4, n).seed, TypeError),
+    "PathBatch.M": (lambda n: PathBatch(SPEC, n, PATHS.G[:2], PATHS.Q[:2], 0).M,
+                    ValueError),
+    "SolverConfig.p": (lambda n: _config(p=n).p, TypeError),
+    "SolverConfig.K_it": (lambda n: _config(K_it=n).K_it, TypeError),
+    "SolverConfig.M": (lambda n: _config(M=n).M, TypeError),
+    "SolverConfig.seed": (lambda n: _config(seed=n).seed, TypeError),
+    "estimate.p": (lambda n: estimate(PATHS.G[:, 0], PATHS, n).p, ValueError),
+    "coefficients_from_entries.p": (lambda n: coefficients_from_entries(SPEC, n).p,
+                                    ValueError),
+    "hermite_batch.m_max": (lambda n: hermite_batch(n, 0.5), TypeError),
+    "charlier_batch.m_max": (lambda n: charlier_batch(n, 3, 1.0), TypeError),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_numpy_integer_counts_are_accepted_as_python_ints(name):
+    call, error = COUNTS[name]
+    want = call(2)
+    for n in (np.int64(2), np.int32(2), np.uint8(2)):
+        got = call(n)
+        if isinstance(want, np.ndarray):
+            assert np.array_equal(got, want)
+        else:
+            assert got == want and type(got) is int
+    for bad in (True, np.True_, 2.0, np.float64(2.0)):
+        with pytest.raises(error):
+            call(bad)
