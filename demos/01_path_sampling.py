@@ -22,6 +22,8 @@ print("grid times:", spec.times()[:4], "...", spec.times()[-1])
 paths = sample_paths(spec, M=100_000, seed=7)
 print("G shape", paths.G.shape, paths.G.dtype)
 print("Q shape", paths.Q.shape, paths.Q.dtype)
+# Both are views of time-major storage: one contiguous row per interval.
+print("time-major storage:", paths.G.T.flags.c_contiguous and paths.Q.T.flags.c_contiguous)
 
 # The columns are standardized: each G column is unit normal, each Q
 # column has mean kappa h.
@@ -49,4 +51,4 @@ print("different seed differs:", not np.array_equal(paths.G, other.G))
 
 # rows() gives a zero-copy window, handy for splitting a batch in two.
 head = paths.rows(0, 50_000)
-print("first half shares memory:", head.G.base is paths.G)
+print("first half shares memory:", np.shares_memory(head.G, paths.G))

@@ -40,14 +40,13 @@ from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .orthopoly import MAX_DEGREE, charlier_batch, hermite_batch
+from .orthopoly import MAX_DEGREE, _charlier_rows, _hermite_rows
 from .stochastic_grid import GridSpec, PathBatch
 
 __all__ = [
@@ -525,7 +524,9 @@ def _pair_blocks(N: int) -> _PairBlocks:
 
 def _stacked_factors(G, Q, kh: float, sl: slice, buf: _ChunkBuffers) -> np.ndarray:
     """First-order factors X = [K1; C1] of one chunk, time-major (2N, Mc),
-    written into ``buf``."""
+    written into ``buf``. On the time-major storage of
+    :func:`chaosbsde.stochastic_grid.sample_paths`, ``G[sl].T`` and
+    ``Q[sl].T`` are N unit-stride row slices."""
     Gc = G[sl]
     Mc, N = Gc.shape
     X = buf.get("X", (2 * N, Mc))
@@ -575,9 +576,12 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
 
 class _ChunkBuffers:
     """One worker's chunk arrays, for both kernel families, reused for every
-    chunk it runs within one call: :func:`_run_chunks` gives each worker
-    thread of a call its own. The evaluation kernels return their slot sums
-    as views of these arrays, valid until the worker's next chunk.
+    chunk it runs within one call: :func:`_run_chunks` gives each stripe of
+    chunks, and so each thread of a call, its own. The evaluation kernels
+    return their slot sums as views of these arrays, valid until the
+    worker's next chunk; a chunk function uses them up before it returns and
+    never returns such a view, since the driver may hold a chunk's result
+    while its thread runs the next chunk.
 
     Arrays allocated afresh per chunk go back to glibc's malloc, which may
     return the pages to the operating system, so the next chunk faults them
@@ -613,23 +617,47 @@ class _ChunkBuffers:
 
 def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int):
     """Yield ``chunk_fn(sl, buf)`` for the fixed chunks ``sl`` of M samples,
-    in chunk order whichever worker finishes first, so a reduction over the
-    results has a fixed order. Each worker thread of the call builds one
-    :class:`_ChunkBuffers` at its first chunk and passes it as ``buf`` to
-    every chunk it runs."""
+    in chunk order, so a reduction over the results has a fixed order.
+
+    The chunks are split into k = min(threads, chunks) contiguous stripes,
+    as equal as whole chunks allow. The calling thread
+    runs the first stripe and yields each result as it is made; k - 1
+    threads started for the call run the others, one stripe each, and their
+    results are held until every stripe is done. An error in a stripe is
+    raised when its results would be yielded. Each thread builds one
+    :class:`_ChunkBuffers` and passes it as ``buf`` to every chunk of its
+    stripe. A held result must outlive the next chunk of its thread, so a
+    chunk function must not return views of its buffers."""
     slices = [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
-    local = threading.local()
+    k = min(threads, len(slices))
 
-    def run(sl: slice):
-        if not hasattr(local, "buf"):
-            local.buf = _ChunkBuffers(iset, min(_CHUNK, M))
-        return chunk_fn(sl, local.buf)
+    def stripe(run: list[slice]):
+        buf = _ChunkBuffers(iset, min(_CHUNK, M))
+        for sl in run:
+            yield chunk_fn(sl, buf)
 
-    if threads <= 1 or len(slices) == 1:
-        yield from map(run, slices)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(run, slices)
+    cuts = [len(slices) * i // k for i in range(k + 1)]
+    runs = [slices[a:b] for a, b in zip(cuts, cuts[1:])]
+    held: list = [None] * (k - 1)  # per pool stripe: its results, or its error
+
+    def work(j: int) -> None:
+        try:
+            held[j] = list(stripe(runs[j + 1]))
+        except Exception as exc:
+            held[j] = exc
+
+    pool = [threading.Thread(target=work, args=(j,)) for j in range(k - 1)]
+    for thread in pool:
+        thread.start()
+    try:
+        yield from stripe(runs[0])
+    finally:
+        for thread in pool:
+            thread.join()
+    for results in held:
+        if isinstance(results, Exception):
+            raise results
+        yield from results
 
 
 def _tile_sums(A: np.ndarray, B: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -652,13 +680,17 @@ def _tile_sums(A: np.ndarray, B: np.ndarray, width: int, out: np.ndarray) -> Non
 def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
                   buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray]:
     """Slot factors KC and prefix table Phi_pre of one chunk, time-major,
-    written into ``buf``."""
+    written into ``buf``. The rows of ``G[sl].T`` and ``Q[sl].T`` go to the
+    unchecked recurrences: a PathBatch holds only finite G and nonnegative
+    integer Q."""
     plan = iset.prefix
     N = iset.N
     Gt = G[sl].T
     Mc = Gt.shape[1]
-    K = hermite_batch(iset.p, Gt, out=buf.get("K", (iset.p + 1, N, Mc)))
-    C = charlier_batch(iset.p, Q[sl].T, kh, out=buf.get("C", (iset.p + 1, N, Mc)))
+    K = _hermite_rows(iset.p, Gt, buf.get("K", (iset.p + 1, N, Mc)))
+    # KC's rows are scratch until the factors are formed below.
+    C = _charlier_rows(iset.p, Q[sl].T, kh, buf.get("C", (iset.p + 1, N, Mc)),
+                       buf.get("KC", (N, Mc)))
     KC = buf.get("KC", (plan.n_kc, Mc))
     for d in range(1, iset.p + 1):
         rows = KC[_kc_row(N, d, 0):_kc_row(N, d + 1, 0)]

@@ -444,9 +444,13 @@ def _run_point(config: ExperimentConfig, point: SolverConfig, driver: Driver,
 
 
 def _resolve_threads(requested: int) -> int:
+    """``--threads``; 0 means the CPUs this process may run on (its
+    affinity mask where the platform has one), at most 8."""
     if requested < 0:
         raise ValueError(f"--threads must be >= 0, got {requested}")
-    if requested == 0:  # auto
+    if requested == 0:
+        if hasattr(os, "sched_getaffinity"):
+            return min(8, len(os.sched_getaffinity(0)))
         return min(8, os.cpu_count() or 1)
     return requested
 

@@ -81,13 +81,7 @@ def hermite_batch(m_max: int, x: np.ndarray, *,
     """
     m_max = _check_degree(m_max)
     x = _finite(x)
-    out = _table_out(m_max, x, out)
-    out[0] = 1.0
-    if m_max >= 1:
-        out[1] = x
-    for m in range(1, m_max):
-        out[m + 1] = (x * out[m] - out[m - 1]) / (m + 1)
-    return out
+    return _hermite_rows(m_max, x, _table_out(m_max, x, out))
 
 
 def charlier_batch(m_max: int, x: np.ndarray, t: float, *,
@@ -103,10 +97,39 @@ def charlier_batch(m_max: int, x: np.ndarray, t: float, *,
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     x = _finite(x)
-    out = _table_out(m_max, x, out)
+    return _charlier_rows(m_max, x, t, _table_out(m_max, x, out), np.empty(x.shape))
+
+
+# The recurrences themselves, unchecked: the kernels call them on paths a
+# PathBatch has already checked. They write every degree in place, in the
+# operation order of the formulas above, so each value is bit for bit the
+# same for any ``out`` and ``tmp``. ``out[m, ...]`` is a view even for a
+# scalar x, where ``out[m]`` would be a copy.
+
+def _hermite_rows(m_max: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """K_0..K_{m_max} at float x into ``out``, shape (m_max+1,) + x.shape."""
     out[0] = 1.0
     if m_max >= 1:
-        out[1] = x - t
+        out[1] = x
     for m in range(1, m_max):
-        out[m + 1] = (x - m - t) * out[m] - (m * t) * out[m - 1]
+        nxt = out[m + 1, ...]
+        np.multiply(x, out[m], out=nxt)
+        nxt -= out[m - 1]
+        nxt /= m + 1
+    return out
+
+
+def _charlier_rows(m_max: int, x: np.ndarray, t: float, out: np.ndarray,
+                   tmp: np.ndarray) -> np.ndarray:
+    """C_0..C_{m_max}(x, t) at int or float x into ``out``; ``tmp`` is
+    float64 scratch of x's shape."""
+    out[0] = 1.0
+    if m_max >= 1:
+        np.subtract(x, t, out=out[1, ...])
+    for m in range(1, m_max):
+        nxt = out[m + 1, ...]
+        np.subtract(x, m, out=nxt)  # (x - m) - t, as the formula groups it
+        nxt -= t
+        nxt *= out[m]
+        nxt -= np.multiply(m * t, out[m - 1], out=tmp)
     return out

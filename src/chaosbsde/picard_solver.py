@@ -43,7 +43,7 @@ import numpy as np
 
 from .chaos_core import ChaosCoefficients, _check_threads, estimate
 from .chaos_eval import evaluate_grid
-from .stochastic_grid import GridSpec, PathBatch, sample_paths
+from .stochastic_grid import GridSpec, PathBatch, _row_blocks, sample_paths
 
 __all__ = [
     "Driver",
@@ -98,6 +98,18 @@ class Driver:
         return cls(fn)
 
 
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    """Per-path sums of an (M, N) float array, each added as numpy adds a row
+    of a C-ordered array. On a transposed view of time-major storage numpy
+    adds them in another order, which moves results by rounding, so the
+    rows are summed from C-ordered copies of one block at a time."""
+    M, N = A.shape
+    out = np.empty(M)
+    for a, b in _row_blocks(M, N):
+        np.ascontiguousarray(A[a:b]).sum(axis=1, out=out[a:b])
+    return out
+
+
 @dataclass(frozen=True)
 class TerminalFunctional:
     """Terminal value xi, vectorized over the paths of a batch.
@@ -119,7 +131,7 @@ class TerminalFunctional:
         """xi = exp(a*T + b*B_T + c*N_T), with B_T = sqrt(h) * sum(G)."""
         def _eval(paths: PathBatch) -> np.ndarray:
             spec = paths.spec
-            return np.exp(a * spec.T + b * math.sqrt(spec.h) * paths.G.sum(axis=1)
+            return np.exp(a * spec.T + b * math.sqrt(spec.h) * _row_sums(paths.G)
                           + c * paths.Q.sum(axis=1))
 
         return cls(_eval)

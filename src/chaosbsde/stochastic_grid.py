@@ -7,6 +7,11 @@ and Q[m, i] is the i-th Poisson interval count (mean kappa*h). Everything
 downstream (basis evaluation, coefficient estimation, the Picard solver)
 consumes these two arrays; raw paths are never materialized.
 
+Storage is time-major: ``sample_paths`` keeps G and Q as (N, M) arrays,
+one row of M samples per interval, and the batch exposes them as their
+(M, N) transposes. A chunk of samples is then N unit-stride row slices, which
+is how the kernels read it.
+
 Reproducibility contract: ``sample_paths(spec, M, seed)`` returns identical
 arrays for identical arguments on every run and platform, independent of any
 thread count used elsewhere in the library. Generation uses the
@@ -18,6 +23,7 @@ Typical use::
     spec = GridSpec(T=1.0, N=20, kappa=1.0)
     paths = sample_paths(spec, M=100_000, seed=7)
     paths.G.shape   # (100000, 20)
+    paths.G.T.flags.c_contiguous   # True: time-major storage
 """
 
 from __future__ import annotations
@@ -37,8 +43,8 @@ MAX_POISSON_MEAN = 600.0
 # Truncate the inversion table once the remaining tail mass is below this.
 _TAIL_EPS = 1e-17
 
-# Uniforms drawn per block for Poisson inversion (512 KB of float64).
-_UNIFORM_BLOCK = 1 << 16
+# Entries per row block of the draws (512 KB of float64); see _row_blocks.
+_DRAW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,6 +115,12 @@ class PathBatch:
     is not an int of at least 1, a shape other than (M, N), a non-finite
     increment in G, or a Q that is not an integer array or has a negative
     count: the kernels cannot use such a batch.
+
+    In a batch from :func:`sample_paths`, G and Q are transposed views of
+    time-major (N, M) arrays, and :meth:`rows` takes column views of those.
+    A batch built by hand from sample-major (M, N) arrays is kept as given,
+    without a copy: every result is the same, but each kernel chunk then
+    transposes strided storage, which is slower.
     """
 
     spec: GridSpec
@@ -139,7 +151,8 @@ class PathBatch:
                              f"{int(self.Q[m, i])}")
 
     def rows(self, start: int, stop: int) -> "PathBatch":
-        """View of sample paths start..stop-1 as a new batch (no copy)."""
+        """View of sample paths start..stop-1 as a new batch (no copy); on
+        time-major storage these are columns start..stop-1."""
         if not (0 <= start < stop <= self.M):
             raise ValueError(f"invalid row range [{start}, {stop}) for M={self.M}")
         return PathBatch(self.spec, stop - start, self.G[start:stop],
@@ -178,6 +191,8 @@ def sample_paths(spec: GridSpec, M: int, seed: int) -> PathBatch:
     PathBatch
         Batch with G ~ iid standard normal and Q ~ iid Poisson(kappa*h),
         mutually independent, identical across runs for identical inputs.
+        G and Q are (M, N) views of time-major (N, M) storage, 12*N*M
+        bytes in all; the draw itself makes no (M, N)-sized temporary.
 
     Raises
     ------
@@ -201,21 +216,55 @@ def sample_paths(spec: GridSpec, M: int, seed: int) -> PathBatch:
             f"per-interval jump mean kappa*h = {mean:g} exceeds the supported "
             f"maximum {MAX_POISSON_MEAN:g}; refine the grid")
 
+    G, Q = _draw_time_major(np.random.Generator(np.random.Philox(seed)), M,
+                            spec.N, _poisson_cdf(mean))
+    return PathBatch(spec=spec, M=M, G=G.T, Q=Q.T, seed=seed)
+
+
+def _draw_time_major(rng: np.random.Generator, M: int, N: int,
+                     cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G and Q of M paths as time-major (N, M) arrays, the Poisson counts
+    by inversion of ``cdf``. Its block buffers are freed when it returns,
+    before the batch is checked."""
     # Single fixed-order pass: Gaussians first, then the uniforms that drive
     # Poisson inversion. Changing this order changes every seeded result, so
-    # it is part of the reproducibility contract.
-    rng = np.random.Generator(np.random.Philox(seed))
-    G = rng.standard_normal((M, spec.N))
-    # Inversion: Q = #{k : cdf[k] <= u}. searchsorted returns the insertion
-    # point to the right, which is exactly that count; it is 0 below cdf[0],
-    # so only the hits are searched. The uniforms come in row blocks, which
-    # continue the stream exactly as one (M, N) draw would.
-    cdf = _poisson_cdf(mean)
-    Q = np.zeros((M, spec.N), dtype=np.int32)
-    rows = max(1, _UNIFORM_BLOCK // spec.N)
-    u = np.empty((min(rows, M), spec.N))
-    for a in range(0, M, rows):
-        ub = rng.random(out=u[:min(rows, M - a)])
-        hit = ub >= cdf[0]
-        Q[a:a + len(ub)][hit] = np.searchsorted(cdf, ub[hit], side="right")
-    return PathBatch(spec=spec, M=M, G=G, Q=Q, seed=seed)
+    # it is part of the reproducibility contract. Both come in row blocks,
+    # which continue the stream exactly as one (M, N) draw would, and each
+    # block is transposed into time-major storage as it is drawn.
+    blocks = _row_blocks(M, N)
+    block = np.empty((blocks[0][1], N))
+    G = np.empty((N, M))
+    for a, b in blocks:
+        G[:, a:b] = rng.standard_normal(out=block[:b - a]).T
+    Q = np.zeros((N, M), dtype=np.int32)
+    for a, b in blocks:
+        _invert_block(rng.random(out=block[:b - a]), cdf, Q, a)
+    return G, Q
+
+
+def _invert_block(u: np.ndarray, cdf: np.ndarray, Q: np.ndarray, a: int) -> None:
+    """Write the Poisson counts of the (rows, N) uniforms ``u`` of samples
+    a, a+1, ... into columns a.. of the zeroed time-major counts Q.
+
+    Inversion: Q = #{k : cdf[k] <= u}. searchsorted returns the insertion
+    point to the right, which is exactly that count; it is 0 below cdf[0],
+    so only the hits are searched and written. Entry m*N + i of the block
+    is sample a + m at interval i, entry i*M + a + m of Q. The index
+    arithmetic runs in place, and the arrays die at return, so at most three
+    hit-sized arrays are alive at once."""
+    N, M = Q.shape
+    hit = np.flatnonzero(u >= cdf[0])
+    counts = np.searchsorted(cdf, u.reshape(-1)[hit], side="right")
+    at = hit % N
+    at *= M
+    hit //= N
+    at += hit
+    at += a
+    Q.reshape(-1)[at] = counts
+
+
+def _row_blocks(M: int, N: int) -> list[tuple[int, int]]:
+    """Row ranges [a, b) that split M samples of N intervals into blocks of
+    about _DRAW_BLOCK entries, at least one row each."""
+    rows = max(1, _DRAW_BLOCK // N)
+    return [(a, min(a + rows, M)) for a in range(0, M, rows)]

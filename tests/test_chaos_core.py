@@ -382,6 +382,60 @@ class TestChunkBuffers:
                 assert np.array_equal(a, b)
 
 
+class TestChunkStripes:
+    """At threads >= 2 the chunk driver gives each thread one contiguous
+    stripe of chunks and yields the results in chunk order, so every
+    reduction adds the chunks in the order one thread does."""
+
+    M = 6 * 1024 + 77  # seven chunks, the last one ragged
+
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7, 12])
+    def test_each_thread_runs_one_contiguous_stripe(self, threads):
+        import threading
+
+        from chaosbsde.chaos_core import _CHUNK, _build_index_set, _run_chunks
+
+        ran = []
+
+        def chunk(sl, buf):
+            # The objects themselves: an ident or id can be reused once its
+            # thread or buffer is gone.
+            ran.append((threading.current_thread(), buf, sl.start // _CHUNK))
+            return sl
+
+        got = list(_run_chunks(chunk, _build_index_set(3, 2), self.M, threads))
+        chunks = -(-self.M // _CHUNK)
+        assert [(sl.start, sl.stop) for sl in got] == [
+            (a, min(a + _CHUNK, self.M)) for a in range(0, self.M, _CHUNK)]
+        stripes = {}
+        for thread, buf, i in sorted(ran, key=lambda r: r[2]):
+            stripes.setdefault(thread, []).append((buf, i))
+        assert len(stripes) == min(threads, chunks)
+        for run in stripes.values():
+            assert all(buf is run[0][0] for buf, _ in run)
+            index = [i for _, i in run]
+            assert index == list(range(index[0], index[0] + len(index)))
+        sizes = sorted(len(run) for run in stripes.values())
+        assert sizes[-1] - sizes[0] <= 1
+        # The calling thread runs the first stripe.
+        assert stripes[threading.current_thread()][0][1] == 0
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_results_identical_at_every_thread_count(self, p):
+        spec = GridSpec(T=1.0, N=5, kappa=2.0)
+        paths = sample_paths(spec, self.M, seed=70)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        want = estimate(F, paths, p)
+        want_v = variance_diagnostic(F, paths, p)
+        want_rows = evaluate_grid(want, paths)
+        for threads in (2, 3, 12):
+            got = estimate(F, paths, p, threads=threads)
+            assert got.d0 == want.d0 and np.array_equal(got.values, want.values)
+            assert variance_diagnostic(F, paths, p, threads=threads) == want_v
+            for a, b in zip(evaluate_grid(want, paths, threads=threads), want_rows):
+                assert np.array_equal(a, b)
+
+
 class TestByteBudget:
     @pytest.fixture(scope="class")
     def n50_p3(self):

@@ -404,6 +404,27 @@ class TestMain:
             texts.append(strip_wall(out.read_text(encoding="utf-8")))
         assert texts[0] == texts[1]
 
+    @pytest.mark.parametrize("cpus, want", [(1, 1), (3, 3), (16, 8)])
+    def test_threads_zero_follows_cpu_affinity(self, monkeypatch, cpus, want):
+        # A process pinned to fewer CPUs than the machine has gets that many
+        # threads, capped at 8, whatever os.cpu_count() says.
+        from chaosbsde import cli
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert cli._resolve_threads(0) == want
+        assert cli._resolve_threads(5) == 5
+
+    def test_threads_zero_without_affinity_uses_cpu_count(self, monkeypatch):
+        from chaosbsde import cli
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._resolve_threads(0) == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._resolve_threads(0) == 1
+
 
 class TestDumpCoefficients:
     def test_dump_matches_estimator(self, tmp_path):

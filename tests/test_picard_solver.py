@@ -82,6 +82,24 @@ class TestTerminalFunctional:
         assert got == pytest.approx(math.exp(0.3), rel=1e-12)
         assert got == pytest.approx(1.3499, abs=2e-4)
 
+    @pytest.mark.parametrize("N, M", [(1, 5), (7, 30_000), (50, 3_000)])
+    def test_bit_identical_on_time_major_batch(self, N, M):
+        # The golden rows hash these values: on time-major storage they must
+        # be the sums numpy adds along a C-ordered row, over several row
+        # blocks and at N where the order of the additions matters.
+        spec = GridSpec(T=1.5, N=N, kappa=2.0)
+        paths = sample_paths(spec, M, seed=31)
+        assert paths.G.strides[0] == paths.G.itemsize
+        a, b, c = -0.1, 0.3, 0.2
+        G = np.ascontiguousarray(paths.G)
+        Q = np.ascontiguousarray(paths.Q)
+        want = np.exp(a * spec.T + b * math.sqrt(spec.h) * G.sum(axis=1)
+                      + c * Q.sum(axis=1))
+        got = terminal_samples(TerminalFunctional.exp_levy(a, b, c), paths)
+        assert np.array_equal(got, want)
+        got = terminal_samples(TerminalFunctional.poisson_count(), paths)
+        assert np.array_equal(got, Q.sum(axis=1).astype(np.float64))
+
     def test_non_finite_terminal_reports_sample(self, spec5):
         paths = sample_paths(spec5, 20, seed=24)
         xi = TerminalFunctional.custom(

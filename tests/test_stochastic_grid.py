@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosbsde import GridSpec, PathBatch, estimate, evaluate_grid, sample_paths
-from chaosbsde.stochastic_grid import _poisson_cdf
+from chaosbsde.stochastic_grid import _DRAW_BLOCK, _poisson_cdf
 
 
 class TestGridSpec:
@@ -139,6 +139,31 @@ class TestSamplePaths:
         paths = sample_paths(spec, M, seed=3)
         assert np.array_equal(paths.G, G)
         assert np.array_equal(paths.Q, Q)
+
+    @pytest.mark.parametrize("N", [1, 7, 50])
+    @pytest.mark.parametrize("extra", ["one", "rows-1", "rows", "rows+1", "3rows+5"])
+    def test_block_draw_is_one_shot_draw_stored_time_major(self, N, extra):
+        # The reproducibility contract under row-block drawing: every M
+        # around the block size gives the one-shot stream bit for bit, all
+        # Gaussians before all uniforms, in time-major storage.
+        rows = _DRAW_BLOCK // N
+        M = {"one": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+             "3rows+5": 3 * rows + 5}[extra]
+        spec = GridSpec(T=1.0, N=N, kappa=3.0)
+        rng = np.random.Generator(np.random.Philox(17))
+        G = rng.standard_normal((M, N))
+        Q = np.searchsorted(_poisson_cdf(spec.jump_mean), rng.random((M, N)),
+                            side="right")
+        paths = sample_paths(spec, M, seed=17)
+        assert np.array_equal(paths.G, G)
+        assert np.array_equal(paths.Q, Q)
+        assert paths.G.dtype == np.float64 and paths.Q.dtype == np.int32
+        assert paths.G.strides[0] == paths.G.itemsize
+        assert paths.Q.strides[0] == paths.Q.itemsize
+        assert paths.G.T.flags.c_contiguous and paths.Q.T.flags.c_contiguous
+        half = paths.rows(M // 2, M)
+        assert half.G.strides[0] == half.G.itemsize
+        assert half.Q.strides[0] == half.Q.itemsize
 
     def test_seed_changes_output(self, small_spec):
         a = sample_paths(small_spec, 500, seed=11)
