@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .picard_solver import SolutionGrid
-from .stochastic_grid import GridSpec, PathBatch
+from .stochastic_grid import GridSpec, PathBatch, _positive_real
 
 __all__ = [
     "Example1Params",
@@ -63,22 +63,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Example1Params:
-    """Counting-terminal benchmark parameters; kappa is pinned to 1."""
+    """Counting-terminal benchmark parameters; kappa is pinned to 1. T and
+    kappa are checked and stored as :class:`GridSpec` stores them."""
 
     c: float
     T: float
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("c", "T", "kappa"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+        if not math.isfinite(self.c):
+            raise ValueError(f"c must be finite, got {self.c!r}")
+        for name in ("T", "kappa"):
+            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
         if self.kappa != 1.0:
             raise ValueError(
                 f"this benchmark's closed form is stated for kappa = 1, got {self.kappa}")
-        if self.T <= 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
 
     def grid(self, N: int) -> GridSpec:
         return GridSpec(T=self.T, N=N, kappa=self.kappa)
@@ -86,7 +85,8 @@ class Example1Params:
 
 @dataclass(frozen=True)
 class Example2Params:
-    """Exponential-Levy benchmark parameters."""
+    """Exponential-Levy benchmark parameters. T and kappa are checked and
+    stored as :class:`GridSpec` stores them."""
 
     alpha: float
     beta: float
@@ -98,12 +98,12 @@ class Example2Params:
     T: float
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "a", "b", "c", "kappa", "T"):
+        for name in ("alpha", "beta", "gamma", "a", "b", "c"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        if self.T <= 0 or self.kappa <= 0:
-            raise ValueError("T and kappa must be > 0")
+        for name in ("T", "kappa"):
+            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
 
     def grid(self, N: int) -> GridSpec:
         return GridSpec(T=self.T, N=N, kappa=self.kappa)

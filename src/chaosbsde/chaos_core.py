@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .orthopoly import MAX_DEGREE, _charlier_rows, _hermite_rows
-from .stochastic_grid import GridSpec, PathBatch
+from .stochastic_grid import GridSpec, PathBatch, _count
 
 __all__ = [
     "ChaosCoefficients",
@@ -345,20 +345,10 @@ def _index_set(N: int, p: int, workers: int = 1) -> _IndexSet:
     return _build_index_set(N, p)
 
 
-def _check_threads(threads) -> None:
-    """Refuse a worker thread count that is not an int of at least 1."""
-    if (isinstance(threads, (bool, np.bool_))
-            or not isinstance(threads, (int, np.integer))):
-        raise TypeError(f"threads must be an int, got {type(threads).__name__}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-
-
 def _workers(threads: int, M: int) -> int:
     """Chunk functions that can run at once: :func:`_run_chunks` runs at
     most one per chunk of M samples. Refuses an invalid ``threads``."""
-    _check_threads(threads)
-    return max(1, min(threads, -(-M // _CHUNK)))
+    return max(1, min(_count("threads", threads, 1), -(-M // _CHUNK)))
 
 
 def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:

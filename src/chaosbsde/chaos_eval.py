@@ -64,7 +64,7 @@ from .chaos_core import (ChaosCoefficients, _check_bytes, _chunk_tables,
                          _ChunkBuffers, _IndexSet, _kc_row, _pair_blocks,
                          _run_chunks, _stacked_factors, _workers)
 from .orthopoly import charlier_batch, hermite_batch
-from .stochastic_grid import PathBatch
+from .stochastic_grid import PathBatch, _count
 
 __all__ = ["conditional_at", "evaluate_grid"]
 
@@ -104,9 +104,8 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     spec = coeffs.spec
     N = spec.N
     M = paths.M
-    if not isinstance(r, (int, np.integer)) or isinstance(r, bool):
-        raise TypeError(f"r must be an int, got {type(r).__name__}")
-    if not 1 <= r <= N:
+    r = _count("r", r, 1)
+    if r > N:
         raise ValueError(f"r must be in [1, {N}], got {r}")
     t_lo, t_hi = spec.times()[r - 1:r + 1]
     if not (t_lo < t <= t_hi):
@@ -351,8 +350,11 @@ def _write_rows(S: tuple[np.ndarray, np.ndarray, np.ndarray],
     if sums_h is None:
         rows[:] = SY
         return
-    rows *= sums_h
-    np.subtract(SY, rows, out=rows)
+    # solve refuses an overflow here in its final grid. errstate is per
+    # thread, so it is set in the chunk function.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows *= sums_h
+        np.subtract(SY, rows, out=rows)
 
 
 def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,

@@ -17,11 +17,11 @@ Common keys (defaults in parentheses, per example):
     p             chaos truncation order, <= 60  (2)
     q             Picard iteration count         (5 / 10)
     M             Monte Carlo sample count       (10000)
-    seed          base seed                      (0)
+    seed          base seed, >= 0                (0)
     sample_mode   reuse | independent            (reuse)
     out           results CSV path               (results.csv)
     sweep_axis    M | N | p | q | seed           optional
-    sweep_values  comma-separated positive ints  required with sweep_axis
+    sweep_values  ints in the swept key's bounds required with sweep_axis
 
 Problem parameters: ``c`` for example1 (drift coefficient, default 0.5);
 ``alpha, beta, gamma, a, b, c`` for example2 (defaults 0.3, 0.3, 0.2,
@@ -74,7 +74,7 @@ from .picard_solver import (
     draw_paths,
     solve,
 )
-from .stochastic_grid import MAX_POISSON_MEAN, GridSpec
+from .stochastic_grid import GridSpec, _check_jump_mean
 
 __all__ = [
     "ExperimentConfig",
@@ -91,6 +91,11 @@ CSV_HEADER = ("example,p,N,M,q,seed,sample_mode,Y0,Z0,U0,"
 # Sweep axis -> the SolverConfig field it sets. N is the one axis that is
 # not a field of its own: its value rebuilds the grid spec.
 _SWEEP_FIELDS = {"M": "M", "N": "spec", "p": "p", "q": "K_it", "seed": "seed"}
+
+# Bounds (minimum, maximum or None) of the integer keys, which are also the
+# sweep axes: a key and every value of a sweep along it are checked alike.
+_INT_BOUNDS = {"N": (1, None), "p": (1, MAX_DEGREE), "q": (1, None),
+               "M": (1, None), "seed": (0, None)}
 
 _EXAMPLE_DEFAULTS = {
     "example1": dict(T=1.0, N=20, kappa=1.0, q=5),
@@ -171,22 +176,25 @@ def _int_value(text: str) -> Optional[int]:
     return int(value) if value.is_integer() else None
 
 
-def _parse_int(raw: _RawConfig, key: str, default: Optional[int],
-               minimum: int = 1, maximum: Optional[int] = None) -> int:
-    got = raw.take(key)
-    if got is None:
-        if default is None:
-            raise ConfigError(f"{raw.path}: missing required key '{key}'")
-        return default
-    text, lineno = got
+def _bounded_int(raw: _RawConfig, key: str, lineno: int, text: str, axis: str,
+                 label: str = "") -> int:
+    """``text`` of field ``key`` as an integer within the bounds of ``axis``
+    in _INT_BOUNDS; ``label`` starts the message of a value out of them."""
     value = _int_value(text)
     if value is None:
         raise raw.error(key, lineno, f"expected an integer, got {text!r}")
+    minimum, maximum = _INT_BOUNDS[axis]
     if value < minimum:
-        raise raw.error(key, lineno, f"must be >= {minimum}, got {value}")
+        below = "positive" if minimum == 1 else f">= {minimum}"
+        raise raw.error(key, lineno, f"{label}must be {below}, got {value}")
     if maximum is not None and value > maximum:
-        raise raw.error(key, lineno, f"must be <= {maximum}, got {value}")
+        raise raw.error(key, lineno, f"{label}must be <= {maximum}, got {value}")
     return value
+
+
+def _parse_int(raw: _RawConfig, key: str, default: int) -> int:
+    got = raw.take(key)
+    return default if got is None else _bounded_int(raw, key, got[1], got[0], key)
 
 
 def _parse_float(raw: _RawConfig, key: str, default: float,
@@ -233,10 +241,10 @@ def parse_config(path: str) -> ExperimentConfig:
     N_line = raw.pairs.get("N", (None, None))[1]
     N = _parse_int(raw, "N", defaults["N"])
     kappa = _parse_float(raw, "kappa", defaults["kappa"], positive=True)
-    p = _parse_int(raw, "p", 2, maximum=MAX_DEGREE)
+    p = _parse_int(raw, "p", 2)
     q = _parse_int(raw, "q", defaults["q"])
     M = _parse_int(raw, "M", 10_000)
-    seed = _parse_int(raw, "seed", 0, minimum=0)
+    seed = _parse_int(raw, "seed", 0)
     sample_mode = _parse_choice(raw, "sample_mode", "reuse", ("reuse", "independent"))
     out_got = raw.take("out")
     output_path = out_got[0] if out_got else "results.csv"
@@ -267,19 +275,8 @@ def parse_config(path: str) -> ExperimentConfig:
             part = part.strip()
             if not part:
                 raise raw.error("sweep_values", lineno, "empty list element")
-            v = _int_value(part)
-            if v is None:
-                raise raw.error("sweep_values", lineno,
-                                f"expected an integer, got {part!r}")
-            if v < 1:
-                raise raw.error("sweep_values", lineno,
-                                f"values must be positive, got {v}")
-            if axis == "p" and v > MAX_DEGREE:
-                raise raw.error("sweep_values", lineno,
-                                f"p values must be <= {MAX_DEGREE}, got {v}")
-            values.append(v)
-        if not values:
-            raise raw.error("sweep_values", lineno, "empty sweep")
+            values.append(_bounded_int(raw, "sweep_values", lineno, part, axis,
+                                       f"{axis} values "))
         if any(b <= a for a, b in zip(values, values[1:])):
             raise raw.error("sweep_values", lineno,
                             "values must be strictly increasing")
@@ -308,13 +305,12 @@ def parse_config(path: str) -> ExperimentConfig:
     else:
         grids, key, lineno = (N,), "N", N_line
     for n in grids:
-        mean = GridSpec(T=T, N=n, kappa=kappa).jump_mean
-        if mean > MAX_POISSON_MEAN:
-            message = (f"per-interval jump mean kappa*h = {mean:g} at N = {n} "
-                       f"exceeds the supported maximum {MAX_POISSON_MEAN:g}; raise N")
+        try:
+            _check_jump_mean(GridSpec(T=T, N=n, kappa=kappa))
+        except ValueError as exc:
             if lineno is None:
-                raise ConfigError(f"{path}: {message}")
-            raise raw.error(key, lineno, message)
+                raise ConfigError(f"{path}: {exc}") from None
+            raise raw.error(key, lineno, str(exc)) from None
 
     solver = SolverConfig(spec=GridSpec(T=T, N=N, kappa=kappa), p=p, K_it=q,
                           M=M, seed=seed, sample_mode=sample_mode)

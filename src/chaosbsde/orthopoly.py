@@ -36,6 +36,8 @@ import math
 
 import numpy as np
 
+from .stochastic_grid import _count
+
 __all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 
 MAX_DEGREE = 60
@@ -43,13 +45,10 @@ MAX_DEGREE = 60
 
 def _check_degree(m_max: int) -> int:
     """``m_max`` as a Python int; numpy integers count, bools do not."""
-    if not isinstance(m_max, (int, np.integer)) or isinstance(m_max, bool):
-        raise TypeError(f"m_max must be an int, got {type(m_max).__name__}")
-    if m_max < 0:
-        raise ValueError(f"m_max must be >= 0, got {m_max}")
+    m_max = _count("m_max", m_max, 0)
     if m_max > MAX_DEGREE:
         raise ValueError(f"m_max = {m_max} exceeds the degree cap {MAX_DEGREE}")
-    return int(m_max)
+    return m_max
 
 
 def _finite(x) -> np.ndarray:
@@ -60,44 +59,33 @@ def _finite(x) -> np.ndarray:
     return x
 
 
-def _table_out(m_max: int, x: np.ndarray, out) -> np.ndarray:
-    shape = (m_max + 1,) + x.shape
-    if out is None:
-        return np.empty(shape, dtype=np.float64)
-    if out.shape != shape or out.dtype != np.float64:
-        raise ValueError(f"out has shape {out.shape} and dtype {out.dtype}, "
-                         f"expected {shape} float64")
-    return out
-
-
-def hermite_batch(m_max: int, x: np.ndarray, *,
-                  out: np.ndarray | None = None) -> np.ndarray:
+def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
     """Hermite values K_0..K_{m_max} at every entry of x.
 
-    Returns an array of shape (m_max+1,) + x.shape, written into ``out``
-    when given. Examples: hermite_batch(1, 3.5) is [1, 3.5];
-    hermite_batch(2, 3.0) is [1, 3, 4] since K_2(3) = (9 - 1)/2;
-    hermite_batch(3, 2.0) is [1, 2, 1.5, 1/3] since K_3(2) = (8 - 6)/6.
+    Returns an array of shape (m_max+1,) + x.shape. Examples:
+    hermite_batch(1, 3.5) is [1, 3.5]; hermite_batch(2, 3.0) is [1, 3, 4]
+    since K_2(3) = (9 - 1)/2; hermite_batch(3, 2.0) is [1, 2, 1.5, 1/3]
+    since K_3(2) = (8 - 6)/6.
     """
     m_max = _check_degree(m_max)
     x = _finite(x)
-    return _hermite_rows(m_max, x, _table_out(m_max, x, out))
+    return _hermite_rows(m_max, x, np.empty((m_max + 1,) + x.shape))
 
 
-def charlier_batch(m_max: int, x: np.ndarray, t: float, *,
-                   out: np.ndarray | None = None) -> np.ndarray:
+def charlier_batch(m_max: int, x: np.ndarray, t: float) -> np.ndarray:
     """Charlier values C_0..C_{m_max}(x, t) at every entry of x.
 
-    Returns an array of shape (m_max+1,) + x.shape, written into ``out``
-    when given. Examples: charlier_batch(1, 4, 1.0) is [1, 3];
-    charlier_batch(2, 3, 1.0) is [1, 2, 1] and charlier_batch(2, 2, 1.0) is
-    [1, 1, -1] by the three-term recurrence.
+    Returns an array of shape (m_max+1,) + x.shape. Examples:
+    charlier_batch(1, 4, 1.0) is [1, 3]; charlier_batch(2, 3, 1.0) is
+    [1, 2, 1] and charlier_batch(2, 2, 1.0) is [1, 1, -1] by the
+    three-term recurrence.
     """
     m_max = _check_degree(m_max)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     x = _finite(x)
-    return _charlier_rows(m_max, x, t, _table_out(m_max, x, out), np.empty(x.shape))
+    return _charlier_rows(m_max, x, t, np.empty((m_max + 1,) + x.shape),
+                          np.empty(x.shape))
 
 
 # The recurrences themselves, unchecked: the kernels call them on paths a

@@ -41,9 +41,10 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .chaos_core import ChaosCoefficients, _check_threads, estimate
+from .chaos_core import ChaosCoefficients, estimate
 from .chaos_eval import evaluate_grid
-from .stochastic_grid import GridSpec, PathBatch, _row_blocks, sample_paths
+from .stochastic_grid import (GridSpec, PathBatch, _count, _row_blocks,
+                             sample_paths)
 
 __all__ = [
     "Driver",
@@ -131,8 +132,10 @@ class TerminalFunctional:
         """xi = exp(a*T + b*B_T + c*N_T), with B_T = sqrt(h) * sum(G)."""
         def _eval(paths: PathBatch) -> np.ndarray:
             spec = paths.spec
-            return np.exp(a * spec.T + b * math.sqrt(spec.h) * _row_sums(paths.G)
-                          + c * paths.Q.sum(axis=1))
+            # An overflow gives inf, which terminal_samples refuses.
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.exp(a * spec.T + b * math.sqrt(spec.h) * _row_sums(paths.G)
+                              + c * paths.Q.sum(axis=1))
 
         return cls(_eval)
 
@@ -159,12 +162,7 @@ class SolverConfig:
 
     def __post_init__(self) -> None:
         for name, lo in (("p", 1), ("K_it", 1), ("M", 1), ("seed", 0)):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
-                raise TypeError(f"{name} must be an int, got {type(v).__name__}")
-            if v < lo:
-                raise ValueError(f"{name} must be >= {lo}, got {v}")
-            object.__setattr__(self, name, int(v))
+            object.__setattr__(self, name, _count(name, getattr(self, name), lo))
         if self.sample_mode not in _SAMPLE_MODES:
             raise ValueError(
                 f"sample_mode must be one of {_SAMPLE_MODES}, got {self.sample_mode!r}")
@@ -244,7 +242,8 @@ def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> 
         else:
             if np.may_share_memory(vals, Y[i]):
                 vals = vals.copy()  # the sum overwrites it; keep f_i for the check
-            np.add(vals, Y[i - 1], out=Y[i])
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add(vals, Y[i - 1], out=Y[i])
         finite = np.isfinite(Y[i])
         if not finite.all():
             m = int(np.argmin(finite))
@@ -280,7 +279,7 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         Final iterate, its coefficients, optional per-iteration coefficient
         history, and the batch the returned grid is evaluated on.
     """
-    _check_threads(threads)
+    _count("threads", threads, 1)
     spec = config.spec
     if paths is None:
         paths = draw_paths(config)
@@ -313,7 +312,8 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     for q in range(config.K_it):
         for grid in grids:
             _driver_sums(driver, times, *grid, q)
-        F = xi_est + h * grids[0][0][N]
+        with np.errstate(over="ignore", invalid="ignore"):
+            F = xi_est + h * grids[0][0][N]
         bad = ~np.isfinite(F)
         if bad.any():
             raise ValueError(

@@ -29,6 +29,7 @@ Typical use::
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +48,40 @@ _TAIL_EPS = 1e-17
 _DRAW_BLOCK = 1 << 16
 
 
+# The input rules of the whole package: every entry point checks its counts,
+# positive reals and jump mean with these.
+
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as a Python int: TypeError unless it is an int (numpy
+    integers count, bools do not), ValueError below ``minimum``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _positive_real(name: str, value) -> float:
+    """``value`` as a Python float: TypeError unless it is a real number
+    (numpy reals count, bools do not), ValueError unless finite and > 0."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
+    if not math.isfinite(value) or value <= 0.0:
+        raise ValueError(f"{name} must be finite and > 0, got {float(value)!r}")
+    return float(value)
+
+
+def _check_jump_mean(spec: "GridSpec") -> float:
+    """The per-interval jump mean kappa*h of ``spec``; ValueError above
+    MAX_POISSON_MEAN, the largest the Poisson draw supports."""
+    mean = spec.jump_mean
+    if not (mean <= MAX_POISSON_MEAN):
+        raise ValueError(
+            f"per-interval jump mean kappa*h = {mean:g} at N = {spec.N} exceeds "
+            f"the supported maximum {MAX_POISSON_MEAN:g}; raise N")
+    return mean
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Regular grid on [0, T] with N intervals and jump intensity kappa.
@@ -59,6 +94,9 @@ class GridSpec:
         Number of intervals, at least 1.
     kappa : float
         Intensity of the driving Poisson process, strictly positive.
+
+    T and kappa may be given as any real number but a bool, numpy reals
+    included, and are stored as Python floats; N as any int but a bool.
     """
 
     T: float
@@ -66,17 +104,9 @@ class GridSpec:
     kappa: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or isinstance(self.N, bool):
-            raise TypeError(f"N must be an int, got {type(self.N).__name__}")
-        if self.N < 1:
-            raise ValueError(f"N must be >= 1, got {self.N}")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _count("N", self.N, 1))
         for name in ("T", "kappa"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise TypeError(f"{name} must be a real number")
-            if not math.isfinite(v) or v <= 0.0:
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
 
     @property
     def h(self) -> float:
@@ -116,11 +146,11 @@ class PathBatch:
     increment in G, or a Q that is not an integer array or has a negative
     count: the kernels cannot use such a batch.
 
-    In a batch from :func:`sample_paths`, G and Q are transposed views of
-    time-major (N, M) arrays, and :meth:`rows` takes column views of those.
-    A batch built by hand from sample-major (M, N) arrays is kept as given,
-    without a copy: every result is the same, but each kernel chunk then
-    transposes strided storage, which is slower.
+    G and Q are always transposed views of time-major (N, M) arrays, and
+    :meth:`rows` takes column views of those. A batch from
+    :func:`sample_paths`, or a view of one, is stored as given; a G or Q
+    built by hand whose sample axis is not unit-stride, such as a C-ordered
+    (M, N) array, is copied once into time-major storage.
     """
 
     spec: GridSpec
@@ -149,6 +179,10 @@ class PathBatch:
             m, i = np.argwhere(self.Q < 0)[0]
             raise ValueError(f"Q has a negative count at sample {m}, interval {i}: "
                              f"{int(self.Q[m, i])}")
+        for name in ("G", "Q"):
+            a = getattr(self, name)
+            if a.strides[0] != a.itemsize:
+                object.__setattr__(self, name, np.ascontiguousarray(a.T).T)
 
     def rows(self, start: int, stop: int) -> "PathBatch":
         """View of sample paths start..stop-1 as a new batch (no copy); on
@@ -201,23 +235,10 @@ def sample_paths(spec: GridSpec, M: int, seed: int) -> PathBatch:
     TypeError
         If M or seed is not an integer.
     """
-    if not isinstance(M, (int, np.integer)) or isinstance(M, bool):
-        raise TypeError(f"M must be an int, got {type(M).__name__}")
-    if M < 1:
-        raise ValueError(f"M must be >= 1, got {M}")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise TypeError(f"seed must be an int, got {type(seed).__name__}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    M, seed = int(M), int(seed)
-    mean = spec.jump_mean
-    if not (mean <= MAX_POISSON_MEAN):
-        raise ValueError(
-            f"per-interval jump mean kappa*h = {mean:g} exceeds the supported "
-            f"maximum {MAX_POISSON_MEAN:g}; refine the grid")
-
+    M = _count("M", M, 1)
+    seed = _count("seed", seed, 0)
     G, Q = _draw_time_major(np.random.Generator(np.random.Philox(seed)), M,
-                            spec.N, _poisson_cdf(mean))
+                            spec.N, _poisson_cdf(_check_jump_mean(spec)))
     return PathBatch(spec=spec, M=M, G=G.T, Q=Q.T, seed=seed)
 
 

@@ -140,6 +140,40 @@ class TestExample2Exact:
         assert u == pytest.approx((math.exp(0.2) - 1.0) * y, rel=1e-12)
 
 
+EX1 = Example1Params(c=0.5, T=1.0)
+OTHER_PATHS = sample_paths(GridSpec(T=2.0, N=4, kappa=1.0), 5, seed=0)
+
+# Each refusal of the params and the closed forms -> (call, message).
+REFUSALS = {
+    "example1_c": (lambda: Example1Params(c=math.nan, T=1.0), "c must be finite, got nan"),
+    "example1_T": (lambda: Example1Params(c=0.5, T=-1.0),
+                   r"T must be finite and > 0, got -1\.0"),
+    "example2_param": (lambda: dataclasses.replace(PAPER2, gamma=math.inf),
+                       "gamma must be finite, got inf"),
+    "example2_T": (lambda: dataclasses.replace(PAPER2, T=0.0),
+                   r"T must be finite and > 0, got 0\.0"),
+    "example2_kappa": (lambda: dataclasses.replace(PAPER2, kappa=-3.0),
+                       r"kappa must be finite and > 0, got -3\.0"),
+    "example1_time": (lambda: example1_exact(EX1, 1.5, 0), r"t must lie in \[0, T\]"),
+    "example1_count": (lambda: example1_exact(EX1, 0.5, -1), "N_t must be nonnegative"),
+    "example2_time": (lambda: example2_exact(PAPER2, -0.1, 0.0, 0),
+                      r"t must lie in \[0, T\]"),
+    "example1_grid": (lambda: example1_grid(EX1, OTHER_PATHS),
+                      r"paths grid \(T=2\.0, kappa=1\.0\) does not match "
+                      r"params \(T=1\.0, kappa=1\.0\)"),
+    "example2_grid": (lambda: example2_grid(PAPER2, OTHER_PATHS),
+                      r"paths grid \(T=2\.0, kappa=1\.0\) does not match "
+                      r"params \(T=2\.0, kappa=3\.0\)"),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_refusal_names_the_problem(name):
+    call, message = REFUSALS[name]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestExactGrids:
     def test_example1_grid_entries(self):
         params = Example1Params(c=0.5, T=1.0)

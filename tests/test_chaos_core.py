@@ -420,6 +420,29 @@ class TestChunkStripes:
         # The calling thread runs the first stripe.
         assert stripes[threading.current_thread()][0][1] == 0
 
+    # Stripes of the seven chunks: [0-2], [3-6] at threads 2 and [0, 1],
+    # [2, 3], [4-6] at threads 3.
+    @pytest.mark.parametrize("threads, bad, want", [
+        (2, 5, [0, 1, 2]), (3, 3, [0, 1]), (3, 6, [0, 1, 2, 3])])
+    def test_worker_stripe_error_follows_the_earlier_stripes(self, threads, bad,
+                                                             want):
+        import threading
+
+        from chaosbsde.chaos_core import _CHUNK, _build_index_set, _run_chunks
+
+        def chunk(sl, buf):
+            if sl.start // _CHUNK == bad:
+                raise ArithmeticError(f"chunk {bad}")
+            return sl.start // _CHUNK
+
+        before = threading.active_count()
+        got = []
+        with pytest.raises(ArithmeticError, match=f"chunk {bad}$"):
+            for i in _run_chunks(chunk, _build_index_set(3, 2), self.M, threads):
+                got.append(i)
+        assert got == want
+        assert threading.active_count() == before
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_results_identical_at_every_thread_count(self, p):
         spec = GridSpec(T=1.0, N=5, kappa=2.0)
@@ -832,8 +855,7 @@ class TestCoefficientsContainer:
     def test_estimate_overflow_is_refused(self):
         # Finite samples whose sum overflows float64 make a d0 of inf.
         paths = sample_paths(GridSpec(T=1.0, N=2, kappa=1.0), 4, seed=3)
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(ValueError, match="d0"):
+        with pytest.raises(ValueError, match="d0"):
             estimate(np.full(paths.M, 1e308), paths, 1)
 
 

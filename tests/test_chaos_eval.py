@@ -460,6 +460,17 @@ class TestEvaluateGrid:
         with pytest.raises(ValueError, match=f"out {name} has dtype float32"):
             evaluate_grid(coeffs, paths, out=tuple(out.values()))
 
+    @pytest.mark.parametrize("name", ["Y", "Z", "U"])
+    def test_rejects_out_buffers_of_another_shape(self, spec3, name):
+        paths = sample_paths(spec3, 40, seed=20)
+        coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
+        shape = (spec3.N + 1, paths.M)
+        out = {key: np.empty(shape) for key in "YZU"}
+        out[name] = np.empty(shape[::-1])
+        with pytest.raises(ValueError, match=rf"out {name} has shape \(40, 4\), "
+                                             rf"expected \(4, 40\)"):
+            evaluate_grid(coeffs, paths, out=tuple(out.values()))
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_sums_offset_is_subtracting_afterwards(self, p, threads):

@@ -140,6 +140,8 @@ class TestParseConfig:
         ("sweep_axis = M\nsweep_values = 20,10\n", "increasing"),
         ("sweep_axis = M\nsweep_values = 0,10\n", "positive"),
         ("sweep_axis = M\nsweep_values = 10,,20\n", "empty"),
+        ("sweep_axis = N\nsweep_values = 0,10\n", "N values must be positive, got 0"),
+        ("sweep_axis = seed\nsweep_values = -1,0\n", "seed values must be >= 0, got -1"),
     ])
     def test_sweep_validation(self, tmp_path, sweep, pattern):
         with pytest.raises(ConfigError, match=pattern):
@@ -152,7 +154,10 @@ class TestParseConfig:
         ("example1", "p = 61\n", "p", "must be <= 60"),
         ("example1", "sweep_axis = p\nsweep_values = 1, 61\n", "sweep_values",
          "p values must be <= 60"),
-    ], ids=["T_negative", "T_zero", "kappa_zero", "p_above_cap", "p_sweep_above_cap"])
+        ("example1", "T = abc\n", "T", "expected a number, got 'abc'"),
+        ("example1", "seed = -1\n", "seed", "must be >= 0, got -1"),
+    ], ids=["T_negative", "T_zero", "kappa_zero", "p_above_cap", "p_sweep_above_cap",
+            "T_text", "seed_negative"])
     def test_invalid_values_refused_at_parse_time(self, tmp_path, capsys, example,
                                                   body, field, message):
         # The sweep's first point is valid: nothing runs before the refusal.
@@ -186,6 +191,20 @@ class TestParseConfig:
         err = capsys.readouterr().err
         assert f"{path}{where}per-interval jump mean kappa*h = " in err
         assert not out.exists()
+
+    # M and out are set by the base config of the test above.
+    @pytest.mark.parametrize("body, field, message", [
+        ("M = abc\n", "M", "expected an integer, got 'abc'"),
+        ("M = 0\n", "M", "must be positive, got 0"),
+        ("out =\n", "out", "must be a nonempty path"),
+    ], ids=["M_text", "M_zero", "out_empty"])
+    def test_malformed_values_refused_with_location(self, tmp_path, capsys, body,
+                                                    field, message):
+        path = write_cfg(tmp_path, "example = example1\n" + body)
+        with pytest.raises(ConfigError):
+            parse_config(path)
+        assert main(["--config", path]) == 2
+        assert f"{path}:2: field '{field}': {message}" in capsys.readouterr().err
 
     def test_example1_kappa_must_stay_pinned(self, tmp_path):
         with pytest.raises(ConfigError, match="kappa"):
@@ -253,6 +272,20 @@ class TestRun:
         assert [r["seed"] for r in rows] == ["1", "4", "9"]
         assert len({r["Y0"] for r in rows}) == 3
 
+    def test_seed_sweep_from_zero_equals_single_runs(self, tmp_path):
+        # seed = 0 is the default, so a seed sweep may start there.
+        out = tmp_path / "sweep.csv"
+        text = self.base_text(out, "sweep_axis = seed\nsweep_values = 0, 1\n")
+        assert main(["--config", write_cfg(tmp_path, text)]) == 0
+        swept = strip_wall(out.read_text(encoding="utf-8")).splitlines()
+        assert len(swept) == 3
+        for seed, row in zip((0, 1), swept[1:]):
+            single = tmp_path / f"seed{seed}.csv"
+            cfg = write_cfg(tmp_path, self.base_text(single, f"seed = {seed}\n"),
+                            f"seed{seed}.cfg")
+            assert main(["--config", cfg]) == 0
+            assert strip_wall(single.read_text(encoding="utf-8")).splitlines()[1] == row
+
     @pytest.mark.parametrize("axis", ["M", "N", "p", "q", "seed"])
     def test_every_sweep_axis_sets_its_column(self, tmp_path, axis):
         out = tmp_path / "s.csv"
@@ -292,6 +325,17 @@ class TestRun:
         cfg = parse_config(write_cfg(tmp_path, text))
         assert run(cfg) == 1
         assert "chaosbsde" in capsys.readouterr().err
+
+    def test_failing_sweep_point_is_named_after_the_rows_before_it(self, tmp_path,
+                                                                  capsys):
+        # p = 1 on N = 40 runs; p = 6 there is the sizing error above.
+        out = tmp_path / "f.csv"
+        text = (f"example = example1\nN = 40\nM = 10\nq = 1\nout = {out}\n"
+                "sweep_axis = p\nsweep_values = 1, 6\n")
+        assert main(["--config", write_cfg(tmp_path, text)]) == 1
+        assert "chaosbsde: sweep point failed (p=6): " in capsys.readouterr().err
+        _, rows = read_rows(out)
+        assert [r["p"] for r in rows] == ["1"]
 
 
 class TestGoldenResults:

@@ -156,22 +156,6 @@ class TestCharlier:
             charlier_batch(MAX_DEGREE + 1, 2, 0.5)
 
 
-class TestBatchOut:
-    @pytest.mark.parametrize("table", [
-        lambda x, **kw: hermite_batch(4, x, **kw),
-        lambda x, **kw: charlier_batch(4, x, 0.3, **kw),
-    ])
-    def test_out_is_filled_and_returned(self, table):
-        x = np.array([[0.0, 1.0, 3.0], [2.0, 5.0, 1.0]])
-        out = np.full((5, 2, 3), np.nan)
-        assert table(x, out=out) is out
-        np.testing.assert_array_equal(out, table(x))
-        with pytest.raises(ValueError, match="expected"):
-            table(x, out=np.empty((5, 3, 2)))
-        with pytest.raises(ValueError, match="expected"):
-            table(x, out=np.empty((5, 2, 3), dtype=np.float32))
-
-
 class TestTables:
     def test_leading_entry_is_one(self):
         assert hermite_batch(0, 1.23)[0] == 1.0

@@ -109,6 +109,14 @@ class TestTerminalFunctional:
         with pytest.raises(ValueError, match=f"at sample {first}$"):
             terminal_samples(xi, paths)
 
+    def test_overflowing_exp_levy_reports_sample(self, spec5):
+        # exp(c * N_T) overflows where N_T >= 1 at c = 800.
+        paths = sample_paths(spec5, 20, seed=24)
+        first = int(np.argmax(paths.Q.sum(axis=1) > 0))
+        with pytest.raises(ValueError,
+                           match=f"non-finite value .*inf.* at sample {first}$"):
+            terminal_samples(TerminalFunctional.exp_levy(0.0, 0.0, 800.0), paths)
+
     @pytest.mark.parametrize("fn", [
         lambda pb: np.ones((pb.M, 1)),
         lambda pb: 1.0,
@@ -311,12 +319,11 @@ class TestSolve:
                 out[7] = 1e308
             return out
 
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError,
-                               match="running driver sum overflowed at iteration 1, "
-                                     "grid index 2, sample 7$"):
-                solve(cfg, Driver.custom(huge_on_second_batch),
-                      TerminalFunctional.poisson_count())
+        with pytest.raises(ValueError,
+                           match="running driver sum overflowed at iteration 1, "
+                                 "grid index 2, sample 7$"):
+            solve(cfg, Driver.custom(huge_on_second_batch),
+                  TerminalFunctional.poisson_count())
 
     def test_overflowing_sum_of_the_drivers_own_rows(self):
         # A driver returning its y argument returns the row the sum is
@@ -324,12 +331,11 @@ class TestSolve:
         Y = np.zeros((4, 10))
         Y[1:3, 7] = 1e308
         times = np.linspace(0.0, 1.0, 4)
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError,
-                               match="running driver sum overflowed at iteration 2, "
-                                     "grid index 2, sample 7$"):
-                _driver_sums(Driver.custom(lambda t, y, z, u: y), times, Y,
-                             np.zeros_like(Y), np.zeros_like(Y), 1)
+        with pytest.raises(ValueError,
+                           match="running driver sum overflowed at iteration 2, "
+                                 "grid index 2, sample 7$"):
+            _driver_sums(Driver.custom(lambda t, y, z, u: y), times, Y,
+                         np.zeros_like(Y), np.zeros_like(Y), 1)
 
     def test_non_finite_final_grid_reports_grid_index_and_sample(self):
         # h = 2: a finite driver sum S on the evaluation batch passes the
@@ -347,12 +353,26 @@ class TestSolve:
                 out[7] = 1e308
             return out
 
-        with np.errstate(over="ignore"):
-            with pytest.raises(ValueError,
-                               match="non-finite Y value in final grid at grid index 2, "
-                                     "sample 7$"):
-                solve(cfg, Driver.custom(huge_once_on_second_batch),
-                      TerminalFunctional.poisson_count())
+        with pytest.raises(ValueError,
+                           match="non-finite Y value in final grid at grid index 2, "
+                                 "sample 7$"):
+            solve(cfg, Driver.custom(huge_once_on_second_batch),
+                  TerminalFunctional.poisson_count())
+
+    def test_overflowing_functional_reports_iteration_and_sample(self):
+        # h = 4: the driver sum 1e308 is finite, but h times it is not.
+        spec = GridSpec(T=4.0, N=1, kappa=1.0)
+        cfg = SolverConfig(spec=spec, p=1, K_it=2, M=20, seed=13)
+
+        def huge_from_sample_3(t, y, z, u):
+            out = np.zeros_like(y)
+            out[3:] = 1e308
+            return out
+
+        with pytest.raises(ValueError,
+                           match="non-finite functional at iteration 1, sample 3$"):
+            solve(cfg, Driver.custom(huge_from_sample_3),
+                  TerminalFunctional.poisson_count())
 
     def test_iterations_reuse_the_driver_row_buffer(self):
         # Each iteration writes its driver sums into the rows of Y, so more

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 import chaosbsde
-from chaosbsde import (GridSpec, PathBatch, SolverConfig, chaos_core, chaos_eval,
-                       charlier_batch, coefficients_from_entries, estimate,
-                       hermite_batch, orthopoly, sample_paths)
+from chaosbsde import (Example1Params, Example2Params, GridSpec, PathBatch,
+                       SolverConfig, chaos_core, chaos_eval, charlier_batch,
+                       coefficients_from_entries, estimate, hermite_batch,
+                       orthopoly, sample_paths)
 
 PUBLIC = {
     "GridSpec", "PathBatch", "sample_paths",
@@ -96,3 +97,42 @@ def test_numpy_integer_counts_are_accepted_as_python_ints(name):
     for bad in (True, np.True_, 2.0, np.float64(2.0)):
         with pytest.raises(error):
             call(bad)
+
+
+def _example2(**reals):
+    return Example2Params(**{"alpha": 0.3, "beta": 0.3, "gamma": 0.2, "a": -0.1,
+                             "b": 0.1, "c": 0.2, "kappa": 3.0, "T": 2.0, **reals})
+
+
+# Entry point -> call with a positive real x, returning what it stored.
+REALS = {
+    "GridSpec.T": lambda x: GridSpec(T=x, N=4, kappa=1.0).T,
+    "GridSpec.kappa": lambda x: GridSpec(T=1.0, N=4, kappa=x).kappa,
+    "Example1Params.T": lambda x: Example1Params(c=0.5, T=x).T,
+    "Example1Params.grid": lambda x: Example1Params(c=0.5, T=x).grid(20).T,
+    "Example2Params.T": lambda x: _example2(T=x).T,
+    "Example2Params.kappa": lambda x: _example2(kappa=x).kappa,
+    "Example2Params.grid": lambda x: _example2(kappa=x).grid(20).kappa,
+}
+
+
+@pytest.mark.parametrize("name", REALS)
+def test_numpy_reals_are_accepted_as_python_floats(name):
+    call = REALS[name]
+    for x in (1.0, 1, np.float32(1.0), np.float64(1.0), np.int64(1)):
+        got = call(x)
+        assert got == 1.0 and type(got) is float
+    for bad in (True, np.True_, "1.0"):
+        with pytest.raises(TypeError, match="must be a real number"):
+            call(bad)
+    for bad in (0.0, -1.0, np.float32(np.inf), np.nan):
+        with pytest.raises(ValueError, match="must be finite and > 0"):
+            call(bad)
+
+
+def test_numpy_real_grid_matches_the_float_grid():
+    spec = GridSpec(T=np.int64(2), N=4, kappa=np.float32(1.5))
+    assert spec == GridSpec(T=2.0, N=4, kappa=1.5)
+    assert type(spec.T) is float and type(spec.kappa) is float
+    assert Example1Params(c=0.5, T=np.float32(1.0)).grid(20) == GridSpec(
+        T=1.0, N=20, kappa=1.0)

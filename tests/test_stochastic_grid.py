@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosbsde import GridSpec, PathBatch, estimate, evaluate_grid, sample_paths
+from chaosbsde import (GridSpec, PathBatch, TerminalFunctional, estimate,
+                       evaluate_grid, sample_paths, terminal_samples)
 from chaosbsde.stochastic_grid import _DRAW_BLOCK, _poisson_cdf
 
 
@@ -205,6 +206,12 @@ class TestSamplePaths:
         assert np.shares_memory(part.G, small_paths.G)
         assert np.array_equal(part.G, small_paths.G[10:20])
 
+    @pytest.mark.parametrize("start, stop", [(5, 5), (6, 5), (-1, 3), (0, 4001)])
+    def test_rows_refuses_an_empty_or_out_of_range_span(self, small_paths, start,
+                                                         stop):
+        with pytest.raises(ValueError, match=rf"invalid row range \[{start}, {stop}\)"):
+            small_paths.rows(start, stop)
+
 
 def with_entry(a, index, value):
     """Copy of array a with a[index] = value."""
@@ -231,6 +238,10 @@ class TestPathBatch:
                        "M must be an int >= 1, got 0"),
         "float_M": (lambda M, G, Q: (float(M), G, Q),
                     r"M must be an int >= 1, got 40\.0"),
+        "G_shape": (lambda M, G, Q: (M, G[:, :2], Q),
+                    r"G has shape \(40, 2\), expected \(40, 3\)"),
+        "Q_shape": (lambda M, G, Q: (M, G, Q[:39]),
+                    r"Q has shape \(39, 3\), expected \(40, 3\)"),
     }
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -249,3 +260,30 @@ class TestPathBatch:
         paths.rows(0, 12)
         with pytest.raises(ValueError, match="sample 2, interval 0: inf"):
             paths.rows(10, 20)
+
+    def test_sampled_batch_and_its_views_are_stored_as_given(self):
+        paths = sample_paths(self.SPEC, 40, seed=11)
+        again = PathBatch(self.SPEC, paths.M, paths.G, paths.Q, seed=11)
+        assert again.G is paths.G and again.Q is paths.Q
+        part = paths.rows(10, 20)
+        assert part.G.base is paths.G.base and part.Q.base is paths.Q.base
+
+    def test_hand_built_batch_is_copied_to_time_major_storage(self):
+        # Sample-major (C-ordered) arrays are copied once; every result is
+        # then that of the sampled batch, bit for bit.
+        spec = GridSpec(T=1.0, N=4, kappa=2.0)
+        paths = sample_paths(spec, 3000, seed=11)
+        G, Q = np.ascontiguousarray(paths.G), np.ascontiguousarray(paths.Q)
+        batch = PathBatch(spec, paths.M, G, Q, seed=11)
+        for stored, given in ((batch.G, G), (batch.Q, Q)):
+            assert stored.strides[0] == stored.itemsize
+            assert not np.shares_memory(stored, given)
+            assert np.array_equal(stored, given) and stored.dtype == given.dtype
+        F = paths.Q.sum(axis=1) + paths.G[:, 0] * paths.G[:, 2]
+        for p in (1, 2, 3):
+            a, b = estimate(F, batch, p), estimate(F, paths, p)
+            assert a.d0 == b.d0 and np.array_equal(a.values, b.values)
+            for x, y in zip(evaluate_grid(a, batch), evaluate_grid(b, paths)):
+                assert np.array_equal(x, y)
+        xi = TerminalFunctional.exp_levy(-0.1, 0.1, 0.2)
+        assert np.array_equal(terminal_samples(xi, batch), terminal_samples(xi, paths))
