@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .picard_solver import SolutionGrid
-from .stochastic_grid import GridSpec, PathBatch, _positive_real
+from .stochastic_grid import GridSpec, PathBatch, _finite_real
 
 __all__ = [
     "Example1Params",
@@ -64,17 +64,18 @@ __all__ = [
 @dataclass(frozen=True)
 class Example1Params:
     """Counting-terminal benchmark parameters; kappa is pinned to 1. T and
-    kappa are checked and stored as :class:`GridSpec` stores them."""
+    kappa are checked and stored as :class:`GridSpec` stores them, and c,
+    any finite real number, as a Python float."""
 
     c: float
     T: float
     kappa: float = 1.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.c):
-            raise ValueError(f"c must be finite, got {self.c!r}")
+        object.__setattr__(self, "c", _finite_real("c", self.c))
         for name in ("T", "kappa"):
-            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
+            value = _finite_real(name, getattr(self, name), positive=True)
+            object.__setattr__(self, name, value)
         if self.kappa != 1.0:
             raise ValueError(
                 f"this benchmark's closed form is stated for kappa = 1, got {self.kappa}")
@@ -86,7 +87,8 @@ class Example1Params:
 @dataclass(frozen=True)
 class Example2Params:
     """Exponential-Levy benchmark parameters. T and kappa are checked and
-    stored as :class:`GridSpec` stores them."""
+    stored as :class:`GridSpec` stores them, and the other six, any finite
+    real numbers, as Python floats."""
 
     alpha: float
     beta: float
@@ -99,11 +101,10 @@ class Example2Params:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "a", "b", "c"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v!r}")
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         for name in ("T", "kappa"):
-            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
+            value = _finite_real(name, getattr(self, name), positive=True)
+            object.__setattr__(self, name, value)
 
     def grid(self, N: int) -> GridSpec:
         return GridSpec(T=self.T, N=N, kappa=self.kappa)

@@ -334,21 +334,61 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
     return iset
 
 
-def _index_set(N: int, p: int, workers: int = 1) -> _IndexSet:
-    """The index set for (N, p); p may be a numpy integer, not a bool."""
+def _order(p) -> int:
+    """The truncation order p as an int; p may be a numpy integer, not a
+    bool."""
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
         raise ValueError(f"p must be a nonnegative int, got {p!r}")
     if p > MAX_DEGREE:
         raise ValueError(f"p = {p} exceeds the degree cap {MAX_DEGREE}")
-    p = int(p)
-    _check_bytes(N, p, workers)
+    return int(p)
+
+
+def _index_set(N: int, p: int, workers: int = 1, held: int = 0) -> _IndexSet:
+    """The index set for (N, p), once the byte budget admits it with
+    ``workers`` working sets and ``held`` sum vectors of 1 + J entries."""
+    p = _order(p)
+    _check_bytes(N, p, workers, held * 8 * (_basis_count(N, p) + 1))
     return _build_index_set(N, p)
 
 
-def _workers(threads: int, M: int) -> int:
-    """Chunk functions that can run at once: :func:`_run_chunks` runs at
-    most one per chunk of M samples. Refuses an invalid ``threads``."""
-    return max(1, min(_count("threads", threads, 1), -(-M // _CHUNK)))
+# The largest N at which a kernel call still runs one worker thread, by
+# call and p: the largest measured N of (call, p) at which a second worker
+# did not pay (0 where none failed). Above it, and at a p the table does not
+# list (p >= 8), the call runs min(threads, chunks) workers, so only
+# measured points take a worker away. The p = 2 estimate and evaluate_grid
+# run the pair kernels, Python loops over short numpy calls that hold the
+# GIL: np.matmul keeps it through a product of at most ~500 output entries,
+# the pair sums' 4 x 2N blocks up to N = 62, and an elementwise call on
+# fewer than ~2**15 entries is over before a second thread gets the GIL.
+# Measured by tools/thread_table.py at threads 2 on 2 vCPUs (table in
+# README.md): a point pays where its ratio t1/t2 of median wall times is
+# 1.10 or more, read as the median over its series (the mean of two). A
+# call that a second thread cannot overlap serialises on the GIL, so more
+# threads do not help it either.
+_ONE_WORKER_TO = {
+    "estimate": {0: 400, 1: 20, 2: 80, 3: 15, 4: 7, 5: 0, 6: 4, 7: 3},
+    "evaluate_grid": {0: 20, 1: 20, 2: 20, 3: 15, 4: 7, 5: 5, 6: 4, 7: 3},
+    "variance_diagnostic": {0: 100, 1: 30, 2: 40, 3: 10, 4: 6, 5: 0, 6: 4, 7: 3},
+}
+
+
+def _workers(threads: int, M: int, N: int, p: int, call: str) -> int:
+    """Worker threads of the kernel call ``call`` on M samples at (N, p):
+    one up to the N of :data:`_ONE_WORKER_TO`, else min(threads, chunks),
+    so ``threads`` is a cap. :func:`_run_chunks` runs at most one worker
+    per chunk of M samples. Refuses an invalid ``threads``."""
+    threads = _count("threads", threads, 1)
+    if N <= _ONE_WORKER_TO[call].get(p, 0):
+        return 1
+    return max(1, min(threads, -(-M // _CHUNK)))
+
+
+def _held(M: int, workers: int) -> int:
+    """Chunk results :func:`_run_chunks` holds at ``workers`` threads until
+    every stripe is done: those of the stripes after the first."""
+    chunks = -(-M // _CHUNK)
+    return chunks - chunks // workers
 
 
 def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
@@ -373,13 +413,14 @@ def _worker_bytes(N: int, p: int) -> int:
     return 8 * (_CHUNK * rows + 4 * (_basis_count(N, p) + 1))
 
 
-def _check_bytes(N: int, p: int, workers: int) -> None:
+def _check_bytes(N: int, p: int, workers: int, held: int = 0) -> None:
     """Refuse (N, p) when its index set and prefix plan, plus ``workers``
-    times one worker's chunk working set, would exceed the byte budget."""
+    times one worker's chunk working set, plus ``held`` bytes of chunk
+    results the call holds, would exceed the byte budget."""
     # Per index: degree rows in prefix and in rank order, and ~64 bytes of
     # per-index vectors with their prefix-order copies and sort keys.
     index_bytes = _basis_count(N, p) * (4 * N + 64)
-    need = index_bytes + workers * _worker_bytes(N, p)
+    need = index_bytes + workers * _worker_bytes(N, p) + held
     if need > _BYTE_BUDGET:
         # Integer MiB: need can exceed the float range.
         raise SizingError(
@@ -605,21 +646,21 @@ class _ChunkBuffers:
         return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
-def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int):
+def _run_chunks(chunk_fn, iset: _IndexSet, M: int, workers: int):
     """Yield ``chunk_fn(sl, buf)`` for the fixed chunks ``sl`` of M samples,
     in chunk order, so a reduction over the results has a fixed order.
 
-    The chunks are split into k = min(threads, chunks) contiguous stripes,
-    as equal as whole chunks allow. The calling thread
-    runs the first stripe and yields each result as it is made; k - 1
-    threads started for the call run the others, one stripe each, and their
-    results are held until every stripe is done. An error in a stripe is
-    raised when its results would be yielded. Each thread builds one
-    :class:`_ChunkBuffers` and passes it as ``buf`` to every chunk of its
-    stripe. A held result must outlive the next chunk of its thread, so a
-    chunk function must not return views of its buffers."""
+    The chunks are split into k = min(workers, chunks) contiguous stripes,
+    as equal as whole chunks allow; at k = 1 no thread is started. The
+    calling thread runs the first stripe and yields each result as it is
+    made; k - 1 threads started for the call run the others, one stripe
+    each, and their results are held until every stripe is done. An error
+    in a stripe is raised when its results would be yielded. Each thread
+    builds one :class:`_ChunkBuffers` and passes it as ``buf`` to every
+    chunk of its stripe. A held result must outlive the next chunk of its
+    thread, so a chunk function must not return views of its buffers."""
     slices = [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
-    k = min(threads, len(slices))
+    k = min(workers, len(slices))
 
     def stripe(run: list[slice]):
         buf = _ChunkBuffers(iset, min(_CHUNK, M))
@@ -732,10 +773,19 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     return out
 
 
-def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
-              squares: bool) -> np.ndarray:
+def _raw_sums(F, paths: PathBatch, p, threads: int, squares: bool
+              ) -> tuple[_IndexSet, np.ndarray]:
+    """The index set for (N, p) and the sums of F*Phi_n over every sample,
+    with the sums of (F*Phi_n)**2 appended when ``squares``, once the byte
+    budget admits the call's workers and the sum vectors they hold."""
+    p = _order(p)
+    N = paths.spec.N
+    pair = p == 2 and not squares
+    call = "variance_diagnostic" if squares else "estimate"
+    workers = _workers(threads, paths.M, N, p, call)
+    vectors = 2 if squares else 1
+    iset = _index_set(N, p, workers, vectors * _held(paths.M, workers))
     kh = paths.spec.jump_mean
-    pair = iset.p == 2 and not squares
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> np.ndarray:
         # Finite F can still overflow a product; the callers refuse the
@@ -746,10 +796,10 @@ def _raw_sums(F, paths: PathBatch, iset: _IndexSet, threads: int,
                 return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
             return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares, buf)
 
-    total = np.zeros((2 if squares else 1) * (1 + iset.J))
-    for part in _run_chunks(chunk, iset, paths.M, threads):
+    total = np.zeros(vectors * (1 + iset.J))
+    for part in _run_chunks(chunk, iset, paths.M, workers):
         total += part
-    return total
+    return iset, total
 
 
 def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficients:
@@ -765,7 +815,10 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
     p : int
         Truncation order (total degree), >= 0.
     threads : int, optional
-        Worker threads for the chunked reduction, >= 1. Results are
+        Most worker threads for the chunked reduction, >= 1. The call runs
+        one at the (N, p) where a second did not pay on the measured table
+        of :data:`_ONE_WORKER_TO` (short numpy calls keep the GIL), and
+        min(threads, chunks of 1024 samples) elsewhere. Results are
         identical for every value, and for every BLAS thread count.
 
     Returns
@@ -776,8 +829,9 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
     Raises
     ------
     SizingError
-        If the basis plus the working sets of the workers that can run
-        would exceed the byte budget, checked before allocating.
+        If the basis plus the working sets of the workers the call runs,
+        and the sums their stripes hold, would exceed the byte budget,
+        checked before allocating.
     TypeError
         If threads is not an int.
     ValueError
@@ -785,8 +839,7 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
         float64.
     """
     F = _check_functional(F, paths)
-    iset = _index_set(paths.spec.N, p, _workers(threads, paths.M))
-    raw = _raw_sums(F, paths, iset, threads, squares=False)
+    iset, raw = _raw_sums(F, paths, p, threads, squares=False)
     d0 = raw[0] / paths.M
     values = raw[1:1 + iset.J] * iset.inv_weights(paths.spec.jump_mean) / paths.M
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=paths.spec)
@@ -805,14 +858,15 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     constant functional c has V = c**2 * J (J = index count), not zero:
     every product c * Phi_n still fluctuates.
 
-    Raises SizingError, TypeError and ValueError as :func:`estimate` does,
-    and ValueError when a variance overflows float64.
+    ``threads`` caps the worker threads as in :func:`estimate`, with this
+    call's own entry of the table. Raises SizingError, TypeError and
+    ValueError as :func:`estimate` does, and ValueError when a variance
+    overflows float64.
     """
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")
     F = _check_functional(F, paths)
-    iset = _index_set(paths.spec.N, p, _workers(threads, paths.M))
-    raw = _raw_sums(F, paths, iset, threads, squares=True)
+    iset, raw = _raw_sums(F, paths, p, threads, squares=True)
     n_out = 1 + iset.J
     s1 = raw[:n_out]
     s2 = raw[n_out:]

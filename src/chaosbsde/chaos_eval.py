@@ -371,9 +371,11 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     ``out`` optionally supplies preallocated (N+1, M) float64 arrays to
     fill, avoiding reallocation in iterative callers (ValueError for any
     other shape or dtype). ``threads`` is an int >= 1 (TypeError or
-    ValueError otherwise). Results are bit-identical for every ``threads``
-    value, since chunks write disjoint column blocks, and for every BLAS
-    thread count.
+    ValueError otherwise), the most worker threads the call runs: one
+    where a second did not pay at (N, p), as in
+    :func:`chaosbsde.chaos_core.estimate`. Results are bit-identical for
+    every ``threads`` value, since chunks write disjoint column blocks, and
+    for every BLAS thread count.
 
     ``_sums_h`` is the solver's: rows 1..N of ``out``'s Y then hold the
     running driver sums S, and Y[r] is written as the conditional value
@@ -382,7 +384,8 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     _check_spec(coeffs, paths)
     N = coeffs.spec.N
     M = paths.M
-    _check_bytes(N, coeffs.p, _workers(threads, M))
+    workers = _workers(threads, M, N, coeffs.p, "evaluate_grid")
+    _check_bytes(N, coeffs.p, workers)
     if out is None:
         Y = np.empty((N + 1, M))
         Z = np.empty((N + 1, M))
@@ -411,6 +414,6 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     def chunk(sl: slice, buf: _ChunkBuffers) -> None:
         _write_rows(sums(sl, buf), coeffs, (Y, Z, U), sl, _sums_h)
 
-    for _ in _run_chunks(chunk, iset, M, threads):
+    for _ in _run_chunks(chunk, iset, M, workers):
         pass
     return Y, Z, U

@@ -205,7 +205,8 @@ def terminal_samples(xi: TerminalFunctional, paths: PathBatch) -> np.ndarray:
     if bad.any():
         m = int(np.argmax(bad))
         raise ValueError(
-            f"terminal functional returned non-finite value {out[m]!r} at sample {m}")
+            f"terminal functional returned non-finite value {float(out[m])!r} "
+            f"at sample {m}")
     return out
 
 
@@ -270,8 +271,10 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         from the config seed when omitted. Passing it lets callers time the
         solve separately from path generation.
     threads : int, optional
-        Worker threads for estimation and evaluation, >= 1; never affects
-        values. Checked before any paths are drawn.
+        Most worker threads per estimation and evaluation call, >= 1; a call
+        runs one where a second did not pay at (N, p)
+        (:func:`chaosbsde.chaos_core.estimate`). Never affects values.
+        Checked before any paths are drawn.
 
     Returns
     -------

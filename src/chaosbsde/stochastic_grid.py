@@ -61,14 +61,21 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _positive_real(name: str, value) -> float:
+def _finite_real(name: str, value, positive: bool = False) -> float:
     """``value`` as a Python float: TypeError unless it is a real number
-    (numpy reals count, bools do not), ValueError unless finite and > 0."""
+    (numpy reals count, bools do not), ValueError unless finite, and > 0
+    when ``positive``. An int beyond the float range is not finite."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise TypeError(f"{name} must be a real number, got {type(value).__name__}")
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be finite and > 0, got {float(value)!r}")
-    return float(value)
+    rule = "finite and > 0" if positive else "finite"
+    try:
+        x = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be {rule}, got a number beyond the "
+                         f"float range") from None
+    if not math.isfinite(x) or (positive and x <= 0.0):
+        raise ValueError(f"{name} must be {rule}, got {x!r}")
+    return x
 
 
 def _check_jump_mean(spec: "GridSpec") -> float:
@@ -106,7 +113,8 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "N", _count("N", self.N, 1))
         for name in ("T", "kappa"):
-            object.__setattr__(self, name, _positive_real(name, getattr(self, name)))
+            value = _finite_real(name, getattr(self, name), positive=True)
+            object.__setattr__(self, name, value)
 
     @property
     def h(self) -> float:

@@ -1,9 +1,27 @@
-"""Shared fixtures: small grids and path batches reused across test modules."""
+"""Shared fixtures: small grids and path batches reused across test modules,
+and the worker rule lowered so that small tests run several workers."""
 
 import numpy as np
 import pytest
 
-from chaosbsde import GridSpec, sample_paths
+from chaosbsde import GridSpec, chaos_core, sample_paths
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "worker_rule: run under the shipped worker rule "
+                   "(chaos_core._ONE_WORKER_TO), not the lowered one")
+
+
+@pytest.fixture(autouse=True)
+def every_call_shares(request, monkeypatch):
+    """The worker rule runs a call on one worker up to the N at which a
+    second worker stops paying, which covers most test sizes; so that
+    ``threads`` >= 2 still runs the multi-worker paths there, every call
+    may share at every (N, p), except in tests marked ``worker_rule``."""
+    if request.node.get_closest_marker("worker_rule") is None:
+        monkeypatch.setattr(chaos_core, "_ONE_WORKER_TO",
+                            dict.fromkeys(chaos_core._ONE_WORKER_TO, {}))
 
 
 @pytest.fixture(scope="session")

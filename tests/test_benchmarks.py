@@ -148,8 +148,14 @@ REFUSALS = {
     "example1_c": (lambda: Example1Params(c=math.nan, T=1.0), "c must be finite, got nan"),
     "example1_T": (lambda: Example1Params(c=0.5, T=-1.0),
                    r"T must be finite and > 0, got -1\.0"),
+    "example1_c_overflow": (lambda: Example1Params(c=10**400, T=1.0),
+                            "c must be finite, got a number beyond the float range"),
+    "example1_T_overflow": (lambda: Example1Params(c=0.5, T=10**400),
+                            "T must be finite and > 0, got a number beyond the float range"),
     "example2_param": (lambda: dataclasses.replace(PAPER2, gamma=math.inf),
                        "gamma must be finite, got inf"),
+    "example2_param_overflow": (lambda: dataclasses.replace(PAPER2, alpha=-10**400),
+                                "alpha must be finite, got a number beyond the float range"),
     "example2_T": (lambda: dataclasses.replace(PAPER2, T=0.0),
                    r"T must be finite and > 0, got 0\.0"),
     "example2_kappa": (lambda: dataclasses.replace(PAPER2, kappa=-3.0),

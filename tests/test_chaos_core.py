@@ -459,6 +459,176 @@ class TestChunkStripes:
                 assert np.array_equal(a, b)
 
 
+@pytest.mark.worker_rule
+class TestWorkerRule:
+    """The shipped worker rule: a kernel call runs one worker at (N, p) up
+    to the largest N at which a second worker did not pay, and
+    min(threads, chunks) elsewhere, so ``threads`` is a cap. The points are
+    measured ones of the table the rule was derived from
+    (tools/thread_table.py): per call and p, the largest N that did not
+    pay and the smallest that did."""
+
+    M = 100_000
+
+    @pytest.mark.parametrize("call, N, p, workers", [
+        ("estimate", 400, 0, 1), ("estimate", 401, 0, 2),
+        ("estimate", 20, 1, 1), ("estimate", 30, 1, 2),
+        ("estimate", 20, 2, 1), ("estimate", 50, 2, 1), ("estimate", 62, 2, 1),
+        ("estimate", 80, 2, 1), ("estimate", 100, 2, 2),
+        ("estimate", 15, 3, 1), ("estimate", 20, 3, 2),
+        ("estimate", 7, 4, 1), ("estimate", 8, 4, 2),
+        ("estimate", 5, 5, 2),
+        ("evaluate_grid", 20, 0, 1), ("evaluate_grid", 30, 0, 2),
+        ("evaluate_grid", 20, 1, 1), ("evaluate_grid", 30, 1, 2),
+        ("evaluate_grid", 20, 2, 1), ("evaluate_grid", 25, 2, 2),
+        ("evaluate_grid", 50, 2, 2),
+        ("evaluate_grid", 15, 3, 1), ("evaluate_grid", 20, 3, 2),
+        ("evaluate_grid", 7, 4, 1), ("evaluate_grid", 8, 4, 2),
+        ("evaluate_grid", 5, 5, 1), ("evaluate_grid", 6, 5, 2),
+        ("variance_diagnostic", 100, 0, 1), ("variance_diagnostic", 200, 0, 2),
+        ("variance_diagnostic", 30, 1, 1), ("variance_diagnostic", 40, 1, 2),
+        ("variance_diagnostic", 40, 2, 1), ("variance_diagnostic", 50, 2, 2),
+        ("variance_diagnostic", 10, 3, 1), ("variance_diagnostic", 15, 3, 2),
+        ("variance_diagnostic", 6, 4, 1), ("variance_diagnostic", 7, 4, 2),
+        ("variance_diagnostic", 5, 5, 2),
+        ("estimate", 4, 6, 1), ("estimate", 5, 6, 2),
+        ("evaluate_grid", 4, 6, 1), ("evaluate_grid", 5, 6, 2),
+        ("variance_diagnostic", 4, 6, 1), ("variance_diagnostic", 5, 6, 2),
+        ("estimate", 3, 7, 1), ("estimate", 4, 7, 2),
+        ("evaluate_grid", 3, 7, 1), ("evaluate_grid", 4, 7, 2),
+        ("variance_diagnostic", 3, 7, 1), ("variance_diagnostic", 4, 7, 2),
+    ])
+    def test_measured_points(self, call, N, p, workers):
+        from chaosbsde.chaos_core import _workers
+
+        assert _workers(2, self.M, N, p, call) == workers
+        # threads and the chunk count cap the rule's grant.
+        assert _workers(1, self.M, N, p, call) == 1
+        assert _workers(8, 2 * 1024, N, p, call) == min(workers, 2)
+        assert _workers(8, self.M, N, p, call) == (8 if workers > 1 else 1)
+
+    @pytest.mark.parametrize("call", ["estimate", "evaluate_grid",
+                                      "variance_diagnostic"])
+    def test_unmeasured_p_keeps_every_worker(self, call):
+        # Above the table's largest p no point withdraws a worker.
+        from chaosbsde.chaos_core import _ONE_WORKER_TO, _workers
+
+        p = max(_ONE_WORKER_TO[call]) + 1
+        assert _workers(2, self.M, 1, p, call) == 2
+        assert _workers(8, 3 * 1024, 1, p, call) == 3
+
+    def test_pair_sums_products_keep_the_gil_to_n62(self):
+        # np.matmul holds the GIL through a product of at most ~500 output
+        # entries; the widest pair sums product is 4 x 2N.
+        from chaosbsde.chaos_core import _pair_blocks
+
+        def widest(N):
+            return max((hi - lo) * (2 * N - lo) for lo, hi, _ in _pair_blocks(N).sums)
+
+        assert widest(62) == 4 * 2 * 62 <= 500 < widest(63)
+
+    @staticmethod
+    def case(N, M=8 * 1024):
+        spec = GridSpec(T=1.0, N=N, kappa=2.0)
+        paths = sample_paths(spec, M, seed=90 + N)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        return paths, F
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_one_worker_call_starts_no_thread(self, monkeypatch, p):
+        from chaosbsde import chaos_core
+
+        paths, F = self.case(5)
+        want = estimate(F, paths, p)
+        want_v = variance_diagnostic(F, paths, p)
+        want_rows = evaluate_grid(want, paths)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-worker call started a thread")
+
+        monkeypatch.setattr(chaos_core.threading, "Thread", no_thread)
+        got = estimate(F, paths, p, threads=4)
+        assert np.array_equal(got.values, want.values)
+        assert variance_diagnostic(F, paths, p, threads=4) == want_v
+        for a, b in zip(evaluate_grid(want, paths, threads=4), want_rows):
+            assert np.array_equal(a, b)
+        # With every call sharing, the same call does start threads.
+        monkeypatch.setattr(chaos_core, "_ONE_WORKER_TO",
+                            dict.fromkeys(chaos_core._ONE_WORKER_TO, {}))
+        with pytest.raises(AssertionError, match="started a thread"):
+            estimate(F, paths, p, threads=4)
+
+    def test_budget_charges_the_granted_workers(self, monkeypatch):
+        # Room for one working set: threads=8 runs one worker at N = 5, so
+        # it is admitted; with every call sharing it runs eight, refused.
+        from chaosbsde import chaos_core
+        from chaosbsde.chaos_core import _basis_count, _worker_bytes
+
+        N, p = 5, 2
+        paths, F = self.case(N)
+        coeffs = estimate(F, paths, p)
+        one = _basis_count(N, p) * (4 * N + 64) + _worker_bytes(N, p)
+        monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", one)
+        for threads in (1, 8):
+            assert np.array_equal(estimate(F, paths, p, threads=threads).values,
+                                  coeffs.values)
+            variance_diagnostic(F, paths, p, threads=threads)
+            evaluate_grid(coeffs, paths, threads=threads)
+        monkeypatch.setattr(chaos_core, "_ONE_WORKER_TO",
+                            dict.fromkeys(chaos_core._ONE_WORKER_TO, {}))
+        for call in (lambda: estimate(F, paths, p, threads=8),
+                     lambda: variance_diagnostic(F, paths, p, threads=8),
+                     lambda: evaluate_grid(coeffs, paths, threads=8)):
+            with pytest.raises(SizingError, match=r"with 8 worker\(s\)"):
+                call()
+
+
+class TestHeldSums:
+    """At k >= 2 workers the chunk driver holds the sum vectors of the
+    chunks outside the calling thread's stripe until every stripe is done;
+    the budget charges them: 8 * (J + 1) bytes per held chunk in estimate,
+    twice that in variance_diagnostic."""
+
+    N, p = 3, 3
+    M = 8 * 1024  # eight chunks: at threads 2 the second stripe holds four
+
+    @pytest.fixture
+    def case(self):
+        spec = GridSpec(T=1.0, N=self.N, kappa=2.0)
+        paths = sample_paths(spec, self.M, seed=95)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        return paths, F
+
+    def need(self, workers):
+        from chaosbsde.chaos_core import _basis_count, _worker_bytes
+
+        return (_basis_count(self.N, self.p) * (4 * self.N + 64)
+                + workers * _worker_bytes(self.N, self.p))
+
+    def test_held_sums_are_charged(self, case, monkeypatch):
+        from chaosbsde import chaos_core
+        from chaosbsde.chaos_core import _basis_count, _held
+
+        paths, F = case
+        vector = 8 * (_basis_count(self.N, self.p) + 1)
+        assert _held(self.M, 1) == 0 and _held(self.M, 2) == 4 and _held(self.M, 3) == 6
+        want = estimate(F, paths, self.p)
+        want_v = variance_diagnostic(F, paths, self.p)
+        for vectors, call, got in (
+                (1, lambda: estimate(F, paths, self.p, threads=2).values, want.values),
+                (2, lambda: variance_diagnostic(F, paths, self.p, threads=2), want_v)):
+            exact = self.need(2) + 4 * vectors * vector
+            monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", exact)
+            assert np.array_equal(call(), got)
+            monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", exact - 1)
+            with pytest.raises(SizingError, match=r"with 2 worker\(s\)"):
+                call()
+            # One worker holds nothing: threads 1 is admitted on less.
+            monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", self.need(1))
+            estimate(F, paths, self.p, threads=1)
+            variance_diagnostic(F, paths, self.p, threads=1)
+
+
 class TestByteBudget:
     @pytest.fixture(scope="class")
     def n50_p3(self):

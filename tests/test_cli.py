@@ -400,6 +400,22 @@ class TestGoldenResults:
 
 
 class TestMain:
+    @pytest.mark.worker_rule
+    def test_thread_count_byte_identical_under_the_shipped_rule(self, tmp_path,
+                                                                monkeypatch):
+        # Acceptance test 10, whose threads 8 run 8 workers under the test
+        # suite's lowered rule, here run as shipped: at N = 10, p = 2 every
+        # call runs one worker, so no thread may start.
+        from chaosbsde import chaos_core
+        from test_acceptance import (
+            test_10_thread_count_leaves_results_byte_identical as acceptance_10)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a one-worker call started a thread")
+
+        monkeypatch.setattr(chaos_core.threading, "Thread", no_thread)
+        acceptance_10(tmp_path)
+
     def test_exit_codes(self, tmp_path, capsys):
         bad = write_cfg(tmp_path, "example = example9\n")
         assert main(["--config", bad]) == 2

@@ -117,6 +117,12 @@ class TestTerminalFunctional:
                            match=f"non-finite value .*inf.* at sample {first}$"):
             terminal_samples(TerminalFunctional.exp_levy(0.0, 0.0, 800.0), paths)
 
+    def test_non_finite_terminal_is_printed_as_a_float(self, spec5):
+        paths = sample_paths(spec5, 20, seed=24)
+        xi = TerminalFunctional.custom(lambda pb: np.full(pb.M, np.inf))
+        with pytest.raises(ValueError, match="non-finite value inf at sample 0$"):
+            terminal_samples(xi, paths)
+
     @pytest.mark.parametrize("fn", [
         lambda pb: np.ones((pb.M, 1)),
         lambda pb: 1.0,

@@ -104,30 +104,45 @@ def _example2(**reals):
                              "b": 0.1, "c": 0.2, "kappa": 3.0, "T": 2.0, **reals})
 
 
-# Entry point -> call with a positive real x, returning what it stored.
+# Entry point -> (call with a real x, returning what it stored; whether x
+# must be > 0 as well as finite).
 REALS = {
-    "GridSpec.T": lambda x: GridSpec(T=x, N=4, kappa=1.0).T,
-    "GridSpec.kappa": lambda x: GridSpec(T=1.0, N=4, kappa=x).kappa,
-    "Example1Params.T": lambda x: Example1Params(c=0.5, T=x).T,
-    "Example1Params.grid": lambda x: Example1Params(c=0.5, T=x).grid(20).T,
-    "Example2Params.T": lambda x: _example2(T=x).T,
-    "Example2Params.kappa": lambda x: _example2(kappa=x).kappa,
-    "Example2Params.grid": lambda x: _example2(kappa=x).grid(20).kappa,
+    "GridSpec.T": (lambda x: GridSpec(T=x, N=4, kappa=1.0).T, True),
+    "GridSpec.kappa": (lambda x: GridSpec(T=1.0, N=4, kappa=x).kappa, True),
+    "Example1Params.T": (lambda x: Example1Params(c=0.5, T=x).T, True),
+    "Example1Params.grid": (lambda x: Example1Params(c=0.5, T=x).grid(20).T, True),
+    "Example1Params.c": (lambda x: Example1Params(c=x, T=1.0).c, False),
+    "Example2Params.T": (lambda x: _example2(T=x).T, True),
+    "Example2Params.kappa": (lambda x: _example2(kappa=x).kappa, True),
+    "Example2Params.grid": (lambda x: _example2(kappa=x).grid(20).kappa, True),
+    **{f"Example2Params.{name}": ((lambda name: lambda x: getattr(
+        _example2(**{name: x}), name))(name), False)
+       for name in ("alpha", "beta", "gamma", "a", "b", "c")},
 }
 
 
 @pytest.mark.parametrize("name", REALS)
 def test_numpy_reals_are_accepted_as_python_floats(name):
-    call = REALS[name]
+    call, positive = REALS[name]
     for x in (1.0, 1, np.float32(1.0), np.float64(1.0), np.int64(1)):
         got = call(x)
         assert got == 1.0 and type(got) is float
     for bad in (True, np.True_, "1.0"):
         with pytest.raises(TypeError, match="must be a real number"):
             call(bad)
-    for bad in (0.0, -1.0, np.float32(np.inf), np.nan):
-        with pytest.raises(ValueError, match="must be finite and > 0"):
+    rule = "must be finite and > 0" if positive else "must be finite"
+    # An int beyond the float range is refused, not an OverflowError.
+    for bad in (np.float32(np.inf), np.nan, 10**400, -10**400):
+        with pytest.raises(ValueError, match=rule):
             call(bad)
+    if positive:
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=rule):
+                call(bad)
+    else:
+        for x in (0.0, -1.5, np.float32(-0.5)):
+            got = call(x)
+            assert got == float(x) and type(got) is float
 
 
 def test_numpy_real_grid_matches_the_float_grid():
