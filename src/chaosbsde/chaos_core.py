@@ -33,7 +33,7 @@ results do not depend on the BLAS thread count either. Only
 :func:`estimate` at p = 2 has a kernel of its own, several times faster:
 with the stacked first-order factors X = [K1; C1] (2N rows, one column per
 sample), row sums of F*X give the units and the upper block triangle of
-(F*X) X^T every order-2 sum, under the same bound (:func:`_pair_blocks`).
+(F*X) X^T every order-2 sum, under the same bound (:func:`_width`).
 """
 
 from __future__ import annotations
@@ -69,8 +69,8 @@ _CHUNK = 1024
 # under these, so BLAS never splits a product across threads: results do not
 # depend on the BLAS thread count, and pool workers do not compete with BLAS
 # threads for the same cores. Every sample-blocked product of rows x columns
-# entries takes whole blocks of width = _BLAS_SERIAL_MACS // (rows x columns)
-# samples, then the rest. A one-row product or a one-sample rest is then a
+# entries takes whole blocks of :func:`_width` (rows, columns) samples, then
+# the rest. A one-row product or a one-sample rest is then a
 # GEMV under its cut-off or a product without BLAS, and every other one a
 # GEMM under its cut-off (test_chaos_core.TestBlasSerialBlocks checks every
 # product at every N the byte budget admits).
@@ -188,9 +188,9 @@ def _kc_row(N: int, d: int, r: int) -> int:
 class _Tile(NamedTuple):
     """Phi_pre rows lo:hi, the parents of one order, times KC rows c0:c1, the
     degree-sum-d factors at the slots after the first row's last slot. The
-    product is taken over sample blocks of ``width``; its sums are entries
-    t0:t0 + (hi-lo)*(c1-c0) of the flat table, which starts with the n_kc
-    row sums of F * KC, the indices whose parent is the constant."""
+    product is taken over the sample blocks of :func:`_width`; its sums are
+    entries t0:t0 + (hi-lo)*(c1-c0) of the flat table, which starts with the
+    n_kc row sums of F * KC, the indices whose parent is the constant."""
 
     lo: int
     hi: int
@@ -198,7 +198,6 @@ class _Tile(NamedTuple):
     c0: int
     c1: int
     t0: int
-    width: int
 
 
 def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
@@ -207,8 +206,7 @@ def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
     The parents of order o are the Phi_pre rows from 1 + J_{o-1}, sorted by
     last slot l, and A(o, l) = C(2l + 2 + o - 1, o) of them have l' <= l. Row
     blocks span at most _PREFIX_SPAN last slots before N - 1 and have about
-    _PREFIX_ENTRIES entries at the widest d, and none has one row; each
-    tile's width keeps its sample blocks within _BLAS_SERIAL_MACS.
+    _PREFIX_ENTRIES entries at the widest d, and none has one row.
     """
     tiles = []
     n_flat = _kc_row(N, p + 1, 0)
@@ -222,10 +220,8 @@ def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
             for a, b in _blocks(hi - lo, size):
                 for d in range(1, p - o + 1):
                     c0, c1 = _kc_row(N, d, l0 + 1), _kc_row(N, d + 1, 0)
-                    n = (b - a) * (c1 - c0)
-                    tiles.append(_Tile(lo + a, lo + b, d, c0, c1, n_flat,
-                                       _BLAS_SERIAL_MACS // n))
-                    n_flat += n
+                    tiles.append(_Tile(lo + a, lo + b, d, c0, c1, n_flat))
+                    n_flat += (b - a) * (c1 - c0)
     return tuple(tiles), n_flat
 
 
@@ -344,11 +340,11 @@ def _order(p) -> int:
     return int(p)
 
 
-def _index_set(N: int, p: int, workers: int = 1, held: int = 0) -> _IndexSet:
-    """The index set for (N, p), once the byte budget admits it with
-    ``workers`` working sets and ``held`` sum vectors of 1 + J entries."""
+def _index_set(N: int, p: int) -> _IndexSet:
+    """The index set for (N, p), once the byte budget admits it with one
+    worker's working set."""
     p = _order(p)
-    _check_bytes(N, p, workers, held * 8 * (_basis_count(N, p) + 1))
+    _check_bytes(N, p, 1)
     return _build_index_set(N, p)
 
 
@@ -382,13 +378,6 @@ def _workers(threads: int, M: int, N: int, p: int, call: str) -> int:
     if N <= _ONE_WORKER_TO[call].get(p, 0):
         return 1
     return max(1, min(threads, -(-M // _CHUNK)))
-
-
-def _held(M: int, workers: int) -> int:
-    """Chunk results :func:`_run_chunks` holds at ``workers`` threads until
-    every stripe is done: those of the stripes after the first."""
-    chunks = -(-M // _CHUNK)
-    return chunks - chunks // workers
 
 
 def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
@@ -526,31 +515,20 @@ def _blocks(n: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-@dataclass(frozen=True)
-class _PairBlocks:
-    """Block shapes of the p = 2 pair products, the same for every chunk.
-
-    ``sums``: (lo, hi, width) per row block of the sums kernel, which takes
-    rows lo:hi of F*X times X[lo:]^T over sample blocks of ``width``; the
-    row blocks tile the upper block triangle of (F*X) X^T.
-    ``evals``: (s0, s1, width) per slot block of the evaluation kernel,
-    whose output rows at slots s0:s1 read the first 2*s1 rows of the
-    slot-block-major factors, over sample blocks of ``width``.
-    Each width is the widest that keeps the block's product within
-    _BLAS_SERIAL_MACS multiply-adds.
-    """
-
-    sums: tuple[tuple[int, int, int], ...]
-    evals: tuple[tuple[int, int, int], ...]
+def _width(m: int, n: int) -> int:
+    """Samples per whole sample block of a product with m x n output
+    entries: the most that keep it within _BLAS_SERIAL_MACS multiply-adds."""
+    return _BLAS_SERIAL_MACS // (m * n)
 
 
 @lru_cache(maxsize=16)
-def _pair_blocks(N: int) -> _PairBlocks:
-    sums = tuple((lo, hi, _BLAS_SERIAL_MACS // ((hi - lo) * (2 * N - lo)))
-                 for lo, hi in _blocks(2 * N, _PAIR_BLOCK))
-    evals = tuple((s0, s1, _BLAS_SERIAL_MACS // ((s1 - s0) * 2 * s1))
-                  for s0, s1 in _blocks(N, _PAIR_BLOCK))
-    return _PairBlocks(sums=sums, evals=evals)
+def _pair_blocks(N: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Blocks of the p = 2 pair products, the same for every chunk: the row
+    blocks (lo, hi) of the sums kernel, which takes rows lo:hi of F*X times
+    X[lo:]^T and so tiles the upper block triangle of (F*X) X^T, and the
+    slot blocks (s0, s1) of the evaluation kernel, whose output rows at
+    slots s0:s1 read the first 2*s1 rows of the slot-block-major factors."""
+    return tuple(_blocks(2 * N, _PAIR_BLOCK)), tuple(_blocks(N, _PAIR_BLOCK))
 
 
 def _stacked_factors(G, Q, kh: float, sl: slice, buf: _ChunkBuffers) -> np.ndarray:
@@ -566,17 +544,6 @@ def _stacked_factors(G, Q, kh: float, sl: slice, buf: _ChunkBuffers) -> np.ndarr
     return X
 
 
-def _pair_sums(A: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Upper block triangle of A @ X.T, one :func:`_tile_sums` per row block
-    of :func:`_pair_blocks`. Entries below the diagonal blocks are left
-    unset."""
-    n = X.shape[0]
-    S = np.empty((n, n))
-    for lo, hi, width in _pair_blocks(n // 2).sums:
-        _tile_sums(A[lo:hi], X[lo:], width, S[lo:hi, lo:])
-    return S
-
-
 def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
                      buf: _ChunkBuffers) -> np.ndarray:
     """Raw sums of F*Phi_n over one chunk at p = 2.
@@ -585,7 +552,9 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     are the row sums of F*X, and the upper triangle of S = (F*X) X^T holds
     every order-2 sum: S[a, b] for a < b is the pair (a, b), and the
     same-slot degree-2 sums follow from the diagonal through
-    K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh.
+    K2 = (K1**2 - 1)/2 and C2 = C1**2 - C1 - kh. S is formed one row block
+    of :func:`_pair_blocks` at a time; its entries below the diagonal
+    blocks are left unset.
     """
     Fc = F[sl]
     X = _stacked_factors(G, Q, kh, sl, buf)
@@ -597,7 +566,9 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     sF = Fc.sum()
     out[0] = sF
     out[1:1 + N2] = FX.sum(axis=1)
-    S = _pair_sums(FX, X)
+    S = np.empty((N2, N2))
+    for lo, hi in _pair_blocks(N)[0]:
+        _tile_sums(FX[lo:hi], X[lo:], S[lo:hi, lo:])
     out[1 + N2:] = S[iset.pairs]
     diag = np.diagonal(S)
     out[1 + iset.pair_diag[:N]] = 0.5 * (diag[:N] - sF)
@@ -646,29 +617,34 @@ class _ChunkBuffers:
         return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
-def _run_chunks(chunk_fn, iset: _IndexSet, M: int, workers: int):
+def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int, call: str,
+                result_bytes: int):
     """Yield ``chunk_fn(sl, buf)`` for the fixed chunks ``sl`` of M samples,
     in chunk order, so a reduction over the results has a fixed order.
 
-    The chunks are split into k = min(workers, chunks) contiguous stripes,
-    as equal as whole chunks allow; at k = 1 no thread is started. The
-    calling thread runs the first stripe and yields each result as it is
-    made; k - 1 threads started for the call run the others, one stripe
-    each, and their results are held until every stripe is done. An error
+    Every kernel call runs here, on the k workers :func:`_workers` grants
+    ``call`` at ``threads``. The chunks are split into k contiguous stripes,
+    as equal as whole chunks allow, and :func:`_check_bytes` charges the k
+    working sets and the held results, ``result_bytes`` each, before any
+    thread or buffer exists; at k = 1 no thread is started. The calling
+    thread runs the first stripe and yields each result as it is made;
+    k - 1 threads started for the call run the others, one stripe each,
+    and their results are held until every stripe is done. An error
     in a stripe is raised when its results would be yielded. Each thread
     builds one :class:`_ChunkBuffers` and passes it as ``buf`` to every
     chunk of its stripe. A held result must outlive the next chunk of its
     thread, so a chunk function must not return views of its buffers."""
     slices = [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
-    k = min(workers, len(slices))
+    k = _workers(threads, M, iset.N, iset.p, call)
+    cuts = [len(slices) * i // k for i in range(k + 1)]
+    runs = [slices[a:b] for a, b in zip(cuts, cuts[1:])]
+    _check_bytes(iset.N, iset.p, k, result_bytes * (len(slices) - len(runs[0])))
 
     def stripe(run: list[slice]):
         buf = _ChunkBuffers(iset, min(_CHUNK, M))
         for sl in run:
             yield chunk_fn(sl, buf)
 
-    cuts = [len(slices) * i // k for i in range(k + 1)]
-    runs = [slices[a:b] for a, b in zip(cuts, cuts[1:])]
     held: list = [None] * (k - 1)  # per pool stripe: its results, or its error
 
     def work(j: int) -> None:
@@ -691,11 +667,12 @@ def _run_chunks(chunk_fn, iset: _IndexSet, M: int, workers: int):
         yield from results
 
 
-def _tile_sums(A: np.ndarray, B: np.ndarray, width: int, out: np.ndarray) -> None:
+def _tile_sums(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
     """out = A @ B.T over a chunk's samples: its whole sample blocks of
-    ``width``, summed in order (one stacked product when there are several),
-    plus the rest."""
+    :func:`_width`, summed in order (one stacked product when there are
+    several), plus the rest."""
     (m, Mc), n = A.shape, B.shape[0]
+    width = _width(m, n)
     nb = Mc // width
     cut = nb * width if nb else Mc
     if nb > 1:
@@ -756,7 +733,7 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     def sums() -> np.ndarray:
         W.sum(axis=1, out=flat[:plan.n_kc])
         for t in plan.tiles:
-            _tile_sums(phi[t.lo:t.hi], W[t.c0:t.c1], t.width,
+            _tile_sums(phi[t.lo:t.hi], W[t.c0:t.c1],
                        flat[t.t0:t.t0 + (t.hi - t.lo) * (t.c1 - t.c0)]
                        .reshape(t.hi - t.lo, t.c1 - t.c0))
         return flat[plan.gather]
@@ -776,15 +753,10 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
 def _raw_sums(F, paths: PathBatch, p, threads: int, squares: bool
               ) -> tuple[_IndexSet, np.ndarray]:
     """The index set for (N, p) and the sums of F*Phi_n over every sample,
-    with the sums of (F*Phi_n)**2 appended when ``squares``, once the byte
-    budget admits the call's workers and the sum vectors they hold."""
-    p = _order(p)
-    N = paths.spec.N
-    pair = p == 2 and not squares
+    with the sums of (F*Phi_n)**2 appended when ``squares``."""
+    iset = _index_set(paths.spec.N, p)
+    pair = iset.p == 2 and not squares
     call = "variance_diagnostic" if squares else "estimate"
-    workers = _workers(threads, paths.M, N, p, call)
-    vectors = 2 if squares else 1
-    iset = _index_set(N, p, workers, vectors * _held(paths.M, workers))
     kh = paths.spec.jump_mean
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> np.ndarray:
@@ -796,8 +768,8 @@ def _raw_sums(F, paths: PathBatch, p, threads: int, squares: bool
                 return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
             return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares, buf)
 
-    total = np.zeros(vectors * (1 + iset.J))
-    for part in _run_chunks(chunk, iset, paths.M, workers):
+    total = np.zeros((2 if squares else 1) * (1 + iset.J))
+    for part in _run_chunks(chunk, iset, paths.M, threads, call, total.nbytes):
         total += part
     return iset, total
 

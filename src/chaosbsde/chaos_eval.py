@@ -38,7 +38,7 @@ elementwise. W is zero wherever the input factor's slot is later than the
 output's, so the product is taken per block of output slots from a
 slot-block-major copy of X: the Z and U rows of slots s0:s1 read only the
 factors of slots before s1, under the same single-threaded bound (see
-:func:`chaosbsde.chaos_core._pair_blocks`).
+:func:`chaosbsde.chaos_core._width`).
 
 ``conditional_at`` refines this to a time t inside interval r, for every
 path of a batch given its partial increments accumulated since t_{r-1}:
@@ -60,11 +60,11 @@ from typing import Optional
 
 import numpy as np
 
-from .chaos_core import (ChaosCoefficients, _check_bytes, _chunk_tables,
-                         _ChunkBuffers, _IndexSet, _kc_row, _pair_blocks,
-                         _run_chunks, _stacked_factors, _workers)
+from .chaos_core import (ChaosCoefficients, _chunk_tables, _ChunkBuffers,
+                         _IndexSet, _kc_row, _pair_blocks, _run_chunks,
+                         _stacked_factors, _width)
 from .orthopoly import charlier_batch, hermite_batch
-from .stochastic_grid import PathBatch, _count
+from .stochastic_grid import PathBatch, _count, _finite_real
 
 __all__ = ["conditional_at", "evaluate_grid"]
 
@@ -88,7 +88,8 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     r : int
         Interval index, 1..N.
     t : float
-        Time in (t_{r-1}, t_r], with the grid times of ``GridSpec.times``.
+        Time in (t_{r-1}, t_r], with the grid times of ``GridSpec.times``:
+        a real number (TypeError otherwise, bools included).
     dB : array of float, shape (M,)
         Partial Brownian increment of each path on (t_{r-1}, t], finite.
     dN : array of int, shape (M,)
@@ -107,6 +108,7 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     r = _count("r", r, 1)
     if r > N:
         raise ValueError(f"r must be in [1, {N}], got {r}")
+    t = _finite_real("t", t)
     t_lo, t_hi = spec.times()[r - 1:r + 1]
     if not (t_lo < t <= t_hi):
         raise ValueError(f"t = {t!r} outside ({t_lo}, {t_hi}] for r = {r}")
@@ -143,7 +145,7 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
         np.divide(SZ[r - 1], sqrt_h, out=out[1, sl])
         out[2, sl] = SU[r - 1]
 
-    for _ in _run_chunks(chunk, iset, M, 1):
+    for _ in _run_chunks(chunk, iset, M, 1, "evaluate_grid", 0):
         pass
     return out[0], out[1], out[2]
 
@@ -170,10 +172,9 @@ class _PairPlan:
     # Rows of X in slot-block-major order: per slot block s0:s1 of
     # _pair_blocks, K1 then C1 at those slots.
     perm: np.ndarray
-    # Per slot block (s0, s1, width, Wb): Wb[0] and Wb[1], (s1 - s0, 2*s1),
-    # give the Z and U rows of slots s0:s1 from the first 2*s1 rows of
-    # X[perm].
-    blocks: tuple[tuple[int, int, int, np.ndarray], ...]
+    # Per slot block (s0, s1, Wb): Wb[0] and Wb[1], (s1 - s0, 2*s1), give
+    # the Z and U rows of slots s0:s1 from the first 2*s1 rows of X[perm].
+    blocks: tuple[tuple[int, int, np.ndarray], ...]
     # Same-slot terms.
     hBB: np.ndarray           # (N, 1) half the same-slot Hermite degree-2 coefficient
     dPP: np.ndarray           # (N, 1) same-slot Charlier degree 2
@@ -200,12 +201,12 @@ def _pair_plan(coeffs: ChaosCoefficients) -> _PairPlan:
     W[N:, :N] = np.tril(P[:N, N:]).T
     W[:N, N:] = np.triu(P[:N, N:])
     W[N:, N:] += np.diag(dPP)
-    evals = _pair_blocks(N).evals
-    rows = [np.r_[s0:s1, N + s0:N + s1] for s0, s1, _ in evals]
+    slots = _pair_blocks(N)[1]
+    rows = [np.r_[s0:s1, N + s0:N + s1] for s0, s1 in slots]
     perm = np.concatenate(rows)
     Wt = W.T[:, perm]
-    blocks = tuple((s0, s1, width, Wt[r, :2 * s1].reshape(2, s1 - s0, 2 * s1))
-                   for (s0, s1, width), r in zip(evals, rows))
+    blocks = tuple((s0, s1, Wt[r, :2 * s1].reshape(2, s1 - s0, 2 * s1))
+                   for (s0, s1), r in zip(slots, rows))
     hBB = 0.5 * dBB
     kh = coeffs.spec.jump_mean
     return _PairPlan(d1=d1, perm=perm, blocks=blocks, hBB=hBB[:, None],
@@ -236,7 +237,8 @@ def _pair_slot_sums(plan: _PairPlan, kh: float, G, Q, sl: slice,
     T = buf.get("T", X.shape)
     XS = np.take(X, plan.perm, axis=0, out=buf.get("XS", X.shape), mode="clip")
     T2 = T.reshape(2, N, Mc)
-    for s0, s1, width, Wb in plan.blocks:
+    for s0, s1, Wb in plan.blocks:
+        width = _width(*Wb.shape[1:])
         for a in range(0, Mc, width):
             np.matmul(Wb, XS[:2 * s1, a:a + width], out=T2[:, s0:s1, a:a + width])
     T += plan.d1
@@ -274,7 +276,7 @@ def _prefix_slot_sums(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
     for t in plan.tiles:
         m, n = t.hi - t.lo, t.c1 - t.c0
         _tile_rows(V[t.c0:t.c1], D[t.t0:t.t0 + m * n].reshape(m, n).T,
-                   phi[t.lo:t.hi], t.width)
+                   phi[t.lo:t.hi])
     S = buf.get("S", (3, N, Mc))
     SY, SZ, SU = S
     if iset.p == 0:
@@ -303,10 +305,12 @@ def _prefix_slot_sums(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
     return SY, SZ, SU
 
 
-def _tile_rows(V: np.ndarray, Dt: np.ndarray, P: np.ndarray, width: int) -> None:
+def _tile_rows(V: np.ndarray, Dt: np.ndarray, P: np.ndarray) -> None:
     """V += Dt @ P over a chunk's samples: one stacked product over its
-    whole sample blocks of ``width``, plus the rest."""
+    whole sample blocks of :func:`chaosbsde.chaos_core._width`, plus the
+    rest."""
     (n, Mc), m = V.shape, P.shape[0]
+    width = _width(m, n)
     nb = Mc // width
     cut = nb * width
     if nb:
@@ -370,9 +374,9 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
 
     ``out`` optionally supplies preallocated (N+1, M) float64 arrays to
     fill, avoiding reallocation in iterative callers (ValueError for any
-    other shape or dtype). ``threads`` is an int >= 1 (TypeError or
-    ValueError otherwise), the most worker threads the call runs: one
-    where a second did not pay at (N, p), as in
+    other shape or dtype, or when two of them share memory). ``threads``
+    is an int >= 1 (TypeError or ValueError otherwise), the most worker
+    threads the call runs: one where a second did not pay at (N, p), as in
     :func:`chaosbsde.chaos_core.estimate`. Results are bit-identical for
     every ``threads`` value, since chunks write disjoint column blocks, and
     for every BLAS thread count.
@@ -382,21 +386,24 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     minus ``_sums_h * S[r]``, bit for bit what subtracting afterwards gives.
     """
     _check_spec(coeffs, paths)
+    _count("threads", threads, 1)  # refused before out; the chunk driver runs later
     N = coeffs.spec.N
     M = paths.M
-    workers = _workers(threads, M, N, coeffs.p, "evaluate_grid")
-    _check_bytes(N, coeffs.p, workers)
     if out is None:
         Y = np.empty((N + 1, M))
         Z = np.empty((N + 1, M))
         U = np.empty((N + 1, M))
     else:
         Y, Z, U = out
-        for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
+        grids = {"Y": Y, "Z": Z, "U": U}
+        for name, arr in grids.items():
             if arr.shape != (N + 1, M):
                 raise ValueError(f"out {name} has shape {arr.shape}, expected {(N + 1, M)}")
             if arr.dtype != np.float64:
                 raise ValueError(f"out {name} has dtype {arr.dtype}, expected float64")
+        for a, b in ("YZ", "YU", "ZU"):
+            if np.shares_memory(grids[a], grids[b]):
+                raise ValueError(f"out {a} and {b} share memory")
     kh = coeffs.spec.jump_mean
     iset = coeffs.iset
     if coeffs.p == 2:
@@ -414,6 +421,6 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     def chunk(sl: slice, buf: _ChunkBuffers) -> None:
         _write_rows(sums(sl, buf), coeffs, (Y, Z, U), sl, _sums_h)
 
-    for _ in _run_chunks(chunk, iset, M, workers):
+    for _ in _run_chunks(chunk, iset, M, threads, "evaluate_grid", 0):
         pass
     return Y, Z, U

@@ -32,11 +32,9 @@ over/underflow float64 long before the values are of any statistical use.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .stochastic_grid import _count
+from .stochastic_grid import _count, _finite_real
 
 __all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 
@@ -78,10 +76,12 @@ def charlier_batch(m_max: int, x: np.ndarray, t: float) -> np.ndarray:
     Returns an array of shape (m_max+1,) + x.shape. Examples:
     charlier_batch(1, 4, 1.0) is [1, 3]; charlier_batch(2, 3, 1.0) is
     [1, 2, 1] and charlier_batch(2, 2, 1.0) is [1, 1, -1] by the
-    three-term recurrence.
+    three-term recurrence. ``t`` is a real number (TypeError otherwise,
+    bools included), finite and >= 0 (ValueError otherwise).
     """
     m_max = _check_degree(m_max)
-    if not math.isfinite(t) or t < 0.0:
+    t = _finite_real("t", t)
+    if t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     x = _finite(x)
     return _charlier_rows(m_max, x, t, np.empty((m_max + 1,) + x.shape),

@@ -1,5 +1,8 @@
 """Shared fixtures: small grids and path batches reused across test modules,
-and the worker rule lowered so that small tests run several workers."""
+the worker rule lowered so that small tests run several workers, and a
+record of the threads the chunk driver starts."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -22,6 +25,20 @@ def every_call_shares(request, monkeypatch):
     if request.node.get_closest_marker("worker_rule") is None:
         monkeypatch.setattr(chaos_core, "_ONE_WORKER_TO",
                             dict.fromkeys(chaos_core._ONE_WORKER_TO, {}))
+
+
+@pytest.fixture
+def started_threads(monkeypatch):
+    """List of every thread the chunk driver starts during the test."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(chaos_core.threading, "Thread", Counted)
+    return started
 
 
 @pytest.fixture(scope="session")

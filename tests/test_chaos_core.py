@@ -152,14 +152,15 @@ class TestBlasSerialBlocks:
         """(m, k, n) of every product one chunk of Mc samples makes in the
         kernels of estimate and evaluate_grid: the sums kernel's, then the
         evaluation kernel's (two per stacked call of the pair kernel)."""
-        from chaosbsde.chaos_core import _pair_blocks
+        from chaosbsde.chaos_core import _pair_blocks, _width
 
         if p == 2:
-            blocks = _pair_blocks(N)
-            sums = [(hi - lo, k, 2 * N - lo) for lo, hi, width in blocks.sums
-                    for k in cls.lengths(Mc, width)]
-            evals = [(s1 - s0, 2 * s1, n) for s0, s1, width in blocks.evals
-                     for n in cls.lengths(Mc, width) for _ in range(2)]
+            rows, slots = _pair_blocks(N)
+            sums = [(hi - lo, k, 2 * N - lo) for lo, hi in rows
+                    for k in cls.lengths(Mc, _width(hi - lo, 2 * N - lo))]
+            evals = [(s1 - s0, 2 * s1, n) for s0, s1 in slots
+                     for n in cls.lengths(Mc, _width(s1 - s0, 2 * s1))
+                     for _ in range(2)]
             return sums, evals
         return cls.prefix_products(N, p, Mc)
 
@@ -167,15 +168,17 @@ class TestBlasSerialBlocks:
     def prefix_products(cls, N, p, Mc):
         """(sums, evals) of the prefix kernels, which run at every p but the
         p = 2 estimate and evaluate_grid."""
-        from chaosbsde.chaos_core import _prefix_tiles
+        from chaosbsde.chaos_core import _prefix_tiles, _width
 
         # Prefix tiles: Phi_pre rows times factor rows for the sums, the
-        # transposed coefficient block times Phi_pre rows for V.
+        # transposed coefficient block times Phi_pre rows for V. Both take
+        # the sample blocks of the tile's rows x columns.
         tiles, _ = _prefix_tiles(N, p)
-        sums = [(t.hi - t.lo, k, t.c1 - t.c0) for t in tiles
-                for k in cls.lengths(Mc, t.width)]
-        evals = [(t.c1 - t.c0, t.hi - t.lo, n) for t in tiles
-                 for n in cls.lengths(Mc, t.width)]
+        widths = [_width(t.hi - t.lo, t.c1 - t.c0) for t in tiles]
+        sums = [(t.hi - t.lo, k, t.c1 - t.c0) for t, width in zip(tiles, widths)
+                for k in cls.lengths(Mc, width)]
+        evals = [(t.c1 - t.c0, t.hi - t.lo, n) for t, width in zip(tiles, widths)
+                 for n in cls.lengths(Mc, width)]
         return sums, evals
 
     def serial(self, m, k, n):
@@ -192,12 +195,12 @@ class TestBlasSerialBlocks:
                 _check_bytes(N, 2, 1)
             except SizingError:
                 break
-            blocks = _pair_blocks(N)
+            rows, slots = _pair_blocks(N)
             # The row blocks tile the rows of the upper block triangle, and
             # the slot blocks the slots.
-            for tiles, n in ((blocks.sums, 2 * N), (blocks.evals, N)):
-                edges = [lo for lo, _, _ in tiles] + [n]
-                assert [hi for _, hi, _ in tiles] == edges[1:] and edges[0] == 0
+            for tiles, n in ((rows, 2 * N), (slots, N)):
+                edges = [lo for lo, _ in tiles] + [n]
+                assert [hi for _, hi in tiles] == edges[1:] and edges[0] == 0
             for Mc in self.WIDTHS:
                 sums, evals = self.products(N, 2, Mc)
                 shapes = set(sums) | set(evals)
@@ -403,7 +406,8 @@ class TestChunkStripes:
             ran.append((threading.current_thread(), buf, sl.start // _CHUNK))
             return sl
 
-        got = list(_run_chunks(chunk, _build_index_set(3, 2), self.M, threads))
+        got = list(_run_chunks(chunk, _build_index_set(3, 2), self.M, threads,
+                               "estimate", 0))
         chunks = -(-self.M // _CHUNK)
         assert [(sl.start, sl.stop) for sl in got] == [
             (a, min(a + _CHUNK, self.M)) for a in range(0, self.M, _CHUNK)]
@@ -438,7 +442,8 @@ class TestChunkStripes:
         before = threading.active_count()
         got = []
         with pytest.raises(ArithmeticError, match=f"chunk {bad}$"):
-            for i in _run_chunks(chunk, _build_index_set(3, 2), self.M, threads):
+            for i in _run_chunks(chunk, _build_index_set(3, 2), self.M, threads,
+                                 "estimate", 0):
                 got.append(i)
         assert got == want
         assert threading.active_count() == before
@@ -523,7 +528,7 @@ class TestWorkerRule:
         from chaosbsde.chaos_core import _pair_blocks
 
         def widest(N):
-            return max((hi - lo) * (2 * N - lo) for lo, hi, _ in _pair_blocks(N).sums)
+            return max((hi - lo) * (2 * N - lo) for lo, hi in _pair_blocks(N)[0])
 
         assert widest(62) == 4 * 2 * 62 <= 500 < widest(63)
 
@@ -590,7 +595,7 @@ class TestHeldSums:
     twice that in variance_diagnostic."""
 
     N, p = 3, 3
-    M = 8 * 1024  # eight chunks: at threads 2 the second stripe holds four
+    M = 8 * 1024  # eight chunks
 
     @pytest.fixture
     def case(self):
@@ -605,28 +610,109 @@ class TestHeldSums:
         return (_basis_count(self.N, self.p) * (4 * self.N + 64)
                 + workers * _worker_bytes(self.N, self.p))
 
-    def test_held_sums_are_charged(self, case, monkeypatch):
+    # The driver's stripes of the eight chunks: 4, 4 at threads 2, so the
+    # second stripe holds four results; 2, 3, 3 at threads 3, so six.
+    @pytest.mark.parametrize("threads, held", [(2, 4), (3, 6)])
+    def test_held_sums_are_charged(self, case, monkeypatch, threads, held):
         from chaosbsde import chaos_core
-        from chaosbsde.chaos_core import _basis_count, _held
+        from chaosbsde.chaos_core import _basis_count
 
         paths, F = case
         vector = 8 * (_basis_count(self.N, self.p) + 1)
-        assert _held(self.M, 1) == 0 and _held(self.M, 2) == 4 and _held(self.M, 3) == 6
         want = estimate(F, paths, self.p)
         want_v = variance_diagnostic(F, paths, self.p)
         for vectors, call, got in (
-                (1, lambda: estimate(F, paths, self.p, threads=2).values, want.values),
-                (2, lambda: variance_diagnostic(F, paths, self.p, threads=2), want_v)):
-            exact = self.need(2) + 4 * vectors * vector
+                (1, lambda: estimate(F, paths, self.p, threads=threads).values,
+                 want.values),
+                (2, lambda: variance_diagnostic(F, paths, self.p, threads=threads),
+                 want_v)):
+            exact = self.need(threads) + held * vectors * vector
             monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", exact)
             assert np.array_equal(call(), got)
             monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", exact - 1)
-            with pytest.raises(SizingError, match=r"with 2 worker\(s\)"):
+            with pytest.raises(SizingError, match=rf"with {threads} worker\(s\)"):
                 call()
             # One worker holds nothing: threads 1 is admitted on less.
             monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", self.need(1))
             estimate(F, paths, self.p, threads=1)
             variance_diagnostic(F, paths, self.p, threads=1)
+
+
+class TestOneSizingCheck:
+    """Every kernel call is sized once, by the chunk driver, for the workers
+    the rule grants it, before it starts a thread or allocates a chunk
+    buffer. The only other check is the index set's own, for one worker."""
+
+    M = 3 * 1024 + 5  # four chunks
+
+    @staticmethod
+    def calls(paths, F, coeffs, threads):
+        """(rule entry, threads it is asked for, call) of each kernel call;
+        conditional_at runs under evaluate_grid's entry at threads 1."""
+        r = paths.spec.N // 2
+        return [
+            ("estimate", threads, lambda: estimate(F, paths, coeffs.p, threads=threads)),
+            ("variance_diagnostic", threads,
+             lambda: variance_diagnostic(F, paths, coeffs.p, threads=threads)),
+            ("evaluate_grid", threads, lambda: evaluate_grid(coeffs, paths, threads=threads)),
+            ("evaluate_grid", 1,
+             lambda: conditional_at(coeffs, paths, r, paths.spec.times()[r],
+                                    paths.G[:, r - 1] * math.sqrt(paths.spec.h),
+                                    paths.Q[:, r - 1])),
+        ]
+
+    @staticmethod
+    def case(p):
+        spec = GridSpec(T=1.0, N=6, kappa=2.0)
+        paths = sample_paths(spec, TestOneSizingCheck.M, seed=97)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        return paths, F, estimate(F, paths, p)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_each_call_is_checked_once_by_the_driver(self, monkeypatch, p, threads):
+        from chaosbsde import chaos_core
+
+        paths, F, coeffs = self.case(p)
+        check = chaos_core._check_bytes
+        checked = []
+
+        def spy(N, p, workers, held=0):
+            checked.append((sys._getframe(1).f_code.co_name, workers))
+            check(N, p, workers, held)
+
+        monkeypatch.setattr(chaos_core, "_check_bytes", spy)
+        grants = []
+        for entry, asked, call in self.calls(paths, F, coeffs, threads):
+            checked.clear()
+            call()
+            grants.append(chaos_core._workers(asked, self.M, paths.spec.N, p, entry))
+            assert [w for fn, w in checked if fn == "_run_chunks"] == grants[-1:]
+            assert all(fn == "_index_set" and w == 1
+                       for fn, w in checked if fn != "_run_chunks")
+        # Under the lowered rule every call shares but conditional_at.
+        assert grants == [threads] * 3 + [1]
+
+    def test_a_refused_call_starts_nothing(self, monkeypatch):
+        from chaosbsde import chaos_core
+
+        paths, F, coeffs = self.case(3)
+        check = chaos_core._check_bytes
+
+        def refuse_in_driver(N, p, workers, held=0):
+            if sys._getframe(1).f_code.co_name == "_run_chunks":
+                raise SizingError("refused")
+            check(N, p, workers, held)
+
+        def started(*args, **kwargs):
+            raise AssertionError("started before the check")
+
+        monkeypatch.setattr(chaos_core, "_check_bytes", refuse_in_driver)
+        monkeypatch.setattr(chaos_core.threading, "Thread", started)
+        monkeypatch.setattr(chaos_core, "_ChunkBuffers", started)
+        for _, _, call in self.calls(paths, F, coeffs, 3):
+            with pytest.raises(SizingError, match="refused"):
+                call()
 
 
 class TestByteBudget:

@@ -29,7 +29,7 @@ from chaosbsde import (
     hermite_batch,
     sample_paths,
 )
-from chaosbsde.chaos_core import _pair_blocks
+from chaosbsde.chaos_core import _pair_blocks, _width
 
 
 # Invalid worker thread counts and the error each entry point raises.
@@ -282,6 +282,19 @@ class TestConditionalAt:
         with pytest.raises(ValueError):
             conditional_at(coeffs, path3, 1, 0.0, dB=[0.0], dN=[0])
 
+    @pytest.mark.parametrize("t", [True, np.True_, "0.1", None, 1j])
+    def test_rejects_time_that_is_not_real(self, spec3, path3, t):
+        # True would otherwise pass as t = 1.0 = t_3.
+        coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
+        with pytest.raises(TypeError, match="t must be a real number"):
+            conditional_at(coeffs, path3, 3, t, dB=[0.0], dN=[0])
+
+    @pytest.mark.parametrize("t", [10**400, -10**400, math.inf, math.nan])
+    def test_rejects_time_that_is_not_finite(self, spec3, path3, t):
+        coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
+        with pytest.raises(ValueError, match="t must be finite"):
+            conditional_at(coeffs, path3, 3, t, dB=[0.0], dN=[0])
+
     def test_rejects_negative_jump_count(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
         with pytest.raises(ValueError):
@@ -406,6 +419,9 @@ class TestEvaluateGrid:
         coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
         with pytest.raises(error, match="threads"):
             evaluate_grid(coeffs, paths, threads=threads)
+        # threads is refused before out is checked.
+        with pytest.raises(error, match="threads"):
+            evaluate_grid(coeffs, paths, threads=threads, out=(None, None, None))
         for a, b in zip(evaluate_grid(coeffs, paths, threads=np.int64(2)),
                         evaluate_grid(coeffs, paths)):
             assert np.array_equal(a, b)
@@ -471,6 +487,36 @@ class TestEvaluateGrid:
                                              rf"expected \(4, 40\)"):
             evaluate_grid(coeffs, paths, out=tuple(out.values()))
 
+    @pytest.mark.parametrize("a, b", [("Y", "Z"), ("Y", "U"), ("Z", "U")])
+    def test_rejects_out_buffers_that_share_memory(self, spec3, a, b):
+        # One array passed twice, and two overlapping row windows of one
+        # array: either way the grids would overwrite each other's rows.
+        paths = sample_paths(spec3, 40, seed=20)
+        coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
+        shape = (spec3.N + 1, paths.M)
+        out = {key: np.empty(shape) for key in "YZU"}
+        out[b] = out[a]
+        with pytest.raises(ValueError, match=f"out {a} and {b} share memory"):
+            evaluate_grid(coeffs, paths, out=tuple(out.values()))
+        block = np.empty((shape[0] + 1, shape[1]))
+        out[a], out[b] = block[:-1], block[1:]
+        with pytest.raises(ValueError, match=f"out {a} and {b} share memory"):
+            evaluate_grid(coeffs, paths, out=tuple(out.values()))
+
+    def test_rejects_one_array_as_all_three_grids(self, spec3):
+        paths = sample_paths(spec3, 40, seed=20)
+        coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
+        with pytest.raises(ValueError, match="out Y and Z share memory"):
+            evaluate_grid(coeffs, paths, out=(np.empty((spec3.N + 1, paths.M)),) * 3)
+
+    def test_disjoint_parts_of_one_array_are_accepted(self, spec3):
+        paths = sample_paths(spec3, 40, seed=20)
+        coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
+        block = np.empty((3, spec3.N + 1, paths.M))
+        got = evaluate_grid(coeffs, paths, out=tuple(block))
+        for g, want in zip(got, evaluate_grid(coeffs, paths)):
+            assert g.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("p", [0, 1, 2, 3])
     def test_sums_offset_is_subtracting_afterwards(self, p, threads):
@@ -522,7 +568,7 @@ class TestPairKernel:
         Y, Z, U = evaluate_grid(coeffs, paths)
         # both sides of the narrowest sample block boundary, the start of
         # the second chunk, the last sample of the ragged chunk
-        width = min(w for _, _, w in _pair_blocks(N).evals)
+        width = min(_width(s1 - s0, 2 * s1) for s0, s1 in _pair_blocks(N)[1])
         for m in sorted({width - 1, width, 1024, 2499} & set(range(paths.M))):
             for r in range(N + 1):
                 assert_rows_match((Y[r, m], Z[r, m], U[r, m]),

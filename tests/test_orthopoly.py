@@ -144,6 +144,23 @@ class TestCharlier:
         with pytest.raises(ValueError):
             charlier_batch(3, 1, -0.1)
 
+    @pytest.mark.parametrize("t", [True, np.True_, "1.0", None, 1j])
+    def test_rejects_t_that_is_not_real(self, t):
+        # True would otherwise pass as t = 1.
+        with pytest.raises(TypeError, match="t must be a real number"):
+            charlier_batch(2, 3, t)
+
+    @pytest.mark.parametrize("t", [10**400, -10**400, math.inf, math.nan, -1])
+    def test_rejects_t_that_is_not_finite_and_nonnegative(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            charlier_batch(2, 3, t)
+
+    @pytest.mark.parametrize("t", [0, 0.0, np.int64(0), np.float32(0.5), 2])
+    def test_accepts_real_t_from_zero(self, t):
+        # C_1(3, t) = 3 - t and C_2(3, t) = (2 - t)(3 - t) - t.
+        x = float(t)
+        assert list(charlier_batch(2, 3, t)) == [1.0, 3.0 - x, (2.0 - x) * (3.0 - x) - x]
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             charlier_batch(3, math.nan, 1.0)

@@ -20,6 +20,7 @@ from chaosbsde import (
     solve,
     terminal_samples,
 )
+from chaosbsde.benchmarks import Example1Params, Example2Params
 from chaosbsde.picard_solver import _driver_sums
 from test_chaos_eval import BAD_THREADS
 
@@ -525,3 +526,49 @@ class TestAgainstHandRunScheme:
         cfg = SolverConfig(spec=GridSpec(T=1.0, N=10, kappa=2.0), p=p, K_it=2,
                            M=2500, seed=32, sample_mode=mode)
         self.check(cfg, self.DRIVERS[drv], threads)
+
+
+@pytest.mark.worker_rule
+class TestSharedSolvesUnderTheShippedRule:
+    """The two production paths that run two workers at the smallest sizes
+    the shipped rule allows them: the pair evaluation of example2 just above
+    N = 20, and the p = 3 estimate and evaluate_grid of example1 just above
+    N = 15. Threads 2 starts a thread there, and the grids are byte for byte
+    those of threads 1."""
+
+    EX1 = Example1Params(c=0.5, T=1.0)
+    EX2 = Example2Params(alpha=0.3, beta=0.3, gamma=0.2,
+                         a=-0.1, b=0.1, c=0.2, kappa=3.0, T=2.0)
+    CASES = {
+        "example2": (SolverConfig(spec=EX2.grid(21), p=2, K_it=2, M=4 * 1024 + 452,
+                                  seed=5),
+                     Driver.linear(EX2.alpha, EX2.beta, EX2.gamma),
+                     TerminalFunctional.exp_levy(EX2.a, EX2.b, EX2.c),
+                     {"evaluate_grid"}),
+        "example1": (SolverConfig(spec=EX1.grid(16), p=3, K_it=2, M=3000, seed=6),
+                     Driver.linear_jump(EX1.c), TerminalFunctional.poisson_count(),
+                     {"estimate", "evaluate_grid"}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_two_workers_start_a_thread_and_match_one(self, monkeypatch,
+                                                      started_threads, case):
+        from chaosbsde import chaos_core
+
+        cfg, driver, xi, sharing = self.CASES[case]
+        grants = []
+        workers = chaos_core._workers
+
+        def spy(threads, M, N, p, call):
+            got = workers(threads, M, N, p, call)
+            grants.append((call, got))
+            return got
+
+        monkeypatch.setattr(chaos_core, "_workers", spy)
+        one = solve(cfg, driver, xi, threads=1)
+        assert not started_threads
+        two = solve(cfg, driver, xi, threads=2)
+        assert started_threads
+        assert {call for call, got in grants if got == 2} == sharing
+        for a, b in zip((one.Y, one.Z, one.U), (two.Y, two.Z, two.U)):
+            assert a.tobytes() == b.tobytes()
