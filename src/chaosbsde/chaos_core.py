@@ -348,36 +348,36 @@ def _index_set(N: int, p: int) -> _IndexSet:
     return _build_index_set(N, p)
 
 
-# The largest N at which a kernel call still runs one worker thread, by
-# call and p: the largest measured N of (call, p) at which a second worker
-# did not pay (0 where none failed). Above it, and at a p the table does not
-# list (p >= 8), the call runs min(threads, chunks) workers, so only
-# measured points take a worker away. The p = 2 estimate and evaluate_grid
-# run the pair kernels, Python loops over short numpy calls that hold the
-# GIL: np.matmul keeps it through a product of at most ~500 output entries,
-# the pair sums' 4 x 2N blocks up to N = 62, and an elementwise call on
-# fewer than ~2**15 entries is over before a second thread gets the GIL.
-# Measured by tools/thread_table.py at threads 2 on 2 vCPUs (table in
-# README.md): a point pays where its ratio t1/t2 of median wall times is
-# 1.10 or more, read as the median over its series (the mean of two). A
-# call that a second thread cannot overlap serialises on the GIL, so more
-# threads do not help it either.
-_ONE_WORKER_TO = {
-    "estimate": {0: 400, 1: 20, 2: 80, 3: 15, 4: 7, 5: 0, 6: 4, 7: 3},
-    "evaluate_grid": {0: 20, 1: 20, 2: 20, 3: 15, 4: 7, 5: 5, 6: 4, 7: 3},
-    "variance_diagnostic": {0: 100, 1: 30, 2: 40, 3: 10, 4: 6, 5: 0, 6: 4, 7: 3},
-}
+# A kernel call runs one worker where a second cannot overlap it: np.matmul
+# holds the GIL through a product of at most ~500 output entries, and an
+# elementwise call on fewer than ~2**15 entries ends before a second thread
+# gets it, so a call made of such calls serialises at any thread count. The
+# p = 2 pair kernels of estimate and evaluate_grid loop over such products
+# and run one worker up to these N; every other call, a prefix-family one,
+# until its chunk averages _GIL_ENTRIES entries per numpy call. Measured by
+# tools/thread_table.py at threads 2 on 2 vCPUs (pays at median t1/t2 >= 1.1).
+_PAIR_SUMS_ONE_WORKER_TO, _PAIR_EVAL_ONE_WORKER_TO = 80, 20
+_GIL_ENTRIES = 1 << 16
 
 
-def _workers(threads: int, M: int, N: int, p: int, call: str) -> int:
-    """Worker threads of the kernel call ``call`` on M samples at (N, p):
-    one up to the N of :data:`_ONE_WORKER_TO`, else min(threads, chunks),
-    so ``threads`` is a cap. :func:`_run_chunks` runs at most one worker
-    per chunk of M samples. Refuses an invalid ``threads``."""
+def _workers(threads: int, M: int, iset: _IndexSet, call: str) -> int:
+    """Worker threads of ``call`` on M samples of ``iset``: one by the rule
+    above, else min(threads, chunks), so ``threads`` (checked) is a cap. A
+    prefix-family chunk makes 8p - 4 recurrence calls (2 at p = 0) on N rows
+    each, p products into KC, which its own pass reads again, and one product
+    per Phi_pre segment and per tile, each tile entry a dot product over the
+    chunk; ``evaluate_grid`` also writes 3N rows of slot sums and copies them."""
     threads = _count("threads", threads, 1)
-    if N <= _ONE_WORKER_TO[call].get(p, 0):
-        return 1
-    return max(1, min(threads, -(-M // _CHUNK)))
+    plan, N, p = iset.prefix, iset.N, iset.p
+    if p == 2 and call in ("estimate", "evaluate_grid"):
+        one = N <= (_PAIR_SUMS_ONE_WORKER_TO if call == "estimate" else
+                    _PAIR_EVAL_ONE_WORKER_TO)
+    else:
+        rec = max(8 * p - 4, 2)
+        rows = (rec + 6 * (call == "evaluate_grid")) * N + 2 * plan.n_kc + plan.n_pre
+        calls = rec + p + 1 + len(plan.segments) + len(plan.tiles)
+        one = _CHUNK * (rows + plan.n_flat) < _GIL_ENTRIES * calls
+    return 1 if one else max(1, min(threads, -(-M // _CHUNK)))
 
 
 def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
@@ -635,7 +635,7 @@ def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int, call: str,
     chunk of its stripe. A held result must outlive the next chunk of its
     thread, so a chunk function must not return views of its buffers."""
     slices = [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
-    k = _workers(threads, M, iset.N, iset.p, call)
+    k = _workers(threads, M, iset, call)
     cuts = [len(slices) * i // k for i in range(k + 1)]
     runs = [slices[a:b] for a, b in zip(cuts, cuts[1:])]
     _check_bytes(iset.N, iset.p, k, result_bytes * (len(slices) - len(runs[0])))
@@ -788,10 +788,10 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
         Truncation order (total degree), >= 0.
     threads : int, optional
         Most worker threads for the chunked reduction, >= 1. The call runs
-        one at the (N, p) where a second did not pay on the measured table
-        of :data:`_ONE_WORKER_TO` (short numpy calls keep the GIL), and
-        min(threads, chunks of 1024 samples) elsewhere. Results are
-        identical for every value, and for every BLAS thread count.
+        one where a second cannot overlap it (short numpy calls keep the
+        GIL; see :func:`_workers`), and min(threads, chunks of 1024
+        samples) elsewhere. Results are identical for every value, and for
+        every BLAS thread count.
 
     Returns
     -------
@@ -830,8 +830,8 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     constant functional c has V = c**2 * J (J = index count), not zero:
     every product c * Phi_n still fluctuates.
 
-    ``threads`` caps the worker threads as in :func:`estimate`, with this
-    call's own entry of the table. Raises SizingError, TypeError and
+    ``threads`` caps the worker threads as in :func:`estimate`; this call
+    runs the prefix kernels at every p. Raises SizingError, TypeError and
     ValueError as :func:`estimate` does, and ValueError when a variance
     overflows float64.
     """

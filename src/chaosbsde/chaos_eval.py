@@ -145,7 +145,7 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
         np.divide(SZ[r - 1], sqrt_h, out=out[1, sl])
         out[2, sl] = SU[r - 1]
 
-    for _ in _run_chunks(chunk, iset, M, 1, "evaluate_grid", 0):
+    for _ in _run_chunks(chunk, iset, M, 1, "conditional_at", 0):
         pass
     return out[0], out[1], out[2]
 
@@ -376,7 +376,7 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     fill, avoiding reallocation in iterative callers (ValueError for any
     other shape or dtype, or when two of them share memory). ``threads``
     is an int >= 1 (TypeError or ValueError otherwise), the most worker
-    threads the call runs: one where a second did not pay at (N, p), as in
+    threads the call runs: one where a second cannot overlap it, as in
     :func:`chaosbsde.chaos_core.estimate`. Results are bit-identical for
     every ``threads`` value, since chunks write disjoint column blocks, and
     for every BLAS thread count.

@@ -39,7 +39,7 @@ Floats are written with 17 significant digits and a ``.`` decimal separator,
 so output is byte-stable for a fixed config; neither ``--threads`` nor the
 BLAS thread count changes values, only wall_ms. ``--threads`` is a cap: each
 kernel call runs that many worker threads at most, and one where a second
-did not pay at its (N, p) (see README.md, Threads).
+cannot overlap it (see README.md, Threads).
 
 ``--dump-coeffs`` additionally writes the final chaos coefficients of each
 sweep point as CSV columns (rank, nB, nP, d_value, weight): rank 0 is the
@@ -373,8 +373,8 @@ def run(config: ExperimentConfig, *, threads: int = 1,
         dump_coeffs: bool = False) -> int:
     """Execute all sweep points and write the results CSV.
 
-    Returns 0 iff every point completed; on failure writes the rows finished
-    so far, reports the error on stderr and returns 1.
+    Returns 0 iff every point completed, coefficient dumps included; on failure
+    keeps the rows written so far, reports the error on stderr and returns 1.
     """
     points = _sweep_points(config)
     driver, xi = _problem(config)
@@ -390,15 +390,15 @@ def run(config: ExperimentConfig, *, threads: int = 1,
         for point in points:
             try:
                 row, coeffs = _run_point(config, point, driver, xi, threads)
+                fh.write(row + "\n")
+                fh.flush()
+                if dump_coeffs:
+                    value = _axis_value(axis, point)
+                    write_coefficients(coeffs, _dump_path(config.output_path, axis, value))
             except Exception as exc:  # noqa: BLE001 - boundary reporting
                 print(f"chaosbsde: sweep point failed ({_point_label(axis, point)}): "
                       f"{exc}", file=sys.stderr)
                 return 1
-            fh.write(row + "\n")
-            fh.flush()
-            if dump_coeffs:
-                value = _axis_value(axis, point)
-                write_coefficients(coeffs, _dump_path(config.output_path, axis, value))
     return 0
 
 

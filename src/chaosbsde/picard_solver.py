@@ -272,7 +272,7 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         solve separately from path generation.
     threads : int, optional
         Most worker threads per estimation and evaluation call, >= 1; a call
-        runs one where a second did not pay at (N, p)
+        runs one where a second cannot overlap it
         (:func:`chaosbsde.chaos_core.estimate`). Never affects values.
         Checked before any paths are drawn.
 

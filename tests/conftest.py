@@ -13,18 +13,29 @@ from chaosbsde import GridSpec, chaos_core, sample_paths
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "worker_rule: run under the shipped worker rule "
-                   "(chaos_core._ONE_WORKER_TO), not the lowered one")
+                   "(chaos_core._workers' constants), not the lowered one")
+
+
+def _lower_the_rule(monkeypatch):
+    for name in ("_PAIR_SUMS_ONE_WORKER_TO", "_PAIR_EVAL_ONE_WORKER_TO", "_GIL_ENTRIES"):
+        monkeypatch.setattr(chaos_core, name, 0)
+
+
+@pytest.fixture
+def share_everywhere(monkeypatch):
+    """Callable that lowers the worker rule's constants to 0, after which
+    every kernel call runs min(threads, chunks) workers at every (N, p)."""
+    return lambda: _lower_the_rule(monkeypatch)
 
 
 @pytest.fixture(autouse=True)
 def every_call_shares(request, monkeypatch):
-    """The worker rule runs a call on one worker up to the N at which a
-    second worker stops paying, which covers most test sizes; so that
-    ``threads`` >= 2 still runs the multi-worker paths there, every call
-    may share at every (N, p), except in tests marked ``worker_rule``."""
+    """The worker rule runs a call on one worker where a second cannot
+    overlap it, which covers most test sizes; so that ``threads`` >= 2
+    still runs the multi-worker paths there, every call may share at every
+    (N, p), except in tests marked ``worker_rule``."""
     if request.node.get_closest_marker("worker_rule") is None:
-        monkeypatch.setattr(chaos_core, "_ONE_WORKER_TO",
-                            dict.fromkeys(chaos_core._ONE_WORKER_TO, {}))
+        _lower_the_rule(monkeypatch)
 
 
 @pytest.fixture

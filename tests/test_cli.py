@@ -540,6 +540,23 @@ class TestDumpCoefficients:
         assert (tmp_path / "s_coeffs_M100.csv").exists()
         assert (tmp_path / "s_coeffs_M200.csv").exists()
 
+    def test_dump_write_failure_is_reported(self, tmp_path, capsys):
+        # A directory where the dump goes: reported like a failed sweep
+        # point, exit 1, and the rows written so far are kept.
+        out = tmp_path / "res.csv"
+        (tmp_path / "res_coeffs_M200.csv").mkdir()
+        text = (f"example = example1\nN = 3\nM = 200\nq = 1\nout = {out}\n"
+                f"sweep_axis = M\nsweep_values = 100, 200, 300\n")
+        assert main(["--config", write_cfg(tmp_path, text), "--dump-coeffs"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("chaosbsde: sweep point failed (M=200)")
+        assert "res_coeffs_M200.csv" in err
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == CSV_HEADER
+        assert [line.split(",")[3] for line in lines[1:]] == ["100", "200"]
+        assert (tmp_path / "res_coeffs_M100.csv").is_file()
+        assert not (tmp_path / "res_coeffs_M300.csv").exists()
+
 
 class TestBlasThreads:
     def test_result_columns_identical_across_blas_and_pool_threads(self, tmp_path):

@@ -532,9 +532,9 @@ class TestAgainstHandRunScheme:
 class TestSharedSolvesUnderTheShippedRule:
     """The two production paths that run two workers at the smallest sizes
     the shipped rule allows them: the pair evaluation of example2 just above
-    N = 20, and the p = 3 estimate and evaluate_grid of example1 just above
-    N = 15. Threads 2 starts a thread there, and the grids are byte for byte
-    those of threads 1."""
+    N = 20, and the p = 3 estimate and evaluate_grid of example1 at N = 14,
+    the smallest N at which both share. Threads 2 starts a thread there, and
+    the grids are byte for byte those of threads 1."""
 
     EX1 = Example1Params(c=0.5, T=1.0)
     EX2 = Example2Params(alpha=0.3, beta=0.3, gamma=0.2,
@@ -545,7 +545,7 @@ class TestSharedSolvesUnderTheShippedRule:
                      Driver.linear(EX2.alpha, EX2.beta, EX2.gamma),
                      TerminalFunctional.exp_levy(EX2.a, EX2.b, EX2.c),
                      {"evaluate_grid"}),
-        "example1": (SolverConfig(spec=EX1.grid(16), p=3, K_it=2, M=3000, seed=6),
+        "example1": (SolverConfig(spec=EX1.grid(14), p=3, K_it=2, M=3000, seed=6),
                      Driver.linear_jump(EX1.c), TerminalFunctional.poisson_count(),
                      {"estimate", "evaluate_grid"}),
     }
@@ -559,8 +559,8 @@ class TestSharedSolvesUnderTheShippedRule:
         grants = []
         workers = chaos_core._workers
 
-        def spy(threads, M, N, p, call):
-            got = workers(threads, M, N, p, call)
+        def spy(threads, M, iset, call):
+            got = workers(threads, M, iset, call)
             grants.append((call, got))
             return got
 

@@ -1,28 +1,42 @@
-"""Smoke test of tools/thread_table.py, which measures threads 1 against
-threads 2 by swapping the worker rule's table while it runs."""
-
-import importlib.util
-import pathlib
+"""Smoke tests of tools/thread_table.py, which measures threads 1 against
+threads 2 with the worker rule's constants swapped while it runs, and holds
+the measured points the rule is checked against."""
 
 import pytest
 
 from chaosbsde import chaos_core
-
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "thread_table.py"
+from test_chaos_core import _thread_table as load_tool
 
 
 @pytest.mark.worker_rule
-def test_point_rows_runs_a_second_worker_where_the_rule_runs_one(monkeypatch,
-                                                                started_threads):
+def test_point_rows_runs_a_second_worker_where_the_rule_runs_one(started_threads):
     # The shipped rule runs the p = 2 evaluate_grid on one worker at N = 4;
-    # the tool's swapped table lets it run two there.
-    spec = importlib.util.spec_from_file_location("thread_table", TOOL)
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    assert chaos_core._workers(2, 2048, 4, 2, "evaluate_grid") == 1
-    # grant_only assigns the table outright; monkeypatch puts it back.
-    monkeypatch.setattr(chaos_core, "_ONE_WORKER_TO", chaos_core._ONE_WORKER_TO)
+    # the tool's swapped constants let it run two there, and come back after.
+    tool = load_tool()
+    shipped = {name: getattr(chaos_core, name) for name in tool.CONSTANTS}
+    assert tool.rule_grant("evaluate_grid", 4, 2, 2048) == 1
     rows = tool.point_rows("pair_eval", 4, 2, 2048, 1)
     assert started_threads
     assert [name for name, _ in rows] == ["evaluate_grid"]
     assert sorted(rows[0][1]) == [1, 2]
+    assert {name: getattr(chaos_core, name) for name in tool.CONSTANTS} == shipped
+
+
+@pytest.mark.worker_rule
+def test_rows_show_the_rule_grant_and_any_disagreement(capsys):
+    tool = load_tool()
+    assert tool.main(["--M", "2048", "pair_eval:4:2"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].strip("| ").split(" | ")
+    assert row[:4] == ["pair_eval", "evaluate_grid", "4", "2"]
+    pays, grant, disagrees = row[-3:]
+    assert grant == "1"
+    assert disagrees == ("**yes**" if pays == "yes" else "no")
+
+
+def test_default_points_are_the_measured_ones():
+    tool = load_tool()
+    assert ("prefix", 2, 8) in tool.DEFAULT_POINTS and ("prefix", 3, 8) in tool.DEFAULT_POINTS
+    groups = {(group, N, p) for group, N, p in tool.DEFAULT_POINTS}
+    for call, N, p, _ in tool.MEASURED:
+        assert any((N, p) == (n, q) and call in tool.GROUPS[group]
+                   for group, n, q in groups)

@@ -1,11 +1,13 @@
 """Threads 1 against threads 2, per kernel call and (N, p).
 
-Prints the table that ``chaos_core._ONE_WORKER_TO`` is derived from: for
-each kernel call and (N, p), the median wall and CPU seconds of alternating
-threads-1 and threads-2 runs in this one process, their ratio, and whether
-threads 2 won by the margin the rule asks for: a median wall time speedup
-of 1.10 or more. Where a point was run in several series, the rule reads
-the median of the series' ratios (the mean of two).
+Checks the worker rule of ``chaos_core._workers``: for each kernel call and
+(N, p), the median wall and CPU seconds of alternating threads-1 and
+threads-2 runs in this one process, their ratio, whether threads 2 won by
+the margin the rule asks for (a median wall time speedup of 1.10 or more),
+the worker count the shipped rule grants at threads 2, and whether that
+grant disagrees with the verdict just measured. :data:`MEASURED` holds the
+median ratios the rule was fitted to; where a point was run in several
+series, its ratio is the median of the series' ratios (the mean of two).
 
 ``estimate`` and ``evaluate_grid`` are timed where the rule serves them,
 inside Picard solves (example1, reuse mode, 3 iterations, paths drawn once
@@ -15,9 +17,9 @@ so an isolated call on warm caches can read differently (at N = 50, p = 2,
 the pair sums read 1.16x there and no gain in a solve).
 ``variance_diagnostic``, which no solve runs, is timed in isolated calls,
 and so are all three calls at p = 0, which the solver refuses.
-While it measures, only the calls under test may run a second worker (the
-rule's table is swapped), so the threads-2 column shows what a second worker
-would do, not what the rule allows.
+While it measures, only the kernels under test may run a second worker (the
+rule's constants are swapped), so the threads-2 column shows what a second
+worker would do, not what the rule allows.
 
 A point is ``group:N:p``, where the group names the calls it times:
 
@@ -28,7 +30,7 @@ A point is ``group:N:p``, where the group names the calls it times:
 
 Run from the repository root, with nothing else busy on the machine:
 
-    PYTHONPATH=src python tools/thread_table.py                  # default points
+    PYTHONPATH=src python tools/thread_table.py                  # measured points
     PYTHONPATH=src python tools/thread_table.py --runs 9 pair_eval:25:2 prefix:10:3
 
 M is 1e5 at p <= 2, 2e4 at p = 3 and 1e4 above, cut at large N to bound
@@ -41,6 +43,8 @@ second worker too.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import math
 import statistics
 import sys
 import time
@@ -52,24 +56,47 @@ from chaosbsde import (Driver, Example1Params, SolverConfig, TerminalFunctional,
                        variance_diagnostic)
 from chaosbsde import chaos_core, picard_solver
 
-# The points the shipped rule was derived from.
-DEFAULT_POINTS = (
-    [("pair_sums", N, 2) for N in (20, 50, 62, 70, 80, 100, 120)]
-    + [("pair_eval", N, 2) for N in (20, 25, 30, 35, 40, 50)]
-    + [("prefix", N, 0) for N in (10, 50, 100, 200, 400)]
-    + [("prefix", N, 1) for N in (10, 20, 30, 40, 50, 100)]
-    + [("prefix", N, 2) for N in (10, 20, 30, 40, 50)]
-    + [("prefix", N, 3) for N in (5, 10, 15, 20, 30)]
-    + [("prefix", N, 4) for N in (4, 6, 7, 8, 10)]
-    + [("prefix", N, 5) for N in (5, 6, 8)]
-    + [("prefix", N, 6) for N in (2, 3, 4, 5)]
-    + [("prefix", N, 7) for N in (2, 3, 4)]
-)
-
-# The calls of the rule's table, and the calls each group times.
+# The calls each group times.
 CALLS = ("estimate", "evaluate_grid", "variance_diagnostic")
 GROUPS = {"pair_sums": ("estimate",), "pair_eval": ("evaluate_grid",),
           "prefix": CALLS}
+
+# (call, N, p, median t1/t2 wall time) of every measured point, at threads 2
+# on 2 vCPUs under KVM (numpy 2.4.6, OpenBLAS 0.3.31). p <= 7 are the points
+# of the earlier per-(call, p) table; p >= 8 are medians of two or three
+# series of 9 runs.
+MEASURED = (
+    [("estimate", N, 2, r) for N, r in ((20, .86), (50, 1.03), (62, 1.02), (70, 1.03),
+                                        (80, 1.095), (100, 1.33), (120, 1.18))]
+    + [("evaluate_grid", N, 2, r) for N, r in ((20, 1.085), (25, 1.10), (30, 1.21),
+                                               (35, 1.31), (40, 1.465), (50, 1.45))]
+    + [("variance_diagnostic", N, 2, r) for N, r in ((10, .92), (20, 1.07), (30, .89),
+                                                     (40, .98), (50, 1.22))]
+    + [(call, N, p, r) for (N, p), ratios in {
+        (10, 0): (.64, .83, .61), (20, 0): (.46, .96, .50), (30, 0): (.57, 1.13, .55),
+        (40, 0): (.61, 1.20, .62), (50, 0): (.73, 1.28, .74), (100, 0): (1.07, 1.40, 1.05),
+        (200, 0): (1.26, 1.39, 1.27), (400, 0): (1.06, 1.45, 1.16),
+        (10, 1): (.66, .70, .66), (20, 1): (1.05, 1.08, .79), (30, 1): (1.12, 1.11, 1.01),
+        (40, 1): (1.19, 1.39, 1.42), (50, 1): (1.47, 1.48, 1.32),
+        (100, 1): (1.70, 1.61, 1.75),
+        (5, 3): (.72, .60, .75), (10, 3): (.97, .96, 1.02), (15, 3): (1.01, 1.04, 1.26),
+        (20, 3): (1.53, 1.56, 1.19), (30, 3): (1.64, 1.74, 1.39),
+        (4, 4): (.59, .56, .58), (6, 4): (.75, .72, .83), (7, 4): (.91, .80, 1.14),
+        (8, 4): (1.29, 1.30, 1.26), (10, 4): (1.62, 1.62, 1.12),
+        (5, 5): (1.10, 1.03, 1.14), (6, 5): (1.39, 1.34, 1.23), (8, 5): (1.58, 1.51, 1.39),
+        (2, 6): (.63, .46, .72), (3, 6): (.82, .64, .86), (4, 6): (.97, .90, 1.00),
+        (5, 6): (1.51, 1.44, 1.54),
+        (2, 7): (.68, .49, .78), (3, 7): (.82, .69, .84), (4, 7): (1.25, 1.14, 1.16),
+        (2, 8): (.805, .565, .855), (3, 8): (.99, .83, .94), (3, 9): (1.03, .99, .90),
+        (3, 10): (1.19, 1.08, .98), (2, 10): (.79, .555, .775),
+    }.items() for call, r in zip(CALLS, ratios)]
+)
+
+# The measured points, as the groups that time them.
+DEFAULT_POINTS = list(dict.fromkeys(
+    ("pair_sums" if (call, p) == ("estimate", 2) else
+     "pair_eval" if (call, p) == ("evaluate_grid", 2) else "prefix", N, p)
+    for call, N, p, _ in MEASURED))
 
 # The margin a second worker must win by, and the fewest alternating runs.
 MARGIN = 0.10
@@ -84,10 +111,24 @@ def default_m(N: int, p: int) -> int:
                5_100_000 // (N + 1))
 
 
-def grant_only(calls: tuple[str, ...], p: int) -> None:
-    """Let ``calls`` run a second worker at every N at p, and no other call."""
-    chaos_core._ONE_WORKER_TO = {call: {} if call in calls else {p: float("inf")}
-                                 for call in CALLS}
+# The rule's constants, and the group whose kernels each one governs.
+CONSTANTS = {"_PAIR_SUMS_ONE_WORKER_TO": "pair_sums", "_PAIR_EVAL_ONE_WORKER_TO": "pair_eval",
+             "_GIL_ENTRIES": "prefix"}
+
+
+@contextlib.contextmanager
+def grant_only(group: str):
+    """Within the block, let the kernels ``group`` times run a second worker
+    at every (N, p), and no other kernel; the shipped constants come back
+    after it."""
+    shipped = {name: getattr(chaos_core, name) for name in CONSTANTS}
+    for name, owner in CONSTANTS.items():
+        setattr(chaos_core, name, 0 if owner == group else math.inf)
+    try:
+        yield
+    finally:
+        for name, value in shipped.items():
+            setattr(chaos_core, name, value)
 
 
 def medians(samples: dict[int, list[tuple[float, float]]]):
@@ -162,17 +203,22 @@ def isolated(names: tuple[str, ...], N: int, p: int, M: int, runs: int):
 def point_rows(group: str, N: int, p: int, M: int, runs: int):
     """(call, {threads: (wall, cpu)}) of one point."""
     names = GROUPS[group]
-    grant_only(names, p)
-    if p == 0:
-        got = isolated(names, N, p, M, runs)
-    else:
-        got = in_solves(N, p, M, runs) if group != "prefix" or p != 2 else {}
-        if group == "prefix":
-            got.update(isolated(("variance_diagnostic",), N, p, M, runs))
+    with grant_only(group):
+        if p == 0:
+            got = isolated(names, N, p, M, runs)
+        else:
+            got = in_solves(N, p, M, runs) if group != "prefix" or p != 2 else {}
+            if group == "prefix":
+                got.update(isolated(("variance_diagnostic",), N, p, M, runs))
     # At p = 2 the prefix group's estimate and evaluate_grid run the pair
     # kernels, which the other two groups time.
     return [(name, got[name]) for name in names
             if name in got and (group != "prefix" or p != 2 or name == "variance_diagnostic")]
+
+
+def rule_grant(call: str, N: int, p: int, M: int = 100_000) -> int:
+    """Workers the shipped rule grants ``call`` at threads 2 on M samples."""
+    return chaos_core._workers(2, M, chaos_core._build_index_set(N, p), call)
 
 
 def parse_point(text: str) -> tuple[str, int, int]:
@@ -194,15 +240,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < MIN_RUNS:
         ap.error(f"--runs must be >= {MIN_RUNS}")
     print("| group | call | N | p | M | wall t1 / t2 (s) | t1/t2 | "
-          "cpu t1 / t2 (s) | threads pay |")
-    print("|---|---|---|---|---|---|---|---|---|")
+          "cpu t1 / t2 (s) | threads pay | rule grants | rule disagrees |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|")
     for group, N, p in args.points or DEFAULT_POINTS:
         M = args.M or default_m(N, p)
         for name, got in point_rows(group, N, p, M, args.runs):
             (w1, c1), (w2, c2) = got[1], got[2]
-            pays = "yes" if w1 >= (1 + MARGIN) * w2 else "no"
+            pays = w1 >= (1 + MARGIN) * w2
+            grant = rule_grant(name, N, p, M)
             print(f"| {group} | {name} | {N} | {p} | {M:.0e} | {w1:.4f} / {w2:.4f} | "
-                  f"{w1 / w2:.2f} | {c1:.4f} / {c2:.4f} | {pays} |", flush=True)
+                  f"{w1 / w2:.2f} | {c1:.4f} / {c2:.4f} | {'yes' if pays else 'no'} | "
+                  f"{grant} | {'**yes**' if (grant > 1) != pays else 'no'} |", flush=True)
     return 0
 
 
