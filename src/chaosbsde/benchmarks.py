@@ -47,7 +47,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .picard_solver import SolutionGrid
-from .stochastic_grid import GridSpec, PathBatch, _finite_real
+from .stochastic_grid import GridSpec, PathBatch, _check_grid, _finite_real
 
 __all__ = [
     "Example1Params",
@@ -207,10 +207,8 @@ def error_norm(approx: SolutionGrid | ExactGrid, exact: SolutionGrid | ExactGrid
     working set is a few length-M vectors.
     """
     for grid in (approx, exact):
-        if grid.paths is not None and grid.paths.spec != spec:
-            raise ValueError(
-                f"spec {spec} does not match the grid's paths, sampled on "
-                f"{grid.paths.spec}")
+        if grid.paths is not None:
+            _check_grid(grid.paths, spec, "error_norm")
     wrong_length = ValueError(f"grids must both have N+1 = {spec.N + 1} rows")
     r = -1
     for r, pair in enumerate(itertools.zip_longest(approx.rows(), exact.rows())):

@@ -25,7 +25,7 @@ and its (J, N) arrays ``degB`` and ``degP`` give each rank's degrees.
 Sums over samples are accumulated in fixed chunks of 1024 and combined in
 chunk order, so results are bit-identical across runs and across worker
 thread counts. A chunk's sums build each basis product below order p from
-a lower-order one by the prefix recursion of :class:`_PrefixPlan`; every
+a lower-order one by the prefix recursion of :class:`_IndexSet`; every
 sum is then an entry of the product of those basis products with F times
 the slot factors, taken in tiles of its block triangle (:func:`_prefix_tiles`)
 over fixed sample blocks small enough for BLAS to run single-threaded, so
@@ -47,7 +47,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .orthopoly import MAX_DEGREE, _charlier_rows, _hermite_rows
-from .stochastic_grid import GridSpec, PathBatch, _count
+from .stochastic_grid import (GridSpec, PathBatch, _count, _finite_vector,
+                             _first_non_finite)
 
 __all__ = [
     "ChaosCoefficients",
@@ -111,8 +112,29 @@ class SizingError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class _IndexSet:
-    """Dense enumeration of the truncated basis for (N, p), rank-ordered.
-    Its arrays are shared by every solve at (N, p), so they are read-only."""
+    """Dense enumeration of the truncated basis for (N, p), rank-ordered,
+    and the layout of the prefix recursion behind the general kernels, which
+    run at every p except the p = 2 :func:`estimate` and ``evaluate_grid``.
+    Its arrays are shared by every solve at (N, p), so they are read-only.
+
+    Let r be the last slot of index j's support, (a, b) its Hermite and
+    Charlier degrees there and d = a + b. Its parent, j with slot r zeroed,
+    has order o = |j| - d and support before r, and
+
+        Phi_j = Phi_parent(j) * K_a(G_r) * C_b(Q_r).
+
+    Per chunk the kernels tabulate the slot factors KC (rows of
+    :func:`_kc_row`) and Phi_pre, Phi at the orders below p in prefix
+    order: the constant first, then graded by order, then by r, by d, by b
+    and by their parent's position. Each order's indices are thus sorted by
+    last slot, and the indices sharing (order, r, d) are the outer product
+    of the d + 1 factors of (r, d) with one run of parents, the indices of
+    order o - d supported before r.
+
+    Every sum of F * Phi_j is the entry (parent, factor) of the product
+    Phi_pre * (F * KC)^T. Its kept entries, a parent before a factor's slot,
+    form one block triangle per (parent order, d); the tiles cover it.
+    """
 
     N: int
     p: int
@@ -122,7 +144,17 @@ class _IndexSet:
     bfact: np.ndarray    # (J,) float64, prod of nB[i]!
     pfact: np.ndarray    # (J,) float64, prod of nP[i]!
     sumP: np.ndarray     # (J,) int16
-    prefix: "_PrefixPlan"
+    n_kc: int                           # rows of KC
+    n_pre: int                          # rows of Phi_pre, 1 + J_{p-1}
+    # Per (order, r, d) with r < N - 1, in prefix order: rows lo:hi of
+    # Phi_pre are KC rows k0:k0+d+1 times the parent rows plo:plo+n.
+    # Indices supported on the last slot parent no index, so their rows are
+    # not built; ``built`` holds the built rows (lo, hi) of each order >= 1.
+    segments: tuple[tuple[int, int, int, int, int, int], ...]
+    built: tuple[tuple[int, int], ...]
+    tiles: tuple[_Tile, ...]
+    n_flat: int                         # entries of the flat table
+    gather: np.ndarray                  # (J,) flat table entry of each rank
 
     def weights(self, jump_mean: float) -> np.ndarray:
         return self.pfact * np.power(jump_mean, self.sumP.astype(np.float64)) / self.bfact
@@ -225,43 +257,6 @@ def _prefix_tiles(N: int, p: int) -> tuple[tuple[_Tile, ...], int]:
     return tuple(tiles), n_flat
 
 
-@dataclass(frozen=True, eq=False)
-class _PrefixPlan:
-    """Layout of the prefix recursion behind the general kernels, which run
-    at every p except the p = 2 :func:`estimate` and ``evaluate_grid``.
-
-    Let r be the last slot of index j's support, (a, b) its Hermite and
-    Charlier degrees there and d = a + b. Its parent, j with slot r zeroed,
-    has order o = |j| - d and support before r, and
-
-        Phi_j = Phi_parent(j) * K_a(G_r) * C_b(Q_r).
-
-    Per chunk the kernels tabulate the slot factors KC (rows of
-    :func:`_kc_row`) and Phi_pre, Phi at the orders below p in prefix
-    order: the constant first, then graded by order, then by r, by d, by b
-    and by their parent's position. Each order's indices are thus sorted by
-    last slot, and the indices sharing (order, r, d) are the outer product
-    of the d + 1 factors of (r, d) with one run of parents, the indices of
-    order o - d supported before r.
-
-    Every sum of F * Phi_j is the entry (parent, factor) of the product
-    Phi_pre * (F * KC)^T. Its kept entries, a parent before a factor's slot,
-    form one block triangle per (parent order, d); the tiles cover it.
-    """
-
-    n_kc: int                           # rows of KC
-    n_pre: int                          # rows of Phi_pre, 1 + J_{p-1}
-    # Per (order, r, d) with r < N - 1, in prefix order: rows lo:hi of
-    # Phi_pre are KC rows k0:k0+d+1 times the parent rows plo:plo+n.
-    # Indices supported on the last slot parent no index, so their rows are
-    # not built; ``built`` holds the built rows (lo, hi) of each order >= 1.
-    segments: tuple[tuple[int, int, int, int, int, int], ...]
-    built: tuple[tuple[int, int], ...]
-    tiles: tuple[_Tile, ...]
-    n_flat: int                         # entries of the flat table
-    gather: np.ndarray                  # (J,) flat table entry of each rank
-
-
 @lru_cache(maxsize=16)
 def _build_index_set(N: int, p: int) -> _IndexSet:
     J = _basis_count(N, p)
@@ -319,33 +314,28 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
     pos = np.empty(J, dtype=np.intp)
     for lo, hi in zip(starts[1:], starts[2:]):
         pos[lo - 1:hi - 1] = lo + np.argsort(deg[lo:hi].view(row_key).ravel())[::-1]
-    plan = _PrefixPlan(n_kc=n_kc, n_pre=n_pre, segments=tuple(segments),
-                       built=tuple(built), tiles=tiles, n_flat=n_flat,
-                       gather=flat[pos])
     iset = _IndexSet(N=N, p=p, J=J, degB=deg[pos, :N], degP=deg[pos, N:],
                      bfact=bfact[pos], pfact=pfact[pos], sumP=sumP[pos],
-                     prefix=plan)
-    for a in (plan.gather, iset.degB, iset.degP, iset.bfact, iset.pfact, iset.sumP):
+                     n_kc=n_kc, n_pre=n_pre, segments=tuple(segments),
+                     built=tuple(built), tiles=tiles, n_flat=n_flat,
+                     gather=flat[pos])
+    for a in (iset.gather, iset.degB, iset.degP, iset.bfact, iset.pfact, iset.sumP):
         a.flags.writeable = False
     return iset
 
 
-def _order(p) -> int:
-    """The truncation order p as an int; p may be a numpy integer, not a
-    bool."""
+def _index_set(N: int, p, build: bool = True) -> _IndexSet | None:
+    """The index set for (N, p), once the byte budget admits it with one
+    worker's working set; p may be a numpy integer, not a bool. Without
+    ``build`` only these checks run, which are arithmetic, so a caller can
+    refuse a basis before it does any work for it."""
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
         raise ValueError(f"p must be a nonnegative int, got {p!r}")
     if p > MAX_DEGREE:
         raise ValueError(f"p = {p} exceeds the degree cap {MAX_DEGREE}")
-    return int(p)
-
-
-def _index_set(N: int, p: int) -> _IndexSet:
-    """The index set for (N, p), once the byte budget admits it with one
-    worker's working set."""
-    p = _order(p)
+    p = int(p)
     _check_bytes(N, p, 1)
-    return _build_index_set(N, p)
+    return _build_index_set(N, p) if build else None
 
 
 # A kernel call runs one worker where a second cannot overlap it: np.matmul
@@ -368,15 +358,15 @@ def _workers(threads: int, M: int, iset: _IndexSet, call: str) -> int:
     per Phi_pre segment and per tile, each tile entry a dot product over the
     chunk; ``evaluate_grid`` also writes 3N rows of slot sums and copies them."""
     threads = _count("threads", threads, 1)
-    plan, N, p = iset.prefix, iset.N, iset.p
+    N, p = iset.N, iset.p
     if p == 2 and call in ("estimate", "evaluate_grid"):
         one = N <= (_PAIR_SUMS_ONE_WORKER_TO if call == "estimate" else
                     _PAIR_EVAL_ONE_WORKER_TO)
     else:
         rec = max(8 * p - 4, 2)
-        rows = (rec + 6 * (call == "evaluate_grid")) * N + 2 * plan.n_kc + plan.n_pre
-        calls = rec + p + 1 + len(plan.segments) + len(plan.tiles)
-        one = _CHUNK * (rows + plan.n_flat) < _GIL_ENTRIES * calls
+        rows = (rec + 6 * (call == "evaluate_grid")) * N + 2 * iset.n_kc + iset.n_pre
+        calls = rec + p + 1 + len(iset.segments) + len(iset.tiles)
+        one = _CHUNK * (rows + iset.n_flat) < _GIL_ENTRIES * calls
     return 1 if one else max(1, min(threads, -(-M // _CHUNK)))
 
 
@@ -441,17 +431,10 @@ class ChaosCoefficients:
 
     def __post_init__(self) -> None:
         iset = _index_set(self.spec.N, self.p)
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.shape != (iset.J,):
-            raise ValueError(f"values has shape {values.shape}, expected ({iset.J},)")
         d0 = float(self.d0)
         if not math.isfinite(d0):
             raise ValueError(f"d0 is not finite: {d0!r}")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            j = int(np.argmax(bad))
-            raise ValueError(f"values contains a non-finite coefficient at rank {j}: "
-                             f"{values[j]!r}")
+        values = _finite_vector("values", self.values, iset.J, at="rank")
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "p", iset.p)
@@ -492,17 +475,6 @@ def coefficients_from_entries(spec: GridSpec, p: int, d0: float = 0.0,
     for key, val in (entries or {}).items():
         values[iset.rank(key)] = float(val)
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=spec)
-
-
-def _check_functional(F, paths: PathBatch) -> np.ndarray:
-    F = np.asarray(F, dtype=np.float64)
-    if F.shape != (paths.M,):
-        raise ValueError(f"F has shape {F.shape}, expected ({paths.M},)")
-    bad = ~np.isfinite(F)
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise ValueError(f"F contains a non-finite value at sample {m}: {F[m]!r}")
-    return F
 
 
 def _blocks(n: int, size: int) -> list[tuple[int, int]]:
@@ -691,7 +663,6 @@ def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
     written into ``buf``. The rows of ``G[sl].T`` and ``Q[sl].T`` go to the
     unchecked recurrences: a PathBatch holds only finite G and nonnegative
     integer Q."""
-    plan = iset.prefix
     N = iset.N
     Gt = G[sl].T
     Mc = Gt.shape[1]
@@ -699,15 +670,15 @@ def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
     # KC's rows are scratch until the factors are formed below.
     C = _charlier_rows(iset.p, Q[sl].T, kh, buf.get("C", (iset.p + 1, N, Mc)),
                        buf.get("KC", (N, Mc)))
-    KC = buf.get("KC", (plan.n_kc, Mc))
+    KC = buf.get("KC", (iset.n_kc, Mc))
     for d in range(1, iset.p + 1):
         rows = KC[_kc_row(N, d, 0):_kc_row(N, d + 1, 0)]
         np.multiply(K[d::-1], C[:d + 1],
                     out=rows.reshape(N, d + 1, Mc).transpose(1, 0, 2))
     # One run at a time: the run's d + 1 factors times its parent rows.
-    phi = buf.get("phi", (plan.n_pre, Mc))
+    phi = buf.get("phi", (iset.n_pre, Mc))
     phi[0] = 1.0
-    for lo, hi, plo, n, k0, d in plan.segments:
+    for lo, hi, plo, n, k0, d in iset.segments:
         np.multiply(KC[k0:k0 + d + 1, None], phi[plo:plo + n],
                     out=phi[lo:hi].reshape(d + 1, n, Mc))
     return KC, phi
@@ -722,28 +693,27 @@ def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     its Phi_pre rows with its rows of W. The sums of (F*Phi_j)**2 are the
     same with Phi_pre and W squared. Each is gathered into rank order.
     """
-    plan = iset.prefix
     Fc = F[sl]
     KC, phi = _chunk_tables(iset, G, Q, kh, sl, buf)
     n_out = 1 + iset.J
     out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
-    flat = np.empty(plan.n_flat)
+    flat = np.empty(iset.n_flat)
     W = np.multiply(KC, Fc, out=buf.get("W", KC.shape))
 
     def sums() -> np.ndarray:
-        W.sum(axis=1, out=flat[:plan.n_kc])
-        for t in plan.tiles:
+        W.sum(axis=1, out=flat[:iset.n_kc])
+        for t in iset.tiles:
             _tile_sums(phi[t.lo:t.hi], W[t.c0:t.c1],
                        flat[t.t0:t.t0 + (t.hi - t.lo) * (t.c1 - t.c0)]
                        .reshape(t.hi - t.lo, t.c1 - t.c0))
-        return flat[plan.gather]
+        return flat[iset.gather]
 
     out[0] = Fc.sum()
     out[1:n_out] = sums()
     if squares:
         F2 = Fc * Fc
         out[n_out] = F2.sum()
-        for lo, hi in plan.built:
+        for lo, hi in iset.built:
             phi[lo:hi] *= phi[lo:hi]
         W *= W
         out[1 + n_out:] = sums()
@@ -810,7 +780,7 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
         If F is not finite, threads is below 1, or a coefficient overflows
         float64.
     """
-    F = _check_functional(F, paths)
+    F = _finite_vector("F", F, paths.M)
     iset, raw = _raw_sums(F, paths, p, threads, squares=False)
     d0 = raw[0] / paths.M
     values = raw[1:1 + iset.J] * iset.inv_weights(paths.spec.jump_mean) / paths.M
@@ -837,7 +807,7 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     """
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")
-    F = _check_functional(F, paths)
+    F = _finite_vector("F", F, paths.M)
     iset, raw = _raw_sums(F, paths, p, threads, squares=True)
     n_out = 1 + iset.J
     s1 = raw[:n_out]
@@ -848,9 +818,9 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
         var = (s2 - s1 * s1 / M) / (M - 1)
         np.maximum(var, 0.0, out=var)  # rounding can leave tiny negatives
         total = var[0] + var[1:] @ inv_w
-    bad = ~np.isfinite(var)
-    if bad.any():
-        i = int(np.argmax(bad))
+    bad = _first_non_finite(var)
+    if bad is not None:
+        i = bad[0]
         what = "Var(F)" if i == 0 else f"Var(F * Phi_n) at rank {i - 1}"
         raise ValueError(f"variance diagnostic overflows float64: {what} is not finite")
     if not math.isfinite(total):

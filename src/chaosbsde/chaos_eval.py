@@ -64,15 +64,10 @@ from .chaos_core import (ChaosCoefficients, _chunk_tables, _ChunkBuffers,
                          _IndexSet, _kc_row, _pair_blocks, _run_chunks,
                          _stacked_factors, _width)
 from .orthopoly import charlier_batch, hermite_batch
-from .stochastic_grid import PathBatch, _count, _finite_real
+from .stochastic_grid import (PathBatch, _check_grid, _count, _finite_real,
+                             _finite_vector)
 
 __all__ = ["conditional_at", "evaluate_grid"]
-
-
-def _check_spec(coeffs: ChaosCoefficients, paths: PathBatch) -> None:
-    if paths.spec != coeffs.spec:
-        raise ValueError(
-            f"path batch grid {paths.spec} does not match coefficients grid {coeffs.spec}")
 
 
 def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float,
@@ -101,7 +96,7 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
         At t = t_r with the full interval increments these are row r of
         :func:`evaluate_grid`.
     """
-    _check_spec(coeffs, paths)
+    _check_grid(paths, coeffs.spec, "coefficients")
     spec = coeffs.spec
     N = spec.N
     M = paths.M
@@ -112,9 +107,7 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     t_lo, t_hi = spec.times()[r - 1:r + 1]
     if not (t_lo < t <= t_hi):
         raise ValueError(f"t = {t!r} outside ({t_lo}, {t_hi}] for r = {r}")
-    dB = np.asarray(dB, dtype=np.float64)
-    if dB.shape != (M,) or not np.isfinite(dB).all():
-        raise ValueError(f"dB must be a finite vector of shape ({M},)")
+    dB = _finite_vector("dB", dB, M)
     dN = np.asarray(dN)
     if (dN.shape != (M,) or not np.issubdtype(dN.dtype, np.integer)
             or (dN < 0).any()):
@@ -153,9 +146,9 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
 def _prefix_coeffs(coeffs: ChaosCoefficients) -> np.ndarray:
     """Coefficients scattered into the flat table of the prefix kernel,
     zero at the entries no index has."""
-    plan = coeffs.iset.prefix
-    D = np.zeros(plan.n_flat)
-    D[plan.gather] = coeffs.values
+    iset = coeffs.iset
+    D = np.zeros(iset.n_flat)
+    D[iset.gather] = coeffs.values
     return D
 
 
@@ -268,12 +261,11 @@ def _prefix_slot_sums(iset: _IndexSet, D: np.ndarray, KC: np.ndarray,
     each slot r, SY = sum_ab V*K_a*C_b, SZ = sum_{a>=1} V*K_{a-1}*C_b and
     SU = sum_{b>=1} V*K_a*b*C_{b-1}.
     """
-    plan = iset.prefix
     N = iset.N
     Mc = KC.shape[1]
     V = buf.get("W", KC.shape)
-    V[:] = D[:plan.n_kc, None]
-    for t in plan.tiles:
+    V[:] = D[:iset.n_kc, None]
+    for t in iset.tiles:
         m, n = t.hi - t.lo, t.c1 - t.c0
         _tile_rows(V[t.c0:t.c1], D[t.t0:t.t0 + m * n].reshape(m, n).T,
                    phi[t.lo:t.hi])
@@ -385,7 +377,7 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     running driver sums S, and Y[r] is written as the conditional value
     minus ``_sums_h * S[r]``, bit for bit what subtracting afterwards gives.
     """
-    _check_spec(coeffs, paths)
+    _check_grid(paths, coeffs.spec, "coefficients")
     _count("threads", threads, 1)  # refused before out; the chunk driver runs later
     N = coeffs.spec.N
     M = paths.M

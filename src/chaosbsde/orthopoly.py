@@ -34,27 +34,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stochastic_grid import _count, _finite_real
+from .stochastic_grid import _count, _finite_real, _first_non_finite
 
 __all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 
 MAX_DEGREE = 60
 
 
-def _check_degree(m_max: int) -> int:
-    """``m_max`` as a Python int; numpy integers count, bools do not."""
+def _checked(m_max: int, x) -> tuple[int, np.ndarray]:
+    """``m_max`` as a Python int (numpy integers count, bools do not) and x
+    as float64: ValueError for a degree above the cap or a non-finite x."""
     m_max = _count("m_max", m_max, 0)
     if m_max > MAX_DEGREE:
         raise ValueError(f"m_max = {m_max} exceeds the degree cap {MAX_DEGREE}")
-    return m_max
-
-
-def _finite(x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        raise ValueError(f"x must be finite, got {float(x[bad][0])!r}")
-    return x
+    bad = _first_non_finite(x)
+    if bad is not None:
+        raise ValueError(f"x must be finite, got {float(x[bad])!r}")
+    return m_max, x
 
 
 def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
@@ -65,8 +62,7 @@ def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
     since K_2(3) = (9 - 1)/2; hermite_batch(3, 2.0) is [1, 2, 1.5, 1/3]
     since K_3(2) = (8 - 6)/6.
     """
-    m_max = _check_degree(m_max)
-    x = _finite(x)
+    m_max, x = _checked(m_max, x)
     return _hermite_rows(m_max, x, np.empty((m_max + 1,) + x.shape))
 
 
@@ -79,11 +75,10 @@ def charlier_batch(m_max: int, x: np.ndarray, t: float) -> np.ndarray:
     three-term recurrence. ``t`` is a real number (TypeError otherwise,
     bools included), finite and >= 0 (ValueError otherwise).
     """
-    m_max = _check_degree(m_max)
+    m_max, x = _checked(m_max, x)
     t = _finite_real("t", t)
     if t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    x = _finite(x)
     return _charlier_rows(m_max, x, t, np.empty((m_max + 1,) + x.shape),
                           np.empty(x.shape))
 

@@ -41,9 +41,10 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .chaos_core import ChaosCoefficients, estimate
+from .chaos_core import ChaosCoefficients, _index_set, estimate
 from .chaos_eval import evaluate_grid
-from .stochastic_grid import (GridSpec, PathBatch, _count, _row_blocks,
+from .stochastic_grid import (GridSpec, PathBatch, _check_grid, _count,
+                             _finite_vector, _first_non_finite, _row_blocks,
                              sample_paths)
 
 __all__ = [
@@ -197,17 +198,7 @@ def terminal_samples(xi: TerminalFunctional, paths: PathBatch) -> np.ndarray:
     Returns a length-M float vector. Non-finite outputs are reported with
     the offending sample index.
     """
-    out = np.asarray(xi.eval(paths), dtype=np.float64)
-    if out.shape != (paths.M,):
-        raise ValueError(
-            f"terminal functional returned shape {out.shape}, expected ({paths.M},)")
-    bad = ~np.isfinite(out)
-    if bad.any():
-        m = int(np.argmax(bad))
-        raise ValueError(
-            f"terminal functional returned non-finite value {float(out[m])!r} "
-            f"at sample {m}")
-    return out
+    return _finite_vector("terminal functional", xi.eval(paths), paths.M)
 
 
 def _path_count(config: SolverConfig) -> int:
@@ -217,7 +208,10 @@ def _path_count(config: SolverConfig) -> int:
 
 
 def draw_paths(config: SolverConfig) -> PathBatch:
-    """Sample batch a solve with this config consumes."""
+    """Sample batch a solve with this config consumes. A p above the degree
+    cap, or a basis over the byte budget, is refused before any path is
+    drawn."""
+    _index_set(config.spec.N, config.p, build=False)
     return sample_paths(config.spec, _path_count(config), config.seed)
 
 
@@ -245,11 +239,10 @@ def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> 
                 vals = vals.copy()  # the sum overwrites it; keep f_i for the check
             with np.errstate(over="ignore", invalid="ignore"):
                 np.add(vals, Y[i - 1], out=Y[i])
-        finite = np.isfinite(Y[i])
-        if not finite.all():
-            m = int(np.argmin(finite))
-            where = f"at iteration {iteration + 1}, grid index {i}, sample {m}"
-            if np.isfinite(np.broadcast_to(vals, (M,))[m]):
+        bad = _first_non_finite(Y[i])
+        if bad is not None:
+            where = f"at iteration {iteration + 1}, grid index {i}, sample {bad[0]}"
+            if math.isfinite(np.broadcast_to(vals, (M,))[bad]):
                 raise ValueError(f"running driver sum overflowed {where}")
             raise ValueError(f"driver returned non-finite value {where}")
 
@@ -274,7 +267,8 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
         Most worker threads per estimation and evaluation call, >= 1; a call
         runs one where a second cannot overlap it
         (:func:`chaosbsde.chaos_core.estimate`). Never affects values.
-        Checked before any paths are drawn.
+        Checked, like p and the byte budget of the basis, before any paths
+        are drawn or the terminal functional is evaluated.
 
     Returns
     -------
@@ -284,13 +278,12 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     """
     _count("threads", threads, 1)
     spec = config.spec
+    _index_set(spec.N, config.p, build=False)
     if paths is None:
         paths = draw_paths(config)
     else:
         need = _path_count(config)
-        if paths.spec != spec:
-            raise ValueError(
-                f"provided paths use grid {paths.spec}, config expects {spec}")
+        _check_grid(paths, spec, "config")
         if paths.M != need:
             raise ValueError(
                 f"provided batch has {paths.M} paths, config ({config.sample_mode}) "
@@ -317,11 +310,10 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
             _driver_sums(driver, times, *grid, q)
         with np.errstate(over="ignore", invalid="ignore"):
             F = xi_est + h * grids[0][0][N]
-        bad = ~np.isfinite(F)
-        if bad.any():
+        bad = _first_non_finite(F)
+        if bad is not None:
             raise ValueError(
-                f"non-finite functional at iteration {q + 1}, "
-                f"sample {int(np.argmax(bad))}")
+                f"non-finite functional at iteration {q + 1}, sample {bad[0]}")
         coeffs = estimate(F, batches[0], config.p, threads=threads)
         if history is not None:
             history.append(coeffs)
@@ -331,11 +323,11 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     Y, Z, U = grids[-1]
     for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
         for r, row in enumerate(arr):
-            finite = np.isfinite(row)
-            if not finite.all():
+            bad = _first_non_finite(row)
+            if bad is not None:
                 raise ValueError(
                     f"non-finite {name} value in final grid at grid index {r}, "
-                    f"sample {int(np.argmin(finite))}")
+                    f"sample {bad[0]}")
 
     return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=coeffs,
                         history=tuple(history) if history is not None else None,

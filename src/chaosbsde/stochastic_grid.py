@@ -49,7 +49,7 @@ _DRAW_BLOCK = 1 << 16
 
 
 # The input rules of the whole package: every entry point checks its counts,
-# positive reals and jump mean with these.
+# positive reals, jump mean, arrays and batch grids with these.
 
 def _count(name: str, value, minimum: int) -> int:
     """``value`` as a Python int: TypeError unless it is an int (numpy
@@ -87,6 +87,37 @@ def _check_jump_mean(spec: "GridSpec") -> float:
             f"per-interval jump mean kappa*h = {mean:g} at N = {spec.N} exceeds "
             f"the supported maximum {MAX_POISSON_MEAN:g}; raise N")
     return mean
+
+
+def _first_non_finite(a: np.ndarray) -> tuple[int, ...] | None:
+    """Index of the first non-finite entry of ``a`` in C order of its
+    logical shape, whatever its memory layout, or None if there is none.
+    The scan makes one boolean temporary of a's shape."""
+    finite = np.isfinite(a)
+    if finite.all():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(finite), a.shape))
+
+
+def _finite_vector(name: str, values, length: int, at: str = "sample") -> np.ndarray:
+    """``values`` as a float64 vector of shape (length,): ValueError for
+    another shape, or for a non-finite entry, named by its ``at`` index."""
+    a = np.asarray(values, dtype=np.float64)
+    if a.shape != (length,):
+        raise ValueError(f"{name} has shape {a.shape}, expected ({length},)")
+    bad = _first_non_finite(a)
+    if bad is not None:
+        raise ValueError(f"{name} has a non-finite value {float(a[bad])!r} "
+                         f"at {at} {bad[0]}")
+    return a
+
+
+def _check_grid(paths: "PathBatch", spec: "GridSpec", owner: str) -> None:
+    """ValueError unless ``paths`` was sampled on ``spec``, the grid of
+    ``owner``."""
+    if paths.spec != spec:
+        raise ValueError(f"path batch grid {paths.spec} does not match the "
+                         f"{owner} grid {spec}")
 
 
 @dataclass(frozen=True)
@@ -177,10 +208,10 @@ class PathBatch:
             raise ValueError(f"G has shape {self.G.shape}, expected {expected}")
         if self.Q.shape != expected:
             raise ValueError(f"Q has shape {self.Q.shape}, expected {expected}")
-        if not np.isfinite(self.G).all():
-            m, i = np.argwhere(~np.isfinite(self.G))[0]
-            raise ValueError(f"G has a non-finite increment at sample {m}, "
-                             f"interval {i}: {float(self.G[m, i])!r}")
+        bad = _first_non_finite(self.G)
+        if bad is not None:
+            raise ValueError(f"G has a non-finite increment at sample {bad[0]}, "
+                             f"interval {bad[1]}: {float(self.G[bad])!r}")
         if not np.issubdtype(self.Q.dtype, np.integer):
             raise ValueError(f"Q must hold integer counts, got dtype {self.Q.dtype}")
         if (self.Q < 0).any():

@@ -1010,6 +1010,13 @@ class TestEstimate:
         with pytest.raises(ValueError):
             estimate(np.ones(small_paths.M + 1), small_paths, 2)
 
+    @pytest.mark.parametrize("call", [estimate, variance_diagnostic])
+    def test_first_non_finite_sample_is_named(self, small_paths, call):
+        F = np.ones(small_paths.M)
+        F[[12, 37]] = np.inf, np.nan
+        with pytest.raises(ValueError, match="F has a non-finite value inf at sample 12$"):
+            call(F, small_paths, 2)
+
     def test_rejects_non_finite_with_sample_index(self, small_paths):
         F = np.ones(small_paths.M)
         F[37] = np.nan

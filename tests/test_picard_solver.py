@@ -11,6 +11,7 @@ from chaosbsde import (
     Driver,
     GridSpec,
     PathBatch,
+    SizingError,
     SolverConfig,
     TerminalFunctional,
     draw_paths,
@@ -164,6 +165,33 @@ class TestSolverConfig:
         with pytest.raises(error, match="threads"):
             solve(cfg, Driver.zero(), TerminalFunctional.poisson_count(),
                   threads=threads)
+
+    @pytest.mark.parametrize("N, p, error, match", [
+        (50, 4, SizingError, "N=50, p=4 with 1 worker"),
+        (5, 61, ValueError, "p = 61 exceeds the degree cap 60"),
+    ])
+    def test_basis_refused_before_drawing_paths(self, monkeypatch, N, p, error, match):
+        import chaosbsde.picard_solver as ps
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("paths drawn before the basis was checked")
+
+        monkeypatch.setattr(ps, "sample_paths", no_draw)
+        cfg = SolverConfig(spec=GridSpec(T=1.0, N=N, kappa=1.0), p=p, K_it=1,
+                           M=1000, seed=0)
+        with pytest.raises(error, match=match):
+            draw_paths(cfg)
+        with pytest.raises(error, match=match):
+            solve(cfg, Driver.zero(), TerminalFunctional.poisson_count())
+        # Supplied paths: refused before the terminal functional runs.
+        paths = sample_paths(cfg.spec, cfg.M, seed=0)
+
+        def no_terminal(pb):
+            raise AssertionError("terminal functional evaluated first")
+
+        with pytest.raises(error, match=match):
+            solve(cfg, Driver.zero(), TerminalFunctional.custom(no_terminal),
+                  paths=paths)
 
     def test_draw_paths_independent_mode_doubles(self, spec5):
         reuse = draw_paths(SolverConfig(spec=spec5, p=1, K_it=1, M=30, seed=0))
@@ -364,6 +392,30 @@ class TestSolve:
                            match="non-finite Y value in final grid at grid index 2, "
                                  "sample 7$"):
             solve(cfg, Driver.custom(huge_once_on_second_batch),
+                  TerminalFunctional.poisson_count())
+
+    def test_final_grid_scan_names_the_first_bad_row(self):
+        # As above, but the driver sums of the evaluation batch are 1e308
+        # only at row 2, sample 7 and at row 4, sample 3: the scan goes row
+        # by row, so row 2 is named although its sample comes later.
+        spec = GridSpec(T=10.0, N=5, kappa=1.0)
+        cfg = SolverConfig(spec=spec, p=1, K_it=1, M=50, seed=13,
+                           sample_mode="independent")
+        calls = []
+
+        def spikes_on_second_batch(t, y, z, u):
+            calls.append(t)
+            out = np.zeros_like(y)
+            i = len(calls) - spec.N  # grid index on the evaluation batch
+            for row, m in ((2, 7), (4, 3)):
+                if i in (row, row + 1):
+                    out[m] = 1e308 if i == row else -1e308
+            return out
+
+        with pytest.raises(ValueError,
+                           match="non-finite Y value in final grid at grid index 2, "
+                                 "sample 7$"):
+            solve(cfg, Driver.custom(spikes_on_second_batch),
                   TerminalFunctional.poisson_count())
 
     def test_overflowing_functional_reports_iteration_and_sample(self):

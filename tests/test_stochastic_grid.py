@@ -261,6 +261,15 @@ class TestPathBatch:
         with pytest.raises(ValueError, match="sample 2, interval 0: inf"):
             paths.rows(10, 20)
 
+    def test_first_bad_increment_in_sample_order_is_named(self):
+        # On time-major storage (7, 1) comes before (3, 2) in memory; the
+        # refusal still names the first bad sample.
+        paths = sample_paths(self.SPEC, 40, seed=11)
+        paths.G[7, 1] = np.nan
+        paths.G[3, 2] = np.inf
+        with pytest.raises(ValueError, match="sample 3, interval 2: inf$"):
+            PathBatch(self.SPEC, paths.M, paths.G, paths.Q, seed=11)
+
     def test_sampled_batch_and_its_views_are_stored_as_given(self):
         paths = sample_paths(self.SPEC, 40, seed=11)
         again = PathBatch(self.SPEC, paths.M, paths.G, paths.Q, seed=11)

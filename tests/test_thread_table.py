@@ -40,3 +40,19 @@ def test_default_points_are_the_measured_ones():
     for call, N, p, _ in tool.MEASURED:
         assert any((N, p) == (n, q) and call in tool.GROUPS[group]
                    for group, n, q in groups)
+
+
+@pytest.mark.parametrize("t1, t2, full", [
+    ((0.2856, 0.2715), (0.15, 0.29), "**no**"),   # 0.951 at threads 1
+    ((0.30, 0.299), (0.20, 0.19), "**no**"),       # 0.950 at threads 2
+    ((0.30, 0.299), (0.20, 0.38), "yes"),
+], ids=["threads1_short", "threads2_short", "both_full"])
+def test_rows_mark_a_side_that_did_not_hold_a_full_core(monkeypatch, capsys, t1, t2, full):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "point_rows",
+                        lambda group, N, p, M, runs: [("estimate", {1: t1, 2: t2})])
+    assert tool.main(["--M", "2048", "prefix:4:3"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].strip("| ").split(" | ")
+    assert row[:4] == ["prefix", "estimate", "4", "3"]
+    ratios = [f"{c / w:.3f}" for w, c in (t1, t2)]
+    assert row[8:10] == [" / ".join(ratios), full]

@@ -5,7 +5,10 @@ Checks the worker rule of ``chaos_core._workers``: for each kernel call and
 threads-2 runs in this one process, their ratio, whether threads 2 won by
 the margin the rule asks for (a median wall time speedup of 1.10 or more),
 the worker count the shipped rule grants at threads 2, and whether that
-grant disagrees with the verdict just measured. :data:`MEASURED` holds the
+grant disagrees with the verdict just measured. Each side's CPU/wall
+ratio is shown too, and a row where either is below :data:`FULL_CORE` is
+marked: that process did not hold a full core while it was timed, so the
+row says nothing about a second worker. :data:`MEASURED` holds the
 median ratios the rule was fitted to; where a point was run in several
 series, its ratio is the median of the series' ratios (the mean of two).
 
@@ -98,8 +101,10 @@ DEFAULT_POINTS = list(dict.fromkeys(
      "pair_eval" if (call, p) == ("evaluate_grid", 2) else "prefix", N, p)
     for call, N, p, _ in MEASURED))
 
-# The margin a second worker must win by, and the fewest alternating runs.
+# The margin a second worker must win by, the least CPU/wall ratio of a
+# side that held a full core, and the fewest alternating runs.
 MARGIN = 0.10
+FULL_CORE = 0.97
 MIN_RUNS = 7
 K_IT = 3
 
@@ -240,16 +245,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < MIN_RUNS:
         ap.error(f"--runs must be >= {MIN_RUNS}")
     print("| group | call | N | p | M | wall t1 / t2 (s) | t1/t2 | "
-          "cpu t1 / t2 (s) | threads pay | rule grants | rule disagrees |")
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+          "cpu t1 / t2 (s) | cpu/wall t1 / t2 | full core | threads pay | "
+          "rule grants | rule disagrees |")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
     for group, N, p in args.points or DEFAULT_POINTS:
         M = args.M or default_m(N, p)
         for name, got in point_rows(group, N, p, M, args.runs):
             (w1, c1), (w2, c2) = got[1], got[2]
             pays = w1 >= (1 + MARGIN) * w2
+            full = min(c1 / w1, c2 / w2) >= FULL_CORE
             grant = rule_grant(name, N, p, M)
             print(f"| {group} | {name} | {N} | {p} | {M:.0e} | {w1:.4f} / {w2:.4f} | "
-                  f"{w1 / w2:.2f} | {c1:.4f} / {c2:.4f} | {'yes' if pays else 'no'} | "
+                  f"{w1 / w2:.2f} | {c1:.4f} / {c2:.4f} | {c1 / w1:.3f} / {c2 / w2:.3f} | "
+                  f"{'yes' if full else '**no**'} | {'yes' if pays else 'no'} | "
                   f"{grant} | {'**yes**' if (grant > 1) != pays else 'no'} |", flush=True)
     return 0
 
