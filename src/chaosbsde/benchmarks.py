@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterator
 
 import numpy as np
@@ -61,34 +61,41 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Example1Params:
-    """Counting-terminal benchmark parameters; kappa is pinned to 1. T and
-    kappa are checked and stored as :class:`GridSpec` stores them, and c,
-    any finite real number, as a Python float."""
-
-    c: float
-    T: float
-    kappa: float = 1.0
+class _Params:
+    """Checks and stores the fields of a benchmark's parameters in field
+    order, T and kappa last: T and kappa as :class:`GridSpec` stores them,
+    every other field, any finite real number, as a Python float."""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "c", _finite_real("c", self.c))
+        for name in (f.name for f in fields(self)):
+            if name not in ("T", "kappa"):
+                object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         for name in ("T", "kappa"):
             value = _finite_real(name, getattr(self, name), positive=True)
             object.__setattr__(self, name, value)
-        if self.kappa != 1.0:
-            raise ValueError(
-                f"this benchmark's closed form is stated for kappa = 1, got {self.kappa}")
 
     def grid(self, N: int) -> GridSpec:
         return GridSpec(T=self.T, N=N, kappa=self.kappa)
 
 
 @dataclass(frozen=True)
-class Example2Params:
-    """Exponential-Levy benchmark parameters. T and kappa are checked and
-    stored as :class:`GridSpec` stores them, and the other six, any finite
-    real numbers, as Python floats."""
+class Example1Params(_Params):
+    """Counting-terminal benchmark parameters; kappa is pinned to 1."""
+
+    c: float
+    T: float
+    kappa: float = 1.0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.kappa != 1.0:
+            raise ValueError(
+                f"this benchmark's closed form is stated for kappa = 1, got {self.kappa}")
+
+
+@dataclass(frozen=True)
+class Example2Params(_Params):
+    """Exponential-Levy benchmark parameters."""
 
     alpha: float
     beta: float
@@ -99,22 +106,18 @@ class Example2Params:
     kappa: float
     T: float
 
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "a", "b", "c"):
-            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
-        for name in ("T", "kappa"):
-            value = _finite_real(name, getattr(self, name), positive=True)
-            object.__setattr__(self, name, value)
 
-    def grid(self, N: int) -> GridSpec:
-        return GridSpec(T=self.T, N=N, kappa=self.kappa)
+def _time(params: _Params, t) -> np.ndarray:
+    """``t`` as float64, ValueError unless every entry lies in [0, T]."""
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t < 0) or np.any(t > params.T):
+        raise ValueError("t must lie in [0, T]")
+    return t
 
 
 def example1_exact(params: Example1Params, t, n_t):
     """Exact (y, z, u) of the counting benchmark at time t given N_t."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > params.T):
-        raise ValueError("t must lie in [0, T]")
+    t = _time(params, t)
     n_t = np.asarray(n_t)
     if np.any(n_t < 0):
         raise ValueError("N_t must be nonnegative")
@@ -128,9 +131,7 @@ def example1_exact(params: Example1Params, t, n_t):
 
 def example2_exact(params: Example2Params, t, b_t, n_t):
     """Exact (y, z, u) of the exponential-Levy benchmark at time t."""
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > params.T):
-        raise ValueError("t must lie in [0, T]")
+    t = _time(params, t)
     b_t = np.asarray(b_t, dtype=np.float64)
     n_t = np.asarray(n_t)
     rate = (params.alpha + ((params.b + params.beta) ** 2 - params.beta ** 2) / 2.0
@@ -174,7 +175,7 @@ class ExactGrid:
             yield self.row(times[r], sqrt_h * g_sum, counts)
 
 
-def _check_batch(params: Example1Params | Example2Params, paths: PathBatch) -> None:
+def _check_batch(params: _Params, paths: PathBatch) -> None:
     spec = paths.spec
     if spec.kappa != params.kappa or spec.T != params.T:
         raise ValueError(

@@ -324,18 +324,23 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
     return iset
 
 
-def _index_set(N: int, p, build: bool = True) -> _IndexSet | None:
-    """The index set for (N, p), once the byte budget admits it with one
-    worker's working set; p may be a numpy integer, not a bool. Without
-    ``build`` only these checks run, which are arithmetic, so a caller can
-    refuse a basis before it does any work for it."""
+def _admit_basis(N: int, p) -> int:
+    """p as a Python int, once the degree cap and the byte budget, with one
+    worker's working set, admit the basis for (N, p); p may be a numpy
+    integer, not a bool. The checks are arithmetic, so a caller can refuse
+    a basis before it does any work for it."""
     if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
         raise ValueError(f"p must be a nonnegative int, got {p!r}")
     if p > MAX_DEGREE:
         raise ValueError(f"p = {p} exceeds the degree cap {MAX_DEGREE}")
     p = int(p)
     _check_bytes(N, p, 1)
-    return _build_index_set(N, p) if build else None
+    return p
+
+
+def _index_set(N: int, p) -> _IndexSet:
+    """The index set for (N, p), once :func:`_admit_basis` admits it."""
+    return _build_index_set(N, _admit_basis(N, p))
 
 
 # A kernel call runs one worker where a second cannot overlap it: np.matmul
@@ -657,26 +662,38 @@ def _tile_sums(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> None:
         out += np.matmul(A[:, cut:], B[:, cut:].T)
 
 
+def _slot_factors(K: np.ndarray, C: np.ndarray, KC: np.ndarray, N: int,
+                  r: int = 0) -> None:
+    """Write the slot factors K_{d-b} * C_b (d = 1..p, b = 0..d) of slots
+    r, r + 1, ... into their rows of KC. K and C hold the degrees 0..p of
+    those slots, shape (p + 1, slots, Mc)."""
+    n, Mc = K.shape[1:]
+    for d in range(1, K.shape[0]):
+        rows = KC[_kc_row(N, d, r):_kc_row(N, d, r + n)]
+        np.multiply(K[d::-1], C[:d + 1],
+                    out=rows.reshape(n, d + 1, Mc).transpose(1, 0, 2))
+
+
 def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
                   buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray]:
     """Slot factors KC and prefix table Phi_pre of one chunk, time-major,
     written into ``buf``. The rows of ``G[sl].T`` and ``Q[sl].T`` go to the
     unchecked recurrences: a PathBatch holds only finite G and nonnegative
-    integer Q."""
+    integer Q. At p = 0 the tables are left unfilled: the sums kernel reads
+    only the sums of F there, and the evaluation kernel no table."""
     N = iset.N
     Gt = G[sl].T
     Mc = Gt.shape[1]
+    KC = buf.get("KC", (iset.n_kc, Mc))
+    phi = buf.get("phi", (iset.n_pre, Mc))
+    if iset.p == 0:
+        return KC, phi
     K = _hermite_rows(iset.p, Gt, buf.get("K", (iset.p + 1, N, Mc)))
     # KC's rows are scratch until the factors are formed below.
     C = _charlier_rows(iset.p, Q[sl].T, kh, buf.get("C", (iset.p + 1, N, Mc)),
                        buf.get("KC", (N, Mc)))
-    KC = buf.get("KC", (iset.n_kc, Mc))
-    for d in range(1, iset.p + 1):
-        rows = KC[_kc_row(N, d, 0):_kc_row(N, d + 1, 0)]
-        np.multiply(K[d::-1], C[:d + 1],
-                    out=rows.reshape(N, d + 1, Mc).transpose(1, 0, 2))
+    _slot_factors(K, C, KC, N)
     # One run at a time: the run's d + 1 factors times its parent rows.
-    phi = buf.get("phi", (iset.n_pre, Mc))
     phi[0] = 1.0
     for lo, hi, plo, n, k0, d in iset.segments:
         np.multiply(KC[k0:k0 + d + 1, None], phi[plo:plo + n],

@@ -62,10 +62,10 @@ import numpy as np
 
 from .chaos_core import (ChaosCoefficients, _chunk_tables, _ChunkBuffers,
                          _IndexSet, _kc_row, _pair_blocks, _run_chunks,
-                         _stacked_factors, _width)
+                         _slot_factors, _stacked_factors, _width)
 from .orthopoly import charlier_batch, hermite_batch
-from .stochastic_grid import (PathBatch, _check_grid, _count, _finite_real,
-                             _finite_vector)
+from .stochastic_grid import (PathBatch, _check_counts, _check_grid, _count,
+                             _finite_real, _finite_vector)
 
 __all__ = ["conditional_at", "evaluate_grid"]
 
@@ -109,9 +109,9 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
         raise ValueError(f"t = {t!r} outside ({t_lo}, {t_hi}] for r = {r}")
     dB = _finite_vector("dB", dB, M)
     dN = np.asarray(dN)
-    if (dN.shape != (M,) or not np.issubdtype(dN.dtype, np.integer)
-            or (dN < 0).any()):
-        raise ValueError(f"dN must be a nonnegative int vector of shape ({M},)")
+    if dN.shape != (M,):
+        raise ValueError(f"dN has shape {dN.shape}, expected ({M},)")
+    _check_counts("dN", dN)
 
     iset = coeffs.iset
     tau = t - t_lo
@@ -125,13 +125,11 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
         # Slot r's factors become the in-interval ones. The Phi_pre rows
         # built from the full-interval ones parent only indices supported
         # after slot r, whose sums are computed and not read.
-        K = hermite_batch(iset.p, g[sl])
-        C = charlier_batch(iset.p, dN[sl], spec.kappa * tau)
-        for d in range(1, iset.p + 1):
-            k0 = _kc_row(N, d, r - 1)
-            for b in range(d + 1):
-                np.multiply((tau / spec.h) ** ((d - b) / 2) * K[d - b], C[b],
-                            out=KC[k0 + b])
+        K = hermite_batch(iset.p, g[None, sl])
+        for a in range(1, iset.p + 1):
+            K[a] *= (tau / spec.h) ** (a / 2)
+        _slot_factors(K, charlier_batch(iset.p, dN[None, sl], spec.kappa * tau),
+                      KC, N, r - 1)
         SY, SZ, SU = _prefix_slot_sums(iset, D, KC, phi, buf)
         _cumulate(SY[:r], coeffs.d0)
         out[0, sl] = SY[r - 1]

@@ -56,27 +56,27 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .benchmarks import (
+    ExactGrid,
     Example1Params,
     Example2Params,
     error_norm,
-    example1_exact,
     example1_grid,
-    example2_exact,
     example2_grid,
 )
 from .chaos_core import ChaosCoefficients
 from .orthopoly import MAX_DEGREE
 from .picard_solver import (
+    _SAMPLE_MODES,
     Driver,
     SolverConfig,
     TerminalFunctional,
     draw_paths,
     solve,
 )
-from .stochastic_grid import GridSpec, _check_jump_mean
+from .stochastic_grid import _check_jump_mean
 
 __all__ = [
     "ExperimentConfig",
@@ -90,27 +90,43 @@ __all__ = [
 CSV_HEADER = ("example,p,N,M,q,seed,sample_mode,Y0,Z0,U0,"
               "exactY0,exactZ0,exactU0,errY,errZ,errU,wall_ms")
 
-# Sweep axis -> the SolverConfig field it sets. N is the one axis that is
-# not a field of its own: its value rebuilds the grid spec.
-_SWEEP_FIELDS = {"M": "M", "N": "spec", "p": "p", "q": "K_it", "seed": "seed"}
+# The integer keys, which are also the sweep axes: bounds (minimum, maximum
+# or None), which a key and every value of a sweep along it must keep, and
+# the SolverConfig field the key sets. N is the one key that is not a field
+# of its own: its value rebuilds the grid spec.
+_INT_KEYS = {"M": (1, None, "M"), "N": (1, None, "spec"), "p": (1, MAX_DEGREE, "p"),
+             "q": (1, None, "K_it"), "seed": (0, None, "seed")}
 
-# Bounds (minimum, maximum or None) of the integer keys, which are also the
-# sweep axes: a key and every value of a sweep along it are checked alike.
-_INT_BOUNDS = {"N": (1, None), "p": (1, MAX_DEGREE), "q": (1, None),
-               "M": (1, None), "seed": (0, None)}
+# The defaults every example shares; its row in _EXAMPLES sets the others.
+_DEFAULTS = dict(p=2, M=10_000, seed=0)
 
-_EXAMPLE_DEFAULTS = {
-    "example1": dict(T=1.0, N=20, kappa=1.0, q=5),
-    "example2": dict(T=2.0, N=50, kappa=3.0, q=10),
+
+@dataclass(frozen=True)
+class _Example:
+    """One of the paper's examples: its parameters class, the defaults of T,
+    N, kappa, q and of the class's own fields, its (driver, terminal
+    functional) and its exact grid along a batch."""
+
+    params: type
+    defaults: dict
+    problem: Callable[..., tuple[Driver, TerminalFunctional]]
+    exact_grid: Callable[..., ExactGrid]
+
+
+# The exact grids are looked up in this module when they run, so that a
+# replaced cli.example1_grid or cli.example2_grid is the one called.
+_EXAMPLES = {
+    "example1": _Example(
+        Example1Params, dict(T=1.0, N=20, kappa=1.0, q=5, c=0.5),
+        lambda pr: (Driver.linear_jump(pr.c), TerminalFunctional.poisson_count()),
+        lambda pr, paths: example1_grid(pr, paths)),
+    "example2": _Example(
+        Example2Params, dict(T=2.0, N=50, kappa=3.0, q=10, alpha=0.3, beta=0.3,
+                             gamma=0.2, a=-0.1, b=0.1, c=0.2),
+        lambda pr: (Driver.linear(pr.alpha, pr.beta, pr.gamma),
+                    TerminalFunctional.exp_levy(pr.a, pr.b, pr.c)),
+        lambda pr, paths: example2_grid(pr, paths)),
 }
-
-_PARAM_DEFAULTS = {
-    "example1": dict(c=0.5),
-    "example2": dict(alpha=0.3, beta=0.3, gamma=0.2, a=-0.1, b=0.1, c=0.2),
-}
-
-_COMMON_KEYS = ("example", "T", "N", "kappa", "p", "q", "M", "seed",
-                "sample_mode", "out", "sweep_axis", "sweep_values")
 
 
 class ConfigError(ValueError):
@@ -134,6 +150,7 @@ class _RawConfig:
     def __init__(self, path: str):
         self.path = path
         self.pairs: dict[str, tuple[str, int]] = {}
+        self.known: list[str] = []  # the keys asked for, in order
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -158,7 +175,8 @@ class _RawConfig:
             self.pairs[key] = (value, lineno)
 
     def take(self, key: str) -> Optional[tuple[str, int]]:
-        return self.pairs.pop(key, None)
+        self.known.append(key)
+        return self.pairs.get(key)
 
     def error(self, key: str, lineno: int, message: str) -> ConfigError:
         return ConfigError(f"{self.path}:{lineno}: field '{key}': {message}")
@@ -181,11 +199,11 @@ def _int_value(text: str) -> Optional[int]:
 def _bounded_int(raw: _RawConfig, key: str, lineno: int, text: str, axis: str,
                  label: str = "") -> int:
     """``text`` of field ``key`` as an integer within the bounds of ``axis``
-    in _INT_BOUNDS; ``label`` starts the message of a value out of them."""
+    in _INT_KEYS; ``label`` starts the message of a value out of them."""
     value = _int_value(text)
     if value is None:
         raise raw.error(key, lineno, f"expected an integer, got {text!r}")
-    minimum, maximum = _INT_BOUNDS[axis]
+    minimum, maximum, _ = _INT_KEYS[axis]
     if value < minimum:
         below = "positive" if minimum == 1 else f">= {minimum}"
         raise raw.error(key, lineno, f"{label}must be {below}, got {value}")
@@ -236,40 +254,31 @@ def parse_config(path: str) -> ExperimentConfig:
     unknown keys, or invalid values.
     """
     raw = _RawConfig(path)
-    example = _parse_choice(raw, "example", None, ("example1", "example2"))
-    defaults = _EXAMPLE_DEFAULTS[example]
+    example = _parse_choice(raw, "example", None, tuple(_EXAMPLES))
+    row = _EXAMPLES[example]
+    defaults = {**_DEFAULTS, **row.defaults}
 
     T = _parse_float(raw, "T", defaults["T"], positive=True)
-    N_line = raw.pairs.get("N", (None, None))[1]
-    N = _parse_int(raw, "N", defaults["N"])
     kappa = _parse_float(raw, "kappa", defaults["kappa"], positive=True)
-    p = _parse_int(raw, "p", 2)
-    q = _parse_int(raw, "q", defaults["q"])
-    M = _parse_int(raw, "M", 10_000)
-    seed = _parse_int(raw, "seed", 0)
-    sample_mode = _parse_choice(raw, "sample_mode", "reuse", ("reuse", "independent"))
+    ints = {key: _parse_int(raw, key, defaults[key]) for key in _INT_KEYS}
+    sample_mode = _parse_choice(raw, "sample_mode", "reuse", _SAMPLE_MODES)
     out_got = raw.take("out")
     output_path = out_got[0] if out_got else "results.csv"
     if not output_path:
         raise raw.error("out", out_got[1], "must be a nonempty path")
 
-    pvals = {}
-    for key, default in _PARAM_DEFAULTS[example].items():
-        pvals[key] = _parse_float(raw, key, default)
+    pvals = {f.name: _parse_float(raw, f.name, defaults[f.name])
+             for f in dataclasses.fields(row.params) if f.name not in ("T", "kappa")}
 
-    sweep_axis_got = raw.take("sweep_axis")
+    axis = _parse_choice(raw, "sweep_axis", "", tuple(_INT_KEYS))
     sweep_values_got = raw.take("sweep_values")
     sweep: Optional[tuple[str, tuple[int, ...]]] = None
-    if sweep_axis_got is None and sweep_values_got is not None:
+    if not axis and sweep_values_got is not None:
         raise raw.error("sweep_values", sweep_values_got[1],
                         "sweep_values given without sweep_axis")
-    if sweep_axis_got is not None:
-        axis, axis_line = sweep_axis_got
-        if axis not in _SWEEP_FIELDS:
-            raise raw.error("sweep_axis", axis_line,
-                            f"must be one of {', '.join(_SWEEP_FIELDS)}; got {axis!r}")
+    if axis:
         if sweep_values_got is None:
-            raise raw.error("sweep_axis", axis_line,
+            raise raw.error("sweep_axis", raw.pairs["sweep_axis"][1],
                             "sweep_axis given without sweep_values")
         text, lineno = sweep_values_got
         values = []
@@ -284,63 +293,45 @@ def parse_config(path: str) -> ExperimentConfig:
                             "values must be strictly increasing")
         sweep = (axis, tuple(values))
 
-    if raw.pairs:
-        key, (_, lineno) = next(iter(raw.pairs.items()))
-        valid = _COMMON_KEYS + tuple(_PARAM_DEFAULTS[example])
-        raise raw.error(key, lineno,
-                        f"unknown key for {example}; valid keys: {', '.join(valid)}")
+    for key, (_, lineno) in raw.pairs.items():
+        if key not in raw.known:
+            raise raw.error(key, lineno, f"unknown key for {example}; "
+                                         f"valid keys: {', '.join(raw.known)}")
 
-    if example == "example1":
-        if kappa != 1.0:
-            raise ConfigError(
-                f"{path}: example1's closed-form benchmark pins kappa = 1, got {kappa}")
-        params: Union[Example1Params, Example2Params] = Example1Params(
-            c=pvals["c"], T=T, kappa=kappa)
-    else:
-        params = Example2Params(alpha=pvals["alpha"], beta=pvals["beta"],
-                                gamma=pvals["gamma"], a=pvals["a"], b=pvals["b"],
-                                c=pvals["c"], kappa=kappa, T=T)
+    try:
+        params = row.params(T=T, kappa=kappa, **pvals)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     # Every grid the run will sample must pass sample_paths' jump-mean cap.
-    if sweep is not None and sweep[0] == "N":
-        grids, key, lineno = sweep[1], "sweep_values", sweep_values_got[1]
-    else:
-        grids, key, lineno = (N,), "N", N_line
-    for n in grids:
+    key = "sweep_values" if sweep is not None and sweep[0] == "N" else "N"
+    lineno = raw.pairs.get(key, (None, None))[1]
+    for n in sweep[1] if key == "sweep_values" else (ints["N"],):
         try:
-            _check_jump_mean(GridSpec(T=T, N=n, kappa=kappa))
+            _check_jump_mean(params.grid(n))
         except ValueError as exc:
             if lineno is None:
                 raise ConfigError(f"{path}: {exc}") from None
             raise raw.error(key, lineno, str(exc)) from None
 
-    solver = SolverConfig(spec=GridSpec(T=T, N=N, kappa=kappa), p=p, K_it=q,
-                          M=M, seed=seed, sample_mode=sample_mode)
+    solver = SolverConfig(spec=params.grid(ints.pop("N")), sample_mode=sample_mode,
+                          **{_INT_KEYS[k][2]: v for k, v in ints.items()})
     return ExperimentConfig(example=example, params=params, solver=solver,
                             sweep=sweep, output_path=output_path)
 
 
-def _sweep_points(config: ExperimentConfig) -> list[SolverConfig]:
+def _sweep_points(config: ExperimentConfig) -> list[tuple[Optional[int], SolverConfig]]:
+    """(swept value, solver config) of each point; the value of a single
+    run is None."""
     base = config.solver
     if config.sweep is None:
-        return [base]
+        return [(None, base)]
     axis, values = config.sweep
     points = []
     for v in values:
-        if axis == "N":
-            v = dataclasses.replace(base.spec, N=v)
-        points.append(dataclasses.replace(base, **{_SWEEP_FIELDS[axis]: v}))
+        setting = dataclasses.replace(base.spec, N=v) if axis == "N" else v
+        points.append((v, dataclasses.replace(base, **{_INT_KEYS[axis][2]: setting})))
     return points
-
-
-def _problem(config: ExperimentConfig) -> tuple[Driver, TerminalFunctional]:
-    if config.example == "example1":
-        assert isinstance(config.params, Example1Params)
-        return Driver.linear_jump(config.params.c), TerminalFunctional.poisson_count()
-    assert isinstance(config.params, Example2Params)
-    pr = config.params
-    return (Driver.linear(pr.alpha, pr.beta, pr.gamma),
-            TerminalFunctional.exp_levy(pr.a, pr.b, pr.c))
 
 
 def _fmt(x: float) -> str:
@@ -376,8 +367,7 @@ def run(config: ExperimentConfig, *, threads: int = 1,
     Returns 0 iff every point completed, coefficient dumps included; on failure
     keeps the rows written so far, reports the error on stderr and returns 1.
     """
-    points = _sweep_points(config)
-    driver, xi = _problem(config)
+    driver, xi = _EXAMPLES[config.example].problem(config.params)
     axis = config.sweep[0] if config.sweep else None
     try:
         fh = open(config.output_path, "w", encoding="utf-8", newline="\n")
@@ -387,31 +377,18 @@ def run(config: ExperimentConfig, *, threads: int = 1,
         return 1
     with fh:
         fh.write(CSV_HEADER + "\n")
-        for point in points:
+        for value, point in _sweep_points(config):
             try:
                 row, coeffs = _run_point(config, point, driver, xi, threads)
                 fh.write(row + "\n")
                 fh.flush()
                 if dump_coeffs:
-                    value = _axis_value(axis, point)
                     write_coefficients(coeffs, _dump_path(config.output_path, axis, value))
             except Exception as exc:  # noqa: BLE001 - boundary reporting
-                print(f"chaosbsde: sweep point failed ({_point_label(axis, point)}): "
-                      f"{exc}", file=sys.stderr)
+                label = "single run" if axis is None else f"{axis}={value}"
+                print(f"chaosbsde: sweep point failed ({label}): {exc}", file=sys.stderr)
                 return 1
     return 0
-
-
-def _axis_value(axis: Optional[str], point: SolverConfig) -> Optional[int]:
-    if axis is None:
-        return None
-    return point.spec.N if axis == "N" else getattr(point, _SWEEP_FIELDS[axis])
-
-
-def _point_label(axis: Optional[str], point: SolverConfig) -> str:
-    if axis is None:
-        return "single run"
-    return f"{axis}={_axis_value(axis, point)}"
 
 
 def _run_point(config: ExperimentConfig, point: SolverConfig, driver: Driver,
@@ -421,12 +398,8 @@ def _run_point(config: ExperimentConfig, point: SolverConfig, driver: Driver,
     t0 = time.perf_counter()
     grid = solve(point, driver, xi, paths=paths, threads=threads)
     wall_ms = (time.perf_counter() - t0) * 1e3
-    if config.example == "example1":
-        exact = example1_grid(config.params, grid.paths)
-        y0, z0, u0 = example1_exact(config.params, 0.0, 0)
-    else:
-        exact = example2_grid(config.params, grid.paths)
-        y0, z0, u0 = example2_exact(config.params, 0.0, 0.0, 0)
+    exact = _EXAMPLES[config.example].exact_grid(config.params, grid.paths)
+    y0, z0, u0 = (float(v[0]) for v in next(exact.rows()))
     errY, errZ, errU = error_norm(grid, exact, point.spec)
     fields = [
         config.example,

@@ -41,7 +41,7 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .chaos_core import ChaosCoefficients, _index_set, estimate
+from .chaos_core import ChaosCoefficients, _admit_basis, estimate
 from .chaos_eval import evaluate_grid
 from .stochastic_grid import (GridSpec, PathBatch, _check_grid, _count,
                              _finite_vector, _first_non_finite, _row_blocks,
@@ -211,7 +211,7 @@ def draw_paths(config: SolverConfig) -> PathBatch:
     """Sample batch a solve with this config consumes. A p above the degree
     cap, or a basis over the byte budget, is refused before any path is
     drawn."""
-    _index_set(config.spec.N, config.p, build=False)
+    _admit_basis(config.spec.N, config.p)
     return sample_paths(config.spec, _path_count(config), config.seed)
 
 
@@ -278,10 +278,10 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     """
     _count("threads", threads, 1)
     spec = config.spec
-    _index_set(spec.N, config.p, build=False)
     if paths is None:
         paths = draw_paths(config)
     else:
+        _admit_basis(spec.N, config.p)
         need = _path_count(config)
         _check_grid(paths, spec, "config")
         if paths.M != need:

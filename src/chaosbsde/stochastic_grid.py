@@ -112,6 +112,18 @@ def _finite_vector(name: str, values, length: int, at: str = "sample") -> np.nda
     return a
 
 
+def _check_counts(name: str, a: np.ndarray, axes: tuple[str, ...] = ("sample",)) -> None:
+    """ValueError unless ``a`` holds integer counts >= 0; the first negative
+    count in C order is named by its index along ``axes``."""
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{name} must hold integer counts, got dtype {a.dtype}")
+    negative = a < 0
+    if negative.any():
+        at = np.unravel_index(np.argmax(negative), a.shape)
+        where = ", ".join(f"{axis} {int(i)}" for axis, i in zip(axes, at))
+        raise ValueError(f"{name} has a negative count at {where}: {int(a[at])}")
+
+
 def _check_grid(paths: "PathBatch", spec: "GridSpec", owner: str) -> None:
     """ValueError unless ``paths`` was sampled on ``spec``, the grid of
     ``owner``."""
@@ -212,12 +224,7 @@ class PathBatch:
         if bad is not None:
             raise ValueError(f"G has a non-finite increment at sample {bad[0]}, "
                              f"interval {bad[1]}: {float(self.G[bad])!r}")
-        if not np.issubdtype(self.Q.dtype, np.integer):
-            raise ValueError(f"Q must hold integer counts, got dtype {self.Q.dtype}")
-        if (self.Q < 0).any():
-            m, i = np.argwhere(self.Q < 0)[0]
-            raise ValueError(f"Q has a negative count at sample {m}, interval {i}: "
-                             f"{int(self.Q[m, i])}")
+        _check_counts("Q", self.Q, ("sample", "interval"))
         for name in ("G", "Q"):
             a = getattr(self, name)
             if a.strides[0] != a.itemsize:

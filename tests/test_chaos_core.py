@@ -652,7 +652,7 @@ class TestHeldSums:
 class TestOneSizingCheck:
     """Every kernel call is sized once, by the chunk driver, for the workers
     the rule grants it, before it starts a thread or allocates a chunk
-    buffer. The only other check is the index set's own, for one worker."""
+    buffer. The only other check is the basis admission's, for one worker."""
 
     M = 3 * 1024 + 5  # four chunks
 
@@ -685,21 +685,30 @@ class TestOneSizingCheck:
         from chaosbsde import chaos_core
 
         paths, F, coeffs = self.case(p)
-        check = chaos_core._check_bytes
-        checked = []
+        check, admit = chaos_core._check_bytes, chaos_core._admit_basis
+        checked, admitting = [], []
 
         def spy(N, p, workers, held=0):
-            checked.append((sys._getframe(1).f_code.co_name, workers))
+            caller = sys._getframe(1).f_code.co_name
+            checked.append(("admission" if admitting else caller, workers))
             check(N, p, workers, held)
 
+        def spy_admit(N, p):
+            admitting.append(True)
+            try:
+                return admit(N, p)
+            finally:
+                admitting.pop()
+
         monkeypatch.setattr(chaos_core, "_check_bytes", spy)
+        monkeypatch.setattr(chaos_core, "_admit_basis", spy_admit)
         grants = []
         for entry, asked, call in self.calls(paths, F, coeffs, threads):
             checked.clear()
             call()
             grants.append(chaos_core._workers(asked, self.M, coeffs.iset, entry))
             assert [w for fn, w in checked if fn == "_run_chunks"] == grants[-1:]
-            assert all(fn == "_index_set" and w == 1
+            assert all(fn == "admission" and w == 1
                        for fn, w in checked if fn != "_run_chunks")
         # Under the lowered rule every call shares but conditional_at.
         assert grants == [threads] * 3 + [1]

@@ -300,6 +300,16 @@ class TestConditionalAt:
         with pytest.raises(ValueError):
             conditional_at(coeffs, path3, 1, spec3.h / 2, dB=[0.0], dN=[-1])
 
+    def test_negative_jump_count_is_named(self, spec3):
+        # The rule of PathBatch's Q: the first negative count, by sample.
+        paths = sample_paths(spec3, 4, seed=5)
+        coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
+        with pytest.raises(ValueError, match="dN has a negative count at sample 0: -1"):
+            conditional_at(coeffs, paths.rows(0, 1), 1, spec3.h / 2, dB=[0.0], dN=[-1])
+        with pytest.raises(ValueError, match="dN has a negative count at sample 1: -3"):
+            conditional_at(coeffs, paths, 1, spec3.h / 2, dB=np.zeros(4),
+                           dN=[0, -3, 2, -1])
+
     def test_rejects_float_jump_count(self, spec3, path3):
         coeffs = coefficients_from_entries(spec3, 2, d0=1.0)
         with pytest.raises(ValueError, match="dN"):

@@ -15,6 +15,8 @@ from chaosbsde import (
     SolverConfig,
     TerminalFunctional,
     estimate,
+    example1_exact,
+    example2_exact,
     sample_paths,
     solve,
 )
@@ -94,6 +96,20 @@ class TestParseConfig:
         message = str(exc.value)
         assert f"{path}:2" in message
         assert "bogus" in message and "valid keys" in message
+
+    @pytest.mark.parametrize("example, own", [
+        ("example1", ["c"]),
+        ("example2", ["alpha", "beta", "gamma", "a", "b", "c"]),
+    ])
+    def test_unknown_key_lists_exactly_the_valid_keys(self, tmp_path, example, own):
+        path = write_cfg(tmp_path, f"example = {example}\nbogus = 3\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        listed = str(exc.value).split("valid keys: ")[1].split(", ")
+        common = ["example", "T", "N", "kappa", "p", "q", "M", "seed", "sample_mode",
+                  "out", "sweep_axis", "sweep_values"]
+        assert len(listed) == len(set(listed))
+        assert sorted(listed) == sorted(common + own)
 
     def test_example2_param_rejected_for_example1(self, tmp_path):
         with pytest.raises(ConfigError, match="alpha"):
@@ -250,6 +266,23 @@ class TestRun:
         assert float(row["exactU0"]) == 1.0
         assert float(row["errY"]) >= 0.0
         assert float(row["wall_ms"]) > 0.0
+
+    @pytest.mark.parametrize("example, params, exact", [
+        ("example1", "", lambda pr: example1_exact(pr, 0.0, 0)),
+        ("example2", "", lambda pr: example2_exact(pr, 0.0, 0.0, 0)),
+        ("example2", "a = 0.4\nb = -0.7\nc = -0.3\n",
+         lambda pr: example2_exact(pr, 0.0, 0.0, 0)),
+    ], ids=["example1", "example2", "example2_negative_b"])
+    def test_exact_columns_are_the_closed_form_at_time_zero(self, tmp_path, example,
+                                                             params, exact):
+        out = tmp_path / "r.csv"
+        cfg = parse_config(write_cfg(
+            tmp_path, f"example = {example}\nN = 4\nM = 50\nq = 1\nout = {out}\n"
+                      + params))
+        assert run(cfg) == 0
+        _, (row,) = read_rows(out)
+        want = ["%.17g" % v for v in exact(cfg.params)]
+        assert [row[k] for k in ("exactY0", "exactZ0", "exactU0")] == want
 
     def test_sweep_of_one_equals_single_run(self, tmp_path):
         out_a = tmp_path / "a.csv"

@@ -193,6 +193,25 @@ class TestSolverConfig:
             solve(cfg, Driver.zero(), TerminalFunctional.custom(no_terminal),
                   paths=paths)
 
+    def test_a_solve_admits_its_basis_once(self, monkeypatch, spec5):
+        import chaosbsde.picard_solver as ps
+
+        admit, admitted = ps._admit_basis, []
+
+        def spy(N, p):
+            admitted.append((N, p))
+            return admit(N, p)
+
+        monkeypatch.setattr(ps, "_admit_basis", spy)
+        cfg = SolverConfig(spec=spec5, p=2, K_it=1, M=30, seed=0)
+        for run in (lambda: draw_paths(cfg),
+                    lambda: solve(cfg, Driver.zero(), TerminalFunctional.poisson_count()),
+                    lambda: solve(cfg, Driver.zero(), TerminalFunctional.poisson_count(),
+                                  paths=sample_paths(spec5, 30, seed=0))):
+            admitted.clear()
+            run()
+            assert admitted == [(spec5.N, 2)]
+
     def test_draw_paths_independent_mode_doubles(self, spec5):
         reuse = draw_paths(SolverConfig(spec=spec5, p=1, K_it=1, M=30, seed=0))
         indep = draw_paths(SolverConfig(spec=spec5, p=1, K_it=1, M=30, seed=0,
