@@ -107,20 +107,21 @@ class Example2Params(_Params):
     T: float
 
 
-def _time(params: _Params, t) -> np.ndarray:
-    """``t`` as float64, ValueError unless every entry lies in [0, T]."""
+def _state(params: _Params, t, n_t) -> tuple[np.ndarray, np.ndarray]:
+    """``t`` as float64 and ``n_t`` as an array, ValueError unless every t
+    lies in [0, T] and every N_t is >= 0 (NaN does neither)."""
     t = np.asarray(t, dtype=np.float64)
-    if np.any(t < 0) or np.any(t > params.T):
+    if not np.all((t >= 0) & (t <= params.T)):
         raise ValueError("t must lie in [0, T]")
-    return t
+    n_t = np.asarray(n_t)
+    if not np.all(n_t >= 0):
+        raise ValueError("N_t must be nonnegative")
+    return t, n_t
 
 
 def example1_exact(params: Example1Params, t, n_t):
     """Exact (y, z, u) of the counting benchmark at time t given N_t."""
-    t = _time(params, t)
-    n_t = np.asarray(n_t)
-    if np.any(n_t < 0):
-        raise ValueError("N_t must be nonnegative")
+    t, n_t = _state(params, t, n_t)
     y = n_t + (1.0 + params.c) * (params.T - t)
     z = np.zeros_like(y, dtype=np.float64)
     u = np.ones_like(y, dtype=np.float64)
@@ -131,9 +132,10 @@ def example1_exact(params: Example1Params, t, n_t):
 
 def example2_exact(params: Example2Params, t, b_t, n_t):
     """Exact (y, z, u) of the exponential-Levy benchmark at time t."""
-    t = _time(params, t)
+    t, n_t = _state(params, t, n_t)
     b_t = np.asarray(b_t, dtype=np.float64)
-    n_t = np.asarray(n_t)
+    if not np.all(np.isfinite(b_t)):
+        raise ValueError("B_t must be finite")
     rate = (params.alpha + ((params.b + params.beta) ** 2 - params.beta ** 2) / 2.0
             + (math.exp(params.c) - 1.0) * (params.kappa + params.gamma))
     y = np.exp(params.a * params.T + params.b * b_t + params.c * n_t

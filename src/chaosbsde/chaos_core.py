@@ -29,11 +29,12 @@ a lower-order one by the prefix recursion of :class:`_IndexSet`; every
 sum is then an entry of the product of those basis products with F times
 the slot factors, taken in tiles of its block triangle (:func:`_prefix_tiles`)
 over fixed sample blocks small enough for BLAS to run single-threaded, so
-results do not depend on the BLAS thread count either. Only
-:func:`estimate` at p = 2 has a kernel of its own, several times faster:
-with the stacked first-order factors X = [K1; C1] (2N rows, one column per
-sample), row sums of F*X give the units and the upper block triangle of
-(F*X) X^T every order-2 sum, under the same bound (:func:`_width`).
+results do not depend on the BLAS thread count either. :func:`_kernel`
+names the kernel a call runs; :func:`estimate`'s pair kernel at p = 2 is
+several times faster: with the stacked first-order factors X = [K1; C1]
+(2N rows, one column per sample), row sums of F*X give the units and the
+upper block triangle of (F*X) X^T every order-2 sum, under the same bound
+(:func:`_width`).
 """
 
 from __future__ import annotations
@@ -113,8 +114,8 @@ class SizingError(ValueError):
 @dataclass(frozen=True, eq=False)
 class _IndexSet:
     """Dense enumeration of the truncated basis for (N, p), rank-ordered,
-    and the layout of the prefix recursion behind the general kernels, which
-    run at every p except the p = 2 :func:`estimate` and ``evaluate_grid``.
+    and the layout of the prefix recursion behind the prefix kernels, which
+    run wherever :func:`_kernel` names no pair kernel.
     Its arrays are shared by every solve at (N, p), so they are read-only.
 
     Let r be the last slot of index j's support, (a, b) its Hermite and
@@ -343,14 +344,23 @@ def _index_set(N: int, p) -> _IndexSet:
     return _build_index_set(N, _admit_basis(N, p))
 
 
+_PAIR_KERNELS = {"estimate": "pair_sums", "evaluate_grid": "pair_eval"}
+
+
+def _kernel(call: str, p: int) -> str:
+    """The chunk kernel ``call`` runs at order p: its closed-form pair kernel
+    at p = 2, where one pays, else its prefix-recursion kernel, "prefix"."""
+    return _PAIR_KERNELS.get(call, "prefix") if p == 2 else "prefix"
+
+
 # A kernel call runs one worker where a second cannot overlap it: np.matmul
 # holds the GIL through a product of at most ~500 output entries, and an
 # elementwise call on fewer than ~2**15 entries ends before a second thread
 # gets it, so a call made of such calls serialises at any thread count. The
-# p = 2 pair kernels of estimate and evaluate_grid loop over such products
-# and run one worker up to these N; every other call, a prefix-family one,
-# until its chunk averages _GIL_ENTRIES entries per numpy call. Measured by
-# tools/thread_table.py at threads 2 on 2 vCPUs (pays at median t1/t2 >= 1.1).
+# pair kernels loop over such products and run one worker up to these N; a
+# prefix kernel until its chunk averages _GIL_ENTRIES entries per numpy
+# call. Measured by tools/thread_table.py at threads 2 on 2 vCPUs (pays at
+# median t1/t2 >= 1.1).
 _PAIR_SUMS_ONE_WORKER_TO, _PAIR_EVAL_ONE_WORKER_TO = 80, 20
 _GIL_ENTRIES = 1 << 16
 
@@ -358,14 +368,15 @@ _GIL_ENTRIES = 1 << 16
 def _workers(threads: int, M: int, iset: _IndexSet, call: str) -> int:
     """Worker threads of ``call`` on M samples of ``iset``: one by the rule
     above, else min(threads, chunks), so ``threads`` (checked) is a cap. A
-    prefix-family chunk makes 8p - 4 recurrence calls (2 at p = 0) on N rows
+    prefix-kernel chunk makes 8p - 4 recurrence calls (2 at p = 0) on N rows
     each, p products into KC, which its own pass reads again, and one product
     per Phi_pre segment and per tile, each tile entry a dot product over the
     chunk; ``evaluate_grid`` also writes 3N rows of slot sums and copies them."""
     threads = _count("threads", threads, 1)
     N, p = iset.N, iset.p
-    if p == 2 and call in ("estimate", "evaluate_grid"):
-        one = N <= (_PAIR_SUMS_ONE_WORKER_TO if call == "estimate" else
+    kernel = _kernel(call, p)
+    if kernel != "prefix":
+        one = N <= (_PAIR_SUMS_ONE_WORKER_TO if kernel == "pair_sums" else
                     _PAIR_EVAL_ONE_WORKER_TO)
     else:
         rec = max(8 * p - 4, 2)
@@ -376,17 +387,18 @@ def _workers(threads: int, M: int, iset: _IndexSet, call: str) -> int:
 
 
 def _buffer_rows(N: int, p: int) -> dict[str, dict[str, int]]:
-    """Rows of one worker's chunk buffers, by kernel family and name. Every
-    p has the prefix family; at p = 2 the pair family adds X = [K1; C1], its
-    slot-block-major copy XS and T.
-    The budget charges both; a call allocates only the family it uses.
+    """Rows of one worker's chunk buffers, by kernel family and name: the
+    prefix family, which every p has, and the pair family of X = [K1; C1],
+    its slot-block-major copy XS and T, which both pair kernels share, where
+    :func:`_kernel` runs one. The budget charges every family a call at
+    (N, p) can use; a call allocates only its kernel's.
     KC and W are charged a row per pair (a, b) and slot; the kernels store
     no row for (0, 0), so N rows of each stay unused."""
     n_kc = (p + 1) * (p + 2) // 2 * N
     rows = {"prefix": {"K": (p + 1) * N, "C": (p + 1) * N, "KC": n_kc, "W": n_kc,
                        "phi": 1 + _basis_count(N, p - 1) if p >= 1 else 1,
                        "S": 3 * N}}
-    if p == 2:
+    if any(_kernel(call, p) != "prefix" for call in _PAIR_KERNELS):
         rows["pair"] = {"X": 2 * N, "XS": 2 * N, "T": 2 * N}
     return rows
 
@@ -554,7 +566,7 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
 
 
 class _ChunkBuffers:
-    """One worker's chunk arrays, for both kernel families, reused for every
+    """One worker's chunk arrays for one kernel family, reused for every
     chunk it runs within one call: :func:`_run_chunks` gives each stripe of
     chunks, and so each thread of a call, its own. The evaluation kernels
     return their slot sums as views of these arrays, valid until the
@@ -566,16 +578,15 @@ class _ChunkBuffers:
     return the pages to the operating system, so the next chunk faults them
     in again: ~19,000 minor faults per call at N=10, p=3, M=2e4, and up to
     515,000 per solve at N=50, p=2, M=1e5, q=5 (~19,000 with these buffers).
-    The rows come from :func:`_buffer_rows`. A family's buffers are one
-    block, allocated at the first use of any of them: both families up
-    front cost ~5 MB of peak RSS at N=20, p=2, M=1e5, and one array per name
-    3.5x the faults.
+    ``rows`` is the running kernel's family in :func:`_buffer_rows`, one
+    block: both families would cost ~5 MB more peak RSS at N=20, p=2,
+    M=1e5, and one array per name 3.5x the faults.
     """
 
-    def __init__(self, iset: _IndexSet, width: int):
-        self._families = tuple(_buffer_rows(iset.N, iset.p).values())
-        self._width = width
-        self._flat: dict[str, np.ndarray] = {}
+    def __init__(self, rows: dict[str, int], width: int):
+        block = np.empty(sum(rows.values()) * width)
+        ends = np.cumsum([0, *rows.values()]) * width
+        self._flat = {name: block[a:b] for name, a, b in zip(rows, ends, ends[1:])}
 
     def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """Contiguous view of buffer ``name`` with this shape (the chunk's
@@ -584,13 +595,6 @@ class _ChunkBuffers:
         once KC is built; "T" holds F*X in the pair sums kernel
         and T in the pair evaluation kernel, and "XS" there the
         slot-block-major factors, then SY and an (N, width) scratch."""
-        if name not in self._flat:
-            rows = next(family for family in self._families if name in family)
-            block = np.empty(sum(rows.values()) * self._width)
-            start = 0
-            for key, n in rows.items():
-                self._flat[key] = block[start:start + n * self._width]
-                start += n * self._width
         return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
@@ -608,17 +612,20 @@ def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int, call: str,
     k - 1 threads started for the call run the others, one stripe each,
     and their results are held until every stripe is done. An error
     in a stripe is raised when its results would be yielded. Each thread
-    builds one :class:`_ChunkBuffers` and passes it as ``buf`` to every
-    chunk of its stripe. A held result must outlive the next chunk of its
+    starts its stripe with one :class:`_ChunkBuffers` of the buffer family
+    of the kernel :func:`_kernel` names, and passes it as ``buf`` to every
+    chunk of the stripe. A held result must outlive the next chunk of its
     thread, so a chunk function must not return views of its buffers."""
     slices = [slice(a, min(a + _CHUNK, M)) for a in range(0, M, _CHUNK)]
     k = _workers(threads, M, iset, call)
     cuts = [len(slices) * i // k for i in range(k + 1)]
     runs = [slices[a:b] for a, b in zip(cuts, cuts[1:])]
     _check_bytes(iset.N, iset.p, k, result_bytes * (len(slices) - len(runs[0])))
+    family = "prefix" if _kernel(call, iset.p) == "prefix" else "pair"
+    rows = _buffer_rows(iset.N, iset.p)[family]
 
     def stripe(run: list[slice]):
-        buf = _ChunkBuffers(iset, min(_CHUNK, M))
+        buf = _ChunkBuffers(rows, min(_CHUNK, M))
         for sl in run:
             yield chunk_fn(sl, buf)
 
@@ -742,8 +749,8 @@ def _raw_sums(F, paths: PathBatch, p, threads: int, squares: bool
     """The index set for (N, p) and the sums of F*Phi_n over every sample,
     with the sums of (F*Phi_n)**2 appended when ``squares``."""
     iset = _index_set(paths.spec.N, p)
-    pair = iset.p == 2 and not squares
     call = "variance_diagnostic" if squares else "estimate"
+    pair = _kernel(call, iset.p) == "pair_sums"
     kh = paths.spec.jump_mean
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> np.ndarray:

@@ -24,29 +24,29 @@ the bucket of its support slot, giving the chunk's slot sums (SY, SZ, SU),
 one row per slot; one writer (:func:`_write_rows`) turns them into rows
 1..N, the value rows by a cumulative sum over r, so the full r = 0..N sweep
 is O(#indices) per path. The chunks run under the chunk driver of
-:func:`chaosbsde.chaos_core._run_chunks`. The general kernel forms one sum V
+:func:`chaosbsde.chaos_core._run_chunks`. The prefix kernel forms one sum V
 per (support slot, Hermite and Charlier degree there) of coefficients times
 the basis products of their prefix-recursion parents, which gives all three.
 V is the transposed product of the sums kernel: the coefficients, scattered
 into its tiles, times the basis products below order p, tile by tile over
-sample blocks small enough for BLAS to run single-threaded. It serves every
-p but 2, where a pair kernel is several times faster: with the stacked
-first-order factors X = [K1; C1] (2N rows, one column per sample), the
-product W^T X with the 2N x 2N pair-coefficient matrix W gives both
-derivative sums at every slot, and the value sum follows from them
-elementwise. W is zero wherever the input factor's slot is later than the
-output's, so the product is taken per block of output slots from a
-slot-block-major copy of X: the Z and U rows of slots s0:s1 read only the
-factors of slots before s1, under the same single-threaded bound (see
-:func:`chaosbsde.chaos_core._width`).
+sample blocks small enough for BLAS to run single-threaded. It runs wherever
+``chaos_core._kernel`` names "prefix"; the pair kernel, "pair_eval", is
+several times faster: with the stacked first-order factors X = [K1; C1]
+(2N rows, one column per sample), the product W^T X with the 2N x 2N
+pair-coefficient matrix W gives both derivative sums at every slot, and the
+value sum follows from them elementwise. W is zero wherever the input
+factor's slot is later than the output's, so the product is taken per block
+of output slots from a slot-block-major copy of X: the Z and U rows of slots
+s0:s1 read only the factors of slots before s1, under the same
+single-threaded bound (see :func:`chaosbsde.chaos_core._width`).
 
 ``conditional_at`` refines this to a time t inside interval r, for every
 path of a batch given its partial increments accumulated since t_{r-1}:
 each index is scaled by theta**(nB[r]/2) with theta = (t - t_{r-1})/h, its
 Hermite factor is evaluated at the partial increment standardized by the
 elapsed time, and its Charlier factor at the partial count with mean
-kappa*(t - t_{r-1}). It runs the prefix kernel of ``evaluate_grid``, at
-every p, on the whole grid with interval r's factors K_a * C_b replaced by
+kappa*(t - t_{r-1}). It runs the prefix kernel, the one ``_kernel`` names
+for it, on the whole grid with interval r's factors K_a * C_b replaced by
 theta**(a/2) * K_a * C_b at the partial increments, and reads interval r's
 slot sums, accumulating the value sums up to it. At t = t_r with the full
 interval increments it gives row r of ``evaluate_grid``.
@@ -61,8 +61,8 @@ from typing import Optional
 import numpy as np
 
 from .chaos_core import (ChaosCoefficients, _chunk_tables, _ChunkBuffers,
-                         _IndexSet, _kc_row, _pair_blocks, _run_chunks,
-                         _slot_factors, _stacked_factors, _width)
+                         _IndexSet, _kc_row, _kernel, _pair_blocks,
+                         _run_chunks, _slot_factors, _stacked_factors, _width)
 from .orthopoly import charlier_batch, hermite_batch
 from .stochastic_grid import (PathBatch, _check_counts, _check_grid, _count,
                              _finite_real, _finite_vector)
@@ -396,20 +396,16 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
                 raise ValueError(f"out {a} and {b} share memory")
     kh = coeffs.spec.jump_mean
     iset = coeffs.iset
-    if coeffs.p == 2:
-        plan = _pair_plan(coeffs)
-
-        def sums(sl: slice, buf: _ChunkBuffers):
-            return _pair_slot_sums(plan, kh, paths.G, paths.Q, sl, buf)
-    else:
-        D = _prefix_coeffs(coeffs)
-
-        def sums(sl: slice, buf: _ChunkBuffers):
-            KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
-            return _prefix_slot_sums(iset, D, KC, phi, buf)
+    pair = _kernel("evaluate_grid", coeffs.p) == "pair_eval"
+    plan = _pair_plan(coeffs) if pair else _prefix_coeffs(coeffs)
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> None:
-        _write_rows(sums(sl, buf), coeffs, (Y, Z, U), sl, _sums_h)
+        if pair:
+            S = _pair_slot_sums(plan, kh, paths.G, paths.Q, sl, buf)
+        else:
+            KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
+            S = _prefix_slot_sums(iset, plan, KC, phi, buf)
+        _write_rows(S, coeffs, (Y, Z, U), sl, _sums_h)
 
     for _ in _run_chunks(chunk, iset, M, threads, "evaluate_grid", 0):
         pass

@@ -164,6 +164,18 @@ REFUSALS = {
     "example1_count": (lambda: example1_exact(EX1, 0.5, -1), "N_t must be nonnegative"),
     "example2_time": (lambda: example2_exact(PAPER2, -0.1, 0.0, 0),
                       r"t must lie in \[0, T\]"),
+    "example1_time_nan": (lambda: example1_exact(EX1, math.nan, 0), r"t must lie in \[0, T\]"),
+    "example1_count_nan": (lambda: example1_exact(EX1, 0.5, [1.0, math.nan]),
+                           "N_t must be nonnegative"),
+    "example2_time_nan": (lambda: example2_exact(PAPER2, math.nan, 0.0, 0),
+                          r"t must lie in \[0, T\]"),
+    "example2_brownian_nan": (lambda: example2_exact(PAPER2, 0.5, math.nan, 0),
+                              "B_t must be finite"),
+    "example2_brownian_inf": (lambda: example2_exact(PAPER2, 0.5, [0.0, -math.inf], 0),
+                              "B_t must be finite"),
+    "example2_count_nan": (lambda: example2_exact(PAPER2, 0.5, 0.0, math.nan),
+                           "N_t must be nonnegative"),
+    "example2_count": (lambda: example2_exact(PAPER2, 0.5, 0.0, -1), "N_t must be nonnegative"),
     "example1_grid": (lambda: example1_grid(EX1, OTHER_PATHS),
                       r"paths grid \(T=2\.0, kappa=1\.0\) does not match "
                       r"params \(T=1\.0, kappa=1\.0\)"),

@@ -387,6 +387,60 @@ class TestChunkBuffers:
                 assert np.array_equal(a, b)
 
 
+class TestKernelChoice:
+    """Each call runs the chunk kernel chaos_core._kernel names for it at
+    its p, and every stripe's buffers hold that kernel's family only."""
+
+    # The chunk function of each kernel, by kind of call.
+    SUMS = {"pair_sums": "_fast_sums_chunk", "prefix": "_prefix_sums_chunk"}
+    EVALUATION = {"pair_eval": "_pair_slot_sums", "prefix": "_prefix_slot_sums"}
+    FAMILY = {"pair_sums": {"X", "XS", "T"}, "pair_eval": {"X", "XS", "T"},
+              "prefix": {"K", "C", "KC", "W", "phi", "S"}}
+
+    @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
+    def test_each_call_runs_its_named_kernel(self, monkeypatch, p):
+        from chaosbsde import chaos_core, chaos_eval
+
+        ran, families = [], []
+        for module, names in ((chaos_core, self.SUMS), (chaos_eval, self.EVALUATION)):
+            for name in names.values():
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    ran.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+
+        class Recorded(chaos_core._ChunkBuffers):
+            def __init__(self, rows, width):
+                families.append(set(rows))
+                super().__init__(rows, width)
+
+        monkeypatch.setattr(chaos_core, "_ChunkBuffers", Recorded)
+        spec = GridSpec(T=1.0, N=4, kappa=2.0)
+        paths = sample_paths(spec, 3 * 1024 + 5, seed=67)  # four chunks
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        coeffs = estimate(F, paths, p)
+        r = 2
+        calls = {
+            "estimate": lambda: estimate(F, paths, p, threads=2),
+            "variance_diagnostic": lambda: variance_diagnostic(F, paths, p, threads=2),
+            "evaluate_grid": lambda: evaluate_grid(coeffs, paths, threads=2),
+            "conditional_at": lambda: conditional_at(
+                coeffs, paths, r, spec.times()[r], paths.G[:, r - 1] * np.sqrt(spec.h),
+                paths.Q[:, r - 1]),
+        }
+        for call, run in calls.items():
+            ran.clear()
+            families.clear()
+            run()
+            kernel = chaos_core._kernel(call, p)
+            kinds = self.SUMS if call in ("estimate", "variance_diagnostic") else self.EVALUATION
+            assert ran == [kinds[kernel]] * 4, call
+            stripes = 1 if call == "conditional_at" else 2
+            assert families == [self.FAMILY[kernel]] * stripes, call
+        assert chaos_core._kernel("estimate", p) == ("pair_sums" if p == 2 else "prefix")
+        assert chaos_core._kernel("evaluate_grid", p) == ("pair_eval" if p == 2 else "prefix")
+
+
 class TestChunkStripes:
     """At threads >= 2 the chunk driver gives each thread one contiguous
     stripe of chunks and yields the results in chunk order, so every
@@ -819,16 +873,18 @@ class TestBufferLayout:
 
     @pytest.mark.parametrize("p", [0, 1, 2, 3, 4])
     def test_buffers_fit_the_worker_charge(self, p):
-        from chaosbsde.chaos_core import (_buffer_rows, _build_index_set, _ChunkBuffers,
-                                          _worker_bytes)
+        from chaosbsde.chaos_core import _buffer_rows, _ChunkBuffers, _worker_bytes
 
         N = 6
-        buf = _ChunkBuffers(_build_index_set(N, p), 1024)
         rows = _buffer_rows(N, p)
+        held = 0
         for family in rows.values():
+            buf = _ChunkBuffers(family, 1024)
             for name, n in family.items():
                 buf.get(name, (n, 1024))
-        held = sum(a.nbytes for a in buf._flat.values())
+            block = sum(a.nbytes for a in buf._flat.values())
+            assert block == 8 * 1024 * sum(family.values())
+            held += block
         assert 0 < held <= _worker_bytes(N, p)
         assert ("pair" in rows) == (p == 2)
 

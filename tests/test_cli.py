@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +21,7 @@ from chaosbsde import (
     sample_paths,
     solve,
 )
+from chaosbsde import cli
 from chaosbsde.cli import (
     CSV_HEADER,
     ConfigError,
@@ -61,6 +63,34 @@ class TestParseConfig:
         assert cfg.params.c == 0.5
         assert cfg.sweep is None
         assert cfg.output_path == "results.csv"
+
+    @staticmethod
+    def documented_defaults():
+        """{example: {key: text}} of every default the cli module docstring
+        states, in its key table and its problem-parameter paragraph."""
+        doc = cli.__doc__
+        table, rest = doc[doc.index("Common keys"):].split("Problem parameters:", 1)
+        stated = {name: {} for name in cli._EXAMPLES}
+        for key, texts in re.findall(r"^    (\w+) .*\(([^)]*)\)$", table, re.M):
+            texts = [text.split(",")[0].strip() for text in texts.split(" / ")]
+            for name, text in zip(stated, texts * len(stated) if len(texts) == 1 else texts):
+                stated[name][key] = text
+        paragraph = " ".join(rest.split("\n\n", 1)[0].split())
+        for keys, name, texts in re.findall(
+                r"``([^`]+)`` for (\w+) \((?:[^)]*, )?defaults? ([^)]*)\)", paragraph):
+            stated[name].update(zip(keys.split(", "), texts.split(", ")))
+        return stated
+
+    @pytest.mark.parametrize("example", ["example1", "example2"])
+    def test_module_docstring_states_the_defaults(self, tmp_path, example):
+        stated = self.documented_defaults()[example]
+        want = {**cli._DEFAULTS, **cli._EXAMPLES[example].defaults}
+        assert set(want) <= set(stated)
+        for key, value in want.items():
+            assert type(value)(stated[key]) == value, key
+        cfg = parse_config(write_cfg(tmp_path, f"example = {example}\n"))
+        assert stated["sample_mode"] == cfg.solver.sample_mode
+        assert stated["out"] == cfg.output_path
 
     def test_example2_defaults_and_overrides(self, tmp_path):
         text = """

@@ -36,10 +36,8 @@ def test_rows_show_the_rule_grant_and_any_disagreement(capsys):
 def test_default_points_are_the_measured_ones():
     tool = load_tool()
     assert ("prefix", 2, 8) in tool.DEFAULT_POINTS and ("prefix", 3, 8) in tool.DEFAULT_POINTS
-    groups = {(group, N, p) for group, N, p in tool.DEFAULT_POINTS}
     for call, N, p, _ in tool.MEASURED:
-        assert any((N, p) == (n, q) and call in tool.GROUPS[group]
-                   for group, n, q in groups)
+        assert (chaos_core._kernel(call, p), N, p) in tool.DEFAULT_POINTS
 
 
 @pytest.mark.parametrize("t1, t2, full", [
@@ -56,3 +54,20 @@ def test_rows_mark_a_side_that_did_not_hold_a_full_core(monkeypatch, capsys, t1,
     assert row[:4] == ["prefix", "estimate", "4", "3"]
     ratios = [f"{c / w:.3f}" for w, c in (t1, t2)]
     assert row[8:10] == [" / ".join(ratios), full]
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--M", "0", "prefix:4:3"], "--M must be >= 1"),
+    (["--M", "-5", "prefix:4:3"], "--M must be >= 1"),
+    (["prefix:0:3"], "N must be >= 1 and p >= 0, got 'prefix:0:3'"),
+    (["prefix:4:-1"], "N must be >= 1 and p >= 0, got 'prefix:4:-1'"),
+    (["pair_sums:4:3"], "no call runs the kernel 'pair_sums' at p = 3"),
+], ids=["M0", "M_negative", "N0", "p_negative", "pair_off_p2"])
+def test_bad_arguments_are_refused_before_the_table(monkeypatch, capsys, argv, error):
+    tool = load_tool()
+    monkeypatch.setattr(tool, "point_rows", lambda group, N, p, M, runs: [])
+    with pytest.raises(SystemExit) as exit:
+        tool.main(argv)
+    assert exit.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and error in err

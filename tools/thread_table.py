@@ -24,12 +24,10 @@ While it measures, only the kernels under test may run a second worker (the
 rule's constants are swapped), so the threads-2 column shows what a second
 worker would do, not what the rule allows.
 
-A point is ``group:N:p``, where the group names the calls it times:
-
-* ``pair_sums``: ``estimate`` at p = 2 (the pair sums kernel);
-* ``pair_eval``: ``evaluate_grid`` at p = 2 (the pair evaluation kernel);
-* ``prefix``: ``estimate`` and ``evaluate_grid`` at every other p, in the
-  same solves, and ``variance_diagnostic`` at every p.
+A point is ``group:N:p``, where the group is a chunk kernel as
+``chaos_core._kernel`` names them (``pair_sums``, ``pair_eval`` or
+``prefix``), and the point times each call of :data:`CALLS` that runs that
+kernel at p.
 
 Run from the repository root, with nothing else busy on the machine:
 
@@ -40,7 +38,7 @@ M is 1e5 at p <= 2, 2e4 at p = 3 and 1e4 above, cut at large N to bound
 memory (:func:`default_m`), and ``--M`` overrides it. The BLAS thread count
 is left as inherited: every kernel product is small enough that BLAS runs
 it on the calling thread. CPU time is the process's, so it counts the
-second worker too.
+second worker too. M and N must be at least 1, and p at least 0.
 """
 
 from __future__ import annotations
@@ -59,10 +57,8 @@ from chaosbsde import (Driver, Example1Params, SolverConfig, TerminalFunctional,
                        variance_diagnostic)
 from chaosbsde import chaos_core, picard_solver
 
-# The calls each group times.
+# The calls the tool times; conditional_at always runs one worker.
 CALLS = ("estimate", "evaluate_grid", "variance_diagnostic")
-GROUPS = {"pair_sums": ("estimate",), "pair_eval": ("evaluate_grid",),
-          "prefix": CALLS}
 
 # (call, N, p, median t1/t2 wall time) of every measured point, at threads 2
 # on 2 vCPUs under KVM (numpy 2.4.6, OpenBLAS 0.3.31). p <= 7 are the points
@@ -96,10 +92,8 @@ MEASURED = (
 )
 
 # The measured points, as the groups that time them.
-DEFAULT_POINTS = list(dict.fromkeys(
-    ("pair_sums" if (call, p) == ("estimate", 2) else
-     "pair_eval" if (call, p) == ("evaluate_grid", 2) else "prefix", N, p)
-    for call, N, p, _ in MEASURED))
+DEFAULT_POINTS = list(dict.fromkeys((chaos_core._kernel(call, p), N, p)
+                                    for call, N, p, _ in MEASURED))
 
 # The margin a second worker must win by, the least CPU/wall ratio of a
 # side that held a full core, and the fewest alternating runs.
@@ -206,19 +200,17 @@ def isolated(names: tuple[str, ...], N: int, p: int, M: int, runs: int):
 
 
 def point_rows(group: str, N: int, p: int, M: int, runs: int):
-    """(call, {threads: (wall, cpu)}) of one point."""
-    names = GROUPS[group]
+    """(call, {threads: (wall, cpu)}) of each call that runs the kernel
+    ``group`` at p."""
+    names = [call for call in CALLS if group == chaos_core._kernel(call, p)]
+    # The solver runs no variance_diagnostic and refuses p = 0.
+    solved = [name for name in names if p and name != "variance_diagnostic"]
+    rest = [name for name in names if name not in solved]
     with grant_only(group):
-        if p == 0:
-            got = isolated(names, N, p, M, runs)
-        else:
-            got = in_solves(N, p, M, runs) if group != "prefix" or p != 2 else {}
-            if group == "prefix":
-                got.update(isolated(("variance_diagnostic",), N, p, M, runs))
-    # At p = 2 the prefix group's estimate and evaluate_grid run the pair
-    # kernels, which the other two groups time.
-    return [(name, got[name]) for name in names
-            if name in got and (group != "prefix" or p != 2 or name == "variance_diagnostic")]
+        got = in_solves(N, p, M, runs) if solved else {}
+        if rest:
+            got.update(isolated(rest, N, p, M, runs))
+    return [(name, got[name]) for name in names]
 
 
 def rule_grant(call: str, N: int, p: int, M: int = 100_000) -> int:
@@ -228,11 +220,12 @@ def rule_grant(call: str, N: int, p: int, M: int = 100_000) -> int:
 
 def parse_point(text: str) -> tuple[str, int, int]:
     group, N, p = text.split(":")
-    if group not in GROUPS:
-        raise argparse.ArgumentTypeError(f"unknown group {group!r}")
-    if group != "prefix" and int(p) != 2:
-        raise argparse.ArgumentTypeError(f"{group} runs at p = 2 only")
-    return group, int(N), int(p)
+    N, p = int(N), int(p)
+    if N < 1 or p < 0:
+        raise argparse.ArgumentTypeError(f"N must be >= 1 and p >= 0, got {text!r}")
+    if group not in {chaos_core._kernel(call, p) for call in CALLS}:
+        raise argparse.ArgumentTypeError(f"no call runs the kernel {group!r} at p = {p}")
+    return group, N, p
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -244,6 +237,8 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     if args.runs < MIN_RUNS:
         ap.error(f"--runs must be >= {MIN_RUNS}")
+    if args.M is not None and args.M < 1:
+        ap.error("--M must be >= 1")
     print("| group | call | N | p | M | wall t1 / t2 (s) | t1/t2 | "
           "cpu t1 / t2 (s) | cpu/wall t1 / t2 | full core | threads pay | "
           "rule grants | rule disagrees |")
