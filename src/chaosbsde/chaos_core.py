@@ -47,7 +47,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .orthopoly import MAX_DEGREE, _charlier_rows, _hermite_rows
+from .orthopoly import _charlier_rows, _degree, _hermite_rows
 from .stochastic_grid import (GridSpec, PathBatch, _count, _finite_vector,
                              _first_non_finite)
 
@@ -174,17 +174,13 @@ class _IndexSet:
                         range(self.J)))
 
     def rank(self, key) -> int:
-        """Rank of the index ``key = (nB, nP)``: ValueError for a malformed
-        key, KeyError for one outside the truncation."""
+        """Rank of the index ``key = (nB, nP)``: ValueError for vectors not of
+        length N, each degree a count >= 0 (``_count``: TypeError, ValueError
+        otherwise), KeyError for an index outside the truncation."""
         nB, nP = key
         if len(nB) != self.N or len(nP) != self.N:
             raise ValueError(f"index {key!r} needs two degree vectors of length {self.N}")
-        degs = []
-        for d in (*nB, *nP):
-            if (isinstance(d, (bool, np.bool_)) or not isinstance(d, (int, np.integer))
-                    or d < 0):
-                raise ValueError(f"degrees must be nonnegative ints, got {d!r}")
-            degs.append(int(d))
+        degs = [_count("degree", d, 0) for d in (*nB, *nP)]
         # Checked before packing: each degree is then at most p, so its byte
         # cannot wrap around onto another index's.
         if sum(degs) > self.p:
@@ -326,15 +322,10 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
 
 
 def _admit_basis(N: int, p) -> int:
-    """p as a Python int, once the degree cap and the byte budget, with one
-    worker's working set, admit the basis for (N, p); p may be a numpy
-    integer, not a bool. The checks are arithmetic, so a caller can refuse
-    a basis before it does any work for it."""
-    if not isinstance(p, (int, np.integer)) or isinstance(p, bool) or p < 0:
-        raise ValueError(f"p must be a nonnegative int, got {p!r}")
-    if p > MAX_DEGREE:
-        raise ValueError(f"p = {p} exceeds the degree cap {MAX_DEGREE}")
-    p = int(p)
+    """p as a Python int, once the degree rule (``orthopoly._degree``) and
+    the byte budget at one worker admit the basis for (N, p); both are
+    arithmetic, so a caller can refuse a basis before any work for it."""
+    p = _degree("p", p)
     _check_bytes(N, p, 1)
     return p
 
@@ -470,8 +461,9 @@ class ChaosCoefficients:
         return self.iset.degP
 
     def entry(self, n) -> float:
-        """Coefficient of the index ``n = (nB, nP)``, two degree vectors of
-        length N (KeyError if outside the truncation)."""
+        """Coefficient of the index ``n = (nB, nP)``, two vectors of length
+        N of int degrees >= 0 (TypeError, ValueError otherwise); KeyError
+        if outside the truncation."""
         return float(self.values[self.iset.rank(n)])
 
     def weights(self) -> np.ndarray:
@@ -799,10 +791,10 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
         and the sums their stripes hold, would exceed the byte budget,
         checked before allocating.
     TypeError
-        If threads is not an int.
+        If p or threads is not an int (bools included).
     ValueError
-        If F is not finite, threads is below 1, or a coefficient overflows
-        float64.
+        If F is not finite, p is negative or above the degree cap 60,
+        threads is below 1, or a coefficient overflows float64.
     """
     F = _finite_vector("F", F, paths.M)
     iset, raw = _raw_sums(F, paths, p, threads, squares=False)
@@ -825,9 +817,9 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     every product c * Phi_n still fluctuates.
 
     ``threads`` caps the worker threads as in :func:`estimate`; this call
-    runs the prefix kernels at every p. Raises SizingError, TypeError and
-    ValueError as :func:`estimate` does, and ValueError when a variance
-    overflows float64.
+    runs the prefix kernels at every p. Raises SizingError, TypeError (p or
+    threads not an int) and ValueError as :func:`estimate` does, and
+    ValueError when M < 2 or a variance overflows float64.
     """
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")

@@ -41,12 +41,18 @@ __all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 MAX_DEGREE = 60
 
 
+def _degree(name: str, value) -> int:
+    """``value`` as a count >= 0 (``_count``), ValueError above MAX_DEGREE."""
+    value = _count(name, value, 0)
+    if value > MAX_DEGREE:
+        raise ValueError(f"{name} = {value} exceeds the degree cap {MAX_DEGREE}")
+    return value
+
+
 def _checked(m_max: int, x) -> tuple[int, np.ndarray]:
-    """``m_max`` as a Python int (numpy integers count, bools do not) and x
-    as float64: ValueError for a degree above the cap or a non-finite x."""
-    m_max = _count("m_max", m_max, 0)
-    if m_max > MAX_DEGREE:
-        raise ValueError(f"m_max = {m_max} exceeds the degree cap {MAX_DEGREE}")
+    """``m_max`` as a degree (:func:`_degree`) and x as float64: ValueError
+    for a non-finite x."""
+    m_max = _degree("m_max", m_max)
     x = np.asarray(x, dtype=np.float64)
     bad = _first_non_finite(x)
     if bad is not None:
@@ -111,7 +117,8 @@ def _charlier_rows(m_max: int, x: np.ndarray, t: float, out: np.ndarray,
         np.subtract(x, t, out=out[1, ...])
     for m in range(1, m_max):
         nxt = out[m + 1, ...]
-        np.subtract(x, m, out=nxt)  # (x - m) - t, as the formula groups it
+        # (x - m) - t, as the formula groups it, in float64: unsigned x wraps.
+        np.subtract(x, m, out=nxt, dtype=np.float64)
         nxt -= t
         nxt *= out[m]
         nxt -= np.multiply(m * t, out[m - 1], out=tmp)

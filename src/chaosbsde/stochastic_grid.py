@@ -51,12 +51,12 @@ _DRAW_BLOCK = 1 << 16
 # The input rules of the whole package: every entry point checks its counts,
 # positive reals, jump mean, arrays and batch grids with these.
 
-def _count(name: str, value, minimum: int) -> int:
+def _count(name: str, value, minimum: int | None) -> int:
     """``value`` as a Python int: TypeError unless it is an int (numpy
-    integers count, bools do not), ValueError below ``minimum``."""
+    integers count, bools do not), ValueError below a ``minimum`` given."""
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
 
@@ -192,10 +192,10 @@ class PathBatch:
     seed : int
         Seed the batch was generated from (kept for audit trails).
 
-    The constructor, and so :meth:`rows`, raises ValueError for an M that
-    is not an int of at least 1, a shape other than (M, N), a non-finite
-    increment in G, or a Q that is not an integer array or has a negative
-    count: the kernels cannot use such a batch.
+    The constructor, and so :meth:`rows`, raises TypeError for a non-int M
+    (bools included), and ValueError for an M below 1, a shape other than
+    (M, N), a non-finite increment in G, or a Q that is not an integer
+    array or has a negative count: the kernels cannot use such a batch.
 
     G and Q are always transposed views of time-major (N, M) arrays, and
     :meth:`rows` takes column views of those. A batch from
@@ -211,10 +211,7 @@ class PathBatch:
     seed: int
 
     def __post_init__(self) -> None:
-        if (isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer))
-                or self.M < 1):
-            raise ValueError(f"M must be an int >= 1, got {self.M!r}")
-        object.__setattr__(self, "M", int(self.M))
+        object.__setattr__(self, "M", _count("M", self.M, 1))
         expected = (self.M, self.spec.N)
         if self.G.shape != expected:
             raise ValueError(f"G has shape {self.G.shape}, expected {expected}")
@@ -232,7 +229,9 @@ class PathBatch:
 
     def rows(self, start: int, stop: int) -> "PathBatch":
         """View of sample paths start..stop-1 as a new batch (no copy); on
-        time-major storage these are columns start..stop-1."""
+        time-major storage these are columns start..stop-1. start and stop
+        are ints (TypeError otherwise), 0 <= start < stop <= M (ValueError)."""
+        start, stop = _count("start", start, None), _count("stop", stop, None)
         if not (0 <= start < stop <= self.M):
             raise ValueError(f"invalid row range [{start}, {stop}) for M={self.M}")
         return PathBatch(self.spec, stop - start, self.G[start:stop],

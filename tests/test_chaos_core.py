@@ -948,10 +948,11 @@ class TestEnumeration:
 
     def test_rejects_bad_arguments(self):
         spec = GridSpec(T=1.0, N=3, kappa=1.0)
-        for p in (-1, 2.0, True, 61):
-            with pytest.raises(ValueError):
+        for p, error in ((-1, ValueError), (2.0, TypeError), (True, TypeError),
+                         (61, ValueError)):
+            with pytest.raises(error):
                 coefficients_from_entries(spec, p)
-            with pytest.raises(ValueError):
+            with pytest.raises(error):
                 ChaosCoefficients(d0=0.0, values=np.zeros(0), p=p, spec=spec)
 
 
@@ -1138,20 +1139,20 @@ class TestCoefficientsContainer:
             with pytest.raises(KeyError):
                 coefficients_from_entries(small_spec, 2, entries={key: 1.0})
 
-    @pytest.mark.parametrize("key", [
-        ((1, 0, 0), (0, 0, 0, 0)),              # nB too short
-        ((1, 0, 0, 0), (0, 0, 0, 0, 0)),        # nP too long
-        ((1, 0, 0, 0), (0, 0, 0, 0), (0,)),     # three vectors
-        ((-1, 0, 0, 0), (1, 0, 0, 0)),          # negative
-        ((1.0, 0, 0, 0), (0, 0, 0, 0)),         # float
-        ((True, 0, 0, 0), (0, 0, 0, 0)),        # bool
-        ((np.True_, 0, 0, 0), (0, 0, 0, 0)),    # numpy bool
+    @pytest.mark.parametrize("key, error", [
+        (((1, 0, 0), (0, 0, 0, 0)), ValueError),              # nB too short
+        (((1, 0, 0, 0), (0, 0, 0, 0, 0)), ValueError),        # nP too long
+        (((1, 0, 0, 0), (0, 0, 0, 0), (0,)), ValueError),     # three vectors
+        (((-1, 0, 0, 0), (1, 0, 0, 0)), ValueError),          # negative
+        (((1.0, 0, 0, 0), (0, 0, 0, 0)), TypeError),          # float
+        (((True, 0, 0, 0), (0, 0, 0, 0)), TypeError),         # bool
+        (((np.True_, 0, 0, 0), (0, 0, 0, 0)), TypeError),     # numpy bool
     ])
-    def test_rejects_malformed_key(self, small_spec, key):
+    def test_rejects_malformed_key(self, small_spec, key, error):
         coeffs = coefficients_from_entries(small_spec, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             coeffs.entry(key)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             coefficients_from_entries(small_spec, 2, entries={key: 1.0})
 
     def test_weights_match_weight_function(self, small_spec, small_paths):

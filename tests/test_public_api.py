@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import chaosbsde
-from chaosbsde import (Example1Params, Example2Params, GridSpec, PathBatch,
-                       SolverConfig, chaos_core, chaos_eval, charlier_batch,
-                       coefficients_from_entries, estimate, hermite_batch,
-                       orthopoly, sample_paths)
+from chaosbsde import (ChaosCoefficients, Driver, Example1Params, Example2Params,
+                       GridSpec, PathBatch, SolverConfig, TerminalFunctional,
+                       chaos_core, chaos_eval, charlier_batch,
+                       coefficients_from_entries, conditional_at, estimate,
+                       evaluate_grid, hermite_batch, orthopoly, sample_paths,
+                       solve, variance_diagnostic)
 
 PUBLIC = {
     "GridSpec", "PathBatch", "sample_paths",
@@ -59,44 +61,72 @@ def test_coefficients_have_only_the_array_form():
 
 SPEC = GridSpec(T=1.0, N=3, kappa=1.0)
 PATHS = sample_paths(SPEC, 40, seed=1)
+COEFFS = coefficients_from_entries(SPEC, 2, entries={((2, 0, 0), (0, 0, 0)): 5.0})
+F = PATHS.G[:, 0] * PATHS.Q[:, 1]
 
 
 def _config(**counts):
     return SolverConfig(**{"spec": SPEC, "p": 2, "K_it": 1, "M": 4, "seed": 0, **counts})
 
 
-# Entry point -> (call with a count n, exception for a non-integer n).
+# Public integer argument -> (call with a count n, the name refusals give
+# it, the least n it takes).
 COUNTS = {
-    "GridSpec.N": (lambda n: GridSpec(T=1.0, N=n, kappa=1.0).N, TypeError),
-    "sample_paths.M": (lambda n: sample_paths(SPEC, n, 0).M, TypeError),
-    "sample_paths.seed": (lambda n: sample_paths(SPEC, 4, n).seed, TypeError),
+    "GridSpec.N": (lambda n: GridSpec(T=1.0, N=n, kappa=1.0).N, "N", 1),
+    "sample_paths.M": (lambda n: sample_paths(SPEC, n, 0).M, "M", 1),
+    "sample_paths.seed": (lambda n: sample_paths(SPEC, 4, n).seed, "seed", 0),
     "PathBatch.M": (lambda n: PathBatch(SPEC, n, PATHS.G[:2], PATHS.Q[:2], 0).M,
-                    ValueError),
-    "SolverConfig.p": (lambda n: _config(p=n).p, TypeError),
-    "SolverConfig.K_it": (lambda n: _config(K_it=n).K_it, TypeError),
-    "SolverConfig.M": (lambda n: _config(M=n).M, TypeError),
-    "SolverConfig.seed": (lambda n: _config(seed=n).seed, TypeError),
-    "estimate.p": (lambda n: estimate(PATHS.G[:, 0], PATHS, n).p, ValueError),
+                    "M", 1),
+    "PathBatch.rows.start": (lambda n: PATHS.rows(n, 4).M, "start", 0),
+    "PathBatch.rows.stop": (lambda n: PATHS.rows(0, n).M, "stop", 1),
+    "SolverConfig.p": (lambda n: _config(p=n).p, "p", 1),
+    "SolverConfig.K_it": (lambda n: _config(K_it=n).K_it, "K_it", 1),
+    "SolverConfig.M": (lambda n: _config(M=n).M, "M", 1),
+    "SolverConfig.seed": (lambda n: _config(seed=n).seed, "seed", 0),
+    "estimate.p": (lambda n: estimate(F, PATHS, n).p, "p", 0),
+    "variance_diagnostic.p": (lambda n: variance_diagnostic(F, PATHS, n), "p", 0),
     "coefficients_from_entries.p": (lambda n: coefficients_from_entries(SPEC, n).p,
-                                    ValueError),
-    "hermite_batch.m_max": (lambda n: hermite_batch(n, 0.5), TypeError),
-    "charlier_batch.m_max": (lambda n: charlier_batch(n, 3, 1.0), TypeError),
+                                    "p", 0),
+    "ChaosCoefficients.p": (lambda n: ChaosCoefficients(
+        d0=0.0, values=np.zeros(27), p=n, spec=SPEC).p, "p", 0),
+    "ChaosCoefficients.entry": (lambda n: COEFFS.entry(((n, 0, 0), (0, 0, 0))),
+                                "degree", 0),
+    "hermite_batch.m_max": (lambda n: hermite_batch(n, 0.5), "m_max", 0),
+    "charlier_batch.m_max": (lambda n: charlier_batch(n, 3, 1.0), "m_max", 0),
+    "conditional_at.r": (lambda n: conditional_at(
+        COEFFS, PATHS, n, SPEC.times()[2], PATHS.G[:, 1], PATHS.Q[:, 1])[0], "r", 1),
+    "estimate.threads": (lambda n: estimate(F, PATHS, 2, threads=n).values,
+                         "threads", 1),
+    "variance_diagnostic.threads": (lambda n: variance_diagnostic(F, PATHS, 2, threads=n),
+                                    "threads", 1),
+    "evaluate_grid.threads": (lambda n: evaluate_grid(COEFFS, PATHS, threads=n)[0],
+                              "threads", 1),
+    "solve.threads": (lambda n: solve(_config(), Driver.linear_jump(0.5),
+                                      TerminalFunctional.poisson_count(),
+                                      threads=n).Y, "threads", 1),
 }
 
 
 @pytest.mark.parametrize("name", COUNTS)
-def test_numpy_integer_counts_are_accepted_as_python_ints(name):
-    call, error = COUNTS[name]
+def test_every_integer_argument_follows_the_count_rule(name):
+    # Any int is taken, numpy integers as Python ints; a non-int, a bool
+    # included, is a TypeError naming the argument, and an int below the
+    # least it takes a ValueError (the row range names both bounds).
+    call, arg, least = COUNTS[name]
     want = call(2)
     for n in (np.int64(2), np.int32(2), np.uint8(2)):
         got = call(n)
         if isinstance(want, np.ndarray):
             assert np.array_equal(got, want)
         else:
-            assert got == want and type(got) is int
+            assert got == want and type(got) is type(want)
     for bad in (True, np.True_, 2.0, np.float64(2.0)):
-        with pytest.raises(error):
+        with pytest.raises(TypeError, match=f"^{arg} must be an int, got "):
             call(bad)
+    below = ("invalid row range" if name.startswith("PathBatch.rows")
+             else f"^{arg} must be >= {least}, got {least - 1}$")
+    with pytest.raises(ValueError, match=below):
+        call(least - 1)
 
 
 def _example2(**reals):

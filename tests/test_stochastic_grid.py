@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosbsde import (GridSpec, PathBatch, TerminalFunctional, estimate,
-                       evaluate_grid, sample_paths, terminal_samples)
+from chaosbsde import (GridSpec, PathBatch, TerminalFunctional, conditional_at,
+                       estimate, evaluate_grid, sample_paths, terminal_samples,
+                       variance_diagnostic)
 from chaosbsde.stochastic_grid import _DRAW_BLOCK, _poisson_cdf
 
 
@@ -226,21 +227,22 @@ class TestPathBatch:
     at every p, since no kernel sees the batch."""
 
     SPEC = GridSpec(T=1.0, N=3, kappa=2.0)
-    # Each defect maps (M, G, Q) of a valid batch to a defective one.
+    # Each defect maps (M, G, Q) of a valid batch to a defective one, which
+    # the constructor refuses with this error and message.
     DEFECTS = {
-        "nan_in_G": (lambda M, G, Q: (M, with_entry(G, (7, 1), np.nan), Q),
+        "nan_in_G": (lambda M, G, Q: (M, with_entry(G, (7, 1), np.nan), Q), ValueError,
                      "non-finite increment at sample 7, interval 1: nan"),
-        "negative_count": (lambda M, G, Q: (M, G, with_entry(Q, (4, 2), -1)),
+        "negative_count": (lambda M, G, Q: (M, G, with_entry(Q, (4, 2), -1)), ValueError,
                            "negative count at sample 4, interval 2: -1"),
-        "fractional_counts": (lambda M, G, Q: (M, G, Q + 0.5),
+        "fractional_counts": (lambda M, G, Q: (M, G, Q + 0.5), ValueError,
                               "integer counts, got dtype float64"),
-        "no_samples": (lambda M, G, Q: (0, G[:0], Q[:0]),
-                       "M must be an int >= 1, got 0"),
-        "float_M": (lambda M, G, Q: (float(M), G, Q),
-                    r"M must be an int >= 1, got 40\.0"),
-        "G_shape": (lambda M, G, Q: (M, G[:, :2], Q),
+        "no_samples": (lambda M, G, Q: (0, G[:0], Q[:0]), ValueError,
+                       "M must be >= 1, got 0$"),
+        "float_M": (lambda M, G, Q: (float(M), G, Q), TypeError,
+                    "M must be an int, got float$"),
+        "G_shape": (lambda M, G, Q: (M, G[:, :2], Q), ValueError,
                     r"G has shape \(40, 2\), expected \(40, 3\)"),
-        "Q_shape": (lambda M, G, Q: (M, G, Q[:39]),
+        "Q_shape": (lambda M, G, Q: (M, G, Q[:39]), ValueError,
                     r"Q has shape \(39, 3\), expected \(40, 3\)"),
     }
 
@@ -249,9 +251,9 @@ class TestPathBatch:
     def test_defect_refused_before_any_kernel(self, p, defect):
         paths = sample_paths(self.SPEC, 40, seed=11)
         coeffs = estimate(paths.G[:, 0] * paths.Q[:, 2], paths, p)
-        make, match = self.DEFECTS[defect]
+        make, error, match = self.DEFECTS[defect]
         M, G, Q = make(paths.M, paths.G, paths.Q)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(error, match=match):
             evaluate_grid(coeffs, PathBatch(self.SPEC, M, G, Q, seed=11))
 
     def test_rows_runs_the_same_check(self):
@@ -296,3 +298,23 @@ class TestPathBatch:
                 assert np.array_equal(x, y)
         xi = TerminalFunctional.exp_levy(-0.1, 0.1, 0.2)
         assert np.array_equal(terminal_samples(xi, batch), terminal_samples(xi, paths))
+
+    @pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64",
+                                       "int8", "int64"])
+    def test_any_integer_count_dtype_gives_the_int32_results(self, dtype):
+        # The count rule admits every integer dtype; the Charlier factors of
+        # unsigned counts must not wrap around in x - m.
+        spec = GridSpec(T=1.0, N=4, kappa=2.0)
+        paths = sample_paths(spec, 3000, seed=11)
+        batch = PathBatch(spec, paths.M, paths.G, paths.Q.astype(dtype), seed=11)
+        F = paths.Q.sum(axis=1) + paths.G[:, 0] * paths.G[:, 2]
+        t, dB = spec.times()[2] - spec.h / 3, paths.G[:, 1] * math.sqrt(spec.h / 3)
+        for p in (1, 2, 3, 4):
+            a, b = estimate(F, batch, p), estimate(F, paths, p)
+            assert a.d0 == b.d0 and np.array_equal(a.values, b.values)
+            assert variance_diagnostic(F, batch, p) == variance_diagnostic(F, paths, p)
+            for x, y in zip(evaluate_grid(b, batch), evaluate_grid(b, paths)):
+                assert np.array_equal(x, y)
+            for x, y in zip(conditional_at(b, batch, 2, t, dB, batch.Q[:, 1]),
+                            conditional_at(b, paths, 2, t, dB, paths.Q[:, 1])):
+                assert np.array_equal(x, y)

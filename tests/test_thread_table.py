@@ -62,7 +62,9 @@ def test_rows_mark_a_side_that_did_not_hold_a_full_core(monkeypatch, capsys, t1,
     (["prefix:0:3"], "N must be >= 1 and p >= 0, got 'prefix:0:3'"),
     (["prefix:4:-1"], "N must be >= 1 and p >= 0, got 'prefix:4:-1'"),
     (["pair_sums:4:3"], "no call runs the kernel 'pair_sums' at p = 3"),
-], ids=["M0", "M_negative", "N0", "p_negative", "pair_off_p2"])
+    (["--M", "2048", "prefix:50:5"],
+     "truncated basis for N=50, p=5 with 2 worker(s) needs about"),
+], ids=["M0", "M_negative", "N0", "p_negative", "pair_off_p2", "over_budget"])
 def test_bad_arguments_are_refused_before_the_table(monkeypatch, capsys, argv, error):
     tool = load_tool()
     monkeypatch.setattr(tool, "point_rows", lambda group, N, p, M, runs: [])

@@ -38,7 +38,8 @@ M is 1e5 at p <= 2, 2e4 at p = 3 and 1e4 above, cut at large N to bound
 memory (:func:`default_m`), and ``--M`` overrides it. The BLAS thread count
 is left as inherited: every kernel product is small enough that BLAS runs
 it on the calling thread. CPU time is the process's, so it counts the
-second worker too. M and N must be at least 1, and p at least 0.
+second worker too. M and N must be at least 1, and p at least 0, and a
+point the byte budget refuses is named before the table starts.
 """
 
 from __future__ import annotations
@@ -199,10 +200,30 @@ def isolated(names: tuple[str, ...], N: int, p: int, M: int, runs: int):
     return got
 
 
+def point_calls(group: str, p: int) -> list[str]:
+    """The calls of :data:`CALLS` that run the kernel ``group`` at p."""
+    return [call for call in CALLS if group == chaos_core._kernel(call, p)]
+
+
+# Sums per basis index that a call holds for each chunk of a second stripe.
+HELD_SUMS = {"estimate": 1, "evaluate_grid": 0, "variance_diagnostic": 2}
+
+
+def admit(group: str, N: int, p: int, M: int) -> None:
+    """SizingError unless the byte budget admits each call of the point at
+    the workers the tool runs on M samples, two where there are two chunks,
+    with the sums the second stripe holds: the charge of the chunk driver."""
+    chunks = -(-M // chaos_core._CHUNK)
+    k = min(2, chunks)
+    for call in point_calls(group, p):
+        held = HELD_SUMS[call] * 8 * (chaos_core._basis_count(N, p) + 1)
+        chaos_core._check_bytes(N, p, k, held * (chunks - chunks // k))
+
+
 def point_rows(group: str, N: int, p: int, M: int, runs: int):
     """(call, {threads: (wall, cpu)}) of each call that runs the kernel
     ``group`` at p."""
-    names = [call for call in CALLS if group == chaos_core._kernel(call, p)]
+    names = point_calls(group, p)
     # The solver runs no variance_diagnostic and refuses p = 0.
     solved = [name for name in names if p and name != "variance_diagnostic"]
     rest = [name for name in names if name not in solved]
@@ -223,7 +244,7 @@ def parse_point(text: str) -> tuple[str, int, int]:
     N, p = int(N), int(p)
     if N < 1 or p < 0:
         raise argparse.ArgumentTypeError(f"N must be >= 1 and p >= 0, got {text!r}")
-    if group not in {chaos_core._kernel(call, p) for call in CALLS}:
+    if not point_calls(group, p):
         raise argparse.ArgumentTypeError(f"no call runs the kernel {group!r} at p = {p}")
     return group, N, p
 
@@ -239,11 +260,17 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"--runs must be >= {MIN_RUNS}")
     if args.M is not None and args.M < 1:
         ap.error("--M must be >= 1")
+    points = args.points or DEFAULT_POINTS
+    for group, N, p in points:
+        try:
+            admit(group, N, p, args.M or default_m(N, p))
+        except chaos_core.SizingError as exc:
+            ap.error(str(exc))
     print("| group | call | N | p | M | wall t1 / t2 (s) | t1/t2 | "
           "cpu t1 / t2 (s) | cpu/wall t1 / t2 | full core | threads pay | "
           "rule grants | rule disagrees |")
     print("|---|---|---|---|---|---|---|---|---|---|---|---|---|")
-    for group, N, p in args.points or DEFAULT_POINTS:
+    for group, N, p in points:
         M = args.M or default_m(N, p)
         for name, got in point_rows(group, N, p, M, args.runs):
             (w1, c1), (w2, c2) = got[1], got[2]
