@@ -47,7 +47,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .picard_solver import SolutionGrid
-from .stochastic_grid import GridSpec, PathBatch, _check_grid, _finite_real
+from .stochastic_grid import (GridSpec, PathBatch, _check_grid, _finite_real,
+                             _first_non_finite, _real_array)
 
 __all__ = [
     "Example1Params",
@@ -108,40 +109,55 @@ class Example2Params(_Params):
 
 
 def _state(params: _Params, t, n_t) -> tuple[np.ndarray, np.ndarray]:
-    """``t`` as float64 and ``n_t`` as an array, ValueError unless every t
-    lies in [0, T] and every N_t is >= 0 (NaN does neither)."""
-    t = np.asarray(t, dtype=np.float64)
+    """``t`` and ``n_t`` as float64 arrays (``_real_array``: TypeError
+    unless real), ValueError unless every t lies in [0, T] and every N_t is
+    >= 0 (NaN does neither)."""
+    t = _real_array("t", t)
     if not np.all((t >= 0) & (t <= params.T)):
         raise ValueError("t must lie in [0, T]")
-    n_t = np.asarray(n_t)
+    n_t = _real_array("N_t", n_t)
     if not np.all(n_t >= 0):
         raise ValueError("N_t must be nonnegative")
     return t, n_t
 
 
 def example1_exact(params: Example1Params, t, n_t):
-    """Exact (y, z, u) of the counting benchmark at time t given N_t."""
+    """Exact (y, z, u) of the counting benchmark at time t given N_t.
+
+    t and N_t are real scalars or arrays of any int or float dtype
+    (TypeError for a complex, str, object or bool one); ValueError unless
+    every t lies in [0, T] and every N_t is >= 0."""
     t, n_t = _state(params, t, n_t)
     y = n_t + (1.0 + params.c) * (params.T - t)
-    z = np.zeros_like(y, dtype=np.float64)
-    u = np.ones_like(y, dtype=np.float64)
     if y.ndim == 0:
         return float(y), 0.0, 1.0
-    return y.astype(np.float64), z, u
+    return y, np.zeros_like(y), np.ones_like(y)
 
 
 def example2_exact(params: Example2Params, t, b_t, n_t):
-    """Exact (y, z, u) of the exponential-Levy benchmark at time t."""
+    """Exact (y, z, u) of the exponential-Levy benchmark at time t.
+
+    t, B_t and N_t are real scalars or arrays of any int or float dtype
+    (TypeError for a complex, str, object or bool one); ValueError unless
+    every t lies in [0, T], every N_t is >= 0 and every B_t is finite, and
+    for a y, z or u that overflows float64, naming its first such entry."""
     t, n_t = _state(params, t, n_t)
-    b_t = np.asarray(b_t, dtype=np.float64)
+    b_t = _real_array("B_t", b_t)
     if not np.all(np.isfinite(b_t)):
         raise ValueError("B_t must be finite")
     rate = (params.alpha + ((params.b + params.beta) ** 2 - params.beta ** 2) / 2.0
             + (math.exp(params.c) - 1.0) * (params.kappa + params.gamma))
-    y = np.exp(params.a * params.T + params.b * b_t + params.c * n_t
-               + rate * (params.T - t))
-    z = params.b * y
-    u = (math.exp(params.c) - 1.0) * y
+    # An overflow gives inf, or NaN from inf - inf, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.exp(params.a * params.T + params.b * b_t + params.c * n_t
+                   + rate * (params.T - t))
+        z = params.b * y
+        u = (math.exp(params.c) - 1.0) * y
+    for name, a in (("Y_t", y), ("Z_t", z), ("U_t", u)):
+        bad = _first_non_finite(a)
+        if bad is not None:
+            at = f" at entry {', '.join(map(str, bad))}" if bad else ""
+            raise ValueError(f"{name} overflows float64{at}")
     if y.ndim == 0:
         return float(y), float(z), float(u)
     return y, z, u

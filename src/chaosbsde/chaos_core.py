@@ -48,8 +48,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .orthopoly import _charlier_rows, _degree, _hermite_rows
-from .stochastic_grid import (GridSpec, PathBatch, _count, _finite_vector,
-                             _first_non_finite)
+from .stochastic_grid import (GridSpec, PathBatch, _count, _finite_real,
+                             _finite_vector, _first_non_finite)
 
 __all__ = [
     "ChaosCoefficients",
@@ -348,12 +348,12 @@ def _kernel(call: str, p: int) -> str:
 # holds the GIL through a product of at most ~500 output entries, and an
 # elementwise call on fewer than ~2**15 entries ends before a second thread
 # gets it, so a call made of such calls serialises at any thread count. The
-# pair kernels loop over such products and run one worker up to these N; a
-# prefix kernel until its chunk averages _GIL_ENTRIES entries per numpy
-# call. Measured by tools/thread_table.py at threads 2 on 2 vCPUs (pays at
-# median t1/t2 >= 1.1).
-_PAIR_SUMS_ONE_WORKER_TO, _PAIR_EVAL_ONE_WORKER_TO = 80, 20
-_GIL_ENTRIES = 1 << 16
+# rule's one constant per kernel: the pair kernels loop over such products
+# and run one worker up to the N given here; a prefix kernel until its
+# chunk averages the entries per numpy call given here. Measured by
+# tools/thread_table.py at threads 2 on 2 vCPUs (pays at median
+# t1/t2 >= 1.1).
+_WORKER_RULE = {"pair_sums": 80, "pair_eval": 20, "prefix": 1 << 16}
 
 
 def _workers(threads: int, M: int, iset: _IndexSet, call: str) -> int:
@@ -367,13 +367,12 @@ def _workers(threads: int, M: int, iset: _IndexSet, call: str) -> int:
     N, p = iset.N, iset.p
     kernel = _kernel(call, p)
     if kernel != "prefix":
-        one = N <= (_PAIR_SUMS_ONE_WORKER_TO if kernel == "pair_sums" else
-                    _PAIR_EVAL_ONE_WORKER_TO)
+        one = N <= _WORKER_RULE[kernel]
     else:
         rec = max(8 * p - 4, 2)
         rows = (rec + 6 * (call == "evaluate_grid")) * N + 2 * iset.n_kc + iset.n_pre
         calls = rec + p + 1 + len(iset.segments) + len(iset.tiles)
-        one = _CHUNK * (rows + iset.n_flat) < _GIL_ENTRIES * calls
+        one = _CHUNK * (rows + iset.n_flat) < _WORKER_RULE["prefix"] * calls
     return 1 if one else max(1, min(threads, -(-M // _CHUNK)))
 
 
@@ -400,6 +399,20 @@ def _worker_bytes(N: int, p: int) -> int:
     return 8 * (_CHUNK * rows + 4 * (_basis_count(N, p) + 1))
 
 
+# Sums per basis index, the constant's included, in one chunk result of a
+# call; the evaluation calls write their rows and return none.
+_CHUNK_SUMS = {"estimate": 1, "variance_diagnostic": 2}
+
+
+def _held_bytes(N: int, p: int, call: str, M: int, workers: int) -> int:
+    """Bytes of the chunk results ``call`` holds on M samples at ``workers``
+    stripes: those of every chunk outside the first stripe, which
+    :func:`_run_chunks` holds until the first is done."""
+    chunks = -(-M // _CHUNK)
+    return 8 * _CHUNK_SUMS.get(call, 0) * (_basis_count(N, p) + 1) * (
+        chunks - chunks // workers)
+
+
 def _check_bytes(N: int, p: int, workers: int, held: int = 0) -> None:
     """Refuse (N, p) when its index set and prefix plan, plus ``workers``
     times one worker's chunk working set, plus ``held`` bytes of chunk
@@ -422,7 +435,10 @@ class ChaosCoefficients:
 
     ``d0`` is the coefficient of the constant and ``values[j]`` the one of
     the index of rank j, whose degrees are ``degB[j]`` and ``degP[j]``.
-    Built from a values array of shape (J,): the constructor checks the
+    Built from a real d0 (``_finite_real``: TypeError for a str, bool or
+    complex d0) and a values array of shape (J,) of any int or float dtype
+    (``_finite_vector``: TypeError for a complex, str, object or bool
+    array), both stored as float64: the constructor checks the types, the
     shape and that every coefficient is finite.
 
     Raises
@@ -439,9 +455,7 @@ class ChaosCoefficients:
 
     def __post_init__(self) -> None:
         iset = _index_set(self.spec.N, self.p)
-        d0 = float(self.d0)
-        if not math.isfinite(d0):
-            raise ValueError(f"d0 is not finite: {d0!r}")
+        d0 = _finite_real("d0", self.d0)
         values = _finite_vector("values", self.values, iset.J, at="rank")
         object.__setattr__(self, "d0", d0)
         object.__setattr__(self, "values", values)
@@ -477,12 +491,15 @@ def coefficients_from_entries(spec: GridSpec, p: int, d0: float = 0.0,
 
     ``entries`` maps (nB, nP) pairs of degree vectors to coefficient values;
     every index absent from the map gets 0. Useful for constructing
-    synthetic expansions in tests and experiments.
+    synthetic expansions in tests and experiments. ``d0`` and each value
+    are real numbers (TypeError otherwise: a str, bool or complex) and
+    finite (ValueError), checked as :class:`ChaosCoefficients` checks d0.
     """
     iset = _index_set(spec.N, p)
     values = np.zeros(iset.J)
     for key, val in (entries or {}).items():
-        values[iset.rank(key)] = float(val)
+        rank = iset.rank(key)
+        values[rank] = _finite_real(f"entries value at rank {rank}", val)
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=spec)
 
 
@@ -590,15 +607,14 @@ class _ChunkBuffers:
         return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
-def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int, call: str,
-                result_bytes: int):
+def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int, call: str):
     """Yield ``chunk_fn(sl, buf)`` for the fixed chunks ``sl`` of M samples,
     in chunk order, so a reduction over the results has a fixed order.
 
     Every kernel call runs here, on the k workers :func:`_workers` grants
     ``call`` at ``threads``. The chunks are split into k contiguous stripes,
     as equal as whole chunks allow, and :func:`_check_bytes` charges the k
-    working sets and the held results, ``result_bytes`` each, before any
+    working sets and the held results (:func:`_held_bytes`) before any
     thread or buffer exists; at k = 1 no thread is started. The calling
     thread runs the first stripe and yields each result as it is made;
     k - 1 threads started for the call run the others, one stripe each,
@@ -612,7 +628,7 @@ def _run_chunks(chunk_fn, iset: _IndexSet, M: int, threads: int, call: str,
     k = _workers(threads, M, iset, call)
     cuts = [len(slices) * i // k for i in range(k + 1)]
     runs = [slices[a:b] for a, b in zip(cuts, cuts[1:])]
-    _check_bytes(iset.N, iset.p, k, result_bytes * (len(slices) - len(runs[0])))
+    _check_bytes(iset.N, iset.p, k, _held_bytes(iset.N, iset.p, call, M, k))
     family = "prefix" if _kernel(call, iset.p) == "prefix" else "pair"
     rows = _buffer_rows(iset.N, iset.p)[family]
 
@@ -754,8 +770,8 @@ def _raw_sums(F, paths: PathBatch, p, threads: int, squares: bool
                 return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
             return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares, buf)
 
-    total = np.zeros((2 if squares else 1) * (1 + iset.J))
-    for part in _run_chunks(chunk, iset, paths.M, threads, call, total.nbytes):
+    total = np.zeros(_CHUNK_SUMS[call] * (1 + iset.J))
+    for part in _run_chunks(chunk, iset, paths.M, threads, call):
         total += part
     return iset, total
 

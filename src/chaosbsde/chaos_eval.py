@@ -63,7 +63,7 @@ import numpy as np
 from .chaos_core import (ChaosCoefficients, _chunk_tables, _ChunkBuffers,
                          _IndexSet, _kc_row, _kernel, _pair_blocks,
                          _run_chunks, _slot_factors, _stacked_factors, _width)
-from .orthopoly import charlier_batch, hermite_batch
+from .orthopoly import _charlier_rows, _hermite_rows
 from .stochastic_grid import (PathBatch, _check_counts, _check_grid, _count,
                              _finite_real, _finite_vector)
 
@@ -86,7 +86,9 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
         Time in (t_{r-1}, t_r], with the grid times of ``GridSpec.times``:
         a real number (TypeError otherwise, bools included).
     dB : array of float, shape (M,)
-        Partial Brownian increment of each path on (t_{r-1}, t], finite.
+        Partial Brownian increment of each path on (t_{r-1}, t], finite, of
+        any int or float dtype (TypeError for a complex, str, object or
+        bool one).
     dN : array of int, shape (M,)
         Partial jump count of each path on (t_{r-1}, t], nonnegative.
 
@@ -122,21 +124,24 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> None:
         KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf)
-        # Slot r's factors become the in-interval ones. The Phi_pre rows
+        # Slot r's factors become the in-interval ones, from the unchecked
+        # recurrences: g and dN were checked on entry. The Phi_pre rows
         # built from the full-interval ones parent only indices supported
         # after slot r, whose sums are computed and not read.
-        K = hermite_batch(iset.p, g[None, sl])
+        shape = (iset.p + 1, 1, KC.shape[1])
+        K = _hermite_rows(iset.p, g[None, sl], np.empty(shape))
         for a in range(1, iset.p + 1):
             K[a] *= (tau / spec.h) ** (a / 2)
-        _slot_factors(K, charlier_batch(iset.p, dN[None, sl], spec.kappa * tau),
-                      KC, N, r - 1)
+        C = _charlier_rows(iset.p, dN[None, sl], spec.kappa * tau, np.empty(shape),
+                           np.empty(shape[1:]))
+        _slot_factors(K, C, KC, N, r - 1)
         SY, SZ, SU = _prefix_slot_sums(iset, D, KC, phi, buf)
         _cumulate(SY[:r], coeffs.d0)
         out[0, sl] = SY[r - 1]
         np.divide(SZ[r - 1], sqrt_h, out=out[1, sl])
         out[2, sl] = SU[r - 1]
 
-    for _ in _run_chunks(chunk, iset, M, 1, "conditional_at", 0):
+    for _ in _run_chunks(chunk, iset, M, 1, "conditional_at"):
         pass
     return out[0], out[1], out[2]
 
@@ -407,6 +412,6 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
             S = _prefix_slot_sums(iset, plan, KC, phi, buf)
         _write_rows(S, coeffs, (Y, Z, U), sl, _sums_h)
 
-    for _ in _run_chunks(chunk, iset, M, threads, "evaluate_grid", 0):
+    for _ in _run_chunks(chunk, iset, M, threads, "evaluate_grid"):
         pass
     return Y, Z, U

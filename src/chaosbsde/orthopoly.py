@@ -24,7 +24,9 @@ and C_m(X, t) / sqrt(m! * t**m) is orthonormal when X is Poisson(t).
 Both tables are vectorized: ``hermite_batch(m_max, x)`` and
 ``charlier_batch(m_max, x, t)`` return every degree 0..m_max at every entry
 of x, with the degree as the leading axis. A scalar x gives a vector of
-m_max + 1 values. Non-finite entries of x are rejected.
+m_max + 1 values. x may hold ints or floats of any dtype, computed in
+float64; a complex, str, object or bool x is refused with TypeError, and a
+non-finite entry with ValueError.
 
 Degrees are capped at MAX_DEGREE = 60: beyond that the factorial weights
 over/underflow float64 long before the values are of any statistical use.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stochastic_grid import _count, _finite_real, _first_non_finite
+from .stochastic_grid import _count, _finite_real, _first_non_finite, _real_array
 
 __all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 
@@ -50,10 +52,11 @@ def _degree(name: str, value) -> int:
 
 
 def _checked(m_max: int, x) -> tuple[int, np.ndarray]:
-    """``m_max`` as a degree (:func:`_degree`) and x as float64: ValueError
-    for a non-finite x."""
+    """``m_max`` as a degree (:func:`_degree`) and x as float64
+    (``_real_array``): TypeError unless x is real, ValueError for a
+    non-finite x."""
     m_max = _degree("m_max", m_max)
-    x = np.asarray(x, dtype=np.float64)
+    x = _real_array("x", x)
     bad = _first_non_finite(x)
     if bad is not None:
         raise ValueError(f"x must be finite, got {float(x[bad])!r}")
@@ -63,7 +66,8 @@ def _checked(m_max: int, x) -> tuple[int, np.ndarray]:
 def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
     """Hermite values K_0..K_{m_max} at every entry of x.
 
-    Returns an array of shape (m_max+1,) + x.shape. Examples:
+    Returns an array of shape (m_max+1,) + x.shape; x is real (TypeError
+    otherwise, bools included) and finite (ValueError). Examples:
     hermite_batch(1, 3.5) is [1, 3.5]; hermite_batch(2, 3.0) is [1, 3, 4]
     since K_2(3) = (9 - 1)/2; hermite_batch(3, 2.0) is [1, 2, 1.5, 1/3]
     since K_3(2) = (8 - 6)/6.
@@ -75,7 +79,8 @@ def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
 def charlier_batch(m_max: int, x: np.ndarray, t: float) -> np.ndarray:
     """Charlier values C_0..C_{m_max}(x, t) at every entry of x.
 
-    Returns an array of shape (m_max+1,) + x.shape. Examples:
+    Returns an array of shape (m_max+1,) + x.shape; x is real (TypeError
+    otherwise, bools included) and finite (ValueError). Examples:
     charlier_batch(1, 4, 1.0) is [1, 3]; charlier_batch(2, 3, 1.0) is
     [1, 2, 1] and charlier_batch(2, 2, 1.0) is [1, 1, -1] by the
     three-term recurrence. ``t`` is a real number (TypeError otherwise,

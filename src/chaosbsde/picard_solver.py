@@ -44,8 +44,8 @@ import numpy as np
 from .chaos_core import ChaosCoefficients, _admit_basis, estimate
 from .chaos_eval import evaluate_grid
 from .stochastic_grid import (GridSpec, PathBatch, _check_grid, _count,
-                             _finite_vector, _first_non_finite, _row_blocks,
-                             sample_paths)
+                             _finite_vector, _first_non_finite, _real_array,
+                             _row_blocks, sample_paths)
 
 __all__ = [
     "Driver",
@@ -65,9 +65,11 @@ class Driver:
     """BSDE driver f(t, y, z, u), vectorized over samples.
 
     ``eval`` must accept scalar t and equal-length arrays (y, z, u) and
-    return finite values for finite inputs, as a scalar or an array of the
-    same length. ``solve`` passes views of grid rows that it overwrites
-    after ``eval`` returns, so ``eval`` must neither modify nor keep them.
+    return finite real values for finite inputs, as a scalar or an array of
+    the same length, of any int or float dtype: ``solve`` refuses a
+    complex, str, object or bool one with TypeError. ``solve`` passes views
+    of grid rows that it overwrites after ``eval`` returns, so ``eval``
+    must neither modify nor keep them.
     """
 
     eval: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
@@ -117,7 +119,9 @@ class TerminalFunctional:
     """Terminal value xi, vectorized over the paths of a batch.
 
     ``eval(paths)`` returns the length-M vector of terminal values, one per
-    path of the PathBatch. Square-integrability of xi is the caller's
+    path of the PathBatch, finite and of any int or float dtype
+    (:func:`terminal_samples` refuses a complex, str, object or bool one
+    with TypeError). Square-integrability of xi is the caller's
     responsibility; it is not checked.
     """
 
@@ -195,8 +199,9 @@ class SolutionGrid:
 def terminal_samples(xi: TerminalFunctional, paths: PathBatch) -> np.ndarray:
     """Evaluate the terminal functional on every path of a batch.
 
-    Returns a length-M float vector. Non-finite outputs are reported with
-    the offending sample index.
+    Returns a length-M float64 vector. Outputs that are not real raise
+    TypeError; non-finite ones are reported with the offending sample
+    index.
     """
     return _finite_vector("terminal functional", xi.eval(paths), paths.M)
 
@@ -218,20 +223,22 @@ def draw_paths(config: SolverConfig) -> PathBatch:
 def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> None:
     """Overwrite rows 1..N of Y with the running driver sums
     f_1 + ... + f_i, added in row order, of the current iterate, checking
-    each summed row as it is produced: a non-finite entry is reported as a
-    non-finite driver value where f_i has one, else as an overflowing sum.
+    each driver row as it is returned (TypeError unless real, ValueError
+    for another shape) and each summed row as it is produced: a non-finite
+    entry is reported as a non-finite driver value where f_i has one, else
+    as an overflowing sum.
     Row i of Y is read only by the driver call at row i, so it is free once
     that call returns. The driver is never evaluated at time 0: the
     quadrature uses right endpoints only.
     """
     M = Y.shape[1]
     for i in range(1, Y.shape[0]):
-        vals = np.asarray(driver.eval(float(times[i]), Y[i], Z[i], U[i]),
-                          dtype=np.float64)
+        at = f"at iteration {iteration + 1}, grid index {i}"
+        vals = _real_array(f"driver output {at}",
+                           driver.eval(float(times[i]), Y[i], Z[i], U[i]))
         if vals.shape not in ((), (M,)):
             raise ValueError(
-                f"driver returned shape {vals.shape} at iteration {iteration + 1}, "
-                f"grid index {i}, expected a scalar or ({M},)")
+                f"driver returned shape {vals.shape} {at}, expected a scalar or ({M},)")
         if i == 1:
             Y[1] = vals
         else:
@@ -241,7 +248,7 @@ def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> 
                 np.add(vals, Y[i - 1], out=Y[i])
         bad = _first_non_finite(Y[i])
         if bad is not None:
-            where = f"at iteration {iteration + 1}, grid index {i}, sample {bad[0]}"
+            where = f"{at}, sample {bad[0]}"
             if math.isfinite(np.broadcast_to(vals, (M,))[bad]):
                 raise ValueError(f"running driver sum overflowed {where}")
             raise ValueError(f"driver returned non-finite value {where}")

@@ -78,6 +78,17 @@ def _finite_real(name: str, value, positive: bool = False) -> float:
     return x
 
 
+def _real_array(name: str, values) -> np.ndarray:
+    """``values`` as a float64 array: a float64 array as it is (no copy),
+    signed and unsigned ints and other floats converted in their memory
+    order; TypeError naming ``name`` and the dtype for any other dtype
+    (complex, str, bytes, object, datetime, and bool, as for scalars)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iuf":
+        raise TypeError(f"{name} must be real, got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
 def _check_jump_mean(spec: "GridSpec") -> float:
     """The per-interval jump mean kappa*h of ``spec``; ValueError above
     MAX_POISSON_MEAN, the largest the Poisson draw supports."""
@@ -100,9 +111,10 @@ def _first_non_finite(a: np.ndarray) -> tuple[int, ...] | None:
 
 
 def _finite_vector(name: str, values, length: int, at: str = "sample") -> np.ndarray:
-    """``values`` as a float64 vector of shape (length,): ValueError for
-    another shape, or for a non-finite entry, named by its ``at`` index."""
-    a = np.asarray(values, dtype=np.float64)
+    """``values`` as a float64 vector of shape (length,) (:func:`_real_array`:
+    TypeError unless real): ValueError for another shape, or for a
+    non-finite entry, named by its ``at`` index."""
+    a = _real_array(name, values)
     if a.shape != (length,):
         raise ValueError(f"{name} has shape {a.shape}, expected ({length},)")
     bad = _first_non_finite(a)
@@ -193,9 +205,11 @@ class PathBatch:
         Seed the batch was generated from (kept for audit trails).
 
     The constructor, and so :meth:`rows`, raises TypeError for a non-int M
-    (bools included), and ValueError for an M below 1, a shape other than
-    (M, N), a non-finite increment in G, or a Q that is not an integer
-    array or has a negative count: the kernels cannot use such a batch.
+    (bools included) or a G that is not real (:func:`_real_array`: a
+    complex, str, object or bool G), and ValueError for an M below 1, a
+    shape other than (M, N), a non-finite increment in G, or a Q that is
+    not an integer array or has a negative count: the kernels cannot use
+    such a batch. A G of any int or float dtype is stored as float64.
 
     G and Q are always transposed views of time-major (N, M) arrays, and
     :meth:`rows` takes column views of those. A batch from
@@ -212,6 +226,7 @@ class PathBatch:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "M", _count("M", self.M, 1))
+        object.__setattr__(self, "G", _real_array("G", self.G))
         expected = (self.M, self.spec.N)
         if self.G.shape != expected:
             raise ValueError(f"G has shape {self.G.shape}, expected {expected}")

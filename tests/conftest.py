@@ -13,12 +13,12 @@ from chaosbsde import GridSpec, chaos_core, sample_paths
 def pytest_configure(config):
     config.addinivalue_line(
         "markers", "worker_rule: run under the shipped worker rule "
-                   "(chaos_core._workers' constants), not the lowered one")
+                   "(chaos_core._WORKER_RULE), not the lowered one")
 
 
 def _lower_the_rule(monkeypatch):
-    for name in ("_PAIR_SUMS_ONE_WORKER_TO", "_PAIR_EVAL_ONE_WORKER_TO", "_GIL_ENTRIES"):
-        monkeypatch.setattr(chaos_core, name, 0)
+    for kernel in chaos_core._WORKER_RULE:
+        monkeypatch.setitem(chaos_core._WORKER_RULE, kernel, 0)
 
 
 @pytest.fixture

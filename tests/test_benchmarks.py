@@ -176,6 +176,11 @@ REFUSALS = {
     "example2_count_nan": (lambda: example2_exact(PAPER2, 0.5, 0.0, math.nan),
                            "N_t must be nonnegative"),
     "example2_count": (lambda: example2_exact(PAPER2, 0.5, 0.0, -1), "N_t must be nonnegative"),
+    # exp overflows at B_t = 1e4: refused, not returned as inf with a warning.
+    "example2_overflow": (lambda: example2_exact(PAPER2, 1.0, 1e4, 0),
+                          "^Y_t overflows float64$"),
+    "example2_overflow_entry": (lambda: example2_exact(PAPER2, 1.0, [0.0, 1e4, 2e4], 0),
+                                "^Y_t overflows float64 at entry 1$"),
     "example1_grid": (lambda: example1_grid(EX1, OTHER_PATHS),
                       r"paths grid \(T=2\.0, kappa=1\.0\) does not match "
                       r"params \(T=1\.0, kappa=1\.0\)"),

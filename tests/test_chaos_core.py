@@ -463,7 +463,7 @@ class TestChunkStripes:
             return sl
 
         got = list(_run_chunks(chunk, _build_index_set(3, 2), self.M, threads,
-                               "estimate", 0))
+                               "estimate"))
         chunks = -(-self.M // _CHUNK)
         assert [(sl.start, sl.stop) for sl in got] == [
             (a, min(a + _CHUNK, self.M)) for a in range(0, self.M, _CHUNK)]
@@ -499,7 +499,7 @@ class TestChunkStripes:
         got = []
         with pytest.raises(ArithmeticError, match=f"chunk {bad}$"):
             for i in _run_chunks(chunk, _build_index_set(3, 2), self.M, threads,
-                                 "estimate", 0):
+                                 "estimate"):
                 got.append(i)
         assert got == want
         assert threading.active_count() == before

@@ -1,5 +1,9 @@
 """The package's public surface: exactly the names below, each resolvable,
-and none of the removed per-path, scalar-table or per-index names."""
+and none of the removed per-path, scalar-table or per-index names; and the
+input rules every public integer, real and real-array argument follows."""
+
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +13,9 @@ from chaosbsde import (ChaosCoefficients, Driver, Example1Params, Example2Params
                        GridSpec, PathBatch, SolverConfig, TerminalFunctional,
                        chaos_core, chaos_eval, charlier_batch,
                        coefficients_from_entries, conditional_at, estimate,
-                       evaluate_grid, hermite_batch, orthopoly, sample_paths,
-                       solve, variance_diagnostic)
+                       evaluate_grid, example1_exact, example2_exact,
+                       hermite_batch, orthopoly, sample_paths, solve,
+                       terminal_samples, variance_diagnostic)
 
 PUBLIC = {
     "GridSpec", "PathBatch", "sample_paths",
@@ -181,3 +186,112 @@ def test_numpy_real_grid_matches_the_float_grid():
     assert type(spec.T) is float and type(spec.kappa) is float
     assert Example1Params(c=0.5, T=np.float32(1.0)).grid(20) == GridSpec(
         T=1.0, N=20, kappa=1.0)
+
+
+# Real arrays: whole numbers that int64, uint8 and float32 hold exactly.
+WHOLE = (PATHS.Q[:, 1] + PATHS.Q[:, 2]).astype(np.float64)
+EX1 = Example1Params(c=0.5, T=1.0)
+EX2 = _example2()
+KEY = ((2, 0, 0), (0, 0, 0))  # rank 6
+
+
+def _estimated(coeffs):
+    return coeffs.d0, coeffs.values
+
+
+# Public real-array argument -> (call with an array x, the name refusals
+# give it, a float64 x of whole numbers).
+ARRAYS = {
+    "estimate.F": (lambda x: _estimated(estimate(x, PATHS, 2)), "F", WHOLE),
+    "variance_diagnostic.F": (lambda x: variance_diagnostic(x, PATHS, 2), "F", WHOLE),
+    "ChaosCoefficients.values": (lambda x: ChaosCoefficients(
+        d0=0.0, values=x, p=2, spec=SPEC).values, "values", np.arange(27.0) % 5),
+    "conditional_at.dB": (lambda x: conditional_at(
+        COEFFS, PATHS, 2, SPEC.times()[2], x, PATHS.Q[:, 1]), "dB", WHOLE),
+    "terminal_samples": (lambda x: terminal_samples(
+        TerminalFunctional.custom(lambda paths: x), PATHS), "terminal functional", WHOLE),
+    "solve.driver": (lambda x: solve(_config(), Driver.custom(lambda t, y, z, u: x),
+                                     TerminalFunctional.poisson_count()).Y,
+                     "driver output at iteration 1, grid index 1",
+                     np.array([0.0, 1.0, 2.0, 1.0])),
+    "hermite_batch.x": (lambda x: hermite_batch(3, x), "x", np.array([0.0, 1.0, 2.0, 3.0])),
+    "charlier_batch.x": (lambda x: charlier_batch(3, x, 1.0), "x",
+                         np.array([0.0, 1.0, 2.0, 3.0])),
+    "PathBatch.G": (lambda x: _estimated(estimate(WHOLE, PathBatch(SPEC, 40, x, PATHS.Q, 0), 2)),
+                    "G", (PATHS.Q + 1.0)),
+    "example1_exact.t": (lambda x: example1_exact(EX1, x, 1), "t", np.array([0.0, 1.0, 1.0])),
+    "example1_exact.N_t": (lambda x: example1_exact(EX1, 0.5, x), "N_t",
+                           np.array([0.0, 3.0, 1.0])),
+    "example2_exact.t": (lambda x: example2_exact(EX2, x, 0.5, 1), "t",
+                         np.array([0.0, 1.0, 2.0])),
+    "example2_exact.B_t": (lambda x: example2_exact(EX2, 1.0, x, 1), "B_t",
+                           np.array([0.0, 1.0, 2.0])),
+    "example2_exact.N_t": (lambda x: example2_exact(EX2, 1.0, 0.5, x), "N_t",
+                           np.array([0.0, 1.0, 4.0])),
+}
+
+
+def _same(got, want):
+    """Bit for bit: equal values of one dtype, through tuples."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same, got, want))
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("name", ARRAYS)
+def test_every_real_array_follows_the_real_rule(name):
+    # Ints of any width, unsigned included, and other floats give the
+    # float64 results bit for bit; a complex, str, object or bool array is a
+    # TypeError naming the argument and its dtype, under any warnings filter
+    # (numpy's ComplexWarning or a parsed string never gets through).
+    call, arg, x = ARRAYS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = call(x)
+        for dtype in (np.int64, np.uint8, np.float32):
+            assert _same(call(x.astype(dtype)), want), dtype
+        for dtype in (np.complex128, str, object, bool):
+            bad = x.astype(dtype)
+            with pytest.raises(TypeError, match=f"^{re.escape(arg)} must be real, "
+                                                f"got dtype {re.escape(str(bad.dtype))}$"):
+                call(bad)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32])
+def test_a_path_batch_stores_its_increments_as_float64(dtype):
+    # Converted in their layout: a time-major G stays time-major.
+    G = PATHS.Q.astype(dtype)
+    batch = PathBatch(SPEC, 40, G, PATHS.Q, 0)
+    assert batch.G.dtype == np.float64 and batch.G.strides[0] == 8
+    assert np.array_equal(batch.G, G)
+    assert PathBatch(SPEC, 40, PATHS.G, PATHS.Q, 0).G is PATHS.G
+
+
+# Public real scalar that the coefficient containers take -> (call with x,
+# the name refusals give it).
+SCALARS = {
+    "ChaosCoefficients.d0": (lambda x: ChaosCoefficients(
+        d0=x, values=np.zeros(27), p=2, spec=SPEC).d0, "d0"),
+    "coefficients_from_entries.d0": (lambda x: coefficients_from_entries(
+        SPEC, 2, d0=x).d0, "d0"),
+    "coefficients_from_entries.entries": (lambda x: coefficients_from_entries(
+        SPEC, 2, entries={KEY: x}).entry(KEY), "entries value at rank 6"),
+}
+
+
+@pytest.mark.parametrize("name", SCALARS)
+def test_coefficient_scalars_follow_the_real_rule(name):
+    call, arg = SCALARS[name]
+    for x in (1.5, np.float32(1.5), np.float64(1.5)):
+        got = call(x)
+        assert got == 1.5 and type(got) is float
+    assert call(np.int64(2)) == call(2) == 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ("1.5", True, np.True_, 1.5 + 0j, np.complex128(1.5)):
+            with pytest.raises(TypeError, match=f"^{re.escape(arg)} must be a real "
+                                                f"number, got {type(bad).__name__}$"):
+                call(bad)
+    with pytest.raises(ValueError, match=f"^{re.escape(arg)} must be finite, got nan$"):
+        call(np.nan)

@@ -13,13 +13,13 @@ def test_point_rows_runs_a_second_worker_where_the_rule_runs_one(started_threads
     # The shipped rule runs the p = 2 evaluate_grid on one worker at N = 4;
     # the tool's swapped constants let it run two there, and come back after.
     tool = load_tool()
-    shipped = {name: getattr(chaos_core, name) for name in tool.CONSTANTS}
+    shipped = dict(chaos_core._WORKER_RULE)
     assert tool.rule_grant("evaluate_grid", 4, 2, 2048) == 1
     rows = tool.point_rows("pair_eval", 4, 2, 2048, 1)
     assert started_threads
     assert [name for name, _ in rows] == ["evaluate_grid"]
     assert sorted(rows[0][1]) == [1, 2]
-    assert {name: getattr(chaos_core, name) for name in tool.CONSTANTS} == shipped
+    assert chaos_core._WORKER_RULE == shipped
 
 
 @pytest.mark.worker_rule

@@ -21,8 +21,9 @@ the pair sums read 1.16x there and no gain in a solve).
 ``variance_diagnostic``, which no solve runs, is timed in isolated calls,
 and so are all three calls at p = 0, which the solver refuses.
 While it measures, only the kernels under test may run a second worker (the
-rule's constants are swapped), so the threads-2 column shows what a second
-worker would do, not what the rule allows.
+rule's constants, ``chaos_core._WORKER_RULE``, are swapped), so the
+threads-2 column shows what a second worker would do, not what the rule
+allows.
 
 A point is ``group:N:p``, where the group is a chunk kernel as
 ``chaos_core._kernel`` names them (``pair_sums``, ``pair_eval`` or
@@ -111,24 +112,18 @@ def default_m(N: int, p: int) -> int:
                5_100_000 // (N + 1))
 
 
-# The rule's constants, and the group whose kernels each one governs.
-CONSTANTS = {"_PAIR_SUMS_ONE_WORKER_TO": "pair_sums", "_PAIR_EVAL_ONE_WORKER_TO": "pair_eval",
-             "_GIL_ENTRIES": "prefix"}
-
-
 @contextlib.contextmanager
 def grant_only(group: str):
     """Within the block, let the kernels ``group`` times run a second worker
-    at every (N, p), and no other kernel; the shipped constants come back
-    after it."""
-    shipped = {name: getattr(chaos_core, name) for name in CONSTANTS}
-    for name, owner in CONSTANTS.items():
-        setattr(chaos_core, name, 0 if owner == group else math.inf)
+    at every (N, p), and no other kernel; the shipped constants of
+    ``chaos_core._WORKER_RULE`` come back after it."""
+    rule = chaos_core._WORKER_RULE
+    shipped = dict(rule)
+    rule.update({kernel: 0 if kernel == group else math.inf for kernel in rule})
     try:
         yield
     finally:
-        for name, value in shipped.items():
-            setattr(chaos_core, name, value)
+        rule.update(shipped)
 
 
 def medians(samples: dict[int, list[tuple[float, float]]]):
@@ -205,19 +200,13 @@ def point_calls(group: str, p: int) -> list[str]:
     return [call for call in CALLS if group == chaos_core._kernel(call, p)]
 
 
-# Sums per basis index that a call holds for each chunk of a second stripe.
-HELD_SUMS = {"estimate": 1, "evaluate_grid": 0, "variance_diagnostic": 2}
-
-
 def admit(group: str, N: int, p: int, M: int) -> None:
     """SizingError unless the byte budget admits each call of the point at
-    the workers the tool runs on M samples, two where there are two chunks,
-    with the sums the second stripe holds: the charge of the chunk driver."""
-    chunks = -(-M // chaos_core._CHUNK)
-    k = min(2, chunks)
+    the workers the tool runs on M samples, two where there are two chunks:
+    the chunk driver's charge, its working sets and held sums."""
+    k = min(2, -(-M // chaos_core._CHUNK))
     for call in point_calls(group, p):
-        held = HELD_SUMS[call] * 8 * (chaos_core._basis_count(N, p) + 1)
-        chaos_core._check_bytes(N, p, k, held * (chunks - chunks // k))
+        chaos_core._check_bytes(N, p, k, chaos_core._held_bytes(N, p, call, M, k))
 
 
 def point_rows(group: str, N: int, p: int, M: int, runs: int):
