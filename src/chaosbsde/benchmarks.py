@@ -111,13 +111,15 @@ class Example2Params(_Params):
 def _state(params: _Params, t, n_t) -> tuple[np.ndarray, np.ndarray]:
     """``t`` and ``n_t`` as float64 arrays (``_real_array``: TypeError
     unless real), ValueError unless every t lies in [0, T] and every N_t is
-    >= 0 (NaN does neither)."""
+    >= 0 (NaN does neither) and finite."""
     t = _real_array("t", t)
     if not np.all((t >= 0) & (t <= params.T)):
         raise ValueError("t must lie in [0, T]")
     n_t = _real_array("N_t", n_t)
     if not np.all(n_t >= 0):
         raise ValueError("N_t must be nonnegative")
+    if not np.all(np.isfinite(n_t)):
+        raise ValueError("N_t must be finite")
     return t, n_t
 
 
@@ -126,7 +128,7 @@ def example1_exact(params: Example1Params, t, n_t):
 
     t and N_t are real scalars or arrays of any int or float dtype
     (TypeError for a complex, str, object or bool one); ValueError unless
-    every t lies in [0, T] and every N_t is >= 0."""
+    every t lies in [0, T] and every N_t is finite and >= 0."""
     t, n_t = _state(params, t, n_t)
     y = n_t + (1.0 + params.c) * (params.T - t)
     if y.ndim == 0:
@@ -139,8 +141,9 @@ def example2_exact(params: Example2Params, t, b_t, n_t):
 
     t, B_t and N_t are real scalars or arrays of any int or float dtype
     (TypeError for a complex, str, object or bool one); ValueError unless
-    every t lies in [0, T], every N_t is >= 0 and every B_t is finite, and
-    for a y, z or u that overflows float64, naming its first such entry."""
+    every t lies in [0, T], every N_t is finite and >= 0 and every B_t is
+    finite, and for a y, z or u that overflows float64, naming its first
+    such entry."""
     t, n_t = _state(params, t, n_t)
     b_t = _real_array("B_t", b_t)
     if not np.all(np.isfinite(b_t)):

@@ -24,17 +24,13 @@ and its (J, N) arrays ``degB`` and ``degP`` give each rank's degrees.
 
 Sums over samples are accumulated in fixed chunks of 1024 and combined in
 chunk order, so results are bit-identical across runs and across worker
-thread counts. A chunk's sums build each basis product below order p from
-a lower-order one by the prefix recursion of :class:`_IndexSet`; every
-sum is then an entry of the product of those basis products with F times
-the slot factors, taken in tiles of its block triangle (:func:`_prefix_tiles`)
-over fixed sample blocks small enough for BLAS to run single-threaded, so
-results do not depend on the BLAS thread count either. :func:`_kernel`
-names the kernel a call runs; :func:`estimate`'s pair kernel at p = 2 is
-several times faster: with the stacked first-order factors X = [K1; C1]
-(2N rows, one column per sample), row sums of F*X give the units and the
-upper block triangle of (F*X) X^T every order-2 sum, under the same bound
-(:func:`_width`).
+thread counts; every product is taken over sample blocks small enough for
+BLAS to run single-threaded (:func:`_width`), so they do not depend on the
+BLAS thread count either. :func:`_kernel` names the chunk kernel a call
+runs: the prefix recursion of :class:`_IndexSet` at any p, or at p = 2
+:func:`estimate`'s several times faster pair kernel
+(:func:`_fast_sums_chunk`). :func:`variance_diagnostic` reads the sums
+:func:`estimate` makes, plus one per-path pass (:func:`_diagonal_sums`).
 """
 
 from __future__ import annotations
@@ -48,8 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .orthopoly import _charlier_rows, _degree, _hermite_rows
-from .stochastic_grid import (GridSpec, PathBatch, _count, _finite_real,
-                             _finite_vector, _first_non_finite)
+from .stochastic_grid import GridSpec, PathBatch, _count, _finite_real, _finite_vector
 
 __all__ = [
     "ChaosCoefficients",
@@ -115,8 +110,8 @@ class SizingError(ValueError):
 class _IndexSet:
     """Dense enumeration of the truncated basis for (N, p), rank-ordered,
     and the layout of the prefix recursion behind the prefix kernels, which
-    run wherever :func:`_kernel` names no pair kernel.
-    Its arrays are shared by every solve at (N, p), so they are read-only.
+    run wherever :func:`_kernel` names no pair kernel. Its arrays are
+    shared by every solve at (N, p), so they are read-only.
 
     Let r be the last slot of index j's support, (a, b) its Hermite and
     Charlier degrees there and d = a + b. Its parent, j with slot r zeroed,
@@ -147,12 +142,10 @@ class _IndexSet:
     sumP: np.ndarray     # (J,) int16
     n_kc: int                           # rows of KC
     n_pre: int                          # rows of Phi_pre, 1 + J_{p-1}
-    # Per (order, r, d) with r < N - 1, in prefix order: rows lo:hi of
-    # Phi_pre are KC rows k0:k0+d+1 times the parent rows plo:plo+n.
-    # Indices supported on the last slot parent no index, so their rows are
-    # not built; ``built`` holds the built rows (lo, hi) of each order >= 1.
+    # Per (order, r, d) with r < N - 1 (an index supported on the last slot
+    # parents none), in prefix order: rows lo:hi of Phi_pre are KC rows
+    # k0:k0+d+1 times the parent rows plo:plo+n.
     segments: tuple[tuple[int, int, int, int, int, int], ...]
-    built: tuple[tuple[int, int], ...]
     tiles: tuple[_Tile, ...]
     n_flat: int                         # entries of the flat table
     gather: np.ndarray                  # (J,) flat table entry of each rank
@@ -275,12 +268,10 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
     for t in tiles:
         base[t.d, t.lo:t.hi] = t.t0 - t.c0 + (t.c1 - t.c0) * np.arange(t.hi - t.lo)
     starts = [0, 1]  # first position of each order
-    segments, built = [], []
+    segments = []
     lo = 1
     for g in range(1, p + 1):
         for r in range(N):
-            if g < p and r == N - 1:
-                built.append((starts[g], lo))
             for d in range(1, g + 1):
                 # Parents: order g - d, supported before slot r.
                 p_lo, p_hi = starts[g - d], starts[g - d + 1]
@@ -314,8 +305,7 @@ def _build_index_set(N: int, p: int) -> _IndexSet:
     iset = _IndexSet(N=N, p=p, J=J, degB=deg[pos, :N], degP=deg[pos, N:],
                      bfact=bfact[pos], pfact=pfact[pos], sumP=sumP[pos],
                      n_kc=n_kc, n_pre=n_pre, segments=tuple(segments),
-                     built=tuple(built), tiles=tiles, n_flat=n_flat,
-                     gather=flat[pos])
+                     tiles=tiles, n_flat=n_flat, gather=flat[pos])
     for a in (iset.gather, iset.degB, iset.degP, iset.bfact, iset.pfact, iset.sumP):
         a.flags.writeable = False
     return iset
@@ -399,18 +389,14 @@ def _worker_bytes(N: int, p: int) -> int:
     return 8 * (_CHUNK * rows + 4 * (_basis_count(N, p) + 1))
 
 
-# Sums per basis index, the constant's included, in one chunk result of a
-# call; the evaluation calls write their rows and return none.
-_CHUNK_SUMS = {"estimate": 1, "variance_diagnostic": 2}
-
-
 def _held_bytes(N: int, p: int, call: str, M: int, workers: int) -> int:
     """Bytes of the chunk results ``call`` holds on M samples at ``workers``
     stripes: those of every chunk outside the first stripe, which
-    :func:`_run_chunks` holds until the first is done."""
+    :func:`_run_chunks` holds until the first is done; only ``estimate``'s
+    hold any, one sum per basis index and the constant."""
     chunks = -(-M // _CHUNK)
-    return 8 * _CHUNK_SUMS.get(call, 0) * (_basis_count(N, p) + 1) * (
-        chunks - chunks // workers)
+    held = chunks - chunks // workers if call == "estimate" else 0
+    return 8 * (_basis_count(N, p) + 1) * held
 
 
 def _check_bytes(N: int, p: int, workers: int, held: int = 0) -> None:
@@ -438,8 +424,8 @@ class ChaosCoefficients:
     Built from a real d0 (``_finite_real``: TypeError for a str, bool or
     complex d0) and a values array of shape (J,) of any int or float dtype
     (``_finite_vector``: TypeError for a complex, str, object or bool
-    array), both stored as float64: the constructor checks the types, the
-    shape and that every coefficient is finite.
+    array), stored as a float and a read-only float64 copy: the constructor
+    checks the types, the shape and that every coefficient is finite.
 
     Raises
     ------
@@ -456,11 +442,10 @@ class ChaosCoefficients:
     def __post_init__(self) -> None:
         iset = _index_set(self.spec.N, self.p)
         d0 = _finite_real("d0", self.d0)
-        values = _finite_vector("values", self.values, iset.J, at="rank")
-        object.__setattr__(self, "d0", d0)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "p", iset.p)
-        object.__setattr__(self, "iset", iset)
+        values = _finite_vector("values", self.values, iset.J, at="rank").copy()
+        values.flags.writeable = False
+        for name, value in (("d0", d0), ("values", values), ("p", iset.p), ("iset", iset)):
+            object.__setattr__(self, name, value)
 
     @property
     def degB(self) -> np.ndarray:
@@ -559,10 +544,8 @@ def _fast_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
     N2 = X.shape[0]
     N = N2 // 2
     out = np.empty(1 + iset.J, dtype=np.float64)
-
     FX = np.multiply(X, Fc, out=buf.get("T", X.shape))
-    sF = Fc.sum()
-    out[0] = sF
+    out[0] = sF = Fc.sum()
     out[1:1 + N2] = FX.sum(axis=1)
     S = np.empty((N2, N2))
     for lo, hi in _pair_blocks(N)[0]:
@@ -599,11 +582,10 @@ class _ChunkBuffers:
 
     def get(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """Contiguous view of buffer ``name`` with this shape (the chunk's
-        width last). "W" holds the weighted KC copy of the sums kernel and
-        V of the evaluation kernel, and "K" the evaluation kernel's scratch
-        once KC is built; "T" holds F*X in the pair sums kernel
-        and T in the pair evaluation kernel, and "XS" there the
-        slot-block-major factors, then SY and an (N, width) scratch."""
+        width last). "W" holds F*KC, V of the evaluation kernel or the
+        diagonal's polynomial, "K" a scratch or u once KC is built, "T" F*X
+        or the pair evaluation's T, and "XS" its slot-block-major factors,
+        then SY and an (N, width) scratch."""
         return self._flat[name][:math.prod(shape)].reshape(shape)
 
 
@@ -689,25 +671,31 @@ def _slot_factors(K: np.ndarray, C: np.ndarray, KC: np.ndarray, N: int,
                     out=rows.reshape(n, d + 1, Mc).transpose(1, 0, 2))
 
 
-def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
-                  buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray]:
-    """Slot factors KC and prefix table Phi_pre of one chunk, time-major,
-    written into ``buf``. The rows of ``G[sl].T`` and ``Q[sl].T`` go to the
-    unchecked recurrences: a PathBatch holds only finite G and nonnegative
-    integer Q. At p = 0 the tables are left unfilled: the sums kernel reads
-    only the sums of F there, and the evaluation kernel no table."""
-    N = iset.N
+def _slot_table(iset: _IndexSet, G, Q, kh: float, sl: slice,
+                buf: _ChunkBuffers) -> np.ndarray:
+    """Slot factors KC of one chunk, time-major, written into ``buf`` from
+    the rows of ``G[sl].T`` and ``Q[sl].T`` by the unchecked recurrences (a
+    PathBatch holds only finite G and nonnegative integer Q); none at p = 0."""
     Gt = G[sl].T
-    Mc = Gt.shape[1]
+    N, Mc = Gt.shape
     KC = buf.get("KC", (iset.n_kc, Mc))
-    phi = buf.get("phi", (iset.n_pre, Mc))
     if iset.p == 0:
-        return KC, phi
+        return KC
     K = _hermite_rows(iset.p, Gt, buf.get("K", (iset.p + 1, N, Mc)))
     # KC's rows are scratch until the factors are formed below.
     C = _charlier_rows(iset.p, Q[sl].T, kh, buf.get("C", (iset.p + 1, N, Mc)),
                        buf.get("KC", (N, Mc)))
     _slot_factors(K, C, KC, N)
+    return KC
+
+
+def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
+                  buf: _ChunkBuffers) -> tuple[np.ndarray, np.ndarray]:
+    """Slot factors KC (:func:`_slot_table`) and prefix table Phi_pre of one
+    chunk, time-major, written into ``buf``."""
+    KC = _slot_table(iset, G, Q, kh, sl, buf)
+    Mc = KC.shape[1]
+    phi = buf.get("phi", (iset.n_pre, Mc))
     # One run at a time: the run's d + 1 factors times its parent rows.
     phi[0] = 1.0
     for lo, hi, plo, n, k0, d in iset.segments:
@@ -717,63 +705,79 @@ def _chunk_tables(iset: _IndexSet, G, Q, kh: float, sl: slice,
 
 
 def _prefix_sums_chunk(F, G, Q, kh: float, iset: _IndexSet, sl: slice,
-                       squares: bool, buf: _ChunkBuffers) -> np.ndarray:
-    """Raw sums over one chunk for any p by the prefix recursion.
+                       buf: _ChunkBuffers) -> np.ndarray:
+    """Raw sums of F*Phi_j over one chunk for any p by the prefix recursion.
 
-    With W = F*KC, the sums of F*Phi_j fill a flat table: the row sums of W
-    (the indices whose parent is the constant), then per tile the product of
-    its Phi_pre rows with its rows of W. The sums of (F*Phi_j)**2 are the
-    same with Phi_pre and W squared. Each is gathered into rank order.
+    With W = F*KC, the sums fill a flat table: the row sums of W (the
+    indices whose parent is the constant), then per tile the product of its
+    Phi_pre rows with its rows of W. They are gathered into rank order.
     """
-    Fc = F[sl]
     KC, phi = _chunk_tables(iset, G, Q, kh, sl, buf)
-    n_out = 1 + iset.J
-    out = np.empty(2 * n_out if squares else n_out, dtype=np.float64)
     flat = np.empty(iset.n_flat)
-    W = np.multiply(KC, Fc, out=buf.get("W", KC.shape))
-
-    def sums() -> np.ndarray:
-        W.sum(axis=1, out=flat[:iset.n_kc])
-        for t in iset.tiles:
-            _tile_sums(phi[t.lo:t.hi], W[t.c0:t.c1],
-                       flat[t.t0:t.t0 + (t.hi - t.lo) * (t.c1 - t.c0)]
-                       .reshape(t.hi - t.lo, t.c1 - t.c0))
-        return flat[iset.gather]
-
-    out[0] = Fc.sum()
-    out[1:n_out] = sums()
-    if squares:
-        F2 = Fc * Fc
-        out[n_out] = F2.sum()
-        for lo, hi in iset.built:
-            phi[lo:hi] *= phi[lo:hi]
-        W *= W
-        out[1 + n_out:] = sums()
-    return out
+    W = np.multiply(KC, F[sl], out=buf.get("W", KC.shape))
+    W.sum(axis=1, out=flat[:iset.n_kc])
+    for t in iset.tiles:
+        _tile_sums(phi[t.lo:t.hi], W[t.c0:t.c1],
+                   flat[t.t0:t.t0 + (t.hi - t.lo) * (t.c1 - t.c0)]
+                   .reshape(t.hi - t.lo, t.c1 - t.c0))
+    return np.concatenate(([F[sl].sum()], flat[iset.gather]))
 
 
-def _raw_sums(F, paths: PathBatch, p, threads: int, squares: bool
-              ) -> tuple[_IndexSet, np.ndarray]:
-    """The index set for (N, p) and the sums of F*Phi_n over every sample,
-    with the sums of (F*Phi_n)**2 appended when ``squares``."""
+def _raw_sums(F, paths: PathBatch, p, threads: int) -> tuple[_IndexSet, np.ndarray]:
+    """The index set for (N, p) and the sums of F and of F*Phi_n over every
+    sample, in rank order."""
     iset = _index_set(paths.spec.N, p)
-    call = "variance_diagnostic" if squares else "estimate"
-    pair = _kernel(call, iset.p) == "pair_sums"
+    pair = _kernel("estimate", iset.p) == "pair_sums"
     kh = paths.spec.jump_mean
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> np.ndarray:
-        # Finite F can still overflow a product; the callers refuse the
-        # non-finite sums that result. errstate is per thread, so it is set
-        # in the worker.
+        # Finite F can still overflow a product, whose non-finite sums the
+        # callers refuse; errstate is per thread, so it is set in the worker.
         with np.errstate(over="ignore", invalid="ignore"):
             if pair:
                 return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
-            return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, squares, buf)
+            return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
 
-    total = np.zeros(_CHUNK_SUMS[call] * (1 + iset.J))
-    for part in _run_chunks(chunk, iset, paths.M, threads, call):
+    total = np.zeros(1 + iset.J)
+    for part in _run_chunks(chunk, iset, paths.M, threads, "estimate"):
         total += part
     return iset, total
+
+
+def _diagonal_sums(F, paths: PathBatch, iset: _IndexSet, inv_w) -> np.ndarray:
+    """Sums of F**2 and F**2 * S over the samples, S = sum_n Phi_n**2 * inv_w(n),
+    on one worker: its calls are elementwise over a chunk's rows. 1 + S sums
+    the coefficients of t**0..t**p of the product over slots i of
+    1 + sum_d u_i[d] * t**d, u_i[d] the sum of the slot factors' (K_a * C_b)**2
+    at slot i with a + b = d, each times the inv_w of its one-slot index,
+    whose flat table entry is its KC row."""
+    N, p = iset.N, iset.p
+    inv_flat = np.zeros(iset.n_flat)
+    inv_flat[iset.gather] = inv_w
+
+    def chunk(sl: slice, buf: _ChunkBuffers) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            F2 = F[sl] * F[sl]
+            KC = _slot_table(iset, paths.G, paths.Q, paths.spec.jump_mean, sl, buf)
+            KC *= KC
+            KC *= inv_flat[:iset.n_kc, None]
+            Mc = KC.shape[1]
+            u = buf.get("K", (p + 1, N, Mc))  # K is read no more
+            for d in range(1, p + 1):
+                rows = KC[_kc_row(N, d, 0):_kc_row(N, d + 1, 0)]
+                rows.reshape(N, d + 1, Mc).sum(axis=1, out=u[d])
+            # P[d - 1], the coefficient of t**d of the product over the
+            # slots so far, is updated in place descending in d.
+            P, tmp = buf.get("W", (p, Mc)), buf.get("S", (Mc,))
+            P[:] = u[1:, 0]
+            for i in range(1, N):
+                for d in range(p, 0, -1):
+                    P[d - 1] += u[d, i]
+                    for e in range(1, d):
+                        P[d - 1] += np.multiply(P[d - 1 - e], u[e, i], out=tmp)
+            return np.array([F2.sum(), (F2 * P.sum(axis=0)).sum()])
+
+    return sum(_run_chunks(chunk, iset, paths.M, 1, "diagonal"))
 
 
 def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficients:
@@ -813,9 +817,9 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
         threads is below 1, or a coefficient overflows float64.
     """
     F = _finite_vector("F", F, paths.M)
-    iset, raw = _raw_sums(F, paths, p, threads, squares=False)
+    iset, raw = _raw_sums(F, paths, p, threads)
     d0 = raw[0] / paths.M
-    values = raw[1:1 + iset.J] * iset.inv_weights(paths.spec.jump_mean) / paths.M
+    values = raw[1:] * iset.inv_weights(paths.spec.jump_mean) / paths.M
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=paths.spec)
 
 
@@ -830,32 +834,26 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
 
     with all variances replaced by their unbiased sample estimates. Note a
     constant functional c has V = c**2 * J (J = index count), not zero:
-    every product c * Phi_n still fluctuates.
+    every product c * Phi_n still fluctuates. The sum over n is formed from
+    the sums s_n of F * Phi_n that :func:`estimate` makes, at its workers,
+    and per path S = sum_n Phi_n**2 / w(n), which factorises slot by slot:
 
-    ``threads`` caps the worker threads as in :func:`estimate`; this call
-    runs the prefix kernels at every p. Raises SizingError, TypeError (p or
-    threads not an int) and ValueError as :func:`estimate` does, and
-    ValueError when M < 2 or a variance overflows float64.
+        (sum_m F_m**2 * S_m - sum_n s_n**2 / (M * w(n))) / (M - 1).
+
+    Raises SizingError, TypeError (p or threads not an int) and ValueError
+    as :func:`estimate` does, and ValueError when M < 2 or V overflows.
     """
     if paths.M < 2:
         raise ValueError("variance diagnostic requires at least 2 samples")
     F = _finite_vector("F", F, paths.M)
-    iset, raw = _raw_sums(F, paths, p, threads, squares=True)
-    n_out = 1 + iset.J
-    s1 = raw[:n_out]
-    s2 = raw[n_out:]
-    M = paths.M
-    inv_w = iset.inv_weights(paths.spec.jump_mean)
+    iset, s1 = _raw_sums(F, paths, p, threads)
+    M, inv_w = paths.M, iset.inv_weights(paths.spec.jump_mean)
+    sF2, sF2S = _diagonal_sums(F, paths, iset, inv_w)
     with np.errstate(over="ignore", invalid="ignore"):
-        var = (s2 - s1 * s1 / M) / (M - 1)
-        np.maximum(var, 0.0, out=var)  # rounding can leave tiny negatives
-        total = var[0] + var[1:] @ inv_w
-    bad = _first_non_finite(var)
-    if bad is not None:
-        i = bad[0]
-        what = "Var(F)" if i == 0 else f"Var(F * Phi_n) at rank {i - 1}"
-        raise ValueError(f"variance diagnostic overflows float64: {what} is not finite")
-    if not math.isfinite(total):
-        raise ValueError("variance diagnostic overflows float64: the weighted sum "
-                         "of the variances is not finite")
-    return float(total)
+        var_F = (sF2 - s1[0] * s1[0] / M) / (M - 1)
+        total = var_F + (sF2S - (s1[1:] * s1[1:] * inv_w).sum() / M) / (M - 1)
+    for what, v in (("Var(F)", var_F), ("the weighted sum of the variances", total)):
+        if not math.isfinite(v):
+            raise ValueError(f"variance diagnostic overflows float64: {what} is not finite")
+    # A sum of variances, which rounding leaves negative only near 0.
+    return max(float(total), 0.0)

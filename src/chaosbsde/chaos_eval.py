@@ -65,7 +65,7 @@ from .chaos_core import (ChaosCoefficients, _chunk_tables, _ChunkBuffers,
                          _run_chunks, _slot_factors, _stacked_factors, _width)
 from .orthopoly import _charlier_rows, _hermite_rows
 from .stochastic_grid import (PathBatch, _check_counts, _check_grid, _count,
-                             _finite_real, _finite_vector)
+                             _finite_real, _finite_vector, _first_non_finite)
 
 __all__ = ["conditional_at", "evaluate_grid"]
 
@@ -123,27 +123,42 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
     out = np.empty((3, M))
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> None:
-        KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf)
-        # Slot r's factors become the in-interval ones, from the unchecked
-        # recurrences: g and dN were checked on entry. The Phi_pre rows
-        # built from the full-interval ones parent only indices supported
-        # after slot r, whose sums are computed and not read.
-        shape = (iset.p + 1, 1, KC.shape[1])
-        K = _hermite_rows(iset.p, g[None, sl], np.empty(shape))
-        for a in range(1, iset.p + 1):
-            K[a] *= (tau / spec.h) ** (a / 2)
-        C = _charlier_rows(iset.p, dN[None, sl], spec.kappa * tau, np.empty(shape),
-                           np.empty(shape[1:]))
-        _slot_factors(K, C, KC, N, r - 1)
-        SY, SZ, SU = _prefix_slot_sums(iset, D, KC, phi, buf)
-        _cumulate(SY[:r], coeffs.d0)
-        out[0, sl] = SY[r - 1]
-        np.divide(SZ[r - 1], sqrt_h, out=out[1, sl])
-        out[2, sl] = SU[r - 1]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            KC, phi = _chunk_tables(iset, paths.G, paths.Q, spec.jump_mean, sl, buf)
+            # Slot r's factors become the in-interval ones, from the
+            # unchecked recurrences: g and dN were checked on entry. The
+            # Phi_pre rows built from the full-interval ones parent only
+            # indices supported after slot r, whose sums are computed and
+            # not read.
+            shape = (iset.p + 1, 1, KC.shape[1])
+            K = _hermite_rows(iset.p, g[None, sl], np.empty(shape))
+            for a in range(1, iset.p + 1):
+                K[a] *= (tau / spec.h) ** (a / 2)
+            C = _charlier_rows(iset.p, dN[None, sl], spec.kappa * tau, np.empty(shape),
+                               np.empty(shape[1:]))
+            _slot_factors(K, C, KC, N, r - 1)
+            SY, SZ, SU = _prefix_slot_sums(iset, D, KC, phi, buf)
+            _cumulate(SY[:r], coeffs.d0)
+            out[0, sl] = SY[r - 1]
+            np.divide(SZ[r - 1], sqrt_h, out=out[1, sl])
+            out[2, sl] = SU[r - 1]
+        _refuse_overflow("conditional_at", out[:, None, sl], r, sl.start)
 
     for _ in _run_chunks(chunk, iset, M, 1, "conditional_at"):
         pass
     return out[0], out[1], out[2]
+
+
+def _refuse_overflow(call: str, grids, r0: int, m0: int) -> None:
+    """ValueError naming the first non-finite entry of one chunk's blocks
+    ``grids`` of Y, Z and U, whose first row is grid index r0 and first
+    column sample m0. The chunk runs under errstate, so an overflow in it
+    leaves inf or NaN here and no warning."""
+    for name, block in zip("YZU", grids):
+        bad = _first_non_finite(block)
+        if bad is not None:
+            raise ValueError(f"{call} overflows float64: {name} is not finite at "
+                             f"grid index {r0 + bad[0]}, sample {m0 + bad[1]}")
 
 
 def _prefix_coeffs(coeffs: ChaosCoefficients) -> np.ndarray:
@@ -349,11 +364,8 @@ def _write_rows(S: tuple[np.ndarray, np.ndarray, np.ndarray],
     if sums_h is None:
         rows[:] = SY
         return
-    # solve refuses an overflow here in its final grid. errstate is per
-    # thread, so it is set in the chunk function.
-    with np.errstate(over="ignore", invalid="ignore"):
-        rows *= sums_h
-        np.subtract(SY, rows, out=rows)
+    rows *= sums_h
+    np.subtract(SY, rows, out=rows)
 
 
 def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
@@ -405,12 +417,17 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     plan = _pair_plan(coeffs) if pair else _prefix_coeffs(coeffs)
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> None:
-        if pair:
-            S = _pair_slot_sums(plan, kh, paths.G, paths.Q, sl, buf)
-        else:
-            KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
-            S = _prefix_slot_sums(iset, plan, KC, phi, buf)
-        _write_rows(S, coeffs, (Y, Z, U), sl, _sums_h)
+        # An overflow is refused below, or by solve in its driver pass and
+        # final grid. errstate is per thread, so it is set in the worker.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if pair:
+                S = _pair_slot_sums(plan, kh, paths.G, paths.Q, sl, buf)
+            else:
+                KC, phi = _chunk_tables(iset, paths.G, paths.Q, kh, sl, buf)
+                S = _prefix_slot_sums(iset, plan, KC, phi, buf)
+            _write_rows(S, coeffs, (Y, Z, U), sl, _sums_h)
+        if _sums_h is None:
+            _refuse_overflow("evaluate_grid", (Y[:, sl], Z[:, sl], U[:, sl]), 0, sl.start)
 
     for _ in _run_chunks(chunk, iset, M, threads, "evaluate_grid"):
         pass

@@ -26,7 +26,7 @@ Both tables are vectorized: ``hermite_batch(m_max, x)`` and
 of x, with the degree as the leading axis. A scalar x gives a vector of
 m_max + 1 values. x may hold ints or floats of any dtype, computed in
 float64; a complex, str, object or bool x is refused with TypeError, and a
-non-finite entry with ValueError.
+non-finite entry, or one where a degree overflows float64, with ValueError.
 
 Degrees are capped at MAX_DEGREE = 60: beyond that the factorial weights
 over/underflow float64 long before the values are of any statistical use.
@@ -67,20 +67,24 @@ def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
     """Hermite values K_0..K_{m_max} at every entry of x.
 
     Returns an array of shape (m_max+1,) + x.shape; x is real (TypeError
-    otherwise, bools included) and finite (ValueError). Examples:
+    otherwise, bools included) and finite, and no value may overflow
+    float64 (ValueError naming the degree and the entry). Examples:
     hermite_batch(1, 3.5) is [1, 3.5]; hermite_batch(2, 3.0) is [1, 3, 4]
     since K_2(3) = (9 - 1)/2; hermite_batch(3, 2.0) is [1, 2, 1.5, 1/3]
     since K_3(2) = (8 - 6)/6.
     """
     m_max, x = _checked(m_max, x)
-    return _hermite_rows(m_max, x, np.empty((m_max + 1,) + x.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _hermite_rows(m_max, x, np.empty((m_max + 1,) + x.shape))
+    return _refuse_overflow("K", out, x)
 
 
 def charlier_batch(m_max: int, x: np.ndarray, t: float) -> np.ndarray:
     """Charlier values C_0..C_{m_max}(x, t) at every entry of x.
 
     Returns an array of shape (m_max+1,) + x.shape; x is real (TypeError
-    otherwise, bools included) and finite (ValueError). Examples:
+    otherwise, bools included) and finite, and no value may overflow
+    float64 (ValueError naming the degree and the entry). Examples:
     charlier_batch(1, 4, 1.0) is [1, 3]; charlier_batch(2, 3, 1.0) is
     [1, 2, 1] and charlier_batch(2, 2, 1.0) is [1, 1, -1] by the
     three-term recurrence. ``t`` is a real number (TypeError otherwise,
@@ -90,8 +94,21 @@ def charlier_batch(m_max: int, x: np.ndarray, t: float) -> np.ndarray:
     t = _finite_real("t", t)
     if t < 0.0:
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    return _charlier_rows(m_max, x, t, np.empty((m_max + 1,) + x.shape),
-                          np.empty(x.shape))
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _charlier_rows(m_max, x, t, np.empty((m_max + 1,) + x.shape),
+                             np.empty(x.shape))
+    return _refuse_overflow("C", out, x)
+
+
+def _refuse_overflow(family: str, out: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``out``, the table at x, or ValueError naming the lowest degree that
+    overflows float64 there and its first such entry of x."""
+    bad = _first_non_finite(out)
+    if bad is not None:
+        at = f" at entry {', '.join(map(str, bad[1:]))}" if bad[1:] else ""
+        raise ValueError(f"{family}_{bad[0]}(x) overflows float64 at "
+                         f"x = {float(x[bad[1:]])!r}{at}")
+    return out
 
 
 # The recurrences themselves, unchecked: the kernels call them on paths a

@@ -176,6 +176,9 @@ REFUSALS = {
     "example2_count_nan": (lambda: example2_exact(PAPER2, 0.5, 0.0, math.nan),
                            "N_t must be nonnegative"),
     "example2_count": (lambda: example2_exact(PAPER2, 0.5, 0.0, -1), "N_t must be nonnegative"),
+    "example1_count_inf": (lambda: example1_exact(EX1, 0.5, math.inf), "^N_t must be finite$"),
+    "example2_count_inf": (lambda: example2_exact(PAPER2, 0.5, 0.0, [0.0, math.inf]),
+                           "^N_t must be finite$"),
     # exp overflows at B_t = 1e4: refused, not returned as inf with a warning.
     "example2_overflow": (lambda: example2_exact(PAPER2, 1.0, 1e4, 0),
                           "^Y_t overflows float64$"),

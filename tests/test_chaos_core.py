@@ -88,7 +88,8 @@ def naive_estimate(F, paths, p):
 
 class TestPairKernel:
     """The closed-form p = 2 estimator against naive per-sample sums, and
-    the prefix kernels on the same cases at p = 1 and in variance_diagnostic.
+    the prefix kernel on the same cases at p = 1, and variance_diagnostic at
+    both.
 
     M = 2500 leaves a ragged last chunk (2500 = 2 * 1024 + 452). At odd N
     the 4-row blocks of the upper block triangle leave a 2-row block, and
@@ -213,7 +214,7 @@ class TestBlasSerialBlocks:
 
     @pytest.mark.parametrize("p, n_max", [(2, 484), (3, 106), (4, 38)])
     def test_prefix_products_are_blas_serial_at_every_admitted_n(self, p, n_max):
-        # variance_diagnostic runs the prefix kernels at p = 2.
+        # conditional_at runs the prefix evaluation kernel at p = 2.
         from chaosbsde.chaos_core import _check_bytes
 
         N = 1
@@ -249,9 +250,8 @@ class TestBlasSerialBlocks:
                                       (50, 2), (1, 3), (7, 3), (1, 4), (7, 4)])
     def test_kernels_make_exactly_these_products(self, monkeypatch, N, p):
         # 2049 samples: the last chunk has one sample, so each kernel's last
-        # sample block is a one-sample tail. variance_diagnostic runs the
-        # prefix sums kernel twice per chunk at every p, for the sums and
-        # the squared sums; at p = 1 no kernel makes a product.
+        # sample block is a one-sample tail. variance_diagnostic makes the
+        # products of estimate and no other; at p = 1 no kernel makes one.
         spec = GridSpec(T=2.0, N=N, kappa=3.0)
         paths = sample_paths(spec, 2049, seed=80 + N)
         F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
@@ -260,14 +260,13 @@ class TestBlasSerialBlocks:
         chunks = (1024, 1024, 1)
         sums, evals = zip(*(self.products(N, p, Mc) for Mc in chunks))
         sums, evals = sum(sums, []), sum(evals, [])
-        squares = sum((self.prefix_products(N, p, Mc)[0] for Mc in chunks), [])
         if p == 1:
-            assert not (sums or evals or squares)
+            assert not (sums or evals)
         estimate(F, paths, p)
         assert sorted(made) == sorted(sums)
         made.clear()
         variance_diagnostic(F, paths, p)
-        assert sorted(made) == sorted(2 * squares)
+        assert sorted(made) == sorted(sums)
         made.clear()
         Y, Z, U = evaluate_grid(coeffs, paths)
         assert sorted(made) == sorted(evals)
@@ -277,9 +276,9 @@ class TestBlasSerialBlocks:
 
 
 class TestPrefixKernel:
-    """The prefix-recursion estimator, which runs at every p but 2 and in
-    variance_diagnostic at every p, against naive sums (p = 1 and p = 2's
-    variance_diagnostic are covered by TestPairKernel's cases).
+    """The prefix-recursion estimator, which runs at every p but 2, and
+    variance_diagnostic, against naive sums (p = 1 and 2 are covered by
+    TestPairKernel's cases).
 
     M = 2500 leaves a ragged last chunk. At N = 7, p = 4 (J = 3059) every
     (support, a, b) segment draws on parents of up to four orders, so its
@@ -361,7 +360,7 @@ class TestChunkBuffers:
             assert 1 <= len(built) <= 2
             built.clear()
             variance_diagnostic(F, paths, p)
-            assert built == [1024]
+            assert built == [1024, 1024]  # estimate's sums, then the diagonal
             built.clear()
             r = coeffs.spec.N // 2
             conditional_at(coeffs, paths, r, coeffs.spec.times()[r],
@@ -389,7 +388,9 @@ class TestChunkBuffers:
 
 class TestKernelChoice:
     """Each call runs the chunk kernel chaos_core._kernel names for it at
-    its p, and every stripe's buffers hold that kernel's family only."""
+    its p, and every stripe's buffers hold that kernel's family only.
+    variance_diagnostic's sums run estimate's kernel, and its diagonal pass
+    one stripe of the prefix family."""
 
     # The chunk function of each kernel, by kind of call.
     SUMS = {"pair_sums": "_fast_sums_chunk", "prefix": "_prefix_sums_chunk"}
@@ -432,11 +433,13 @@ class TestKernelChoice:
             ran.clear()
             families.clear()
             run()
-            kernel = chaos_core._kernel(call, p)
-            kinds = self.SUMS if call in ("estimate", "variance_diagnostic") else self.EVALUATION
+            sums = call in ("estimate", "variance_diagnostic")
+            kernel = chaos_core._kernel("estimate" if sums else call, p)
+            kinds = self.SUMS if sums else self.EVALUATION
             assert ran == [kinds[kernel]] * 4, call
             stripes = 1 if call == "conditional_at" else 2
-            assert families == [self.FAMILY[kernel]] * stripes, call
+            diagonal = [self.FAMILY["prefix"]] if call == "variance_diagnostic" else []
+            assert families == [self.FAMILY[kernel]] * stripes + diagonal, call
         assert chaos_core._kernel("estimate", p) == ("pair_sums" if p == 2 else "prefix")
         assert chaos_core._kernel("evaluate_grid", p) == ("pair_eval" if p == 2 else "prefix")
 
@@ -544,11 +547,9 @@ class TestWorkerRule:
     M = 100_000
 
     DISAGREEMENTS = {
-        ("estimate", 100, 0), ("variance_diagnostic", 100, 0), ("estimate", 400, 0),
-        ("estimate", 30, 1), ("estimate", 15, 3), ("evaluate_grid", 15, 3),
-        ("variance_diagnostic", 7, 4), ("estimate", 5, 5), ("variance_diagnostic", 5, 5),
-        ("estimate", 3, 9), ("evaluate_grid", 3, 9), ("variance_diagnostic", 3, 9),
-        ("evaluate_grid", 3, 10), ("variance_diagnostic", 3, 10),
+        ("estimate", 100, 0), ("estimate", 400, 0), ("estimate", 30, 1),
+        ("estimate", 15, 3), ("evaluate_grid", 15, 3), ("estimate", 5, 5),
+        ("estimate", 3, 9), ("evaluate_grid", 3, 9), ("evaluate_grid", 3, 10),
     }
 
     @staticmethod
@@ -573,7 +574,7 @@ class TestWorkerRule:
         assert self.DISAGREEMENTS <= set(ratios)
         assert all(0.90 <= ratios[point] <= 1.15 for point in self.DISAGREEMENTS)
 
-    @pytest.mark.parametrize("call", ["estimate", "evaluate_grid", "variance_diagnostic"])
+    @pytest.mark.parametrize("call", ["estimate", "evaluate_grid"])
     def test_small_n_above_p7_runs_one_worker(self, call):
         # Any p >= 8 once kept min(threads, chunks), which at N <= 3 ran up to
         # twice as slow as one worker; N = 3 at p = 9 and 10 are measured points.
@@ -657,7 +658,7 @@ class TestHeldSums:
     """At k >= 2 workers the chunk driver holds the sum vectors of the
     chunks outside the calling thread's stripe until every stripe is done;
     the budget charges them: 8 * (J + 1) bytes per held chunk in estimate,
-    twice that in variance_diagnostic."""
+    and in variance_diagnostic, whose sums are estimate's."""
 
     N, p = 3, 3
     M = 8 * 1024  # eight chunks
@@ -686,12 +687,12 @@ class TestHeldSums:
         vector = 8 * (_basis_count(self.N, self.p) + 1)
         want = estimate(F, paths, self.p)
         want_v = variance_diagnostic(F, paths, self.p)
-        for vectors, call, got in (
-                (1, lambda: estimate(F, paths, self.p, threads=threads).values,
+        for call, got in (
+                (lambda: estimate(F, paths, self.p, threads=threads).values,
                  want.values),
-                (2, lambda: variance_diagnostic(F, paths, self.p, threads=threads),
+                (lambda: variance_diagnostic(F, paths, self.p, threads=threads),
                  want_v)):
-            exact = self.need(threads) + held * vectors * vector
+            exact = self.need(threads) + held * vector
             monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", exact)
             assert np.array_equal(call(), got)
             monkeypatch.setattr(chaos_core, "_BYTE_BUDGET", exact - 1)
@@ -706,18 +707,21 @@ class TestHeldSums:
 class TestOneSizingCheck:
     """Every kernel call is sized once, by the chunk driver, for the workers
     the rule grants it, before it starts a thread or allocates a chunk
-    buffer. The only other check is the basis admission's, for one worker."""
+    buffer; variance_diagnostic's two passes, its sums at estimate's grant
+    and its diagonal on one worker, once each. The only other check is the
+    basis admission's, for one worker."""
 
     M = 3 * 1024 + 5  # four chunks
 
     @staticmethod
     def calls(paths, F, coeffs, threads):
         """(call name the rule sees, threads it is asked for, call) of each
-        kernel call; conditional_at runs at threads 1."""
+        kernel call; conditional_at runs at threads 1, and variance_diagnostic
+        first runs estimate's sums."""
         r = paths.spec.N // 2
         return [
             ("estimate", threads, lambda: estimate(F, paths, coeffs.p, threads=threads)),
-            ("variance_diagnostic", threads,
+            ("estimate", threads,
              lambda: variance_diagnostic(F, paths, coeffs.p, threads=threads)),
             ("evaluate_grid", threads, lambda: evaluate_grid(coeffs, paths, threads=threads)),
             ("conditional_at", 1,
@@ -757,11 +761,12 @@ class TestOneSizingCheck:
         monkeypatch.setattr(chaos_core, "_check_bytes", spy)
         monkeypatch.setattr(chaos_core, "_admit_basis", spy_admit)
         grants = []
-        for entry, asked, call in self.calls(paths, F, coeffs, threads):
+        for i, (entry, asked, call) in enumerate(self.calls(paths, F, coeffs, threads)):
             checked.clear()
             call()
             grants.append(chaos_core._workers(asked, self.M, coeffs.iset, entry))
-            assert [w for fn, w in checked if fn == "_run_chunks"] == grants[-1:]
+            diagonal = [1] if i == 1 else []  # variance_diagnostic's own pass
+            assert [w for fn, w in checked if fn == "_run_chunks"] == grants[-1:] + diagonal
             assert all(fn == "admission" and w == 1
                        for fn, w in checked if fn != "_run_chunks")
         # Under the lowered rule every call shares but conditional_at.
@@ -1095,6 +1100,20 @@ class TestEstimate:
 
 
 class TestCoefficientsContainer:
+    def test_values_are_a_read_only_copy(self, small_spec):
+        # A later change to the caller's array reaches neither the
+        # coefficients nor an evaluation, under any warnings filter.
+        J = len(oracle_indices(small_spec.N, 2))
+        vals = np.zeros(J)
+        coeffs = ChaosCoefficients(0.0, vals, 2, small_spec)
+        vals[0] = np.nan
+        assert coeffs.values[0] == 0.0
+        assert not coeffs.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.values[0] = 1.0
+        paths = sample_paths(small_spec, 50, seed=3)
+        assert all(np.isfinite(grid).all() for grid in evaluate_grid(coeffs, paths))
+
     def test_round_trip_entries(self, small_spec):
         idx = ((0, 1, 0, 0), (0, 0, 0, 0))
         coeffs = coefficients_from_entries(small_spec, 2, d0=1.5, entries={idx: 0.25})
@@ -1259,6 +1278,39 @@ class TestVarianceDiagnostic:
         for threads in (1, 2):
             with pytest.raises(ValueError, match="overflows float64"):
                 variance_diagnostic(np.full(paths.M, 1e200), paths, p, threads=threads)
+
+    @pytest.mark.parametrize("N, p", [(1, 1), (2, 2), (3, 3), (2, 4), (1, 6)])
+    def test_diagonal_sums_match_the_oracle(self, N, p):
+        # sum_m F_m**2 * S_m = sum_n sum_m (F_m * Phi_n(m))**2 / w(n): the
+        # per-path sum over every index against the naive one per index, on
+        # a batch of two chunks.
+        from chaosbsde.chaos_core import _diagonal_sums, _index_set
+
+        spec = GridSpec(T=1.0, N=N, kappa=1.5)
+        paths = sample_paths(spec, 1100, seed=40 + N)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        iset = _index_set(N, p)
+        sF2, sF2S = _diagonal_sums(F, paths, iset, iset.inv_weights(spec.jump_mean))
+        s2 = ((basis_products(oracle_indices(N, p), paths) * F) ** 2).sum(axis=1)
+        assert sF2 == pytest.approx(float((F * F).sum()), rel=1e-14)
+        assert sF2S == pytest.approx(float(s2 @ (1.0 / oracle_weights(spec, p))), rel=1e-12)
+
+    def test_tiny_jump_mean_at_p4(self):
+        # kappa*h = 1e-100: (kappa*h)**4 underflows and 1/w(n) of an index
+        # of jump degree 4 exceeds float64. Each 1/w is capped, and every
+        # index with a jump degree adds about (kappa*h)**|nP|, so V is the
+        # finite sum over the Brownian indices alone.
+        spec = GridSpec(T=1.0, N=2, kappa=2e-100)
+        assert spec.jump_mean == 1e-100
+        paths = sample_paths(spec, 3000, seed=5)
+        F = np.exp(0.2 * paths.G[:, 0]) + paths.G[:, 0] * paths.G[:, -1]
+        indices = [n for n in oracle_indices(2, 4) if not any(n[1])]
+        phi = basis_products(indices, paths)
+        w = np.array([oracle_weight(n, spec) for n in indices])
+        want = F.var(ddof=1) + float((phi * F).var(axis=1, ddof=1) @ (1.0 / w))
+        V = variance_diagnostic(F, paths, 4)
+        assert V == pytest.approx(want, rel=1e-12)
+        assert variance_diagnostic(F, paths, 4, threads=3) == V
 
     def test_requires_two_samples(self, small_spec):
         paths = sample_paths(small_spec, 1, seed=0)

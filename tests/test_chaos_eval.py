@@ -554,6 +554,59 @@ class TestEvaluateGrid:
             evaluate_grid(coeffs, other)
 
 
+class TestOverflow:
+    """An evaluation that overflows float64 is refused with a ValueError
+    naming the grid, the grid index and the sample, under any warnings
+    filter (the suite turns RuntimeWarning into an error), at threads 2 on
+    two chunks as well; the solver's path (``_sums_h`` set) is not scanned
+    and leaves its refusals to solve."""
+
+    SPEC = GridSpec(1.0, 3, 1.0)
+    PATHS = sample_paths(SPEC, 2000, 0)  # two chunks
+
+    @staticmethod
+    def first_bad(Y, sl):
+        """(grid index, sample) of the first non-finite entry of Y[:, sl]."""
+        r, m = np.unravel_index(np.argmin(np.isfinite(Y[:, sl])), Y[:, sl].shape)
+        return int(r), sl.start + int(m)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_coefficient_at_1e307(self, p):
+        J = coefficients_from_entries(self.SPEC, p).values.size
+        coeffs = ChaosCoefficients(1e307, np.full(J, 1e307), p, self.SPEC)
+        N, M = self.SPEC.N, self.PATHS.M
+        # The solver's path writes the non-finite rows without a warning.
+        Y = np.zeros((N + 1, M))
+        evaluate_grid(coeffs, self.PATHS, out=(Y, np.zeros_like(Y), np.zeros_like(Y)),
+                      _sums_h=0.0)
+        r, m = self.first_bad(Y, slice(0, 1024))
+        with pytest.raises(ValueError, match=rf"^evaluate_grid overflows float64: Y is "
+                                             rf"not finite at grid index {r}, sample {m}$"):
+            evaluate_grid(coeffs, self.PATHS, threads=2)
+        t = self.SPEC.times()[2]
+        dB, dN = self.PATHS.G[:, 1] * math.sqrt(self.SPEC.h), self.PATHS.Q[:, 1]
+        with pytest.raises(ValueError, match=r"^conditional_at overflows float64: Y is not "
+                                             r"finite at grid index 2, sample \d+$"):
+            conditional_at(coeffs, self.PATHS, 2, t, dB, dN)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_the_overflowing_sample_is_named_in_a_later_chunk(self, p):
+        # One large increment, at sample 1500 of slot 0, overflows the term
+        # of the Brownian unit there: a pool worker's chunk at threads 2.
+        G = np.zeros((2000, 3))
+        G[1500, 0] = 5.0
+        paths = PathBatch(self.SPEC, 2000, G, np.zeros((2000, 3), dtype=np.int64), 0)
+        coeffs = coefficients_from_entries(self.SPEC, p, entries={((1, 0, 0), (0, 0, 0)): 1e308})
+        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: Y is not "
+                                             "finite at grid index 1, sample 1500$"):
+            evaluate_grid(coeffs, paths, threads=2)
+        dB = np.zeros(2000)
+        dB[1500] = 5.0 * math.sqrt(self.SPEC.h)
+        with pytest.raises(ValueError, match="^conditional_at overflows float64: Y is not "
+                                             "finite at grid index 1, sample 1500$"):
+            conditional_at(coeffs, paths, 1, self.SPEC.times()[1], dB, np.zeros(2000, int))
+
+
 class TestPairKernel:
     """The fused p = 2 evaluator with every coefficient family nonzero, and
     the prefix evaluator on the same cases at p = 1.

@@ -91,6 +91,15 @@ class TestHermite:
         with pytest.raises(ValueError, match="finite"):
             hermite_batch(3, np.array([[0.5, 1.0], [-math.inf, 2.0]]))
 
+    @pytest.mark.parametrize("m, x, error", [
+        (2, 1e200, r"^K_2\(x\) overflows float64 at x = 1e\+200$"),
+        (3, np.array([[0.5, 1.0], [2.0, 1e120]]),
+         r"^K_3\(x\) overflows float64 at x = 1e\+120 at entry 1, 1$"),
+    ], ids=["scalar", "entry"])
+    def test_refuses_an_overflow_naming_degree_and_entry(self, m, x, error):
+        with pytest.raises(ValueError, match=error):
+            hermite_batch(m, x)
+
     def test_rejects_above_degree_cap(self):
         hermite_batch(MAX_DEGREE, 0.5)
         with pytest.raises(ValueError):
@@ -166,6 +175,14 @@ class TestCharlier:
             charlier_batch(3, math.nan, 1.0)
         with pytest.raises(ValueError, match="finite"):
             charlier_batch(3, np.array([0.0, math.inf]), 1.0)
+
+    @pytest.mark.parametrize("m, x, error", [
+        (3, 1e200, r"^C_2\(x\) overflows float64 at x = 1e\+200$"),
+        (4, np.array([3.0, 2e80]), r"^C_4\(x\) overflows float64 at x = 2e\+80 at entry 1$"),
+    ], ids=["scalar", "entry"])
+    def test_refuses_an_overflow_naming_degree_and_entry(self, m, x, error):
+        with pytest.raises(ValueError, match=error):
+            charlier_batch(m, x, 1.0)
 
     def test_rejects_above_degree_cap(self):
         charlier_batch(MAX_DEGREE, 2, 0.5)

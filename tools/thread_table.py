@@ -17,9 +17,8 @@ inside Picard solves (example1, reuse mode, 3 iterations, paths drawn once
 per point): each run is one solve, and its figure the summed time of that
 call's 3 invocations. Between them the solve streams its (N+1) x M grids,
 so an isolated call on warm caches can read differently (at N = 50, p = 2,
-the pair sums read 1.16x there and no gain in a solve).
-``variance_diagnostic``, which no solve runs, is timed in isolated calls,
-and so are all three calls at p = 0, which the solver refuses.
+the pair sums read 1.16x there and no gain in a solve). Both calls at
+p = 0, which the solver refuses, are timed in isolated calls.
 While it measures, only the kernels under test may run a second worker (the
 rule's constants, ``chaos_core._WORKER_RULE``, are swapped), so the
 threads-2 column shows what a second worker would do, not what the rule
@@ -55,12 +54,11 @@ import time
 import numpy as np
 
 from chaosbsde import (Driver, Example1Params, SolverConfig, TerminalFunctional,
-                       draw_paths, estimate, evaluate_grid, sample_paths, solve,
-                       variance_diagnostic)
+                       draw_paths, estimate, evaluate_grid, sample_paths, solve)
 from chaosbsde import chaos_core, picard_solver
 
 # The calls the tool times; conditional_at always runs one worker.
-CALLS = ("estimate", "evaluate_grid", "variance_diagnostic")
+CALLS = ("estimate", "evaluate_grid")
 
 # (call, N, p, median t1/t2 wall time) of every measured point, at threads 2
 # on 2 vCPUs under KVM (numpy 2.4.6, OpenBLAS 0.3.31). p <= 7 are the points
@@ -71,25 +69,23 @@ MEASURED = (
                                         (80, 1.095), (100, 1.33), (120, 1.18))]
     + [("evaluate_grid", N, 2, r) for N, r in ((20, 1.085), (25, 1.10), (30, 1.21),
                                                (35, 1.31), (40, 1.465), (50, 1.45))]
-    + [("variance_diagnostic", N, 2, r) for N, r in ((10, .92), (20, 1.07), (30, .89),
-                                                     (40, .98), (50, 1.22))]
     + [(call, N, p, r) for (N, p), ratios in {
-        (10, 0): (.64, .83, .61), (20, 0): (.46, .96, .50), (30, 0): (.57, 1.13, .55),
-        (40, 0): (.61, 1.20, .62), (50, 0): (.73, 1.28, .74), (100, 0): (1.07, 1.40, 1.05),
-        (200, 0): (1.26, 1.39, 1.27), (400, 0): (1.06, 1.45, 1.16),
-        (10, 1): (.66, .70, .66), (20, 1): (1.05, 1.08, .79), (30, 1): (1.12, 1.11, 1.01),
-        (40, 1): (1.19, 1.39, 1.42), (50, 1): (1.47, 1.48, 1.32),
-        (100, 1): (1.70, 1.61, 1.75),
-        (5, 3): (.72, .60, .75), (10, 3): (.97, .96, 1.02), (15, 3): (1.01, 1.04, 1.26),
-        (20, 3): (1.53, 1.56, 1.19), (30, 3): (1.64, 1.74, 1.39),
-        (4, 4): (.59, .56, .58), (6, 4): (.75, .72, .83), (7, 4): (.91, .80, 1.14),
-        (8, 4): (1.29, 1.30, 1.26), (10, 4): (1.62, 1.62, 1.12),
-        (5, 5): (1.10, 1.03, 1.14), (6, 5): (1.39, 1.34, 1.23), (8, 5): (1.58, 1.51, 1.39),
-        (2, 6): (.63, .46, .72), (3, 6): (.82, .64, .86), (4, 6): (.97, .90, 1.00),
-        (5, 6): (1.51, 1.44, 1.54),
-        (2, 7): (.68, .49, .78), (3, 7): (.82, .69, .84), (4, 7): (1.25, 1.14, 1.16),
-        (2, 8): (.805, .565, .855), (3, 8): (.99, .83, .94), (3, 9): (1.03, .99, .90),
-        (3, 10): (1.19, 1.08, .98), (2, 10): (.79, .555, .775),
+        (10, 0): (.64, .83), (20, 0): (.46, .96), (30, 0): (.57, 1.13),
+        (40, 0): (.61, 1.20), (50, 0): (.73, 1.28), (100, 0): (1.07, 1.40),
+        (200, 0): (1.26, 1.39), (400, 0): (1.06, 1.45),
+        (10, 1): (.66, .70), (20, 1): (1.05, 1.08), (30, 1): (1.12, 1.11),
+        (40, 1): (1.19, 1.39), (50, 1): (1.47, 1.48), (100, 1): (1.70, 1.61),
+        (5, 3): (.72, .60), (10, 3): (.97, .96), (15, 3): (1.01, 1.04),
+        (20, 3): (1.53, 1.56), (30, 3): (1.64, 1.74),
+        (4, 4): (.59, .56), (6, 4): (.75, .72), (7, 4): (.91, .80),
+        (8, 4): (1.29, 1.30), (10, 4): (1.62, 1.62),
+        (5, 5): (1.10, 1.03), (6, 5): (1.39, 1.34), (8, 5): (1.58, 1.51),
+        (2, 6): (.63, .46), (3, 6): (.82, .64), (4, 6): (.97, .90),
+        (5, 6): (1.51, 1.44),
+        (2, 7): (.68, .49), (3, 7): (.82, .69), (4, 7): (1.25, 1.14),
+        (2, 8): (.805, .565), (3, 8): (.99, .83),
+        (3, 9): (1.03, .99),
+        (3, 10): (1.19, 1.08), (2, 10): (.79, .555),
     }.items() for call, r in zip(CALLS, ratios)]
 )
 
@@ -178,9 +174,7 @@ def isolated(names: tuple[str, ...], N: int, p: int, M: int, runs: int):
     F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
     coeffs = estimate(F, paths, p)
     calls = {"estimate": lambda threads: estimate(F, paths, p, threads=threads),
-             "evaluate_grid": lambda threads: evaluate_grid(coeffs, paths, threads=threads),
-             "variance_diagnostic":
-                 lambda threads: variance_diagnostic(F, paths, p, threads=threads)}
+             "evaluate_grid": lambda threads: evaluate_grid(coeffs, paths, threads=threads)}
     got = {}
     for name in names:
         samples: dict[int, list[tuple[float, float]]] = {1: [], 2: []}
@@ -213,13 +207,9 @@ def point_rows(group: str, N: int, p: int, M: int, runs: int):
     """(call, {threads: (wall, cpu)}) of each call that runs the kernel
     ``group`` at p."""
     names = point_calls(group, p)
-    # The solver runs no variance_diagnostic and refuses p = 0.
-    solved = [name for name in names if p and name != "variance_diagnostic"]
-    rest = [name for name in names if name not in solved]
+    # The solver refuses p = 0.
     with grant_only(group):
-        got = in_solves(N, p, M, runs) if solved else {}
-        if rest:
-            got.update(isolated(rest, N, p, M, runs))
+        got = in_solves(N, p, M, runs) if p else isolated(names, N, p, M, runs)
     return [(name, got[name]) for name in names]
 
 
