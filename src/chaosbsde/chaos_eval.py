@@ -414,7 +414,10 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
     kh = coeffs.spec.jump_mean
     iset = coeffs.iset
     pair = _kernel("evaluate_grid", coeffs.p) == "pair_eval"
-    plan = _pair_plan(coeffs) if pair else _prefix_coeffs(coeffs)
+    # The pair plan doubles the same-slot Charlier coefficients, which can
+    # overflow; its inf reaches the chunk's grids, which are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        plan = _pair_plan(coeffs) if pair else _prefix_coeffs(coeffs)
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> None:
         # An overflow is refused below, or by solve in its driver pass and

@@ -179,6 +179,14 @@ REFUSALS = {
     "example1_count_inf": (lambda: example1_exact(EX1, 0.5, math.inf), "^N_t must be finite$"),
     "example2_count_inf": (lambda: example2_exact(PAPER2, 0.5, 0.0, [0.0, math.inf]),
                            "^N_t must be finite$"),
+    # -inf fails the sign check first; an inf after finite entries, or at
+    # an int t, is still refused.
+    "example1_count_neg_inf": (lambda: example1_exact(EX1, 0.5, -math.inf),
+                               "^N_t must be nonnegative$"),
+    "example1_count_inf_entry": (lambda: example1_exact(EX1, [0.0, 0.5, 1], [1, 2, math.inf]),
+                                 "^N_t must be finite$"),
+    "example2_count_inf_scalar": (lambda: example2_exact(PAPER2, 0, 0.0, math.inf),
+                                  "^N_t must be finite$"),
     # exp overflows at B_t = 1e4: refused, not returned as inf with a warning.
     "example2_overflow": (lambda: example2_exact(PAPER2, 1.0, 1e4, 0),
                           "^Y_t overflows float64$"),

@@ -1114,6 +1114,28 @@ class TestCoefficientsContainer:
         paths = sample_paths(small_spec, 50, seed=3)
         assert all(np.isfinite(grid).all() for grid in evaluate_grid(coeffs, paths))
 
+    @pytest.mark.parametrize("make", ["estimate", "from_entries", "int_array",
+                                      "read_only_array"])
+    def test_every_constructor_stores_a_read_only_float64_copy(self, small_spec, make):
+        J = len(oracle_indices(small_spec.N, 2))
+        paths = sample_paths(small_spec, 50, seed=4)
+        given = None
+        if make == "estimate":
+            coeffs = estimate(paths.G[:, 0].copy(), paths, 2)
+        elif make == "from_entries":
+            coeffs = coefficients_from_entries(small_spec, 2, entries={
+                ((0, 1, 0, 0), (0, 0, 0, 0)): 0.25})
+        else:
+            given = np.arange(J, dtype=np.int64 if make == "int_array" else np.float64)
+            given.flags.writeable = make == "int_array"
+            coeffs = ChaosCoefficients(0.0, given, 2, small_spec)
+            assert np.array_equal(coeffs.values, given)
+            assert not np.shares_memory(coeffs.values, given)
+        assert coeffs.values.dtype == np.float64 and coeffs.values.shape == (J,)
+        assert not coeffs.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs.values[-1] = 1.0
+
     def test_round_trip_entries(self, small_spec):
         idx = ((0, 1, 0, 0), (0, 0, 0, 0))
         coeffs = coefficients_from_entries(small_spec, 2, d0=1.5, entries={idx: 0.25})
@@ -1294,6 +1316,41 @@ class TestVarianceDiagnostic:
         s2 = ((basis_products(oracle_indices(N, p), paths) * F) ** 2).sum(axis=1)
         assert sF2 == pytest.approx(float((F * F).sum()), rel=1e-14)
         assert sF2S == pytest.approx(float(s2 @ (1.0 / oracle_weights(spec, p))), rel=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e-3, 30.0])
+    @pytest.mark.parametrize("p", [2, 4])
+    def test_diagonal_sums_across_jump_means(self, kappa, p):
+        # kappa*h = 5e-4 and 15: the squared Charlier factors, then scaled by
+        # 1/w(n) ~ (kappa*h)**-|nP|, span many orders of magnitude each way.
+        from chaosbsde.chaos_core import _diagonal_sums, _index_set
+
+        spec = GridSpec(T=1.0, N=2, kappa=kappa)
+        paths = sample_paths(spec, 1100, seed=60 + p)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        iset = _index_set(2, p)
+        sF2, sF2S = _diagonal_sums(F, paths, iset, iset.inv_weights(spec.jump_mean))
+        s2 = ((basis_products(oracle_indices(2, p), paths) * F) ** 2).sum(axis=1)
+        assert sF2S == pytest.approx(float(s2 @ (1.0 / oracle_weights(spec, p))), rel=1e-12)
+
+    @pytest.mark.parametrize("N, p, kappa", [(20, 2, 1.0), (50, 2, 3.0), (10, 3, 1.0),
+                                             (20, 3, 1.0), (8, 4, 1.0), (3, 8, 1.0)],
+                             ids=lambda v: str(v))
+    def test_matches_the_oracle_at_wide_shapes(self, N, p, kappa):
+        # Var(F) + sum_n Var(F * Phi_n) / w(n) index by index, over bases of
+        # up to 12340 indices, on three chunks; every thread count gives the
+        # same bits.
+        spec = GridSpec(T=1.0, N=N, kappa=kappa)
+        paths = sample_paths(spec, 2100, seed=7)
+        F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
+        indices = oracle_indices(N, p)
+        want = F.var(ddof=1)
+        for lo in range(0, len(indices), 1000):
+            block = indices[lo:lo + 1000]
+            w = np.array([oracle_weight(n, spec) for n in block])
+            want += float((basis_products(block, paths) * F).var(axis=1, ddof=1) @ (1.0 / w))
+        V = variance_diagnostic(F, paths, p)
+        assert V == pytest.approx(want, rel=1e-10)
+        assert all(variance_diagnostic(F, paths, p, threads=k) == V for k in (2, 3))
 
     def test_tiny_jump_mean_at_p4(self):
         # kappa*h = 1e-100: (kappa*h)**4 underflows and 1/w(n) of an index

@@ -570,7 +570,7 @@ class TestOverflow:
         r, m = np.unravel_index(np.argmin(np.isfinite(Y[:, sl])), Y[:, sl].shape)
         return int(r), sl.start + int(m)
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [2, 3, 4])
     def test_every_coefficient_at_1e307(self, p):
         J = coefficients_from_entries(self.SPEC, p).values.size
         coeffs = ChaosCoefficients(1e307, np.full(J, 1e307), p, self.SPEC)
@@ -589,7 +589,7 @@ class TestOverflow:
                                              r"finite at grid index 2, sample \d+$"):
             conditional_at(coeffs, self.PATHS, 2, t, dB, dN)
 
-    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_the_overflowing_sample_is_named_in_a_later_chunk(self, p):
         # One large increment, at sample 1500 of slot 0, overflows the term
         # of the Brownian unit there: a pool worker's chunk at threads 2.
@@ -605,6 +605,57 @@ class TestOverflow:
         with pytest.raises(ValueError, match="^conditional_at overflows float64: Y is not "
                                              "finite at grid index 1, sample 1500$"):
             conditional_at(coeffs, paths, 1, self.SPEC.times()[1], dB, np.zeros(2000, int))
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_z_is_named(self, p):
+        # One coefficient 1e308 on G_0 * G_2, and G_0 = 1.5 at sample 1500
+        # only. Y there is 1e308 * 1.5 * K_1(0) = 0, finite, and Z is
+        # 1e308 * 1.5 / sqrt(h), beyond float64.
+        G = np.zeros((2000, 3))
+        G[1500, 0] = 1.5
+        paths = PathBatch(self.SPEC, 2000, G, np.zeros((2000, 3), dtype=np.int64), 0)
+        coeffs = coefficients_from_entries(self.SPEC, p, entries={((1, 0, 1), (0, 0, 0)): 1e308})
+        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: Z is not "
+                                             "finite at grid index 3, sample 1500$"):
+            evaluate_grid(coeffs, paths, threads=2)
+        zeros = np.zeros(2000)
+        with pytest.raises(ValueError, match="^conditional_at overflows float64: Z is not "
+                                             "finite at grid index 3, sample 1500$"):
+            conditional_at(coeffs, paths, 3, self.SPEC.times()[3] - 0.1, zeros,
+                           zeros.astype(int))
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_u_is_named(self, p):
+        # One coefficient 1.5e308 on C_2 at slot 2, kappa*h = 1 and no jumps:
+        # Y = 1.5e308 * C_2(0, 1) = 1.5e308, finite, and U = 1.5e308 *
+        # (C_2(1, 1) - C_2(0, 1)) = -3e308; in the interval at kappa*tau =
+        # 0.7, Y = 0.49 * 1.5e308 and U = -1.4 * 1.5e308. The p = 2 pair
+        # kernel forms Y from the U sums, so there Y is named first.
+        spec = GridSpec(1.0, 3, 3.0)
+        zeros = np.zeros((2000, 3))
+        paths = PathBatch(spec, 2000, zeros, zeros.astype(np.int64), 0)
+        coeffs = coefficients_from_entries(spec, p, entries={((0, 0, 0), (0, 0, 2)): 1.5e308})
+        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: U is not "
+                                             "finite at grid index 3, sample 0$"):
+            evaluate_grid(coeffs, paths, threads=2)
+        with pytest.raises(ValueError, match="^conditional_at overflows float64: U is not "
+                                             "finite at grid index 3, sample 0$"):
+            conditional_at(coeffs, paths, 3, spec.times()[3] - 0.1, zeros[:, 0],
+                           zeros[:, 0].astype(int))
+
+    def test_an_overflowing_pair_plan_is_refused(self):
+        # The p = 2 pair plan doubles the same-slot Charlier coefficient:
+        # 2 * 1.5e308 overflows while the plan is built, before any chunk.
+        spec = GridSpec(1.0, 3, 3.0)
+        paths = sample_paths(spec, 2000, 0)
+        coeffs = coefficients_from_entries(spec, 2, entries={((0, 0, 0), (0, 0, 2)): 1.5e308})
+        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: Y is not "
+                                             "finite at grid index 3, sample 0$"):
+            evaluate_grid(coeffs, paths, threads=2)
+        # The solver's path writes the non-finite rows without a warning.
+        Y = np.zeros((spec.N + 1, paths.M))
+        evaluate_grid(coeffs, paths, out=(Y, np.zeros_like(Y), np.zeros_like(Y)), _sums_h=0.0)
+        assert not np.isfinite(Y[3]).any()
 
 
 class TestPairKernel:

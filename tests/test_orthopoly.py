@@ -95,7 +95,13 @@ class TestHermite:
         (2, 1e200, r"^K_2\(x\) overflows float64 at x = 1e\+200$"),
         (3, np.array([[0.5, 1.0], [2.0, 1e120]]),
          r"^K_3\(x\) overflows float64 at x = 1e\+120 at entry 1, 1$"),
-    ], ids=["scalar", "entry"])
+        (3, -1e200, r"^K_2\(x\) overflows float64 at x = -1e\+200$"),
+        # K_45(1e8) is about 8.4e303, and K_46(1e8) about 1e310.
+        (60, 1e8, r"^K_46\(x\) overflows float64 at x = 100000000\.0$"),
+        # The lowest degree first, then the first entry in row order.
+        (3, np.array([[0.5, 1e120], [1e200, 2.0]]),
+         r"^K_2\(x\) overflows float64 at x = 1e\+200 at entry 1, 0$"),
+    ], ids=["scalar", "entry", "negative", "high_degree", "lowest_degree_first"])
     def test_refuses_an_overflow_naming_degree_and_entry(self, m, x, error):
         with pytest.raises(ValueError, match=error):
             hermite_batch(m, x)
@@ -179,7 +185,12 @@ class TestCharlier:
     @pytest.mark.parametrize("m, x, error", [
         (3, 1e200, r"^C_2\(x\) overflows float64 at x = 1e\+200$"),
         (4, np.array([3.0, 2e80]), r"^C_4\(x\) overflows float64 at x = 2e\+80 at entry 1$"),
-    ], ids=["scalar", "entry"])
+        (3, -1e200, r"^C_2\(x\) overflows float64 at x = -1e\+200$"),
+        # C_m(x, 1) is about x**m: 1e308 at m = 44, 1e315 at m = 45.
+        (60, 1e7, r"^C_45\(x\) overflows float64 at x = 10000000\.0$"),
+        (3, np.array([[0.5, 1e120], [1e200, 2.0]]),
+         r"^C_2\(x\) overflows float64 at x = 1e\+200 at entry 1, 0$"),
+    ], ids=["scalar", "entry", "negative", "high_degree", "lowest_degree_first"])
     def test_refuses_an_overflow_naming_degree_and_entry(self, m, x, error):
         with pytest.raises(ValueError, match=error):
             charlier_batch(m, x, 1.0)
