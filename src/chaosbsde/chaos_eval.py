@@ -348,7 +348,8 @@ def _write_rows(S: tuple[np.ndarray, np.ndarray, np.ndarray],
     conditional values, accumulated in SY.
 
     With ``sums_h`` set, rows 1..N of Y arrive holding the running driver
-    sums S and are written as cond - sums_h * S.
+    sums S and are written as cond - sums_h * S in one pass, with
+    sums_h * S formed in SZ, which Z has already taken.
     """
     SY, SZ, SU = S
     Y, Z, U = out
@@ -364,8 +365,7 @@ def _write_rows(S: tuple[np.ndarray, np.ndarray, np.ndarray],
     if sums_h is None:
         rows[:] = SY
         return
-    rows *= sums_h
-    np.subtract(SY, rows, out=rows)
+    np.subtract(SY, np.multiply(rows, sums_h, out=SZ), out=rows)
 
 
 def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,

@@ -14,7 +14,7 @@ Common keys (defaults in parentheses, per example):
     T             horizon, > 0                   (1.0 / 2.0)
     N             grid intervals                 (20 / 50)
     kappa         jump intensity, > 0            (1.0, pinned / 3.0)
-    p             chaos truncation order, <= 60  (2)
+    p             chaos truncation order, 0..60  (2)
     q             Picard iteration count         (5 / 10)
     M             Monte Carlo sample count       (10000)
     seed          base seed, >= 0                (0)
@@ -94,7 +94,7 @@ CSV_HEADER = ("example,p,N,M,q,seed,sample_mode,Y0,Z0,U0,"
 # or None), which a key and every value of a sweep along it must keep, and
 # the SolverConfig field the key sets. N is the one key that is not a field
 # of its own: its value rebuilds the grid spec.
-_INT_KEYS = {"M": (1, None, "M"), "N": (1, None, "spec"), "p": (1, MAX_DEGREE, "p"),
+_INT_KEYS = {"M": (1, None, "M"), "N": (1, None, "spec"), "p": (0, MAX_DEGREE, "p"),
              "q": (1, None, "K_it"), "seed": (0, None, "seed")}
 
 # The defaults every example shares; its row in _EXAMPLES sets the others.

@@ -76,6 +76,17 @@ def hermite_batch(m_max: int, x: np.ndarray) -> np.ndarray:
     m_max, x = _checked(m_max, x)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _hermite_rows(m_max, x, np.empty((m_max + 1,) + x.shape))
+        # x*K_m can overflow where K_{m+1} fits: each non-finite K_{m+1} is
+        # recomputed as (x/(m+1))*K_m - K_{m-1}/(m+1) where the product
+        # overflows, else by the recurrence, so every finite value keeps its
+        # bits and a mended degree carries on to the next.
+        for m in range(1, m_max):
+            bad = ~np.isfinite(out[m + 1, ...])
+            if bad.any():
+                xs, k, k0 = x[bad], out[m][bad], out[m - 1][bad]
+                prod = xs * k
+                out[m + 1, ...][bad] = np.where(np.isfinite(prod), (prod - k0) / (m + 1),
+                                                xs / (m + 1) * k - k0 / (m + 1))
     return _refuse_overflow("K", out, x)
 
 

@@ -154,7 +154,9 @@ class SolverConfig:
     """Everything that determines a solve's result.
 
     Thread counts and other execution details are deliberately not part of
-    the config: results are a function of this object alone.
+    the config: results are a function of this object alone. p >= 0, as
+    for the basis; :func:`draw_paths` and :func:`solve` refuse one above the
+    degree cap.
     """
 
     spec: GridSpec
@@ -163,10 +165,9 @@ class SolverConfig:
     M: int
     seed: int
     sample_mode: str = "reuse"
-    keep_history: bool = False  # retain per-iteration coefficients
 
     def __post_init__(self) -> None:
-        for name, lo in (("p", 1), ("K_it", 1), ("M", 1), ("seed", 0)):
+        for name, lo in (("p", 0), ("K_it", 1), ("M", 1), ("seed", 0)):
             object.__setattr__(self, name, _count(name, getattr(self, name), lo))
         if self.sample_mode not in _SAMPLE_MODES:
             raise ValueError(
@@ -187,7 +188,6 @@ class SolutionGrid:
     Z: np.ndarray
     U: np.ndarray
     coeffs_final: Optional[ChaosCoefficients]
-    history: Optional[tuple[ChaosCoefficients, ...]] = None
     paths: Optional[PathBatch] = None
 
     def rows(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -280,8 +280,8 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     Returns
     -------
     SolutionGrid
-        Final iterate, its coefficients, optional per-iteration coefficient
-        history, and the batch the returned grid is evaluated on.
+        Final iterate, its coefficients, and the batch the returned grid is
+        evaluated on.
     """
     _count("threads", threads, 1)
     spec = config.spec
@@ -309,7 +309,6 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
     # Per batch: the (Y, Z, U) grid, refilled every iteration. Between the
     # driver pass and the evaluation, Y's rows 1..N hold the driver sums.
     grids = [tuple(np.zeros((N + 1, b.M)) for _ in range(3)) for b in batches]
-    history: Optional[list[ChaosCoefficients]] = [] if config.keep_history else None
 
     coeffs: Optional[ChaosCoefficients] = None
     for q in range(config.K_it):
@@ -322,8 +321,6 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
             raise ValueError(
                 f"non-finite functional at iteration {q + 1}, sample {bad[0]}")
         coeffs = estimate(F, batches[0], config.p, threads=threads)
-        if history is not None:
-            history.append(coeffs)
         for batch, grid in zip(batches, grids):
             evaluate_grid(coeffs, batch, threads=threads, out=grid, _sums_h=h)
 
@@ -336,6 +333,4 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
                     f"non-finite {name} value in final grid at grid index {r}, "
                     f"sample {bad[0]}")
 
-    return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=coeffs,
-                        history=tuple(history) if history is not None else None,
-                        paths=batches[-1])
+    return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=coeffs, paths=batches[-1])

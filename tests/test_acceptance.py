@@ -19,6 +19,7 @@ from chaosbsde import (
     SolverConfig,
     TerminalFunctional,
     estimate,
+    picard_solver,
     sample_paths,
     solve,
     terminal_samples,
@@ -94,14 +95,20 @@ def test_04_monte_carlo_rate_in_sample_count():
     assert 2.2 <= ratio <= 4.5, f"std ratio = {ratio}"
 
 
-def test_05_iteration_distance_to_fixed_point_non_increasing():
+def test_05_iteration_distance_to_fixed_point_non_increasing(monkeypatch):
     """|Y0 after iteration q - Y0 after iteration 10| is non-increasing over
     q = 1..5 on the exponential-Levy benchmark at M=1e5."""
-    config = SolverConfig(spec=EX2.grid(50), p=2, K_it=10, M=100_000, seed=0,
-                          keep_history=True)
-    grid = solve(config, Driver.linear(EX2.alpha, EX2.beta, EX2.gamma),
-                 TerminalFunctional.exp_levy(EX2.a, EX2.b, EX2.c), threads=4)
-    y0 = [co.d0 for co in grid.history]
+    config = SolverConfig(spec=EX2.grid(50), p=2, K_it=10, M=100_000, seed=0)
+    y0 = []
+
+    def recorded(*args, **kwargs):
+        coeffs = estimate(*args, **kwargs)
+        y0.append(coeffs.d0)
+        return coeffs
+
+    monkeypatch.setattr(picard_solver, "estimate", recorded)
+    solve(config, Driver.linear(EX2.alpha, EX2.beta, EX2.gamma),
+          TerminalFunctional.exp_levy(EX2.a, EX2.b, EX2.c), threads=4)
     gaps = [abs(y0[q - 1] - y0[9]) for q in range(1, 6)]
     assert all(gaps[i] >= gaps[i + 1] for i in range(4)), f"gaps = {gaps}"
 

@@ -198,12 +198,13 @@ class TestParseConfig:
         ("example2", "T = 0\n", "T", "must be > 0"),
         ("example2", "kappa = 0\n", "kappa", "must be > 0"),
         ("example1", "p = 61\n", "p", "must be <= 60"),
+        ("example1", "p = -1\n", "p", "must be >= 0, got -1"),
         ("example1", "sweep_axis = p\nsweep_values = 1, 61\n", "sweep_values",
          "p values must be <= 60"),
         ("example1", "T = abc\n", "T", "expected a number, got 'abc'"),
         ("example1", "seed = -1\n", "seed", "must be >= 0, got -1"),
-    ], ids=["T_negative", "T_zero", "kappa_zero", "p_above_cap", "p_sweep_above_cap",
-            "T_text", "seed_negative"])
+    ], ids=["T_negative", "T_zero", "kappa_zero", "p_above_cap", "p_negative",
+            "p_sweep_above_cap", "T_text", "seed_negative"])
     def test_invalid_values_refused_at_parse_time(self, tmp_path, capsys, example,
                                                   body, field, message):
         # The sweep's first point is valid: nothing runs before the refusal.
@@ -380,6 +381,15 @@ class TestRun:
         assert run(cfg, threads=4) == 0
         four = strip_wall(out.read_text(encoding="utf-8"))
         assert one == four
+
+    def test_p_sweep_starts_at_the_constant_expansion(self, tmp_path):
+        out = tmp_path / "p.csv"
+        text = (f"example = example1\nN = 4\nM = 200\nq = 2\nout = {out}\n"
+                "sweep_axis = p\nsweep_values = 0, 1, 2\n")
+        assert main(["--config", write_cfg(tmp_path, text)]) == 0
+        _, rows = read_rows(out)
+        assert [r["p"] for r in rows] == ["0", "1", "2"]
+        assert (rows[0]["Z0"], rows[0]["U0"]) == ("0", "0")
 
     def test_failing_point_returns_one(self, tmp_path, capsys):
         out = tmp_path / "f.csv"

@@ -1,6 +1,7 @@
 """Polynomial tables against closed-form series oracles and orthonormality."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -98,13 +99,28 @@ class TestHermite:
         (3, -1e200, r"^K_2\(x\) overflows float64 at x = -1e\+200$"),
         # K_45(1e8) is about 8.4e303, and K_46(1e8) about 1e310.
         (60, 1e8, r"^K_46\(x\) overflows float64 at x = 100000000\.0$"),
+        # K_54(1e7) is about 4.3e306 though 1e7 * K_53(1e7) overflows.
+        (60, 1e7, r"^K_55\(x\) overflows float64 at x = 10000000\.0$"),
         # The lowest degree first, then the first entry in row order.
         (3, np.array([[0.5, 1e120], [1e200, 2.0]]),
          r"^K_2\(x\) overflows float64 at x = 1e\+200 at entry 1, 0$"),
-    ], ids=["scalar", "entry", "negative", "high_degree", "lowest_degree_first"])
+    ], ids=["scalar", "entry", "negative", "high_degree", "product_overflow",
+            "lowest_degree_first"])
     def test_refuses_an_overflow_naming_degree_and_entry(self, m, x, error):
         with pytest.raises(ValueError, match=error):
             hermite_batch(m, x)
+
+    def test_a_degree_that_fits_where_the_product_overflows(self):
+        # 1e7 * K_53(1e7) overflows float64, K_54(1e7) does not; the other
+        # entry takes the plain recurrence, bit for bit.
+        x = Fraction(10**7)
+        exact = [Fraction(1), x]
+        for m in range(1, 54):
+            exact.append((x * exact[m] - exact[m - 1]) / (m + 1))
+        table = hermite_batch(54, np.array([1e7, 2.5]))
+        assert float(exact[54]) == pytest.approx(4.3319e306, rel=1e-4)
+        assert table[54, 0] == pytest.approx(float(exact[54]), rel=1e-12)
+        assert np.array_equal(table[:, 1], hermite_batch(54, 2.5))
 
     def test_rejects_above_degree_cap(self):
         hermite_batch(MAX_DEGREE, 0.5)

@@ -141,8 +141,8 @@ class TestTerminalFunctional:
 
 class TestSolverConfig:
     def test_validation(self, spec5):
-        with pytest.raises(ValueError):
-            SolverConfig(spec=spec5, p=0, K_it=1, M=10, seed=0)
+        with pytest.raises(ValueError, match="^p must be >= 0, got -1$"):
+            SolverConfig(spec=spec5, p=-1, K_it=1, M=10, seed=0)
         with pytest.raises(ValueError):
             SolverConfig(spec=spec5, p=1, K_it=0, M=10, seed=0)
         with pytest.raises(ValueError):
@@ -314,18 +314,41 @@ class TestSolve:
                                    sample_mode="independent"), drv, xi)
         assert indep.Y[0, 0] == pytest.approx(reuse.Y[0, 0], abs=0.1)
 
-    def test_history_retention(self, spec5):
-        cfg = SolverConfig(spec=spec5, p=2, K_it=4, M=2_000, seed=12,
-                           keep_history=True)
-        grid = solve(cfg, Driver.linear_jump(0.5), TerminalFunctional.poisson_count())
-        assert grid.history is not None
-        assert len(grid.history) == 4
-        last = grid.history[-1]
-        assert last.d0 == grid.coeffs_final.d0
-        assert np.array_equal(last.values, grid.coeffs_final.values)
-        no_hist = solve(SolverConfig(spec=spec5, p=2, K_it=4, M=2_000, seed=12),
-                        Driver.linear_jump(0.5), TerminalFunctional.poisson_count())
-        assert no_hist.history is None
+    def test_iterate_k_is_the_final_iterate_of_a_k_iteration_solve(self, spec5,
+                                                                    monkeypatch):
+        import chaosbsde.picard_solver as ps
+
+        cfg = SolverConfig(spec=spec5, p=2, K_it=4, M=2_000, seed=12)
+        drv, xi = Driver.linear_jump(0.5), TerminalFunctional.poisson_count()
+        paths = draw_paths(cfg)
+        iterates = []
+
+        def recorded(*args, **kwargs):
+            iterates.append(estimate(*args, **kwargs))
+            return iterates[-1]
+
+        with monkeypatch.context() as m:
+            m.setattr(ps, "estimate", recorded)
+            solve(cfg, drv, xi, paths=paths)
+        assert len(iterates) == cfg.K_it
+        for k, it in enumerate(iterates, start=1):
+            final = solve(dataclasses.replace(cfg, K_it=k), drv, xi,
+                          paths=paths).coeffs_final
+            assert it.d0 == final.d0
+            assert np.array_equal(it.values, final.values)
+
+    @pytest.mark.parametrize("K_it", [1, 3])
+    def test_p0_solve_is_the_constant_expansion(self, K_it):
+        # At p = 0 the driver sees Z = U = 0 and the sample mean of
+        # xi + h * sum f, which example1's f = c*u makes xi's own.
+        params = Example1Params(c=0.5, T=1.0)
+        cfg = SolverConfig(spec=params.grid(10), p=0, K_it=K_it, M=3_000, seed=4)
+        xi = TerminalFunctional.poisson_count()
+        grid = solve(cfg, Driver.linear_jump(params.c), xi)
+        assert not grid.Z.any() and not grid.U.any()
+        d0 = estimate(terminal_samples(xi, grid.paths), grid.paths, 0).d0
+        assert grid.coeffs_final.d0 == d0
+        assert np.array_equal(grid.Y, np.full_like(grid.Y, d0))
 
     def test_supplied_paths_must_match_config(self, spec5):
         cfg = SolverConfig(spec=spec5, p=1, K_it=1, M=100, seed=0)

@@ -84,7 +84,7 @@ COUNTS = {
                     "M", 1),
     "PathBatch.rows.start": (lambda n: PATHS.rows(n, 4).M, "start", 0),
     "PathBatch.rows.stop": (lambda n: PATHS.rows(0, n).M, "stop", 1),
-    "SolverConfig.p": (lambda n: _config(p=n).p, "p", 1),
+    "SolverConfig.p": (lambda n: _config(p=n).p, "p", 0),
     "SolverConfig.K_it": (lambda n: _config(K_it=n).K_it, "K_it", 1),
     "SolverConfig.M": (lambda n: _config(M=n).M, "M", 1),
     "SolverConfig.seed": (lambda n: _config(seed=n).seed, "seed", 0),

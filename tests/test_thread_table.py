@@ -4,7 +4,7 @@ the measured points the rule is checked against."""
 
 import pytest
 
-from chaosbsde import chaos_core
+from chaosbsde import chaos_core, solve
 from test_chaos_core import _thread_table as load_tool
 
 
@@ -19,6 +19,28 @@ def test_point_rows_runs_a_second_worker_where_the_rule_runs_one(started_threads
     assert started_threads
     assert [name for name, _ in rows] == ["evaluate_grid"]
     assert sorted(rows[0][1]) == [1, 2]
+    assert chaos_core._WORKER_RULE == shipped
+
+
+@pytest.mark.worker_rule
+def test_point_rows_times_p0_inside_solves(monkeypatch, started_threads):
+    # p = 0 is timed like every other order: one warm-up and one timed
+    # solve at each thread count, with a second worker at threads 2.
+    tool = load_tool()
+    shipped = dict(chaos_core._WORKER_RULE)
+    solves = []
+
+    def counted(*args, **kwargs):
+        solves.append(kwargs["threads"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(tool, "solve", counted)
+    assert tool.rule_grant("estimate", 4, 0, 2048) == 1
+    rows = tool.point_rows("prefix", 4, 0, 2048, 1)
+    assert solves == [1, 2, 1, 2]
+    assert started_threads
+    assert [name for name, _ in rows] == ["estimate", "evaluate_grid"]
+    assert all(sorted(got) == [1, 2] for _, got in rows)
     assert chaos_core._WORKER_RULE == shipped
 
 

@@ -17,8 +17,7 @@ inside Picard solves (example1, reuse mode, 3 iterations, paths drawn once
 per point): each run is one solve, and its figure the summed time of that
 call's 3 invocations. Between them the solve streams its (N+1) x M grids,
 so an isolated call on warm caches can read differently (at N = 50, p = 2,
-the pair sums read 1.16x there and no gain in a solve). Both calls at
-p = 0, which the solver refuses, are timed in isolated calls.
+the pair sums read 1.16x there and no gain in a solve).
 While it measures, only the kernels under test may run a second worker (the
 rule's constants, ``chaos_core._WORKER_RULE``, are swapped), so the
 threads-2 column shows what a second worker would do, not what the rule
@@ -51,10 +50,8 @@ import statistics
 import sys
 import time
 
-import numpy as np
-
 from chaosbsde import (Driver, Example1Params, SolverConfig, TerminalFunctional,
-                       draw_paths, estimate, evaluate_grid, sample_paths, solve)
+                       draw_paths, solve)
 from chaosbsde import chaos_core, picard_solver
 
 # The calls the tool times; conditional_at always runs one worker.
@@ -63,7 +60,8 @@ CALLS = ("estimate", "evaluate_grid")
 # (call, N, p, median t1/t2 wall time) of every measured point, at threads 2
 # on 2 vCPUs under KVM (numpy 2.4.6, OpenBLAS 0.3.31). p <= 7 are the points
 # of the earlier per-(call, p) table; p >= 8 are medians of two or three
-# series of 9 runs.
+# series of 9 runs. The p = 0 ratios were timed in isolated calls, before
+# the solver admitted p = 0; every other point inside solves.
 MEASURED = (
     [("estimate", N, 2, r) for N, r in ((20, .86), (50, 1.03), (62, 1.02), (70, 1.03),
                                         (80, 1.095), (100, 1.33), (120, 1.18))]
@@ -122,11 +120,6 @@ def grant_only(group: str):
         rule.update(shipped)
 
 
-def medians(samples: dict[int, list[tuple[float, float]]]):
-    return {k: (statistics.median(w for w, _ in v), statistics.median(c for _, c in v))
-            for k, v in samples.items()}
-
-
 def in_solves(N: int, p: int, M: int, runs: int):
     """Median (wall, cpu) per solve of its ``estimate`` and its
     ``evaluate_grid`` calls, by name and thread count, over ``runs``
@@ -148,45 +141,24 @@ def in_solves(N: int, p: int, M: int, runs: int):
                 got[1] += time.process_time() - c0
         return call
 
-    names = ("estimate", "evaluate_grid")
-    samples = {name: {1: [], 2: []} for name in names}
-    originals = {name: getattr(picard_solver, name) for name in names}
+    samples = {name: {1: [], 2: []} for name in CALLS}
+    originals = {name: getattr(picard_solver, name) for name in CALLS}
     for name, fn in originals.items():
         setattr(picard_solver, name, timed(name, fn))
     try:
         for run in range(runs + 1):
             for threads in (1, 2):
-                spent.update({name: [0.0, 0.0] for name in names})
+                spent.update({name: [0.0, 0.0] for name in CALLS})
                 solve(config, driver, xi, paths=paths, threads=threads)
                 if run:
-                    for name in names:
+                    for name in CALLS:
                         samples[name][threads].append(tuple(spent[name]))
     finally:
         for name, fn in originals.items():
             setattr(picard_solver, name, fn)
-    return {name: medians(got) for name, got in samples.items()}
-
-
-def isolated(names: tuple[str, ...], N: int, p: int, M: int, runs: int):
-    """Median (wall, cpu) of each call in ``names``, by thread count, over
-    ``runs`` alternating calls after one warm-up call of each."""
-    paths = sample_paths(Example1Params(c=0.5, T=1.0).grid(N), M, seed=N + 100 * p)
-    F = np.exp(0.2 * paths.Q.sum(axis=1)) + paths.G[:, 0] * paths.G[:, -1]
-    coeffs = estimate(F, paths, p)
-    calls = {"estimate": lambda threads: estimate(F, paths, p, threads=threads),
-             "evaluate_grid": lambda threads: evaluate_grid(coeffs, paths, threads=threads)}
-    got = {}
-    for name in names:
-        samples: dict[int, list[tuple[float, float]]] = {1: [], 2: []}
-        for run in range(runs + 1):
-            for threads in (1, 2):
-                w0, c0 = time.perf_counter(), time.process_time()
-                calls[name](threads)
-                if run:
-                    samples[threads].append((time.perf_counter() - w0,
-                                             time.process_time() - c0))
-        got[name] = medians(samples)
-    return got
+    return {name: {k: (statistics.median(w for w, _ in v),
+                       statistics.median(c for _, c in v)) for k, v in got.items()}
+            for name, got in samples.items()}
 
 
 def point_calls(group: str, p: int) -> list[str]:
@@ -206,11 +178,9 @@ def admit(group: str, N: int, p: int, M: int) -> None:
 def point_rows(group: str, N: int, p: int, M: int, runs: int):
     """(call, {threads: (wall, cpu)}) of each call that runs the kernel
     ``group`` at p."""
-    names = point_calls(group, p)
-    # The solver refuses p = 0.
     with grant_only(group):
-        got = in_solves(N, p, M, runs) if p else isolated(names, N, p, M, runs)
-    return [(name, got[name]) for name in names]
+        got = in_solves(N, p, M, runs)
+    return [(name, got[name]) for name in point_calls(group, p)]
 
 
 def rule_grant(call: str, N: int, p: int, M: int = 100_000) -> int:
