@@ -44,7 +44,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .orthopoly import _charlier_rows, _degree, _hermite_rows
-from .stochastic_grid import GridSpec, PathBatch, _count, _finite_real, _finite_vector
+from .stochastic_grid import (GridSpec, PathBatch, _count, _finite_real, _finite_vector,
+                             _first_non_finite)
 
 __all__ = [
     "ChaosCoefficients",
@@ -92,7 +93,7 @@ _PREFIX_ENTRIES = 4096
 
 # Cap on precomputed inverse weights; degenerate parameter corners can push
 # 1/w past float64 range and the estimate should saturate, not turn inf/nan
-# (a coefficient that still overflows is refused by ChaosCoefficients).
+# (a coefficient that still overflows is refused by estimate).
 _INV_WEIGHT_GUARD = 1e300
 
 # Refuse a problem whose index set plus per-worker kernel buffers would need
@@ -739,9 +740,22 @@ def _raw_sums(F, paths: PathBatch, p, threads: int) -> tuple[_IndexSet, np.ndarr
             return _prefix_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
 
     total = np.zeros(1 + iset.J)
-    for part in _run_chunks(chunk, iset, paths.M, threads, "estimate"):
-        total += part
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in _run_chunks(chunk, iset, paths.M, threads, "estimate"):
+            total += part
+    _refuse_estimate_overflow("sum", total[1:], total[0])
     return iset, total
+
+
+def _refuse_estimate_overflow(what: str, values: np.ndarray, d0: float) -> None:
+    """ValueError unless d0 and every entry of ``values``, the sums or
+    coefficients of :func:`estimate` in rank order, are finite."""
+    if not math.isfinite(d0):
+        raise ValueError("estimate overflows float64: d0 is not finite")
+    bad = _first_non_finite(values)
+    if bad is not None:
+        raise ValueError(f"estimate overflows float64: the {what} at rank {bad[0]} "
+                         f"is not finite")
 
 
 def _diagonal_sums(F, paths: PathBatch, iset: _IndexSet, inv_w) -> np.ndarray:
@@ -814,12 +828,15 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
         If p or threads is not an int (bools included).
     ValueError
         If F is not finite, p is negative or above the degree cap 60,
-        threads is below 1, or a coefficient overflows float64.
+        threads is below 1, or a sum or coefficient overflows float64
+        (named by its rank), under any warnings filter.
     """
     F = _finite_vector("F", F, paths.M)
     iset, raw = _raw_sums(F, paths, p, threads)
     d0 = raw[0] / paths.M
-    values = raw[1:] * iset.inv_weights(paths.spec.jump_mean) / paths.M
+    with np.errstate(over="ignore"):
+        values = raw[1:] * iset.inv_weights(paths.spec.jump_mean) / paths.M
+    _refuse_estimate_overflow("coefficient", values, d0)
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=paths.spec)
 
 

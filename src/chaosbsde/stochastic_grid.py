@@ -200,7 +200,8 @@ class PathBatch:
     G : numpy.ndarray
         Standardized Brownian increments, float64, shape (M, N), finite.
     Q : numpy.ndarray
-        Poisson interval counts, int32, shape (M, N), nonnegative.
+        Poisson interval counts, shape (M, N), nonnegative: int16 from
+        :func:`sample_paths`, any integer dtype in a batch built by hand.
     seed : int
         Seed the batch was generated from (kept for audit trails).
 
@@ -285,8 +286,10 @@ def sample_paths(spec: GridSpec, M: int, seed: int) -> PathBatch:
     PathBatch
         Batch with G ~ iid standard normal and Q ~ iid Poisson(kappa*h),
         mutually independent, identical across runs for identical inputs.
-        G and Q are (M, N) views of time-major (N, M) storage, 12*N*M
-        bytes in all; the draw itself makes no (M, N)-sized temporary.
+        G (float64) and Q (int16) are (M, N) views of time-major (N, M)
+        storage, 10*N*M bytes in all; the draw itself makes no
+        (M, N)-sized temporary. Integer arithmetic on Q wraps past 32767:
+        widen it (``Q.astype(np.int64)``) or sum it first.
 
     Raises
     ------
@@ -317,7 +320,13 @@ def _draw_time_major(rng: np.random.Generator, M: int, N: int,
     G = np.empty((N, M))
     for a, b in blocks:
         G[:, a:b] = rng.standard_normal(out=block[:b - a]).T
-    Q = np.zeros((N, M), dtype=np.int32)
+    # Q = #{k : cdf[k] <= u} never exceeds the table length, 817 at
+    # MAX_POISSON_MEAN, so int16 holds every count in 2 bytes. A longer
+    # table (a raised cap) is refused here, where a store would wrap.
+    if len(cdf) > np.iinfo(np.int16).max:
+        raise OverflowError(f"a Poisson table of {len(cdf)} entries has counts "
+                            f"past int16")
+    Q = np.zeros((N, M), dtype=np.int16)
     for a, b in blocks:
         _invert_block(rng.random(out=block[:b - a]), cdf, Q, a)
     return G, Q

@@ -21,6 +21,7 @@ import pytest
 from chaosbsde import (
     ChaosCoefficients,
     GridSpec,
+    PathBatch,
     SizingError,
     charlier_batch,
     coefficients_from_entries,
@@ -1239,6 +1240,27 @@ class TestCoefficientsContainer:
         with pytest.raises(ValueError, match="d0"):
             estimate(np.full(paths.M, 1e308), paths, 1)
 
+    @pytest.mark.parametrize("scale, p", [(1e305, 2), (1e305, 3), (3e305, 3)])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_overflowing_sums_are_refused_by_rank(self, scale, p, threads):
+        # Two chunks of finite sums whose total overflows: a ValueError that
+        # names estimate and the rank, not a RuntimeWarning (the suite turns
+        # warnings into errors), for the pair (p = 2) and prefix (p = 3) sums.
+        paths = sample_paths(GridSpec(T=1.0, N=4, kappa=1.0), 2000, seed=1)
+        F = scale * paths.G[:, 0] * paths.G[:, 1]
+        with pytest.raises(ValueError, match="^estimate overflows float64: the sum at "
+                                             "rank 9 is not finite$"):
+            estimate(F, paths, p, threads=threads)
+
+    def test_overflowing_coefficient_is_refused_by_rank(self):
+        # Finite sums, but 1/w(n) = 1/(kappa*h) = 1000 scales the jump
+        # coefficient past float64.
+        spec = GridSpec(T=1.0, N=1, kappa=1e-3)
+        paths = PathBatch(spec, 2, np.zeros((2, 1)), np.array([[1], [0]]), seed=0)
+        with pytest.raises(ValueError, match="^estimate overflows float64: the "
+                                             "coefficient at rank 1 is not finite$"):
+            estimate(np.full(2, 1e306), paths, 1)
+
 
 class TestVarianceDiagnostic:
     @pytest.mark.parametrize("threads, error", BAD_THREADS)
@@ -1300,6 +1322,15 @@ class TestVarianceDiagnostic:
         for threads in (1, 2):
             with pytest.raises(ValueError, match="overflows float64"):
                 variance_diagnostic(np.full(paths.M, 1e200), paths, p, threads=threads)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_overflowing_sums_are_refused_by_rank(self, p):
+        # estimate's sums overflow in the reduction over chunks.
+        paths = sample_paths(GridSpec(T=1.0, N=4, kappa=1.0), 2000, seed=1)
+        F = 1e305 * paths.G[:, 0] * paths.G[:, 1]
+        with pytest.raises(ValueError, match="^estimate overflows float64: the sum at "
+                                             "rank 9 is not finite$"):
+            variance_diagnostic(F, paths, p)
 
     @pytest.mark.parametrize("N, p", [(1, 1), (2, 2), (3, 3), (2, 4), (1, 6)])
     def test_diagonal_sums_match_the_oracle(self, N, p):

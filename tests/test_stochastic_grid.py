@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaosbsde import (GridSpec, PathBatch, TerminalFunctional, conditional_at,
-                       estimate, evaluate_grid, sample_paths, terminal_samples,
+from chaosbsde import (Example1Params, Example2Params, GridSpec, PathBatch,
+                       TerminalFunctional, conditional_at, estimate, evaluate_grid,
+                       example1_grid, example2_grid, sample_paths, terminal_samples,
                        variance_diagnostic)
-from chaosbsde.stochastic_grid import _DRAW_BLOCK, _poisson_cdf
+from chaosbsde.stochastic_grid import (_DRAW_BLOCK, MAX_POISSON_MEAN, _draw_time_major,
+                                      _poisson_cdf)
 
 
 class TestGridSpec:
@@ -159,13 +161,37 @@ class TestSamplePaths:
         paths = sample_paths(spec, M, seed=17)
         assert np.array_equal(paths.G, G)
         assert np.array_equal(paths.Q, Q)
-        assert paths.G.dtype == np.float64 and paths.Q.dtype == np.int32
+        assert paths.G.dtype == np.float64 and paths.Q.dtype == np.int16
         assert paths.G.strides[0] == paths.G.itemsize
         assert paths.Q.strides[0] == paths.Q.itemsize
         assert paths.G.T.flags.c_contiguous and paths.Q.T.flags.c_contiguous
         half = paths.rows(M // 2, M)
         assert half.G.strides[0] == half.G.itemsize
         assert half.Q.strides[0] == half.Q.itemsize
+
+    def test_counts_fit_int16_at_the_largest_jump_mean(self):
+        # A count is at most the table length, and the table is longest at
+        # the cap: int16 holds every count a batch can draw.
+        assert len(_poisson_cdf(MAX_POISSON_MEAN)) <= np.iinfo(np.int16).max
+
+    def test_int16_counts_are_the_int64_inversion_at_the_cap(self):
+        # kappa*h = 600, the largest supported mean: the stored int16
+        # counts equal the one-shot int64 inversion of the same uniforms.
+        spec = GridSpec(T=1.0, N=1, kappa=MAX_POISSON_MEAN)
+        M = 50_000
+        rng = np.random.Generator(np.random.Philox(5))
+        rng.standard_normal((M, 1))
+        Q = np.searchsorted(_poisson_cdf(spec.jump_mean), rng.random((M, 1)),
+                            side="right")
+        paths = sample_paths(spec, M, seed=5)
+        assert Q.dtype == np.int64 and paths.Q.dtype == np.int16
+        assert np.array_equal(paths.Q, Q)
+        assert Q.max() > 600
+
+    def test_a_table_past_int16_is_refused_not_wrapped(self):
+        cdf = np.linspace(0.0, 1.0, np.iinfo(np.int16).max + 1)
+        with pytest.raises(OverflowError, match="32768 entries has counts past int16"):
+            _draw_time_major(np.random.Generator(np.random.Philox(0)), 1, 1, cdf)
 
     def test_seed_changes_output(self, small_spec):
         a = sample_paths(small_spec, 500, seed=11)
@@ -300,10 +326,12 @@ class TestPathBatch:
         assert np.array_equal(terminal_samples(xi, batch), terminal_samples(xi, paths))
 
     @pytest.mark.parametrize("dtype", ["uint8", "uint16", "uint32", "uint64",
-                                       "int8", "int64"])
+                                       "int8", "int16", "int32", "int64"])
     def test_any_integer_count_dtype_gives_the_int32_results(self, dtype):
-        # The count rule admits every integer dtype; the Charlier factors of
-        # unsigned counts must not wrap around in x - m.
+        # The count rule admits every integer dtype, and every reader of Q
+        # widens it before arithmetic: each result is that of the sampled
+        # (int16) counts. The Charlier factors of unsigned counts must not
+        # wrap around in x - m.
         spec = GridSpec(T=1.0, N=4, kappa=2.0)
         paths = sample_paths(spec, 3000, seed=11)
         batch = PathBatch(spec, paths.M, paths.G, paths.Q.astype(dtype), seed=11)
@@ -318,3 +346,16 @@ class TestPathBatch:
             for x, y in zip(conditional_at(b, batch, 2, t, dB, batch.Q[:, 1]),
                             conditional_at(b, paths, 2, t, dB, paths.Q[:, 1])):
                 assert np.array_equal(x, y)
+        for xi in (TerminalFunctional.poisson_count(),
+                   TerminalFunctional.exp_levy(-0.1, 0.1, 0.2)):
+            assert np.array_equal(terminal_samples(xi, batch), terminal_samples(xi, paths))
+        ex2 = Example2Params(alpha=0.3, beta=0.3, gamma=0.2, a=-0.1, b=0.1, c=0.2,
+                             kappa=spec.kappa, T=spec.T)
+        ex1 = Example1Params(c=0.5, T=spec.T)
+        paths1 = sample_paths(ex1.grid(spec.N), 3000, seed=11)
+        batch1 = PathBatch(paths1.spec, paths1.M, paths1.G, paths1.Q.astype(dtype), seed=11)
+        for a, b in ((example2_grid(ex2, batch), example2_grid(ex2, paths)),
+                     (example1_grid(ex1, batch1), example1_grid(ex1, paths1))):
+            for row_a, row_b in zip(a.rows(), b.rows(), strict=True):
+                for x, y in zip(row_a, row_b, strict=True):
+                    assert np.array_equal(x, y)

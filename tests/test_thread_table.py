@@ -2,6 +2,8 @@
 threads 2 with the worker rule's constants swapped while it runs, and holds
 the measured points the rule is checked against."""
 
+import subprocess
+
 import pytest
 
 from chaosbsde import chaos_core, solve
@@ -44,11 +46,28 @@ def test_point_rows_times_p0_inside_solves(monkeypatch, started_threads):
     assert chaos_core._WORKER_RULE == shipped
 
 
+def test_host_ratio_runs_two_processes_and_no_more(monkeypatch):
+    tool = load_tool()
+    started = []
+    popen = subprocess.Popen
+
+    def counted(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(tool.subprocess, "Popen", counted)
+    assert tool.host_ratio(loops=10, runs=1) > 0
+    assert len(started) == 2
+    assert [proc.returncode for proc in started] == [0, 0]
+
+
 @pytest.mark.worker_rule
 def test_rows_show_the_rule_grant_and_any_disagreement(capsys):
     tool = load_tool()
     assert tool.main(["--M", "2048", "pair_eval:4:2"]) == 0
-    row = capsys.readouterr().out.splitlines()[-1].strip("| ").split(" | ")
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("host: two processes of a fixed elementwise loop run ")
+    row = out[-1].strip("| ").split(" | ")
     assert row[:4] == ["pair_eval", "evaluate_grid", "4", "2"]
     pays, grant, disagrees = row[-3:]
     assert grant == "1"
@@ -69,6 +88,7 @@ def test_default_points_are_the_measured_ones():
 ], ids=["threads1_short", "threads2_short", "both_full"])
 def test_rows_mark_a_side_that_did_not_hold_a_full_core(monkeypatch, capsys, t1, t2, full):
     tool = load_tool()
+    monkeypatch.setattr(tool, "host_ratio", lambda: 2.0)
     monkeypatch.setattr(tool, "point_rows",
                         lambda group, N, p, M, runs: [("estimate", {1: t1, 2: t2})])
     assert tool.main(["--M", "2048", "prefix:4:3"]) == 0

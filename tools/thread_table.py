@@ -28,6 +28,12 @@ A point is ``group:N:p``, where the group is a chunk kernel as
 ``prefix``), and the point times each call of :data:`CALLS` that runs that
 kernel at p.
 
+Before the table, one host line gives the throughput of two processes
+running a fixed elementwise loop at once, relative to one (:func:`host_ratio`).
+It is about 2 on two free cores. A table taken where it reads much lower (two
+vCPUs that act like SMT siblings, or a busy host) cannot tell a second
+worker's gain or loss from the host's.
+
 Run from the repository root, with nothing else busy on the machine:
 
     PYTHONPATH=src python tools/thread_table.py                  # measured points
@@ -46,7 +52,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import statistics
+import subprocess
 import sys
 import time
 
@@ -104,6 +112,46 @@ def default_m(N: int, p: int) -> int:
     (N + 1) * M = 5.1e6 grid entries, N = 50 at M = 1e5, to bound memory."""
     return min(100_000 if p <= 2 else 20_000 if p == 3 else 10_000,
                5_100_000 // (N + 1))
+
+
+# The host probe's child: after one line "ready", it runs the loop once per
+# line of stdin, as many times as the line says, and prints its seconds.
+_HOST_LOOP = """
+import sys, time
+import numpy as np
+a = np.ones(1 << 16)
+print("ready", flush=True)
+for line in sys.stdin:
+    t0 = time.perf_counter()
+    for _ in range(int(line)):
+        np.multiply(a, 1.0, out=a)
+    print(time.perf_counter() - t0, flush=True)
+"""
+HOST_LOOPS = 5000
+HOST_RUNS = 3
+
+
+def host_ratio(loops: int = HOST_LOOPS, runs: int = HOST_RUNS) -> float:
+    """Throughput of two processes running ``loops`` passes of a fixed
+    elementwise loop at once, relative to one of them running it alone:
+    2 * t_one / t_two on the medians of ``runs`` alternating runs, t_two
+    the slower process. Two processes are started, and no more."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    argv = [sys.executable, "-c", _HOST_LOOP]
+    pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
+    with subprocess.Popen(argv, **pipes) as a, subprocess.Popen(argv, **pipes) as b:
+        for proc in (a, b):
+            if proc.stdout.readline() != "ready\n":
+                raise RuntimeError("the host probe did not start")
+
+        def seconds(procs) -> float:
+            for proc in procs:
+                proc.stdin.write(f"{loops}\n")
+                proc.stdin.flush()
+            return max(float(proc.stdout.readline()) for proc in procs)
+
+        one, two = zip(*((seconds([a]), seconds([a, b])) for _ in range(runs)))
+    return 2 * statistics.median(one) / statistics.median(two)
 
 
 @contextlib.contextmanager
@@ -215,6 +263,8 @@ def main(argv: list[str] | None = None) -> int:
             admit(group, N, p, args.M or default_m(N, p))
         except chaos_core.SizingError as exc:
             ap.error(str(exc))
+    print(f"host: two processes of a fixed elementwise loop run {host_ratio():.2f}x "
+          f"the throughput of one (about 2 on two free cores)")
     print("| group | call | N | p | M | wall t1 / t2 (s) | t1/t2 | "
           "cpu t1 / t2 (s) | cpu/wall t1 / t2 | full core | threads pay | "
           "rule grants | rule disagrees |")
