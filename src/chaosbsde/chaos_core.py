@@ -743,15 +743,15 @@ def _raw_sums(F, paths: PathBatch, p, threads: int) -> tuple[_IndexSet, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for part in _run_chunks(chunk, iset, paths.M, threads, "estimate"):
             total += part
-    _refuse_estimate_overflow("sum", total[1:], total[0])
+    if not math.isfinite(total[0]):
+        raise ValueError("estimate overflows float64: d0 is not finite")
+    _refuse_estimate_overflow("sum", total[1:])
     return iset, total
 
 
-def _refuse_estimate_overflow(what: str, values: np.ndarray, d0: float) -> None:
-    """ValueError unless d0 and every entry of ``values``, the sums or
-    coefficients of :func:`estimate` in rank order, are finite."""
-    if not math.isfinite(d0):
-        raise ValueError("estimate overflows float64: d0 is not finite")
+def _refuse_estimate_overflow(what: str, values: np.ndarray) -> None:
+    """ValueError unless every entry of ``values``, the sums or coefficients
+    of :func:`estimate` in rank order, is finite."""
     bad = _first_non_finite(values)
     if bad is not None:
         raise ValueError(f"estimate overflows float64: the {what} at rank {bad[0]} "
@@ -836,7 +836,7 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
     d0 = raw[0] / paths.M
     with np.errstate(over="ignore"):
         values = raw[1:] * iset.inv_weights(paths.spec.jump_mean) / paths.M
-    _refuse_estimate_overflow("coefficient", values, d0)
+    _refuse_estimate_overflow("coefficient", values)
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=paths.spec)
 
 

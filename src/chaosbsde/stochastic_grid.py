@@ -321,11 +321,8 @@ def _draw_time_major(rng: np.random.Generator, M: int, N: int,
     for a, b in blocks:
         G[:, a:b] = rng.standard_normal(out=block[:b - a]).T
     # Q = #{k : cdf[k] <= u} never exceeds the table length, 817 at
-    # MAX_POISSON_MEAN, so int16 holds every count in 2 bytes. A longer
-    # table (a raised cap) is refused here, where a store would wrap.
-    if len(cdf) > np.iinfo(np.int16).max:
-        raise OverflowError(f"a Poisson table of {len(cdf)} entries has counts "
-                            f"past int16")
+    # MAX_POISSON_MEAN, so int16 holds every count in 2 bytes. A test pins
+    # that bound, so a cap raised past int16 fails there instead of wrapping.
     Q = np.zeros((N, M), dtype=np.int16)
     for a, b in blocks:
         _invert_block(rng.random(out=block[:b - a]), cdf, Q, a)

@@ -128,14 +128,16 @@ for line in sys.stdin:
     print(time.perf_counter() - t0, flush=True)
 """
 HOST_LOOPS = 5000
-HOST_RUNS = 3
+HOST_RUNS = 4
 
 
-def host_ratio(loops: int = HOST_LOOPS, runs: int = HOST_RUNS) -> float:
-    """Throughput of two processes running ``loops`` passes of a fixed
-    elementwise loop at once, relative to one of them running it alone:
-    2 * t_one / t_two on the medians of ``runs`` alternating runs, t_two
-    the slower process. Two processes are started, and no more."""
+def host_ratio() -> float:
+    """Throughput of two processes running :data:`HOST_LOOPS` passes of a
+    fixed elementwise loop at once, relative to one running it alone:
+    2 * t_one / t_two on the medians of :data:`HOST_RUNS` runs, t_two the
+    slower process. Every other run swaps which is timed first, one alone
+    or both, and which process runs alone, so drift over the probe falls on
+    both sides. Two processes are started, and no more."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     argv = [sys.executable, "-c", _HOST_LOOP]
     pipes = dict(stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env)
@@ -144,13 +146,20 @@ def host_ratio(loops: int = HOST_LOOPS, runs: int = HOST_RUNS) -> float:
             if proc.stdout.readline() != "ready\n":
                 raise RuntimeError("the host probe did not start")
 
-        def seconds(procs) -> float:
+        def seconds(*procs) -> float:
             for proc in procs:
-                proc.stdin.write(f"{loops}\n")
+                proc.stdin.write(f"{HOST_LOOPS}\n")
                 proc.stdin.flush()
             return max(float(proc.stdout.readline()) for proc in procs)
 
-        one, two = zip(*((seconds([a]), seconds([a, b])) for _ in range(runs)))
+        one, two = [], []
+        for run in range(HOST_RUNS):
+            if run % 2:
+                two.append(seconds(a, b))
+                one.append(seconds(b))
+            else:
+                one.append(seconds(a))
+                two.append(seconds(a, b))
     return 2 * statistics.median(one) / statistics.median(two)
 
 
