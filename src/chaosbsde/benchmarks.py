@@ -48,7 +48,7 @@ import numpy as np
 
 from .picard_solver import SolutionGrid
 from .stochastic_grid import (GridSpec, PathBatch, _check_grid, _finite_real,
-                             _first_non_finite, _real_array)
+                             _real_array, _refuse_non_finite)
 
 __all__ = [
     "Example1Params",
@@ -110,16 +110,16 @@ class Example2Params(_Params):
 
 def _state(params: _Params, t, n_t) -> tuple[np.ndarray, np.ndarray]:
     """``t`` and ``n_t`` as float64 arrays (``_real_array``: TypeError
-    unless real), ValueError unless every t lies in [0, T] and every N_t is
-    >= 0 (NaN does neither) and finite."""
+    unless real), ValueError unless every t is finite and lies in [0, T]
+    and every N_t is finite and >= 0."""
     t = _real_array("t", t)
+    _refuse_non_finite("t", t)
     if not np.all((t >= 0) & (t <= params.T)):
         raise ValueError("t must lie in [0, T]")
     n_t = _real_array("N_t", n_t)
+    _refuse_non_finite("N_t", n_t)
     if not np.all(n_t >= 0):
         raise ValueError("N_t must be nonnegative")
-    if not np.all(np.isfinite(n_t)):
-        raise ValueError("N_t must be finite")
     return t, n_t
 
 
@@ -128,7 +128,7 @@ def example1_exact(params: Example1Params, t, n_t):
 
     t and N_t are real scalars or arrays of any int or float dtype
     (TypeError for a complex, str, object or bool one); ValueError unless
-    every t lies in [0, T] and every N_t is finite and >= 0."""
+    every t is finite and lies in [0, T] and every N_t is finite and >= 0."""
     t, n_t = _state(params, t, n_t)
     y = n_t + (1.0 + params.c) * (params.T - t)
     if y.ndim == 0:
@@ -141,13 +141,12 @@ def example2_exact(params: Example2Params, t, b_t, n_t):
 
     t, B_t and N_t are real scalars or arrays of any int or float dtype
     (TypeError for a complex, str, object or bool one); ValueError unless
-    every t lies in [0, T], every N_t is finite and >= 0 and every B_t is
-    finite, and for a y, z or u that overflows float64, naming its first
-    such entry."""
+    every t is finite and in [0, T], every N_t is finite and >= 0 and every
+    B_t is finite, and for a y, z or u that overflows float64, naming its
+    first such entry."""
     t, n_t = _state(params, t, n_t)
     b_t = _real_array("B_t", b_t)
-    if not np.all(np.isfinite(b_t)):
-        raise ValueError("B_t must be finite")
+    _refuse_non_finite("B_t", b_t)
     rate = (params.alpha + ((params.b + params.beta) ** 2 - params.beta ** 2) / 2.0
             + (math.exp(params.c) - 1.0) * (params.kappa + params.gamma))
     # An overflow gives inf, or NaN from inf - inf, refused below.
@@ -157,10 +156,7 @@ def example2_exact(params: Example2Params, t, b_t, n_t):
         z = params.b * y
         u = (math.exp(params.c) - 1.0) * y
     for name, a in (("Y_t", y), ("Z_t", z), ("U_t", u)):
-        bad = _first_non_finite(a)
-        if bad is not None:
-            at = f" at entry {', '.join(map(str, bad))}" if bad else ""
-            raise ValueError(f"{name} overflows float64{at}")
+        _refuse_non_finite(name, a)
     if y.ndim == 0:
         return float(y), float(z), float(u)
     return y, z, u
@@ -196,23 +192,15 @@ class ExactGrid:
             yield self.row(times[r], sqrt_h * g_sum, counts)
 
 
-def _check_batch(params: _Params, paths: PathBatch) -> None:
-    spec = paths.spec
-    if spec.kappa != params.kappa or spec.T != params.T:
-        raise ValueError(
-            f"paths grid (T={spec.T}, kappa={spec.kappa}) does not match "
-            f"params (T={params.T}, kappa={params.kappa})")
-
-
 def example1_grid(params: Example1Params, paths: PathBatch) -> ExactGrid:
     """Exact solution of the counting benchmark along a sampled batch."""
-    _check_batch(params, paths)
+    _check_grid(paths, params.grid(paths.spec.N), "params")
     return ExactGrid(paths, lambda t, b_t, n_t: example1_exact(params, t, n_t))
 
 
 def example2_grid(params: Example2Params, paths: PathBatch) -> ExactGrid:
     """Exact solution of the exponential-Levy benchmark along a batch."""
-    _check_batch(params, paths)
+    _check_grid(paths, params.grid(paths.spec.N), "params")
     return ExactGrid(paths, lambda t, b_t, n_t: example2_exact(params, t, b_t, n_t))
 
 

@@ -45,7 +45,7 @@ import numpy as np
 
 from .orthopoly import _charlier_rows, _degree, _hermite_rows
 from .stochastic_grid import (GridSpec, PathBatch, _count, _finite_real, _finite_vector,
-                             _first_non_finite)
+                             _refuse_non_finite)
 
 __all__ = [
     "ChaosCoefficients",
@@ -732,8 +732,8 @@ def _raw_sums(F, paths: PathBatch, p, threads: int) -> tuple[_IndexSet, np.ndarr
     kh = paths.spec.jump_mean
 
     def chunk(sl: slice, buf: _ChunkBuffers) -> np.ndarray:
-        # Finite F can still overflow a product, whose non-finite sums the
-        # callers refuse; errstate is per thread, so it is set in the worker.
+        # Finite F can still overflow a product, whose non-finite sums are
+        # refused below; errstate is per thread, so it is set in the worker.
         with np.errstate(over="ignore", invalid="ignore"):
             if pair:
                 return _fast_sums_chunk(F, paths.G, paths.Q, kh, iset, sl, buf)
@@ -743,19 +743,9 @@ def _raw_sums(F, paths: PathBatch, p, threads: int) -> tuple[_IndexSet, np.ndarr
     with np.errstate(over="ignore", invalid="ignore"):
         for part in _run_chunks(chunk, iset, paths.M, threads, "estimate"):
             total += part
-    if not math.isfinite(total[0]):
-        raise ValueError("estimate overflows float64: d0 is not finite")
-    _refuse_estimate_overflow("sum", total[1:])
+    _refuse_non_finite("estimate's d0", total[0])
+    _refuse_non_finite("estimate's sum", total[1:], ("rank",))
     return iset, total
-
-
-def _refuse_estimate_overflow(what: str, values: np.ndarray) -> None:
-    """ValueError unless every entry of ``values``, the sums or coefficients
-    of :func:`estimate` in rank order, is finite."""
-    bad = _first_non_finite(values)
-    if bad is not None:
-        raise ValueError(f"estimate overflows float64: the {what} at rank {bad[0]} "
-                         f"is not finite")
 
 
 def _diagonal_sums(F, paths: PathBatch, iset: _IndexSet, inv_w) -> np.ndarray:
@@ -836,7 +826,7 @@ def estimate(F, paths: PathBatch, p: int, *, threads: int = 1) -> ChaosCoefficie
     d0 = raw[0] / paths.M
     with np.errstate(over="ignore"):
         values = raw[1:] * iset.inv_weights(paths.spec.jump_mean) / paths.M
-    _refuse_estimate_overflow("coefficient", values)
+    _refuse_non_finite("estimate's coefficient", values, ("rank",))
     return ChaosCoefficients(d0=d0, values=values, p=p, spec=paths.spec)
 
 
@@ -869,8 +859,7 @@ def variance_diagnostic(F, paths: PathBatch, p: int, *, threads: int = 1) -> flo
     with np.errstate(over="ignore", invalid="ignore"):
         var_F = (sF2 - s1[0] * s1[0] / M) / (M - 1)
         total = var_F + (sF2S - (s1[1:] * s1[1:] * inv_w).sum() / M) / (M - 1)
-    for what, v in (("Var(F)", var_F), ("the weighted sum of the variances", total)):
-        if not math.isfinite(v):
-            raise ValueError(f"variance diagnostic overflows float64: {what} is not finite")
+    _refuse_non_finite("variance_diagnostic's Var(F)", var_F)
+    _refuse_non_finite("variance_diagnostic's V", total)
     # A sum of variances, which rounding leaves negative only near 0.
     return max(float(total), 0.0)

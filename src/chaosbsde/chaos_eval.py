@@ -64,8 +64,8 @@ from .chaos_core import (ChaosCoefficients, _chunk_tables, _ChunkBuffers,
                          _IndexSet, _kc_row, _kernel, _pair_blocks,
                          _run_chunks, _slot_factors, _stacked_factors, _width)
 from .orthopoly import _charlier_rows, _hermite_rows
-from .stochastic_grid import (PathBatch, _check_counts, _check_grid, _count,
-                             _finite_real, _finite_vector, _first_non_finite)
+from .stochastic_grid import (_GRID_AXES, PathBatch, _check_counts, _check_grid,
+                             _count, _finite_real, _finite_vector, _refuse_non_finite)
 
 __all__ = ["conditional_at", "evaluate_grid"]
 
@@ -142,23 +142,12 @@ def conditional_at(coeffs: ChaosCoefficients, paths: PathBatch, r: int, t: float
             out[0, sl] = SY[r - 1]
             np.divide(SZ[r - 1], sqrt_h, out=out[1, sl])
             out[2, sl] = SU[r - 1]
-        _refuse_overflow("conditional_at", out[:, None, sl], r, sl.start)
+        for name, row in zip("YZU", out[:, None, sl]):
+            _refuse_non_finite(f"conditional_at's {name}", row, _GRID_AXES, (r, sl.start))
 
     for _ in _run_chunks(chunk, iset, M, 1, "conditional_at"):
         pass
     return out[0], out[1], out[2]
-
-
-def _refuse_overflow(call: str, grids, r0: int, m0: int) -> None:
-    """ValueError naming the first non-finite entry of one chunk's blocks
-    ``grids`` of Y, Z and U, whose first row is grid index r0 and first
-    column sample m0. The chunk runs under errstate, so an overflow in it
-    leaves inf or NaN here and no warning."""
-    for name, block in zip("YZU", grids):
-        bad = _first_non_finite(block)
-        if bad is not None:
-            raise ValueError(f"{call} overflows float64: {name} is not finite at "
-                             f"grid index {r0 + bad[0]}, sample {m0 + bad[1]}")
 
 
 def _prefix_coeffs(coeffs: ChaosCoefficients) -> np.ndarray:
@@ -430,7 +419,9 @@ def evaluate_grid(coeffs: ChaosCoefficients, paths: PathBatch, *,
                 S = _prefix_slot_sums(iset, plan, KC, phi, buf)
             _write_rows(S, coeffs, (Y, Z, U), sl, _sums_h)
         if _sums_h is None:
-            _refuse_overflow("evaluate_grid", (Y[:, sl], Z[:, sl], U[:, sl]), 0, sl.start)
+            for name, grid in (("Y", Y), ("Z", Z), ("U", U)):
+                _refuse_non_finite(f"evaluate_grid's {name}", grid[:, sl], _GRID_AXES,
+                                   (0, sl.start))
 
     for _ in _run_chunks(chunk, iset, M, threads, "evaluate_grid"):
         pass

@@ -36,7 +36,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .stochastic_grid import _count, _finite_real, _first_non_finite, _real_array
+from .stochastic_grid import (_count, _finite_real, _first_non_finite, _real_array,
+                             _refuse_non_finite)
 
 __all__ = ["hermite_batch", "charlier_batch", "MAX_DEGREE"]
 
@@ -57,9 +58,7 @@ def _checked(m_max: int, x) -> tuple[int, np.ndarray]:
     non-finite x."""
     m_max = _degree("m_max", m_max)
     x = _real_array("x", x)
-    bad = _first_non_finite(x)
-    if bad is not None:
-        raise ValueError(f"x must be finite, got {float(x[bad])!r}")
+    _refuse_non_finite("x", x)
     return m_max, x
 
 

@@ -43,9 +43,9 @@ import numpy as np
 
 from .chaos_core import ChaosCoefficients, _admit_basis, estimate
 from .chaos_eval import evaluate_grid
-from .stochastic_grid import (GridSpec, PathBatch, _check_grid, _count,
+from .stochastic_grid import (_GRID_AXES, GridSpec, PathBatch, _check_grid, _count,
                              _finite_vector, _first_non_finite, _real_array,
-                             _row_blocks, sample_paths)
+                             _refuse_non_finite, _row_blocks, sample_paths)
 
 __all__ = [
     "Driver",
@@ -77,17 +77,23 @@ class Driver:
     @classmethod
     def linear_jump(cls, c: float) -> "Driver":
         """f(t, y, z, u) = c * u."""
-        return cls(lambda t, y, z, u: c * u)
+        def _eval(t, y, z, u):
+            with np.errstate(over="ignore", invalid="ignore"):  # solve refuses inf
+                return c * u
+
+        return cls(_eval)
 
     @classmethod
     def linear(cls, alpha: float, beta: float, gamma: float) -> "Driver":
         """f(t, y, z, u) = alpha*y + beta*z + gamma*u."""
         def _eval(t, y, z, u):
             # Two temporaries per call, summed in the order of the formula.
-            out = np.multiply(alpha, y, out=np.empty(np.shape(y)))
-            tmp = np.multiply(beta, z, out=np.empty(np.shape(z)))
-            out += tmp
-            out += np.multiply(gamma, u, out=tmp)
+            # An overflow, or 0 * inf, gives a value solve refuses.
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = np.multiply(alpha, y, out=np.empty(np.shape(y)))
+                tmp = np.multiply(beta, z, out=np.empty(np.shape(z)))
+                out += tmp
+                out += np.multiply(gamma, u, out=tmp)
             return out
 
         return cls(_eval)
@@ -222,36 +228,43 @@ def draw_paths(config: SolverConfig) -> PathBatch:
 
 def _driver_sums(driver: Driver, times: np.ndarray, Y, Z, U, iteration: int) -> None:
     """Overwrite rows 1..N of Y with the running driver sums
-    f_1 + ... + f_i, added in row order, of the current iterate, checking
-    each driver row as it is returned (TypeError unless real, ValueError
-    for another shape) and each summed row as it is produced: a non-finite
-    entry is reported as a non-finite driver value where f_i has one, else
-    as an overflowing sum.
+    f_1 + ... + f_i, added in row order, of the current iterate.
+
+    Each driver row is checked before it is added (TypeError unless real,
+    ValueError for another shape or a non-finite entry). The iterate's y, z
+    and u are then still in place, so at a non-finite f_i a non-finite one
+    of them is named as the value the previous evaluation made, and
+    otherwise the driver output is named. Every added row is finite, so a
+    sum that overflows stays non-finite to the last row: that row alone is
+    scanned, and only if it fails are the rows walked back to the first
+    overflowing grid index.
     Row i of Y is read only by the driver call at row i, so it is free once
     that call returns. The driver is never evaluated at time 0: the
     quadrature uses right endpoints only.
     """
     M = Y.shape[1]
+    at = f"at iteration {iteration + 1}"
     for i in range(1, Y.shape[0]):
-        at = f"at iteration {iteration + 1}, grid index {i}"
-        vals = _real_array(f"driver output {at}",
+        vals = _real_array(f"driver output {at}, grid index {i}",
                            driver.eval(float(times[i]), Y[i], Z[i], U[i]))
         if vals.shape not in ((), (M,)):
-            raise ValueError(
-                f"driver returned shape {vals.shape} {at}, expected a scalar or ({M},)")
+            raise ValueError(f"driver returned shape {vals.shape} {at}, grid index {i}, "
+                             f"expected a scalar or ({M},)")
+        f = np.broadcast_to(vals, (1, M))
+        bad = _first_non_finite(f)
+        if bad is not None:
+            m = bad[1]
+            for name, grid in (("Y", Y), ("Z", Z), ("U", U)):
+                _refuse_non_finite(f"{name} of iteration {iteration}",
+                                   grid[i:i + 1, m:m + 1], _GRID_AXES, (i, m))
+            _refuse_non_finite(f"driver output {at}", f, _GRID_AXES, (i, 0))
         if i == 1:
             Y[1] = vals
         else:
-            if np.may_share_memory(vals, Y[i]):
-                vals = vals.copy()  # the sum overwrites it; keep f_i for the check
             with np.errstate(over="ignore", invalid="ignore"):
                 np.add(vals, Y[i - 1], out=Y[i])
-        bad = _first_non_finite(Y[i])
-        if bad is not None:
-            where = f"{at}, sample {bad[0]}"
-            if math.isfinite(np.broadcast_to(vals, (M,))[bad]):
-                raise ValueError(f"running driver sum overflowed {where}")
-            raise ValueError(f"driver returned non-finite value {where}")
+    if _first_non_finite(Y[-1]) is not None:
+        _refuse_non_finite(f"running driver sum {at}", Y[1:], _GRID_AXES, (1, 0))
 
 
 def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
@@ -316,21 +329,16 @@ def solve(config: SolverConfig, driver: Driver, xi: TerminalFunctional, *,
             _driver_sums(driver, times, *grid, q)
         with np.errstate(over="ignore", invalid="ignore"):
             F = xi_est + h * grids[0][0][N]
-        bad = _first_non_finite(F)
-        if bad is not None:
-            raise ValueError(
-                f"non-finite functional at iteration {q + 1}, sample {bad[0]}")
+        _refuse_non_finite(f"F at iteration {q + 1}", F, ("sample",))
         coeffs = estimate(F, batches[0], config.p, threads=threads)
         for batch, grid in zip(batches, grids):
             evaluate_grid(coeffs, batch, threads=threads, out=grid, _sums_h=h)
 
+    # Row by row: a whole-grid scan would make an (N+1) x M temporary.
     Y, Z, U = grids[-1]
-    for name, arr in (("Y", Y), ("Z", Z), ("U", U)):
-        for r, row in enumerate(arr):
-            bad = _first_non_finite(row)
-            if bad is not None:
-                raise ValueError(
-                    f"non-finite {name} value in final grid at grid index {r}, "
-                    f"sample {bad[0]}")
+    for name, grid in (("Y", Y), ("Z", Z), ("U", U)):
+        for r in range(N + 1):
+            _refuse_non_finite(f"{name} of iteration {config.K_it}", grid[r:r + 1],
+                               _GRID_AXES, (r, 0))
 
     return SolutionGrid(Y=Y, Z=Z, U=U, coeffs_final=coeffs, paths=batches[-1])

@@ -110,6 +110,27 @@ def _first_non_finite(a: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(np.argmin(finite), a.shape))
 
 
+# Axes of a (grid index, sample) grid block, as refusals name them.
+_GRID_AXES = ("grid index", "sample")
+
+
+def _refuse_non_finite(name: str, a, axes: tuple[str, ...] | None = None,
+                       start: tuple[int, ...] | None = None) -> None:
+    """ValueError unless every entry of ``a`` is finite, naming ``name``,
+    the first non-finite value in C order and its index: along ``axes``,
+    offset by ``start`` where ``a`` is a block of a larger array, or as an
+    entry when ``axes`` is None (no index for a scalar)."""
+    bad = _first_non_finite(a)
+    if bad is None:
+        return
+    at = bad if start is None else tuple(i + s for i, s in zip(bad, start))
+    if axes is None:
+        where = f" at entry {', '.join(map(str, at))}" if at else ""
+    else:
+        where = " at " + ", ".join(f"{axis} {i}" for axis, i in zip(axes, at))
+    raise ValueError(f"{name} has a non-finite value {float(a[bad])!r}{where}")
+
+
 def _finite_vector(name: str, values, length: int, at: str = "sample") -> np.ndarray:
     """``values`` as a float64 vector of shape (length,) (:func:`_real_array`:
     TypeError unless real): ValueError for another shape, or for a
@@ -117,10 +138,7 @@ def _finite_vector(name: str, values, length: int, at: str = "sample") -> np.nda
     a = _real_array(name, values)
     if a.shape != (length,):
         raise ValueError(f"{name} has shape {a.shape}, expected ({length},)")
-    bad = _first_non_finite(a)
-    if bad is not None:
-        raise ValueError(f"{name} has a non-finite value {float(a[bad])!r} "
-                         f"at {at} {bad[0]}")
+    _refuse_non_finite(name, a, (at,))
     return a
 
 
@@ -233,10 +251,7 @@ class PathBatch:
             raise ValueError(f"G has shape {self.G.shape}, expected {expected}")
         if self.Q.shape != expected:
             raise ValueError(f"Q has shape {self.Q.shape}, expected {expected}")
-        bad = _first_non_finite(self.G)
-        if bad is not None:
-            raise ValueError(f"G has a non-finite increment at sample {bad[0]}, "
-                             f"interval {bad[1]}: {float(self.G[bad])!r}")
+        _refuse_non_finite("G", self.G, ("sample", "interval"))
         _check_counts("Q", self.Q, ("sample", "interval"))
         for name in ("G", "Q"):
             a = getattr(self, name)

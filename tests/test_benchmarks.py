@@ -164,40 +164,44 @@ REFUSALS = {
     "example1_count": (lambda: example1_exact(EX1, 0.5, -1), "N_t must be nonnegative"),
     "example2_time": (lambda: example2_exact(PAPER2, -0.1, 0.0, 0),
                       r"t must lie in \[0, T\]"),
-    "example1_time_nan": (lambda: example1_exact(EX1, math.nan, 0), r"t must lie in \[0, T\]"),
+    # A non-finite t, N_t or B_t is refused by the one rule, before the
+    # range and sign checks, naming its first such entry.
+    "example1_time_nan": (lambda: example1_exact(EX1, math.nan, 0),
+                          "^t has a non-finite value nan$"),
     "example1_count_nan": (lambda: example1_exact(EX1, 0.5, [1.0, math.nan]),
-                           "N_t must be nonnegative"),
+                           "^N_t has a non-finite value nan at entry 1$"),
     "example2_time_nan": (lambda: example2_exact(PAPER2, math.nan, 0.0, 0),
-                          r"t must lie in \[0, T\]"),
+                          "^t has a non-finite value nan$"),
     "example2_brownian_nan": (lambda: example2_exact(PAPER2, 0.5, math.nan, 0),
-                              "B_t must be finite"),
+                              "^B_t has a non-finite value nan$"),
     "example2_brownian_inf": (lambda: example2_exact(PAPER2, 0.5, [0.0, -math.inf], 0),
-                              "B_t must be finite"),
+                              "^B_t has a non-finite value -inf at entry 1$"),
     "example2_count_nan": (lambda: example2_exact(PAPER2, 0.5, 0.0, math.nan),
-                           "N_t must be nonnegative"),
+                           "^N_t has a non-finite value nan$"),
     "example2_count": (lambda: example2_exact(PAPER2, 0.5, 0.0, -1), "N_t must be nonnegative"),
-    "example1_count_inf": (lambda: example1_exact(EX1, 0.5, math.inf), "^N_t must be finite$"),
+    "example1_count_inf": (lambda: example1_exact(EX1, 0.5, math.inf),
+                           "^N_t has a non-finite value inf$"),
     "example2_count_inf": (lambda: example2_exact(PAPER2, 0.5, 0.0, [0.0, math.inf]),
-                           "^N_t must be finite$"),
-    # -inf fails the sign check first; an inf after finite entries, or at
-    # an int t, is still refused.
+                           "^N_t has a non-finite value inf at entry 1$"),
+    # -inf is refused as non-finite, not as negative; an inf after finite
+    # entries, or at an int t, is still refused.
     "example1_count_neg_inf": (lambda: example1_exact(EX1, 0.5, -math.inf),
-                               "^N_t must be nonnegative$"),
+                               "^N_t has a non-finite value -inf$"),
     "example1_count_inf_entry": (lambda: example1_exact(EX1, [0.0, 0.5, 1], [1, 2, math.inf]),
-                                 "^N_t must be finite$"),
+                                 "^N_t has a non-finite value inf at entry 2$"),
     "example2_count_inf_scalar": (lambda: example2_exact(PAPER2, 0, 0.0, math.inf),
-                                  "^N_t must be finite$"),
+                                  "^N_t has a non-finite value inf$"),
     # exp overflows at B_t = 1e4: refused, not returned as inf with a warning.
     "example2_overflow": (lambda: example2_exact(PAPER2, 1.0, 1e4, 0),
-                          "^Y_t overflows float64$"),
+                          "^Y_t has a non-finite value inf$"),
     "example2_overflow_entry": (lambda: example2_exact(PAPER2, 1.0, [0.0, 1e4, 2e4], 0),
-                                "^Y_t overflows float64 at entry 1$"),
+                                "^Y_t has a non-finite value inf at entry 1$"),
     "example1_grid": (lambda: example1_grid(EX1, OTHER_PATHS),
-                      r"paths grid \(T=2\.0, kappa=1\.0\) does not match "
-                      r"params \(T=1\.0, kappa=1\.0\)"),
+                      r"^path batch grid GridSpec\(T=2\.0, N=4, kappa=1\.0\) does not "
+                      r"match the params grid GridSpec\(T=1\.0, N=4, kappa=1\.0\)$"),
     "example2_grid": (lambda: example2_grid(PAPER2, OTHER_PATHS),
-                      r"paths grid \(T=2\.0, kappa=1\.0\) does not match "
-                      r"params \(T=2\.0, kappa=3\.0\)"),
+                      r"^path batch grid GridSpec\(T=2\.0, N=4, kappa=1\.0\) does not "
+                      r"match the params grid GridSpec\(T=2\.0, N=4, kappa=3\.0\)$"),
 }
 
 

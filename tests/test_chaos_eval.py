@@ -395,6 +395,60 @@ class TestAgainstOracle:
             assert peak < 8 << 20
 
 
+class TestPsiIdentity:
+    """An exact oracle for every row and output of ``evaluate_grid``. With
+    d_n = 1/prod_i nP[i]! on every index of Brownian degree m and jump
+    degree k, 0 elsewhere and d0 = 0,
+
+        Y[r] = psi_mk(r),  sqrt(h)*Z[r] = psi_{m-1,k}(r),  U[r] = psi_{m,k-1}(r),
+
+    where psi_mk(r) = r**(m/2) * K_m(S_r/sqrt(r)) * C_k(N_r, r*kappa*h)/k!,
+    S_r and N_r are the running sums of G and Q, psi = 0 at a negative
+    degree, and psi_mk(0) is 1 at m = k = 0, else 0. The generating
+    functions exp(x*t - t**2/2) and exp(-lambda*u)*(1 + u)**x multiply
+    across slots, so psi_mk(r) sums Phi_n/prod_i nP[i]! over the indices of
+    degrees (m, k) supported on slots <= r; Z and U are its derivatives at
+    slot r. p = 2 runs the pair kernel, every other p the prefix kernel."""
+
+    @staticmethod
+    def psi(m, k, paths):
+        spec, M = paths.spec, paths.M
+        out = np.zeros((spec.N + 1, M))
+        if m < 0 or k < 0:
+            return out
+        out[0] = float(m == k == 0)
+        S = np.zeros(M)
+        counts = np.zeros(M)
+        for r in range(1, spec.N + 1):
+            S += paths.G[:, r - 1]
+            counts += paths.Q[:, r - 1]
+            K = hermite_batch(m, S / math.sqrt(r))[m]
+            C = charlier_batch(k, counts, r * spec.jump_mean)[k]
+            out[r] = r ** (m / 2) * K * C / math.factorial(k)
+        return out
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("N, p, kappa", [(4, 2, 1.0), (5, 3, 2.0), (3, 4, 0.5),
+                                             (6, 1, 1.0)])
+    def test_every_row_and_output_is_psi(self, N, p, kappa, threads):
+        spec = GridSpec(T=1.0, N=N, kappa=kappa)
+        paths = sample_paths(spec, 2000, seed=N)  # two chunks
+        basis = coefficients_from_entries(spec, p)
+        weight = 1.0 / np.prod([[math.factorial(b) for b in row] for row in basis.degP], axis=1)
+        degB, degP = basis.degB.sum(axis=1), basis.degP.sum(axis=1)
+        for m in range(p + 1):
+            for k in range(p + 1 - m):
+                if m + k == 0:
+                    continue
+                values = np.where((degB == m) & (degP == k), weight, 0.0)
+                coeffs = ChaosCoefficients(0.0, values, p, spec)
+                Y, Z, U = evaluate_grid(coeffs, paths, threads=threads)
+                for got, want in ((Y, self.psi(m, k, paths)),
+                                  (math.sqrt(spec.h) * Z, self.psi(m - 1, k, paths)),
+                                  (U, self.psi(m, k - 1, paths))):
+                    assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want))), (m, k)
+
+
 class TestProperties:
     @settings(max_examples=30, deadline=None)
     @given(r=st.integers(0, 3), tail=st.floats(-50, 50, allow_nan=False),
@@ -580,13 +634,13 @@ class TestOverflow:
         evaluate_grid(coeffs, self.PATHS, out=(Y, np.zeros_like(Y), np.zeros_like(Y)),
                       _sums_h=0.0)
         r, m = self.first_bad(Y, slice(0, 1024))
-        with pytest.raises(ValueError, match=rf"^evaluate_grid overflows float64: Y is "
-                                             rf"not finite at grid index {r}, sample {m}$"):
+        with pytest.raises(ValueError, match=rf"^evaluate_grid's Y has a non-finite value "
+                                             rf"inf at grid index {r}, sample {m}$"):
             evaluate_grid(coeffs, self.PATHS, threads=2)
         t = self.SPEC.times()[2]
         dB, dN = self.PATHS.G[:, 1] * math.sqrt(self.SPEC.h), self.PATHS.Q[:, 1]
-        with pytest.raises(ValueError, match=r"^conditional_at overflows float64: Y is not "
-                                             r"finite at grid index 2, sample \d+$"):
+        with pytest.raises(ValueError, match=r"^conditional_at's Y has a non-finite value "
+                                             r"(-?inf|nan) at grid index 2, sample \d+$"):
             conditional_at(coeffs, self.PATHS, 2, t, dB, dN)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
@@ -597,13 +651,13 @@ class TestOverflow:
         G[1500, 0] = 5.0
         paths = PathBatch(self.SPEC, 2000, G, np.zeros((2000, 3), dtype=np.int64), 0)
         coeffs = coefficients_from_entries(self.SPEC, p, entries={((1, 0, 0), (0, 0, 0)): 1e308})
-        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: Y is not "
-                                             "finite at grid index 1, sample 1500$"):
+        with pytest.raises(ValueError, match="^evaluate_grid's Y has a non-finite value "
+                                             "inf at grid index 1, sample 1500$"):
             evaluate_grid(coeffs, paths, threads=2)
         dB = np.zeros(2000)
         dB[1500] = 5.0 * math.sqrt(self.SPEC.h)
-        with pytest.raises(ValueError, match="^conditional_at overflows float64: Y is not "
-                                             "finite at grid index 1, sample 1500$"):
+        with pytest.raises(ValueError, match="^conditional_at's Y has a non-finite value "
+                                             "inf at grid index 1, sample 1500$"):
             conditional_at(coeffs, paths, 1, self.SPEC.times()[1], dB, np.zeros(2000, int))
 
     @pytest.mark.parametrize("p", [2, 3])
@@ -615,12 +669,12 @@ class TestOverflow:
         G[1500, 0] = 1.5
         paths = PathBatch(self.SPEC, 2000, G, np.zeros((2000, 3), dtype=np.int64), 0)
         coeffs = coefficients_from_entries(self.SPEC, p, entries={((1, 0, 1), (0, 0, 0)): 1e308})
-        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: Z is not "
-                                             "finite at grid index 3, sample 1500$"):
+        with pytest.raises(ValueError, match="^evaluate_grid's Z has a non-finite value "
+                                             "inf at grid index 3, sample 1500$"):
             evaluate_grid(coeffs, paths, threads=2)
         zeros = np.zeros(2000)
-        with pytest.raises(ValueError, match="^conditional_at overflows float64: Z is not "
-                                             "finite at grid index 3, sample 1500$"):
+        with pytest.raises(ValueError, match="^conditional_at's Z has a non-finite value "
+                                             "inf at grid index 3, sample 1500$"):
             conditional_at(coeffs, paths, 3, self.SPEC.times()[3] - 0.1, zeros,
                            zeros.astype(int))
 
@@ -635,11 +689,11 @@ class TestOverflow:
         zeros = np.zeros((2000, 3))
         paths = PathBatch(spec, 2000, zeros, zeros.astype(np.int64), 0)
         coeffs = coefficients_from_entries(spec, p, entries={((0, 0, 0), (0, 0, 2)): 1.5e308})
-        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: U is not "
-                                             "finite at grid index 3, sample 0$"):
+        with pytest.raises(ValueError, match="^evaluate_grid's U has a non-finite value "
+                                             "-inf at grid index 3, sample 0$"):
             evaluate_grid(coeffs, paths, threads=2)
-        with pytest.raises(ValueError, match="^conditional_at overflows float64: U is not "
-                                             "finite at grid index 3, sample 0$"):
+        with pytest.raises(ValueError, match="^conditional_at's U has a non-finite value "
+                                             "-inf at grid index 3, sample 0$"):
             conditional_at(coeffs, paths, 3, spec.times()[3] - 0.1, zeros[:, 0],
                            zeros[:, 0].astype(int))
 
@@ -649,8 +703,8 @@ class TestOverflow:
         spec = GridSpec(1.0, 3, 3.0)
         paths = sample_paths(spec, 2000, 0)
         coeffs = coefficients_from_entries(spec, 2, entries={((0, 0, 0), (0, 0, 2)): 1.5e308})
-        with pytest.raises(ValueError, match="^evaluate_grid overflows float64: Y is not "
-                                             "finite at grid index 3, sample 0$"):
+        with pytest.raises(ValueError, match="^evaluate_grid's Y has a non-finite value "
+                                             "nan at grid index 3, sample 0$"):
             evaluate_grid(coeffs, paths, threads=2)
         # The solver's path writes the non-finite rows without a warning.
         Y = np.zeros((spec.N + 1, paths.M))

@@ -378,13 +378,14 @@ class TestSolve:
             return out
 
         with pytest.raises(ValueError,
-                           match="iteration 1, grid index 3, sample 7"):
+                           match="^driver output at iteration 1 has a non-finite value "
+                                 "inf at grid index 3, sample 7$"):
             solve(cfg, Driver.custom(bad), TerminalFunctional.poisson_count())
 
     def test_overflowing_driver_sum_reports_grid_index_and_sample(self, spec5):
         # Finite driver values whose running sum overflows on the evaluation
-        # batch only: F stays finite, and the summed row is checked as it is
-        # produced.
+        # batch only: F stays finite, the last sum is not, and the rows are
+        # walked back to the first that overflowed.
         cfg = SolverConfig(spec=spec5, p=1, K_it=1, M=50, seed=13,
                            sample_mode="independent")
         calls = []
@@ -397,8 +398,8 @@ class TestSolve:
             return out
 
         with pytest.raises(ValueError,
-                           match="running driver sum overflowed at iteration 1, "
-                                 "grid index 2, sample 7$"):
+                           match="^running driver sum at iteration 1 has a non-finite "
+                                 "value inf at grid index 2, sample 7$"):
             solve(cfg, Driver.custom(huge_on_second_batch),
                   TerminalFunctional.poisson_count())
 
@@ -409,8 +410,8 @@ class TestSolve:
         Y[1:3, 7] = 1e308
         times = np.linspace(0.0, 1.0, 4)
         with pytest.raises(ValueError,
-                           match="running driver sum overflowed at iteration 2, "
-                                 "grid index 2, sample 7$"):
+                           match="^running driver sum at iteration 2 has a non-finite "
+                                 "value inf at grid index 2, sample 7$"):
             _driver_sums(Driver.custom(lambda t, y, z, u: y), times, Y,
                          np.zeros_like(Y), np.zeros_like(Y), 1)
 
@@ -431,8 +432,8 @@ class TestSolve:
             return out
 
         with pytest.raises(ValueError,
-                           match="non-finite Y value in final grid at grid index 2, "
-                                 "sample 7$"):
+                           match="^Y of iteration 1 has a non-finite value -inf at "
+                                 "grid index 2, sample 7$"):
             solve(cfg, Driver.custom(huge_once_on_second_batch),
                   TerminalFunctional.poisson_count())
 
@@ -455,8 +456,8 @@ class TestSolve:
             return out
 
         with pytest.raises(ValueError,
-                           match="non-finite Y value in final grid at grid index 2, "
-                                 "sample 7$"):
+                           match="^Y of iteration 1 has a non-finite value -inf at "
+                                 "grid index 2, sample 7$"):
             solve(cfg, Driver.custom(spikes_on_second_batch),
                   TerminalFunctional.poisson_count())
 
@@ -471,7 +472,8 @@ class TestSolve:
             return out
 
         with pytest.raises(ValueError,
-                           match="non-finite functional at iteration 1, sample 3$"):
+                           match="^F at iteration 1 has a non-finite value inf at "
+                                 "sample 3$"):
             solve(cfg, Driver.custom(huge_from_sample_3),
                   TerminalFunctional.poisson_count())
 

@@ -258,6 +258,152 @@ def test_every_real_array_follows_the_real_rule(name):
                 call(bad)
 
 
+def _with(a, at, value):
+    """A float64 copy of ``a`` with ``value`` at index ``at``."""
+    a = np.array(a, dtype=np.float64)
+    a[at] = value
+    return a
+
+
+def _batch(spec, G, Q=None):
+    """A hand-built batch of the increments G and the counts Q (0 if None)."""
+    G = np.asarray(G, dtype=np.float64)
+    Q = np.zeros(G.shape, dtype=np.int64) if Q is None else Q
+    return PathBatch(spec, G.shape[0], G, Q, 0)
+
+
+def _entry(spec, p, key, value):
+    return coefficients_from_entries(spec, p, entries={key: value})
+
+
+def _solve(driver, **config):
+    return solve(_config(**config), Driver.custom(driver), TerminalFunctional.poisson_count())
+
+
+def _blow_up(driver):
+    return solve(_config(spec=GridSpec(T=1.0, N=4, kappa=1.0), K_it=3, seed=1), driver,
+                 TerminalFunctional.custom(
+                     lambda pb: 3e306 * np.tanh(pb.G[:, 0] * pb.G[:, 1] + pb.G[:, 2])))
+
+
+BLOW_UP = "Y of iteration 2 has a non-finite value inf at grid index 4, sample 3"
+
+
+def _at_sample(m, value):
+    """Driver whose every row is 0 but ``value`` at sample m of 4."""
+    return lambda t, y, z, u: _with(np.zeros(4), m, value)
+
+
+# Evaluation overflows: G[2, 0] = 5 times 1e308 on the first Brownian unit
+# (Y at grid index 1); G[2, 0] = 1.5 times 1e308 on G_1 * G_3 (Z at grid
+# index 3); 1.5e308 on C_2 at slot 3 with kappa*h = 1 and no jumps (U = -3e308
+# at grid index 3).
+SPEC3 = GridSpec(T=1.0, N=3, kappa=3.0)
+Y_OVERFLOW = (_entry(SPEC, 1, ((1, 0, 0), (0, 0, 0)), 1e308),
+              _batch(SPEC, _with(np.zeros((4, 3)), (2, 0), 5.0)))
+Z_OVERFLOW = (_entry(SPEC, 2, ((1, 0, 1), (0, 0, 0)), 1e308),
+              _batch(SPEC, _with(np.zeros((4, 3)), (2, 0), 1.5)))
+U_OVERFLOW = (_entry(SPEC3, 3, ((0, 0, 0), (0, 0, 2)), 1.5e308), _batch(SPEC3, np.zeros((4, 3))))
+FIRST_JUMP = int(np.argmax(PATHS.Q.sum(axis=1) > 0))
+WIDE = sample_paths(GridSpec(T=1.0, N=4, kappa=1.0), 2000, seed=1)
+
+# Every place a non-finite value is refused -> (call, the message). One rule
+# words them all: "<name> has a non-finite value <v> at <axis> <i>, ...", with
+# the index along the caller's axes, or its entry, and no index for a scalar.
+NON_FINITE = {
+    "estimate.F": (lambda: estimate(_with(F, 12, np.inf), PATHS, 2),
+                   "F has a non-finite value inf at sample 12"),
+    "variance_diagnostic.F": (lambda: variance_diagnostic(_with(F, 5, np.nan), PATHS, 2),
+                              "F has a non-finite value nan at sample 5"),
+    "conditional_at.dB": (lambda: conditional_at(
+        COEFFS, PATHS, 2, SPEC.times()[2], _with(np.zeros(40), 9, -np.inf), PATHS.Q[:, 1]),
+        "dB has a non-finite value -inf at sample 9"),
+    "ChaosCoefficients.values": (lambda: ChaosCoefficients(
+        0.0, _with(np.zeros(27), 17, np.inf), 2, SPEC), "values has a non-finite value inf "
+                                                        "at rank 17"),
+    "PathBatch.G": (lambda: _batch(SPEC, _with(PATHS.G, (7, 1), np.nan), PATHS.Q),
+                    "G has a non-finite value nan at sample 7, interval 1"),
+    "hermite_batch.x": (lambda: hermite_batch(3, [[0.5, 1.0], [-np.inf, 2.0]]),
+                        "x has a non-finite value -inf at entry 1, 0"),
+    "charlier_batch.x": (lambda: charlier_batch(3, np.nan, 1.0),
+                         "x has a non-finite value nan"),
+    "example1_exact.t": (lambda: example1_exact(EX1, [0.5, np.nan], 1),
+                         "t has a non-finite value nan at entry 1"),
+    "example1_exact.N_t": (lambda: example1_exact(EX1, [0.0, 0.5, 1], [1, 2, np.inf]),
+                           "N_t has a non-finite value inf at entry 2"),
+    "example2_exact.B_t": (lambda: example2_exact(EX2, 0.5, [0.0, -np.inf], 0),
+                           "B_t has a non-finite value -inf at entry 1"),
+    "example2_exact.y": (lambda: example2_exact(EX2, 1.0, [0.0, 1e4, 2e4], 0),
+                         "Y_t has a non-finite value inf at entry 1"),
+    "terminal_samples": (lambda: terminal_samples(TerminalFunctional.exp_levy(0, 0, 800), PATHS),
+                         f"terminal functional has a non-finite value inf at sample {FIRST_JUMP}"),
+    "estimate.d0": (lambda: estimate(np.full(40, 1e308), PATHS, 1),
+                    "estimate's d0 has a non-finite value inf"),
+    # Sums of 1e305 * (G_1 * G_2)**2 over 2000 samples.
+    "estimate.sum": (lambda: estimate(1e305 * WIDE.G[:, 0] * WIDE.G[:, 1], WIDE, 2),
+                     "estimate's sum has a non-finite value inf at rank 9"),
+    "estimate.coefficient": (lambda: estimate(np.full(2, 1e306), _batch(
+        GridSpec(T=1.0, N=1, kappa=1e-3), np.zeros((2, 1)), np.array([[1], [0]])), 1),
+        "estimate's coefficient has a non-finite value inf at rank 1"),
+    "variance_diagnostic.Var(F)": (lambda: variance_diagnostic(np.full(40, 1e200), PATHS, 2),
+                                   "variance_diagnostic's Var(F) has a non-finite value nan"),
+    "variance_diagnostic.V": (lambda: variance_diagnostic(
+        [3e153, 1e153], _batch(SPEC, [[0.3, -0.2, 0.1], [-0.3, 0.5, 0.2]],
+                               np.array([[1, 0, 2], [0, 1, 0]])), 2),
+        "variance_diagnostic's V has a non-finite value nan"),
+    "evaluate_grid.Y": (lambda: evaluate_grid(*Y_OVERFLOW),
+                        "evaluate_grid's Y has a non-finite value inf at grid index 1, sample 2"),
+    "evaluate_grid.Z": (lambda: evaluate_grid(*Z_OVERFLOW),
+                        "evaluate_grid's Z has a non-finite value inf at grid index 3, sample 2"),
+    "evaluate_grid.U": (lambda: evaluate_grid(*U_OVERFLOW),
+                        "evaluate_grid's U has a non-finite value -inf at grid index 3, "
+                        "sample 0"),
+    "conditional_at.Y": (lambda: conditional_at(
+        *Y_OVERFLOW, 1, SPEC.times()[1], _with(np.zeros(4), 2, 5.0 * np.sqrt(SPEC.h)),
+        np.zeros(4, int)),
+        "conditional_at's Y has a non-finite value inf at grid index 1, sample 2"),
+    "conditional_at.Z": (lambda: conditional_at(
+        *Z_OVERFLOW, 3, SPEC.times()[3] - 0.1, np.zeros(4), np.zeros(4, int)),
+        "conditional_at's Z has a non-finite value inf at grid index 3, sample 2"),
+    "conditional_at.U": (lambda: conditional_at(
+        *U_OVERFLOW, 3, SPEC3.times()[3] - 0.1, np.zeros(4), np.zeros(4, int)),
+        "conditional_at's U has a non-finite value -inf at grid index 3, sample 0"),
+    # Inside a solve (N = 3, M = 4, K_it = 1 unless given).
+    "solve.driver": (lambda: _solve(lambda t, y, z, u: _with(y, 2, np.inf if t > 0.5 else 0)),
+                     "driver output at iteration 1 has a non-finite value inf at grid index 2, "
+                     "sample 2"),
+    "solve.running_sum": (lambda: _solve(_at_sample(3, 1e308)),
+                          "running driver sum at iteration 1 has a non-finite value inf at "
+                          "grid index 2, sample 3"),
+    # h = 4: the driver sum 1e308 is finite, h times it is not.
+    "solve.F": (lambda: _solve(_at_sample(1, 1e308), spec=GridSpec(T=4.0, N=1, kappa=1.0)),
+                "F at iteration 1 has a non-finite value inf at sample 1"),
+    # Iteration 2's evaluation makes Y inf (a solve's evaluations do not scan
+    # their chunks). Iteration 3's driver row there is NaN (0 * inf) or inf,
+    # and the iterate is named, not the driver.
+    "solve.iterate.zero_times_inf": (lambda: _blow_up(Driver.linear(0, 1, 0)), BLOW_UP),
+    "solve.iterate.all_terms": (lambda: _blow_up(Driver.linear(0.3, 0.3, 0.2)), BLOW_UP),
+    # h = 2: sums of 1e308 at grid index 2 and 0 after it keep F finite, and
+    # Y[2] = cond - 2e308 is not.
+    "solve.final_grid": (lambda: _solve(
+        lambda t, y, z, u: _with(np.zeros(4), 3, {4.0: 1e308, 6.0: -1e308}.get(t, 0.0)),
+        spec=GridSpec(T=10.0, N=5, kappa=1.0)),
+        "Y of iteration 1 has a non-finite value -inf at grid index 2, sample 3"),
+}
+
+
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_every_non_finite_value_follows_the_one_rule(name):
+    # The one wording, naming the value and its place, and a ValueError
+    # under any warnings filter: no RuntimeWarning from the arithmetic that
+    # made the value gets through first.
+    call, message = NON_FINITE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
+
+
 @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.float32])
 def test_a_path_batch_stores_its_increments_as_float64(dtype):
     # Converted in their layout: a time-major G stays time-major.

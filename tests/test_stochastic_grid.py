@@ -251,7 +251,7 @@ class TestPathBatch:
     # the constructor refuses with this error and message.
     DEFECTS = {
         "nan_in_G": (lambda M, G, Q: (M, with_entry(G, (7, 1), np.nan), Q), ValueError,
-                     "non-finite increment at sample 7, interval 1: nan"),
+                     "^G has a non-finite value nan at sample 7, interval 1$"),
         "negative_count": (lambda M, G, Q: (M, G, with_entry(Q, (4, 2), -1)), ValueError,
                            "negative count at sample 4, interval 2: -1"),
         "fractional_counts": (lambda M, G, Q: (M, G, Q + 0.5), ValueError,
@@ -280,7 +280,8 @@ class TestPathBatch:
         paths = sample_paths(self.SPEC, 40, seed=11)
         paths.G[12, 0] = np.inf
         paths.rows(0, 12)
-        with pytest.raises(ValueError, match="sample 2, interval 0: inf"):
+        with pytest.raises(ValueError,
+                           match="^G has a non-finite value inf at sample 2, interval 0$"):
             paths.rows(10, 20)
 
     def test_first_bad_increment_in_sample_order_is_named(self):
@@ -289,7 +290,8 @@ class TestPathBatch:
         paths = sample_paths(self.SPEC, 40, seed=11)
         paths.G[7, 1] = np.nan
         paths.G[3, 2] = np.inf
-        with pytest.raises(ValueError, match="sample 3, interval 2: inf$"):
+        with pytest.raises(ValueError,
+                           match="^G has a non-finite value inf at sample 3, interval 2$"):
             PathBatch(self.SPEC, paths.M, paths.G, paths.Q, seed=11)
 
     def test_sampled_batch_and_its_views_are_stored_as_given(self):
